@@ -89,10 +89,11 @@ func Str(b []byte) string {
 	return string(b) // want `to string conversion allocates`
 }
 
-// The fused-engine shape: a multi-source packing loop over preallocated
-// operand lists writing scaled sums into a packed panel, then an epilogue
-// dispatched through an interface whose call site carries an inline waiver.
-// The pack loop itself must prove clean — no findings.
+// The blocked leaf engine's shape (gemm's blockedBackend.leaf): one packing
+// pass per entry of a preallocated operand list — the first overwrites the
+// packed panel, the rest add into it — then an epilogue dispatched through
+// an interface whose call site carries an inline waiver. The pack loop
+// itself must prove clean — no findings.
 
 type operand struct {
 	src   []float64

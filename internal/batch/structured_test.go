@@ -160,3 +160,54 @@ func TestSvcEstimatorSeparatesOps(t *testing.T) {
 		t.Fatalf("muladd estimate = %g, want multiply's 1.0", got)
 	}
 }
+
+// TestAliasedRequestRefused: a request whose C shares storage with an
+// operand is refused on both the sync and async paths — operands untouched,
+// nothing enqueued — and the requests around it complete normally.
+func TestAliasedRequestRefused(t *testing.T) {
+	b, err := New(testOptions(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	P := randMat(160, 160, 5)
+	before := P.Clone()
+	A, B := P.View(0, 0, 80, 80), P.View(80, 0, 80, 80)
+	good := op.Request{Op: op.Multiply, C: mat.New(80, 80), A: A, B: B}
+	want := mat.New(80, 80)
+	gemm.Mul(want, A, B)
+
+	tk, err := b.SubmitRequest(good, SubmitOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Do(op.Request{Op: op.Multiply, C: A, A: A, B: B}); err == nil {
+		t.Error("Do with C = A must fail")
+	}
+	if _, err := b.SubmitRequest(op.Request{Op: op.MultiplyAdd, C: P.View(40, 40, 80, 80), A: A, B: B}, SubmitOpts{}); err == nil {
+		t.Error("SubmitRequest with C overlapping A and B must fail")
+	}
+	if err := b.Do(op.Request{Op: op.ATA, C: A, A: A}); err == nil {
+		t.Error("ATA onto its own input must fail")
+	}
+	if err := tk.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if d := mat.MaxAbsDiff(good.C, want); d > 1e-9 {
+		t.Fatalf("request submitted before the refusals: diff %g", d)
+	}
+	if d := mat.MaxAbsDiff(P, before); d != 0 {
+		t.Fatalf("a refused request modified its operands (max diff %g)", d)
+	}
+	// A sibling block of the operands' parent is a legal destination.
+	sib := op.Request{Op: op.Multiply, C: P.View(0, 80, 80, 80), A: A, B: B}
+	if err := b.Do(sib); err != nil {
+		t.Fatal(err)
+	}
+	if d := mat.MaxAbsDiff(sib.C, want); d > 1e-9 {
+		t.Fatalf("product into a sibling view: diff %g", d)
+	}
+	if st := b.Stats(); st.SyncDone != 1 || st.Ops["multiply"] != 2 {
+		t.Fatalf("refused requests were counted: SyncDone=%d Ops=%v", st.SyncDone, st.Ops)
+	}
+}

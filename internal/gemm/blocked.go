@@ -8,7 +8,7 @@ import (
 )
 
 // maxMR/maxNR bound the micro-tile dims a blocked backend may use (the
-// generic edge kernel carries a maxMR×maxNR scratch tile on its stack).
+// pooled scratch tile is maxMR×maxNR).
 const (
 	maxMR = 8
 	maxNR = 8
@@ -20,9 +20,9 @@ const (
 type microKernelFunc func(C *mat.Dense, i0, j0, kb int, ap, bp []float64)
 
 // blockedBackend is the shared GotoBLAS/BLIS-structured engine: everything —
-// panel blocking, packing, slab parallelism, edge handling — is generic, and
-// only the full-tile micro-kernel (plus its MR×NR shape) differs per backend,
-// the BLIS thesis applied to this repository.
+// panel blocking, packing, slab parallelism, edge handling, the scatter
+// epilogue — is generic, and only the full-tile micro-kernel (plus its MR×NR
+// shape) differs per backend, the BLIS thesis applied to this repository.
 type blockedBackend struct {
 	name         string
 	accel        bool
@@ -63,10 +63,10 @@ func newBlocked(name string, accel bool, mr, nr int, kern microKernelFunc) *bloc
 	return bk
 }
 
-// packBufs is one worker's packing slab: the A and B panel buffers together
-// (one pool round-trip per gemm call), plus the fused path's scratch — the
-// micro-tile the kernel computes into before the scatter-add epilogue, and
-// three matrix headers the small path stamps over the slabs.
+// packBufs is one worker's scratch: the A and B panel buffers together (one
+// pool round-trip per call), the micro-tile that border tiles and scattered
+// products are computed into, and three matrix headers the small path stamps
+// over the slabs.
 type packBufs struct {
 	a, b       []float64
 	tile       *mat.Dense
@@ -77,82 +77,176 @@ func (bk *blockedBackend) Name() string               { return bk.name }
 func (bk *blockedBackend) Accelerated() bool          { return bk.accel }
 func (bk *blockedBackend) PackFloatsPerWorker() int64 { return int64(bk.apLen + bk.bpLen) }
 
+// Gemm is the one-source, one-destination, unit-weight call of the engine.
+// The sequential branch keeps its one-entry lists in separate stack arrays:
+// parallelSlabs hands its lists to goroutines, so sharing them with that
+// branch would move them to the heap on the zero-allocation path.
 func (bk *blockedBackend) Gemm(C *mat.Dense, alpha float64, A, B *mat.Dense, accumulate bool, workers int) {
 	if workers == 1 {
-		bk.gemmSeq(C, alpha, A, B, accumulate)
+		d, a, b := [1]Scaled{{M: C, Coeff: 1}}, [1]Scaled{{M: A, Coeff: 1}}, [1]Scaled{{M: B, Coeff: 1}}
+		bk.leaf(d[:], alpha, a[:], b[:], accumulate)
 		return
 	}
-	parallelSlabs(C, alpha, A, B, accumulate, workers, bk.mr, bk.nr, bk.gemmSeq)
+	ops := []Scaled{{M: C, Coeff: 1}, {M: A, Coeff: 1}, {M: B, Coeff: 1}}
+	bk.parallelSlabs(ops[:1], alpha, ops[1:2], ops[2:], accumulate, workers)
 }
 
-// gemmSeq is the sequential blocked kernel — the innermost leaf of every
-// multiply. Its packing slabs come from the pool, so steady state allocates
-// nothing; fmmvet holds it (and packA/packB/macroKernel) to that.
-//
-//fastmm:zeroalloc
-func (bk *blockedBackend) gemmSeq(C *mat.Dense, alpha float64, A, B *mat.Dense, accumulate bool) {
-	m, k, n := A.Rows(), A.Cols(), B.Cols()
-	if m <= naiveMax && n <= naiveMax && k <= naiveMax {
-		small(C, alpha, A, B, accumulate)
+// GemmFused implements FusedBackend for every blocked backend.
+func (bk *blockedBackend) GemmFused(dsts []Scaled, alpha float64, asrcs, bsrcs []Scaled, accumulate bool, workers int) {
+	if workers == 1 {
+		bk.leaf(dsts, alpha, asrcs, bsrcs, accumulate)
 		return
 	}
-	if !accumulate {
-		C.Zero()
+	bk.parallelSlabs(dsts, alpha, asrcs, bsrcs, accumulate, workers)
+}
+
+// leaf is the sequential blocked engine — the innermost leaf of every
+// multiply, plain or fused. The S/T sums form inside the packing pass (one
+// extra read per extra source, no temporary), and the product reaches the
+// destinations one of three ways: straight through the micro-kernel when one
+// destination can absorb it (a lone destination, or an overwritten ±1-weight
+// primary the others are derived from), or via the pooled scratch tile whose
+// epilogue scatters into every destination with its W coefficient. All
+// scratch comes from the pool, so steady state allocates nothing; fmmvet
+// holds it (and everything it calls) to that.
+//
+//fastmm:zeroalloc
+func (bk *blockedBackend) leaf(dsts []Scaled, alpha float64, asrcs, bsrcs []Scaled, accumulate bool) {
+	m, k, n := asrcs[0].M.Rows(), asrcs[0].M.Cols(), bsrcs[0].M.Cols()
+	tiny := m <= naiveMax && n <= naiveMax && k <= naiveMax
+	if tiny && len(dsts) == 1 && len(asrcs) == 1 && len(bsrcs) == 1 &&
+		dsts[0].Coeff == 1 && asrcs[0].Coeff == 1 && bsrcs[0].Coeff == 1 {
+		// Plain gemm below the blocked cutoff: nothing to sum and nothing to
+		// scatter, so the scratch round trip would be pure overhead.
+		small(dsts[0].M, alpha, asrcs[0].M, bsrcs[0].M, accumulate && !dsts[0].Overwrite)
+		return
 	}
 	pb := bk.pool.Get().(*packBufs)
-	ap, bp := pb.a, pb.b
 	defer bk.pool.Put(pb)
+	if tiny {
+		smallSummed(pb, dsts, alpha, asrcs, bsrcs, accumulate)
+		return
+	}
+	// An overwritten ±1-weight destination takes the whole product straight
+	// from the micro-kernel — AVX2 included — across every k-panel, and the
+	// other destinations are derived from it in one block-sized sweep each;
+	// the per-panel scalar scatter disappears entirely.
+	for i, d := range dsts {
+		if (d.Coeff == 1 || d.Coeff == -1) && overwrites(d, true, accumulate) {
+			bk.nest(pb, dsts[i:i+1], alpha, asrcs, bsrcs, accumulate)
+			for j, o := range dsts {
+				if j == i {
+					continue
+				}
+				// d holds d.Coeff·alpha·P with d.Coeff = ±1, so
+				// o.Coeff·alpha·P = (o.Coeff·d.Coeff)·d — exact, no division.
+				w := o.Coeff * d.Coeff
+				if overwrites(o, true, accumulate) {
+					mat.Scale(o.M, w, d.M)
+				} else {
+					mat.Axpy(o.M, w, d.M)
+				}
+			}
+			return
+		}
+	}
+	bk.nest(pb, dsts, alpha, asrcs, bsrcs, accumulate)
+}
 
+// nest is the blocked loop nest: for each kc×nc panel of Σc·B and mc×kc
+// panel of alpha·Σc·A, pack (the first source overwrites the slab, the rest
+// accumulate into it) and run the macro-kernel.
+//
+// The micro-kernel can only add. A lone destination therefore becomes a
+// plain accumulate target — zeroed first if it is to be overwritten, its W
+// coefficient folded into the packed-A scale — and full tiles go straight
+// into it; several destinations are scattered to from the scratch tile.
+func (bk *blockedBackend) nest(pb *packBufs, dsts []Scaled, alpha float64, asrcs, bsrcs []Scaled, accumulate bool) {
+	m, k, n := asrcs[0].M.Rows(), asrcs[0].M.Cols(), bsrcs[0].M.Cols()
+	direct := len(dsts) == 1
+	var lone [1]Scaled
+	if direct {
+		d := dsts[0]
+		if !accumulate || d.Overwrite {
+			d.M.Zero()
+		}
+		alpha *= d.Coeff
+		lone[0] = Scaled{M: d.M, Coeff: 1}
+		dsts, accumulate = lone[:], true
+	}
 	for pc := 0; pc < k; pc += kc {
 		kb := min(kc, k-pc)
 		for jc := 0; jc < n; jc += nc {
 			nb := min(nc, n-jc)
-			packB(bp, B, pc, jc, kb, nb, bk.nr)
+			for t, s := range bsrcs {
+				packB(pb.b, s.M, pc, jc, kb, nb, bk.nr, s.Coeff, t > 0)
+			}
 			for ic := 0; ic < m; ic += mc {
 				mb := min(mc, m-ic)
-				packA(ap, A, ic, pc, mb, kb, bk.mr, alpha)
-				bk.macroKernel(C, ic, jc, mb, nb, kb, ap, bp)
+				for t, s := range asrcs {
+					packA(pb.a, s.M, ic, pc, mb, kb, bk.mr, alpha*s.Coeff, t > 0)
+				}
+				// Only the first k-panel may overwrite: later panels
+				// accumulate the remaining rank-1 terms on top.
+				bk.macroKernel(dsts, direct, pb, ic, jc, mb, nb, kb, pc == 0, accumulate)
 			}
 		}
 	}
 }
 
-// packA packs the mb×kb panel of A at (ic, pc) into ap, scaled by alpha, in
-// micro-panel order: for each group of mr rows, the kb columns are stored
-// k-major ([k*mr + i]), zero-padded to a multiple of mr rows.
-func packA(ap []float64, A *mat.Dense, ic, pc, mb, kb, mr int, alpha float64) {
-	idx := 0
+// packA packs the mb×kb panel of scale·A at (ic, pc) into ap in micro-panel
+// order: for each group of mr rows, the kb columns are stored k-major
+// ([k*mr + i]), zero-padded to a multiple of mr rows. With add set the panel
+// is accumulated onto what an earlier source packed (padding included), so
+// the S temporary of the explicit path becomes one extra streaming read per
+// extra source.
+func packA(ap []float64, A *mat.Dense, ic, pc, mb, kb, mr int, scale float64, add bool) {
 	for ir := 0; ir < mb; ir += mr {
 		rows := min(mr, mb-ir)
-		for i := 0; i < rows; i++ {
-			src := A.Row(ic + ir + i)[pc : pc+kb]
-			dst := ap[idx+i:]
-			for kk, v := range src {
-				dst[kk*mr] = alpha * v
+		panel := ap[:mr*kb]
+		ap = ap[mr*kb:]
+		for i := 0; i < mr; i++ {
+			dst := panel[i:]
+			switch {
+			case i >= rows:
+				if !add {
+					for kk := 0; kk < kb; kk++ {
+						dst[kk*mr] = 0
+					}
+				}
+			case add:
+				for kk, v := range A.Row(ic + ir + i)[pc : pc+kb] {
+					dst[kk*mr] += scale * v
+				}
+			default:
+				for kk, v := range A.Row(ic + ir + i)[pc : pc+kb] {
+					dst[kk*mr] = scale * v
+				}
 			}
 		}
-		for i := rows; i < mr; i++ {
-			dst := ap[idx+i:]
-			for kk := 0; kk < kb; kk++ {
-				dst[kk*mr] = 0
-			}
-		}
-		idx += mr * kb
 	}
 }
 
-// packB packs the kb×nb panel of B at (pc, jc) into bp in micro-panel order:
-// for each group of nr columns, the kb rows are stored k-major
-// ([k*nr + j]), zero-padded to a multiple of nr columns.
-func packB(bp []float64, B *mat.Dense, pc, jc, kb, nb, nr int) {
+// packB packs the kb×nb panel of scale·B at (pc, jc) into bp in micro-panel
+// order: for each group of nr columns, the kb rows are stored k-major
+// ([k*nr + j]), zero-padded to a multiple of nr columns. add as for packA:
+// the T temporary of the explicit path is never formed.
+func packB(bp []float64, B *mat.Dense, pc, jc, kb, nb, nr int, scale float64, add bool) {
 	idx := 0
 	for jr := 0; jr < nb; jr += nr {
 		cols := min(nr, nb-jr)
 		for kk := 0; kk < kb; kk++ {
-			src := B.Row(pc + kk)
+			src := B.Row(pc + kk)[jc+jr : jc+jr+cols]
 			dst := bp[idx+kk*nr : idx+kk*nr+nr]
-			for j := 0; j < cols; j++ {
-				dst[j] = src[jc+jr+j]
+			d := dst[:len(src)] // same length as src: no bounds checks in the loops
+			if add {
+				for j, v := range src {
+					d[j] += scale * v
+				}
+				continue
+			}
+			for j, v := range src {
+				d[j] = scale * v
 			}
 			for j := cols; j < nr; j++ {
 				dst[j] = 0
@@ -163,31 +257,41 @@ func packB(bp []float64, B *mat.Dense, pc, jc, kb, nb, nr int) {
 }
 
 // macroKernel multiplies the packed mb×kb A panel by the packed kb×nb B
-// panel, accumulating into C at (ic, jc). Full tiles go to the backend's
-// micro-kernel; border tiles to the generic edge kernel.
-func (bk *blockedBackend) macroKernel(C *mat.Dense, ic, jc, mb, nb, kb int, ap, bp []float64) {
+// panel into the destinations at (ic, jc). With direct set, full tiles go
+// from the backend's micro-kernel straight into the one destination;
+// otherwise — and for border tiles always — the tile is computed once into
+// the pooled scratch tile and the epilogue folds it into every destination.
+func (bk *blockedBackend) macroKernel(dsts []Scaled, direct bool, pb *packBufs, ic, jc, mb, nb, kb int, first, accumulate bool) {
 	mr, nr := bk.mr, bk.nr
+	ap, bp, tile, C := pb.a, pb.b, pb.tile, dsts[0].M
 	for jr := 0; jr < nb; jr += nr {
 		cols := min(nr, nb-jr)
 		bpanel := bp[(jr/nr)*nr*kb:]
 		for ir := 0; ir < mb; ir += mr {
 			rows := min(mr, mb-ir)
 			apanel := ap[(ir/mr)*mr*kb:]
-			if rows == mr && cols == nr {
+			switch full := rows == mr && cols == nr; {
+			case full && direct:
 				bk.kern(C, ic+ir, jc+jr, kb, apanel, bpanel) //fastmm:allow static micro-kernel func pointer, bound at registry init
-			} else {
-				microKernelEdge(C, ic+ir, jc+jr, rows, cols, kb, mr, nr, apanel, bpanel)
+				continue
+			case full:
+				tile.Zero()
+				bk.kern(tile, 0, 0, kb, apanel, bpanel) //fastmm:allow static micro-kernel func pointer, bound at registry init
+			default:
+				microKernelEdge(tile, kb, mr, nr, apanel, bpanel)
 			}
+			scatterTile(dsts, tile, ic+ir, jc+jr, rows, cols, first, accumulate)
 		}
 	}
 }
 
-// microKernelEdge handles partial tiles at the right/bottom borders for any
-// mr×nr ≤ maxMR×maxNR. The packed panels are zero-padded, so it can
-// accumulate into a full mr×nr scratch tile and copy out only the valid
-// portion.
-func microKernelEdge(C *mat.Dense, i0, j0, rows, cols, kb, mr, nr int, ap, bp []float64) {
-	var acc [maxMR * maxNR]float64
+// microKernelEdge computes a partial tile at the right/bottom borders for
+// any mr×nr ≤ maxMR×maxNR. The packed panels are zero-padded, so it
+// accumulates the full mr×nr product into the scratch tile and the epilogue
+// copies out only the valid portion.
+func microKernelEdge(tile *mat.Dense, kb, mr, nr int, ap, bp []float64) {
+	tile.Zero()
+	acc := tile.Data()
 	a := ap[: kb*mr : kb*mr]
 	b := bp[: kb*nr : kb*nr]
 	for k := 0; k < kb; k++ {
@@ -197,16 +301,131 @@ func microKernelEdge(C *mat.Dense, i0, j0, rows, cols, kb, mr, nr int, ap, bp []
 				continue
 			}
 			bk := b[k*nr : k*nr+nr : k*nr+nr]
-			row := acc[i*nr : i*nr+nr : i*nr+nr]
+			row := acc[i*maxNR : i*maxNR+nr : i*maxNR+nr]
 			for j, bv := range bk {
 				row[j] += ai * bv
 			}
 		}
 	}
-	for i := 0; i < rows; i++ {
-		ci := C.Row(i0 + i)
-		for j := 0; j < cols; j++ {
-			ci[j0+j] += acc[i*nr+j]
+}
+
+// overwrites reports whether the destination is written (=) rather than
+// accumulated (+=) on the first k-panel: either the whole call overwrites or
+// the destination carries the executor's first-touch mark.
+func overwrites(d Scaled, first, accumulate bool) bool {
+	return first && (!accumulate || d.Overwrite)
+}
+
+// scatterTile folds coeff·tile[0:rows, 0:cols] into each destination at
+// (i0, j0) — the epilogue. Overwriting destinations are written outright on
+// the first k-panel, so no zeroing pass ever precedes the scatter.
+func scatterTile(dsts []Scaled, tile *mat.Dense, i0, j0, rows, cols int, first, accumulate bool) {
+	for _, d := range dsts {
+		w := d.Coeff
+		ow := overwrites(d, first, accumulate)
+		for i := 0; i < rows; i++ {
+			src := tile.Row(i)[:cols:cols]
+			dst := d.M.Row(i0 + i)[j0 : j0+cols : j0+cols]
+			switch {
+			case ow && w == 1:
+				copy(dst, src)
+			case ow && w == -1:
+				for j, v := range src {
+					dst[j] = -v
+				}
+			case ow:
+				for j, v := range src {
+					dst[j] = w * v
+				}
+			case w == 1:
+				for j, v := range src {
+					dst[j] += v
+				}
+			case w == -1:
+				for j, v := range src {
+					dst[j] -= v
+				}
+			default:
+				for j, v := range src {
+					dst[j] += w * v
+				}
+			}
 		}
 	}
+}
+
+// smallSummed handles operand sums below the blocked cutoff: S, T, and the
+// product are formed in pooled scratch (they fit — naiveMax² floats each,
+// far under one packing slab) and the product is folded into the
+// destinations.
+func smallSummed(pb *packBufs, dsts []Scaled, alpha float64, asrcs, bsrcs []Scaled, accumulate bool) {
+	m, k, n := asrcs[0].M.Rows(), asrcs[0].M.Cols(), bsrcs[0].M.Cols()
+	sumInto(pb.sS, pb.a[:m*k], m, k, asrcs)
+	sumInto(pb.sT, pb.b[:k*n], k, n, bsrcs)
+	pb.sP.Reset(m, n, pb.a[m*k:m*k+m*n])
+	small(pb.sP, alpha, pb.sS, pb.sT, false)
+	for _, d := range dsts {
+		if !accumulate || d.Overwrite {
+			mat.Scale(d.M, d.Coeff, pb.sP)
+		} else {
+			mat.Axpy(d.M, d.Coeff, pb.sP)
+		}
+	}
+}
+
+// sumInto stamps hdr over buf as an r×c matrix holding Σ c_t·M_t.
+func sumInto(hdr *mat.Dense, buf []float64, r, c int, srcs []Scaled) {
+	hdr.Reset(r, c, buf)
+	mat.Scale(hdr, srcs[0].Coeff, srcs[0].M)
+	for _, s := range srcs[1:] {
+		mat.Axpy(hdr, s.Coeff, s.M)
+	}
+}
+
+// parallelSlabs runs the call as independent sequential leaves over slabs of
+// the destinations, one goroutine each, so no reductions are needed: row
+// slabs (narrowing dsts and asrcs) when the problem is tall, column slabs
+// (narrowing dsts and bsrcs) when wide. A slab is at least one micro-tile
+// high or wide. The narrowed lists and their view headers are carved from
+// two per-call allocations — spawn-path cost, like the goroutines.
+func (bk *blockedBackend) parallelSlabs(dsts []Scaled, alpha float64, asrcs, bsrcs []Scaled, accumulate bool, workers int) {
+	m, k, n := asrcs[0].M.Rows(), asrcs[0].M.Cols(), bsrcs[0].M.Cols()
+	byRows := m >= n && m >= 2*bk.mr
+	if !byRows && n < 2*bk.nr {
+		bk.leaf(dsts, alpha, asrcs, bsrcs, accumulate)
+		return
+	}
+	split, total, unit := asrcs, m, bk.mr
+	if !byRows {
+		split, total, unit = bsrcs, n, bk.nr
+	}
+	nslabs := min(workers, (total+unit-1)/unit)
+	ops := make([]Scaled, nslabs*(len(dsts)+len(split)))
+	hdrs := make([]mat.Dense, len(ops))
+	narrow := func(list []Scaled, i, j, r, c int) []Scaled {
+		out := ops[:len(list):len(list)]
+		for t, s := range list {
+			s.M.ViewInto(&hdrs[t], i, j, r, c)
+			s.M = &hdrs[t]
+			out[t] = s
+		}
+		ops, hdrs = ops[len(list):], hdrs[len(list):]
+		return out
+	}
+	var wg sync.WaitGroup
+	for s := 0; s < nslabs; s++ {
+		lo, hi := s*total/nslabs, (s+1)*total/nslabs
+		d, a, b := dsts, asrcs, bsrcs
+		if byRows {
+			d, a = narrow(dsts, lo, 0, hi-lo, n), narrow(asrcs, lo, 0, hi-lo, k)
+		} else {
+			d, b = narrow(dsts, 0, lo, m, hi-lo), narrow(bsrcs, 0, lo, k, hi-lo)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			bk.leaf(d, alpha, a, b, accumulate)
+		}()
+	}
+	wg.Wait()
 }

@@ -2,7 +2,6 @@ package gemm
 
 import (
 	"fmt"
-	"sync"
 
 	"fastmm/internal/mat"
 )
@@ -69,7 +68,7 @@ func DispatchFused(be Backend, dsts []Scaled, alpha float64, asrcs, bsrcs []Scal
 		workers = 1
 	}
 	if fb, ok := be.(FusedBackend); ok {
-		//fastmm:allow FusedBackend interface dispatch; the registry kernels are vetted via gemmFusedSeq
+		//fastmm:allow FusedBackend interface dispatch; the registry kernels are vetted via blockedBackend.leaf
 		fb.GemmFused(dsts, alpha, asrcs, bsrcs, accumulate, workers)
 		return
 	}
@@ -137,368 +136,4 @@ func checkDimsFused(dsts, asrcs, bsrcs []Scaled) (m, k, n int) {
 		}
 	}
 	return m, k, n
-}
-
-// GemmFused implements FusedBackend for every blocked backend: the multi-
-// source packers form the S/T sums inside the packing pass (one extra read
-// per extra source, no temporary), and the product reaches the destinations
-// one of three ways — straight through the micro-kernel when a destination
-// can absorb it (lone destination, or an overwritten ±1-weight primary the
-// others are folded from), or via a pooled scratch tile whose epilogue
-// scatter-adds into every destination with its W coefficient.
-func (bk *blockedBackend) GemmFused(dsts []Scaled, alpha float64, asrcs, bsrcs []Scaled, accumulate bool, workers int) {
-	if workers == 1 {
-		bk.gemmFusedSeq(dsts, alpha, asrcs, bsrcs, accumulate)
-		return
-	}
-	bk.parallelSlabsFused(dsts, alpha, asrcs, bsrcs, accumulate, workers)
-}
-
-// gemmFusedSeq is the sequential fused blocked kernel — the fused analog of
-// gemmSeq and an equally hot leaf, held to the same zero-allocation budget:
-// packing slabs, the scratch tile, and the small-path scratch all come from
-// the pool.
-//
-//fastmm:zeroalloc
-func (bk *blockedBackend) gemmFusedSeq(dsts []Scaled, alpha float64, asrcs, bsrcs []Scaled, accumulate bool) {
-	m, k := asrcs[0].M.Rows(), asrcs[0].M.Cols()
-	n := bsrcs[0].M.Cols()
-	pb := bk.pool.Get().(*packBufs)
-	defer bk.pool.Put(pb)
-	if m <= naiveMax && n <= naiveMax && k <= naiveMax {
-		smallFused(pb, dsts, alpha, asrcs, bsrcs, accumulate)
-		return
-	}
-	ap, bp := pb.a, pb.b
-	if len(dsts) == 1 {
-		// Lone destination: fold its W coefficient into the packed-A scale
-		// and let the micro-kernel accumulate straight into it — no scratch
-		// tile, no scatter pass. Only the overwrite cases pay a zeroing sweep
-		// (the kernel can only add).
-		d := dsts[0]
-		if !accumulate || d.Overwrite {
-			d.M.Zero()
-		}
-		bk.fusedInto(d.M, alpha*d.Coeff, asrcs, bsrcs, m, k, n, ap, bp)
-		return
-	}
-	// Multi-destination with an overwritten ±1-weight destination: run the
-	// kernel straight into that primary (its coefficient folds into the
-	// packed-A scale, and the micro-kernel — AVX2 included — accumulates
-	// across every k-panel at full width), then derive the other
-	// destinations from it in one block-sized sweep each. The per-panel
-	// scalar scatter disappears entirely.
-	for i, d := range dsts {
-		if (d.Coeff == 1 || d.Coeff == -1) && overwrites(d, true, accumulate) {
-			d.M.Zero()
-			bk.fusedInto(d.M, alpha*d.Coeff, asrcs, bsrcs, m, k, n, ap, bp)
-			for j, o := range dsts {
-				if j == i {
-					continue
-				}
-				// d holds d.Coeff·alpha·P with d.Coeff = ±1, so
-				// o.Coeff·alpha·P = (o.Coeff·d.Coeff)·d — exact, no division.
-				w := o.Coeff * d.Coeff
-				if overwrites(o, true, accumulate) {
-					mat.Scale(o.M, w, d.M)
-				} else {
-					mat.Axpy(o.M, w, d.M)
-				}
-			}
-			return
-		}
-	}
-	for pc := 0; pc < k; pc += kc {
-		kb := min(kc, k-pc)
-		// Only the first k-panel may overwrite: later panels accumulate the
-		// remaining rank-1 terms on top.
-		first := pc == 0
-		for jc := 0; jc < n; jc += nc {
-			nb := min(nc, n-jc)
-			packBFused(bp, bsrcs, pc, jc, kb, nb, bk.nr)
-			for ic := 0; ic < m; ic += mc {
-				mb := min(mc, m-ic)
-				packAFused(ap, asrcs, ic, pc, mb, kb, bk.mr, alpha)
-				bk.macroKernelFused(dsts, pb.tile, ic, jc, mb, nb, kb, ap, bp, first, accumulate)
-			}
-		}
-	}
-}
-
-// fusedInto runs the full blocked loop nest of (Σc·A)·(Σc·B) with the fused
-// packers, accumulating every k-panel directly into dst through the plain
-// macro-kernel (aw is the combined alpha·W scale folded into packed A). The
-// caller has already handled any overwrite zeroing.
-//
-//fastmm:zeroalloc
-func (bk *blockedBackend) fusedInto(dst *mat.Dense, aw float64, asrcs, bsrcs []Scaled, m, k, n int, ap, bp []float64) {
-	for pc := 0; pc < k; pc += kc {
-		kb := min(kc, k-pc)
-		for jc := 0; jc < n; jc += nc {
-			nb := min(nc, n-jc)
-			packBFused(bp, bsrcs, pc, jc, kb, nb, bk.nr)
-			for ic := 0; ic < m; ic += mc {
-				mb := min(mc, m-ic)
-				packAFused(ap, asrcs, ic, pc, mb, kb, bk.mr, aw)
-				bk.macroKernel(dst, ic, jc, mb, nb, kb, ap, bp)
-			}
-		}
-	}
-}
-
-// packAFused packs the mb×kb panel at (ic, pc) of the scaled sum
-// alpha·Σ c_t·A_t into ap, in the same micro-panel layout as packA. The
-// first source overwrites, the rest accumulate — the S temporary of the
-// explicit path becomes one extra streaming read per extra source.
-func packAFused(ap []float64, srcs []Scaled, ic, pc, mb, kb, mr int, alpha float64) {
-	idx := 0
-	for ir := 0; ir < mb; ir += mr {
-		rows := min(mr, mb-ir)
-		for i := 0; i < rows; i++ {
-			dst := ap[idx+i:]
-			c0 := alpha * srcs[0].Coeff
-			src := srcs[0].M.Row(ic + ir + i)[pc : pc+kb]
-			for kk, v := range src {
-				dst[kk*mr] = c0 * v
-			}
-			for _, s := range srcs[1:] {
-				cs := alpha * s.Coeff
-				src := s.M.Row(ic + ir + i)[pc : pc+kb]
-				for kk, v := range src {
-					dst[kk*mr] += cs * v
-				}
-			}
-		}
-		for i := rows; i < mr; i++ {
-			dst := ap[idx+i:]
-			for kk := 0; kk < kb; kk++ {
-				dst[kk*mr] = 0
-			}
-		}
-		idx += mr * kb
-	}
-}
-
-// packBFused packs the kb×nb panel at (pc, jc) of Σ c_t·B_t into bp, in the
-// same micro-panel layout as packB. Coefficients are applied here, so the T
-// temporary of the explicit path is never formed.
-func packBFused(bp []float64, srcs []Scaled, pc, jc, kb, nb, nr int) {
-	idx := 0
-	for jr := 0; jr < nb; jr += nr {
-		cols := min(nr, nb-jr)
-		for kk := 0; kk < kb; kk++ {
-			dst := bp[idx+kk*nr : idx+kk*nr+nr]
-			c0 := srcs[0].Coeff
-			src := srcs[0].M.Row(pc + kk)
-			for j := 0; j < cols; j++ {
-				dst[j] = c0 * src[jc+jr+j]
-			}
-			for j := cols; j < nr; j++ {
-				dst[j] = 0
-			}
-			for _, s := range srcs[1:] {
-				cs := s.Coeff
-				src := s.M.Row(pc + kk)
-				for j := 0; j < cols; j++ {
-					dst[j] += cs * src[jc+jr+j]
-				}
-			}
-		}
-		idx += nr * kb
-	}
-}
-
-// macroKernelFused is macroKernel with a scatter-add epilogue: each micro
-// tile is computed once into the pooled scratch tile (the unchanged
-// micro-kernel — including the AVX2 assembly — accumulates into it exactly
-// as it would into C), then added into every destination scaled by its W
-// coefficient.
-func (bk *blockedBackend) macroKernelFused(dsts []Scaled, tile *mat.Dense, ic, jc, mb, nb, kb int, ap, bp []float64, first, accumulate bool) {
-	mr, nr := bk.mr, bk.nr
-	for jr := 0; jr < nb; jr += nr {
-		cols := min(nr, nb-jr)
-		bpanel := bp[(jr/nr)*nr*kb:]
-		for ir := 0; ir < mb; ir += mr {
-			rows := min(mr, mb-ir)
-			apanel := ap[(ir/mr)*mr*kb:]
-			if rows == mr && cols == nr {
-				tile.Zero()
-				bk.kern(tile, 0, 0, kb, apanel, bpanel) //fastmm:allow static micro-kernel func pointer, bound at registry init
-				scatterTile(dsts, tile, ic+ir, jc+jr, mr, nr, first, accumulate)
-			} else {
-				microKernelEdgeFused(dsts, ic+ir, jc+jr, rows, cols, kb, mr, nr, apanel, bpanel, first, accumulate)
-			}
-		}
-	}
-}
-
-// overwrites reports whether the destination is written (=) rather than
-// accumulated (+=) on the first k-panel: either the whole call overwrites or
-// the destination carries the executor's first-touch mark.
-func overwrites(d Scaled, first, accumulate bool) bool {
-	return first && (!accumulate || d.Overwrite)
-}
-
-// scatterTile folds coeff·tile[0:rows, 0:cols] into each destination at
-// (i0, j0) — the fused epilogue for full tiles. Overwriting destinations are
-// written outright on the first k-panel, so no zeroing pass ever precedes the
-// scatter.
-func scatterTile(dsts []Scaled, tile *mat.Dense, i0, j0, rows, cols int, first, accumulate bool) {
-	for _, d := range dsts {
-		w := d.Coeff
-		ow := overwrites(d, first, accumulate)
-		for i := 0; i < rows; i++ {
-			src := tile.Row(i)[:cols:cols]
-			dst := d.M.Row(i0 + i)[j0 : j0+cols : j0+cols]
-			switch {
-			case ow && w == 1:
-				copy(dst, src)
-			case ow && w == -1:
-				for j, v := range src {
-					dst[j] = -v
-				}
-			case ow:
-				for j, v := range src {
-					dst[j] = w * v
-				}
-			case w == 1:
-				for j, v := range src {
-					dst[j] += v
-				}
-			case w == -1:
-				for j, v := range src {
-					dst[j] -= v
-				}
-			default:
-				for j, v := range src {
-					dst[j] += w * v
-				}
-			}
-		}
-	}
-}
-
-// microKernelEdgeFused is microKernelEdge with the scatter epilogue: the
-// partial tile is computed into a stack scratch tile, and the valid portion
-// is folded into every destination with its coefficient (written outright
-// where overwrites says so).
-func microKernelEdgeFused(dsts []Scaled, i0, j0, rows, cols, kb, mr, nr int, ap, bp []float64, first, accumulate bool) {
-	var acc [maxMR * maxNR]float64
-	a := ap[: kb*mr : kb*mr]
-	b := bp[: kb*nr : kb*nr]
-	for k := 0; k < kb; k++ {
-		for i := 0; i < mr; i++ {
-			ai := a[k*mr+i]
-			if ai == 0 {
-				continue
-			}
-			bk := b[k*nr : k*nr+nr : k*nr+nr]
-			row := acc[i*nr : i*nr+nr : i*nr+nr]
-			for j, bv := range bk {
-				row[j] += ai * bv
-			}
-		}
-	}
-	for _, d := range dsts {
-		w := d.Coeff
-		if overwrites(d, first, accumulate) {
-			for i := 0; i < rows; i++ {
-				di := d.M.Row(i0 + i)
-				src := acc[i*nr : i*nr+cols : i*nr+cols]
-				for j, v := range src {
-					di[j0+j] = w * v
-				}
-			}
-			continue
-		}
-		for i := 0; i < rows; i++ {
-			di := d.M.Row(i0 + i)
-			src := acc[i*nr : i*nr+cols : i*nr+cols]
-			for j, v := range src {
-				di[j0+j] += w * v
-			}
-		}
-	}
-}
-
-// smallFused handles problems below the blocked cutoff: S, T, and the
-// product are formed in pooled scratch (they fit — naiveMax² floats each,
-// far under one packing slab) and the product is folded into the
-// destinations.
-func smallFused(pb *packBufs, dsts []Scaled, alpha float64, asrcs, bsrcs []Scaled, accumulate bool) {
-	m, k := asrcs[0].M.Rows(), asrcs[0].M.Cols()
-	n := bsrcs[0].M.Cols()
-	sumInto(pb.sS, pb.a[:m*k], m, k, asrcs)
-	sumInto(pb.sT, pb.b[:k*n], k, n, bsrcs)
-	pb.sP.Reset(m, n, pb.a[m*k:m*k+m*n])
-	small(pb.sP, alpha, pb.sS, pb.sT, false)
-	for _, d := range dsts {
-		if !accumulate || d.Overwrite {
-			mat.Scale(d.M, d.Coeff, pb.sP)
-		} else {
-			mat.Axpy(d.M, d.Coeff, pb.sP)
-		}
-	}
-}
-
-// sumInto stamps hdr over buf as an r×c matrix holding Σ c_t·M_t.
-func sumInto(hdr *mat.Dense, buf []float64, r, c int, srcs []Scaled) {
-	hdr.Reset(r, c, buf)
-	mat.Scale(hdr, srcs[0].Coeff, srcs[0].M)
-	for _, s := range srcs[1:] {
-		mat.Axpy(hdr, s.Coeff, s.M)
-	}
-}
-
-// parallelSlabsFused parallelizes the fused call over independent slabs of
-// the destinations: row slabs (splitting dsts and asrcs) when the problem is
-// tall, column slabs (splitting dsts and bsrcs) when wide. The per-slab view
-// headers are spawn-path allocations, same as parallelSlabs' closures.
-func (bk *blockedBackend) parallelSlabsFused(dsts []Scaled, alpha float64, asrcs, bsrcs []Scaled, accumulate bool, workers int) {
-	m, k := asrcs[0].M.Rows(), asrcs[0].M.Cols()
-	n := bsrcs[0].M.Cols()
-	mr, nr := bk.mr, bk.nr
-	var wg sync.WaitGroup
-	runSlab := func(d, a, b []Scaled) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			bk.gemmFusedSeq(d, alpha, a, b, accumulate)
-		}()
-	}
-	if m >= n && m >= 2*mr {
-		nchunks := min(workers, (m+mr-1)/mr)
-		for _, r := range ranges(m, nchunks) {
-			d := viewRows(dsts, r.lo, r.n, n)
-			a := viewRows(asrcs, r.lo, r.n, k)
-			runSlab(d, a, bsrcs)
-		}
-	} else if n >= 2*nr {
-		nchunks := min(workers, (n+nr-1)/nr)
-		for _, r := range ranges(n, nchunks) {
-			d := viewCols(dsts, r.lo, r.n, m)
-			b := viewCols(bsrcs, r.lo, r.n, k)
-			runSlab(d, asrcs, b)
-		}
-	} else {
-		bk.gemmFusedSeq(dsts, alpha, asrcs, bsrcs, accumulate)
-		return
-	}
-	wg.Wait()
-}
-
-func viewRows(list []Scaled, lo, nrows, cols int) []Scaled {
-	out := make([]Scaled, len(list))
-	for i, s := range list {
-		out[i] = Scaled{M: s.M.View(lo, 0, nrows, cols), Coeff: s.Coeff, Overwrite: s.Overwrite}
-	}
-	return out
-}
-
-func viewCols(list []Scaled, lo, ncols, rows int) []Scaled {
-	out := make([]Scaled, len(list))
-	for i, s := range list {
-		out[i] = Scaled{M: s.M.View(0, lo, rows, ncols), Coeff: s.Coeff, Overwrite: s.Overwrite}
-	}
-	return out
 }

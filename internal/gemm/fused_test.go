@@ -136,7 +136,7 @@ func TestDispatchFusedDegenerate(t *testing.T) {
 }
 
 // TestGemmFusedSteadyStateAllocs holds the blocked fused leaf to the same
-// zero-allocation budget as gemmSeq: after the pool is warm, a sequential
+// zero-allocation budget as plain Gemm: after the pool is warm, a sequential
 // fused call allocates nothing.
 func TestGemmFusedSteadyStateAllocs(t *testing.T) {
 	for _, name := range Names() {

@@ -17,10 +17,21 @@
 //   - "blas": a cgo bridge to a vendor cblas_dgemm, only compiled under the
 //     `blas` build tag.
 //
-// The blocked backends follow the usual GotoBLAS/BLIS structure: the
-// operands are partitioned into cache-sized panels, panels are packed into
-// contiguous buffers, and a register-blocked micro-kernel computes MR×NR
-// tiles of C. A goroutine pool parallelizes over row (or column) slabs of C.
+// The blocked backends share one engine (blocked.go) with the usual
+// GotoBLAS/BLIS structure: the operands are partitioned into cache-sized
+// panels (one pc → jc → ic loop nest), panels are packed into contiguous
+// buffers, and a register-blocked micro-kernel computes MR×NR tiles of C; a
+// blocked backend is that micro-kernel plus its MR×NR and nothing else. The
+// engine's operands are lists: A and B are each a list of (matrix,
+// coefficient) sources summed while packing, and the product goes to a list
+// of (matrix, coefficient) destinations — the fused leaf of a fast algorithm
+// (Huang et al., arXiv:1611.01120; FusedBackend, DispatchFused), which never
+// materializes the S/T operand sums or the M product. Plain gemm is the
+// one-source, one-destination, unit-weight call of the same code, so there
+// is one loop nest, one A packer, one B packer, one edge kernel and one slab
+// splitter to measure and to change. With workers > 1 the call is split
+// into row (or column) slabs of the destinations, one goroutine each.
+//
 // The performance *shape* — a ramp-up phase followed by a flat region,
 // higher flat rate for square than for skinny shapes — matches Figure 3 of
 // the paper, which is what the framework's recursion-cutoff logic depends
@@ -40,7 +51,6 @@ package gemm
 
 import (
 	"fmt"
-	"sync"
 
 	"fastmm/internal/mat"
 )
@@ -108,7 +118,7 @@ func Dispatch(be Backend, C *mat.Dense, alpha float64, A, B *mat.Dense, accumula
 	if workers < 1 {
 		workers = 1
 	}
-	//fastmm:allow Backend interface dispatch; the registry kernels are vetted via gemmSeq
+	//fastmm:allow Backend interface dispatch; the registry kernels are vetted via blockedBackend.leaf
 	be.Gemm(C, alpha, A, B, accumulate, workers)
 }
 
@@ -142,60 +152,6 @@ func checkDims(C, A, B *mat.Dense) {
 		panic(fmt.Sprintf("gemm: dimension mismatch C %d×%d = A %d×%d · B %d×%d",
 			C.Rows(), C.Cols(), A.Rows(), A.Cols(), B.Rows(), B.Cols()))
 	}
-}
-
-// parallelSlabs decomposes C = alpha·A·B over independent slabs of C and runs
-// seq on each with its own goroutine: prefer splitting rows; when the matrix
-// is wide and short, split columns instead. Each slab is an independent
-// sequential gemm, so no reductions are needed. mr/nr are the micro-tile
-// dims used as minimum-useful slab heights/widths.
-func parallelSlabs(C *mat.Dense, alpha float64, A, B *mat.Dense, accumulate bool, workers, mr, nr int,
-	seq func(C *mat.Dense, alpha float64, A, B *mat.Dense, accumulate bool)) {
-	m, k, n := A.Rows(), A.Cols(), B.Cols()
-	type slab struct{ c, a, b *mat.Dense }
-	var slabs []slab
-	if m >= n && m >= 2*mr {
-		nchunks := min(workers, (m+mr-1)/mr)
-		for _, r := range ranges(m, nchunks) {
-			slabs = append(slabs, slab{C.View(r.lo, 0, r.n, n), A.View(r.lo, 0, r.n, k), B})
-		}
-	} else if n >= 2*nr {
-		nchunks := min(workers, (n+nr-1)/nr)
-		for _, r := range ranges(n, nchunks) {
-			slabs = append(slabs, slab{C.View(0, r.lo, m, r.n), A, B.View(0, r.lo, k, r.n)})
-		}
-	} else {
-		seq(C, alpha, A, B, accumulate)
-		return
-	}
-	var wg sync.WaitGroup
-	for _, s := range slabs {
-		wg.Add(1)
-		go func(s slab) {
-			defer wg.Done()
-			seq(s.c, alpha, s.a, s.b, accumulate)
-		}(s)
-	}
-	wg.Wait()
-}
-
-type span struct{ lo, n int }
-
-// ranges splits [0,total) into nchunks nearly equal contiguous spans.
-func ranges(total, nchunks int) []span {
-	if nchunks > total {
-		nchunks = total
-	}
-	out := make([]span, 0, nchunks)
-	lo := 0
-	for i := 0; i < nchunks; i++ {
-		hi := (i + 1) * total / nchunks
-		if hi > lo {
-			out = append(out, span{lo, hi - lo})
-		}
-		lo = hi
-	}
-	return out
 }
 
 // small computes C (+)= alpha·A·B with a cache-friendly i-p-j loop; used for

@@ -10,16 +10,18 @@ import (
 	"fastmm/internal/trace"
 )
 
-// TraceLeaf records one base-case kernel call — backend, gemm-equivalent
-// dims, duration — into tr. Nil-safe and allocation-free: the backend name
-// is a static registry string and the span sink is fixed-capacity, so traced
-// leaves stay inside the engine's zero-allocation budget.
-func TraceLeaf(tr *trace.Spans, be Backend, m, k, n int, d time.Duration) {
+// TraceLeaf records one base-case kernel call — span kind (trace.KindLeaf,
+// or trace.KindFusedLeaf so consumers can tell which leaves ran multi-source
+// packing and the scatter epilogue), backend, gemm-equivalent dims, duration
+// — into tr. Nil-safe and allocation-free: the kind and backend name are
+// static strings and the span sink is fixed-capacity, so traced leaves stay
+// inside the engine's zero-allocation budget.
+func TraceLeaf(tr *trace.Spans, kind string, be Backend, m, k, n int, d time.Duration) {
 	if tr == nil {
 		return
 	}
 	tr.Add(trace.Span{
-		Kind:    trace.KindLeaf,
+		Kind:    kind,
 		Backend: be.Name(), //fastmm:allow interface read of the static registry name
 		M:       int32(m),
 		K:       int32(k),
@@ -41,24 +43,7 @@ func DispatchTraced(be Backend, C *mat.Dense, alpha float64, A, B *mat.Dense, ac
 	}
 	start := time.Now()
 	Dispatch(be, C, alpha, A, B, accumulate, workers)
-	TraceLeaf(tr, be, A.Rows(), A.Cols(), B.Cols(), time.Since(start))
-}
-
-// TraceFusedLeaf records one fused leaf call — same payload as TraceLeaf but
-// under the fused span kind, so trace consumers can tell which leaves ran the
-// scatter-add engine. Nil-safe and allocation-free like TraceLeaf.
-func TraceFusedLeaf(tr *trace.Spans, be Backend, m, k, n int, d time.Duration) {
-	if tr == nil {
-		return
-	}
-	tr.Add(trace.Span{
-		Kind:    trace.KindFusedLeaf,
-		Backend: be.Name(), //fastmm:allow interface read of the static registry name
-		M:       int32(m),
-		K:       int32(k),
-		N:       int32(n),
-		Nanos:   int64(d),
-	})
+	TraceLeaf(tr, trace.KindLeaf, be, A.Rows(), A.Cols(), B.Cols(), time.Since(start))
 }
 
 // DispatchFusedTraced is DispatchFused with a fused-leaf span recorded into
@@ -73,5 +58,5 @@ func DispatchFusedTraced(be Backend, dsts []Scaled, alpha float64, asrcs, bsrcs 
 	start := time.Now()
 	DispatchFused(be, dsts, alpha, asrcs, bsrcs, accumulate, workers)
 	m, k := asrcs[0].M.Rows(), asrcs[0].M.Cols()
-	TraceFusedLeaf(tr, be, m, k, bsrcs[0].M.Cols(), time.Since(start))
+	TraceLeaf(tr, trace.KindFusedLeaf, be, m, k, bsrcs[0].M.Cols(), time.Since(start))
 }

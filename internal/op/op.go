@@ -13,6 +13,7 @@ package op
 
 import (
 	"fmt"
+	"unsafe"
 
 	"fastmm/internal/mat"
 	"fastmm/internal/trace"
@@ -116,7 +117,9 @@ func (o Op) Shape(ar, ac, bc int) (m, k, n int) {
 //	Syrk:        C = Alpha·A·Aᵗ + Beta·C   (B must be nil)
 //
 // The zero Alpha means 1 (so the zero Request value of an op is the plain
-// product); Beta zero means overwrite. C must not alias A or B.
+// product); Beta zero means overwrite. C must not share storage with A or B
+// (disjoint views of one parent are fine); Validate rejects a request whose
+// C does.
 type Request struct {
 	Op          Op
 	C           *mat.Dense
@@ -151,7 +154,10 @@ func (r Request) Shape() (m, k, n int) {
 	return r.Op.Shape(r.A.Rows(), r.A.Cols(), bc)
 }
 
-// Validate checks the request's operands against its op's dimension rules.
+// Validate checks the request's operands against its op's dimension rules
+// and rejects a C that shares storage with A or B: every executor reads the
+// operands while it writes the result, so an aliased call would return
+// garbage rather than fail.
 func (r Request) Validate() error {
 	if !r.Op.Valid() {
 		return fmt.Errorf("op: invalid op %d", int(r.Op))
@@ -185,5 +191,55 @@ func (r Request) Validate() error {
 				r.Op, r.C.Rows(), r.C.Cols(), r.A.Rows(), r.A.Cols(), r.B.Rows(), r.B.Cols())
 		}
 	}
+	if overlaps(r.C, r.A) {
+		return fmt.Errorf("op: %s: C aliases A", r.Op)
+	}
+	if r.B != nil && overlaps(r.C, r.B) {
+		return fmt.Errorf("op: %s: C aliases B", r.Op)
+	}
 	return nil
+}
+
+// overlaps reports whether two matrices share any element of storage, in
+// O(1). Views with one row stride — in practice views of one parent — are
+// compared exactly, so disjoint blocks of a parent (side by side, or
+// interleaved row by row) do not overlap. Views with different strides are
+// compared by their address ranges alone, which can only err towards
+// reporting an overlap.
+func overlaps(x, y *mat.Dense) bool {
+	xd, yd := x.Data(), y.Data()
+	if len(xd) == 0 || len(yd) == 0 {
+		return false
+	}
+	const word = unsafe.Sizeof(float64(0))
+	x0, y0 := uintptr(unsafe.Pointer(&xd[0])), uintptr(unsafe.Pointer(&yd[0]))
+	if x0+uintptr(len(xd))*word <= y0 || y0+uintptr(len(yd))*word <= x0 {
+		return false
+	}
+	s := x.Stride()
+	if s != y.Stride() || x.Cols() > s || y.Cols() > s {
+		return true
+	}
+	// Row i of x covers elements [i·s, i·s+x.Cols) and row j of y covers
+	// [d+j·s, d+j·s+y.Cols), d being y's offset from x. The two meet iff
+	// -y.Cols < d+t·s < x.Cols for some row difference t = j-i the shapes
+	// allow; as both widths are at most s, only the two smallest t with
+	// d+t·s > -y.Cols can satisfy it.
+	d := (int(y0) - int(x0)) / int(word)
+	t := floorDiv(-y.Cols()-d, s) + 1
+	for ; t*s+d < x.Cols(); t++ {
+		if t > -x.Rows() && t < y.Rows() {
+			return true
+		}
+	}
+	return false
+}
+
+// floorDiv is a/b rounded towards negative infinity, for b > 0.
+func floorDiv(a, b int) int {
+	q := a / b
+	if a%b < 0 {
+		q--
+	}
+	return q
 }

@@ -211,3 +211,34 @@ func TestPerOpCacheRoundTrip(t *testing.T) {
 		t.Errorf("warm per-op plan lookup took %v, want ≤ 50µs", best)
 	}
 }
+
+// TestDoRejectsAliasedResult: a C that shares storage with an operand fails
+// that request — no panic, operands untouched — and the tuner keeps serving.
+func TestDoRejectsAliasedResult(t *testing.T) {
+	tn := mustTuner(t, modelOnlyOpts(2))
+	P := randOperand(192, 192, 3)
+	before := P.Clone()
+	A, B := P.View(0, 0, 96, 96), P.View(96, 0, 96, 96)
+	for name, req := range map[string]op.Request{
+		"C is A":             {Op: op.Multiply, C: A, A: A, B: B},
+		"C overlaps B":       {Op: op.MultiplyAdd, C: P.View(64, 64, 96, 96), A: A, B: B},
+		"ATA onto its input": {Op: op.ATA, C: A, A: A},
+		"Syrk onto its rows": {Op: op.Syrk, C: P.View(0, 32, 96, 96), A: A},
+	} {
+		if err := tn.Do(req); err == nil {
+			t.Errorf("%s: Do must fail", name)
+		}
+	}
+	if d := mat.MaxAbsDiff(P, before); d != 0 {
+		t.Fatalf("a refused request modified its operands (max diff %g)", d)
+	}
+	// A disjoint block of the same parent is a legal destination.
+	req := op.Request{Op: op.Multiply, C: P.View(0, 96, 96, 96), A: A, B: B}.Normalized()
+	want := refFor(req)
+	if err := tn.Do(req); err != nil {
+		t.Fatal(err)
+	}
+	if d := mat.MaxAbsDiff(req.C, want); d > 1e-9 {
+		t.Fatalf("product into a sibling view: diff %g", d)
+	}
+}

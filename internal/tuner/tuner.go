@@ -42,6 +42,7 @@ import (
 	"fastmm/internal/mat"
 	"fastmm/internal/op"
 	"fastmm/internal/resources"
+	"fastmm/internal/trace"
 )
 
 const (
@@ -104,9 +105,11 @@ type Options struct {
 	// top pick when the budget ran out before the first probe). The zero
 	// value keeps the purely count-based ProbeTopK policy.
 	ProbeBudget time.Duration
-	// Algorithms restricts the candidate catalog entries (default: the
-	// whole catalog minus the classical decompositions, which the direct
-	// gemm baseline already covers).
+	// Algorithms restricts the candidate catalog entries. The default is
+	// the catalog minus the classical decompositions (the direct gemm
+	// baseline already covers them) and minus the Numeric and APA entries:
+	// their product is off by the entry's ApproxTol, an accuracy loss a
+	// caller takes on by naming the entry here, never by default.
 	Algorithms []string
 	// Strategies restricts the addition strategies considered (default
 	// write-once and streaming — §3.2's two winners).
@@ -137,9 +140,13 @@ func (o Options) withDefaults() Options {
 	}
 	if len(o.Algorithms) == 0 {
 		for _, name := range catalog.Names() {
-			if !strings.HasPrefix(name, "classical") {
-				o.Algorithms = append(o.Algorithms, name)
+			if strings.HasPrefix(name, "classical") {
+				continue
 			}
+			if a := catalog.MustGet(name); a.Numeric || a.APA {
+				continue
+			}
+			o.Algorithms = append(o.Algorithms, name)
 		}
 	}
 	if len(o.Strategies) == 0 {
@@ -310,7 +317,7 @@ func (d *decision) runClassical(r op.Request) error {
 		}
 		if r.Trace != nil {
 			m, k, n := r.Shape()
-			gemm.TraceLeaf(r.Trace, d.be, m, k, n, time.Since(start))
+			gemm.TraceLeaf(r.Trace, trace.KindLeaf, d.be, m, k, n, time.Since(start))
 		}
 	default:
 		return fmt.Errorf("tuner: unsupported op %s", r.Op)

@@ -650,3 +650,44 @@ func TestRememberMergesOnSave(t *testing.T) {
 		t.Errorf("save resurrected %d cleared entries (file should hold only the fresh decision)", len(persisted)-1)
 	}
 }
+
+// The default candidate list holds exact decompositions only: a Numeric or
+// APA catalog entry is ranked when Options.Algorithms names it, never
+// otherwise, so default Auto cannot silently return a product that is off by
+// the entry's ApproxTol.
+func TestDefaultCandidatesAreExact(t *testing.T) {
+	approx := map[string]bool{}
+	for _, name := range catalog.Names() {
+		if a := catalog.MustGet(name); a.Numeric || a.APA {
+			approx[name] = true
+		}
+	}
+	if !approx["fast323n"] {
+		t.Fatal("catalog no longer has the Numeric entry fast323n; pick another approximate entry for this test")
+	}
+	ranked := func(opts Options, o op.Op, m, k, n int) (hits int) {
+		plans, err := mustTuner(t, opts).RankOp(o, m, k, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range plans {
+			if approx[p.Algorithm] {
+				hits++
+			}
+		}
+		return hits
+	}
+	shapes := [][3]int{{1536, 1024, 1024}, {2500, 625, 625}, {1024, 1024, 1024}, {2560, 320, 2560}}
+	for _, o := range []op.Op{op.Multiply, op.MultiplyAdd, op.ATA, op.Syrk} {
+		for _, sh := range shapes {
+			if hits := ranked(modelOnlyOpts(2), o, sh[0], sh[1], sh[2]); hits != 0 {
+				t.Errorf("default options rank %d approximate plans for %s %v", hits, o, sh)
+			}
+		}
+	}
+	named := modelOnlyOpts(2)
+	named.Algorithms = []string{"strassen", "fast323n"}
+	if ranked(named, op.Multiply, 1536, 1024, 1024) == 0 {
+		t.Error("naming fast323n in Options.Algorithms must enrol it")
+	}
+}
