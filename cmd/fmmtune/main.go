@@ -295,7 +295,10 @@ func printCurve(samples []costmodel.GemmSample, workers int) {
 }
 
 // printBackends lists the registered leaf backends with their acceleration
-// state — which curve above will actually run for each name.
+// state and, for the blocked ones, the micro-kernel tile that was selected on
+// this machine ("simd* 8x24" is the AVX-512 kernel, "simd* 6x8" the AVX2
+// one, "simd 6x8" the Go fallback) — which curve above will actually run for
+// each name.
 func printBackends() {
 	fmt.Print("leaf backends:")
 	for _, name := range gemm.Names() {
@@ -306,6 +309,10 @@ func printBackends() {
 		tag := ""
 		if be.Accelerated() {
 			tag = "*"
+		}
+		if t, ok := be.(interface{ Tile() (mr, nr int) }); ok {
+			mr, nr := t.Tile()
+			tag += fmt.Sprintf(" %dx%d", mr, nr)
 		}
 		if name == gemm.Default().Name() {
 			tag += " (default)"

@@ -273,7 +273,10 @@ func TestTracedSteadyStateAllocFree(t *testing.T) {
 	off.Trace = trace.Config{Disable: true}
 	untraced := measure(off)
 	traced := measure(traceEverything(testOptions(1)))
-	if traced > untraced {
+	// Under -race sync.Pool drops a share of Puts, so either pass may
+	// re-allocate a pooled buffer the other kept; the un-instrumented run is
+	// the contract.
+	if traced > untraced && !raceEnabled {
 		t.Errorf("traced path allocates %.1f/run, untraced %.1f/run — tracing must add zero",
 			traced, untraced)
 	}

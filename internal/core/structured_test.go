@@ -191,7 +191,7 @@ func TestStructuredReuseAllocsDFS(t *testing.T) {
 		t.Fatal(err)
 	}
 	avg := testing.AllocsPerRun(20, func() { e.MultiplyATA(C, A) })
-	if avg > 1 {
+	if avg > 1 && !raceEnabled { // sync.Pool drops Puts under the race detector
 		t.Errorf("steady-state DFS MultiplyATA: %.1f allocs/op, want ≤ 1", avg)
 	}
 }

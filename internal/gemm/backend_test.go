@@ -136,27 +136,32 @@ func TestBackendPackWorkspace(t *testing.T) {
 	}
 }
 
-// TestSIMDKernelVsGoKernel compares the build's selected 6×8 kernel against
-// the pure-Go rendering on raw packed panels. On an accelerated build this
-// pits the FMA assembly against the fallback — they must agree to rounding;
-// on fallback builds it is a self-check that still pins the panel layout.
+// TestSIMDKernelVsGoKernel runs every runnable micro-kernel on raw packed
+// panels against the plain rank-1 sum over the same panels: it pins the
+// packed layout each kernel reads (ap[k*mr+i], bp[k*nr+j]) and that a tile
+// at a non-zero origin of a strided destination touches nothing around it.
+// The assembly kernels differ from the Go ones only by FMA rounding.
 func TestSIMDKernelVsGoKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	for _, kb := range []int{1, 2, 7, 64, 256} {
-		ap := make([]float64, kb*6)
-		bp := make([]float64, kb*8)
-		for i := range ap {
-			ap[i] = 2*rng.Float64() - 1
-		}
-		for i := range bp {
-			bp[i] = 2*rng.Float64() - 1
-		}
-		Cs := randMat(10, 12, rng) // strided destination, tile at (2, 3)
-		Cg := Cs.Clone()
-		simdKernel(Cs.View(1, 1, 8, 10), 1, 2, kb, ap, bp)
-		microKernel6x8go(Cg.View(1, 1, 8, 10), 1, 2, kb, ap, bp)
-		if d := mat.MaxAbsDiff(Cs, Cg); d > 1e-12*float64(kb+1) {
-			t.Fatalf("kb=%d: selected 6x8 kernel differs from pure-Go by %g", kb, d)
+	for _, bk := range kernelTable() {
+		mr, nr := bk.mr, bk.nr
+		for _, kb := range []int{1, 2, 7, 64, 256} {
+			ap, bp := randMat(1, kb*mr, rng).Data(), randMat(1, kb*nr, rng).Data()
+			got := randMat(mr+4, nr+4, rng) // tile at (2, 3) of the strided view below
+			want := got.Clone()
+			bk.kern(got.View(1, 1, mr+2, nr+2), 1, 2, kb, ap, bp)
+			for i := 0; i < mr; i++ {
+				for j := 0; j < nr; j++ {
+					sum := 0.0
+					for k := 0; k < kb; k++ {
+						sum += ap[k*mr+i] * bp[k*nr+j]
+					}
+					want.Set(2+i, 3+j, want.At(2+i, 3+j)+sum)
+				}
+			}
+			if d := mat.MaxAbsDiff(got, want); d > 1e-12*float64(kb+1) {
+				t.Fatalf("%s kb=%d: kernel differs from the rank-1 sum by %g", bk.name, kb, d)
+			}
 		}
 	}
 }

@@ -7,11 +7,11 @@ import (
 	"fastmm/internal/mat"
 )
 
-// maxMR/maxNR bound the micro-tile dims a blocked backend may use (the
-// pooled scratch tile is maxMR×maxNR).
+// maxMR/maxNR bound the micro-tile dims a blocked backend may use: the
+// widest register tile any kernel here has (8×24 fills the 32 zmm registers).
 const (
 	maxMR = 8
-	maxNR = 8
+	maxNR = 24
 )
 
 // microKernelFunc computes a full mr×nr tile of C at (i0, j0):
@@ -20,9 +20,11 @@ const (
 type microKernelFunc func(C *mat.Dense, i0, j0, kb int, ap, bp []float64)
 
 // blockedBackend is the shared GotoBLAS/BLIS-structured engine: everything —
-// panel blocking, packing, slab parallelism, edge handling, the scatter
-// epilogue — is generic, and only the full-tile micro-kernel (plus its MR×NR
-// shape) differs per backend, the BLIS thesis applied to this repository.
+// panel blocking, packing, slab parallelism, the scatter epilogue — is
+// generic, and only the full-tile micro-kernel (plus its MR×NR shape) differs
+// per backend, the BLIS thesis applied to this repository. There is no edge
+// kernel: the packed panels are zero-padded to whole micro-tiles, so a border
+// tile is the same full-tile kernel call aimed at the scratch tile.
 type blockedBackend struct {
 	name         string
 	accel        bool
@@ -56,7 +58,7 @@ func newBlocked(name string, accel bool, mr, nr int, kern microKernelFunc) *bloc
 		return &packBufs{
 			a:    make([]float64, bk.apLen),
 			b:    make([]float64, bk.bpLen),
-			tile: mat.New(maxMR, maxNR),
+			tile: mat.New(mr, nr),
 			sS:   &mat.Dense{}, sT: &mat.Dense{}, sP: &mat.Dense{},
 		}
 	}
@@ -64,9 +66,9 @@ func newBlocked(name string, accel bool, mr, nr int, kern microKernelFunc) *bloc
 }
 
 // packBufs is one worker's scratch: the A and B panel buffers together (one
-// pool round-trip per call), the micro-tile that border tiles and scattered
-// products are computed into, and three matrix headers the small path stamps
-// over the slabs.
+// pool round-trip per call), the mr×nr micro-tile that border tiles and
+// scattered products are computed into, and three matrix headers the small
+// path stamps over the slabs.
 type packBufs struct {
 	a, b       []float64
 	tile       *mat.Dense
@@ -76,6 +78,10 @@ type packBufs struct {
 func (bk *blockedBackend) Name() string               { return bk.name }
 func (bk *blockedBackend) Accelerated() bool          { return bk.accel }
 func (bk *blockedBackend) PackFloatsPerWorker() int64 { return int64(bk.apLen + bk.bpLen) }
+
+// Tile reports the micro-kernel's register tile. "simd" names three kernels
+// (see pickSIMDKernel); this is how `fmmtune show` says which one ran.
+func (bk *blockedBackend) Tile() (mr, nr int) { return bk.mr, bk.nr }
 
 // Gemm is the one-source, one-destination, unit-weight call of the engine.
 // The sequential branch keeps its one-entry lists in separate stack arrays:
@@ -259,8 +265,10 @@ func packB(bp []float64, B *mat.Dense, pc, jc, kb, nb, nr int, scale float64, ad
 // macroKernel multiplies the packed mb×kb A panel by the packed kb×nb B
 // panel into the destinations at (ic, jc). With direct set, full tiles go
 // from the backend's micro-kernel straight into the one destination;
-// otherwise — and for border tiles always — the tile is computed once into
-// the pooled scratch tile and the epilogue folds it into every destination.
+// otherwise — and for border tiles always — the same kernel computes the
+// whole tile into the zeroed scratch tile (the panels' zero padding makes the
+// rows and columns past the border exact zeros) and the epilogue folds the
+// valid rows×cols of it into every destination.
 func (bk *blockedBackend) macroKernel(dsts []Scaled, direct bool, pb *packBufs, ic, jc, mb, nb, kb int, first, accumulate bool) {
 	mr, nr := bk.mr, bk.nr
 	ap, bp, tile, C := pb.a, pb.b, pb.tile, dsts[0].M
@@ -270,41 +278,13 @@ func (bk *blockedBackend) macroKernel(dsts []Scaled, direct bool, pb *packBufs, 
 		for ir := 0; ir < mb; ir += mr {
 			rows := min(mr, mb-ir)
 			apanel := ap[(ir/mr)*mr*kb:]
-			switch full := rows == mr && cols == nr; {
-			case full && direct:
+			if direct && rows == mr && cols == nr {
 				bk.kern(C, ic+ir, jc+jr, kb, apanel, bpanel) //fastmm:allow static micro-kernel func pointer, bound at registry init
 				continue
-			case full:
-				tile.Zero()
-				bk.kern(tile, 0, 0, kb, apanel, bpanel) //fastmm:allow static micro-kernel func pointer, bound at registry init
-			default:
-				microKernelEdge(tile, kb, mr, nr, apanel, bpanel)
 			}
+			tile.Zero()
+			bk.kern(tile, 0, 0, kb, apanel, bpanel) //fastmm:allow static micro-kernel func pointer, bound at registry init
 			scatterTile(dsts, tile, ic+ir, jc+jr, rows, cols, first, accumulate)
-		}
-	}
-}
-
-// microKernelEdge computes a partial tile at the right/bottom borders for
-// any mr×nr ≤ maxMR×maxNR. The packed panels are zero-padded, so it
-// accumulates the full mr×nr product into the scratch tile and the epilogue
-// copies out only the valid portion.
-func microKernelEdge(tile *mat.Dense, kb, mr, nr int, ap, bp []float64) {
-	tile.Zero()
-	acc := tile.Data()
-	a := ap[: kb*mr : kb*mr]
-	b := bp[: kb*nr : kb*nr]
-	for k := 0; k < kb; k++ {
-		for i := 0; i < mr; i++ {
-			ai := a[k*mr+i]
-			if ai == 0 {
-				continue
-			}
-			bk := b[k*nr : k*nr+nr : k*nr+nr]
-			row := acc[i*maxNR : i*maxNR+nr : i*maxNR+nr]
-			for j, bv := range bk {
-				row[j] += ai * bv
-			}
 		}
 	}
 }

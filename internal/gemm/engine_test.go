@@ -31,23 +31,6 @@ func subView(rng *rand.Rand, r, c int) *mat.Dense {
 	return randMat(r+5, c+7, rng).View(2, 3, r, c)
 }
 
-func blockedBackends(t testing.TB) []*blockedBackend {
-	var out []*blockedBackend
-	for _, name := range Names() {
-		be, err := Get(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bk, ok := be.(*blockedBackend); ok {
-			out = append(out, bk)
-		}
-	}
-	if len(out) == 0 {
-		t.Fatal("no blocked backend registered")
-	}
-	return out
-}
-
 // TestPlainIsOneEntryFused: Dispatch and DispatchFused with one-entry,
 // unit-weight lists produce the same bits — full and border tiles in both
 // dims, several k- and n-panels, the small path, vectors, strided views,
@@ -55,8 +38,9 @@ func blockedBackends(t testing.TB) []*blockedBackend {
 func TestPlainIsOneEntryFused(t *testing.T) {
 	shapes := [][3]int{
 		{8, 8, 8}, {40, 40, 40}, {48, 48, 48}, // every dim ≤ naiveMax
-		{48, 48, 96}, {96, 64, 96}, // whole tiles on both backends (lcm(8,6)=24 rows, 8 cols)
+		{48, 48, 96}, {96, 64, 96}, {72, 50, 120}, // whole tiles on every kernel (rows a multiple of lcm(8,6), cols of 24)
 		{61, 53, 67}, {130, 57, 131}, // border tiles in both dims
+		{128, 128, 128}, {80, 60, 100}, // 5·24+8 and 4·24+4: a narrow border beside full 24-wide tiles
 		{64, kc + 44, 48}, {50, 2*kc + 1, 70}, // k > kc
 		{20, 30, nc + 37}, // n > nc
 		{mc + 9, 40, 90},  // m > mc
@@ -64,7 +48,8 @@ func TestPlainIsOneEntryFused(t *testing.T) {
 		{96, 40, 40}, {40, 40, 96}, // slabs that land on the small path
 	}
 	rng := rand.New(rand.NewSource(14))
-	for _, bk := range blockedBackends(t) {
+	for _, bk := range kernelTable() {
+		t.Logf("kernel %s: plain vs one-entry fused, bit for bit", bk.name)
 		for _, sh := range shapes {
 			m, k, n := sh[0], sh[1], sh[2]
 			for _, strided := range []bool{false, true} {
@@ -117,38 +102,42 @@ func TestMultiSourcePackingIsPackedSum(t *testing.T) {
 			}
 		}
 	}
-	for _, bk := range blockedBackends(t) {
+	for _, bk := range kernelTable() {
 		for _, nsrc := range []int{2, 4} {
 			srcs := make([]Scaled, nsrc)
 			for i := range srcs {
 				srcs[i] = Scaled{M: subView(rng, rows, cols), Coeff: []float64{1, -1, 0.5, 0.3}[(i+nsrc)%4]}
 			}
 			S := sum(srcs)
-			// Panels that start inside the matrix and end on a partial
-			// micro-tile, on each backend's mr and nr.
-			const r0, c0, pr, pc = 3, 5, 61, 75
-			for _, scale := range []float64{1, -1, 0.5} {
-				got, want := make([]float64, bk.apLen), make([]float64, bk.apLen)
+			// Panels that start inside the matrix: one ending on a partial
+			// micro-tile of every kernel's mr and nr, one on whole tiles
+			// (48 rows, 72 = 3·24 columns).
+			const r0, c0 = 3, 5
+			for _, dims := range [][2]int{{61, 75}, {48, 72}} {
+				pr, pc := dims[0], dims[1]
+				for _, scale := range []float64{1, -1, 0.5} {
+					got, want := make([]float64, bk.apLen), make([]float64, bk.apLen)
+					for i := range got {
+						got[i], want[i] = math.NaN(), math.NaN() // stale slab contents must not show through
+					}
+					for t, s := range srcs {
+						packA(got, s.M, r0, c0, pr, pc, bk.mr, scale*s.Coeff, t > 0)
+					}
+					packA(want, S, r0, c0, pr, pc, bk.mr, scale, false)
+					n := (pr + bk.mr - 1) / bk.mr * bk.mr * pc
+					same(fmt.Sprintf("%s packA %d×%d ×%d scale %g", bk.name, pr, pc, nsrc, scale), got[:n], want[:n])
+				}
+				got, want := make([]float64, bk.bpLen), make([]float64, bk.bpLen)
 				for i := range got {
-					got[i], want[i] = math.NaN(), math.NaN() // stale slab contents must not show through
+					got[i], want[i] = math.NaN(), math.NaN()
 				}
 				for t, s := range srcs {
-					packA(got, s.M, r0, c0, pr, pc, bk.mr, scale*s.Coeff, t > 0)
+					packB(got, s.M, r0, c0, pr, pc, bk.nr, s.Coeff, t > 0)
 				}
-				packA(want, S, r0, c0, pr, pc, bk.mr, scale, false)
-				n := (pr + bk.mr - 1) / bk.mr * bk.mr * pc
-				same(fmt.Sprintf("%s packA ×%d scale %g", bk.name, nsrc, scale), got[:n], want[:n])
+				packB(want, S, r0, c0, pr, pc, bk.nr, 1, false)
+				n := (pc + bk.nr - 1) / bk.nr * bk.nr * pr
+				same(fmt.Sprintf("%s packB %d×%d ×%d", bk.name, pr, pc, nsrc), got[:n], want[:n])
 			}
-			got, want := make([]float64, bk.bpLen), make([]float64, bk.bpLen)
-			for i := range got {
-				got[i], want[i] = math.NaN(), math.NaN()
-			}
-			for t, s := range srcs {
-				packB(got, s.M, r0, c0, pr, pc, bk.nr, s.Coeff, t > 0)
-			}
-			packB(want, S, r0, c0, pr, pc, bk.nr, 1, false)
-			n := (pc + bk.nr - 1) / bk.nr * bk.nr * pr
-			same(fmt.Sprintf("%s packB ×%d", bk.name, nsrc), got[:n], want[:n])
 		}
 	}
 }

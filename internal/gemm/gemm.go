@@ -11,9 +11,10 @@
 //
 //   - "portable": the pure-Go blocked kernel with an 8×4 register-tiled
 //     micro-kernel. Always registered, runs everywhere.
-//   - "simd": the same blocked structure with a wider 6×8 micro-kernel that
-//     maps onto AVX2 FMA lanes (Go assembly on amd64; a pure-Go 6×8 fallback
-//     on other architectures or under the `nosimd` build tag).
+//   - "simd": the same blocked structure with the widest micro-kernel the
+//     CPU runs, chosen at init: 8×24 on AVX-512, else 6×8 on AVX2 FMA lanes
+//     (both Go assembly on amd64), else a pure-Go 6×8 (other architectures,
+//     older CPUs, the `nosimd` build tag). One name for all three.
 //   - "blas": a cgo bridge to a vendor cblas_dgemm, only compiled under the
 //     `blas` build tag.
 //
@@ -28,8 +29,10 @@
 // (Huang et al., arXiv:1611.01120; FusedBackend, DispatchFused), which never
 // materializes the S/T operand sums or the M product. Plain gemm is the
 // one-source, one-destination, unit-weight call of the same code, so there
-// is one loop nest, one A packer, one B packer, one edge kernel and one slab
-// splitter to measure and to change. With workers > 1 the call is split
+// is one loop nest, one A packer, one B packer and one slab splitter to
+// measure and to change — and no edge kernel: the packers zero-pad panels to
+// whole micro-tiles, so a border tile is the full-tile micro-kernel aimed at
+// a scratch tile. With workers > 1 the call is split
 // into row (or column) slabs of the destinations, one goroutine each.
 //
 // The performance *shape* — a ramp-up phase followed by a flat region,

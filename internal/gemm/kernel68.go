@@ -2,14 +2,14 @@ package gemm
 
 import "fastmm/internal/mat"
 
-// microKernel6x8go is the pure-Go rendering of the SIMD backend's 6×8
+// microKernel6x8go is the pure-Go rendering of the SIMD backend's AVX2 6×8
 // micro-kernel: same tile shape, same packed-panel layout, same k-ordered
-// summation, so it is the drop-in fallback when the AVX2 path is compiled
-// out (`nosimd`, non-amd64) or unavailable at run time. 6×8 is the canonical
+// summation, so it is the drop-in fallback when the assembly is compiled out
+// (`nosimd`, non-amd64) or unavailable at run time. 6×8 is the canonical
 // AVX2 dgemm tile — 12 four-lane FMA accumulators plus two B loads and an A
 // broadcast fit the 16 ymm registers — and keeping the Go fallback on the
-// exact same shape means one packing layout, one calibration curve identity,
-// and results that differ from the asm only by FMA rounding.
+// exact same shape means results that differ from the AVX2 asm only by FMA
+// rounding.
 func microKernel6x8go(C *mat.Dense, i0, j0, kb int, ap, bp []float64) {
 	const (
 		mr = 6

@@ -5,22 +5,25 @@ import (
 	"fastmm/internal/mat"
 )
 
-// simdKernel is the 6×8 micro-kernel this build/machine selected.
-var simdKernel = pickSIMDKernel()
-
 func init() {
-	Register(newBlocked("simd", avx.Supported, 6, 8, simdKernel))
+	mr, nr, kern := pickSIMDKernel()
+	Register(newBlocked("simd", avx.Supported, mr, nr, kern))
 }
 
-// pickSIMDKernel selects the 6×8 micro-kernel implementation: the AVX2+FMA
-// assembly when the build and the hardware allow it, the pure-Go rendering
-// of the same tile otherwise (non-amd64, the `nosimd` build tag, or a CPU
-// without AVX2/FMA/OS-YMM support).
-func pickSIMDKernel() microKernelFunc {
-	if avx.Supported {
-		return microKernel6x8asm
+// pickSIMDKernel selects the widest full-tile micro-kernel this build and
+// machine can run: the AVX-512 8×24 assembly, else the AVX2+FMA 6×8
+// assembly, else the pure-Go rendering of the 6×8 tile (non-amd64, the
+// `nosimd` build tag, or a CPU/OS without AVX2/FMA/YMM support). All three
+// run under the one backend name — the tile is a property of the machine,
+// not something a plan or a cache key chooses.
+func pickSIMDKernel() (mr, nr int, kern microKernelFunc) {
+	switch {
+	case avx.Supported512:
+		return 8, 24, microKernel8x24asm
+	case avx.Supported:
+		return 6, 8, microKernel6x8asm
 	}
-	return microKernel6x8go
+	return 6, 8, microKernel6x8go
 }
 
 // microKernel6x8asm adapts the packed-panel call onto the assembly kernel:
@@ -29,4 +32,10 @@ func pickSIMDKernel() microKernelFunc {
 func microKernel6x8asm(C *mat.Dense, i0, j0, kb int, ap, bp []float64) {
 	d := C.Data()
 	avx.Dgemm6x8(kb, &ap[0], &bp[0], &d[i0*C.Stride()+j0], C.Stride())
+}
+
+// microKernel8x24asm is the same adapter for the AVX-512 tile.
+func microKernel8x24asm(C *mat.Dense, i0, j0, kb int, ap, bp []float64) {
+	d := C.Data()
+	avx.Dgemm8x24(kb, &ap[0], &bp[0], &d[i0*C.Stride()+j0], C.Stride())
 }

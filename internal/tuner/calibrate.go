@@ -25,7 +25,11 @@ import (
 // are retired cleanly for the same reason.
 // v4: the fused-operand engine joins the candidate space (Plan.Fused and the
 // fused cost-model dimension) — v3 caches predate it and must re-rank.
-const ProfileVersion = 4
+// v5: the "simd" leaf selects an AVX-512 8×24 micro-kernel where the machine
+// has one and every border tile runs through the kernel — v4 calibration
+// curves and plans describe the 6×8 leaf at about half the rate and must be
+// retired on upgrade, not trusted until drift detection notices.
+const ProfileVersion = 5
 
 // Profile is a one-time machine calibration: the measured gemm throughput
 // curve and addition bandwidth that parameterize the cost model's time

@@ -14,7 +14,10 @@
 //     internal/costmodel, turned into predicted seconds by a one-time
 //     machine calibration (measured gemm GFLOPS at a few block sizes and
 //     the measured STREAM-add bandwidth);
-//  3. optionally refine the top-K survivors with short empirical probes;
+//  3. optionally refine the top-K survivors with short empirical probes —
+//     the best-predicted classical plan always among them, and a fast plan
+//     chosen only when it beats that measured classical time by a margin,
+//     twice (see probe);
 //  4. persist the winner in an on-disk tuning cache (JSON under
 //     os.UserCacheDir, overridable via FASTMM_TUNE_CACHE) fronted by an
 //     in-memory LRU, so repeated shapes dispatch in O(1).
@@ -102,7 +105,8 @@ type Options struct {
 	// ProbeBudget, when positive, bounds the wall-clock time spent probing
 	// one tuning decision: once the budget is exhausted no further survivor
 	// is timed, and the winner is the best measured so far (or the model's
-	// top pick when the budget ran out before the first probe). The zero
+	// top pick when the budget ran out before the first probe); the two runs
+	// that confirm a fast plan against classical are not cut short. The zero
 	// value keeps the purely count-based ProbeTopK policy.
 	ProbeBudget time.Duration
 	// Algorithms restricts the candidate catalog entries. The default is
@@ -344,6 +348,11 @@ type Tuner struct {
 
 	modelMu sync.Mutex
 	models  map[modelKey]*costmodel.Model
+
+	// timeRun is the probe's stopwatch: the seconds one survivor takes on the
+	// probe request. It is timeDecision everywhere but in the invariant
+	// tests, which script the measured times through it.
+	timeRun func(d *decision, req op.Request) (float64, error)
 }
 
 // persistMu serializes tuning-cache persistence process-wide: the resource it
@@ -377,6 +386,7 @@ func New(opts Options) (*Tuner, error) {
 		dirty:  map[string]Plan{},
 		models: map[modelKey]*costmodel.Model{},
 	}
+	t.timeRun = t.timeDecision
 	switch {
 	case opts.Profile != nil:
 		if !opts.Profile.Valid() {
@@ -1025,9 +1035,18 @@ func execWorkspace(exec *core.Executor, o op.Op, m, k, n int) int64 {
 	}
 }
 
+// probeMargin is how much faster than the measured classical baseline a
+// fast plan must be — on two timings each — before the tuner commits to it.
+// Probes are single timings on whatever else the machine is doing; a win
+// inside this margin is noise as often as not, and classical is the choice
+// that can never be a regression.
+const probeMargin = 0.03
+
 // pick builds the winner from a ranked candidate list: the first candidate
 // whose built executor honors the workspace cap wins the model round, then
-// the configured number of probes decides among the leaders empirically.
+// the configured number of probes decides among the leaders empirically. The
+// best-predicted classical plan always joins the probed survivors, however
+// the model ranked it — it is the reference probe holds every fast plan to.
 func (t *Tuner) pick(o op.Op, ranked []Plan, m, k, n int) (*decision, error) {
 	o = o.PlanOp()
 	topK := t.opts.ProbeTopK
@@ -1040,7 +1059,11 @@ func (t *Tuner) pick(o op.Op, ranked []Plan, m, k, n int) (*decision, error) {
 		topK = 2 * DefaultProbeTopK
 	}
 	survivors := make([]*decision, 0, len(ranked))
+	haveClassical := false
 	for _, p := range ranked {
+		if len(survivors) >= topK && topK != NoProbes && !p.IsClassical() {
+			continue // the pool is full; only the classical reference is still wanted
+		}
 		d, err := t.build(o, p)
 		if err != nil {
 			continue
@@ -1057,7 +1080,8 @@ func (t *Tuner) pick(o op.Op, ranked []Plan, m, k, n int) (*decision, error) {
 			d.plan.WorkspaceBytes = execWorkspace(d.exec, o, m, k, n)
 		}
 		survivors = append(survivors, d)
-		if topK == NoProbes || len(survivors) >= topK {
+		haveClassical = haveClassical || p.IsClassical()
+		if topK == NoProbes || (len(survivors) >= topK && haveClassical) {
 			break
 		}
 	}
@@ -1075,12 +1099,30 @@ func (t *Tuner) pick(o op.Op, ranked []Plan, m, k, n int) (*decision, error) {
 	return t.probe(o, survivors, m, k, n)
 }
 
+// timeDecision is the production timeRun: the fastest of ProbeTrials runs.
+func (t *Tuner) timeDecision(d *decision, req op.Request) (float64, error) {
+	var err error
+	secs := bestTime(t.opts.ProbeTrials, func() {
+		if e := d.run(req); e != nil && err == nil {
+			err = e
+		}
+	})
+	return secs, err
+}
+
 // probe times each surviving decision on deterministic random operands of
-// the real shape and returns the fastest. One short multiplication per
-// candidate: the probes exist to catch what the model misranks, and their
-// cost is amortized by the disk cache. A positive ProbeBudget additionally
-// stops the sweep once the wall-clock budget is spent; with no probe
-// completed the model's top pick (survivors[0]) wins by ranking.
+// the real shape and returns the fastest — with classical as the reference a
+// fast plan has to beat. One short multiplication per candidate: the probes
+// exist to catch what the model misranks, and their cost is amortized by the
+// disk cache. The fastest survivor wins outright when it is classical; a
+// fast plan wins only if it is more than probeMargin faster than the fastest
+// classical survivor, and is so again on one more timing of the two, taken
+// back to back so drift hits both. Anything else returns that classical
+// plan: the tuner may fail to find a speedup, it must not pick a slowdown.
+//
+// A positive ProbeBudget additionally stops the sweep once the wall-clock
+// budget is spent; with no probe completed the model's top pick
+// (survivors[0]) wins by ranking.
 //
 // A survivor whose probe multiply fails at run time — a backend that built
 // fine but misbehaves on this machine, e.g. a blas plan over a broken
@@ -1108,24 +1150,18 @@ func (t *Tuner) probe(o op.Op, survivors []*decision, m, k, n int) (*decision, e
 	}
 	req.A.FillRandom(rng)
 
-	var best *decision
+	var best, classical *decision
 	var firstErr error
 	failed := make([]bool, len(survivors))
 	for i, d := range survivors {
 		if !deadline.IsZero() && !time.Now().Before(deadline) {
 			break
 		}
-		d := d
-		var probeErr error
-		secs := bestTime(t.opts.ProbeTrials, func() {
-			if err := d.run(req); err != nil && probeErr == nil {
-				probeErr = err
-			}
-		})
-		if probeErr != nil {
+		secs, err := t.timeRun(d, req)
+		if err != nil {
 			failed[i] = true
 			if firstErr == nil {
-				firstErr = fmt.Errorf("tuner: probing %s: %w", d.plan, probeErr)
+				firstErr = fmt.Errorf("tuner: probing %s: %w", d.plan, err)
 			}
 			continue
 		}
@@ -1133,16 +1169,36 @@ func (t *Tuner) probe(o op.Op, survivors []*decision, m, k, n int) (*decision, e
 		if best == nil || secs < best.plan.MeasuredSeconds {
 			best = d
 		}
-	}
-	if best != nil {
-		return best, nil
-	}
-	// No successful probe: fall back to the model ranking among survivors
-	// that did not fail (unprobed because the budget ran out first).
-	for i, d := range survivors {
-		if !failed[i] {
-			return d, nil
+		if d.plan.IsClassical() && (classical == nil || secs < classical.plan.MeasuredSeconds) {
+			classical = d
 		}
 	}
-	return nil, firstErr
+	if best == nil {
+		// No successful probe: fall back to the model ranking among survivors
+		// that did not fail (unprobed because the budget ran out first).
+		for i, d := range survivors {
+			if !failed[i] {
+				return d, nil
+			}
+		}
+		return nil, firstErr
+	}
+	if classical == nil || best.plan.IsClassical() {
+		// No measured reference (its probe failed or the budget ran out
+		// first), or classical won outright.
+		return best, nil
+	}
+	beats := func(fast, ref float64) bool { return fast < ref*(1-probeMargin) }
+	if !beats(best.plan.MeasuredSeconds, classical.plan.MeasuredSeconds) {
+		return classical, nil
+	}
+	fast, err := t.timeRun(best, req)
+	if err != nil {
+		return classical, nil
+	}
+	if ref, err := t.timeRun(classical, req); err == nil && !beats(fast, ref) {
+		return classical, nil
+	}
+	best.plan.MeasuredSeconds = min(best.plan.MeasuredSeconds, fast)
+	return best, nil
 }
