@@ -1,8 +1,8 @@
 // Root-level benchmarks: one testing.B benchmark per table/figure of the
 // paper, each driving the same experiment code that cmd/fmmbench runs at
 // full size (here in Quick mode so `go test -bench=.` finishes promptly).
-// Use `go run ./cmd/fmmbench -exp all` for the full reproduction, and see
-// EXPERIMENTS.md for measured-vs-paper comparisons.
+// Use `go run ./cmd/fmmbench -exp all` for the full reproduction, and
+// `go run ./benchmark` for the end-to-end numbers of the shipped dispatcher.
 package fastmm_test
 
 import (
@@ -42,12 +42,15 @@ func BenchmarkStab(b *testing.B)     { runExperiment(b, "stability") }
 // Direct kernel benchmarks at a fixed, comparable size: the classical
 // baseline, the interpreter on Strassen/shape-matched algorithms, and the
 // generated Strassen. These give `go test -bench` users an immediate
-// apples-to-apples view without the experiment harness.
+// apples-to-apples view without the experiment harness. Each *Fused twin runs
+// its sibling's plan with Options.Fused, the explicit-vs-fused comparison of
+// the last recursion level at the same plan (BenchmarkLeaf in internal/gemm
+// measures the fused leaf alone).
 
-func benchMultiply(b *testing.B, alg string, n, steps, workers int, par parallelMode) {
+func benchMultiply(b *testing.B, alg string, n, steps, workers int, par parallelMode, fused bool) {
 	A, B := randSquare(n)
 	C := mat.New(n, n)
-	e := mustExecutor(b, alg, steps, workers, par)
+	e := mustExecutor(b, alg, steps, workers, par, fused)
 	flops := 2*float64(n)*float64(n)*float64(n) - float64(n)*float64(n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -59,13 +62,25 @@ func benchMultiply(b *testing.B, alg string, n, steps, workers int, par parallel
 	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "effGFLOPS")
 }
 
-func BenchmarkStrassen512Seq(b *testing.B)    { benchMultiply(b, "strassen", 512, 2, 1, seqMode) }
-func BenchmarkStrassen1024Seq(b *testing.B)   { benchMultiply(b, "strassen", 1024, 2, 1, seqMode) }
-func BenchmarkStrassen1024DFS8(b *testing.B)  { benchMultiply(b, "strassen", 1024, 2, 8, dfsMode) }
-func BenchmarkStrassen1024BFS8(b *testing.B)  { benchMultiply(b, "strassen", 1024, 2, 8, bfsMode) }
-func BenchmarkStrassen1024Hyb8(b *testing.B)  { benchMultiply(b, "strassen", 1024, 2, 8, hybMode) }
-func BenchmarkFast424Outer1024(b *testing.B)  { benchOuter(b, "fast424", 1024, 256) }
-func BenchmarkStrassenOuter1024(b *testing.B) { benchOuter(b, "strassen", 1024, 256) }
+func BenchmarkStrassen512Seq(b *testing.B)  { benchMultiply(b, "strassen", 512, 2, 1, seqMode, false) }
+func BenchmarkStrassen1024Seq(b *testing.B) { benchMultiply(b, "strassen", 1024, 2, 1, seqMode, false) }
+func BenchmarkStrassen1024SeqFused(b *testing.B) {
+	benchMultiply(b, "strassen", 1024, 2, 1, seqMode, true)
+}
+func BenchmarkStrassen1024DFS8(b *testing.B) {
+	benchMultiply(b, "strassen", 1024, 2, 8, dfsMode, false)
+}
+func BenchmarkStrassen1024BFS8(b *testing.B) {
+	benchMultiply(b, "strassen", 1024, 2, 8, bfsMode, false)
+}
+func BenchmarkStrassen1024Hyb8(b *testing.B) {
+	benchMultiply(b, "strassen", 1024, 2, 8, hybMode, false)
+}
+func BenchmarkFast424Outer1024(b *testing.B)  { benchOuter(b, "fast424", 1024, 256, false) }
+func BenchmarkStrassenOuter1024(b *testing.B) { benchOuter(b, "strassen", 1024, 256, false) }
+func BenchmarkStrassenOuter1024Fused(b *testing.B) {
+	benchOuter(b, "strassen", 1024, 256, true)
+}
 
 func BenchmarkGenerated512(b *testing.B) {
 	A, B := randSquare(512)

@@ -27,9 +27,9 @@ func randSquare(n int) (*mat.Dense, *mat.Dense) {
 	return A, B
 }
 
-func mustExecutor(b *testing.B, alg string, steps, workers int, par parallelMode) *core.Executor {
+func mustExecutor(b *testing.B, alg string, steps, workers int, par parallelMode, fused bool) *core.Executor {
 	b.Helper()
-	e, err := fastmm.NewExecutor(alg, fastmm.Options{Resources: fastmm.Resources{Workers: workers}, Steps: steps, Parallel: par})
+	e, err := fastmm.NewExecutor(alg, fastmm.Options{Resources: fastmm.Resources{Workers: workers}, Steps: steps, Parallel: par, Fused: fused})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -37,13 +37,13 @@ func mustExecutor(b *testing.B, alg string, steps, workers int, par parallelMode
 }
 
 // benchOuter benchmarks an outer-product-shaped problem N×K×N.
-func benchOuter(b *testing.B, alg string, n, k int) {
+func benchOuter(b *testing.B, alg string, n, k int, fused bool) {
 	rng := rand.New(rand.NewSource(int64(n + k)))
 	A, B := mat.New(n, k), mat.New(k, n)
 	A.FillRandom(rng)
 	B.FillRandom(rng)
 	C := mat.New(n, n)
-	e := mustExecutor(b, alg, 1, 1, seqMode)
+	e := mustExecutor(b, alg, 1, 1, seqMode, fused)
 	flops := 2*float64(n)*float64(k)*float64(n) - float64(n)*float64(n)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

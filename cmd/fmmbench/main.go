@@ -6,25 +6,22 @@
 //
 //	fmmbench -list                 # show experiment ids
 //	fmmbench -exp fig5             # one experiment
-//	fmmbench -exp allocs,auto      # several experiments
+//	fmmbench -exp table2,fig4      # several experiments
 //	fmmbench -exp all              # everything (several minutes)
 //	fmmbench -exp fig4 -scale 1.5 -trials 5 -workers 24 -small 6
-//	fmmbench -exp auto -quick -json BENCH_ci.json
 //
 // Problem sizes default to dimensions suited to the pure-Go gemm kernel
 // (absolute sizes are smaller than the paper's MKL-based runs; the shapes and
 // who-wins comparisons are what reproduce). -scale grows them toward
-// paper-scale. -json additionally writes every measured point to a file, the
-// format CI archives as a perf-trajectory artifact.
+// paper-scale. End-to-end and per-layer numbers of the shipped dispatcher
+// come from `go run ./benchmark`, not from here.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math/rand"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -32,31 +29,6 @@ import (
 	"fastmm/internal/generated"
 	"fastmm/internal/mat"
 )
-
-// report is the -json output schema: enough machine context to compare
-// artifacts across CI runs, plus every point of every experiment.
-type report struct {
-	CreatedAt  time.Time `json:"created_at"`
-	GoVersion  string    `json:"go_version"`
-	GOOS       string    `json:"goos"`
-	GOARCH     string    `json:"goarch"`
-	GOMAXPROCS int       `json:"gomaxprocs"`
-	Scale      float64   `json:"scale"`
-	Trials     int       `json:"trials"`
-	Quick      bool      `json:"quick"`
-	// TotalSeconds is the wall time of the whole invocation — what the CI
-	// bench-trend job tracks as "bench cost" (per-experiment elapsed time is
-	// each experiment's "seconds" field).
-	TotalSeconds float64            `json:"total_seconds"`
-	Runs         []experimentResult `json:"experiments"`
-}
-
-type experimentResult struct {
-	ID      string        `json:"id"`
-	Title   string        `json:"title"`
-	Seconds float64       `json:"seconds"`
-	Points  []bench.Point `json:"points"`
-}
 
 func main() {
 	exp := flag.String("exp", "", "experiment id(s), comma-separated, or 'all'")
@@ -66,7 +38,6 @@ func main() {
 	workers := flag.Int("workers", 0, "high worker count (default min(24, GOMAXPROCS))")
 	small := flag.Int("small", 0, "low worker count (default min(6, GOMAXPROCS))")
 	quick := flag.Bool("quick", false, "smoke-test sizes")
-	jsonPath := flag.String("json", "", "also write all measured points to this JSON file")
 	flag.Parse()
 
 	if *list || *exp == "" {
@@ -95,46 +66,17 @@ func main() {
 		Out:          os.Stdout,
 	}
 
-	rep := report{
-		CreatedAt:  time.Now().UTC(),
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Scale:      *scale,
-		Trials:     *trials,
-		Quick:      *quick,
-	}
 	start := time.Now()
 	for _, id := range ids {
-		e, err := bench.Lookup(id)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err) // unreachable after resolveIDs; belt and braces
-			os.Exit(2)
-		}
 		expStart := time.Now()
-		pts, err := bench.Run(id, cfg)
-		if err != nil {
+		if _, err := bench.Run(id, cfg); err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", id, err)
 			os.Exit(1)
 		}
-		secs := time.Since(expStart)
-		fmt.Printf("  [%s took %v]\n", id, secs.Round(time.Millisecond))
-		rep.Runs = append(rep.Runs, experimentResult{
-			ID: id, Title: e.Title, Seconds: secs.Seconds(), Points: pts,
-		})
+		fmt.Printf("  [%s took %v]\n", id, time.Since(expStart).Round(time.Millisecond))
 	}
-	rep.TotalSeconds = time.Since(start).Seconds()
 	if len(ids) > 1 {
 		fmt.Printf("\n%d experiments completed in %v\n", len(ids), time.Since(start).Round(time.Second))
-	}
-
-	if *jsonPath != "" {
-		if err := writeReport(*jsonPath, rep); err != nil {
-			fmt.Fprintf(os.Stderr, "writing %s: %v\n", *jsonPath, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *jsonPath)
 	}
 }
 
@@ -167,14 +109,6 @@ func listExperiments(w *os.File) {
 		e, _ := bench.Lookup(n)
 		fmt.Fprintf(w, "  %-10s %s\n", n, e.Title)
 	}
-}
-
-func writeReport(path string, rep report) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
 }
 
 // installGeneratedStrassen wires the generated-code series used by fig1,

@@ -60,7 +60,7 @@ func main() {
 
 	fmt.Println("\npaper's Fig. 5 (bottom left): shape-matched algorithms win this")
 	fmt.Println("shape outright. This repo's <4,2,4> substitute saves 14% multiplies")
-	fmt.Println("per step vs the paper's 23% (rank 28 vs 26 — see DESIGN.md §2.1),")
+	fmt.Println("per step vs the paper's 23% (rank 28 vs 26: `go run ./cmd/fmminfo`),")
 	fmt.Println("so expect the shape-matched entries to lead the *fast* algorithms")
 	fmt.Println("and to close on strassen/classical as N grows.")
 }

@@ -4,8 +4,9 @@
 // must not allocate, and neither may anything they statically call inside
 // the module.
 //
-// The benchmarks pin these paths at (near) zero allocs/op; the benchtrend
-// gate notices a regression only after it lands. This analyzer rejects the
+// The AllocsPerRun tests pin these paths at (near) zero allocs/op and the
+// repository benchmark reports workspace.allocs_per_op, but both notice a
+// regression only after it is written. This analyzer rejects the
 // allocation at review time instead. Starting from every //fastmm:zeroalloc
 // function it walks the static call graph across the whole module and flags,
 // in every reachable body:

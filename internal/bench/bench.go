@@ -72,11 +72,6 @@ type Point struct {
 	Seconds float64
 	Eff     float64 // effective GFLOPS, Equation (3)
 	EffCore float64 // effective GFLOPS per core
-	// Allocs is the heap allocations per multiplication, where the
-	// experiment measures it (the allocs and batch experiments); 0 means
-	// "not measured". It is a trend-job signal: timing on shared CI runners
-	// is noisy, allocation counts are exact.
-	Allocs float64 `json:"allocs,omitempty"`
 }
 
 // effective implements Equation (3).
@@ -111,24 +106,6 @@ func medianTime(trials int, f func()) float64 {
 	}
 	sort.Float64s(ts)
 	return ts[len(ts)/2]
-}
-
-// bestTime runs f trials times and returns the fastest duration in seconds —
-// for micro-measurements (cache lookups) where any slow trial is external
-// interference (GC pause, preemption), never the code under test.
-func bestTime(trials int, f func()) float64 {
-	if trials < 1 {
-		trials = 1
-	}
-	best := 0.0
-	for i := 0; i < trials; i++ {
-		start := time.Now()
-		f()
-		if s := time.Since(start).Seconds(); i == 0 || s < best {
-			best = s
-		}
-	}
-	return best
 }
 
 // runSpec describes one executor configuration to time.
@@ -214,11 +191,4 @@ func table(w io.Writer, title, metric string, pts []Point) {
 		}
 		fmt.Fprintln(w)
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

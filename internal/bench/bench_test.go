@@ -35,6 +35,17 @@ func TestEveryExperimentRunsQuick(t *testing.T) {
 	}
 }
 
+// TestExperimentsArePaperArtifacts keeps this package to the paper's tables
+// and figures; end-to-end and trend numbers belong to ./benchmark.
+func TestExperimentsArePaperArtifacts(t *testing.T) {
+	for _, name := range Names() {
+		e, _ := Lookup(name)
+		if !strings.HasPrefix(e.Title, "Table") && !strings.HasPrefix(e.Title, "Fig.") && !strings.HasPrefix(e.Title, "§") {
+			t.Errorf("experiment %q is not a paper table, figure or section: %q", name, e.Title)
+		}
+	}
+}
+
 func TestLookupUnknown(t *testing.T) {
 	if _, err := Run("not-an-experiment", Config{}); err == nil {
 		t.Fatal("want error")

@@ -67,11 +67,6 @@ func init() {
 	registerExperiment("nnz", "§6 ablation: rank vs factor sparsity (<3,2,3> rank 17 sparse vs rank 15 dense)", runNNZ)
 }
 
-// Experiments that live in their own files (allocs.go, auto.go) register
-// themselves from their own init funcs, so adding an experiment touches one
-// file only. Go runs package init functions in file order, so the id listing
-// stays deterministic.
-
 // runNNZ is an ablation supporting the paper's §6 conclusion 3: for a given
 // rank, the number of nonzeros in JU,V,WK (the communication cost of the
 // additions) decides practical performance. The repo's search found a

@@ -53,8 +53,8 @@ func runFig4(cfg Config) ([]Point, error) {
 }
 
 // fig5 series sets, mirroring the paper's three square panels plus the two
-// rectangular panels. APA algorithms are included only if present in the
-// catalog (see DESIGN.md §2.1).
+// rectangular panels. Where an entry's rank exceeds the paper's, the provenance
+// comment at its register call in internal/catalog says why.
 var fig5Square = []string{
 	"strassen", "winograd", "fast422", "fast323", "fast332", "fast522", "fast252",
 	"fast322", "fast324", "fast423", "fast342", "fast333", "fast424", "fast234",

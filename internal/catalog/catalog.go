@@ -6,8 +6,9 @@
 //
 // Entries whose published coefficients are not reconstructible offline are
 // built by the splitting/composition constructions of internal/algo, which
-// yields exact algorithms whose rank may exceed the paper's (see DESIGN.md
-// §2.1 for the per-entry provenance and rank comparison).
+// yields exact algorithms whose rank may exceed the paper's. The comment at
+// each register call gives the entry's construction and its rank against
+// Table 2's.
 package catalog
 
 import (
@@ -194,9 +195,6 @@ func classical(m, k, n int) func() *algo.Algorithm {
 	return func() *algo.Algorithm { return algo.Classical(m, k, n) }
 }
 
-// derive reduces boilerplate for entries built from other entries.
-func derive(f func() *algo.Algorithm) func() *algo.Algorithm { return f }
-
 func mustSplitN(a, b *algo.Algorithm) *algo.Algorithm {
 	out, err := algo.SplitN(a, b, "")
 	if err != nil {
@@ -230,135 +228,140 @@ func mustPermute(a *algo.Algorithm, bc algo.BaseCase) *algo.Algorithm {
 }
 
 func init() {
+	// Paper §2.2.2; rank 7.
 	register("strassen", 7, strassen)
+	// Strassen–Winograd, 15 chained additions; rank 7.
 	register("winograd", 7, winograd)
+	// Classical ⟨2,2,2⟩ as a bilinear algorithm; rank 8, not in Table 2.
 	register("classical222", 0, classical(2, 2, 2))
 
 	// ⟨2,2,N⟩ family: Strassen ⊕ classical column blocks reach the
 	// Hopcroft-Kerr ranks from Table 2 exactly.
-	register("fast223", 11, derive(func() *algo.Algorithm {
+
+	// Strassen split with a classical ⟨2,2,1⟩; paper rank 11, repo 11.
+	register("fast223", 11, func() *algo.Algorithm {
 		return mustSplitN(MustGet("strassen"), algo.Classical(2, 2, 1))
-	}))
-	register("fast224", 14, derive(func() *algo.Algorithm {
+	})
+	// Strassen ∘ classical ⟨1,1,2⟩; paper rank 14, repo 14.
+	register("fast224", 14, func() *algo.Algorithm {
 		return algo.Compose(MustGet("strassen"), algo.Classical(1, 1, 2), "")
-	}))
-	register("fast225", 18, derive(func() *algo.Algorithm {
+	})
+	// fast224 split with a classical ⟨2,2,1⟩; paper rank 18, repo 18.
+	register("fast225", 18, func() *algo.Algorithm {
 		return mustSplitN(MustGet("fast224"), algo.Classical(2, 2, 1))
-	}))
+	})
 
-	// Permutations of the ⟨2,2,N⟩ family (Props 2.1/2.2).
-	register("fast232", 11, derive(func() *algo.Algorithm {
+	// Permutations of the ⟨2,2,N⟩ family (Props 2.1/2.2); paper rank = repo
+	// rank = the source's.
+	register("fast232", 11, func() *algo.Algorithm {
 		return mustPermute(MustGet("fast223"), algo.BaseCase{M: 2, K: 3, N: 2})
-	}))
-	register("fast322", 11, derive(func() *algo.Algorithm {
+	})
+	register("fast322", 11, func() *algo.Algorithm {
 		return mustPermute(MustGet("fast223"), algo.BaseCase{M: 3, K: 2, N: 2})
-	}))
-	register("fast422", 14, derive(func() *algo.Algorithm {
+	})
+	register("fast422", 14, func() *algo.Algorithm {
 		return mustPermute(MustGet("fast224"), algo.BaseCase{M: 4, K: 2, N: 2})
-	}))
-	register("fast242", 14, derive(func() *algo.Algorithm {
+	})
+	register("fast242", 14, func() *algo.Algorithm {
 		return mustPermute(MustGet("fast224"), algo.BaseCase{M: 2, K: 4, N: 2})
-	}))
-	register("fast522", 18, derive(func() *algo.Algorithm {
+	})
+	register("fast522", 18, func() *algo.Algorithm {
 		return mustPermute(MustGet("fast225"), algo.BaseCase{M: 5, K: 2, N: 2})
-	}))
-	register("fast252", 18, derive(func() *algo.Algorithm {
+	})
+	register("fast252", 18, func() *algo.Algorithm {
 		return mustPermute(MustGet("fast225"), algo.BaseCase{M: 2, K: 5, N: 2})
-	}))
+	})
 
-	// ⟨2,3,3⟩ family (paper rank 15; split construction gives 17 — see
-	// DESIGN.md §2.1; replaced by a search-found rank if available).
-	register("fast233", 15, derive(func() *algo.Algorithm {
-		if has("fast323x15") {
-			return mustPermute(MustGet("fast323x15"), algo.BaseCase{M: 2, K: 3, N: 3})
-		}
+	// ⟨2,3,3⟩ family: fast223 split with a classical ⟨2,1,3⟩; paper rank 15,
+	// split gives 17.
+	register("fast233", 15, func() *algo.Algorithm {
 		return mustSplitK(MustGet("fast223"), algo.Classical(2, 1, 3))
-	}))
-	register("fast323", 15, derive(func() *algo.Algorithm {
-		if has("fast323x15") {
-			return MustGet("fast323x15").Clone()
-		}
+	})
+	// Permutation of fast233; paper rank 15, repo 17.
+	register("fast323", 15, func() *algo.Algorithm {
 		return mustPermute(MustGet("fast233"), algo.BaseCase{M: 3, K: 2, N: 3})
-	}))
-	register("fast332", 15, derive(func() *algo.Algorithm {
+	})
+	// Permutation of fast233; paper rank 15, repo 17.
+	register("fast332", 15, func() *algo.Algorithm {
 		return mustPermute(MustGet("fast233"), algo.BaseCase{M: 3, K: 3, N: 2})
-	}))
+	})
 
-	// ⟨2,3,4⟩ family (paper rank 20; split gives 22).
-	register("fast234", 20, derive(func() *algo.Algorithm {
+	// ⟨2,3,4⟩ family: fast232 split with itself; paper rank 20, split gives 22.
+	register("fast234", 20, func() *algo.Algorithm {
 		return mustSplitN(MustGet("fast232"), MustGet("fast232"))
-	}))
-	register("fast243", 20, derive(func() *algo.Algorithm {
+	})
+	// Permutations of fast234; paper rank 20, repo 22.
+	register("fast243", 20, func() *algo.Algorithm {
 		return mustPermute(MustGet("fast234"), algo.BaseCase{M: 2, K: 4, N: 3})
-	}))
-	register("fast324", 20, derive(func() *algo.Algorithm {
+	})
+	register("fast324", 20, func() *algo.Algorithm {
 		return mustPermute(MustGet("fast234"), algo.BaseCase{M: 3, K: 2, N: 4})
-	}))
-	register("fast342", 20, derive(func() *algo.Algorithm {
+	})
+	register("fast342", 20, func() *algo.Algorithm {
 		return mustPermute(MustGet("fast234"), algo.BaseCase{M: 3, K: 4, N: 2})
-	}))
-	register("fast423", 20, derive(func() *algo.Algorithm {
+	})
+	register("fast423", 20, func() *algo.Algorithm {
 		return mustPermute(MustGet("fast234"), algo.BaseCase{M: 4, K: 2, N: 3})
-	}))
-	register("fast432", 20, derive(func() *algo.Algorithm {
+	})
+	register("fast432", 20, func() *algo.Algorithm {
 		return mustPermute(MustGet("fast234"), algo.BaseCase{M: 4, K: 3, N: 2})
-	}))
+	})
 
-	// ⟨2,4,4⟩ family (paper rank 26; composition gives 28).
-	register("fast244", 26, derive(func() *algo.Algorithm {
+	// ⟨2,4,4⟩ family: fast224 split with itself; paper rank 26, split gives 28.
+	register("fast244", 26, func() *algo.Algorithm {
 		return mustSplitK(MustGet("fast224"), MustGet("fast224"))
-	}))
-	register("fast424", 26, derive(func() *algo.Algorithm {
+	})
+	// Strassen ∘ classical ⟨2,1,2⟩; paper rank 26, composition gives 28.
+	register("fast424", 26, func() *algo.Algorithm {
 		return algo.Compose(MustGet("strassen"), algo.Classical(2, 1, 2), "")
-	}))
-	register("fast442", 26, derive(func() *algo.Algorithm {
+	})
+	// Permutation of fast244; paper rank 26, repo 28.
+	register("fast442", 26, func() *algo.Algorithm {
 		return mustPermute(MustGet("fast244"), algo.BaseCase{M: 4, K: 4, N: 2})
-	}))
+	})
 
-	// ⟨4,4,4⟩ = Strassen ∘ Strassen: one composed step is algebraically the
-	// same computation as two Strassen steps (tested in core), making it a
-	// clean ablation of interpreter overhead per recursion level.
-	register("fast444", 0, derive(func() *algo.Algorithm {
+	// ⟨4,4,4⟩ = Strassen ∘ Strassen, rank 49, not in Table 2: one composed
+	// step is algebraically the same computation as two Strassen steps
+	// (tested in core), making it a clean ablation of interpreter overhead
+	// per recursion level.
+	register("fast444", 0, func() *algo.Algorithm {
 		return algo.Compose(MustGet("strassen"), MustGet("strassen"), "")
-	}))
+	})
 
-	// ⟨3,3,3⟩ (paper rank 23, Laderman/Smirnov; split fallback).
-	register("fast333", 23, derive(func() *algo.Algorithm {
-		if has("laderman") {
-			return MustGet("laderman").Clone()
-		}
+	// ⟨3,3,3⟩: fast233 split with a classical ⟨1,3,3⟩; paper rank 23
+	// (Laderman/Smirnov), split gives 26.
+	register("fast333", 23, func() *algo.Algorithm {
 		return mustSplitM(MustGet("fast233"), algo.Classical(1, 3, 3))
-	}))
+	})
 
-	// ⟨3,3,4⟩ family (paper rank 29; split fallback).
-	register("fast334", 29, derive(func() *algo.Algorithm {
+	// ⟨3,3,4⟩ family: fast333 split with a classical ⟨3,3,1⟩; paper rank 29,
+	// split gives 35.
+	register("fast334", 29, func() *algo.Algorithm {
 		return mustSplitN(MustGet("fast333"), algo.Classical(3, 3, 1))
-	}))
-	register("fast343", 29, derive(func() *algo.Algorithm {
+	})
+	// Permutations of fast334; paper rank 29, repo 35.
+	register("fast343", 29, func() *algo.Algorithm {
 		return mustPermute(MustGet("fast334"), algo.BaseCase{M: 3, K: 4, N: 3})
-	}))
-	register("fast433", 29, derive(func() *algo.Algorithm {
+	})
+	register("fast433", 29, func() *algo.Algorithm {
 		return mustPermute(MustGet("fast334"), algo.BaseCase{M: 4, K: 3, N: 3})
-	}))
+	})
 
-	// ⟨3,4,4⟩ (paper rank 38; split fallback).
-	register("fast344", 38, derive(func() *algo.Algorithm {
+	// ⟨3,4,4⟩: fast324 split with itself; paper rank 38, split gives 44.
+	register("fast344", 38, func() *algo.Algorithm {
 		return mustSplitK(MustGet("fast324"), MustGet("fast324"))
-	}))
+	})
 
-	// ⟨3,3,6⟩ family (paper rank 40, Smirnov; composition fallback).
-	register("fast336", 40, derive(func() *algo.Algorithm {
+	// ⟨3,3,6⟩ family: fast333 ∘ classical ⟨1,1,2⟩; paper rank 40 (Smirnov),
+	// composition gives 52.
+	register("fast336", 40, func() *algo.Algorithm {
 		return algo.Compose(MustGet("fast333"), algo.Classical(1, 1, 2), "")
-	}))
-	register("fast363", 40, derive(func() *algo.Algorithm {
+	})
+	// Permutations of fast336; paper rank 40, repo 52.
+	register("fast363", 40, func() *algo.Algorithm {
 		return mustPermute(MustGet("fast336"), algo.BaseCase{M: 3, K: 6, N: 3})
-	}))
-	register("fast633", 40, derive(func() *algo.Algorithm {
+	})
+	register("fast633", 40, func() *algo.Algorithm {
 		return mustPermute(MustGet("fast336"), algo.BaseCase{M: 6, K: 3, N: 3})
-	}))
-}
-
-func has(name string) bool {
-	_, ok := entries[name]
-	return ok
+	})
 }
