@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"fastmm/internal/gemm"
 	"fastmm/internal/op"
 	"fastmm/internal/tuner"
 )
@@ -221,11 +222,15 @@ func (b *Batcher) estimateFor(o op.Op, m, k, n int) (tuner.ShapeClass, int64) {
 	if secs <= 0 && b.prof != nil {
 		cm, ck, cn := class.Dims()
 		if o.Symmetric() {
-			// Symmetric ops run a fraction of the general multiply's flops
-			// (plus transpose/mirror movement); pricing them off the gemm
-			// curve would overstate their backlog and mislead both admission
-			// and the drift baseline.
-			secs = b.prof.Machine.SymmetricTime(cm, ck, cn, b.opts.Workers)
+			// Classical symmetric ops run one triangle of the general
+			// multiply (the default backend's lower-triangle pass) plus the
+			// mirror; pricing them off the gemm curve would overstate their
+			// backlog and mislead both admission and the drift baseline.
+			nr := 0
+			if t, ok := gemm.Default().(interface{ Tile() (mr, nr int) }); ok {
+				_, nr = t.Tile()
+			}
+			secs = b.prof.Machine.SymmetricTime("", cm, ck, nr, b.opts.Workers)
 		} else {
 			secs = b.prof.Machine.ClassicalTime(cm, ck, cn, b.opts.Workers)
 		}

@@ -14,6 +14,9 @@ func TestEveryExperimentRunsQuick(t *testing.T) {
 	for _, name := range Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
+			if raceEnabled && name == "square54" {
+				t.Skip("square54 outgrows the race detector's memory; it runs in the plain test pass")
+			}
 			var buf bytes.Buffer
 			pts, err := Run(name, quickCfg(&buf))
 			if err != nil {

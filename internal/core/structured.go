@@ -100,7 +100,7 @@ func (e *Executor) structuredMode(p, q int) Parallel {
 func (e *Executor) symRecurse(ctx *runContext, ar *workspace.Arena, C, L, R *mat.Dense) {
 	p, q := L.Rows(), L.Cols()
 	if p < 2*e.opts.MinDim || p < 2 {
-		e.symLeaf(ctx, C, L, R)
+		e.symLeaf(ctx, C, L)
 		return
 	}
 	h := p / 2
@@ -117,66 +117,43 @@ func (e *Executor) symRecurse(ctx *runContext, ar *workspace.Arena, C, L, R *mat
 	e.multiply(ctx, ar, c21, L2, R1, 1, 0, 0, false)
 	// Mirror epilogue: C12 = C21ᵗ, copied — never recomputed — so the two
 	// triangles agree bit-for-bit.
-	parMirror(ar.View(C, 0, h, h, p-h), c21, ctx.additionWorkers())
+	parTranspose(ar.View(C, 0, h, h, p-h), c21, ctx.additionWorkers())
 }
 
-// symLeaf computes one diagonal block C = L·R with the leaf kernel and
-// mirrors its lower triangle up, enforcing exact symmetry within the block.
-func (e *Executor) symLeaf(ctx *runContext, C, L, R *mat.Dense) {
+// symLeaf computes one diagonal block C = L·Lᵗ (R is Lᵗ exactly) as the
+// leaf's classical Syrk: one lower-triangle pass of the leaf engine and its
+// mirror, so every diagonal leaf does half a general product's flops and the
+// block is exactly symmetric.
+func (e *Executor) symLeaf(ctx *runContext, C, L *mat.Dense) {
 	if s := e.opts.Stats; s != nil {
 		s.add(&s.LeafCalls, 1)
 	}
 	switch ctx.mode {
 	case Sequential:
-		gemm.Dispatch(e.be, C, 1, L, R, false, 1)
-		mirrorLower(C)
+		gemm.Syrk(e.be, C, 1, L, false, 1)
 	case DFS:
-		gemm.Dispatch(e.be, C, 1, L, R, false, ctx.workers)
-		mirrorLower(C)
+		gemm.Syrk(e.be, C, 1, L, false, ctx.workers)
 	default: // BFS (structuredMode never yields Hybrid)
-		ctx.compute(func() {
-			gemm.Dispatch(e.be, C, 1, L, R, false, 1)
-			mirrorLower(C)
-		})
+		ctx.compute(func() { gemm.Syrk(e.be, C, 1, L, false, 1) })
 	}
 }
 
-// mirrorLower copies the strict lower triangle of the square matrix onto the
-// strict upper one: C[i][j] = C[j][i] for i < j.
-func mirrorLower(C *mat.Dense) {
-	n := C.Rows()
-	for i := 1; i < n; i++ {
-		row := C.Row(i)
-		for j := 0; j < i; j++ {
-			C.Set(j, i, row[j])
-		}
-	}
-}
-
-// parMirror writes dst = srcᵗ (dst is r×c, src is c×r), parallelized over
-// dst's rows like the other addition helpers; single-worker and small cases
-// run direct so the DFS steady state stays allocation-free.
-func parMirror(dst, src *mat.Dense, workers int) {
+// parTranspose writes dst = srcᵗ (dst is r×c, src is c×r), parallelized over
+// dst's row ranges like the other addition helpers; single-worker and small
+// cases run direct so the DFS steady state stays allocation-free.
+func parTranspose(dst, src *mat.Dense, workers int) {
 	rows := dst.Rows()
 	if workers <= 1 || rows < parRowThreshold {
-		mirrorInto(dst, src, 0, rows)
+		mat.Transpose(dst, src)
 		return
 	}
-	eachRows(rows, workers, func(lo, n int) { mirrorInto(dst, src, lo, lo+n) })
+	eachRows(rows, workers, func(lo, n int) {
+		var d, s mat.Dense
+		dst.ViewInto(&d, lo, 0, n, dst.Cols())
+		src.ViewInto(&s, 0, lo, src.Rows(), n)
+		mat.Transpose(&d, &s)
+	})
 }
-
-func mirrorInto(dst, src *mat.Dense, lo, hi int) {
-	cols := dst.Cols()
-	for i := lo; i < hi; i++ {
-		row := dst.Row(i)
-		for j := 0; j < cols; j++ {
-			row[j] = src.At(j, i)
-		}
-	}
-}
-
-// parTranspose writes dst = srcᵗ with the same parallelization policy.
-func parTranspose(dst, src *mat.Dense, workers int) { parMirror(dst, src, workers) }
 
 // MultiplyAdd computes C += alpha·A·B. The accumulation rides the recursion
 // all the way to the leaves (alpha piped to the base case, §3.1; the leaf

@@ -4,14 +4,6 @@ package costmodel
 // the general-multiply time model when ranking candidates for the ATA/Syrk
 // and MultiplyAdd operations.
 
-// ATAFlopFactor is the asymptotic fraction of a general multiply's work the
-// symmetric recursion pays for AᵗA / A·Aᵗ. The recurrence T(n) = 2T(n/2) +
-// M(n/2) gives T = M/2 for classical M (ω = 3) and approaches 2/3·M as the
-// multiply exponent drops toward Strassen's (Arrigoni/Massini,
-// arXiv:1902.02104); 2/3 is the conservative bound for the fast algorithms
-// the tuner ranks.
-const ATAFlopFactor = 2.0 / 3.0
-
 // MoveSeconds predicts the seconds needed to stream `floats` float64 values
 // through memory at the add bandwidth available to w workers. Callers count
 // reads and writes separately (a copy of n values moves 2n).
@@ -23,10 +15,10 @@ func (ma Machine) MoveSeconds(floats float64, w int) float64 {
 	return floats * 8 / (rate * 1e9)
 }
 
-// StructuredOverheadSeconds prices the extra data movement one structured
-// (ATA/Syrk) call pays beyond its multiply work: materializing the transpose
-// of the ar×ac operand (read + write) plus the mirror epilogue over the
-// cdim×cdim result (read half, write half).
+// StructuredOverheadSeconds prices the extra data movement the executor's
+// symmetric recursion pays beyond its multiply work: materializing the
+// transpose of the ar×ac operand (read + write) plus the mirror epilogues
+// over the cdim×cdim result (read half, write half).
 func (ma Machine) StructuredOverheadSeconds(ar, ac, cdim, w int) float64 {
 	transpose := 2 * float64(ar) * float64(ac)
 	mirror := float64(cdim) * float64(cdim)
@@ -39,14 +31,23 @@ func (ma Machine) AccumulateOverheadSeconds(m, n, w int) float64 {
 	return ma.MoveSeconds(3*float64(m)*float64(n), w)
 }
 
-// SymmetricTime predicts the classical-baseline seconds of a symmetric
-// product (AᵗA or A·Aᵗ) whose gemm-equivalent triple is ⟨p,q,r⟩ (r == p for
-// these shapes): the symmetric recursion's fraction of the full multiply plus
-// the transpose/mirror data movement. This is the admission estimator's seed
-// and the drift detector's baseline for symmetric classes that have never
-// been probed — an op-aware floor, so a structured op drifting against a
-// general-multiply prediction is not misread as regression.
-func (ma Machine) SymmetricTime(p, q, r, w int) float64 {
-	return ATAFlopFactor*ma.ClassicalTime(p, q, r, w) +
-		ma.StructuredOverheadSeconds(p, q, p, w)
+// SymmetricTime predicts the seconds of the classical symmetric product
+// (gemm.ATA or gemm.Syrk) whose gemm-equivalent triple is ⟨p,q,p⟩, on the
+// named backend with w workers. A backend whose leaf engine has an nr-wide
+// micro-tile runs one lower-triangle pass — the triangle, plus the tiles
+// the diagonal crosses, run whole: about nr/2 more columns a row, so
+// (½ + nr/2p) of the general product's flops — and then the mirror sweep.
+// nr = 0 is a backend without that pass, which multiplies a materialized
+// transpose in full before the mirror.
+//
+// It prices the tuner's classical ATA/Syrk plan and the symmetric walk's
+// diagonal leaves, and seeds the batcher's admission estimate and drift
+// baseline for symmetric classes that have never been measured.
+func (ma Machine) SymmetricTime(backend string, p, q, nr, w int) float64 {
+	full := ma.ClassicalTimeFor(backend, p, q, p, w)
+	if nr <= 0 {
+		return full + ma.StructuredOverheadSeconds(p, q, p, w)
+	}
+	share := min(1, 0.5+float64(nr)/(2*float64(p)))
+	return share*full + ma.MoveSeconds(float64(p)*float64(p), w)
 }

@@ -139,7 +139,7 @@ func (bk *blockedBackend) leaf(dsts []Scaled, alpha float64, asrcs, bsrcs []Scal
 	// the per-panel scalar scatter disappears entirely.
 	for i, d := range dsts {
 		if (d.Coeff == 1 || d.Coeff == -1) && overwrites(d, true, accumulate) {
-			bk.nest(pb, dsts[i:i+1], alpha, asrcs, bsrcs, accumulate)
+			bk.nest(pb, dsts[i:i+1], alpha, asrcs, bsrcs, accumulate, layout{})
 			for j, o := range dsts {
 				if j == i {
 					continue
@@ -156,7 +156,35 @@ func (bk *blockedBackend) leaf(dsts []Scaled, alpha float64, asrcs, bsrcs []Scal
 			return
 		}
 	}
-	bk.nest(pb, dsts, alpha, asrcs, bsrcs, accumulate)
+	bk.nest(pb, dsts, alpha, asrcs, bsrcs, accumulate, layout{})
+}
+
+// layout is how one call of the loop nest reads its operands and which of
+// its tiles it computes; the zero value is the general product.
+type layout struct {
+	// trA (trB) says the A (B) sources hold the operand's transpose. It is
+	// packed by the other side's packer, which lays out exactly the panel
+	// wanted: packB of X is the packed A-panel of Xᵗ, and packA of X the
+	// packed B-panel of Xᵗ — same values, same order, no transposed copy.
+	trA, trB bool
+	// lower computes only the micro-tiles that reach the diagonal or below
+	// it: row blocks, column strips and tiles wholly above it are cut off by
+	// loop bounds. diag is the global row of the destination's row 0 (its
+	// column 0 is global column 0).
+	lower bool
+	diag  int
+}
+
+// dims is the m×k×n of the product the operands a and b stand for.
+func (l layout) dims(a, b *mat.Dense) (m, k, n int) {
+	m, k, n = a.Rows(), a.Cols(), b.Cols()
+	if l.trA {
+		m, k = k, m
+	}
+	if l.trB {
+		n = b.Rows()
+	}
+	return m, k, n
 }
 
 // nest is the blocked loop nest: for each kc×nc panel of Σc·B and mc×kc
@@ -167,8 +195,8 @@ func (bk *blockedBackend) leaf(dsts []Scaled, alpha float64, asrcs, bsrcs []Scal
 // plain accumulate target — zeroed first if it is to be overwritten, its W
 // coefficient folded into the packed-A scale — and full tiles go straight
 // into it; several destinations are scattered to from the scratch tile.
-func (bk *blockedBackend) nest(pb *packBufs, dsts []Scaled, alpha float64, asrcs, bsrcs []Scaled, accumulate bool) {
-	m, k, n := asrcs[0].M.Rows(), asrcs[0].M.Cols(), bsrcs[0].M.Cols()
+func (bk *blockedBackend) nest(pb *packBufs, dsts []Scaled, alpha float64, asrcs, bsrcs []Scaled, accumulate bool, lay layout) {
+	m, k, n := lay.dims(asrcs[0].M, bsrcs[0].M)
 	direct := len(dsts) == 1
 	var lone [1]Scaled
 	if direct {
@@ -185,16 +213,30 @@ func (bk *blockedBackend) nest(pb *packBufs, dsts []Scaled, alpha float64, asrcs
 		for jc := 0; jc < n; jc += nc {
 			nb := min(nc, n-jc)
 			for t, s := range bsrcs {
-				packB(pb.b, s.M, pc, jc, kb, nb, bk.nr, s.Coeff, t > 0)
+				if lay.trB {
+					packA(pb.b, s.M, jc, pc, nb, kb, bk.nr, s.Coeff, t > 0)
+				} else {
+					packB(pb.b, s.M, pc, jc, kb, nb, bk.nr, s.Coeff, t > 0)
+				}
 			}
-			for ic := 0; ic < m; ic += mc {
+			ic0 := 0
+			if lay.lower {
+				// Row blocks ending above this panel's first column hold
+				// no tile that reaches the diagonal.
+				ic0 = max(0, (jc-lay.diag)/mc*mc)
+			}
+			for ic := ic0; ic < m; ic += mc {
 				mb := min(mc, m-ic)
 				for t, s := range asrcs {
-					packA(pb.a, s.M, ic, pc, mb, kb, bk.mr, alpha*s.Coeff, t > 0)
+					if lay.trA {
+						packB(pb.a, s.M, pc, ic, kb, mb, bk.mr, alpha*s.Coeff, t > 0)
+					} else {
+						packA(pb.a, s.M, ic, pc, mb, kb, bk.mr, alpha*s.Coeff, t > 0)
+					}
 				}
 				// Only the first k-panel may overwrite: later panels
 				// accumulate the remaining rank-1 terms on top.
-				bk.macroKernel(dsts, direct, pb, ic, jc, mb, nb, kb, pc == 0, accumulate)
+				bk.macroKernel(dsts, direct, pb, ic, jc, mb, nb, kb, pc == 0, accumulate, lay)
 			}
 		}
 	}
@@ -269,13 +311,26 @@ func packB(bp []float64, B *mat.Dense, pc, jc, kb, nb, nr int, scale float64, ad
 // whole tile into the zeroed scratch tile (the panels' zero padding makes the
 // rows and columns past the border exact zeros) and the epilogue folds the
 // valid rows×cols of it into every destination.
-func (bk *blockedBackend) macroKernel(dsts []Scaled, direct bool, pb *packBufs, ic, jc, mb, nb, kb int, first, accumulate bool) {
+//
+// A lower-triangle layout only narrows the loop bounds: strips that start
+// right of the block's last row, and in each strip the tiles that end above
+// its first column, lie wholly above the diagonal and are not computed. A
+// tile the diagonal crosses runs whole, exactly as in the general product.
+func (bk *blockedBackend) macroKernel(dsts []Scaled, direct bool, pb *packBufs, ic, jc, mb, nb, kb int, first, accumulate bool, lay layout) {
 	mr, nr := bk.mr, bk.nr
 	ap, bp, tile, C := pb.a, pb.b, pb.tile, dsts[0].M
-	for jr := 0; jr < nb; jr += nr {
+	jrEnd := nb
+	if lay.lower {
+		jrEnd = min(nb, lay.diag+ic+mb-jc)
+	}
+	for jr := 0; jr < jrEnd; jr += nr {
 		cols := min(nr, nb-jr)
 		bpanel := bp[(jr/nr)*nr*kb:]
-		for ir := 0; ir < mb; ir += mr {
+		ir0 := 0
+		if lay.lower {
+			ir0 = max(0, (jc+jr-lay.diag-ic)/mr*mr)
+		}
+		for ir := ir0; ir < mb; ir += mr {
 			rows := min(mr, mb-ir)
 			apanel := ap[(ir/mr)*mr*kb:]
 			if direct && rows == mr && cols == nr {

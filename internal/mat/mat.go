@@ -241,15 +241,53 @@ func EqualApprox(a, b *Dense, tol float64) bool {
 	return MaxAbsDiff(a, b) <= tol
 }
 
+// transposeTile is the edge of the square blocks Transpose and MirrorLower
+// copy through: the 64 destination rows a block writes into (one cache line
+// each, 4 KiB together) stay in L1 while the block's source rows stream by.
+const transposeTile = 64
+
 // Transpose writes srcᵀ into dst. dst must be Cols(src)×Rows(src).
 func Transpose(dst, src *Dense) {
 	if dst.rows != src.cols || dst.cols != src.rows {
+		//fastmm:allow panic-path message construction
 		panic(fmt.Sprintf("mat: Transpose dims %d×%d vs %d×%d", dst.rows, dst.cols, src.rows, src.cols))
 	}
-	for i := 0; i < src.rows; i++ {
-		row := src.Row(i)
-		for j, v := range row {
-			dst.Set(j, i, v)
+	for i0 := 0; i0 < src.rows; i0 += transposeTile {
+		i1 := min(i0+transposeTile, src.rows)
+		for j0 := 0; j0 < src.cols; j0 += transposeTile {
+			transposeBlock(dst, src, i0, i1, j0, min(j0+transposeTile, src.cols))
+		}
+	}
+}
+
+// MirrorLower copies the strict lower triangle of the square matrix C onto
+// its strict upper one, C[j][i] = C[i][j] for i > j, in Transpose's blocks.
+// The upper triangle becomes a copy, so the two agree bit for bit.
+func MirrorLower(C *Dense) {
+	n := C.rows
+	if C.cols != n {
+		//fastmm:allow panic-path message construction
+		panic(fmt.Sprintf("mat: MirrorLower of non-square %d×%d", C.rows, C.cols))
+	}
+	for i0 := 0; i0 < n; i0 += transposeTile {
+		i1 := min(i0+transposeTile, n)
+		for j0 := 0; j0 < i0; j0 += transposeTile {
+			transposeBlock(C, C, i0, i1, j0, j0+transposeTile)
+		}
+		// The diagonal block: row i contributes its columns left of i.
+		for i := i0 + 1; i < i1; i++ {
+			for j, v := range C.Row(i)[i0:i] {
+				C.data[(i0+j)*C.stride+i] = v
+			}
+		}
+	}
+}
+
+// transposeBlock writes src[i0:i1, j0:j1]ᵀ into dst[j0:j1, i0:i1].
+func transposeBlock(dst, src *Dense, i0, i1, j0, j1 int) {
+	for i := i0; i < i1; i++ {
+		for j, v := range src.Row(i)[j0:j1] {
+			dst.data[(j0+j)*dst.stride+i] = v
 		}
 	}
 }

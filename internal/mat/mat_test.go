@@ -344,6 +344,75 @@ func TestTransposeInvolutionProperty(t *testing.T) {
 	}
 }
 
+// TestBlockedTransposeAndMirror: Transpose and MirrorLower copy in 64×64
+// blocks; on strided views whose sizes fall on and beside the block edge,
+// every element lands where the element-wise definition puts it, and
+// nothing outside the view is written.
+func TestBlockedTransposeAndMirror(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	view := func(r, c int) (*Dense, *Dense) {
+		frame := New(r+3, c+5)
+		frame.FillRandom(rng)
+		return frame, frame.View(1, 2, r, c)
+	}
+	for _, sh := range [][2]int{{1, 1}, {63, 64}, {64, 65}, {130, 70}, {129, 193}} {
+		r, c := sh[0], sh[1]
+		_, src := view(r, c)
+		frame, dst := view(c, r)
+		before := frame.Clone()
+		Transpose(dst, src)
+		for i := 0; i < r; i++ {
+			for j := 0; j < c; j++ {
+				if dst.At(j, i) != src.At(i, j) {
+					t.Fatalf("%d×%d: dst(%d,%d) = %g, src(%d,%d) = %g", r, c, j, i, dst.At(j, i), i, j, src.At(i, j))
+				}
+			}
+		}
+		dst.CopyFrom(before.View(1, 2, c, r))
+		if !EqualApprox(frame, before, 0) {
+			t.Fatalf("%d×%d: Transpose wrote outside its destination view", r, c)
+		}
+	}
+	for _, n := range []int{1, 2, 64, 65, 150} {
+		frame, C := view(n, n)
+		want := C.Clone()
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				want.Set(i, j, want.At(j, i))
+			}
+		}
+		outside := frame.Clone()
+		MirrorLower(C)
+		if !EqualApprox(C, want, 0) {
+			t.Fatalf("%d×%d: MirrorLower differs from the element-wise mirror", n, n)
+		}
+		C.CopyFrom(outside.View(1, 2, n, n))
+		if !EqualApprox(frame, outside, 0) {
+			t.Fatalf("%d×%d: MirrorLower wrote outside its view", n, n)
+		}
+	}
+}
+
+// BenchmarkTranspose is the AᵗA operand's shape (2048×1024); BenchmarkMirror
+// the 1024² result's mirror.
+func BenchmarkTranspose(b *testing.B) {
+	src, dst := New(2048, 1024), New(1024, 2048)
+	src.Fill(1)
+	b.SetBytes(2048 * 1024 * 8 * 2)
+	for i := 0; i < b.N; i++ {
+		Transpose(dst, src)
+	}
+}
+
+func BenchmarkMirror(b *testing.B) {
+	C := New(1024, 1024)
+	C.Fill(1)
+	b.SetBytes(1024 * 1024 * 8)
+	for i := 0; i < b.N; i++ {
+		MirrorLower(C)
+	}
+}
+
 func BenchmarkAxpy(b *testing.B) {
 	y, x := New(512, 512), New(512, 512)
 	x.Fill(1)

@@ -29,7 +29,10 @@ import (
 // has one and every border tile runs through the kernel — v4 calibration
 // curves and plans describe the 6×8 leaf at about half the rate and must be
 // retired on upgrade, not trusted until drift detection notices.
-const ProfileVersion = 5
+// v6: classical ATA/Syrk is one lower-triangle pass of the leaf engine at
+// about half the flops of the transpose-and-gemm it replaced — v5 ATA/Syrk
+// decisions ranked fast plans against the old price and must be re-tuned.
+const ProfileVersion = 6
 
 // Profile is a one-time machine calibration: the measured gemm throughput
 // curve and addition bandwidth that parameterize the cost model's time

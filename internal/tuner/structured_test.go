@@ -136,9 +136,9 @@ func TestPerOpPlansAreDistinct(t *testing.T) {
 }
 
 // TestRankOpPricesSymmetry checks the cost model's structured pricing: an
-// AᵗA plan is estimated below the same shape's general multiply (the 2/3
-// flop factor dominates the transpose+mirror overhead at this size), and
-// every ranked structured plan carries the op token.
+// AᵗA plan is estimated below the same shape's general multiply (its flop
+// saving dominates the transpose and mirror sweeps at this size), and every
+// ranked structured plan carries the op token.
 func TestRankOpPricesSymmetry(t *testing.T) {
 	tn := mustTuner(t, modelOnlyOpts(1))
 	m := 512
@@ -161,6 +161,43 @@ func TestRankOpPricesSymmetry(t *testing.T) {
 	if ata[0].PredictedSeconds >= mul[0].PredictedSeconds {
 		t.Fatalf("best ATA estimate %g not below best multiply estimate %g",
 			ata[0].PredictedSeconds, mul[0].PredictedSeconds)
+	}
+}
+
+// TestClassicalSymmetricIsTrianglePriced: the classical ATA and Syrk plans
+// are gemm.ATA/Syrk's lower-triangle pass, so at 1024 each is ranked at no
+// more than 0.6× the classical multiply of the same triple — half the flops,
+// the diagonal tiles and the mirror — on every backend.
+func TestClassicalSymmetricIsTrianglePriced(t *testing.T) {
+	for _, w := range []int{1, 2} {
+		tn := mustTuner(t, modelOnlyOpts(w))
+		const n = 1024
+		classical := func(o op.Op) map[string]float64 {
+			plans, err := tn.RankOp(o, n, n, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := map[string]float64{}
+			for _, p := range plans {
+				if p.IsClassical() {
+					out[p.Backend] = p.PredictedSeconds
+				}
+			}
+			return out
+		}
+		mul := classical(op.Multiply)
+		for _, o := range []op.Op{op.ATA, op.Syrk} {
+			sym := classical(o)
+			if len(sym) == 0 || len(sym) != len(mul) {
+				t.Fatalf("w=%d %v: classical plans on %d backends, multiply on %d", w, o, len(sym), len(mul))
+			}
+			for be, secs := range sym {
+				if secs > 0.6*mul[be] {
+					t.Errorf("w=%d %v on %s: classical predicted %.4gs, multiply %.4gs (ratio %.2f > 0.6)",
+						w, o, be, secs, mul[be], secs/mul[be])
+				}
+			}
+		}
 	}
 }
 

@@ -664,10 +664,11 @@ func (t *Tuner) Rank(m, k, n int) ([]Plan, error) { return t.RankOp(op.Multiply,
 // backend × (classical baseline + algorithm × steps × scheduler × strategy)
 // — and sorts them by predicted time (fastest first), workspace-cap
 // survivors only. The shape is the gemm-equivalent product triple; for the
-// symmetric ops the general-multiply estimate is adjusted to the symmetric
-// recursion's cost (×2/3 flops for fast plans, nothing saved for classical)
-// plus the transpose + mirror data movement both pay. A classical baseline
-// is always present, so the result is never empty.
+// symmetric ops each plan is priced as the op runs it: the classical
+// baseline as one lower-triangle pass (≈ ½ the flops) plus the mirror, fast
+// plans as the symmetric recursion (fast off-diagonal products, classical
+// diagonal leaves) plus the transpose and mirrors it pays. A classical
+// baseline is always present, so the result is never empty.
 func (t *Tuner) RankOp(o op.Op, m, k, n int) ([]Plan, error) {
 	o = o.PlanOp()
 	if m <= 0 || k <= 0 || n <= 0 {
@@ -680,7 +681,7 @@ func (t *Tuner) RankOp(o op.Op, m, k, n int) ([]Plan, error) {
 		if err != nil {
 			continue // validated in New; a racing re-Register never panics
 		}
-		plans = append(plans, t.classicalPlan(m, k, n, be))
+		plans = append(plans, t.classicalPlan(o, m, k, n, be))
 
 		// Below the recursion cutoff no fast algorithm is worth its
 		// additions; guarantee classical rather than trusting the model at
@@ -698,15 +699,12 @@ func (t *Tuner) RankOp(o op.Op, m, k, n int) ([]Plan, error) {
 	}
 
 	if o.Symmetric() {
-		// Fast plans were priced level-by-level inside algorithmPlans (the
-		// symmetric recursion runs the candidate at halved shapes, where fast
-		// rankings differ from the full-size one). The classical baseline
-		// computes the full product (gemm.ATA/Syrk) — no flop saving. Every
-		// plan pays the materialized transpose and mirror epilogue.
-		overhead := ma.StructuredOverheadSeconds(m, k, m, t.opts.Workers)
+		// Both kinds of plan were priced as the op: the classical one as
+		// gemm.ATA/Syrk's triangle pass, fast ones level by level inside
+		// algorithmPlans (the symmetric recursion runs the candidate at
+		// halved shapes, where fast rankings differ from the full-size one).
 		for i := range plans {
 			plans[i].Op = o.Key()
-			plans[i].PredictedSeconds += overhead
 		}
 	}
 
@@ -716,7 +714,9 @@ func (t *Tuner) RankOp(o op.Op, m, k, n int) ([]Plan, error) {
 	return plans, nil
 }
 
-func (t *Tuner) classicalPlan(m, k, n int, be gemm.Backend) Plan {
+// classicalPlan is the direct-gemm baseline of (o, shape) on one backend;
+// for the symmetric ops that is gemm.ATA/Syrk, priced as its triangle pass.
+func (t *Tuner) classicalPlan(o op.Op, m, k, n int, be gemm.Backend) Plan {
 	workers := t.opts.Workers
 	slab := 8 * be.PackFloatsPerWorker()
 	if cap := t.opts.Workspace; cap > 0 && slab > 0 && int64(workers)*slab > cap {
@@ -731,14 +731,29 @@ func (t *Tuner) classicalPlan(m, k, n int, be gemm.Backend) Plan {
 	if workers > 1 {
 		parallel = "parallel" // direct gemm slab parallelism, not a scheduler
 	}
+	secs := t.prof.Machine.ClassicalTimeFor(be.Name(), m, k, n, workers)
+	if o.Symmetric() {
+		secs = t.prof.Machine.SymmetricTime(be.Name(), m, k, triangleTile(be), workers)
+	}
 	return Plan{
 		Algorithm:        ClassicalAlgorithm,
 		Backend:          be.Name(),
 		Parallel:         parallel,
 		Workers:          workers,
 		WorkspaceBytes:   int64(workers) * slab,
-		PredictedSeconds: t.prof.Machine.ClassicalTimeFor(be.Name(), m, k, n, workers),
+		PredictedSeconds: secs,
 	}
+}
+
+// triangleTile is the micro-tile width to which gemm.ATA/Syrk's
+// lower-triangle pass on be rounds the diagonal — 0 for a backend without
+// the pass (see costmodel's SymmetricTime).
+func triangleTile(be gemm.Backend) int {
+	if t, ok := be.(interface{ Tile() (mr, nr int) }); ok {
+		_, nr := t.Tile()
+		return nr
+	}
+	return 0
 }
 
 // symPredictSeconds prices one fast candidate for the symmetric recursion
@@ -746,15 +761,18 @@ func (t *Tuner) classicalPlan(m, k, n int, be gemm.Backend) Plan {
 // actually run (split while the block stays ≥ 2·MinDim), price every
 // off-diagonal multiply with the candidate's own time model AT ITS OWN
 // (halved) shape, and price the diagonal leaf blocks as the leaf backend's
-// classical gemm. A flat ×2/3 of the full-size estimate — the obvious
-// shortcut — preserves the general-multiply ranking, but fast algorithms
-// keep different fractions of their advantage as the shape halves (fewer
-// recursion steps fit, peeling fractions grow), so the shortcut mispicks;
-// probing only the top few of a mis-ranked list never sees the real winner.
+// classical Syrk — the triangle pass core's symLeaf runs — plus the
+// transpose and mirror sweeps the walk pays. A flat ×2/3 of the full-size
+// estimate — the obvious shortcut — preserves the general-multiply
+// ranking, but fast algorithms keep different fractions of their advantage
+// as the shape halves (fewer recursion steps fit, peeling fractions grow),
+// so the shortcut mispicks; probing only the top few of a mis-ranked list
+// never sees the real winner.
 // The recursion depth per sub-multiply is clamped to what the executor's
 // MinDim cutoff will actually take at that shape; 0 steps means the
 // sub-multiply runs classical.
-func (t *Tuner) symPredictSeconds(a *algo.Algorithm, model *costmodel.Model, ma costmodel.Machine, ex costmodel.ExecShape, backend string, maxSteps, p, q, w int) float64 {
+func (t *Tuner) symPredictSeconds(a *algo.Algorithm, model *costmodel.Model, ma costmodel.Machine, ex costmodel.ExecShape, be gemm.Backend, maxSteps, p, q, w int) float64 {
+	backend := be.Name()
 	b := a.Base
 	minDim := t.opts.MinDim
 	total := 0.0
@@ -787,10 +805,9 @@ func (t *Tuner) symPredictSeconds(a *algo.Algorithm, model *costmodel.Model, ma 
 		cnt *= 2
 		s = s - h // the larger child; odd splits round the estimate up
 	}
-	// Diagonal leaves: cnt blocks, each one classical gemm + its mirror
-	// (the mirror traffic rides StructuredOverheadSeconds' result sweep).
-	total += cnt * ma.ClassicalTimeFor(backend, s, q, s, w)
-	return total
+	// Diagonal leaves: cnt blocks, each one classical Syrk.
+	total += cnt * ma.SymmetricTime(backend, s, q, triangleTile(be), w)
+	return total + ma.StructuredOverheadSeconds(p, q, p, t.opts.Workers)
 }
 
 // schedCand pairs a scheduler with the worker deployment the time model
@@ -877,7 +894,7 @@ func (t *Tuner) algorithmPlans(o op.Op, a *algo.Algorithm, m, k, n int, ma costm
 					}
 					fix := fixup
 					if o.Symmetric() {
-						est.Seconds = t.symPredictSeconds(a, model, ma, ex, backend, steps, m, k, planWorkers(sc.par, workers))
+						est.Seconds = t.symPredictSeconds(a, model, ma, ex, be, steps, m, k, planWorkers(sc.par, workers))
 						fix = 0 // peeling priced per level inside the walk
 					}
 					ws := modelWorkspaceBytes(cost, sc.par, workers, be)
@@ -1087,7 +1104,7 @@ func (t *Tuner) pick(o op.Op, ranked []Plan, m, k, n int) (*decision, error) {
 	}
 	if len(survivors) == 0 {
 		// Nothing fits the cap: classical on the default backend always runs.
-		p := t.classicalPlan(m, k, n, gemm.Default())
+		p := t.classicalPlan(o, m, k, n, gemm.Default())
 		if o.Symmetric() {
 			p.Op = o.Key()
 		}

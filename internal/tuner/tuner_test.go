@@ -526,7 +526,7 @@ func TestEntryAndForget(t *testing.T) {
 func TestProbeSkipsFailingSurvivor(t *testing.T) {
 	tn := mustTuner(t, Options{Resources: Resources{Workers: 1}, Profile: testProfile(1), NoDiskCache: true})
 	mkDecision := func() *decision {
-		d, err := tn.build(op.Multiply, tn.classicalPlan(64, 64, 64, gemm.Default()))
+		d, err := tn.build(op.Multiply, tn.classicalPlan(op.Multiply, 64, 64, 64, gemm.Default()))
 		if err != nil {
 			t.Fatal(err)
 		}
