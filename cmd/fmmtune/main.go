@@ -6,7 +6,7 @@
 // Usage:
 //
 //	fmmtune calibrate [-quick] [-workers N]      measure and persist the machine profile
-//	fmmtune warm -shape MxKxN [-shape ...]       pre-tune shapes into the cache
+//	fmmtune warm -shape MxKxN [-shape ...]       pre-tune shapes into the cache, printing each decision's wall time
 //	fmmtune show [-shape MxKxN]                  print profile, cache, calibration health, and optionally a ranking
 //	fmmtune clear [-profile]                     drop the tuning cache (and the profile)
 package main
@@ -19,6 +19,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	"fastmm/internal/costmodel"
 	"fastmm/internal/gemm"
@@ -130,11 +131,14 @@ func cmdWarm(args []string) error {
 		return err
 	}
 	for _, s := range shapes {
+		// The wall time of the decision: ranking and probes for a cold
+		// shape, a disk-cache lookup for a cached one.
+		start := time.Now()
 		plan, err := t.Warm(s[0], s[1], s[2])
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  %dx%dx%d → %v (predicted %.3gs", s[0], s[1], s[2], plan, plan.PredictedSeconds)
+		fmt.Printf("  %dx%dx%d → %v in %.3gs (predicted %.3gs", s[0], s[1], s[2], plan, time.Since(start).Seconds(), plan.PredictedSeconds)
 		if plan.MeasuredSeconds > 0 {
 			fmt.Printf(", measured %.3gs", plan.MeasuredSeconds)
 		}

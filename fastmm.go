@@ -487,7 +487,8 @@ func sharedBatcher(opts BatchOptions) (*Batcher, error) {
 
 // LeafBackends lists the registered leaf-kernel backends ("portable" and
 // "simd" always; "blas" when built with the blas tag). The autotuner
-// enumerates them as a candidate dimension — restrict it with
+// enumerates the default backend alone when it is accelerated, and all of
+// them as a candidate dimension otherwise — name the ones to race in
 // AutoOptions.Backends, pin an executor with Options.Backend, or override
 // the process default with the FASTMM_BACKEND environment variable.
 func LeafBackends() []string { return gemm.Names() }

@@ -24,6 +24,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -298,6 +299,42 @@ func (e *Executor) Multiply(C, A, B *mat.Dense) error { return e.MultiplyTrace(C
 //
 //fastmm:zeroalloc
 func (e *Executor) MultiplyTrace(C, A, B *mat.Dense, tr *trace.Spans) error {
+	return e.product(C, A, B, 1, false, tr, nil)
+}
+
+// ErrStopped is returned by a Stoppable call whose stop flag was set before
+// the call finished. C then holds a partial result and must be discarded.
+var ErrStopped = errors.New("core: call stopped")
+
+// Stoppable is the executor's entry points bound to one cooperative stop
+// flag; see WithStop.
+type Stoppable struct {
+	e    *Executor
+	stop *atomic.Bool
+}
+
+// WithStop binds the executor's entry points to a stop flag that another
+// goroutine may set while a call runs; the tuner arms one from a timer at a
+// probe's deadline. Once the flag is set, the call skips its remaining
+// recursion levels, leaves, fused products, additions and peeling fix-ups,
+// drains its spawned tasks, releases its workspace on the ordinary return
+// path and returns ErrStopped. The overshoot is at most one leaf or one
+// addition pass. A nil flag makes every call an ordinary one.
+func (e *Executor) WithStop(stop *atomic.Bool) Stoppable { return Stoppable{e: e, stop: stop} }
+
+// MultiplyTrace is Executor.MultiplyTrace under the bound stop flag.
+func (s Stoppable) MultiplyTrace(C, A, B *mat.Dense, tr *trace.Spans) error {
+	return s.e.product(C, A, B, 1, false, tr, s.stop)
+}
+
+// MultiplyAdd is Executor.MultiplyAdd under the bound stop flag.
+func (s Stoppable) MultiplyAdd(C, A, B *mat.Dense, alpha float64) error {
+	return s.e.product(C, A, B, alpha, true, nil, s.stop)
+}
+
+// product is every general-multiply entry: C = alpha·A·B, or C += alpha·A·B
+// with acc (MultiplyAdd), with an optional trace sink and stop flag.
+func (e *Executor) product(C, A, B *mat.Dense, alpha float64, acc bool, tr *trace.Spans, stop *atomic.Bool) error {
 	if A.Cols() != B.Rows() || C.Rows() != A.Rows() || C.Cols() != B.Cols() {
 		//fastmm:allow error construction on the reject path, before any work
 		return fmt.Errorf("core: dimension mismatch C %d×%d = A %d×%d · B %d×%d",
@@ -305,7 +342,7 @@ func (e *Executor) MultiplyTrace(C, A, B *mat.Dense, tr *trace.Spans) error {
 	}
 	mode := e.scheduleMode(A.Rows(), A.Cols(), B.Cols())
 	ctx := newRunContext(e.opts, mode, e.leafCount()) //fastmm:allow the pinned one allocation per call (runContext + its BFS/HYBRID sync)
-	ctx.tr = tr
+	ctx.tr, ctx.stop = tr, stop
 	if tr != nil {
 		tr.Add(trace.Span{
 			Kind:    trace.KindSched,
@@ -331,14 +368,14 @@ func (e *Executor) MultiplyTrace(C, A, B *mat.Dense, tr *trace.Spans) error {
 	if mode != Hybrid {
 		// Only HYBRID needs the deferred-leaf pump of ctx.root; calling
 		// multiply directly keeps the hot path free of closure allocations.
-		e.multiply(ctx, ar, C, A, B, 1, 0, 0, false)
+		e.multiply(ctx, ar, C, A, B, alpha, 0, 0, acc)
 	} else {
 		//fastmm:allow HYBRID spawn path; DFS steady state takes the branch above
 		ctx.root(func() {
-			e.multiply(ctx, ar, C, A, B, 1, 0, 0, false)
+			e.multiply(ctx, ar, C, A, B, alpha, 0, 0, acc)
 		})
 	}
-	return nil
+	return ctx.err()
 }
 
 // scheduleMode resolves the scheduler for one call: the configured mode,
@@ -492,6 +529,13 @@ func (e *Executor) shouldRecurse(level int, p, q, r int) bool {
 // into C (MultiplyAdd's beta path) — it reaches the leaves and the combine
 // epilogue, so no product temporary is ever materialized for it.
 func (e *Executor) multiply(ctx *runContext, ar *workspace.Arena, C, A, B *mat.Dense, alpha float64, level, leafBase int, acc bool) {
+	// The stop check of every level and, in Sequential/DFS, of every leaf
+	// (BFS/HYBRID leaves re-check in compute and the deferred pump). It comes
+	// before any operand is read: a task whose operand formation a stop
+	// skipped arrives here with nil operands.
+	if ctx.stopped() {
+		return
+	}
 	p, q, r := A.Rows(), A.Cols(), B.Cols()
 	if !e.shouldRecurse(level, p, q, r) {
 		e.leafMultiply(ctx, C, A, B, alpha, level, leafBase, acc)
@@ -636,8 +680,8 @@ func (e *Executor) fastStep(ctx *runContext, ar *workspace.Arena, lp levelPlan, 
 	var sOps, tOps operands
 	if e.opts.Strategy == addchain.Streaming {
 		aw := ctx.additionWorkers()
-		sOps = e.streamFamily(ar, lp.splan, ablocks, bm, bk, alpha, aw)
-		tOps = e.streamFamily(ar, lp.tplan, bblocks, bk, bn, 1, aw)
+		sOps = e.streamFamily(ctx, ar, lp.splan, ablocks, bm, bk, alpha, aw)
+		tOps = e.streamFamily(ctx, ar, lp.tplan, bblocks, bk, bn, 1, aw)
 	}
 
 	// The M_r live in this (parent) arena: they must survive until the
@@ -652,7 +696,7 @@ func (e *Executor) fastStep(ctx *runContext, ar *workspace.Arena, lp levelPlan, 
 	if (ctx.mode == BFS || ctx.mode == Hybrid) && e.shouldSpawn(level) {
 		e.fanOut(ctx, lp, sOps, tOps, ablocks, bblocks, ms, bm, bk, bn, alpha, level, leafBase, childSpan)
 	} else {
-		for r := 0; r < R; r++ {
+		for r := 0; r < R && !ctx.stopped(); r++ {
 			rmark := ar.Mark()
 			var s, t operand
 			if sOps.mats != nil {
@@ -674,9 +718,9 @@ func (e *Executor) fastStep(ctx *runContext, ar *workspace.Arena, lp levelPlan, 
 	}
 	if (ctx.mode == BFS || ctx.mode == Hybrid) && !topLevel {
 		//fastmm:allow BFS/HYBRID bounded-compute section; DFS takes the else branch
-		ctx.compute(func() { e.combine(ar, lp.cplan, cblocks, ms, combineWorkers, acc) })
+		ctx.compute(func() { e.combine(ctx, ar, lp.cplan, cblocks, ms, combineWorkers, acc) })
 	} else {
-		e.combine(ar, lp.cplan, cblocks, ms, combineWorkers, acc)
+		e.combine(ctx, ar, lp.cplan, cblocks, ms, combineWorkers, acc)
 	}
 }
 
@@ -768,7 +812,7 @@ func (e *Executor) formOperand(ctx *runContext, ar *workspace.Arena, plan *addch
 // streamFamily forms all outputs of a plan in one pass over the source
 // blocks: for each node, scatter its contribution into every destination
 // that uses it (§3.2 method 3). Scaled copies are still aliased.
-func (e *Executor) streamFamily(ar *workspace.Arena, plan *addchain.Plan, src []*mat.Dense, rows, cols int, alpha float64, workers int) operands {
+func (e *Executor) streamFamily(ctx *runContext, ar *workspace.Arena, plan *addchain.Plan, src []*mat.Dense, rows, cols int, alpha float64, workers int) operands {
 	nodes := e.nodes(ar, plan, src, rows, cols, workers)
 	out := operands{mats: ar.Ptrs(len(plan.Outputs)), alphas: ar.Floats(len(plan.Outputs))}
 	touched := ar.Bools(len(plan.Outputs))
@@ -787,6 +831,9 @@ func (e *Executor) streamFamily(ar *workspace.Arena, plan *addchain.Plan, src []
 		}
 	}
 	for n, node := range nodes {
+		if ctx.stopped() {
+			break
+		}
 		for r, ch := range plan.Outputs {
 			if out.alphas[r] != 1 || aliasedOutput(plan, ch) {
 				continue // aliased or zero output
@@ -832,14 +879,17 @@ func (e *Executor) nodes(ar *workspace.Arena, plan *addchain.Plan, src []*mat.De
 // combine forms the C blocks from the M_r per the configured strategy. With
 // acc the blocks accumulate (C_j += Σ w·M_r) instead of being overwritten —
 // MultiplyAdd's beta path reaching the combine epilogue.
-func (e *Executor) combine(ar *workspace.Arena, plan *addchain.Plan, cblocks, ms []*mat.Dense, workers int, acc bool) {
+func (e *Executor) combine(ctx *runContext, ar *workspace.Arena, plan *addchain.Plan, cblocks, ms []*mat.Dense, workers int, acc bool) {
 	if e.opts.Strategy == addchain.Streaming {
-		e.streamCombine(ar, plan, cblocks, ms, workers, acc)
+		e.streamCombine(ctx, ar, plan, cblocks, ms, workers, acc)
 		return
 	}
 	mark := ar.Mark()
 	defer ar.Release(mark)
 	for j, ch := range plan.Outputs {
+		if ctx.stopped() {
+			return
+		}
 		dst := cblocks[j]
 		if len(ch.Terms) == 0 {
 			if !acc {
@@ -873,11 +923,14 @@ func (e *Executor) combine(ar *workspace.Arena, plan *addchain.Plan, cblocks, ms
 // each M_r once and scatter its contribution into every C block using it.
 // With acc every contribution accumulates and untouched blocks are left
 // as-is rather than zeroed.
-func (e *Executor) streamCombine(ar *workspace.Arena, plan *addchain.Plan, cblocks, ms []*mat.Dense, workers int, acc bool) {
+func (e *Executor) streamCombine(ctx *runContext, ar *workspace.Arena, plan *addchain.Plan, cblocks, ms []*mat.Dense, workers int, acc bool) {
 	mark := ar.Mark()
 	defer ar.Release(mark)
 	touched := ar.Bools(len(cblocks))
 	for r, m := range ms {
+		if ctx.stopped() {
+			return
+		}
 		for j, ch := range plan.Outputs {
 			for _, t := range ch.Terms {
 				if t.Src != r {

@@ -168,7 +168,7 @@ func (e *Executor) fusedStep(ctx *runContext, ar *workspace.Arena, lp levelPlan,
 				parZero(cblocks[j], workers)
 			}
 		}
-		for r := range fp.prods {
+		for r := 0; r < len(fp.prods) && !ctx.stopped(); r++ {
 			e.runFusedProduct(ctx, ar, &fp.prods[r], cblocks, ablocks, bblocks, alpha, acc, workers)
 		}
 		return
@@ -183,7 +183,7 @@ func (e *Executor) fusedStep(ctx *runContext, ar *workspace.Arena, lp levelPlan,
 				cblocks[j].Zero()
 			}
 		}
-		for r := range fp.prods {
+		for r := 0; r < len(fp.prods) && !ctx.stopped(); r++ {
 			e.runFusedProduct(ctx, ar, &fp.prods[r], cblocks, ablocks, bblocks, alpha, acc, 1)
 		}
 	})

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"fastmm/internal/mat"
 	"fastmm/internal/trace"
@@ -21,6 +22,15 @@ type runContext struct {
 	// The sink is its own synchronization domain (atomic claim), so spawned
 	// tasks write to it without touching the context's mutex.
 	tr *trace.Spans
+	// stop, when non-nil, is the call's cooperative stop flag (Stoppable
+	// calls only; nil on every other call). Another goroutine sets it — the
+	// tuner's probe timer — and the recursion reads it at every level and
+	// before every leaf gemm, fused product, S/T/M combine and peeling
+	// fix-up. Once it is set the remaining work is skipped: BFS/HYBRID tasks
+	// and HYBRID's deferred pump drain without computing, arenas and marks
+	// are released on the ordinary return path, and the call returns
+	// ErrStopped. The executor itself never reads a clock.
+	stop *atomic.Bool
 
 	totalLeaves int // R^L for explicit Steps, else 0
 	bfsCut      int // leaves [0,bfsCut) run BFS-style; the rest are deferred
@@ -80,11 +90,15 @@ func (ctx *runContext) root(f func()) {
 	}()
 	ctx.mu.Lock()
 	for {
-		if len(ctx.deferred) > 0 && (ctx.leavesDone >= ctx.bfsCut || ctx.bfsCut == math.MaxInt) {
+		// A stopped call never completes its BFS phase, so the queue drains
+		// at once, without running the leaves.
+		if len(ctx.deferred) > 0 && (ctx.leavesDone >= ctx.bfsCut || ctx.bfsCut == math.MaxInt || ctx.stopSet()) {
 			d := ctx.deferred[0]
 			ctx.deferred = ctx.deferred[1:]
 			ctx.mu.Unlock()
-			d.run()
+			if !ctx.stopSet() {
+				d.run()
+			}
 			close(d.done)
 			ctx.mu.Lock()
 			continue
@@ -97,16 +111,47 @@ func (ctx *runContext) root(f func()) {
 	ctx.mu.Unlock()
 }
 
+// stopSet reports whether the call's stop flag is set — the bare read, for
+// the deferred pump, which holds ctx.mu.
+func (ctx *runContext) stopSet() bool { return ctx.stop != nil && ctx.stop.Load() }
+
+// stopped is the check every skip site makes: an unarmed call pays one nil
+// check. Under HYBRID a set flag also wakes the deferred pump, which may be
+// waiting for BFS-phase leaves that will now never run; the broadcast under
+// ctx.mu precedes every skip, so no skip can strand the pump.
+func (ctx *runContext) stopped() bool {
+	if !ctx.stopSet() {
+		return false
+	}
+	if ctx.cond != nil {
+		ctx.mu.Lock()
+		ctx.cond.Broadcast()
+		ctx.mu.Unlock()
+	}
+	return true
+}
+
+// err is the call's result: ErrStopped once the stop flag was set.
+func (ctx *runContext) err() error {
+	if ctx.stopSet() {
+		return ErrStopped
+	}
+	return nil
+}
+
 // compute runs f as bounded work: in BFS/HYBRID it occupies one worker slot;
 // in sequential/DFS modes it just runs (those modes have a single computing
-// goroutine at this layer).
+// goroutine at this layer). A stopped call skips f once it holds the slot, so
+// queued tasks drain without computing.
 func (ctx *runContext) compute(f func()) {
 	if ctx.sem == nil {
 		f()
 		return
 	}
 	ctx.sem <- struct{}{}
-	f()
+	if !ctx.stopped() {
+		f()
+	}
 	<-ctx.sem
 }
 
@@ -142,6 +187,9 @@ func (ctx *runContext) leafDone(span int) {
 // all workers (they run outside the task tree); deeper ones are ordinary
 // bounded work inside their task.
 func (ctx *runContext) fixup(level int, f func(workers int)) {
+	if ctx.stopped() {
+		return
+	}
 	switch ctx.mode {
 	case Sequential:
 		f(1)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"fastmm/internal/gemm"
 	"fastmm/internal/mat"
@@ -28,37 +29,44 @@ import (
 // all i,j, bit-for-bit. Like Multiply, steady-state calls on a reused
 // Executor are (amortized) allocation-free for sequential and single-worker
 // DFS execution.
-func (e *Executor) MultiplyATA(C, A *mat.Dense) error {
+func (e *Executor) MultiplyATA(C, A *mat.Dense) error { return e.WithStop(nil).MultiplyATA(C, A) }
+
+// MultiplySyrk computes C = A·Aᵗ for an m×n operand A; C must be m×m and
+// must not alias A. The result is exactly symmetric, like MultiplyATA's.
+func (e *Executor) MultiplySyrk(C, A *mat.Dense) error { return e.WithStop(nil).MultiplySyrk(C, A) }
+
+// MultiplyATA is Executor.MultiplyATA under the bound stop flag.
+func (s Stoppable) MultiplyATA(C, A *mat.Dense) error {
 	n := A.Cols()
 	if C.Rows() != n || C.Cols() != n {
 		return fmt.Errorf("core: ATA dimension mismatch C %d×%d = Aᵗ·A for A %d×%d (want C %d×%d)",
 			C.Rows(), C.Cols(), A.Rows(), A.Cols(), n, n)
 	}
-	return e.structured(C, A, true)
+	return s.e.structured(C, A, true, s.stop)
 }
 
-// MultiplySyrk computes C = A·Aᵗ for an m×n operand A; C must be m×m and
-// must not alias A. The result is exactly symmetric, like MultiplyATA's.
-func (e *Executor) MultiplySyrk(C, A *mat.Dense) error {
+// MultiplySyrk is Executor.MultiplySyrk under the bound stop flag.
+func (s Stoppable) MultiplySyrk(C, A *mat.Dense) error {
 	m := A.Rows()
 	if C.Rows() != m || C.Cols() != m {
 		return fmt.Errorf("core: SYRK dimension mismatch C %d×%d = A·Aᵗ for A %d×%d (want C %d×%d)",
 			C.Rows(), C.Cols(), A.Rows(), A.Cols(), m, m)
 	}
-	return e.structured(C, A, false)
+	return s.e.structured(C, A, false, s.stop)
 }
 
 // structured runs the symmetric recursion. gram selects C = Aᵗ·A (p = cols,
 // q = rows); otherwise C = A·Aᵗ (p = rows, q = cols). Either way one
 // materialized transpose of A turns the problem into C = L·R with L == Rᵗ,
 // which is the invariant the recursion maintains on every diagonal subblock.
-func (e *Executor) structured(C, A *mat.Dense, gram bool) error {
+func (e *Executor) structured(C, A *mat.Dense, gram bool, stop *atomic.Bool) error {
 	p, q := A.Cols(), A.Rows()
 	if !gram {
 		p, q = A.Rows(), A.Cols()
 	}
 	mode := e.structuredMode(p, q)
 	ctx := newRunContext(e.opts, mode, 0)
+	ctx.stop = stop
 	ar := e.arenas.Get()
 	defer e.arenas.Put(ar)
 	if mode == Sequential || mode == DFS {
@@ -67,13 +75,15 @@ func (e *Executor) structured(C, A *mat.Dense, gram bool) error {
 	// One materialized transpose (the only O(m·n) extra traffic the
 	// operation pays); everything below works on views of A and Tr.
 	Tr := ar.Matrix(A.Cols(), A.Rows())
-	parTranspose(Tr, A, ctx.additionWorkers())
+	if !ctx.stopped() {
+		parTranspose(Tr, A, ctx.additionWorkers())
+	}
 	L, R := Tr, A // gram: C = Aᵗ·A
 	if !gram {
 		L, R = A, Tr // syrk: C = A·Aᵗ
 	}
 	e.symRecurse(ctx, ar, C, L, R)
-	return nil
+	return ctx.err()
 }
 
 // structuredMode resolves the scheduler for a structured call: the
@@ -98,6 +108,9 @@ func (e *Executor) structuredMode(p, q int) Parallel {
 // C is p×p). Diagonal blocks recurse; the lower off-diagonal block runs the
 // general fast-multiply recursion; the upper is its mirror.
 func (e *Executor) symRecurse(ctx *runContext, ar *workspace.Arena, C, L, R *mat.Dense) {
+	if ctx.stopped() { // every level, and before every diagonal leaf
+		return
+	}
 	p, q := L.Rows(), L.Cols()
 	if p < 2*e.opts.MinDim || p < 2 {
 		e.symLeaf(ctx, C, L)
@@ -117,7 +130,9 @@ func (e *Executor) symRecurse(ctx *runContext, ar *workspace.Arena, C, L, R *mat
 	e.multiply(ctx, ar, c21, L2, R1, 1, 0, 0, false)
 	// Mirror epilogue: C12 = C21ᵗ, copied — never recomputed — so the two
 	// triangles agree bit-for-bit.
-	parTranspose(ar.View(C, 0, h, h, p-h), c21, ctx.additionWorkers())
+	if !ctx.stopped() {
+		parTranspose(ar.View(C, 0, h, h, p-h), c21, ctx.additionWorkers())
+	}
 }
 
 // symLeaf computes one diagonal block C = L·Lᵗ (R is Lᵗ exactly) as the
@@ -162,24 +177,7 @@ func parTranspose(dst, src *mat.Dense, workers int) {
 // fused plan the beta-accumulate happens inside the scatter-add epilogue
 // itself. Dimensions as for Multiply.
 func (e *Executor) MultiplyAdd(C, A, B *mat.Dense, alpha float64) error {
-	if A.Cols() != B.Rows() || C.Rows() != A.Rows() || C.Cols() != B.Cols() {
-		return fmt.Errorf("core: dimension mismatch C %d×%d += A %d×%d · B %d×%d",
-			C.Rows(), C.Cols(), A.Rows(), A.Cols(), B.Rows(), B.Cols())
-	}
-	p, q, r := A.Rows(), A.Cols(), B.Cols()
-	mode := e.scheduleMode(p, q, r)
-	ctx := newRunContext(e.opts, mode, e.leafCount())
-	ar := e.arenas.Get()
-	defer e.arenas.Put(ar)
-	if mode == Sequential || mode == DFS {
-		ar.Reserve(int(e.workspaceFloats(mode, p, q, r, 0)))
-	}
-	if mode != Hybrid {
-		e.multiply(ctx, ar, C, A, B, alpha, 0, 0, true)
-	} else {
-		ctx.root(func() { e.multiply(ctx, ar, C, A, B, alpha, 0, 0, true) })
-	}
-	return nil
+	return e.product(C, A, B, alpha, true, nil, nil)
 }
 
 // structuredFloats is the float64 footprint of one structured call: the

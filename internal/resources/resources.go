@@ -26,9 +26,9 @@ type Resources struct {
 	// tuner as a plan filter, and the batcher as the warm pool's retained
 	// byte budget.
 	Workspace int64
-	// Backends restricts the leaf-kernel backends considered (default: every
-	// registered gemm backend, for the layers that enumerate backends).
-	// Unknown names fail Validate.
+	// Backends restricts the leaf-kernel backends considered (default, for
+	// the layers that enumerate backends: see NormalizedBackends). Unknown
+	// names fail Validate.
 	Backends []string
 }
 
@@ -43,12 +43,19 @@ func (r Resources) Normalized() Resources {
 }
 
 // NormalizedBackends is Normalized plus the backend default: an empty
-// Backends list becomes every registered gemm backend (sorted, the registry
-// order).
+// Backends list becomes the default gemm backend alone when it is
+// accelerated — a pure-Go leaf beside it is several times slower and could
+// only win a tuning race by mistake — and otherwise every registered gemm
+// backend (sorted, the registry order). A caller still enrols any backend by
+// naming it.
 func (r Resources) NormalizedBackends() Resources {
 	r = r.Normalized()
 	if len(r.Backends) == 0 {
-		r.Backends = gemm.Names()
+		if be := gemm.Default(); be.Accelerated() {
+			r.Backends = []string{be.Name()}
+		} else {
+			r.Backends = gemm.Names()
+		}
 	}
 	return r
 }

@@ -1,6 +1,7 @@
 package tuner
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -129,6 +130,55 @@ func TestBackendRestrictionChangesKey(t *testing.T) {
 	}
 	if plan.Backend != "portable" {
 		t.Fatalf("portable-restricted tuner picked %v", plan)
+	}
+}
+
+// TestDefaultBackendList: with no Backends named, an accelerated default
+// backend is the only one enumerated — the pure-Go leaf beside it only adds
+// candidates that lose — while a pure-Go default (the nosimd build) keeps
+// every backend. Naming portable still enrols it, with a full candidate set
+// of its own.
+func TestDefaultBackendList(t *testing.T) {
+	mk := func(backends []string) *Tuner {
+		tn, err := New(Options{Resources: Resources{Workers: 1, Backends: backends},
+			Profile: backendProfile(1), ProbeTopK: NoProbes, NoDiskCache: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tn
+	}
+	count := func(tn *Tuner) map[string]int {
+		ranked, err := tn.Rank(512, 512, 512)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perBackend := map[string]int{}
+		for _, p := range ranked {
+			perBackend[p.Backend]++
+		}
+		return perBackend
+	}
+
+	def := gemm.Default()
+	want := gemm.Names()
+	if def.Accelerated() {
+		want = []string{def.Name()}
+	}
+	byDefault := mk(nil)
+	if got := byDefault.opts.Backends; strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("default backends %v, want %v (default %s, accelerated %v)", got, want, def.Name(), def.Accelerated())
+	}
+	if got := count(byDefault); len(got) != len(want) {
+		t.Fatalf("default candidates span backends %v, want %v", got, want)
+	}
+
+	named := count(mk([]string{"portable", "simd"}))
+	if named["portable"] == 0 || named["portable"] != named["simd"] {
+		t.Fatalf("named portable and simd: %v candidates per backend, want equal non-empty sets", named)
+	}
+	if _, raced := named[def.Name()]; raced && def.Accelerated() && count(byDefault)[def.Name()] != named[def.Name()] {
+		t.Fatalf("the default backend's own candidates changed: %d alone, %d beside portable",
+			count(byDefault)[def.Name()], named[def.Name()])
 	}
 }
 

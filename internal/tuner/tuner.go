@@ -15,9 +15,10 @@
 //     machine calibration (measured gemm GFLOPS at a few block sizes and
 //     the measured STREAM-add bandwidth);
 //  3. optionally refine the top-K survivors with short empirical probes —
-//     the best-predicted classical plan always among them, and a fast plan
-//     chosen only when it beats that measured classical time by a margin,
-//     twice (see probe);
+//     the best-predicted classical plan always among them and timed first,
+//     every fast probe stopped once it passes that measured time less the
+//     margin, and a fast plan chosen only when it beats the classical time
+//     by the margin, twice (see probe);
 //  4. persist the winner in an on-disk tuning cache (JSON under
 //     os.UserCacheDir, overridable via FASTMM_TUNE_CACHE) fronted by an
 //     in-memory LRU, so repeated shapes dispatch in O(1).
@@ -27,13 +28,16 @@
 package tuner
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"fastmm/internal/addchain"
@@ -85,7 +89,9 @@ type Options struct {
 	// BFS/HYBRID to DFS at run time (a cap below even the classical kernel's
 	// packing slabs still selects sequential classical gemm — multiplication
 	// must remain possible); Backends restricts the leaf-kernel backends
-	// enumerated as a candidate dimension (default: every registered gemm
+	// enumerated as a candidate dimension (default: the default gemm backend
+	// alone when it is accelerated — a pure-Go leaf beside it is several
+	// times slower and could only win by mistake — else every registered
 	// backend) — each candidate is ranked once per backend against that
 	// backend's calibrated gemm curve, and the classical baseline exists per
 	// backend too, so the tuner picks the leaf kernel the same way it picks
@@ -240,7 +246,13 @@ func (d *decision) multiply(C, A, B *mat.Dense) error {
 // run executes one request — C = Alpha·op(A,B) + Beta·C — with the decision's
 // plan. The overwrite paths (Beta == 0) are the hot, allocation-conscious
 // ones; accumulating into a symmetric result allocates one temporary.
-func (d *decision) run(r op.Request) error {
+func (d *decision) run(r op.Request) error { return d.runUntil(r, nil) }
+
+// runUntil is run with a fast plan's executor bound to a stop flag (see
+// core.Executor.WithStop): once the flag is set the call returns
+// core.ErrStopped. The classical baseline ignores the flag; probe never
+// arms one for it.
+func (d *decision) runUntil(r op.Request, stop *atomic.Bool) error {
 	if d.failMul != nil {
 		return d.failMul
 	}
@@ -251,10 +263,11 @@ func (d *decision) run(r op.Request) error {
 	if d.exec == nil {
 		return d.runClassical(r)
 	}
+	exec := d.exec.WithStop(stop)
 	switch r.Op {
 	case op.Multiply, op.MultiplyAdd:
 		if r.Beta == 0 {
-			if err := d.exec.MultiplyTrace(r.C, r.A, r.B, r.Trace); err != nil {
+			if err := exec.MultiplyTrace(r.C, r.A, r.B, r.Trace); err != nil {
 				return err
 			}
 			if r.Alpha != 1 {
@@ -265,11 +278,11 @@ func (d *decision) run(r op.Request) error {
 		if r.Beta != 1 {
 			mat.Scale(r.C, r.Beta, r.C)
 		}
-		return d.exec.MultiplyAdd(r.C, r.A, r.B, r.Alpha)
+		return exec.MultiplyAdd(r.C, r.A, r.B, r.Alpha)
 	case op.ATA, op.Syrk:
-		sym := d.exec.MultiplyATA
+		sym := exec.MultiplyATA
 		if r.Op == op.Syrk {
-			sym = d.exec.MultiplySyrk
+			sym = exec.MultiplySyrk
 		}
 		if r.Beta == 0 {
 			if err := sym(r.C, r.A); err != nil {
@@ -350,9 +363,10 @@ type Tuner struct {
 	models  map[modelKey]*costmodel.Model
 
 	// timeRun is the probe's stopwatch: the seconds one survivor takes on the
-	// probe request. It is timeDecision everywhere but in the invariant
-	// tests, which script the measured times through it.
-	timeRun func(d *decision, req op.Request) (float64, error)
+	// probe request, or core.ErrStopped once a positive limit has passed. It
+	// is timeDecision everywhere but in the invariant tests, which script the
+	// measured times through it.
+	timeRun func(d *decision, req op.Request, limit time.Duration) (float64, error)
 }
 
 // persistMu serializes tuning-cache persistence process-wide: the resource it
@@ -1117,14 +1131,38 @@ func (t *Tuner) pick(o op.Op, ranked []Plan, m, k, n int) (*decision, error) {
 }
 
 // timeDecision is the production timeRun: the fastest of ProbeTrials runs.
-func (t *Tuner) timeDecision(d *decision, req op.Request) (float64, error) {
-	var err error
-	secs := bestTime(t.opts.ProbeTrials, func() {
-		if e := d.run(req); e != nil && err == nil {
-			err = e
+// A positive limit arms each trial's stop flag from a timer, so a trial that
+// passes it stops within one leaf or addition pass instead of running to
+// completion; the probe reports core.ErrStopped when every trial stopped.
+func (t *Tuner) timeDecision(d *decision, req op.Request, limit time.Duration) (float64, error) {
+	best := math.Inf(1)
+	for i := 0; i < t.opts.ProbeTrials; i++ {
+		var stop *atomic.Bool
+		var timer *time.Timer
+		if limit > 0 {
+			// A fresh flag per trial: a timer that fires late cannot stop
+			// the next one.
+			stop = new(atomic.Bool)
+			timer = time.AfterFunc(limit, func() { stop.Store(true) })
 		}
-	})
-	return secs, err
+		start := time.Now()
+		err := d.runUntil(req, stop)
+		secs := time.Since(start).Seconds()
+		if timer != nil {
+			timer.Stop()
+		}
+		if errors.Is(err, core.ErrStopped) {
+			continue
+		}
+		if err != nil {
+			return 0, err
+		}
+		best = min(best, secs)
+	}
+	if math.IsInf(best, 1) {
+		return limit.Seconds(), core.ErrStopped
+	}
+	return best, nil
 }
 
 // probe times each surviving decision on deterministic random operands of
@@ -1136,6 +1174,14 @@ func (t *Tuner) timeDecision(d *decision, req op.Request) (float64, error) {
 // classical survivor, and is so again on one more timing of the two, taken
 // back to back so drift hits both. Anything else returns that classical
 // plan: the tuner may fail to find a speedup, it must not pick a slowdown.
+//
+// The classical survivors are timed first, and the rule's own cut-off is
+// where a fast probe stops: every fast survivor runs against a deadline of
+// (1 − probeMargin) times the fastest classical time. A run that passes it
+// has lost whatever it would have measured, so it is stopped (see
+// core.Executor.WithStop) and never wins. The decisions are those of timing
+// every survivor to completion; only the losers' time is saved. The
+// confirming pair runs without a deadline.
 //
 // A positive ProbeBudget additionally stops the sweep once the wall-clock
 // budget is spent; with no probe completed the model's top pick
@@ -1166,28 +1212,44 @@ func (t *Tuner) probe(o op.Op, survivors []*decision, m, k, n int) (*decision, e
 		req.B.FillRandom(rng)
 	}
 	req.A.FillRandom(rng)
+	// Fault C's pages in untimed: the first probe is classical's, and its
+	// time sets every fast deadline.
+	req.C.Zero()
 
 	var best, classical *decision
 	var firstErr error
 	failed := make([]bool, len(survivors))
-	for i, d := range survivors {
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			break
-		}
-		secs, err := t.timeRun(d, req)
-		if err != nil {
-			failed[i] = true
-			if firstErr == nil {
-				firstErr = fmt.Errorf("tuner: probing %s: %w", d.plan, err)
+sweep:
+	for _, fast := range []bool{false, true} {
+		for i, d := range survivors {
+			if d.plan.IsClassical() == fast {
+				continue
 			}
-			continue
-		}
-		d.plan.MeasuredSeconds = secs
-		if best == nil || secs < best.plan.MeasuredSeconds {
-			best = d
-		}
-		if d.plan.IsClassical() && (classical == nil || secs < classical.plan.MeasuredSeconds) {
-			classical = d
+			if !deadline.IsZero() && !time.Now().Before(deadline) {
+				break sweep
+			}
+			var limit time.Duration
+			if fast && classical != nil {
+				limit = time.Duration((1 - probeMargin) * classical.plan.MeasuredSeconds * float64(time.Second))
+			}
+			secs, err := t.timeRun(d, req, limit)
+			if errors.Is(err, core.ErrStopped) {
+				continue // past the deadline: lost
+			}
+			if err != nil {
+				failed[i] = true
+				if firstErr == nil {
+					firstErr = fmt.Errorf("tuner: probing %s: %w", d.plan, err)
+				}
+				continue
+			}
+			d.plan.MeasuredSeconds = secs
+			if best == nil || secs < best.plan.MeasuredSeconds {
+				best = d
+			}
+			if !fast && (classical == nil || secs < classical.plan.MeasuredSeconds) {
+				classical = d
+			}
 		}
 	}
 	if best == nil {
@@ -1209,11 +1271,11 @@ func (t *Tuner) probe(o op.Op, survivors []*decision, m, k, n int) (*decision, e
 	if !beats(best.plan.MeasuredSeconds, classical.plan.MeasuredSeconds) {
 		return classical, nil
 	}
-	fast, err := t.timeRun(best, req)
+	fast, err := t.timeRun(best, req, 0)
 	if err != nil {
 		return classical, nil
 	}
-	if ref, err := t.timeRun(classical, req); err == nil && !beats(fast, ref) {
+	if ref, err := t.timeRun(classical, req, 0); err == nil && !beats(fast, ref) {
 		return classical, nil
 	}
 	best.plan.MeasuredSeconds = min(best.plan.MeasuredSeconds, fast)
