@@ -88,7 +88,7 @@ func TestNewAutoExecutorReuse(t *testing.T) {
 			t.Fatalf("call %d: max diff %g", i, d)
 		}
 	}
-	p, err := exec.PlanFor(n, n, n)
+	p, err := exec.PlanForOp(fastmm.OpMultiply, n, n, n)
 	if err != nil {
 		t.Fatal(err)
 	}

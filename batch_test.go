@@ -1,5 +1,5 @@
 // Tests for the public batched-dispatch surface: fastmm.NewBatcher,
-// MultiplyBatch, Batcher.Submit/Wait, and Batcher.Stream. Synthetic
+// MultiplyBatch, and Batcher.Do/SubmitRequest/Wait. Synthetic
 // calibration profiles keep them deterministic (see auto_test.go); every
 // option set carries NoDiskCache so no test touches the user's real cache.
 package fastmm_test
@@ -15,6 +15,11 @@ import (
 	"fastmm"
 	"fastmm/internal/mat"
 )
+
+// mulReq is the request for C = A·B.
+func mulReq(C, A, B *fastmm.Matrix) fastmm.Request {
+	return fastmm.Request{Op: fastmm.OpMultiply, C: C, A: A, B: B}
+}
 
 func batchTestOpts(workers int) fastmm.BatchOptions {
 	return fastmm.BatchOptions{
@@ -73,46 +78,17 @@ func TestBatcherAllocsSteadyState(t *testing.T) {
 	B := fastmm.RandomMatrix(n, n, 2)
 	C := fastmm.NewMatrix(n, n)
 	for i := 0; i < 3; i++ { // tune the class and warm the arenas
-		if err := b.Multiply(C, A, B); err != nil {
+		if err := b.Do(mulReq(C, A, B)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		if err := b.Multiply(C, A, B); err != nil {
+		if err := b.Do(mulReq(C, A, B)); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > 2 && !raceEnabled {
 		t.Fatalf("steady-state batcher Multiply allocates %.1f/op, want ≤ 2", allocs)
-	}
-}
-
-// TestBatcherStreamPublic exercises the pipelined stream through the public
-// aliases.
-func TestBatcherStreamPublic(t *testing.T) {
-	b, err := fastmm.NewBatcher(batchTestOpts(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	var s *fastmm.BatchStream
-	s, err = b.Stream(96, 96, 96)
-	if err != nil {
-		t.Fatal(err)
-	}
-	A := fastmm.RandomMatrix(96, 96, 3)
-	B := fastmm.RandomMatrix(96, 96, 4)
-	want := fastmm.NewMatrix(96, 96)
-	fastmm.Classical(want, A, B)
-	C := fastmm.NewMatrix(96, 96)
-	if err := s.Push(C, A, B); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if d := mat.MaxAbsDiff(C, want); d > 1e-9*97 {
-		t.Fatalf("stream product: max diff %g", d)
 	}
 }
 
@@ -169,7 +145,7 @@ func TestBatcherAndAutoHammer(t *testing.T) {
 				}
 
 				C2 := fastmm.NewMatrix(s[0], s[2])
-				if err := b.Multiply(C2, A, B); err != nil {
+				if err := b.Do(mulReq(C2, A, B)); err != nil {
 					errs <- err
 					return
 				}
@@ -183,7 +159,7 @@ func TestBatcherAndAutoHammer(t *testing.T) {
 				if i%2 == 0 {
 					opts.Deadline = time.Now().Add(time.Hour) // generous: must not expire
 				}
-				tk, err := b.SubmitWith(C3, A, B, opts)
+				tk, err := b.SubmitRequest(mulReq(C3, A, B), opts)
 				if errors.Is(err, fastmm.ErrAdmissionDenied) {
 					// A generous deadline must never be shed; an hour of queued
 					// backlog here would be a calibration disaster.
@@ -247,9 +223,9 @@ func TestBatcherAndAutoHammer(t *testing.T) {
 	for _, c := range st.Backends {
 		backendTotal += c
 	}
-	if backendTotal != totalDone+st.SyncDone+st.StreamDone {
+	if backendTotal != totalDone+st.SyncDone {
 		t.Fatalf("backend mix %d executions, counters say %d",
-			backendTotal, totalDone+st.SyncDone+st.StreamDone)
+			backendTotal, totalDone+st.SyncDone)
 	}
 	if hr := st.WarmHitRate(); hr <= 0 || hr >= 1 {
 		t.Fatalf("hammer warm hit rate = %g, want in (0, 1)", hr)
@@ -262,7 +238,7 @@ func TestBatcherAndAutoHammer(t *testing.T) {
 // TestSubmitWithPublicSurface exercises the server-grade submit path through
 // the public aliases: priority lanes, a deadline that expires while queued
 // (fastmm.ErrDeadlineExceeded on the ticket, not from Wait), and completion
-// callbacks via SubmitFunc.
+// callbacks via SubmitOpts.Callback.
 func TestSubmitWithPublicSurface(t *testing.T) {
 	b, err := fastmm.NewBatcher(batchTestOpts(1))
 	if err != nil {
@@ -279,10 +255,11 @@ func TestSubmitWithPublicSurface(t *testing.T) {
 	// A High-lane item with a generous deadline and a callback.
 	C := fastmm.NewMatrix(n, n)
 	done := make(chan error, 1)
-	err = b.SubmitFunc(C, A, B, fastmm.SubmitOpts{
+	_, err = b.SubmitRequest(mulReq(C, A, B), fastmm.SubmitOpts{
 		Lane:     fastmm.LaneHigh,
 		Deadline: time.Now().Add(time.Minute),
-	}, func(err error) { done <- err })
+		Callback: func(err error) { done <- err },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +271,7 @@ func TestSubmitWithPublicSurface(t *testing.T) {
 	}
 
 	// A Low-lane item already past its deadline fails fast on its ticket.
-	tk, err := b.SubmitWith(fastmm.NewMatrix(n, n), A, B, fastmm.SubmitOpts{
+	tk, err := b.SubmitRequest(mulReq(fastmm.NewMatrix(n, n), A, B), fastmm.SubmitOpts{
 		Lane:     fastmm.LaneLow,
 		Deadline: time.Now().Add(-time.Second),
 	})
@@ -311,8 +288,8 @@ func TestSubmitWithPublicSurface(t *testing.T) {
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.SubmitWith(C, A, B, fastmm.SubmitOpts{}); !errors.Is(err, fastmm.ErrBatcherClosed) {
-		t.Fatalf("SubmitWith after Close: got %v, want fastmm.ErrBatcherClosed", err)
+	if _, err := b.SubmitRequest(mulReq(C, A, B), fastmm.SubmitOpts{}); !errors.Is(err, fastmm.ErrBatcherClosed) {
+		t.Fatalf("SubmitRequest after Close: got %v, want fastmm.ErrBatcherClosed", err)
 	}
 }
 
@@ -346,10 +323,10 @@ func TestBatcherStatsPublicSurface(t *testing.T) {
 	A := fastmm.RandomMatrix(n, n, 7)
 	B := fastmm.RandomMatrix(n, n, 8)
 	C := fastmm.NewMatrix(n, n)
-	if err := b.Multiply(C, A, B); err != nil { // sync path
+	if err := b.Do(mulReq(C, A, B)); err != nil { // sync path
 		t.Fatal(err)
 	}
-	tk, err := b.SubmitWith(fastmm.NewMatrix(n, n), A, B, fastmm.SubmitOpts{Lane: fastmm.LaneHigh})
+	tk, err := b.SubmitRequest(mulReq(fastmm.NewMatrix(n, n), A, B), fastmm.SubmitOpts{Lane: fastmm.LaneHigh})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +334,7 @@ func TestBatcherStatsPublicSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	// An item already past its deadline expires without executing.
-	tk, err = b.SubmitWith(fastmm.NewMatrix(n, n), A, B, fastmm.SubmitOpts{
+	tk, err = b.SubmitRequest(mulReq(fastmm.NewMatrix(n, n), A, B), fastmm.SubmitOpts{
 		Lane:     fastmm.LaneLow,
 		Deadline: time.Now().Add(-time.Second),
 	})
@@ -410,17 +387,17 @@ func TestAdmissionDeniedPublicSurface(t *testing.T) {
 	A := fastmm.RandomMatrix(n, n, 9)
 	B := fastmm.RandomMatrix(n, n, 10)
 	for i := 0; i < 2; i++ { // observe real service times into the estimator
-		if err := b.Multiply(fastmm.NewMatrix(n, n), A, B); err != nil {
+		if err := b.Do(mulReq(fastmm.NewMatrix(n, n), A, B)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 64; i++ { // a deep no-deadline backlog pins the runner
-		if _, err := b.SubmitWith(fastmm.NewMatrix(n, n), A, B, fastmm.SubmitOpts{}); err != nil {
+		if _, err := b.SubmitRequest(mulReq(fastmm.NewMatrix(n, n), A, B), fastmm.SubmitOpts{}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	rejected := false
-	tk, err := b.SubmitWith(fastmm.NewMatrix(n, n), A, B, fastmm.SubmitOpts{
+	tk, err := b.SubmitRequest(mulReq(fastmm.NewMatrix(n, n), A, B), fastmm.SubmitOpts{
 		Deadline: time.Now().Add(time.Millisecond),
 	})
 	switch {

@@ -23,6 +23,7 @@ import (
 
 	"fastmm/internal/costmodel"
 	"fastmm/internal/gemm"
+	"fastmm/internal/op"
 	"fastmm/internal/tuner"
 )
 
@@ -134,7 +135,7 @@ func cmdWarm(args []string) error {
 		// The wall time of the decision: ranking and probes for a cold
 		// shape, a disk-cache lookup for a cached one.
 		start := time.Now()
-		plan, err := t.Warm(s[0], s[1], s[2])
+		plan, err := t.PlanForOp(op.Multiply, s[0], s[1], s[2])
 		if err != nil {
 			return err
 		}
@@ -208,7 +209,7 @@ func cmdShow(args []string) error {
 		return err
 	}
 	for _, s := range shapes {
-		ranked, err := t.Rank(s[0], s[1], s[2])
+		ranked, err := t.RankOp(op.Multiply, s[0], s[1], s[2])
 		if err != nil {
 			return err
 		}

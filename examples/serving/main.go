@@ -4,15 +4,14 @@
 // workspace arenas) warm, and runs independent requests concurrently under
 // one worker budget — small requests side by side, large ones full width.
 // The same traffic is then replayed through per-call fastmm.Auto for
-// comparison, a same-shape burst goes through the pipelined Stream, and a
-// final mixed-load section exercises the server-grade submit path: sparse
-// High-lane interactive requests stay fast against a Low-lane bulk flood,
-// deadline'd Low items are shed — rejected at submit by admission control
-// when the backlog already dooms them, or expired in the queue — instead of
-// occupying runners, and completion callbacks resolve requests with no
-// ticket bookkeeping. The run ends with the batcher's Stats snapshot:
-// per-lane conservation counters and queue-wait/service p50/p95, warm-pool
-// hit rate, backend mix, and the paper's Eq. (3) effective GFLOPS.
+// comparison, and a final mixed-load section exercises the server-grade
+// submit path: sparse High-lane interactive requests stay fast against a
+// Low-lane bulk flood, deadline'd Low items are shed — rejected at submit by
+// admission control when the backlog already dooms them, or expired in the
+// queue — instead of occupying runners, and completion callbacks resolve
+// requests with no ticket bookkeeping. The run ends with the batcher's Stats
+// snapshot: per-lane conservation counters and queue-wait/service p50/p95,
+// warm-pool hit rate, backend mix, and the paper's Eq. (3) effective GFLOPS.
 //
 //	go run ./examples/serving [-requests 64] [-http :8765]
 //
@@ -110,7 +109,7 @@ func main() {
 	// Serve the stream: submit everything, let the batcher schedule.
 	start := time.Now()
 	for _, r := range reqs {
-		if _, err := batcher.Submit(r.C, r.A, r.B); err != nil {
+		if _, err := batcher.SubmitRequest(fastmm.Request{Op: fastmm.OpMultiply, C: r.C, A: r.A, B: r.B}, fastmm.SubmitOpts{}); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -134,36 +133,11 @@ func main() {
 	fmt.Printf("per-call Auto: %.2fs (%.1f req/s) -> batcher is %.2fx\n",
 		autoSecs, float64(requests)/autoSecs, autoSecs/batchSecs)
 
-	// A same-shape burst through the pipelined stream: operand staging
-	// overlaps the previous item's execution, and the staging copy means
-	// the caller can reuse its input buffers immediately.
-	const m, k, n = 320, 320, 320
-	stream, err := batcher.Stream(m, k, n)
-	if err != nil {
-		log.Fatal(err)
-	}
-	A, B := fastmm.RandomMatrix(m, k, 1), fastmm.RandomMatrix(k, n, 2)
-	burst := 16
-	outs := make([]*fastmm.Matrix, burst)
-	start = time.Now()
-	for i := range outs {
-		outs[i] = fastmm.NewMatrix(m, n)
-		if err := stream.Push(outs[i], A, B); err != nil {
-			log.Fatal(err)
-		}
-		A.Set(0, 0, float64(i)) // safe: Push staged a copy
-	}
-	if err := stream.Flush(); err != nil {
-		log.Fatal(err)
-	}
-	streamSecs := time.Since(start).Seconds()
-	fmt.Printf("pipelined stream: %d × %d^3 in %.2fs (%.1f req/s)\n",
-		burst, m, streamSecs, float64(burst)/streamSecs)
-
 	// Mixed load on the server-grade submit path: a Low-lane bulk flood
 	// saturates the workers while sparse High-lane "interactive" requests
-	// must overtake the backlog. Completion callbacks (SubmitFunc) resolve
-	// everything — no tickets held anywhere.
+	// must overtake the backlog. Completion callbacks (SubmitOpts.Callback)
+	// resolve the flood — no tickets held for it.
+	const m, k, n = 320, 320, 320
 	const interactive = 12
 	var bulkDone, bulkExpired, bulkRejected atomic.Int64
 	stopFlood := make(chan struct{})
@@ -185,11 +159,7 @@ func main() {
 			// queue (ErrDeadlineExceeded) before admission has calibrated —
 			// instead of occupying a runner: stale speculative work costs
 			// nothing.
-			opts := fastmm.SubmitOpts{Lane: fastmm.LaneLow}
-			if i%4 == 3 {
-				opts.Deadline = time.Now().Add(2 * time.Millisecond)
-			}
-			err := batcher.SubmitFunc(fastmm.NewMatrix(m, n), bulkA, bulkB, opts, func(err error) {
+			opts := fastmm.SubmitOpts{Lane: fastmm.LaneLow, Callback: func(err error) {
 				switch {
 				case errors.Is(err, fastmm.ErrDeadlineExceeded):
 					bulkExpired.Add(1)
@@ -197,7 +167,12 @@ func main() {
 					bulkDone.Add(1)
 				}
 				<-window
-			})
+			}}
+			if i%4 == 3 {
+				opts.Deadline = time.Now().Add(2 * time.Millisecond)
+			}
+			bulk := fastmm.Request{Op: fastmm.OpMultiply, C: fastmm.NewMatrix(m, n), A: bulkA, B: bulkB}
+			_, err := batcher.SubmitRequest(bulk, opts)
 			if errors.Is(err, fastmm.ErrAdmissionDenied) {
 				// Shed at submit: no callback will fire, so release the
 				// window slot here and keep flooding.
@@ -216,7 +191,8 @@ func main() {
 	latencies := make([]float64, 0, interactive)
 	for i := 0; i < interactive; i++ {
 		reqStart := time.Now()
-		tk, err := batcher.SubmitWith(hiC, hiA, hiB, fastmm.SubmitOpts{Lane: fastmm.LaneHigh})
+		hi := fastmm.Request{Op: fastmm.OpMultiply, C: hiC, A: hiA, B: hiB}
+		tk, err := batcher.SubmitRequest(hi, fastmm.SubmitOpts{Lane: fastmm.LaneHigh})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -241,9 +217,8 @@ func main() {
 	// The batcher's own view of the whole run: Stats() is the operational
 	// surface a real service would scrape (or poll via -http).
 	st := batcher.Stats()
-	fmt.Printf("stats: warm hit rate %.0f%%, %d warm classes, %.1f effective GFLOPS over %.2fs busy, backends %v, sync/stream done %d/%d\n",
-		100*st.WarmHitRate(), st.WarmEntries, st.EffectiveGFLOPS, st.BusySeconds,
-		st.Backends, st.SyncDone, st.StreamDone)
+	fmt.Printf("stats: warm hit rate %.0f%%, %d warm classes, %.1f effective GFLOPS over %.2fs busy, backends %v\n",
+		100*st.WarmHitRate(), st.WarmEntries, st.EffectiveGFLOPS, st.BusySeconds, st.Backends)
 	fmt.Printf("  observability: %d traces sampled (%d lost) %v, drift events %d, re-probes %d\n",
 		st.TraceSampled, st.TraceLost, st.TraceSamples, st.DriftEvents, st.Reprobes)
 	laneName := map[fastmm.Lane]string{fastmm.LaneHigh: "high", fastmm.LaneNormal: "normal", fastmm.LaneLow: "low"}

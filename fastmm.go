@@ -10,10 +10,11 @@
 // algorithm), a recursive executor with dynamic peeling and three
 // matrix-addition strategies, three shared-memory schedulers (DFS, BFS,
 // HYBRID), pluggable classical leaf kernels used both as base case and
-// baseline (a portable Go blocked gemm, an AVX2 SIMD micro-kernel, and an
-// optional cgo BLAS bridge — the autotuner calibrates and picks between
-// them per shape; see LeafBackends), and the ALS-based numerical search for
-// discovering new algorithms.
+// baseline (a portable Go blocked gemm, a SIMD micro-kernel — AVX-512 8×24
+// where the CPU has it, else AVX2 6×8, else Go — and an optional cgo BLAS
+// bridge; the autotuner calibrates and picks between them per shape, see
+// LeafBackends), and the ALS-based numerical search for discovering new
+// algorithms.
 //
 // Quick start:
 //
@@ -107,8 +108,8 @@ type Resources = resources.Resources
 
 // Op identifies a structured operation the framework can plan end to end:
 // the general multiply, the symmetric Gram (AᵗA) and SYRK (A·Aᵗ) products —
-// which the planner serves with a symmetric recursion at ~2/3 of a general
-// multiply's work, with an exactly symmetric result — and the accumulate
+// whose classical plan is one lower-triangle pass at about ½ of a general
+// multiply's flops, with an exactly symmetric result — and the accumulate
 // fusion C += A·B.
 type Op = op.Op
 
@@ -228,11 +229,7 @@ func NewAutoExecutor(opts AutoOptions) (*AutoExecutor, error) { return tuner.New
 // (microseconds, not a re-tune); the hottest paths should hold their own
 // dispatcher from NewAutoExecutor instead.
 func Auto(C, A, B *Matrix, opts AutoOptions) error {
-	t, err := sharedAuto(opts)
-	if err != nil {
-		return err
-	}
-	return t.Multiply(C, A, B)
+	return Do(Request{Op: OpMultiply, C: C, A: A, B: B}, opts)
 }
 
 // Do executes one operation-typed request — C = Alpha·op(A,B) + Beta·C —
@@ -248,11 +245,11 @@ func Do(req Request, opts AutoOptions) error {
 }
 
 // MultiplyATA computes C = Aᵗ·A (C must be n×n for A m×n, and must not alias
-// A) with the tuned plan for the shape: a symmetric recursion that serves
-// the diagonal blocks recursively, computes each lower off-diagonal block
-// once with the tuned fast multiply, and mirrors it — ~2/3 of the work of
-// Multiply(C, Aᵗ, A), with an exactly symmetric result
-// (C.At(i,j) == C.At(j,i) bit-for-bit).
+// A) with the tuned plan for the shape, with an exactly symmetric result
+// (C.At(i,j) == C.At(j,i) bit-for-bit). The classical plan is one
+// lower-triangle pass of the leaf engine, about ½ the flops of
+// Multiply(C, Aᵗ, A), mirrored; a fast plan is a symmetric recursion that
+// computes each lower off-diagonal block once with the fast multiply.
 func MultiplyATA(C, A *Matrix, opts AutoOptions) error {
 	return Do(Request{Op: OpATA, C: C, A: A}, opts)
 }
@@ -271,7 +268,7 @@ func AutoPlanFor(m, k, n int, opts AutoOptions) (AutoPlan, error) {
 	if err != nil {
 		return AutoPlan{}, err
 	}
-	return t.PlanFor(m, k, n)
+	return t.PlanForOp(OpMultiply, m, k, n)
 }
 
 var (
@@ -312,10 +309,10 @@ func autoOptionsKey(norm AutoOptions) string {
 
 // BatchOptions configures a Batcher (and MultiplyBatch). The zero value is
 // ready to use: GOMAXPROCS total workers, an unbounded-bytes warm pool of at
-// most batch.DefaultMaxEntries shape-class entries, pipelined streams, and
-// default tuning. Workspace bounds the bytes of executor workspace the warm
-// pool retains (LRU eviction); Tuning passes probe policy, candidate
-// restrictions, and cache behavior through to the autotuner.
+// most batch.DefaultMaxEntries shape-class entries, and default tuning.
+// Workspace bounds the bytes of executor workspace the warm pool retains
+// (LRU eviction); Tuning passes probe policy, candidate restrictions, and
+// cache behavior through to the autotuner.
 type BatchOptions = batch.Options
 
 // Batcher dispatches many multiplications through warm per-shape-class
@@ -324,23 +321,25 @@ type BatchOptions = batch.Options
 // workspace arenas stay warm, and independent multiplications run
 // concurrently under one total Workers budget — a deep queue of small
 // problems runs many sequential multiplies side by side, while a lone large
-// problem uses the full-width parallel schedule. The asynchronous submit
-// path is server-grade: SubmitWith takes priority lanes (High/Normal/Low),
-// per-item deadlines (fail-fast with ErrDeadlineExceeded), and completion
-// callbacks (SubmitFunc) so servers avoid ticket bookkeeping — hardened with
+// problem uses the full-width parallel schedule. Every request is a Request:
+// Do runs it synchronously, SubmitRequest queues it. The queued path is
+// server-grade: SubmitOpts carries a priority lane (High/Normal/Low), a
+// per-item deadline (fail-fast with ErrDeadlineExceeded), and a completion
+// Callback so servers avoid ticket bookkeeping — hardened with
 // deadline-aware admission control (ErrAdmissionDenied sheds guaranteed-dead
 // work at submit), a lane-aging window that bounds Low-lane starvation
 // (BatchOptions.AgingWindow), and an allocation-free metrics surface
 // (Batcher.Stats). It is safe for concurrent use; see NewBatcher.
 type Batcher = batch.Batcher
 
-// BatchTicket tracks one asynchronous Batcher.Submit; Wait blocks until the
+// BatchTicket tracks one Batcher.SubmitRequest; Wait blocks until the
 // multiplication resolved (ran, failed, or expired) and returns its error.
 type BatchTicket = batch.Ticket
 
-// SubmitOpts carries the per-item scheduling options of Batcher.SubmitWith
-// and Batcher.SubmitFunc: a priority lane, an optional deadline, and an
-// optional completion callback. The zero value reproduces plain Submit.
+// SubmitOpts carries the per-item scheduling options of
+// Batcher.SubmitRequest: a priority lane, an optional deadline, and an
+// optional completion Callback. The zero value queues on LaneNormal with no
+// deadline and no callback.
 type SubmitOpts = batch.SubmitOpts
 
 // Lane is a submission priority lane: runners drain the highest-priority
@@ -363,7 +362,7 @@ var ErrDeadlineExceeded = batch.ErrDeadlineExceeded
 // ErrBatcherClosed is returned by Batcher submissions after Close.
 var ErrBatcherClosed = batch.ErrClosed
 
-// ErrAdmissionDenied is returned by SubmitWith/SubmitFunc when the queued
+// ErrAdmissionDenied is returned by SubmitRequest when the queued
 // backlog ahead of a deadline'd item already guarantees its deadline will
 // pass before it could start (judged by calibrated per-shape-class service
 // times refined by a live EWMA). A rejected item never enters the queue and
@@ -409,7 +408,7 @@ func BatchHistogramBounds() []time.Duration { return batch.HistogramBounds() }
 type TraceConfig = trace.Config
 
 // TraceRecord is one sampled request's execution trace: submission verdict
-// ("queued", "sync", "stream", "rejected", "expired"), lane and queue wait
+// ("queued", "sync", "rejected", "expired"), lane and queue wait
 // (with lane-aging promotion flagged), the resolved plan (shape class, warm
 // hit/miss, algorithm, steps, scheduler, backend, predicted vs measured
 // seconds), the measured service time, and the execution's spans. Records
@@ -430,12 +429,6 @@ type TraceSpan = trace.Span
 // loop with defaults; set Disable to turn it off.
 type BatchDriftOptions = batch.DriftOptions
 
-// BatchStream is a pipelined same-shape stream over a Batcher: Push stages
-// ("packs") the operands into retained double buffers and overlaps the copy
-// with the previous item's execution, so the caller may reuse its operand
-// buffers as soon as Push returns. Create one with Batcher.Stream.
-type BatchStream = batch.Stream
-
 // NewBatcher builds a batched dispatcher. The machine calibration behind its
 // tuners happens here (once), so construction may take ~100ms on a machine
 // with no persisted calibration; shape classes are tuned lazily as work
@@ -449,11 +442,19 @@ func NewBatcher(opts BatchOptions) (*Batcher, error) { return batch.New(opts) }
 // Serving workloads with a long batcher lifetime should hold their own
 // NewBatcher instead.
 func MultiplyBatch(dsts, as, bs []*Matrix, opts BatchOptions) error {
+	if len(dsts) != len(as) || len(as) != len(bs) {
+		return fmt.Errorf("fastmm: mismatched batch lengths dsts=%d as=%d bs=%d",
+			len(dsts), len(as), len(bs))
+	}
 	b, err := sharedBatcher(opts)
 	if err != nil {
 		return err
 	}
-	return b.MultiplyAll(dsts, as, bs)
+	reqs := make([]Request, len(dsts))
+	for i := range reqs {
+		reqs[i] = Request{Op: OpMultiply, C: dsts[i], A: as[i], B: bs[i]}
+	}
+	return b.MultiplyAll(reqs)
 }
 
 var (
@@ -466,9 +467,9 @@ var (
 // for the process lifetime (its runner goroutines park on an empty queue).
 func sharedBatcher(opts BatchOptions) (*Batcher, error) {
 	norm := opts.Normalized()
-	key := fmt.Sprintf("%s e%d g%d np%t q%d ag%d tr%t/%d/%d dr%t/%g/%d/%d | %s",
+	key := fmt.Sprintf("%s e%d g%d q%d ag%d tr%t/%d/%d dr%t/%g/%d/%d | %s",
 		norm.Resources.Key(), norm.MaxEntries, norm.GrainFLOPs,
-		norm.NoPipeline, norm.QueueDepth, norm.AgingWindow,
+		norm.QueueDepth, norm.AgingWindow,
 		norm.Trace.Disable, norm.Trace.Ring, norm.Trace.Sample,
 		norm.Drift.Disable, norm.Drift.Band, norm.Drift.K, norm.Drift.MinReprobeInterval,
 		autoOptionsKey(norm.Tuning.Normalized()))
@@ -495,7 +496,7 @@ func LeafBackends() []string { return gemm.Names() }
 
 // LeafBackendAccelerated reports whether the named backend runs an
 // architecture-specific fast path on this machine (e.g. the simd backend's
-// AVX2 assembly; false means its pure-Go fallback is in use).
+// AVX-512 or AVX2 assembly; false means its pure-Go fallback is in use).
 func LeafBackendAccelerated(name string) bool {
 	be, err := gemm.Get(name)
 	return err == nil && be.Accelerated()

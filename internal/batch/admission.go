@@ -17,7 +17,7 @@ import (
 // already guaranteed to pass before a runner could reach it: the queued
 // backlog in its own and higher-priority lanes, valued at the calibrated
 // per-shape-class service times, exceeds the time remaining even if every
-// runner drained that backlog in parallel. The item is refused at SubmitWith
+// runner drained that backlog in parallel. The item is refused at SubmitRequest
 // — no Ticket, no queue slot, no callback — so a saturated server sheds
 // guaranteed-dead work at the door instead of carrying it to expiry.
 var ErrAdmissionDenied = errors.New("batch: admission denied: deadline cannot be met")
@@ -30,7 +30,7 @@ const svcAlpha = 0.2
 // when a class has been tuned, the machine's classical gemm curve before
 // that) and then pulled toward reality by an EWMA of observed execution
 // times. The op is part of the key because the operations genuinely differ —
-// an AᵗA of a class runs at ~2/3 the flops of its general multiply — and a
+// an AᵗA of a class runs at about ½ the flops of its general multiply — and a
 // shared estimate would mis-price admission for both. Reads and updates are
 // lock-free after a key's first touch.
 type svcEstimator struct {

@@ -1,4 +1,4 @@
-// Table-driven admission-control tests: SubmitWith must reject — with
+// Table-driven admission-control tests: SubmitRequest must reject — with
 // ErrAdmissionDenied, before the item touches the queue, a runner, the
 // semaphore, or the warm-entry pool — exactly those deadline'd items whose
 // queued backlog already guarantees expiry, and admit everything else
@@ -50,7 +50,7 @@ func (h *admissionHarness) fill(t *testing.T, lane Lane, count, n int) {
 	t.Helper()
 	A, B := randMat(n, n, 21), randMat(n, n, 22)
 	for i := 0; i < count; i++ {
-		if _, err := h.b.SubmitWith(mat.New(n, n), A, B, SubmitOpts{Lane: lane}); err != nil {
+		if _, err := h.b.SubmitRequest(mulReq(mat.New(n, n), A, B), SubmitOpts{Lane: lane}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -146,11 +146,11 @@ func TestAdmissionTable(t *testing.T) {
 			cbInvoked := false
 			opts.Callback = func(error) { cbInvoked = true }
 			A, B := randMat(n, n, 31), randMat(n, n, 32)
-			tk, err := h.b.SubmitWith(mat.New(n, n), A, B, opts)
+			tk, err := h.b.SubmitRequest(mulReq(mat.New(n, n), A, B), opts)
 
 			if tc.wantErr != nil {
 				if !errors.Is(err, tc.wantErr) {
-					t.Fatalf("SubmitWith err = %v, want %v", err, tc.wantErr)
+					t.Fatalf("SubmitRequest err = %v, want %v", err, tc.wantErr)
 				}
 				if tk != nil {
 					t.Fatal("a rejected submission must not produce a Ticket")
@@ -187,7 +187,7 @@ func TestAdmissionTable(t *testing.T) {
 				return
 			}
 			if err != nil {
-				t.Fatalf("SubmitWith err = %v, want admitted", err)
+				t.Fatalf("SubmitRequest err = %v, want admitted", err)
 			}
 			if tk == nil {
 				t.Fatal("admitted submission must produce a Ticket")
@@ -213,7 +213,7 @@ func TestAdmissionSkipsAlreadyExpired(t *testing.T) {
 	h.fill(t, LaneNormal, 2, n)
 
 	A, B := randMat(n, n, 41), randMat(n, n, 42)
-	tk, err := h.b.SubmitWith(mat.New(n, n), A, B, SubmitOpts{
+	tk, err := h.b.SubmitRequest(mulReq(mat.New(n, n), A, B), SubmitOpts{
 		Deadline: h.fc.Now().Add(-time.Second),
 	})
 	if err != nil {

@@ -153,14 +153,14 @@ func TestLaneAgingBoundsStarvationEndToEnd(t *testing.T) {
 	A, B := randMat(n, n, 1), randMat(n, n, 2)
 	submit := func(label string, lane Lane) {
 		t.Helper()
-		err := b.SubmitFunc(mat.New(n, n), A, B, SubmitOpts{Lane: lane}, func(err error) {
+		_, err := b.SubmitRequest(mulReq(mat.New(n, n), A, B), SubmitOpts{Lane: lane, Callback: func(err error) {
 			if err != nil {
 				t.Errorf("item %s: %v", label, err)
 			}
 			mu.Lock()
 			order = append(order, label)
 			mu.Unlock()
-		})
+		}})
 		if err != nil {
 			t.Fatal(err)
 		}

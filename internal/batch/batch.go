@@ -1,17 +1,18 @@
-// Package batch is the batched/streaming dispatch layer: it amortizes one
-// tuning decision — and one warm executor with its retained workspace arenas
-// — over streams of multiplications, the serving regime the tuner alone
-// cannot exploit. Where fastmm.Auto pays dispatch, workspace warm-up, and
-// intra-multiply synchronization per call, a Batcher keys incoming work by
-// shape class (tuner.ClassOf's geometric bucketing), keeps a bounded pool of
-// warm per-class entries with LRU eviction under a byte budget, and runs
+// Package batch is the batched dispatch layer: it amortizes one tuning
+// decision — and one warm executor with its retained workspace arenas — over
+// many requests, the serving regime the tuner alone cannot exploit. Where
+// fastmm.Auto pays dispatch, workspace warm-up, and intra-multiply
+// synchronization per call, a Batcher keys incoming work by shape class
+// (tuner.ClassOf's geometric bucketing), keeps a bounded pool of warm
+// per-class entries with LRU eviction under a byte budget, and runs
 // independent multiplications concurrently on a worker pool while splitting
 // each one's internal parallelism so the total stays inside one Workers
 // budget: a deep queue of small problems runs many sequential multiplies
 // side by side (near-perfect scaling — no per-call barriers), while a lone
 // large problem gets the full-width BFS/DFS treatment it gets today.
 //
-// The submission path is server-grade: asynchronous work queues on priority
+// Every request is an op.Request, run synchronously by Do or queued by
+// SubmitRequest. The queued path is server-grade: work waits on priority
 // lanes (High/Normal/Low, strict priority with FIFO within a lane), items
 // may carry deadlines (an item that has not started executing by its
 // deadline fails fast with ErrDeadlineExceeded instead of occupying a
@@ -23,10 +24,7 @@
 // This is the paper's §4.5 bandwidth-vs-compute lesson applied across calls
 // instead of within one: the per-call overheads (operand packing, addition
 // synchronization, goroutine fan-out) are fixed costs that only amortize when
-// consecutive same-shape multiplications share an executor, and the pipelined
-// Stream overlaps the next item's operand staging with the current item's
-// execution the way BLIS-style fused packing overlaps packing with the
-// macro-kernel.
+// consecutive same-shape multiplications share an executor.
 package batch
 
 import (
@@ -40,14 +38,13 @@ import (
 	"sync/atomic"
 	"time"
 
-	"fastmm/internal/mat"
 	"fastmm/internal/op"
 	"fastmm/internal/resources"
 	"fastmm/internal/trace"
 	"fastmm/internal/tuner"
 )
 
-// ErrClosed is returned by Submit and Multiply after Close.
+// ErrClosed is returned by Do, SubmitRequest and PlanForOp after Close.
 var ErrClosed = errors.New("batch: batcher is closed")
 
 // DefaultGrainFLOPs is the per-worker work grain below which a multiply
@@ -60,8 +57,8 @@ const DefaultGrainFLOPs = 64 << 20
 type Resources = resources.Resources
 
 // Options configures a Batcher. The zero value is ready to use: GOMAXPROCS
-// workers, an unlimited warm pool of up to DefaultMaxEntries entries,
-// pipelined streams, and default tuning behavior.
+// workers, an unlimited warm pool of up to DefaultMaxEntries entries, and
+// default tuning behavior.
 type Options struct {
 	// Resources is the shared execution budget (internal/resources). Workers
 	// is the total goroutine budget across every multiplication in flight
@@ -87,12 +84,9 @@ type Options struct {
 	// flops/GrainFLOPs internal workers, so small problems run sequentially
 	// and rely on inter-multiply concurrency for throughput.
 	GrainFLOPs int64
-	// NoPipeline disables the double-buffered operand staging of Stream;
-	// Push then multiplies synchronously.
-	NoPipeline bool
 	// QueueDepth is the capacity of the asynchronous submission queue,
 	// shared across all priority lanes (default 4×Workers); a full queue
-	// makes Submit block (backpressure).
+	// makes SubmitRequest block (backpressure).
 	QueueDepth int
 	// AgingWindow bounds lane starvation: a queued item whose wait exceeds
 	// the window is served ahead of higher-priority lanes (oldest first), so
@@ -160,8 +154,8 @@ func (o Options) Normalized() Options { return o.withDefaults() }
 
 // entryKey identifies one warm entry: an operation's plan space (op.PlanOp —
 // MultiplyAdd shares Multiply's entries) and shape class at one internal
-// width. Per-op bucketing means an AᵗA stream and a general-multiply stream
-// of the same class each keep their own tuned plan, warm executor, and
+// width. Per-op bucketing means AᵗA traffic and general-multiply traffic of
+// the same class each keep their own tuned plan, warm executor, and
 // service-time estimate.
 type entryKey struct {
 	op      op.Op
@@ -226,9 +220,9 @@ func (t *task) expired(now time.Time) bool {
 }
 
 // Batcher dispatches multiplications through a pool of warm per-shape-class
-// executors. It is safe for concurrent use. Multiply is synchronous; Submit
-// and SubmitWith enqueue work for the batcher's runner pool. Close waits for
-// outstanding work (asynchronous and synchronous) and stops the runners.
+// executors. It is safe for concurrent use. Do is synchronous; SubmitRequest
+// enqueues work for the batcher's runner pool. Close waits for outstanding
+// work (asynchronous and synchronous) and stops the runners.
 type Batcher struct {
 	opts  Options
 	prof  *tuner.Profile
@@ -262,7 +256,7 @@ type Batcher struct {
 	executing atomic.Int64
 
 	// outMu/outCond guard the outstanding count and the first error; Wait
-	// blocks on the condition, which is safe against concurrent Submit
+	// blocks on the condition, which is safe against concurrent SubmitRequest
 	// (unlike a WaitGroup). Synchronous calls register here too, so Close
 	// never returns while any multiplication is still executing.
 	outMu       sync.Mutex
@@ -338,31 +332,18 @@ func (b *Batcher) tunerFor(w int) (*tuner.Tuner, error) {
 	return tn, nil
 }
 
-// Multiply computes C = A·B synchronously through the warm entry for the
-// operands' shape class, tuning the class on first touch. Concurrent callers
-// share the Workers budget: each call's internal width shrinks as more
-// multiplications are executing. The call registers in the batcher's
-// outstanding accounting, so Close (and Wait) never return while it is still
-// running; its error is returned here, not folded into Wait's.
-func (b *Batcher) Multiply(C, A, B *mat.Dense) error {
-	if err := checkDims(C, A, B); err != nil {
-		return err
-	}
-	return b.doSync(op.Request{Op: op.Multiply, C: C, A: A, B: B})
-}
-
 // Do executes one operation-typed request — C = Alpha·op(A,B) + Beta·C —
 // synchronously through the warm entry for the request's (op, shape class),
-// with the same budget sharing and lifecycle accounting as Multiply.
+// tuning the class on first touch. Concurrent callers share the Workers
+// budget: each call's internal width shrinks as more multiplications are
+// executing. The call registers in the batcher's outstanding accounting, so
+// Close (and Wait) never return while it is still running; its error is
+// returned here, not folded into Wait's.
 func (b *Batcher) Do(req op.Request) error {
 	req = req.Normalized()
 	if err := req.Validate(); err != nil {
 		return fmt.Errorf("batch: %w", err)
 	}
-	return b.doSync(req)
-}
-
-func (b *Batcher) doSync(req op.Request) error {
 	if err := b.beginSync(); err != nil {
 		return err
 	}
@@ -409,8 +390,8 @@ func (b *Batcher) sample(o op.Op, m, k, n int, verdict string) *trace.Record {
 // timedRun is run with the shared per-execution metrics and service-time
 // feedback folded in: op and backend mix, effective flops and busy time,
 // the (op, class) EWMA estimate (the admission currency), and the drift
-// check that estimate feeds. Every execution path — sync, async, stream —
-// funnels through it. rec, when non-nil, receives the resolved plan, the
+// check that estimate feeds. Both execution paths — sync and queued —
+// funnel through it. rec, when non-nil, receives the resolved plan, the
 // execution's spans (threaded via req.Trace), and the outcome; the caller
 // publishes it.
 func (b *Batcher) timedRun(e *warmEntry, req op.Request, rec *trace.Record) error {
@@ -459,48 +440,28 @@ func (b *Batcher) beginSync() error {
 	return nil
 }
 
-// Submit enqueues C = A·B on the Normal lane and returns a Ticket; it is
-// SubmitWith with zero SubmitOpts. Dimension errors surface immediately;
-// execution errors on the Ticket (and, aggregated, from Wait). C, A, and B
-// must stay untouched until the Ticket resolves. A full queue makes Submit
-// block.
-func (b *Batcher) Submit(C, A, B *mat.Dense) (*Ticket, error) {
-	return b.SubmitWith(C, A, B, SubmitOpts{})
-}
-
-// SubmitWith enqueues C = A·B with per-item scheduling options: a priority
-// lane, an optional deadline (items not yet executing when it passes fail
-// fast with ErrDeadlineExceeded, on the Ticket and Callback only — Wait does
-// not aggregate expiries), and an optional completion callback. Dimension
-// and lane errors surface immediately and the item is never queued; a full
-// queue makes SubmitWith block (backpressure, lanes share one QueueDepth).
+// SubmitRequest enqueues one operation-typed request with per-item
+// scheduling options: a priority lane, an optional deadline (items not yet
+// executing when it passes fail fast with ErrDeadlineExceeded, on the Ticket
+// and Callback only — Wait does not aggregate expiries), and an optional
+// completion callback. Request and lane errors surface immediately and the
+// item is never queued; a full queue makes SubmitRequest block
+// (backpressure, lanes share one QueueDepth). Execution errors go to the
+// Ticket, the Callback and, aggregated, Wait. The request's operands must
+// stay untouched until the Ticket resolves; a caller that wants to reuse A
+// or B sooner submits a copy.
 //
 // A future deadline is additionally screened by admission control: when the
 // queued backlog ahead of the item (at calibrated per-class service-time
 // estimates) already guarantees the deadline expires before a runner could
-// reach it, SubmitWith rejects immediately with ErrAdmissionDenied — no
+// reach it, SubmitRequest rejects immediately with ErrAdmissionDenied — no
 // Ticket, no queue slot, no callback — so saturated servers shed dead work
 // at the door instead of carrying it to expiry.
-func (b *Batcher) SubmitWith(C, A, B *mat.Dense, opts SubmitOpts) (*Ticket, error) {
-	if err := checkDims(C, A, B); err != nil {
-		return nil, err
-	}
-	return b.submit(op.Request{Op: op.Multiply, C: C, A: A, B: B}, opts)
-}
-
-// SubmitRequest enqueues one operation-typed request with per-item
-// scheduling options — the Request-API form of SubmitWith, with identical
-// lane, deadline, admission, callback, and lifecycle semantics. The
-// request's operands must stay untouched until the Ticket resolves.
 func (b *Batcher) SubmitRequest(req op.Request, opts SubmitOpts) (*Ticket, error) {
 	req = req.Normalized()
 	if err := req.Validate(); err != nil {
 		return nil, fmt.Errorf("batch: %w", err)
 	}
-	return b.submit(req, opts)
-}
-
-func (b *Batcher) submit(req op.Request, opts SubmitOpts) (*Ticket, error) {
 	if !opts.Lane.valid() {
 		return nil, fmt.Errorf("batch: invalid lane %d", opts.Lane)
 	}
@@ -562,31 +523,14 @@ func (b *Batcher) submit(req op.Request, opts SubmitOpts) (*Ticket, error) {
 	return &tk.ticket, nil
 }
 
-// SubmitFunc enqueues C = A·B and invokes fn exactly once with the item's
-// error when it resolves — the callback form servers use to complete
-// requests without holding tickets. fn takes the place of opts.Callback; it
-// runs on the runner goroutine, so it should hand off rather than block.
-// The returned error covers submission only (dimensions, lane, ErrClosed);
-// execution errors go to fn.
-func (b *Batcher) SubmitFunc(C, A, B *mat.Dense, opts SubmitOpts, fn func(error)) error {
-	if fn != nil {
-		opts.Callback = fn
-	}
-	_, err := b.SubmitWith(C, A, B, opts)
-	return err
-}
-
-// MultiplyAll computes dsts[i] = as[i]·bs[i] for every i, running independent
-// items concurrently under the Workers budget, and returns the first error.
-func (b *Batcher) MultiplyAll(dsts, as, bs []*mat.Dense) error {
-	if len(dsts) != len(as) || len(as) != len(bs) {
-		return fmt.Errorf("batch: mismatched batch lengths dsts=%d as=%d bs=%d",
-			len(dsts), len(as), len(bs))
-	}
-	tickets := make([]*Ticket, len(dsts))
+// MultiplyAll runs every request on the Normal lane, independent items
+// concurrently under the Workers budget, waits for all of them, and returns
+// the first error. A request refused at submission does not stop the rest.
+func (b *Batcher) MultiplyAll(reqs []op.Request) error {
+	tickets := make([]*Ticket, len(reqs))
 	var firstErr error
-	for i := range dsts {
-		t, err := b.Submit(dsts[i], as[i], bs[i])
+	for i, req := range reqs {
+		t, err := b.SubmitRequest(req, SubmitOpts{})
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -625,12 +569,12 @@ func (b *Batcher) Wait() error {
 }
 
 // Close waits for outstanding work, stops the runner pool, and marks the
-// batcher closed (further Multiply/Submit calls fail with ErrClosed). It
+// batcher closed (further Do/SubmitRequest calls fail with ErrClosed). It
 // returns Wait's error. Close is idempotent, and every caller — including
 // concurrent ones racing the first — blocks until the drain has completed
 // and observes the same error, so the lifecycle guarantee holds for each of
-// them: once any Close call returns, no multiplication — asynchronous,
-// synchronous, or stream-staged — is still executing.
+// them: once any Close call returns, no multiplication — asynchronous or
+// synchronous — is still executing.
 func (b *Batcher) Close() error {
 	b.closeOnce.Do(func() {
 		b.submitMu.Lock()
@@ -675,16 +619,11 @@ func (b *Batcher) QueueDepth() int {
 	return q.depth()
 }
 
-// PlanFor reports the plan the batcher would run an ⟨m,k,n⟩ multiply with
-// when nothing else is in flight, warming its class entry on first touch.
-// Like every entry-building path it registers in the outstanding accounting,
-// so it cannot tune and install retained state after Close returned.
-func (b *Batcher) PlanFor(m, k, n int) (tuner.Plan, error) {
-	return b.PlanForOp(op.Multiply, m, k, n)
-}
-
-// PlanForOp is PlanFor for an operation-typed workload; (m,k,n) is the op's
-// gemm-equivalent product triple (op.Op.Shape).
+// PlanForOp reports the plan the batcher would run an (op, shape) with when
+// nothing else is in flight, warming its class entry on first touch; (m,k,n)
+// is the op's gemm-equivalent product triple (op.Op.Shape). Like every
+// entry-building path it registers in the outstanding accounting, so it
+// cannot tune and install retained state after Close returned.
 func (b *Batcher) PlanForOp(o op.Op, m, k, n int) (tuner.Plan, error) {
 	if m <= 0 || k <= 0 || n <= 0 {
 		return tuner.Plan{}, fmt.Errorf("batch: invalid shape %d×%d×%d", m, k, n)
@@ -954,26 +893,6 @@ func (b *Batcher) entryFor(o op.Op, m, k, n, load int) (e *warmEntry, hit bool, 
 	}
 }
 
-// liveEntry returns e when it is still installed in the warm pool, else
-// re-resolves the shape through entryFor (re-installing and re-counting the
-// class). Long-lived holders (Stream) call it per item so an evicted entry is
-// never executed through indefinitely — an in-flight call racing an eviction
-// is unavoidable and bounded, but steady-state pinning outside the pool's
-// MaxEntries/Workspace accounting is not.
-func (b *Batcher) liveEntry(e *warmEntry, m, k, n int) (*warmEntry, error) {
-	b.mu.Lock()
-	live := e.elem != nil
-	if live {
-		b.lru.MoveToFront(e.elem)
-	}
-	b.mu.Unlock()
-	if live {
-		return e, nil
-	}
-	fresh, _, err := b.entryFor(e.key.op, m, k, n, 1)
-	return fresh, err
-}
-
 // buildEntry tunes a class representative at the key's width and installs
 // the entry, evicting over-budget LRU entries.
 func (b *Batcher) buildEntry(key entryKey, ch chan struct{}) (*warmEntry, error) {
@@ -1065,14 +984,6 @@ func (b *Batcher) evictLocked() {
 		}
 		b.tunersMu.Unlock()
 	}
-}
-
-func checkDims(C, A, B *mat.Dense) error {
-	if A.Cols() != B.Rows() || C.Rows() != A.Rows() || C.Cols() != B.Cols() {
-		return fmt.Errorf("batch: dimension mismatch C %d×%d = A %d×%d · B %d×%d",
-			C.Rows(), C.Cols(), A.Rows(), A.Cols(), B.Rows(), B.Cols())
-	}
-	return nil
 }
 
 func floorPow2(v int) int {

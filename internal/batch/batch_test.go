@@ -62,6 +62,11 @@ func testOptions(workers int) Options {
 	}
 }
 
+// mulReq is the request for C = A·B.
+func mulReq(C, A, B *mat.Dense) op.Request {
+	return op.Request{Op: op.Multiply, C: C, A: A, B: B}
+}
+
 func randMat(r, c int, seed int64) *mat.Dense {
 	m := mat.New(r, c)
 	m.FillRandom(rand.New(rand.NewSource(seed)))
@@ -128,7 +133,7 @@ func TestSameClassSharesWarmEntry(t *testing.T) {
 		}
 		A, B := randMat(m, k, int64(i)), randMat(k, n, int64(i+100))
 		C := mat.New(m, n)
-		if err := b.Multiply(C, A, B); err != nil {
+		if err := b.Do(mulReq(C, A, B)); err != nil {
 			t.Fatal(err)
 		}
 		checkProduct(t, C, A, B)
@@ -149,7 +154,7 @@ func TestMaxEntriesEviction(t *testing.T) {
 	for _, n := range []int{64, 96, 128, 160} { // four distinct classes
 		A, B := randMat(n, n, int64(n)), randMat(n, n, int64(n+1))
 		C := mat.New(n, n)
-		if err := b.Multiply(C, A, B); err != nil {
+		if err := b.Do(mulReq(C, A, B)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -170,7 +175,7 @@ func TestWorkspaceBudgetEviction(t *testing.T) {
 	for _, n := range classes {
 		A, B := randMat(n, n, int64(n)), randMat(n, n, int64(n+1))
 		C := mat.New(n, n)
-		if err := b.Multiply(C, A, B); err != nil {
+		if err := b.Do(mulReq(C, A, B)); err != nil {
 			t.Fatal(err)
 		}
 		checkProduct(t, C, A, B)
@@ -178,7 +183,7 @@ func TestWorkspaceBudgetEviction(t *testing.T) {
 	// The synthetic profile makes fast plans win at these sizes, so at least
 	// one touched entry retained arena bytes and the 1-byte budget must have
 	// evicted down to the most recent entry.
-	p, err := b.PlanFor(256, 256, 256)
+	p, err := b.PlanForOp(op.Multiply, 256, 256, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +231,7 @@ func TestSubmitWait(t *testing.T) {
 		n := 64 + 16*(i%3)
 		A, B := randMat(n, n, int64(i)), randMat(n, n, int64(i+50))
 		C := mat.New(n, n)
-		tk, err := b.Submit(C, A, B)
+		tk, err := b.SubmitRequest(mulReq(C, A, B), SubmitOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,16 +250,16 @@ func TestSubmitWait(t *testing.T) {
 		checkProduct(t, mats[3*i], mats[3*i+1], mats[3*i+2])
 	}
 
-	if _, err := b.Submit(mat.New(3, 3), mat.New(3, 4), mat.New(5, 3)); err == nil {
+	if _, err := b.SubmitRequest(mulReq(mat.New(3, 3), mat.New(3, 4), mat.New(5, 3)), SubmitOpts{}); err == nil {
 		t.Fatal("dimension mismatch must fail at Submit")
 	}
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Submit(mat.New(4, 4), mat.New(4, 4), mat.New(4, 4)); err != ErrClosed {
+	if _, err := b.SubmitRequest(mulReq(mat.New(4, 4), mat.New(4, 4), mat.New(4, 4)), SubmitOpts{}); err != ErrClosed {
 		t.Fatalf("Submit after Close: got %v, want ErrClosed", err)
 	}
-	if err := b.Multiply(mat.New(4, 4), mat.New(4, 4), mat.New(4, 4)); err != ErrClosed {
+	if err := b.Do(mulReq(mat.New(4, 4), mat.New(4, 4), mat.New(4, 4))); err != ErrClosed {
 		t.Fatalf("Multiply after Close: got %v, want ErrClosed", err)
 	}
 	if err := b.Close(); err != nil {
@@ -269,101 +274,23 @@ func TestMultiplyAllMixedShapes(t *testing.T) {
 	}
 	defer b.Close()
 	shapes := [][3]int{{96, 96, 96}, {130, 70, 110}, {257, 129, 191}, {64, 192, 48}}
-	var dsts, as, bs []*mat.Dense
+	var reqs []op.Request
 	for i, s := range shapes {
-		as = append(as, randMat(s[0], s[1], int64(i)))
-		bs = append(bs, randMat(s[1], s[2], int64(i+10)))
-		dsts = append(dsts, mat.New(s[0], s[2]))
+		reqs = append(reqs, mulReq(mat.New(s[0], s[2]), randMat(s[0], s[1], int64(i)), randMat(s[1], s[2], int64(i+10))))
 	}
-	if err := b.MultiplyAll(dsts, as, bs); err != nil {
+	if err := b.MultiplyAll(reqs); err != nil {
 		t.Fatal(err)
 	}
-	for i := range shapes {
-		checkProduct(t, dsts[i], as[i], bs[i])
+	for _, r := range reqs {
+		checkProduct(t, r.C, r.A, r.B)
 	}
-	if err := b.MultiplyAll(dsts[:1], as, bs); err == nil {
-		t.Fatal("mismatched batch lengths must fail")
+	// A refused request fails the batch but not its neighbours.
+	bad := mulReq(mat.New(3, 3), mat.New(3, 4), mat.New(5, 3))
+	fresh := mulReq(mat.New(96, 96), reqs[0].A, reqs[0].B)
+	if err := b.MultiplyAll([]op.Request{bad, fresh}); err == nil {
+		t.Fatal("a mismatched request must fail the batch")
 	}
-}
-
-// TestStreamPipelined verifies the double-buffered pipeline: operand buffers
-// are mutated immediately after Push returns (legal — Push stages copies),
-// and every product must still match the operands as they were at Push time.
-func TestStreamPipelined(t *testing.T) {
-	b, err := New(testOptions(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	const m, k, n = 96, 80, 112
-	s, err := b.Stream(m, k, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	A, B := mat.New(m, k), mat.New(k, n)
-	const items = 7
-	Cs := make([]*mat.Dense, items)
-	wants := make([]*mat.Dense, items)
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < items; i++ {
-		A.FillRandom(rng)
-		B.FillRandom(rng)
-		wants[i] = mat.New(m, n)
-		gemm.Mul(wants[i], A, B)
-		Cs[i] = mat.New(m, n)
-		if err := s.Push(Cs[i], A, B); err != nil {
-			t.Fatal(err)
-		}
-		A.Fill(float64(i)) // caller may clobber operands right after Push
-		B.Fill(-1)
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < items; i++ {
-		if d := mat.MaxAbsDiff(Cs[i], wants[i]); d > 1e-9*float64(k+1) {
-			t.Fatalf("stream item %d: max diff %g", i, d)
-		}
-	}
-
-	if err := s.Push(mat.New(m, n), mat.New(m, k+1), mat.New(k+1, n)); err == nil {
-		t.Fatal("off-shape push must fail")
-	}
-
-	// The stream survives Flush and works again.
-	A.FillRandom(rng)
-	B.FillRandom(rng)
-	C := mat.New(m, n)
-	if err := s.Push(C, A, B); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	checkProduct(t, C, A, B)
-}
-
-func TestStreamNoPipeline(t *testing.T) {
-	opts := testOptions(1)
-	opts.NoPipeline = true
-	b, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	s, err := b.Stream(64, 64, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	A, B := randMat(64, 64, 1), randMat(64, 64, 2)
-	C := mat.New(64, 64)
-	if err := s.Push(C, A, B); err != nil {
-		t.Fatal(err)
-	}
-	checkProduct(t, C, A, B) // synchronous: the result is ready before Flush
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	checkProduct(t, fresh.C, fresh.A, fresh.B)
 }
 
 func TestSemaphoreFIFO(t *testing.T) {
@@ -397,13 +324,13 @@ func TestPlanForInvalid(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	if _, err := b.PlanFor(0, 5, 5); err == nil {
+	if _, err := b.PlanForOp(op.Multiply, 0, 5, 5); err == nil {
 		t.Fatal("invalid shape must fail")
 	}
-	if _, err := b.Stream(5, -1, 5); err == nil {
-		t.Fatal("invalid stream shape must fail")
+	if _, err := b.PlanForOp(op.Op(99), 96, 96, 96); err == nil {
+		t.Fatal("invalid op must fail")
 	}
-	p, err := b.PlanFor(96, 96, 96)
+	p, err := b.PlanForOp(op.Multiply, 96, 96, 96)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +348,7 @@ func ExampleBatcher() {
 	defer b.Close()
 	A, B := randMat(128, 128, 1), randMat(128, 128, 2)
 	C := mat.New(128, 128)
-	tk, err := b.Submit(C, A, B)
+	tk, err := b.SubmitRequest(mulReq(C, A, B), SubmitOpts{})
 	if err != nil {
 		panic(err)
 	}

@@ -66,7 +66,7 @@ func TestDriftTriggersSingleReprobe(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < k; i++ {
-		if err := b.Multiply(C, A, B); err != nil {
+		if err := b.Do(mulReq(C, A, B)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -85,7 +85,7 @@ func TestDriftTriggersSingleReprobe(t *testing.T) {
 	// Keep drifting: events accrue, but the rate limiter holds the re-probe
 	// count at one for the next fake-clock hour.
 	for i := 0; i < 3*k; i++ {
-		if err := b.Multiply(C, A, B); err != nil {
+		if err := b.Do(mulReq(C, A, B)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -117,7 +117,7 @@ func TestNoDriftLoopWhenDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 12; i++ {
-		if err := b.Multiply(C, A, B); err != nil {
+		if err := b.Do(mulReq(C, A, B)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,197 +1,19 @@
 package batch
 
 import (
-	"errors"
 	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"fastmm/internal/mat"
-	"fastmm/internal/tuner"
 )
-
-// streamKey is the warm-pool key a stream of the given shape resolves to.
-func (b *Batcher) streamKey(m, k, n int) entryKey {
-	return entryKey{class: tuner.ClassOf(m, k, n), workers: b.widthFor(m, k, n, 1)}
-}
 
 func (b *Batcher) hasEntry(key entryKey) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	_, ok := b.entries[key]
 	return ok
-}
-
-// TestStreamReresolvesEvictedEntry is the eviction-pinning regression test:
-// a Stream must not keep executing through a warm entry after the pool
-// evicted it. With MaxEntries=1, touching another class evicts the stream's
-// entry; the next Push must re-resolve (re-installing the class in the pool)
-// instead of using the stale pointer. On the pre-fix code the entry never
-// reappears and this test fails.
-func TestStreamReresolvesEvictedEntry(t *testing.T) {
-	opts := testOptions(1)
-	opts.MaxEntries = 1
-	b, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-
-	const m, k, n = 96, 96, 96
-	s, err := b.Stream(m, k, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := b.streamKey(m, k, n)
-	if !b.hasEntry(key) {
-		t.Fatal("stream creation must install its class entry")
-	}
-	A, B := randMat(m, k, 1), randMat(k, n, 2)
-	C := mat.New(m, n)
-	if err := s.Push(C, A, B); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Another class pushes the stream's entry out of the 1-entry pool.
-	A2, B2 := randMat(160, 160, 3), randMat(160, 160, 4)
-	if err := b.Multiply(mat.New(160, 160), A2, B2); err != nil {
-		t.Fatal(err)
-	}
-	if b.hasEntry(key) {
-		t.Fatal("test setup: the stream's entry should have been evicted")
-	}
-
-	// Post-eviction pushes must go through a re-resolved, pool-accounted
-	// entry — not the stale one.
-	if err := s.Push(C, A, B); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if !b.hasEntry(key) {
-		t.Fatal("stream kept executing through the evicted entry instead of re-resolving it")
-	}
-	checkProduct(t, C, A, B)
-}
-
-// TestStreamEvictionByteBudget is the same regression against the Workspace
-// byte budget: once the stream's (fast-plan, arena-retaining) entry is
-// evicted, further stream traffic must re-enter the pool so its retained
-// bytes are counted against Options.Workspace again.
-func TestStreamEvictionByteBudget(t *testing.T) {
-	opts := testOptions(1)
-	opts.Workspace = 1 // any retained workspace at all evicts down to the MRU entry
-	b, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-
-	const m, k, n = 256, 256, 256
-	p, err := b.PlanFor(m, k, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.IsClassical() {
-		t.Skip("profile picked a classical plan; no retained workspace to pin")
-	}
-	s, err := b.Stream(m, k, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := b.streamKey(m, k, n)
-	A, B := randMat(m, k, 5), randMat(k, n, 6)
-	C := mat.New(m, n)
-	if err := s.Push(C, A, B); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	// A second fast-plan class exceeds the 1-byte budget and evicts the
-	// stream's entry.
-	A2, B2 := randMat(320, 320, 7), randMat(320, 320, 8)
-	if err := b.Multiply(mat.New(320, 320), A2, B2); err != nil {
-		t.Fatal(err)
-	}
-	if b.hasEntry(key) {
-		t.Skip("eviction did not hit the stream's class (plan retained no bytes)")
-	}
-
-	if err := s.Push(C, A, B); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if !b.hasEntry(key) {
-		t.Fatal("post-eviction stream traffic is invisible to the Workspace budget")
-	}
-	checkProduct(t, C, A, B)
-}
-
-// TestStreamPushCloseRace hammers concurrent Push against Close under the
-// race detector: once Close returns, no push may schedule work anymore (the
-// pre-fix goRun checked closed before Close's drain, then scheduled after
-// it), so outstanding must be exactly zero at that instant and stay there.
-func TestStreamPushCloseRace(t *testing.T) {
-	for iter := 0; iter < 25; iter++ {
-		b, err := New(testOptions(2))
-		if err != nil {
-			t.Fatal(err)
-		}
-		const n = 64
-		s, err := b.Stream(n, n, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		A, B := randMat(n, n, int64(iter)), randMat(n, n, int64(iter+100))
-		cs := [4]*mat.Dense{mat.New(n, n), mat.New(n, n), mat.New(n, n), mat.New(n, n)}
-
-		var pushed atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				err := s.Push(cs[i%len(cs)], A, B)
-				if errors.Is(err, ErrClosed) {
-					return
-				}
-				if err != nil {
-					t.Errorf("push error: %v", err)
-					return
-				}
-				pushed.Add(1)
-			}
-		}()
-		for pushed.Load() < 2 { // let the pipeline actually start
-			runtime.Gosched()
-		}
-		if err := b.Close(); err != nil {
-			t.Fatal(err)
-		}
-		// Close drained Wait; with the submitMu handshake no later push can
-		// have scheduled work, so the outstanding count is pinned at zero.
-		b.outMu.Lock()
-		out := b.outstanding
-		b.outMu.Unlock()
-		if out != 0 {
-			t.Fatalf("iter %d: %d executions outstanding after Close returned", iter, out)
-		}
-		wg.Wait()
-		if err := s.Flush(); err != nil && !errors.Is(err, ErrClosed) {
-			t.Fatalf("flush after close: %v", err)
-		}
-	}
 }
 
 // TestSemaphoreWideNotStarvedByNarrowStream: a full-budget waiter queued

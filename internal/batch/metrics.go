@@ -144,8 +144,7 @@ type laneCounters struct {
 // metrics is the batcher's preallocated counter block.
 type metrics struct {
 	lanes      [numLanes]laneCounters
-	syncDone   atomic.Int64 // synchronous Multiply executions
-	streamDone atomic.Int64 // Stream.Push executions (pipelined or not)
+	syncDone   atomic.Int64 // synchronous Do executions
 	warmHits   atomic.Int64
 	warmMisses atomic.Int64
 	effFlops   atomic.Int64 // paper Eq. (3) effective flops, accumulated
@@ -214,7 +213,7 @@ func (m *metrics) recordExec(backend string, o op.Op, mdim, kdim, ndim int, d ti
 type LaneStats struct {
 	Lane      Lane
 	Queued    int64 // items currently sitting in this lane's queue
-	Submitted int64 // accepted by SubmitWith (including later-expired/rejected)
+	Submitted int64 // accepted by SubmitRequest (including later-expired/rejected)
 	Done      int64 // executed (Failed of them returned an error)
 	Failed    int64
 	Expired   int64 // resolved with ErrDeadlineExceeded, never executed
@@ -232,13 +231,12 @@ type Stats struct {
 	// Lanes indexes by Lane (LaneNormal, LaneHigh, LaneLow).
 	Lanes [NumLanes]LaneStats
 	// QueueDepth is the total queued across lanes; Executing the number of
-	// multiplications currently running (all paths — async, sync, stream).
+	// multiplications currently running (queued and synchronous alike).
 	QueueDepth int
 	Executing  int64
-	// SyncDone / StreamDone count executions of the synchronous Multiply
-	// path and the Stream.Push path, which carry no lane accounting.
-	SyncDone   int64
-	StreamDone int64
+	// SyncDone counts executions of the synchronous Do path, which carries
+	// no lane accounting.
+	SyncDone int64
 	// Warm-entry pool: current size and retained bytes, plus the cumulative
 	// hit/miss split of entry resolutions (a miss tunes a class).
 	WarmEntries       int
@@ -313,7 +311,6 @@ func (b *Batcher) Stats() Stats {
 	}
 	s.Executing = b.executing.Load()
 	s.SyncDone = b.met.syncDone.Load()
-	s.StreamDone = b.met.streamDone.Load()
 	s.WarmHits = b.met.warmHits.Load()
 	s.WarmMisses = b.met.warmMisses.Load()
 	b.mu.Lock()

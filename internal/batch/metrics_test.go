@@ -171,11 +171,11 @@ func TestStatsSnapshotCounts(t *testing.T) {
 
 	A, B := randMat(n, n, 1), randMat(n, n, 2)
 	// Executed: one High item (runs when the harness cleanup releases).
-	if _, err := b.SubmitWith(mat.New(n, n), A, B, SubmitOpts{Lane: LaneHigh}); err != nil {
+	if _, err := b.SubmitRequest(mulReq(mat.New(n, n), A, B), SubmitOpts{Lane: LaneHigh}); err != nil {
 		t.Fatal(err)
 	}
 	// Expired at submit: one Low item with a past deadline.
-	tkExp, err := b.SubmitWith(mat.New(n, n), A, B, SubmitOpts{
+	tkExp, err := b.SubmitRequest(mulReq(mat.New(n, n), A, B), SubmitOpts{
 		Lane: LaneLow, Deadline: fc.Now().Add(-time.Minute)})
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +186,7 @@ func TestStatsSnapshotCounts(t *testing.T) {
 	// Rejected: saturate the Normal backlog, then submit a doomed deadline.
 	h.setEstimate(n, n, n, 3600)
 	h.fill(t, LaneNormal, 2, n)
-	_, err = b.SubmitWith(mat.New(n, n), A, B, SubmitOpts{
+	_, err = b.SubmitRequest(mulReq(mat.New(n, n), A, B), SubmitOpts{
 		Lane: LaneNormal, Deadline: fc.Now().Add(time.Second)})
 	if !errors.Is(err, ErrAdmissionDenied) {
 		t.Fatalf("saturated submit err = %v, want ErrAdmissionDenied", err)
@@ -225,8 +225,8 @@ func TestStatsSnapshotCounts(t *testing.T) {
 	if st.QueueDepth != 0 || st.Executing != 0 {
 		t.Fatalf("post-Close depth %d executing %d, want 0/0", st.QueueDepth, st.Executing)
 	}
-	if st.SyncDone != 0 || st.StreamDone != 0 {
-		t.Fatalf("sync/stream done %d/%d, want 0/0 (async-only scenario)", st.SyncDone, st.StreamDone)
+	if st.SyncDone != 0 {
+		t.Fatalf("sync done %d, want 0 (async-only scenario)", st.SyncDone)
 	}
 	if st.WarmMisses == 0 {
 		t.Fatal("first-touch tunings must count as warm misses")
@@ -243,39 +243,25 @@ func TestStatsSnapshotCounts(t *testing.T) {
 	}
 }
 
-// TestStatsSyncAndStreamCounters: the synchronous Multiply and Stream.Push
-// paths carry no lane accounting — they land in SyncDone/StreamDone and the
-// shared execution metrics only.
+// TestStatsSyncAndStreamCounters: the synchronous Do path carries no lane
+// accounting — it lands in SyncDone and the shared execution metrics only.
 func TestStatsSyncAndStreamCounters(t *testing.T) {
 	b := newTestBatcher(t, testOptions(1))
 	const n = 64
 	A, B := randMat(n, n, 1), randMat(n, n, 2)
 	C := mat.New(n, n)
-	if err := b.Multiply(C, A, B); err != nil {
-		t.Fatal(err)
-	}
-	s, err := b.Stream(n, n, n)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < 3; i++ {
-		if err := s.Push(mat.New(n, n), A, B); err != nil {
+		if err := b.Do(mulReq(C, A, B)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	st := b.Stats()
-	if st.SyncDone != 1 {
-		t.Fatalf("SyncDone = %d, want 1", st.SyncDone)
-	}
-	if st.StreamDone != 3 {
-		t.Fatalf("StreamDone = %d, want 3", st.StreamDone)
+	if st.SyncDone != 3 {
+		t.Fatalf("SyncDone = %d, want 3", st.SyncDone)
 	}
 	for _, ls := range st.Lanes {
 		if ls.Submitted != 0 || ls.Done != 0 {
-			t.Fatalf("lane %v counted sync/stream work: %+v", ls.Lane, ls)
+			t.Fatalf("lane %v counted sync work: %+v", ls.Lane, ls)
 		}
 	}
 	checkLaneInvariants(t, st)
@@ -286,7 +272,7 @@ func TestStatsSyncAndStreamCounters(t *testing.T) {
 
 // TestLaneConservationInvariantHammer is the property test under -race: many
 // goroutines hammer mixed shapes across all three lanes — plain items,
-// already-expired deadlines, far-future deadlines, plus synchronous Multiply
+// already-expired deadlines, far-future deadlines, plus synchronous Do
 // calls — and the conservation law must hold exactly at quiescence (after
 // Wait) and after Close. Deadlines are either in the past (resolve at
 // submit, deterministically) or an hour out (never expire), so the hammer
@@ -312,12 +298,12 @@ func TestLaneConservationInvariantHammer(t *testing.T) {
 				C := mat.New(n, n)
 				switch rng.Intn(5) {
 				case 0: // synchronous — no lane accounting
-					if err := b.Multiply(C, A, B); err != nil {
+					if err := b.Do(mulReq(C, A, B)); err != nil {
 						t.Errorf("multiply: %v", err)
 					}
 				case 1: // already expired at submit
 					lane := lanes[rng.Intn(len(lanes))]
-					_, err := b.SubmitWith(C, A, B, SubmitOpts{
+					_, err := b.SubmitRequest(mulReq(C, A, B), SubmitOpts{
 						Lane: lane, Deadline: time.Now().Add(-time.Hour)})
 					if err != nil {
 						t.Errorf("expired submit: %v", err)
@@ -326,7 +312,7 @@ func TestLaneConservationInvariantHammer(t *testing.T) {
 					local[lane]++
 				case 2: // far-future deadline — admission may reject under backlog
 					lane := lanes[rng.Intn(len(lanes))]
-					_, err := b.SubmitWith(C, A, B, SubmitOpts{
+					_, err := b.SubmitRequest(mulReq(C, A, B), SubmitOpts{
 						Lane: lane, Deadline: time.Now().Add(time.Hour)})
 					if err != nil && !errors.Is(err, ErrAdmissionDenied) {
 						t.Errorf("deadline submit: %v", err)
@@ -335,7 +321,7 @@ func TestLaneConservationInvariantHammer(t *testing.T) {
 					local[lane]++ // rejected items still count as submitted
 				default:
 					lane := lanes[rng.Intn(len(lanes))]
-					if _, err := b.SubmitWith(C, A, B, SubmitOpts{Lane: lane}); err != nil {
+					if _, err := b.SubmitRequest(mulReq(C, A, B), SubmitOpts{Lane: lane}); err != nil {
 						t.Errorf("submit: %v", err)
 						continue
 					}

@@ -52,9 +52,8 @@ func (l Lane) String() string {
 
 func (l Lane) valid() bool { return l >= 0 && l < numLanes }
 
-// SubmitOpts carries the per-item scheduling options of SubmitWith and
-// SubmitFunc. The zero value reproduces plain Submit: Normal lane, no
-// deadline, no callback.
+// SubmitOpts carries the per-item scheduling options of SubmitRequest. The
+// zero value queues on the Normal lane with no deadline and no callback.
 type SubmitOpts struct {
 	// Lane is the priority lane the item queues on.
 	Lane Lane

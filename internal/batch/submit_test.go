@@ -65,10 +65,10 @@ func blockRunners(t *testing.T, b *Batcher, runners int) (release func()) {
 	A, B := randMat(n, n, 11), randMat(n, n, 12)
 	for i := 0; i < runners; i++ {
 		C := mat.New(n, n)
-		err := b.SubmitFunc(C, A, B, SubmitOpts{}, func(error) {
+		_, err := b.SubmitRequest(mulReq(C, A, B), SubmitOpts{Callback: func(error) {
 			entered <- struct{}{}
 			<-ch
-		})
+		}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func TestWidthPolicyCountsExecutingOnly(t *testing.T) {
 	burst := make([]*mat.Dense, 4*workers)
 	for i := range burst {
 		burst[i] = mat.New(n, n)
-		if _, err := b.Submit(burst[i], A, B); err != nil {
+		if _, err := b.SubmitRequest(mulReq(burst[i], A, B), SubmitOpts{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -119,7 +119,7 @@ func TestWidthPolicyCountsExecutingOnly(t *testing.T) {
 	const m2 = 96
 	A2, B2 := randMat(m2, m2, 3), randMat(m2, m2, 4)
 	C2 := mat.New(m2, m2)
-	if err := b.Multiply(C2, A2, B2); err != nil {
+	if err := b.Do(mulReq(C2, A2, B2)); err != nil {
 		t.Fatal(err)
 	}
 	checkProduct(t, C2, A2, B2)
@@ -157,14 +157,14 @@ func TestLanePrioritySchedulingOrder(t *testing.T) {
 	A, B := randMat(n, n, 1), randMat(n, n, 2)
 	submit := func(id int, lane Lane) {
 		t.Helper()
-		err := b.SubmitFunc(mat.New(n, n), A, B, SubmitOpts{Lane: lane}, func(err error) {
+		_, err := b.SubmitRequest(mulReq(mat.New(n, n), A, B), SubmitOpts{Lane: lane, Callback: func(err error) {
 			if err != nil {
 				t.Errorf("item %d: %v", id, err)
 			}
 			mu.Lock()
 			order = append(order, id)
 			mu.Unlock()
-		})
+		}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -211,7 +211,7 @@ func TestDeadlineExpiresWithoutExecuting(t *testing.T) {
 	C.Fill(42) // sentinel: an executed multiply would overwrite it
 	var cbErr error
 	cbDone := make(chan struct{})
-	tk, err := b.SubmitWith(C, A, B, SubmitOpts{
+	tk, err := b.SubmitRequest(mulReq(C, A, B), SubmitOpts{
 		Lane:     LaneLow,
 		Deadline: fc.Now().Add(5 * time.Millisecond),
 		Callback: func(err error) { cbErr = err; close(cbDone) },
@@ -259,7 +259,7 @@ func TestDeadlineExpiresWhileStarved(t *testing.T) {
 	A, B := randMat(n, n, 1), randMat(n, n, 2)
 	var cbErr error
 	cbDone := make(chan struct{})
-	tk, err := b.SubmitWith(mat.New(n, n), A, B, SubmitOpts{
+	tk, err := b.SubmitRequest(mulReq(mat.New(n, n), A, B), SubmitOpts{
 		Lane:     LaneLow,
 		Deadline: fc.Now().Add(10 * time.Millisecond),
 		Callback: func(err error) { cbErr = err; close(cbDone) },
@@ -292,7 +292,7 @@ func TestDeadlineAlreadyExpiredAtSubmit(t *testing.T) {
 
 	const n = 64
 	A, B := randMat(n, n, 1), randMat(n, n, 2)
-	tk, err := b.SubmitWith(mat.New(n, n), A, B, SubmitOpts{Deadline: fc.Now().Add(-time.Second)})
+	tk, err := b.SubmitRequest(mulReq(mat.New(n, n), A, B), SubmitOpts{Deadline: fc.Now().Add(-time.Second)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,8 +309,9 @@ func TestDeadlineAlreadyExpiredAtSubmit(t *testing.T) {
 	}
 }
 
-// TestSubmitFuncCallback: the callback fires exactly once with a nil error
-// on success, and submission errors are returned without invoking it.
+// TestSubmitFuncCallback: a SubmitOpts.Callback fires exactly once with a
+// nil error on success, and submission errors are returned without invoking
+// it.
 func TestSubmitFuncCallback(t *testing.T) {
 	b := newTestBatcher(t, testOptions(1))
 	const n = 64
@@ -319,11 +320,11 @@ func TestSubmitFuncCallback(t *testing.T) {
 	var calls atomic.Int64
 	var cbErr error
 	done := make(chan struct{})
-	err := b.SubmitFunc(C, A, B, SubmitOpts{Lane: LaneHigh}, func(err error) {
+	_, err := b.SubmitRequest(mulReq(C, A, B), SubmitOpts{Lane: LaneHigh, Callback: func(err error) {
 		cbErr = err
 		calls.Add(1)
 		close(done)
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,11 +346,11 @@ func TestSubmitFuncCallback(t *testing.T) {
 	var slowDone atomic.Bool
 	gate := make(chan struct{})
 	entered := make(chan struct{})
-	err = b.SubmitFunc(mat.New(n, n), A, B, SubmitOpts{}, func(error) {
+	_, err = b.SubmitRequest(mulReq(mat.New(n, n), A, B), SubmitOpts{Callback: func(error) {
 		close(entered)
 		<-gate
 		slowDone.Store(true)
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,8 +371,7 @@ func TestSubmitFuncCallback(t *testing.T) {
 	}
 
 	cbTouched := false
-	err = b.SubmitFunc(mat.New(3, 3), mat.New(3, 4), mat.New(5, 3), SubmitOpts{},
-		func(error) { cbTouched = true })
+	_, err = b.SubmitRequest(mulReq(mat.New(3, 3), mat.New(3, 4), mat.New(5, 3)), SubmitOpts{Callback: func(error) { cbTouched = true }})
 	if err == nil {
 		t.Fatal("dimension mismatch must fail at submission")
 	}
@@ -381,9 +381,9 @@ func TestSubmitFuncCallback(t *testing.T) {
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
-	err = b.SubmitFunc(C, A, B, SubmitOpts{}, func(error) { t.Error("callback after close") })
+	_, err = b.SubmitRequest(mulReq(C, A, B), SubmitOpts{Callback: func(error) { t.Error("callback after close") }})
 	if !errors.Is(err, ErrClosed) {
-		t.Fatalf("SubmitFunc after Close: got %v, want ErrClosed", err)
+		t.Fatalf("SubmitRequest after Close: got %v, want ErrClosed", err)
 	}
 }
 
@@ -391,12 +391,10 @@ func TestSubmitFuncCallback(t *testing.T) {
 func TestSubmitWithInvalidLane(t *testing.T) {
 	b := newTestBatcher(t, testOptions(1))
 	const n = 64
-	if _, err := b.SubmitWith(mat.New(n, n), randMat(n, n, 1), randMat(n, n, 2),
-		SubmitOpts{Lane: Lane(7)}); err == nil {
+	if _, err := b.SubmitRequest(mulReq(mat.New(n, n), randMat(n, n, 1), randMat(n, n, 2)), SubmitOpts{Lane: Lane(7)}); err == nil {
 		t.Fatal("invalid lane must fail at submission")
 	}
-	if _, err := b.SubmitWith(mat.New(n, n), randMat(n, n, 1), randMat(n, n, 2),
-		SubmitOpts{Lane: Lane(-1)}); err == nil {
+	if _, err := b.SubmitRequest(mulReq(mat.New(n, n), randMat(n, n, 1), randMat(n, n, 2)), SubmitOpts{Lane: Lane(-1)}); err == nil {
 		t.Fatal("negative lane must fail at submission")
 	}
 }
@@ -426,7 +424,7 @@ func TestMultiplyCloseRace(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for {
-					err := b.Multiply(C, A, B)
+					err := b.Do(mulReq(C, A, B))
 					if errors.Is(err, ErrClosed) {
 						return
 					}
@@ -456,66 +454,6 @@ func TestMultiplyCloseRace(t *testing.T) {
 		if free != workers {
 			t.Fatalf("iter %d: %d/%d semaphore tokens free after Close returned — a sync multiply is still running",
 				iter, free, workers)
-		}
-		wg.Wait()
-	}
-}
-
-// TestNoPipelinePushCloseRace is the same lifecycle hammer for the
-// non-pipelined Stream.Push, which shares the synchronous path.
-func TestNoPipelinePushCloseRace(t *testing.T) {
-	const workers = 2
-	for iter := 0; iter < 10; iter++ {
-		opts := testOptions(workers)
-		opts.NoPipeline = true
-		b, err := New(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		const n = 64
-		A, B := randMat(n, n, int64(iter)), randMat(n, n, int64(iter+50))
-
-		var started atomic.Int64
-		var wg sync.WaitGroup
-		for g := 0; g < 2; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				s, err := b.Stream(n, n, n)
-				if err != nil {
-					if !errors.Is(err, ErrClosed) {
-						t.Errorf("stream: %v", err)
-					}
-					return
-				}
-				C := mat.New(n, n)
-				for {
-					err := s.Push(C, A, B)
-					if errors.Is(err, ErrClosed) {
-						return
-					}
-					if err != nil {
-						t.Errorf("push: %v", err)
-						return
-					}
-					started.Add(1)
-				}
-			}()
-		}
-		for started.Load() < 2 {
-			runtime.Gosched()
-		}
-		if err := b.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if got := b.executing.Load(); got != 0 {
-			t.Fatalf("iter %d: %d pushes executing after Close returned", iter, got)
-		}
-		b.sem.mu.Lock()
-		free := b.sem.free
-		b.sem.mu.Unlock()
-		if free != workers {
-			t.Fatalf("iter %d: %d/%d semaphore tokens free after Close returned", iter, free, workers)
 		}
 		wg.Wait()
 	}

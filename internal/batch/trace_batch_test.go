@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"fastmm/internal/mat"
+	"fastmm/internal/op"
 	"fastmm/internal/trace"
 	"fastmm/internal/tuner"
 )
@@ -27,7 +28,7 @@ func TestTraceSyncRecord(t *testing.T) {
 	A, B := randMat(n, n, 1), randMat(n, n, 2)
 	C := mat.New(n, n)
 	for i := 0; i < 2; i++ {
-		if err := b.Multiply(C, A, B); err != nil {
+		if err := b.Do(mulReq(C, A, B)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -35,7 +36,7 @@ func TestTraceSyncRecord(t *testing.T) {
 	if len(recs) != 2 {
 		t.Fatalf("Traces() = %d records, want 2", len(recs))
 	}
-	plan, err := b.PlanFor(n, n, n)
+	plan, err := b.PlanForOp(op.Multiply, n, n, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,42 +98,32 @@ func TestTraceSyncRecord(t *testing.T) {
 
 // TestTraceVerdicts pins the async verdicts: accepted items trace as
 // "queued" with their lane and queue wait, already-expired submissions as
-// "expired", and stream pushes as "stream".
+// "expired".
 func TestTraceVerdicts(t *testing.T) {
 	b := newTestBatcher(t, traceEverything(testOptions(1)))
 	const n = 48
 	A, B := randMat(n, n, 1), randMat(n, n, 2)
 	C := mat.New(n, n)
 
-	tk, err := b.SubmitWith(C, A, B, SubmitOpts{Lane: LaneHigh})
+	tk, err := b.SubmitRequest(mulReq(C, A, B), SubmitOpts{Lane: LaneHigh})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := tk.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	tk, err = b.SubmitWith(mat.New(n, n), A, B, SubmitOpts{Deadline: time.Now().Add(-time.Hour)})
+	tk, err = b.SubmitRequest(mulReq(mat.New(n, n), A, B), SubmitOpts{Deadline: time.Now().Add(-time.Hour)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := tk.Wait(); err != ErrDeadlineExceeded {
 		t.Fatalf("expired ticket error = %v", err)
 	}
-	s, err := b.Stream(n, n, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Push(mat.New(n, n), A, B); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	if err := b.Wait(); err != nil {
 		t.Fatal(err)
 	}
 
-	want := map[string]int{"queued": 1, "expired": 1, "stream": 1}
+	want := map[string]int{"queued": 1, "expired": 1}
 	got := map[string]int{}
 	for _, r := range b.Traces() {
 		got[r.Verdict]++
@@ -150,10 +141,6 @@ func TestTraceVerdicts(t *testing.T) {
 		case "expired":
 			if r.ServiceNanos != 0 || r.Spans.Len() != 0 {
 				t.Errorf("expired record carries execution state: %+v", r)
-			}
-		case "stream":
-			if !r.WarmHit || r.ServiceNanos <= 0 {
-				t.Errorf("stream record warmHit=%v service=%d", r.WarmHit, r.ServiceNanos)
 			}
 		}
 	}
@@ -211,10 +198,10 @@ func TestTraceConcurrentWritersAndReaders(t *testing.T) {
 				C := mat.New(n, n)
 				var err error
 				if i%2 == 0 {
-					err = b.Multiply(C, A, B)
+					err = b.Do(mulReq(C, A, B))
 				} else {
 					var tk *Ticket
-					if tk, err = b.Submit(C, A, B); err == nil {
+					if tk, err = b.SubmitRequest(mulReq(C, A, B), SubmitOpts{}); err == nil {
 						err = tk.Wait()
 					}
 				}
@@ -259,12 +246,12 @@ func TestTracedSteadyStateAllocFree(t *testing.T) {
 	measure := func(opts Options) float64 {
 		b := newTestBatcher(t, opts)
 		for i := 0; i < 3; i++ { // warm: tune the class, grow arenas
-			if err := b.Multiply(C, A, B); err != nil {
+			if err := b.Do(mulReq(C, A, B)); err != nil {
 				t.Fatal(err)
 			}
 		}
 		return testing.AllocsPerRun(30, func() {
-			if err := b.Multiply(C, A, B); err != nil {
+			if err := b.Do(mulReq(C, A, B)); err != nil {
 				t.Fatal(err)
 			}
 		})

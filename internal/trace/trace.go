@@ -175,9 +175,9 @@ type Record struct {
 	K  int    `json:"k"`
 	N  int    `json:"n"`
 	// Verdict is the submission outcome: "queued" (accepted on a lane),
-	// "sync" (synchronous call), "stream" (pipelined stream item),
-	// "rejected" (admission denied), or "expired" (deadline passed before
-	// execution — at submit or in the queue).
+	// "sync" (synchronous call), "rejected" (admission denied), or
+	// "expired" (deadline passed before execution — at submit or in the
+	// queue).
 	Verdict string `json:"verdict"`
 	Lane    string `json:"lane,omitempty"`
 	// SubmitUnixNanos is the accept timestamp on the batcher's clock.

@@ -49,7 +49,7 @@ func TestRankEnumeratesBackendDimension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ranked, err := tn.Rank(512, 512, 512)
+	ranked, err := tn.RankOp(op.Multiply, 512, 512, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,12 +78,12 @@ func TestRankEnumeratesBackendDimension(t *testing.T) {
 
 	// The executed decision honors the backend, and the plan round-trips
 	// through build (the disk-cache path).
-	plan, err := tn.PlanFor(512, 512, 512)
+	plan, err := tn.PlanForOp(op.Multiply, 512, 512, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plan.Backend != "simd" {
-		t.Fatalf("PlanFor picked %v, want a simd plan", plan)
+		t.Fatalf("PlanForOp picked %v, want a simd plan", plan)
 	}
 	d, err := tn.build(op.Multiply, plan)
 	if err != nil {
@@ -124,7 +124,7 @@ func TestBackendRestrictionChangesKey(t *testing.T) {
 	}
 
 	// Restricted tuners only pick from their set.
-	plan, err := portable.PlanFor(256, 256, 256)
+	plan, err := portable.PlanForOp(op.Multiply, 256, 256, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestDefaultBackendList(t *testing.T) {
 		return tn
 	}
 	count := func(tn *Tuner) map[string]int {
-		ranked, err := tn.Rank(512, 512, 512)
+		ranked, err := tn.RankOp(op.Multiply, 512, 512, 512)
 		if err != nil {
 			t.Fatal(err)
 		}

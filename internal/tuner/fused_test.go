@@ -16,7 +16,7 @@ import (
 // never larger (the fused level drops its S/T/M temporaries).
 func TestRankEnumeratesFused(t *testing.T) {
 	tn := mustTuner(t, modelOnlyOpts(1))
-	ranked, err := tn.Rank(512, 512, 512)
+	ranked, err := tn.RankOp(op.Multiply, 512, 512, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,6 +57,11 @@ func TestRankEnumeratesFused(t *testing.T) {
 		}
 		if !gemm.CanFuse(be) {
 			continue
+		}
+		if v.steps == 1 {
+			// One-step fused plans are emitted under the first strategy
+			// only (TestRankOpEmitsEachExecutorOnce).
+			v.strat = tn.opts.Strategies[0].String()
 		}
 		fp, ok := fused[v]
 		if !ok {
@@ -110,11 +115,77 @@ func TestFusedPlanBuildsAndPersists(t *testing.T) {
 	A.FillRandom(rng)
 	B.FillRandom(rng)
 	got, want := mat.New(n, n), mat.New(n, n)
-	if err := d.multiply(got, A, B); err != nil {
+	if err := d.run(op.Request{Op: op.Multiply, C: got, A: A, B: B}); err != nil {
 		t.Fatal(err)
 	}
 	gemm.Mul(want, A, B)
 	if diff := mat.MaxAbsDiff(got, want); diff > 1e-10*float64(n+1) {
 		t.Fatalf("fused plan multiply max diff %g", diff)
+	}
+}
+
+// executorKey identifies what a plan builds: every plan field the executor
+// depends on. The strategy shapes only explicit levels, so a one-step fused
+// plan (whose one level is the fused one) builds the same executor under
+// every strategy.
+func executorKey(p Plan) Plan {
+	p.PredictedSeconds, p.MeasuredSeconds, p.WorkspaceBytes = 0, 0, 0
+	if p.Fused && p.Steps == 1 {
+		p.Strategy = ""
+	}
+	return p
+}
+
+// TestRankOpEmitsEachExecutorOnce: no two ranked candidates build the same
+// executor, so no probe is spent timing a plan twice.
+func TestRankOpEmitsEachExecutorOnce(t *testing.T) {
+	shapes := map[op.Op][][3]int{
+		op.Multiply: {{512, 512, 512}, {1024, 1024, 1024}, {2560, 320, 2560}},
+		op.ATA:      {{1024, 1024, 1024}, {625, 2500, 625}},
+	}
+	for _, w := range []int{1, 2} {
+		tn := mustTuner(t, modelOnlyOpts(w))
+		for o, list := range shapes {
+			for _, s := range list {
+				ranked, err := tn.RankOp(o, s[0], s[1], s[2])
+				if err != nil {
+					t.Fatal(err)
+				}
+				seen := map[Plan]Plan{}
+				for _, p := range ranked {
+					k := executorKey(p)
+					if q, dup := seen[k]; dup {
+						t.Errorf("%s %v at %dw: %s and %s build the same executor", o, s, w, q, p)
+					}
+					seen[k] = p
+				}
+			}
+		}
+	}
+
+	// The rule executorKey encodes: a one-step fused plan multiplies bit for
+	// bit alike under every strategy.
+	tn := mustTuner(t, modelOnlyOpts(1))
+	rng := rand.New(rand.NewSource(3))
+	n := 256
+	A, B := mat.New(n, n), mat.New(n, n)
+	A.FillRandom(rng)
+	B.FillRandom(rng)
+	var first *mat.Dense
+	for _, strat := range tn.opts.Strategies {
+		d, err := tn.build(op.Multiply, Plan{Algorithm: "strassen", Backend: gemm.Default().Name(),
+			Steps: 1, Parallel: "sequential", Strategy: strat.String(), Fused: true, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		C := mat.New(n, n)
+		if err := d.run(op.Request{Op: op.Multiply, C: C, A: A, B: B}); err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = C
+		} else if diff := mat.MaxAbsDiff(C, first); diff != 0 {
+			t.Errorf("one-step fused %s differs from %s by %g", strat, tn.opts.Strategies[0], diff)
+		}
 	}
 }

@@ -53,7 +53,7 @@ func (s *scriptedTimer) time(d *decision, _ op.Request, limit time.Duration) (fl
 // classical is the worst choice, far outside any top-K.
 func classicalLast(t *testing.T, tn *Tuner, n int) []Plan {
 	t.Helper()
-	ranked, err := tn.Rank(n, n, n)
+	ranked, err := tn.RankOp(op.Multiply, n, n, n)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -233,14 +233,10 @@ type decision struct {
 	plan Plan
 	be   gemm.Backend   // the plan's leaf backend, resolved at build time
 	exec *core.Executor // nil for classical
-	// failMul, when non-nil, makes multiply fail unconditionally — the
+	// failMul, when non-nil, makes run fail unconditionally — the
 	// seam the probe-resilience regression test injects a runtime backend
 	// failure through. Never set outside tests.
 	failMul error
-}
-
-func (d *decision) multiply(C, A, B *mat.Dense) error {
-	return d.run(op.Request{Op: op.Multiply, C: C, A: A, B: B})
 }
 
 // run executes one request — C = Alpha·op(A,B) + Beta·C — with the decision's
@@ -458,9 +454,6 @@ func (t *Tuner) Do(req op.Request) error {
 	return d.run(req)
 }
 
-// PlanFor returns the tuned multiply plan for a shape, tuning on first touch.
-func (t *Tuner) PlanFor(m, k, n int) (Plan, error) { return t.PlanForOp(op.Multiply, m, k, n) }
-
 // PlanForOp returns the tuned plan for an (op, shape), tuning on first
 // touch. The shape is always the gemm-equivalent product triple ⟨m,k,n⟩
 // (op.Op.Shape): ATA on an m×n operand asks for ⟨n,m,n⟩, Syrk for ⟨m,n,m⟩.
@@ -472,15 +465,11 @@ func (t *Tuner) PlanForOp(o op.Op, m, k, n int) (Plan, error) {
 	return d.plan, nil
 }
 
-// Warm pre-tunes a shape (probes included) so later Multiply calls dispatch
-// from the cache. cmd/fmmtune uses it to pre-warm the disk cache.
-func (t *Tuner) Warm(m, k, n int) (Plan, error) { return t.PlanFor(m, k, n) }
-
 // Entry is one warm tuning decision: the chosen plan bound to its runnable
 // trusted executor (nil executor for the classical baseline). Holding an
 // Entry pins the executor and its retained workspace arenas independently of
 // the tuner's internal LRU, which is exactly what a batched dispatcher wants:
-// resolve once per shape class, then multiply through the entry with no
+// resolve once per shape class, then Run requests through the entry with no
 // per-call key formatting or cache traffic at all.
 type Entry struct {
 	d *decision
@@ -505,9 +494,6 @@ func (t *Tuner) EntryOp(o op.Op, m, k, n int) (*Entry, error) {
 // Plan reports the entry's tuned plan.
 func (e *Entry) Plan() Plan { return e.d.plan }
 
-// Multiply computes C = A·B with the entry's plan. Safe for concurrent use.
-func (e *Entry) Multiply(C, A, B *mat.Dense) error { return e.d.multiply(C, A, B) }
-
 // Run executes one request with the entry's plan. The request's op must
 // share the entry's plan space (op.PlanOp) and its shape must match the
 // entry's — the entry applies no dispatch, just its bound plan. Safe for
@@ -523,10 +509,6 @@ func (e *Entry) WorkspaceRetained() int64 {
 	}
 	return e.d.exec.WorkspaceRetained()
 }
-
-// Forget drops a multiply shape's decision from the tuner's in-memory
-// cache; see ForgetOp.
-func (t *Tuner) Forget(m, k, n int) { t.ForgetOp(op.Multiply, m, k, n) }
 
 // ForgetOp drops an (op, shape) decision from the tuner's in-memory cache,
 // so its executor (and retained arenas) can be collected once outstanding
@@ -670,9 +652,6 @@ func (t *Tuner) remember(key string, d *decision, persist bool) {
 	}
 	_ = saveEntries(merged)
 }
-
-// Rank enumerates the candidate multiply plans for a shape; see RankOp.
-func (t *Tuner) Rank(m, k, n int) ([]Plan, error) { return t.RankOp(op.Multiply, m, k, n) }
 
 // RankOp enumerates the candidate plans for an (op, shape) — every leaf
 // backend × (classical baseline + algorithm × steps × scheduler × strategy)
@@ -892,8 +871,14 @@ func (t *Tuner) algorithmPlans(o op.Op, a *algo.Algorithm, m, k, n int, ma costm
 		if fixup < 0 {
 			fixup = 0
 		}
-		for _, strat := range t.opts.Strategies {
+		for si, strat := range t.opts.Strategies {
 			for _, fused := range fusedDims {
+				if fused && steps == 1 && si > 0 {
+					// A one-step fused plan has no explicit level for the
+					// strategy to shape: every strategy builds the same
+					// executor, so only the first is emitted (and probed).
+					continue
+				}
 				model := t.model(a, strat, fused)
 				cost, err := model.Evaluate(cm, ck, cn, steps)
 				if err != nil {

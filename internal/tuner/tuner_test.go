@@ -68,7 +68,7 @@ func mustTuner(t *testing.T, opts Options) *Tuner {
 func TestClassicalBelowCutoff(t *testing.T) {
 	tn := mustTuner(t, modelOnlyOpts(1))
 	for _, shape := range [][3]int{{64, 64, 64}, {100, 32, 80}, {127, 127, 127}} {
-		p, err := tn.PlanFor(shape[0], shape[1], shape[2])
+		p, err := tn.PlanForOp(op.Multiply, shape[0], shape[1], shape[2])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +86,7 @@ func TestStepsMonotonicSquare(t *testing.T) {
 	tn := mustTuner(t, modelOnlyOpts(1))
 	prev := 0
 	for _, n := range []int{96, 256, 512, 1024, 2048, 4096} {
-		p, err := tn.PlanFor(n, n, n)
+		p, err := tn.PlanForOp(op.Multiply, n, n, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func TestStepsMonotonicSquare(t *testing.T) {
 func TestWorkspaceCapRespected(t *testing.T) {
 	const n = 1024
 	uncapped := mustTuner(t, modelOnlyOpts(4))
-	free, err := uncapped.PlanFor(n, n, n)
+	free, err := uncapped.PlanForOp(op.Multiply, n, n, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestWorkspaceCapRespected(t *testing.T) {
 	opts := modelOnlyOpts(4)
 	opts.Workspace = tightCap
 	capped := mustTuner(t, opts)
-	plan, err := capped.PlanFor(n, n, n)
+	plan, err := capped.PlanForOp(op.Multiply, n, n, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestWorkspaceCapRespected(t *testing.T) {
 	opts = modelOnlyOpts(4)
 	opts.Workspace = roomyCap
 	roomy := mustTuner(t, opts)
-	ranked, err := roomy.Rank(n, n, n)
+	ranked, err := roomy.RankOp(op.Multiply, n, n, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestWorkspaceCapRespected(t *testing.T) {
 			t.Fatalf("ranked plan exceeds cap: %v", p)
 		}
 	}
-	plan, err = roomy.PlanFor(n, n, n)
+	plan, err = roomy.PlanForOp(op.Multiply, n, n, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestCacheRoundTrip(t *testing.T) {
 
 	opts := Options{Resources: Resources{Workers: 1}, Profile: testProfile(1), ProbeTopK: NoProbes}
 	first := mustTuner(t, opts)
-	want, err := first.Warm(512, 512, 512)
+	want, err := first.PlanForOp(op.Multiply, 512, 512, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestCacheRoundTrip(t *testing.T) {
 	}
 
 	second := mustTuner(t, opts)
-	got, err := second.PlanFor(512, 512, 512)
+	got, err := second.PlanForOp(op.Multiply, 512, 512, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestCacheRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	third := mustTuner(t, opts)
-	got, err = third.PlanFor(512, 512, 512)
+	got, err = third.PlanForOp(op.Multiply, 512, 512, 512)
 	if err != nil {
 		t.Fatalf("corrupt cache must degrade to model ranking: %v", err)
 	}
@@ -208,7 +208,7 @@ func TestCacheRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	fourth := mustTuner(t, opts)
-	if got, err = fourth.PlanFor(512, 512, 512); err != nil || got.Algorithm != want.Algorithm {
+	if got, err = fourth.PlanForOp(op.Multiply, 512, 512, 512); err != nil || got.Algorithm != want.Algorithm {
 		t.Fatalf("stale entry must fall back to ranking: %v %v", got, err)
 	}
 
@@ -218,7 +218,7 @@ func TestCacheRoundTrip(t *testing.T) {
 		t.Fatal("off must disable the disk layer")
 	}
 	fifth := mustTuner(t, opts)
-	if _, err := fifth.PlanFor(256, 256, 256); err != nil {
+	if _, err := fifth.PlanForOp(op.Multiply, 256, 256, 256); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -280,13 +280,13 @@ func TestMultiplyMatchesClassical(t *testing.T) {
 // asserts a generous multiple to stay robust under CI noise.
 func TestWarmDispatchIsFast(t *testing.T) {
 	tn := mustTuner(t, modelOnlyOpts(1))
-	if _, err := tn.PlanFor(512, 512, 512); err != nil {
+	if _, err := tn.PlanForOp(op.Multiply, 512, 512, 512); err != nil {
 		t.Fatal(err)
 	}
 	const calls = 1000
 	start := time.Now()
 	for i := 0; i < calls; i++ {
-		if _, err := tn.PlanFor(512, 512, 512); err != nil {
+		if _, err := tn.PlanForOp(op.Multiply, 512, 512, 512); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -298,10 +298,10 @@ func TestWarmDispatchIsFast(t *testing.T) {
 
 func TestRankShape(t *testing.T) {
 	tn := mustTuner(t, modelOnlyOpts(1))
-	if _, err := tn.Rank(0, 5, 5); err == nil {
+	if _, err := tn.RankOp(op.Multiply, 0, 5, 5); err == nil {
 		t.Fatal("invalid shape must error")
 	}
-	ranked, err := tn.Rank(777, 777, 777)
+	ranked, err := tn.RankOp(op.Multiply, 777, 777, 777)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +390,7 @@ func TestCacheKeySeparatesCandidateSets(t *testing.T) {
 	strassenOnly := base
 	strassenOnly.Algorithms = []string{"strassen"}
 	first := mustTuner(t, strassenOnly)
-	p1, err := first.Warm(512, 512, 512)
+	p1, err := first.PlanForOp(op.Multiply, 512, 512, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +401,7 @@ func TestCacheKeySeparatesCandidateSets(t *testing.T) {
 	winogradOnly := base
 	winogradOnly.Algorithms = []string{"winograd"}
 	second := mustTuner(t, winogradOnly)
-	p2, err := second.PlanFor(512, 512, 512)
+	p2, err := second.PlanForOp(op.Multiply, 512, 512, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,14 +439,14 @@ func TestProbeBudget(t *testing.T) {
 		ProbeBudget: time.Nanosecond, // spent before the first probe starts
 		NoDiskCache: true,
 	})
-	p, err := starved.PlanFor(192, 192, 192)
+	p, err := starved.PlanForOp(op.Multiply, 192, 192, 192)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.MeasuredSeconds != 0 {
 		t.Fatalf("starved budget still probed: %+v", p)
 	}
-	ranked, err := starved.Rank(192, 192, 192)
+	ranked, err := starved.RankOp(op.Multiply, 192, 192, 192)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +460,7 @@ func TestProbeBudget(t *testing.T) {
 		ProbeBudget: time.Hour,
 		NoDiskCache: true,
 	})
-	p2, err := generous.PlanFor(192, 192, 192)
+	p2, err := generous.PlanForOp(op.Multiply, 192, 192, 192)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +492,7 @@ func TestEntryAndForget(t *testing.T) {
 	B.FillRandom(rng)
 	C, want := mat.New(192, 192), mat.New(192, 192)
 	gemm.Mul(want, A, B)
-	if err := e.Multiply(C, A, B); err != nil {
+	if err := e.Run(op.Request{Op: op.Multiply, C: C, A: A, B: B}); err != nil {
 		t.Fatal(err)
 	}
 	if d := mat.MaxAbsDiff(C, want); d > 1e-9*193 {
@@ -502,12 +502,12 @@ func TestEntryAndForget(t *testing.T) {
 		t.Fatalf("fast entry retained no workspace after a call: %+v", e.Plan())
 	}
 
-	tn.Forget(192, 192, 192)
+	tn.ForgetOp(op.Multiply, 192, 192, 192)
 	if _, ok := tn.lru.get(tn.key(op.Multiply, 192, 192, 192)); ok {
 		t.Fatal("Forget must drop the in-memory entry")
 	}
 	// The entry handle outlives the eviction, and re-touching re-tunes.
-	if err := e.Multiply(C, A, B); err != nil {
+	if err := e.Run(op.Request{Op: op.Multiply, C: C, A: A, B: B}); err != nil {
 		t.Fatal(err)
 	}
 	e2, err := tn.Entry(192, 192, 192)
@@ -585,7 +585,7 @@ func TestRememberMergesOnSave(t *testing.T) {
 		if i%2 == 1 {
 			tn = tb // interleave writers
 		}
-		if _, err := tn.PlanFor(s[0], s[1], s[2]); err != nil {
+		if _, err := tn.PlanForOp(op.Multiply, s[0], s[1], s[2]); err != nil {
 			t.Fatal(err)
 		}
 		wantKeys = append(wantKeys, tn.key(op.Multiply, s[0], s[1], s[2]))
@@ -612,8 +612,8 @@ func TestRememberMergesOnSave(t *testing.T) {
 			defer wg.Done()
 			for j := i; j < len(conc); j += 2 {
 				s := conc[j]
-				if _, err := tn.PlanFor(s[0], s[1], s[2]); err != nil {
-					t.Errorf("concurrent PlanFor %v: %v", s, err)
+				if _, err := tn.PlanForOp(op.Multiply, s[0], s[1], s[2]); err != nil {
+					t.Errorf("concurrent PlanForOp %v: %v", s, err)
 				}
 			}
 		}(i, tn)
@@ -639,7 +639,7 @@ func TestRememberMergesOnSave(t *testing.T) {
 	if err := ClearCache(false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tc.PlanFor(896, 896, 896); err != nil {
+	if _, err := tc.PlanForOp(op.Multiply, 896, 896, 896); err != nil {
 		t.Fatal(err)
 	}
 	persisted = Entries()
