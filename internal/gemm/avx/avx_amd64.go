@@ -17,17 +17,18 @@ var Supported, Supported512 = detect()
 // Dgemm6x8 computes C[0:6, 0:8] += Ap·Bp over kb rank-1 terms, where Ap is
 // packed k-major in groups of 6 rows (ap[k*6+i]), Bp k-major in groups of 8
 // columns (bp[k*8+j]), and c points at C's tile origin with row stride ldc
-// float64s. Callers must check Supported first.
+// float64s. With overwrite set it stores C[0:6, 0:8] = Ap·Bp and never reads
+// C. Callers must check Supported first.
 //
 //go:noescape
-func Dgemm6x8(kb int, ap, bp, c *float64, ldc int)
+func Dgemm6x8(kb int, ap, bp, c *float64, ldc int, overwrite bool)
 
-// Dgemm8x24 is the same contract on the AVX-512 tile: C[0:8, 0:24] += Ap·Bp
+// Dgemm8x24 is the same contract on the AVX-512 tile: C[0:8, 0:24] (+)= Ap·Bp
 // with Ap in groups of 8 rows (ap[k*8+i]) and Bp in groups of 24 columns
 // (bp[k*24+j]). Callers must check Supported512 first.
 //
 //go:noescape
-func Dgemm8x24(kb int, ap, bp, c *float64, ldc int)
+func Dgemm8x24(kb int, ap, bp, c *float64, ldc int, overwrite bool)
 
 // cpuid executes CPUID with the given leaf/subleaf; xgetbv0 reads XCR0.
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)

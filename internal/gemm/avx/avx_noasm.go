@@ -12,11 +12,11 @@ package avx
 const Supported, Supported512 = false, false
 
 // Dgemm6x8 must never be called when Supported is false.
-func Dgemm6x8(kb int, ap, bp, c *float64, ldc int) {
+func Dgemm6x8(kb int, ap, bp, c *float64, ldc int, overwrite bool) {
 	panic("gemm/avx: Dgemm6x8 called on a build without the assembly kernel")
 }
 
 // Dgemm8x24 must never be called when Supported512 is false.
-func Dgemm8x24(kb int, ap, bp, c *float64, ldc int) {
+func Dgemm8x24(kb int, ap, bp, c *float64, ldc int, overwrite bool) {
 	panic("gemm/avx: Dgemm8x24 called on a build without the assembly kernel")
 }

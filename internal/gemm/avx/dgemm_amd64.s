@@ -2,15 +2,16 @@
 
 #include "textflag.h"
 
-// func Dgemm6x8(kb int, ap, bp, c *float64, ldc int)
+// func Dgemm6x8(kb int, ap, bp, c *float64, ldc int, overwrite bool)
 //
-// C[6][8] += Ap·Bp over kb rank-1 terms. Ap is in packA order (k-major
-// groups of 6 rows: ap[k*6+i]), Bp in packB order (k-major groups of 8
-// columns: bp[k*8+j]), c points at the tile origin in C with row stride ldc
-// float64s. Register plan (the canonical AVX2 dgemm tile): Y0..Y11 hold the
-// 6×8 accumulators (row i in Y(2i) cols 0..3 and Y(2i+1) cols 4..7), Y12/Y13
-// the current B row halves, Y14/Y15 two A broadcasts in flight.
-TEXT ·Dgemm6x8(SB), NOSPLIT, $0-40
+// C[6][8] += Ap·Bp over kb rank-1 terms, or C[6][8] = Ap·Bp without reading
+// C when overwrite is set. Ap is in packA order (k-major groups of 6 rows:
+// ap[k*6+i]), Bp in packB order (k-major groups of 8 columns: bp[k*8+j]), c
+// points at the tile origin in C with row stride ldc float64s. Register plan
+// (the canonical AVX2 dgemm tile): Y0..Y11 hold the 6×8 accumulators (row i
+// in Y(2i) cols 0..3 and Y(2i+1) cols 4..7), Y12/Y13 the current B row
+// halves, Y14/Y15 two A broadcasts in flight.
+TEXT ·Dgemm6x8(SB), NOSPLIT, $0-41
 	MOVQ kb+0(FP), CX
 	MOVQ ap+8(FP), SI
 	MOVQ bp+16(FP), BX
@@ -57,6 +58,10 @@ loop:
 	DECQ         CX
 	JNZ          loop
 
+	MOVBQZX overwrite+40(FP), AX
+	TESTQ   AX, AX
+	JNZ     store6x8
+
 	// C rows += accumulators (unaligned loads/stores: C is an arbitrary view).
 	VADDPD  (DI), Y0, Y0
 	VMOVUPD Y0, (DI)
@@ -90,13 +95,35 @@ loop:
 	VZEROUPPER
 	RET
 
-// func Dgemm8x24(kb int, ap, bp, c *float64, ldc int)
+store6x8:
+	// C rows = accumulators: the first k-panel of an overwritten destination.
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	ADDQ    DX, DI
+	VMOVUPD Y2, (DI)
+	VMOVUPD Y3, 32(DI)
+	ADDQ    DX, DI
+	VMOVUPD Y4, (DI)
+	VMOVUPD Y5, 32(DI)
+	ADDQ    DX, DI
+	VMOVUPD Y6, (DI)
+	VMOVUPD Y7, 32(DI)
+	ADDQ    DX, DI
+	VMOVUPD Y8, (DI)
+	VMOVUPD Y9, 32(DI)
+	ADDQ    DX, DI
+	VMOVUPD Y10, (DI)
+	VMOVUPD Y11, 32(DI)
+	VZEROUPPER
+	RET
+
+// func Dgemm8x24(kb int, ap, bp, c *float64, ldc int, overwrite bool)
 //
-// C[8][24] += Ap·Bp over kb rank-1 terms: the AVX-512 rendering of the same
-// contract as Dgemm6x8. Ap is in packA order for mr = 8 (ap[k*8+i]), Bp in
-// packB order for nr = 24 (bp[k*24+j]). Register plan: Z0..Z23 hold the 8×24
-// accumulators (row i in Z(3i), Z(3i+1), Z(3i+2)), Z24..Z26 the current B row,
-// Z27..Z30 the A broadcasts in flight — 24 FMAs against 11 loads per k, a
+// C[8][24] (+)= Ap·Bp over kb rank-1 terms: the AVX-512 rendering of the same
+// contract as Dgemm6x8, overwrite included. Ap is in packA order for mr = 8
+// (ap[k*8+i]), Bp in packB order for nr = 24 (bp[k*24+j]). Register plan:
+// Z0..Z23 hold the 8×24 accumulators (row i in Z(3i), Z(3i+1), Z(3i+2)),
+// Z24..Z26 the current B row, Z27..Z30 the A broadcasts in flight — 24 FMAs against 11 loads per k, a
 // ratio the load ports sustain with both 512-bit FMA ports busy. Only AVX512F encodings
 // are used (VPXORQ, not the AVX512DQ VXORPD), matching the detection.
 #define ROW8x24(off, bc, z0, z1, z2) \
@@ -114,7 +141,13 @@ loop:
 	VMOVUPD z2, 128(DI); \
 	ADDQ    DX, DI
 
-TEXT ·Dgemm8x24(SB), NOSPLIT, $0-40
+#define STORE8x24(z0, z1, z2) \
+	VMOVUPD z0, (DI); \
+	VMOVUPD z1, 64(DI); \
+	VMOVUPD z2, 128(DI); \
+	ADDQ    DX, DI
+
+TEXT ·Dgemm8x24(SB), NOSPLIT, $0-41
 	MOVQ kb+0(FP), CX
 	MOVQ ap+8(FP), SI
 	MOVQ bp+16(FP), BX
@@ -148,10 +181,10 @@ TEXT ·Dgemm8x24(SB), NOSPLIT, $0-40
 	VPXORQ Z23, Z23, Z23
 
 loop512:
-	// A kc×24 B micro-panel (48 KiB at kc = 256) does not stay in L1 beside
-	// the A micro-panel, so both stream from L2: fetch eight iterations
-	// ahead (measured ~10 % on 1024³). Prefetches past the panel end never
-	// fault.
+	// A kb×24 B micro-panel (kb·192 bytes: 72 KiB at the kcMax = 384 cap)
+	// does not stay in L1 beside the A micro-panel, so both stream from L2:
+	// fetch eight iterations ahead (measured ~10 % on 1024³). Prefetches past
+	// the panel end never fault.
 	PREFETCHT0 1536(BX)
 	PREFETCHT0 1600(BX)
 	PREFETCHT0 1664(BX)
@@ -172,6 +205,10 @@ loop512:
 	DECQ    CX
 	JNZ     loop512
 
+	MOVBQZX overwrite+40(FP), AX
+	TESTQ   AX, AX
+	JNZ     store8x24
+
 	// C rows += accumulators (unaligned: C is an arbitrary view, any ldc ≥ 24).
 	ADD8x24(Z0, Z1, Z2)
 	ADD8x24(Z3, Z4, Z5)
@@ -181,6 +218,19 @@ loop512:
 	ADD8x24(Z15, Z16, Z17)
 	ADD8x24(Z18, Z19, Z20)
 	ADD8x24(Z21, Z22, Z23)
+	VZEROUPPER
+	RET
+
+store8x24:
+	// C rows = accumulators: the first k-panel of an overwritten destination.
+	STORE8x24(Z0, Z1, Z2)
+	STORE8x24(Z3, Z4, Z5)
+	STORE8x24(Z6, Z7, Z8)
+	STORE8x24(Z9, Z10, Z11)
+	STORE8x24(Z12, Z13, Z14)
+	STORE8x24(Z15, Z16, Z17)
+	STORE8x24(Z18, Z19, Z20)
+	STORE8x24(Z21, Z22, Z23)
 	VZEROUPPER
 	RET
 

@@ -2,6 +2,7 @@ package gemm
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -123,44 +124,84 @@ func TestBackendRegistry(t *testing.T) {
 }
 
 // TestBackendPackWorkspace pins the workspace contract: blocked backends
-// report their exact slab sizes (whole micro-tiles of the mc/nc panels).
+// report their exact slab sizes (whole micro-tiles of the mc/nc panels), and
+// no tile's slabs outgrow the 256-deep, 2048-wide panels the engine had
+// before k-panels were capped at kcMax.
 func TestBackendPackWorkspace(t *testing.T) {
 	for _, name := range []string{"portable", "simd"} {
 		be, _ := Get(name)
 		bk := be.(*blockedBackend)
-		wantA := ((mc + bk.mr - 1) / bk.mr) * bk.mr * kc
-		wantB := kc * ((nc + bk.nr - 1) / bk.nr) * bk.nr
+		wantA := ((mc + bk.mr - 1) / bk.mr) * bk.mr * kcMax
+		wantB := kcMax * ((nc + bk.nr - 1) / bk.nr) * bk.nr
 		if got := be.PackFloatsPerWorker(); got != int64(wantA+wantB) {
 			t.Fatalf("%s: PackFloatsPerWorker = %d, want %d", name, got, wantA+wantB)
+		}
+	}
+	for _, bk := range kernelTable() {
+		old := ((128+bk.mr-1)/bk.mr)*bk.mr*256 + 256*((2048+bk.nr-1)/bk.nr)*bk.nr
+		if got := bk.PackFloatsPerWorker(); got > int64(old) {
+			t.Errorf("%s: PackFloatsPerWorker = %d, above the %d of 256×2048 panels", bk.name, got, old)
+		}
+	}
+}
+
+// TestKPanels pins the k-split: ⌈k/kcMax⌉ panels, each at most kcMax deep,
+// depths within one of each other, together covering k.
+func TestKPanels(t *testing.T) {
+	for _, k := range []int{1, 255, 256, 320, 384, 385, 625, 1024, 1280} {
+		np := kPanels(k)
+		if want := (k + kcMax - 1) / kcMax; np != want {
+			t.Fatalf("k=%d: %d panels, want %d", k, np, want)
+		}
+		next, lo, hi := 0, kcMax, 0
+		for p := 0; p < np; p++ {
+			pc, kb := kPanel(k, np, p)
+			if pc != next {
+				t.Fatalf("k=%d: panel %d starts at %d, want %d", k, p, pc, next)
+			}
+			next += kb
+			lo, hi = min(lo, kb), max(hi, kb)
+		}
+		if next != k || hi > kcMax || lo < 1 || hi-lo > 1 {
+			t.Fatalf("k=%d: %d panels of %d..%d summing to %d", k, np, lo, hi, next)
 		}
 	}
 }
 
 // TestSIMDKernelVsGoKernel runs every runnable micro-kernel on raw packed
 // panels against the plain rank-1 sum over the same panels: it pins the
-// packed layout each kernel reads (ap[k*mr+i], bp[k*nr+j]) and that a tile
-// at a non-zero origin of a strided destination touches nothing around it.
-// The assembly kernels differ from the Go ones only by FMA rounding.
+// packed layout each kernel reads (ap[k*mr+i], bp[k*nr+j]), that a tile at a
+// non-zero origin of a strided destination touches nothing around it, and
+// that overwrite stores the sum into a NaN tile it must not read. The
+// assembly kernels differ from the Go ones only by FMA rounding.
 func TestSIMDKernelVsGoKernel(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, bk := range kernelTable() {
 		mr, nr := bk.mr, bk.nr
 		for _, kb := range []int{1, 2, 7, 64, 256} {
-			ap, bp := randMat(1, kb*mr, rng).Data(), randMat(1, kb*nr, rng).Data()
-			got := randMat(mr+4, nr+4, rng) // tile at (2, 3) of the strided view below
-			want := got.Clone()
-			bk.kern(got.View(1, 1, mr+2, nr+2), 1, 2, kb, ap, bp)
-			for i := 0; i < mr; i++ {
-				for j := 0; j < nr; j++ {
-					sum := 0.0
-					for k := 0; k < kb; k++ {
-						sum += ap[k*mr+i] * bp[k*nr+j]
-					}
-					want.Set(2+i, 3+j, want.At(2+i, 3+j)+sum)
+			for _, overwrite := range []bool{false, true} {
+				ap, bp := randMat(1, kb*mr, rng).Data(), randMat(1, kb*nr, rng).Data()
+				got := randMat(mr+4, nr+4, rng) // tile at (2, 3) of the strided view below
+				if overwrite {
+					got.View(2, 3, mr, nr).Fill(math.NaN())
 				}
-			}
-			if d := mat.MaxAbsDiff(got, want); d > 1e-12*float64(kb+1) {
-				t.Fatalf("%s kb=%d: kernel differs from the rank-1 sum by %g", bk.name, kb, d)
+				want := got.Clone()
+				bk.kern(got.View(1, 1, mr+2, nr+2), 1, 2, kb, ap, bp, overwrite)
+				for i := 0; i < mr; i++ {
+					for j := 0; j < nr; j++ {
+						sum := 0.0
+						for k := 0; k < kb; k++ {
+							sum += ap[k*mr+i] * bp[k*nr+j]
+						}
+						if !overwrite {
+							sum += want.At(2+i, 3+j)
+						}
+						want.Set(2+i, 3+j, sum)
+					}
+				}
+				if d := maxDiff(got, want); !(d <= 1e-12*float64(kb+1)) {
+					t.Fatalf("%s kb=%d overwrite=%v: kernel differs from the rank-1 sum by %g", bk.name, kb, overwrite, d)
+				}
 			}
 		}
 	}

@@ -16,8 +16,10 @@ const (
 
 // microKernelFunc computes a full mr×nr tile of C at (i0, j0):
 // C[i0:i0+mr, j0:j0+nr] += Ap·Bp over kb rank-1 terms, with Ap and Bp in the
-// packed micro-panel layouts produced by packA/packB.
-type microKernelFunc func(C *mat.Dense, i0, j0, kb int, ap, bp []float64)
+// packed micro-panel layouts produced by packA/packB. With overwrite set it
+// stores C[i0:i0+mr, j0:j0+nr] = Ap·Bp and never reads C, so neither a
+// zeroing pass nor a stale NaN precedes the first k-panel.
+type microKernelFunc func(C *mat.Dense, i0, j0, kb int, ap, bp []float64, overwrite bool)
 
 // blockedBackend is the shared GotoBLAS/BLIS-structured engine: everything —
 // panel blocking, packing, slab parallelism, the scatter epilogue — is
@@ -48,8 +50,8 @@ func newBlocked(name string, accel bool, mr, nr int, kern microKernelFunc) *bloc
 		mr:    mr,
 		nr:    nr,
 		kern:  kern,
-		apLen: ((mc + mr - 1) / mr) * mr * kc,
-		bpLen: kc * ((nc + nr - 1) / nr) * nr,
+		apLen: ((mc + mr - 1) / mr) * mr * kcMax,
+		bpLen: kcMax * ((nc + nr - 1) / nr) * nr,
 	}
 	// Pooling pointers (not bare slices) keeps steady-state Get/Put
 	// allocation-free — storing a []float64 in the pool's `any` would box a
@@ -187,29 +189,31 @@ func (l layout) dims(a, b *mat.Dense) (m, k, n int) {
 	return m, k, n
 }
 
-// nest is the blocked loop nest: for each kc×nc panel of Σc·B and mc×kc
-// panel of alpha·Σc·A, pack (the first source overwrites the slab, the rest
-// accumulate into it) and run the macro-kernel.
+// nest is the blocked loop nest: for each k-panel (kPanels splits k) by
+// nc-wide panel of Σc·B and mc-row panel of alpha·Σc·A, pack (the first
+// source overwrites the slab, the rest accumulate into it) and run the
+// macro-kernel.
 //
-// The micro-kernel can only add. A lone destination therefore becomes a
-// plain accumulate target — zeroed first if it is to be overwritten, its W
-// coefficient folded into the packed-A scale — and full tiles go straight
-// into it; several destinations are scattered to from the scratch tile.
+// A lone destination takes full tiles straight from the micro-kernel, its W
+// coefficient folded into the packed-A scale. It keeps one mark, Overwrite:
+// the micro-kernel stores the first k-panel's tiles into it and adds the
+// later ones, so an overwritten destination is never zeroed or read. A
+// lower-triangle layout leaves the tiles above the diagonal unwritten; its
+// caller's mirror fills them. Several destinations are scattered to from the
+// scratch tile.
 func (bk *blockedBackend) nest(pb *packBufs, dsts []Scaled, alpha float64, asrcs, bsrcs []Scaled, accumulate bool, lay layout) {
 	m, k, n := lay.dims(asrcs[0].M, bsrcs[0].M)
 	direct := len(dsts) == 1
 	var lone [1]Scaled
 	if direct {
 		d := dsts[0]
-		if !accumulate || d.Overwrite {
-			d.M.Zero()
-		}
 		alpha *= d.Coeff
-		lone[0] = Scaled{M: d.M, Coeff: 1}
+		lone[0] = Scaled{M: d.M, Coeff: 1, Overwrite: overwrites(d, true, accumulate)}
 		dsts, accumulate = lone[:], true
 	}
-	for pc := 0; pc < k; pc += kc {
-		kb := min(kc, k-pc)
+	np := kPanels(k)
+	for p := 0; p < np; p++ {
+		pc, kb := kPanel(k, np, p)
 		for jc := 0; jc < n; jc += nc {
 			nb := min(nc, n-jc)
 			for t, s := range bsrcs {
@@ -236,7 +240,7 @@ func (bk *blockedBackend) nest(pb *packBufs, dsts []Scaled, alpha float64, asrcs
 				}
 				// Only the first k-panel may overwrite: later panels
 				// accumulate the remaining rank-1 terms on top.
-				bk.macroKernel(dsts, direct, pb, ic, jc, mb, nb, kb, pc == 0, accumulate, lay)
+				bk.macroKernel(dsts, direct, pb, ic, jc, mb, nb, kb, p == 0, accumulate, lay)
 			}
 		}
 	}
@@ -248,12 +252,42 @@ func (bk *blockedBackend) nest(pb *packBufs, dsts []Scaled, alpha float64, asrcs
 // is accumulated onto what an earlier source packed (padding included), so
 // the S temporary of the explicit path becomes one extra streaming read per
 // extra source.
+//
+// Rows are gathered four at a time, so each pass writes a 4-wide group per k
+// and sweeps the micro-panel in order: ⌈mr/4⌉ passes over its cache lines
+// instead of the mr strided ones of a row at a time. mr is a micro-tile
+// height, or a width when packA packs a transposed B panel.
 func packA(ap []float64, A *mat.Dense, ic, pc, mb, kb, mr int, scale float64, add bool) {
 	for ir := 0; ir < mb; ir += mr {
 		rows := min(mr, mb-ir)
 		panel := ap[:mr*kb]
 		ap = ap[mr*kb:]
-		for i := 0; i < mr; i++ {
+		i := 0
+		for ; i+4 <= rows; i += 4 {
+			r0 := A.Row(ic + ir + i)[pc : pc+kb : pc+kb]
+			// Same length as r0: no bounds checks in the loops.
+			r1 := A.Row(ic + ir + i + 1)[pc : pc+kb][:len(r0)]
+			r2 := A.Row(ic + ir + i + 2)[pc : pc+kb][:len(r0)]
+			r3 := A.Row(ic + ir + i + 3)[pc : pc+kb][:len(r0)]
+			if add {
+				for kk, v := range r0 {
+					d := panel[kk*mr+i : kk*mr+i+4 : kk*mr+i+4]
+					d[0] += scale * v
+					d[1] += scale * r1[kk]
+					d[2] += scale * r2[kk]
+					d[3] += scale * r3[kk]
+				}
+				continue
+			}
+			for kk, v := range r0 {
+				d := panel[kk*mr+i : kk*mr+i+4 : kk*mr+i+4]
+				d[0] = scale * v
+				d[1] = scale * r1[kk]
+				d[2] = scale * r2[kk]
+				d[3] = scale * r3[kk]
+			}
+		}
+		for ; i < mr; i++ {
 			dst := panel[i:]
 			switch {
 			case i >= rows:
@@ -287,18 +321,20 @@ func packB(bp []float64, B *mat.Dense, pc, jc, kb, nb, nr int, scale float64, ad
 			src := B.Row(pc + kk)[jc+jr : jc+jr+cols]
 			dst := bp[idx+kk*nr : idx+kk*nr+nr]
 			d := dst[:len(src)] // same length as src: no bounds checks in the loops
-			if add {
+			switch {
+			case add:
 				for j, v := range src {
 					d[j] += scale * v
 				}
 				continue
+			case scale == 1:
+				copy(d, src)
+			default:
+				for j, v := range src {
+					d[j] = scale * v
+				}
 			}
-			for j, v := range src {
-				d[j] = scale * v
-			}
-			for j := cols; j < nr; j++ {
-				dst[j] = 0
-			}
+			clear(dst[cols:])
 		}
 		idx += nr * kb
 	}
@@ -306,11 +342,12 @@ func packB(bp []float64, B *mat.Dense, pc, jc, kb, nb, nr int, scale float64, ad
 
 // macroKernel multiplies the packed mb×kb A panel by the packed kb×nb B
 // panel into the destinations at (ic, jc). With direct set, full tiles go
-// from the backend's micro-kernel straight into the one destination;
-// otherwise — and for border tiles always — the same kernel computes the
-// whole tile into the zeroed scratch tile (the panels' zero padding makes the
-// rows and columns past the border exact zeros) and the epilogue folds the
-// valid rows×cols of it into every destination.
+// from the backend's micro-kernel straight into the one destination, stored
+// on an overwritten destination's first k-panel and added otherwise; in every
+// other case — and for border tiles always — the same kernel stores the whole
+// tile into the scratch tile (the panels' zero padding makes the rows and
+// columns past the border exact zeros) and the epilogue folds the valid
+// rows×cols of it into every destination.
 //
 // A lower-triangle layout only narrows the loop bounds: strips that start
 // right of the block's last row, and in each strip the tiles that end above
@@ -319,6 +356,7 @@ func packB(bp []float64, B *mat.Dense, pc, jc, kb, nb, nr int, scale float64, ad
 func (bk *blockedBackend) macroKernel(dsts []Scaled, direct bool, pb *packBufs, ic, jc, mb, nb, kb int, first, accumulate bool, lay layout) {
 	mr, nr := bk.mr, bk.nr
 	ap, bp, tile, C := pb.a, pb.b, pb.tile, dsts[0].M
+	store := direct && overwrites(dsts[0], first, accumulate)
 	jrEnd := nb
 	if lay.lower {
 		jrEnd = min(nb, lay.diag+ic+mb-jc)
@@ -334,11 +372,10 @@ func (bk *blockedBackend) macroKernel(dsts []Scaled, direct bool, pb *packBufs, 
 			rows := min(mr, mb-ir)
 			apanel := ap[(ir/mr)*mr*kb:]
 			if direct && rows == mr && cols == nr {
-				bk.kern(C, ic+ir, jc+jr, kb, apanel, bpanel) //fastmm:allow static micro-kernel func pointer, bound at registry init
+				bk.kern(C, ic+ir, jc+jr, kb, apanel, bpanel, store) //fastmm:allow static micro-kernel func pointer, bound at registry init
 				continue
 			}
-			tile.Zero()
-			bk.kern(tile, 0, 0, kb, apanel, bpanel) //fastmm:allow static micro-kernel func pointer, bound at registry init
+			bk.kern(tile, 0, 0, kb, apanel, bpanel, true) //fastmm:allow static micro-kernel func pointer, bound at registry init
 			scatterTile(dsts, tile, ic+ir, jc+jr, rows, cols, first, accumulate)
 		}
 	}

@@ -25,6 +25,21 @@ func bitsEqual(a, b *mat.Dense) bool {
 	return true
 }
 
+// maxDiff is mat.MaxAbsDiff with a NaN on one side only counted as an
+// infinite difference, so a kernel that reads a NaN-filled destination it
+// was told to overwrite cannot pass.
+func maxDiff(a, b *mat.Dense) float64 {
+	for i := 0; i < a.Rows(); i++ {
+		rb := b.Row(i)
+		for j, v := range a.Row(i) {
+			if math.IsNaN(v) != math.IsNaN(rb[j]) {
+				return math.Inf(1)
+			}
+		}
+	}
+	return mat.MaxAbsDiff(a, b)
+}
+
 // subView returns a random r×c matrix that is a strided window of a larger
 // allocation, so row stride ≠ cols.
 func subView(rng *rand.Rand, r, c int) *mat.Dense {
@@ -41,7 +56,7 @@ func TestPlainIsOneEntryFused(t *testing.T) {
 		{48, 48, 96}, {96, 64, 96}, {72, 50, 120}, // whole tiles on every kernel (rows a multiple of lcm(8,6), cols of 24)
 		{61, 53, 67}, {130, 57, 131}, // border tiles in both dims
 		{128, 128, 128}, {80, 60, 100}, // 5·24+8 and 4·24+4: a narrow border beside full 24-wide tiles
-		{64, kc + 44, 48}, {50, 2*kc + 1, 70}, // k > kc
+		{64, kcMax + 44, 48}, {50, 2*kcMax + 1, 70}, // k > kcMax
 		{20, 30, nc + 37}, // n > nc
 		{mc + 9, 40, 90},  // m > mc
 		{1, 300, 1}, {1, 70, 500}, {500, 70, 1}, {1, 1, 1},
@@ -145,7 +160,9 @@ func TestMultiSourcePackingIsPackedSum(t *testing.T) {
 // BenchmarkLeaf is the engine's microbenchmark: the sequential leaf on the
 // default backend as plain gemm and as a fused product with 2 and 4 sources
 // per side (two destinations, the first a first-touch overwrite the way the
-// executor marks them). A fused/plain gap that grows is the packers or the
+// executor marks them), on squares, and as plain gemm on the outer-product
+// and tall-skinny shapes of the paper's Figs. 6–7, where k is one or two
+// k-panels deep. A fused/plain gap that grows is the packers or the
 // epilogue; a plain rate that drops is the loop nest or the micro-kernel.
 func BenchmarkLeaf(b *testing.B) {
 	be := Default()
@@ -157,24 +174,30 @@ func BenchmarkLeaf(b *testing.B) {
 		}
 		return out
 	}
+	leaf := func(name string, srcs, m, k, n int) {
+		b.Run(name, func(b *testing.B) {
+			asrcs, bsrcs, dsts := list(srcs, m, k), list(srcs, k, n), list(min(srcs, 2), m, n)
+			dsts[0].Overwrite = true
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if srcs == 1 {
+					Dispatch(be, dsts[0].M, 1, asrcs[0].M, bsrcs[0].M, false, 1)
+				} else {
+					DispatchFused(be, dsts, 1, asrcs, bsrcs, true, 1)
+				}
+			}
+			b.ReportMetric(2*float64(m)*float64(k)*float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
+		})
+	}
 	for _, kind := range []struct {
 		name string
 		srcs int
 	}{{"plain", 1}, {"fused2", 2}, {"fused4", 4}} {
 		for _, n := range []int{128, 512, 1024} {
-			b.Run(fmt.Sprintf("%s/%d", kind.name, n), func(b *testing.B) {
-				asrcs, bsrcs, dsts := list(kind.srcs, n, n), list(kind.srcs, n, n), list(2, n, n)
-				dsts[0].Overwrite = true
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if kind.srcs == 1 {
-						Dispatch(be, dsts[0].M, 1, asrcs[0].M, bsrcs[0].M, false, 1)
-					} else {
-						DispatchFused(be, dsts, 1, asrcs, bsrcs, true, 1)
-					}
-				}
-				b.ReportMetric(2*float64(n)*float64(n)*float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
-			})
+			leaf(fmt.Sprintf("%s/%d", kind.name, n), kind.srcs, n, n, n)
 		}
+	}
+	for _, sh := range [][3]int{{2560, 320, 2560}, {2500, 625, 625}} {
+		leaf(fmt.Sprintf("plain/%dx%dx%d", sh[0], sh[1], sh[2]), 1, sh[0], sh[1], sh[2])
 	}
 }

@@ -59,8 +59,8 @@ func TestDispatchFusedMatchesReference(t *testing.T) {
 		{96, 64, 96}, // blocked, tile-aligned for both backends
 		{61, 53, 67}, // blocked path... below naiveMax in every dim? no: 61 > 48
 		{130, 57, 131},
-		{256, 32, 64}, // tall-skinny
-		{64, 300, 48}, // k spans two kc panels
+		{256, 32, 64},        // tall-skinny
+		{64, kcMax + 44, 48}, // k spans two k-panels
 	}
 	backends := []Backend{}
 	for _, name := range Names() {

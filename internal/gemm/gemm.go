@@ -58,14 +58,33 @@ import (
 	"fastmm/internal/mat"
 )
 
-// Blocking parameters shared by the blocked backends. KC/MC/NC are the panel
-// sizes for the L1/L2/L3 levels of the memory hierarchy; each backend brings
-// its own MR×NR micro-kernel tile.
+// Blocking parameters shared by the blocked backends; each backend brings its
+// own MR×NR micro-kernel tile. A k-panel is at most kcMax deep, and a product
+// of depth k is split into kPanels(k) = ⌈k/kcMax⌉ panels of near-equal depth:
+// every extra panel re-reads and re-writes all of C, so k = 320 runs as one
+// panel and k = 625 as 312 + 313 rather than 384 + 241. The packed A panel is
+// mc rows by one k-panel, re-read once per nr-wide column strip; the packed
+// B panel is one k-panel by nc columns, re-read once per mc-row block. The
+// macro-kernel holds one kb×nr B micro-panel while the mr×kb A micro-panels
+// pass it; on the 8×4 and 6×8 tiles it fits L1, on 8×24 (72 KiB at kb = 384)
+// both stream from L2. nc is sized so one worker's two slabs hold no more
+// floats than the 256-deep, 2048-wide panels before them on any tile here.
 const (
-	kc = 256
-	mc = 128
-	nc = 2048
+	kcMax = 384
+	mc    = 128
+	nc    = 1320
 )
+
+// kPanels is the number of k-panels a product of depth k is split into.
+func kPanels(k int) int { return (k + kcMax - 1) / kcMax }
+
+// kPanel is the offset and depth of panel p of np: it covers
+// [p·k/np, (p+1)·k/np), so the np depths differ by at most one and, with
+// np = kPanels(k), none exceeds kcMax.
+func kPanel(k, np, p int) (pc, kb int) {
+	pc = p * k / np
+	return pc, (p+1)*k/np - pc
+}
 
 // naiveMax is the size below which the simple triple loop beats the blocked
 // path (packing overhead dominates tiny problems).

@@ -10,7 +10,7 @@ import "fastmm/internal/mat"
 // broadcast fit the 16 ymm registers — and keeping the Go fallback on the
 // exact same shape means results that differ from the AVX2 asm only by FMA
 // rounding.
-func microKernel6x8go(C *mat.Dense, i0, j0, kb int, ap, bp []float64) {
+func microKernel6x8go(C *mat.Dense, i0, j0, kb int, ap, bp []float64, overwrite bool) {
 	const (
 		mr = 6
 		nr = 8
@@ -31,6 +31,10 @@ func microKernel6x8go(C *mat.Dense, i0, j0, kb int, ap, bp []float64) {
 	}
 	for i := 0; i < mr; i++ {
 		row := C.Row(i0 + i)[j0 : j0+nr : j0+nr]
+		if overwrite {
+			copy(row, acc[i*nr:i*nr+nr])
+			continue
+		}
 		for j := 0; j < nr; j++ {
 			row[j] += acc[i*nr+j]
 		}

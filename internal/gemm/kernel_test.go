@@ -1,6 +1,7 @@
 package gemm
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -35,8 +36,9 @@ func kernelTable() []*blockedBackend {
 // max|C−Ĉ| ≤ c·ε·(k·‖A‖max·‖B‖max + ‖C0‖max). The shapes put a full tile
 // next to every partial (rows, cols) border of the kernel's tile — all of
 // which now run through the kernel itself into the scratch tile — with k on
-// both sides of a panel boundary, on strided views, overwriting and
-// accumulating, sequential and slab-parallel.
+// both sides of one and two panel boundaries, on strided views, overwriting a
+// NaN-filled C (a kernel that reads C on overwrite fails) and accumulating,
+// sequential and slab-parallel.
 func TestKernelConformance(t *testing.T) {
 	for _, bk := range kernelTable() {
 		t.Run(bk.name, func(t *testing.T) {
@@ -46,7 +48,7 @@ func TestKernelConformance(t *testing.T) {
 			nFull := (naiveMax/bk.nr + 1) * bk.nr
 			for r := 0; r < bk.mr; r++ {
 				for c := 0; c < bk.nr; c++ {
-					for _, k := range []int{1, kc - 1, kc, kc + 1} {
+					for _, k := range []int{1, kcMax - 1, kcMax, kcMax + 1, 2*kcMax + 1} {
 						conform(t, rng, bk, 2*bk.mr+r, k, nFull+c)
 					}
 				}
@@ -75,9 +77,13 @@ func conform(t *testing.T, rng *rand.Rand, bk *blockedBackend, m, k, n int) {
 			// must come back untouched.
 			frame := blank.Clone()
 			C := frame.View(1, 1, m, n)
-			C.CopyFrom(C0)
+			if acc {
+				C.CopyFrom(C0)
+			} else {
+				C.Fill(math.NaN())
+			}
 			Dispatch(bk, C, 1, A, B, acc, w)
-			if d := mat.MaxAbsDiff(C, want); !(d <= bound) {
+			if d := maxDiff(C, want); !(d <= bound) {
 				t.Fatalf("%s %d×%d×%d acc=%v w=%d: off Naive by %g, bound %g", bk.name, m, k, n, acc, w, d, bound)
 			}
 			C.Fill(-7)
@@ -107,19 +113,25 @@ func TestKernelSelection(t *testing.T) {
 }
 
 // BenchmarkKernel times each runnable micro-kernel on packed panels that
-// stay in L1 — the in-cache ceiling everything above it is measured against.
+// stay in L1 — the in-cache ceiling everything above it is measured against —
+// adding into C and storing over it.
 func BenchmarkKernel(b *testing.B) {
 	for _, bk := range kernelTable() {
-		b.Run(bk.name, func(b *testing.B) {
-			const kb = 128
-			rng := rand.New(rand.NewSource(1))
-			ap, bp := randMat(1, kb*bk.mr, rng).Data(), randMat(1, kb*bk.nr, rng).Data()
-			C := mat.New(bk.mr, bk.nr)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				bk.kern(C, 0, 0, kb, ap, bp)
-			}
-			b.ReportMetric(2*float64(bk.mr*bk.nr*kb)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
-		})
+		for _, epi := range []struct {
+			name      string
+			overwrite bool
+		}{{"add", false}, {"store", true}} {
+			b.Run(bk.name+"/"+epi.name, func(b *testing.B) {
+				const kb = 128
+				rng := rand.New(rand.NewSource(1))
+				ap, bp := randMat(1, kb*bk.mr, rng).Data(), randMat(1, kb*bk.nr, rng).Data()
+				C := mat.New(bk.mr, bk.nr)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					bk.kern(C, 0, 0, kb, ap, bp, epi.overwrite)
+				}
+				b.ReportMetric(2*float64(bk.mr*bk.nr*kb)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
+			})
+		}
 	}
 }

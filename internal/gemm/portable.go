@@ -7,10 +7,11 @@ func init() {
 }
 
 // microKernel8x4 computes a full 8×4 tile: C[i0:i0+8, j0:j0+4] += Ap·Bp
-// over kb terms. Thirty-two scalar accumulators keep the tile in registers —
-// the widest tile the Go compiler reliably keeps off the stack on every
-// architecture, which is what makes this the portable backend.
-func microKernel8x4(C *mat.Dense, i0, j0, kb int, ap, bp []float64) {
+// over kb terms, or = Ap·Bp with overwrite set. Thirty-two scalar
+// accumulators keep the tile in registers — the widest tile the Go compiler
+// reliably keeps off the stack on every architecture, which is what makes
+// this the portable backend.
+func microKernel8x4(C *mat.Dense, i0, j0, kb int, ap, bp []float64, overwrite bool) {
 	const (
 		mr = 8
 		nr = 4
@@ -72,6 +73,10 @@ func microKernel8x4(C *mat.Dense, i0, j0, kb int, ap, bp []float64) {
 	}
 	add := func(i int, v0, v1, v2, v3 float64) {
 		row := C.Row(i0 + i)[j0 : j0+4 : j0+4]
+		if overwrite {
+			row[0], row[1], row[2], row[3] = v0, v1, v2, v3
+			return
+		}
 		row[0] += v0
 		row[1] += v1
 		row[2] += v2

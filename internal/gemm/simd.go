@@ -28,14 +28,14 @@ func pickSIMDKernel() (mr, nr int, kern microKernelFunc) {
 
 // microKernel6x8asm adapts the packed-panel call onto the assembly kernel:
 // the tile's top-left element address plus the row stride is all the asm
-// needs to accumulate straight into C.
-func microKernel6x8asm(C *mat.Dense, i0, j0, kb int, ap, bp []float64) {
+// needs to accumulate (or store) straight into C.
+func microKernel6x8asm(C *mat.Dense, i0, j0, kb int, ap, bp []float64, overwrite bool) {
 	d := C.Data()
-	avx.Dgemm6x8(kb, &ap[0], &bp[0], &d[i0*C.Stride()+j0], C.Stride())
+	avx.Dgemm6x8(kb, &ap[0], &bp[0], &d[i0*C.Stride()+j0], C.Stride(), overwrite)
 }
 
 // microKernel8x24asm is the same adapter for the AVX-512 tile.
-func microKernel8x24asm(C *mat.Dense, i0, j0, kb int, ap, bp []float64) {
+func microKernel8x24asm(C *mat.Dense, i0, j0, kb int, ap, bp []float64, overwrite bool) {
 	d := C.Data()
-	avx.Dgemm8x24(kb, &ap[0], &bp[0], &d[i0*C.Stride()+j0], C.Stride())
+	avx.Dgemm8x24(kb, &ap[0], &bp[0], &d[i0*C.Stride()+j0], C.Stride(), overwrite)
 }

@@ -2,6 +2,7 @@ package gemm
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -43,14 +44,15 @@ func checkSymmetric(t *testing.T, what string, C *mat.Dense) {
 // TestStructuredClassicalMatchesMul holds ATA and Syrk to the product of the
 // materialized transpose under the §6 normalisation, on every kernel and on
 // the fallback path: results below and above the blocked cutoff (n a
-// multiple of no kernel's mr or nr), k on both sides of kc, strided views of
-// A, α ∈ {1, −1, 0.5} each on one to three workers (rotating over the
-// shapes), overwriting into a window of a larger matrix (nothing outside it
-// may change) and accumulating onto a C that is not symmetric.
+// multiple of no kernel's mr or nr), k on both sides of kcMax, strided views
+// of A, α ∈ {1, −1, 0.5} each on one to three workers (rotating over the
+// shapes), overwriting a NaN-filled window of a larger matrix (the upper
+// triangle must come from the mirror, and nothing outside the window may
+// change) and accumulating onto a C that is not symmetric.
 func TestStructuredClassicalMatchesMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	type shape struct{ p, k int }
-	shapes := []shape{{29, 37}, {64, 64}, {80, 16}, {49, 37}, {131, kc + 45}, {257, 70}, {257, kc + 3}}
+	shapes := []shape{{29, 37}, {64, 64}, {80, 16}, {49, 37}, {131, kcMax + 45}, {257, 70}, {257, kcMax + 3}}
 	for _, be := range structuredBackends() {
 		name := be.Name()
 		if _, ok := be.(unblocked); ok {
@@ -79,11 +81,11 @@ func TestStructuredClassicalMatchesMul(t *testing.T) {
 					what := fmt.Sprintf("%s %s p=%d k=%d alpha=%g w=%d", name, op, sh.p, sh.k, alpha, w)
 					frame := blank.Clone()
 					C := frame.View(1, 2, sh.p, sh.p)
-					C.CopyFrom(C0)
+					C.Fill(math.NaN())
 					run(be, C, alpha, A, false, w)
 					want := mat.New(sh.p, sh.p)
 					mat.Scale(want, alpha, prod)
-					if d := mat.MaxAbsDiff(C, want); !(d <= bound) {
+					if d := maxDiff(C, want); !(d <= bound) {
 						t.Fatalf("%s: off the reference by %g, bound %g", what, d, bound)
 					}
 					checkSymmetric(t, what, C)
@@ -114,7 +116,7 @@ func TestStructuredClassicalMatchesMul(t *testing.T) {
 func TestStructuredIsGemmLowerTriangle(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	for _, bk := range kernelTable() {
-		for _, sh := range [][2]int{{40, 30}, {49, 37}, {131, kc + 45}, {200, 2*kc + 9}, {mc + 61, 50}, {nc + 37, 3}} {
+		for _, sh := range [][2]int{{40, 30}, {49, 37}, {131, kcMax + 45}, {200, 2*kcMax + 9}, {mc + 61, 50}, {nc + 37, 3}} {
 			p, k := sh[0], sh[1]
 			if raceEnabled && p > nc {
 				continue

@@ -32,7 +32,10 @@ import (
 // v6: classical ATA/Syrk is one lower-triangle pass of the leaf engine at
 // about half the flops of the transpose-and-gemm it replaced — v5 ATA/Syrk
 // decisions ranked fast plans against the old price and must be re-tuned.
-const ProfileVersion = 6
+// v7: the leaf splits k into balanced panels of at most 384 and stores its
+// first k-panel from the micro-kernel — v6 curves price classical too slow on
+// thin shapes (k = 320, 625) and must be re-measured.
+const ProfileVersion = 7
 
 // Profile is a one-time machine calibration: the measured gemm throughput
 // curve and addition bandwidth that parameterize the cost model's time
