@@ -16,7 +16,8 @@
 // products, block-view headers, and the addition plans' coefficient scratch
 // — come from workspace arenas owned by the Executor (§4's memory
 // trade-off, Table 3): DFS reuses one arena with stack discipline, while
-// BFS/HYBRID hand each spawned task its own arena from the executor's pool.
+// BFS/HYBRID hand each spawned task its own arena from the executor's pool
+// (or from a Budget's pool, for a call bound to one).
 // After warm-up a sequential or single-worker-DFS Multiply call is
 // therefore (amortized) allocation-free; parallel configurations allocate
 // only per goroutine fanned out (task closures, slab views), never per
@@ -299,50 +300,71 @@ func (e *Executor) Multiply(C, A, B *mat.Dense) error { return e.MultiplyTrace(C
 //
 //fastmm:zeroalloc
 func (e *Executor) MultiplyTrace(C, A, B *mat.Dense, tr *trace.Spans) error {
-	return e.product(C, A, B, 1, false, tr, nil)
+	return e.product(C, A, B, 1, false, tr, Budget{})
 }
 
-// ErrStopped is returned by a Stoppable call whose stop flag was set before
-// the call finished. C then holds a partial result and must be discarded.
+// ErrStopped is returned by a budgeted call whose budget ran out before the
+// call finished. C then holds a partial result and must be discarded.
 var ErrStopped = errors.New("core: call stopped")
 
-// Stoppable is the executor's entry points bound to one cooperative stop
-// flag; see WithStop.
-type Stoppable struct {
-	e    *Executor
-	stop *atomic.Bool
+// Budget bounds one call of a Stoppable (see WithBudget).
+type Budget struct {
+	// Over, when non-nil, is asked at every stop check with the leaf flops
+	// the call has not yet started: it starts at the plan's leaf flops (R^s
+	// leaves of 2·(m/M^s)(k/K^s)(n/N^s) over the peeled core — peeling
+	// fix-ups are not counted, so it is a lower bound), and each leaf gemm
+	// and fused product takes off its own 2·m·k·n as it starts. The first
+	// true stops the call. The symmetric walk (MultiplyATA/Syrk) always
+	// passes 0. Over is called from one goroutine at a time (a check that
+	// finds it busy skips it), and never again once it has returned true.
+	Over func(leftFlops int64) bool
+	// Arenas, when non-nil, is the pool every arena of the call comes from
+	// and goes back to — the root's, BFS/HYBRID tasks', the symmetric
+	// walk's — instead of the executor's own.
+	Arenas *workspace.Pool
 }
 
-// WithStop binds the executor's entry points to a stop flag that another
-// goroutine may set while a call runs; the tuner arms one from a timer at a
-// probe's deadline. Once the flag is set, the call skips its remaining
+// Stoppable is the executor's entry points bound to one Budget; see
+// WithBudget.
+type Stoppable struct {
+	e *Executor
+	b Budget
+}
+
+// WithBudget binds the executor's entry points to a budget; the tuner binds
+// one per probe run. Once Over returns true, the call skips its remaining
 // recursion levels, leaves, fused products, additions and peeling fix-ups,
 // drains its spawned tasks, releases its workspace on the ordinary return
 // path and returns ErrStopped. The overshoot is at most one leaf or one
-// addition pass. A nil flag makes every call an ordinary one.
-func (e *Executor) WithStop(stop *atomic.Bool) Stoppable { return Stoppable{e: e, stop: stop} }
+// addition pass past the check that stopped it. A zero Budget makes every
+// call an ordinary one.
+func (e *Executor) WithBudget(b Budget) Stoppable { return Stoppable{e: e, b: b} }
 
-// MultiplyTrace is Executor.MultiplyTrace under the bound stop flag.
+// MultiplyTrace is Executor.MultiplyTrace under the bound budget.
 func (s Stoppable) MultiplyTrace(C, A, B *mat.Dense, tr *trace.Spans) error {
-	return s.e.product(C, A, B, 1, false, tr, s.stop)
+	return s.e.product(C, A, B, 1, false, tr, s.b)
 }
 
-// MultiplyAdd is Executor.MultiplyAdd under the bound stop flag.
+// MultiplyAdd is Executor.MultiplyAdd under the bound budget.
 func (s Stoppable) MultiplyAdd(C, A, B *mat.Dense, alpha float64) error {
-	return s.e.product(C, A, B, alpha, true, nil, s.stop)
+	return s.e.product(C, A, B, alpha, true, nil, s.b)
 }
 
 // product is every general-multiply entry: C = alpha·A·B, or C += alpha·A·B
-// with acc (MultiplyAdd), with an optional trace sink and stop flag.
-func (e *Executor) product(C, A, B *mat.Dense, alpha float64, acc bool, tr *trace.Spans, stop *atomic.Bool) error {
+// with acc (MultiplyAdd), with an optional trace sink and budget.
+func (e *Executor) product(C, A, B *mat.Dense, alpha float64, acc bool, tr *trace.Spans, b Budget) error {
 	if A.Cols() != B.Rows() || C.Rows() != A.Rows() || C.Cols() != B.Cols() {
 		//fastmm:allow error construction on the reject path, before any work
 		return fmt.Errorf("core: dimension mismatch C %d×%d = A %d×%d · B %d×%d",
 			C.Rows(), C.Cols(), A.Rows(), A.Cols(), B.Rows(), B.Cols())
 	}
 	mode := e.scheduleMode(A.Rows(), A.Cols(), B.Cols())
-	ctx := newRunContext(e.opts, mode, e.leafCount()) //fastmm:allow the pinned one allocation per call (runContext + its BFS/HYBRID sync)
-	ctx.tr, ctx.stop = tr, stop
+	var left int64
+	if b.Over != nil {
+		left = e.leafFlops(0, A.Rows(), A.Cols(), B.Cols())
+	}
+	ctx := newRunContext(e.opts, mode, e.leafCount(), b, left, &e.arenas) //fastmm:allow the pinned one allocation per call (runContext + its BFS/HYBRID sync)
+	ctx.tr = tr
 	if tr != nil {
 		tr.Add(trace.Span{
 			Kind:    trace.KindSched,
@@ -353,12 +375,12 @@ func (e *Executor) product(C, A, B *mat.Dense, alpha float64, acc bool, tr *trac
 			N:       int32(B.Cols()),
 		})
 	}
-	ar := e.arenas.Get()
+	ar := ctx.arenas.Get()
 	// Returned via defer so a panic escaping the recursion (e.g. a caller
 	// mutating an operand concurrently) cannot leak the warmed arena. For
 	// Hybrid, ctx.root only returns once the tree goroutine has finished,
 	// so the arena is idle by the time the defer runs.
-	defer e.arenas.Put(ar)
+	defer ctx.arenas.Put(ar)
 	if mode == Sequential || mode == DFS {
 		// Single-traversal modes use this one arena for the whole call:
 		// reserving the analytic footprint up front makes even the first
@@ -490,6 +512,19 @@ func materializedOutputs(p *addchain.Plan) int {
 // arena pool — the live counterpart of the WorkspaceBytes prediction.
 func (e *Executor) WorkspaceRetained() int64 { return e.arenas.Bytes() }
 
+// leafFlops is the flop count of the leaf products of a p×q by q×r call
+// from the given level down: R^s leaves of 2·(p/M^s)(q/K^s)(r/N^s) over the
+// peeled cores, the count Budget.Over starts from. A fused last level runs
+// exactly these products, so it counts the same.
+func (e *Executor) leafFlops(level, p, q, r int) int64 {
+	if !e.shouldRecurse(level, p, q, r) {
+		return 2 * int64(p) * int64(q) * int64(r)
+	}
+	lp := e.schedule[level%len(e.schedule)]
+	b := lp.alg.Base
+	return int64(lp.alg.Rank()) * e.leafFlops(level+1, p/b.M, q/b.K, r/b.N)
+}
+
 // leafCount returns R^L, the number of leaf multiplications for explicit
 // Steps (used by Hybrid's load-balance split). For auto cutoff it returns 0
 // and Hybrid degrades to BFS.
@@ -593,25 +628,32 @@ func (e *Executor) leafMultiply(ctx *runContext, C, A, B *mat.Dense, alpha float
 	}
 	switch ctx.mode {
 	case Sequential:
-		gemm.DispatchTraced(e.be, C, alpha, A, B, acc, 1, ctx.tr)
+		e.leafGemm(ctx, C, alpha, A, B, acc, 1)
 	case DFS:
-		gemm.DispatchTraced(e.be, C, alpha, A, B, acc, ctx.workers, ctx.tr)
+		e.leafGemm(ctx, C, alpha, A, B, acc, ctx.workers)
 	case BFS:
 		//fastmm:allow BFS task body; per-task captures are the spawn cost
-		ctx.compute(func() { gemm.DispatchTraced(e.be, C, alpha, A, B, acc, 1, ctx.tr) })
+		ctx.compute(func() { e.leafGemm(ctx, C, alpha, A, B, acc, 1) })
 	case Hybrid:
 		if ctx.isDeferredLeaf(leafIdx) {
 			if s := e.opts.Stats; s != nil {
 				s.add(&s.DeferredLeaves, 1)
 			}
 			//fastmm:allow HYBRID deferred-leaf capture, spawn path by design
-			ctx.deferLeaf(func() { gemm.DispatchTraced(e.be, C, alpha, A, B, acc, ctx.workers, ctx.tr) })
+			ctx.deferLeaf(func() { e.leafGemm(ctx, C, alpha, A, B, acc, ctx.workers) })
 			return
 		}
 		//fastmm:allow HYBRID BFS-phase task body, spawn path by design
-		ctx.compute(func() { gemm.DispatchTraced(e.be, C, alpha, A, B, acc, 1, ctx.tr) })
+		ctx.compute(func() { e.leafGemm(ctx, C, alpha, A, B, acc, 1) })
 		ctx.leafDone(maxInt(1, e.leavesFrom(level)))
 	}
+}
+
+// leafGemm runs one leaf gemm. Its flops leave the call's budget as it
+// starts — for a task-run leaf, not when it is queued.
+func (e *Executor) leafGemm(ctx *runContext, C *mat.Dense, alpha float64, A, B *mat.Dense, acc bool, workers int) {
+	ctx.startLeaf(A.Rows(), A.Cols(), B.Cols())
+	gemm.DispatchTraced(e.be, C, alpha, A, B, acc, workers, ctx.tr)
 }
 
 func maxInt(a, b int) int {
@@ -640,7 +682,7 @@ func (o operands) at(r int) operand { return operand{m: o.mats[r], alpha: o.alph
 // dimensions divide the base case exactly. All temporaries come from ar; the
 // step's mark is released on return, so a DFS traversal reuses one level's
 // buffers across siblings while spawned BFS/HYBRID branches draw their own
-// arenas from the executor pool (the M_r stay in the parent's arena — the
+// arenas from the call's pool (the M_r stay in the parent's arena — the
 // parent outlives its children and combines their results).
 func (e *Executor) fastStep(ctx *runContext, ar *workspace.Arena, lp levelPlan, C, A, B *mat.Dense, alpha float64, level, leafBase int, acc bool) {
 	b := lp.alg.Base
@@ -739,8 +781,8 @@ func (e *Executor) fanOut(ctx *runContext, lp levelPlan, sOps, tOps operands, ab
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			car := e.arenas.Get()
-			defer e.arenas.Put(car)
+			car := ctx.arenas.Get()
+			defer ctx.arenas.Put(car)
 			var s, t operand
 			if sOps.mats != nil {
 				s, t = sOps.at(r), tOps.at(r)

@@ -194,6 +194,9 @@ func (e *Executor) fusedStep(ctx *runContext, ar *workspace.Arena, lp levelPlan,
 // (acc=false) the first-touch marks become Scaled.Overwrite flags, so no
 // separate zeroing pass runs over the covered blocks.
 func (e *Executor) runFusedProduct(ctx *runContext, ar *workspace.Arena, pr *fusedProduct, cblocks, ablocks, bblocks []*mat.Dense, alpha float64, acc bool, workers int) {
+	// Counted as started even when it vanished: the budget's left flops
+	// include every product of the level.
+	ctx.startLeaf(ablocks[0].Rows(), ablocks[0].Cols(), bblocks[0].Cols())
 	if len(pr.as) == 0 || len(pr.bs) == 0 || len(pr.cs) == 0 {
 		return // a vanished product contributes nothing
 	}

@@ -7,6 +7,7 @@ import (
 
 	"fastmm/internal/mat"
 	"fastmm/internal/trace"
+	"fastmm/internal/workspace"
 )
 
 // runContext carries one Multiply call's scheduling state. The semaphore
@@ -22,15 +23,21 @@ type runContext struct {
 	// The sink is its own synchronization domain (atomic claim), so spawned
 	// tasks write to it without touching the context's mutex.
 	tr *trace.Spans
-	// stop, when non-nil, is the call's cooperative stop flag (Stoppable
-	// calls only; nil on every other call). Another goroutine sets it — the
-	// tuner's probe timer — and the recursion reads it at every level and
-	// before every leaf gemm, fused product, S/T/M combine and peeling
-	// fix-up. Once it is set the remaining work is skipped: BFS/HYBRID tasks
-	// and HYBRID's deferred pump drain without computing, arenas and marks
-	// are released on the ordinary return path, and the call returns
-	// ErrStopped. The executor itself never reads a clock.
-	stop *atomic.Bool
+	// over, when non-nil, is the call's budget test (Budget.Over; budgeted
+	// calls only). The recursion asks it at every level and before every
+	// leaf gemm, fused product, S/T/M combine and peeling fix-up, handing it
+	// the leaf flops not yet started. The first true latches stop: the
+	// remaining work is skipped, BFS/HYBRID tasks and HYBRID's deferred pump
+	// drain without computing, arenas and marks are released on the ordinary
+	// return path, and the call returns ErrStopped. The executor itself
+	// never reads a clock.
+	over   func(leftFlops int64) bool
+	asking atomic.Bool  // held by the one goroutine asking over
+	left   atomic.Int64 // leaf flops not yet started (may dip below 0; read clamped)
+	stop   atomic.Bool  // the latch over sets
+	// arenas is where the call's arenas come from and go back to: the
+	// budget's pool when it names one, else the executor's own.
+	arenas *workspace.Pool
 
 	totalLeaves int // R^L for explicit Steps, else 0
 	bfsCut      int // leaves [0,bfsCut) run BFS-style; the rest are deferred
@@ -51,9 +58,15 @@ type deferredLeaf struct {
 // scheduler for this call (it may differ from opts.Parallel when the
 // Workspace cap degraded BFS/HYBRID to DFS). The condition variable and
 // semaphore are created only for the modes that use them, keeping the
-// sequential and DFS hot paths allocation-light.
-func newRunContext(opts Options, mode Parallel, totalLeaves int) *runContext {
-	ctx := &runContext{mode: mode, workers: opts.Workers, totalLeaves: totalLeaves}
+// sequential and DFS hot paths allocation-light. b binds the call's budget:
+// over starts from leftFlops, and arenas come from b.Arenas, or from own
+// when the budget names no pool.
+func newRunContext(opts Options, mode Parallel, totalLeaves int, b Budget, leftFlops int64, own *workspace.Pool) *runContext {
+	ctx := &runContext{mode: mode, workers: opts.Workers, totalLeaves: totalLeaves, over: b.Over, arenas: own}
+	if b.Arenas != nil {
+		ctx.arenas = b.Arenas
+	}
+	ctx.left.Store(leftFlops)
 	if ctx.mode == Hybrid {
 		ctx.cond = sync.NewCond(&ctx.mu)
 	}
@@ -111,17 +124,34 @@ func (ctx *runContext) root(f func()) {
 	ctx.mu.Unlock()
 }
 
-// stopSet reports whether the call's stop flag is set — the bare read, for
+// stopSet reports whether the call's stop latch is set — the bare read, for
 // the deferred pump, which holds ctx.mu.
-func (ctx *runContext) stopSet() bool { return ctx.stop != nil && ctx.stop.Load() }
+func (ctx *runContext) stopSet() bool { return ctx.stop.Load() }
 
-// stopped is the check every skip site makes: an unarmed call pays one nil
-// check. Under HYBRID a set flag also wakes the deferred pump, which may be
-// waiting for BFS-phase leaves that will now never run; the broadcast under
-// ctx.mu precedes every skip, so no skip can strand the pump.
+// stopped is the check every skip site makes: an unbudgeted call pays one
+// nil check. Until the latch is set it asks the budget. One goroutine asks
+// at a time, so over sees left in order and is never asked again once it
+// has returned true; a check that finds another goroutine asking does not
+// wait for its answer, and the next check asks again. Under HYBRID a set
+// latch also wakes the deferred pump, which may be waiting for BFS-phase
+// leaves that will now never run; the broadcast under ctx.mu precedes every
+// skip, so no skip can strand the pump.
 func (ctx *runContext) stopped() bool {
-	if !ctx.stopSet() {
+	if ctx.over == nil {
 		return false
+	}
+	if !ctx.stop.Load() {
+		if !ctx.asking.CompareAndSwap(false, true) {
+			return false
+		}
+		//fastmm:allow the budget's own test; unbudgeted calls returned above
+		if !ctx.stop.Load() && ctx.over(max(0, ctx.left.Load())) {
+			ctx.stop.Store(true)
+		}
+		ctx.asking.Store(false)
+		if !ctx.stop.Load() {
+			return false
+		}
 	}
 	if ctx.cond != nil {
 		ctx.mu.Lock()
@@ -131,7 +161,15 @@ func (ctx *runContext) stopped() bool {
 	return true
 }
 
-// err is the call's result: ErrStopped once the stop flag was set.
+// startLeaf takes one starting leaf product's 2·m·k·n off the call's left
+// flops, so work in flight never counts as left.
+func (ctx *runContext) startLeaf(m, k, n int) {
+	if ctx.over != nil {
+		ctx.left.Add(-2 * int64(m) * int64(k) * int64(n))
+	}
+}
+
+// err is the call's result: ErrStopped once the stop latch was set.
 func (ctx *runContext) err() error {
 	if ctx.stopSet() {
 		return ErrStopped

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"fastmm/internal/gemm"
 	"fastmm/internal/mat"
@@ -29,46 +28,50 @@ import (
 // all i,j, bit-for-bit. Like Multiply, steady-state calls on a reused
 // Executor are (amortized) allocation-free for sequential and single-worker
 // DFS execution.
-func (e *Executor) MultiplyATA(C, A *mat.Dense) error { return e.WithStop(nil).MultiplyATA(C, A) }
+func (e *Executor) MultiplyATA(C, A *mat.Dense) error {
+	return e.WithBudget(Budget{}).MultiplyATA(C, A)
+}
 
 // MultiplySyrk computes C = A·Aᵗ for an m×n operand A; C must be m×m and
 // must not alias A. The result is exactly symmetric, like MultiplyATA's.
-func (e *Executor) MultiplySyrk(C, A *mat.Dense) error { return e.WithStop(nil).MultiplySyrk(C, A) }
+func (e *Executor) MultiplySyrk(C, A *mat.Dense) error {
+	return e.WithBudget(Budget{}).MultiplySyrk(C, A)
+}
 
-// MultiplyATA is Executor.MultiplyATA under the bound stop flag.
+// MultiplyATA is Executor.MultiplyATA under the bound budget.
 func (s Stoppable) MultiplyATA(C, A *mat.Dense) error {
 	n := A.Cols()
 	if C.Rows() != n || C.Cols() != n {
 		return fmt.Errorf("core: ATA dimension mismatch C %d×%d = Aᵗ·A for A %d×%d (want C %d×%d)",
 			C.Rows(), C.Cols(), A.Rows(), A.Cols(), n, n)
 	}
-	return s.e.structured(C, A, true, s.stop)
+	return s.e.structured(C, A, true, s.b)
 }
 
-// MultiplySyrk is Executor.MultiplySyrk under the bound stop flag.
+// MultiplySyrk is Executor.MultiplySyrk under the bound budget.
 func (s Stoppable) MultiplySyrk(C, A *mat.Dense) error {
 	m := A.Rows()
 	if C.Rows() != m || C.Cols() != m {
 		return fmt.Errorf("core: SYRK dimension mismatch C %d×%d = A·Aᵗ for A %d×%d (want C %d×%d)",
 			C.Rows(), C.Cols(), A.Rows(), A.Cols(), m, m)
 	}
-	return s.e.structured(C, A, false, s.stop)
+	return s.e.structured(C, A, false, s.b)
 }
 
 // structured runs the symmetric recursion. gram selects C = Aᵗ·A (p = cols,
 // q = rows); otherwise C = A·Aᵗ (p = rows, q = cols). Either way one
 // materialized transpose of A turns the problem into C = L·R with L == Rᵗ,
 // which is the invariant the recursion maintains on every diagonal subblock.
-func (e *Executor) structured(C, A *mat.Dense, gram bool, stop *atomic.Bool) error {
+// The walk counts no leaf flops: its budget's Over always sees 0 left.
+func (e *Executor) structured(C, A *mat.Dense, gram bool, b Budget) error {
 	p, q := A.Cols(), A.Rows()
 	if !gram {
 		p, q = A.Rows(), A.Cols()
 	}
 	mode := e.structuredMode(p, q)
-	ctx := newRunContext(e.opts, mode, 0)
-	ctx.stop = stop
-	ar := e.arenas.Get()
-	defer e.arenas.Put(ar)
+	ctx := newRunContext(e.opts, mode, 0, b, 0, &e.arenas)
+	ar := ctx.arenas.Get()
+	defer ctx.arenas.Put(ar)
 	if mode == Sequential || mode == DFS {
 		ar.Reserve(int(e.structuredFloats(mode, p, q)))
 	}
@@ -177,7 +180,7 @@ func parTranspose(dst, src *mat.Dense, workers int) {
 // fused plan the beta-accumulate happens inside the scatter-add epilogue
 // itself. Dimensions as for Multiply.
 func (e *Executor) MultiplyAdd(C, A, B *mat.Dense, alpha float64) error {
-	return e.product(C, A, B, alpha, true, nil, nil)
+	return e.product(C, A, B, alpha, true, nil, Budget{})
 }
 
 // structuredFloats is the float64 footprint of one structured call: the

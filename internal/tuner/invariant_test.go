@@ -10,6 +10,7 @@ import (
 	"fastmm/internal/gemm"
 	"fastmm/internal/mat"
 	"fastmm/internal/op"
+	"fastmm/internal/workspace"
 )
 
 // scriptedTimer replaces a tuner's probe stopwatch: fast plans and classical
@@ -27,7 +28,8 @@ type scriptedTimer struct {
 	nFast, nClass   int
 }
 
-func (s *scriptedTimer) time(d *decision, _ op.Request, limit time.Duration) (float64, error) {
+func (s *scriptedTimer) time(d *decision, _ op.Request, lim probeLimit) (float64, error) {
+	limit := lim.limit
 	s.calls = append(s.calls, d.plan)
 	s.limits = append(s.limits, limit)
 	if s.fail != nil && s.fail(d.plan) {
@@ -227,12 +229,12 @@ func TestStoppedProbeNeverWins(t *testing.T) {
 	const n = 512
 	tn := mustTuner(t, Options{Resources: Resources{Workers: 1}, Profile: testProfile(1), NoDiskCache: true})
 	var calls int
-	tn.timeRun = func(d *decision, _ op.Request, limit time.Duration) (float64, error) {
+	tn.timeRun = func(d *decision, _ op.Request, lim probeLimit) (float64, error) {
 		calls++
 		if d.plan.IsClassical() {
 			return 1, nil
 		}
-		if limit <= 0 {
+		if lim.limit <= 0 {
 			t.Fatalf("fast probe %v timed without a deadline", d.plan)
 		}
 		return 0.1, core.ErrStopped
@@ -249,10 +251,12 @@ func TestStoppedProbeNeverWins(t *testing.T) {
 	}
 }
 
-// TestTimeDecisionStopsAtLimit: the production stopwatch arms the executor's
-// stop flag from a timer. A fast plan whose limit passes mid-run reports
-// core.ErrStopped; without a limit the same plan runs to completion, and the
-// classical baseline is never stopped.
+// TestTimeDecisionStopsAtLimit: the production stopwatch binds each trial
+// to a budget. A fast plan that cannot finish inside its limit at the given
+// rate reports core.ErrStopped — with a hopeless rate at its first check,
+// long before the limit — while an ample rate and limit, or no limit, runs
+// it to completion; the classical baseline is never stopped. Every run
+// draws its workspace from the limit's pool, never the executor's own.
 func TestTimeDecisionStopsAtLimit(t *testing.T) {
 	const n = 384
 	tn := mustTuner(t, Options{Resources: Resources{Workers: 1}, Profile: testProfile(1), NoDiskCache: true})
@@ -265,19 +269,193 @@ func TestTimeDecisionStopsAtLimit(t *testing.T) {
 	A.FillRandom(rng)
 	B.FillRandom(rng)
 	req := op.Request{Op: op.Multiply, C: mat.New(n, n), A: A, B: B}
+	pool := new(workspace.Pool)
 
-	if secs, err := tn.timeDecision(fast, req, time.Nanosecond); !errors.Is(err, core.ErrStopped) || secs != time.Nanosecond.Seconds() {
+	if secs, err := tn.timeDecision(fast, req, probeLimit{limit: time.Nanosecond, rate: 1e30, arenas: pool}); !errors.Is(err, core.ErrStopped) || secs != time.Nanosecond.Seconds() {
 		t.Fatalf("fast run against a 1ns limit: %gs, %v; want the limit and core.ErrStopped", secs, err)
 	}
-	if secs, err := tn.timeDecision(fast, req, 0); err != nil || secs <= 0 {
+	start := time.Now()
+	if _, err := tn.timeDecision(fast, req, probeLimit{limit: time.Hour, rate: 1, arenas: pool}); !errors.Is(err, core.ErrStopped) {
+		t.Fatalf("fast run whose leaves cannot finish inside an hour at 1 flop/s: %v, want core.ErrStopped", err)
+	}
+	if waited := time.Since(start); waited > time.Minute {
+		t.Fatalf("a run that could not finish was stopped only after %v", waited)
+	}
+	if secs, err := tn.timeDecision(fast, req, probeLimit{limit: time.Hour, rate: 1e30, arenas: pool}); err != nil || secs <= 0 {
+		t.Fatalf("fast run with an ample limit and rate: %gs, %v", secs, err)
+	}
+	if secs, err := tn.timeDecision(fast, req, probeLimit{arenas: pool}); err != nil || secs <= 0 {
 		t.Fatalf("fast run without a limit: %gs, %v", secs, err)
+	}
+	if got := fast.exec.WorkspaceRetained(); got != 0 || pool.Bytes() == 0 {
+		t.Fatalf("executor retained %d bytes, probe pool %d; want every arena in the probe pool", got, pool.Bytes())
 	}
 	classical := tn.classicalPlan(op.Multiply, n, n, n, gemm.Default())
 	d, err := tn.build(op.Multiply, classical)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if secs, err := tn.timeDecision(d, req, time.Nanosecond); err != nil || secs <= 0 {
+	if secs, err := tn.timeDecision(d, req, probeLimit{limit: time.Nanosecond, rate: 1, arenas: pool}); err != nil || secs <= 0 {
 		t.Fatalf("classical run against a 1ns limit: %gs, %v; classical is never stopped", secs, err)
+	}
+}
+
+// TestProbeBoundIsSound drives a real fast run under the probe bound with a
+// scripted clock: time advances only with leaf work, at simRate flops per
+// second, and additions are free. A run whose remaining leaves finish by
+// the deadline at the bound's rate is never stopped; a run that cannot
+// finish is stopped at the first check after the projected finish
+// (now + left/rate) crosses the deadline, and at no check before it.
+func TestProbeBoundIsSound(t *testing.T) {
+	const n = 256 // strassen s2: 49 leaves of 64³, no peeling
+	const rate = 2e9
+	total := int64(49 * 2 * 64 * 64 * 64)
+	tn := mustTuner(t, Options{Resources: Resources{Workers: 1}, Profile: testProfile(1), NoDiskCache: true})
+	d, err := tn.build(op.Multiply, Plan{Algorithm: "strassen", Steps: 2, Parallel: "sequential", Strategy: "write-once", Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	A, B := mat.New(n, n), mat.New(n, n)
+	A.FillRandom(rng)
+	B.FillRandom(rng)
+	req := op.Request{Op: op.Multiply, C: mat.New(n, n), A: A, B: B}
+	totalSecs := float64(total) / rate
+
+	for _, tc := range []struct {
+		name      string
+		simRate   float64 // the flop rate the scripted leaves run at
+		limitSecs float64
+		wantStop  bool
+	}{
+		{"leaves at the bound's rate finish just inside the limit", rate, totalSecs + 1e-6, false},
+		{"leaves faster than the bound's rate", 2 * rate, totalSecs + 1e-6, false},
+		{"leaves at half the rate cannot finish", rate / 2, 1.5 * totalSecs, true},
+		{"hopeless from the first check", rate / 2, 0.75 * totalSecs, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			start := time.Unix(1000, 0)
+			var done int64 // leaf flops started, as the last check reported them
+			clock := func() time.Time {
+				return start.Add(time.Duration(float64(done) / tc.simRate * float64(time.Second)))
+			}
+			lim := probeLimit{limit: time.Duration(tc.limitSecs * float64(time.Second)), rate: rate, arenas: new(workspace.Pool)}
+			b := lim.budget(start, clock)
+			over := b.Over
+			type check struct {
+				left int64
+				over bool
+			}
+			var checks []check
+			b.Over = func(left int64) bool {
+				done = total - left
+				o := over(left)
+				checks = append(checks, check{left, o})
+				return o
+			}
+			err := d.runBudget(req, b)
+			if gotStop := errors.Is(err, core.ErrStopped); gotStop != tc.wantStop || (err != nil && !gotStop) {
+				t.Fatalf("run returned %v, want stopped=%v", err, tc.wantStop)
+			}
+			if len(checks) == 0 || checks[0].left != total {
+				t.Fatalf("first check saw %v, want %d left flops", checks, total)
+			}
+			for i, c := range checks {
+				projected := float64(total-c.left)/tc.simRate + float64(c.left)/rate
+				crossed := projected > tc.limitSecs
+				if c.over != crossed {
+					t.Fatalf("check %d (left %d, projected %gs vs limit %gs) returned %v", i, c.left, projected, tc.limitSecs, c.over)
+				}
+				if c.over && i != len(checks)-1 {
+					t.Fatalf("check %d stopped the run, yet %d more checks asked the budget", i, len(checks)-1-i)
+				}
+			}
+		})
+	}
+}
+
+// TestProbeSharesOneArenaPool: one probe over several explicit survivors
+// hands every run the same arena pool, which ends up holding about the
+// largest survivor's workspace rather than the sum of them all; the
+// winner's executor, like every survivor's, retains nothing.
+func TestProbeSharesOneArenaPool(t *testing.T) {
+	const n = 384
+	tn := mustTuner(t, Options{Resources: Resources{Workers: 1}, Profile: testProfile(1), NoDiskCache: true})
+	ranked, err := tn.RankOp(op.Multiply, n, n, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var plans []Plan
+	var classical *Plan
+	for i, p := range ranked {
+		switch {
+		case p.IsClassical():
+			if classical == nil {
+				classical = &ranked[i]
+			}
+		case !p.Fused && len(plans) < DefaultProbeTopK:
+			plans = append(plans, p)
+		}
+	}
+	if classical == nil || len(plans) < 2 {
+		t.Fatalf("need a classical plan and explicit fast ones, have %d", len(plans))
+	}
+	var maxWS, sumWS int64
+	var execs []*core.Executor
+	for _, p := range plans {
+		d, err := tn.build(op.Multiply, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws := execWorkspace(d.exec, op.Multiply, n, n, n) - 8*d.be.PackFloatsPerWorker() // the arena part
+		maxWS, sumWS = max(maxWS, ws), sumWS+ws
+	}
+	// On top of the largest reservation: view headers, pointer and
+	// scaled-operand slabs, and a temporary the model's count missed that
+	// spills into a chunk of its own (at most a quarter of the reservation).
+	scratch := maxWS/4 + 256<<10
+	if maxWS+scratch >= sumWS {
+		t.Fatalf("survivors' workspaces (max %d, sum %d) do not tell max from sum", maxWS, sumWS)
+	}
+
+	var pools []*workspace.Pool
+	tn.timeRun = func(d *decision, req op.Request, lim probeLimit) (float64, error) {
+		pools = append(pools, lim.arenas)
+		if d.exec != nil {
+			execs = append(execs, d.exec)
+		}
+		// Run every survivor to completion on the probe's pool, then
+		// report a scripted fast win so a fast plan is the decision.
+		if _, err := tn.timeDecision(d, req, probeLimit{arenas: lim.arenas}); err != nil {
+			return 0, err
+		}
+		if d.plan.IsClassical() {
+			return 1, nil
+		}
+		return 0.5, nil
+	}
+	d, err := tn.pick(op.Multiply, append(plans, *classical), n, n, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.plan.IsClassical() {
+		t.Fatalf("picked %v, want the scripted fast win", d.plan)
+	}
+	pool := pools[0]
+	for i, p := range pools {
+		if p == nil || p != pool {
+			t.Fatalf("timing %d drew from pool %p, want the decision's one pool %p", i, p, pool)
+		}
+	}
+	if got := pool.Bytes(); got < maxWS || got > maxWS+scratch {
+		t.Fatalf("probe pool retains %d bytes; want about the largest survivor's %d (sum %d)", got, maxWS, sumWS)
+	}
+	if got := (&Entry{d: d}).WorkspaceRetained(); got != 0 {
+		t.Fatalf("the winner's entry retains %d bytes right after the decision, want 0", got)
+	}
+	for _, e := range execs {
+		if got := e.WorkspaceRetained(); got != 0 {
+			t.Fatalf("a probed executor retains %d bytes, want 0", got)
+		}
 	}
 }

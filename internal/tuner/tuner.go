@@ -16,9 +16,9 @@
 //     the measured STREAM-add bandwidth);
 //  3. optionally refine the top-K survivors with short empirical probes —
 //     the best-predicted classical plan always among them and timed first,
-//     every fast probe stopped once it passes that measured time less the
-//     margin, and a fast plan chosen only when it beats the classical time
-//     by the margin, twice (see probe);
+//     every fast probe stopped once it can no longer finish inside that
+//     measured time less the margin, and a fast plan chosen only when it
+//     beats the classical time by the margin, twice (see probe);
 //  4. persist the winner in an on-disk tuning cache (JSON under
 //     os.UserCacheDir, overridable via FASTMM_TUNE_CACHE) fronted by an
 //     in-memory LRU, so repeated shapes dispatch in O(1).
@@ -37,7 +37,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"fastmm/internal/addchain"
@@ -50,6 +49,7 @@ import (
 	"fastmm/internal/op"
 	"fastmm/internal/resources"
 	"fastmm/internal/trace"
+	"fastmm/internal/workspace"
 )
 
 const (
@@ -242,13 +242,13 @@ type decision struct {
 // run executes one request — C = Alpha·op(A,B) + Beta·C — with the decision's
 // plan. The overwrite paths (Beta == 0) are the hot, allocation-conscious
 // ones; accumulating into a symmetric result allocates one temporary.
-func (d *decision) run(r op.Request) error { return d.runUntil(r, nil) }
+func (d *decision) run(r op.Request) error { return d.runBudget(r, core.Budget{}) }
 
-// runUntil is run with a fast plan's executor bound to a stop flag (see
-// core.Executor.WithStop): once the flag is set the call returns
-// core.ErrStopped. The classical baseline ignores the flag; probe never
-// arms one for it.
-func (d *decision) runUntil(r op.Request, stop *atomic.Bool) error {
+// runBudget is run with a fast plan's executor bound to a budget (see
+// core.Executor.WithBudget): once its Over holds the call returns
+// core.ErrStopped, and its arenas come from the budget's pool. The
+// classical baseline ignores the budget.
+func (d *decision) runBudget(r op.Request, b core.Budget) error {
 	if d.failMul != nil {
 		return d.failMul
 	}
@@ -259,7 +259,7 @@ func (d *decision) runUntil(r op.Request, stop *atomic.Bool) error {
 	if d.exec == nil {
 		return d.runClassical(r)
 	}
-	exec := d.exec.WithStop(stop)
+	exec := d.exec.WithBudget(b)
 	switch r.Op {
 	case op.Multiply, op.MultiplyAdd:
 		if r.Beta == 0 {
@@ -359,10 +359,11 @@ type Tuner struct {
 	models  map[modelKey]*costmodel.Model
 
 	// timeRun is the probe's stopwatch: the seconds one survivor takes on the
-	// probe request, or core.ErrStopped once a positive limit has passed. It
-	// is timeDecision everywhere but in the invariant tests, which script the
-	// measured times through it.
-	timeRun func(d *decision, req op.Request, limit time.Duration) (float64, error)
+	// probe request, or core.ErrStopped once the run provably cannot finish
+	// inside a positive limit (see probeLimit). It is timeDecision
+	// everywhere but in the invariant tests, which script the measured times
+	// through it.
+	timeRun func(d *decision, req op.Request, lim probeLimit) (float64, error)
 }
 
 // persistMu serializes tuning-cache persistence process-wide: the resource it
@@ -1115,27 +1116,53 @@ func (t *Tuner) pick(o op.Op, ranked []Plan, m, k, n int) (*decision, error) {
 	return t.probe(o, survivors, m, k, n)
 }
 
-// timeDecision is the production timeRun: the fastest of ProbeTrials runs.
-// A positive limit arms each trial's stop flag from a timer, so a trial that
-// passes it stops within one leaf or addition pass instead of running to
-// completion; the probe reports core.ErrStopped when every trial stopped.
-func (t *Tuner) timeDecision(d *decision, req op.Request, limit time.Duration) (float64, error) {
+// leafRateSlack is how much faster than classical's measured flop rate on
+// the whole shape a fast plan's leaves may run before the probe bound could
+// stop a plan that would have finished in time. A leaf can beat the whole
+// shape's rate — a smaller gemm fits the caches better, and BFS leaves skip
+// the parallel gemm's fan-out. Measured on a 2-CPU AVX-512 Xeon, the worst
+// leaf of the benchmark's shapes ran at 1.15–1.20× (2560×320×2560 at two
+// workers, leaves of 640×160×640 two at a time); the constant keeps a
+// margin over that.
+const leafRateSlack = 1.3
+
+// probeLimit is what one timed probe run is held to: the decision's arena
+// pool, and for a fast probe a limit and the flop rate its remaining leaves
+// are assumed to run at (leafRateSlack × classical's measured rate).
+type probeLimit struct {
+	limit  time.Duration // 0: run to completion
+	rate   float64       // flops per second
+	arenas *workspace.Pool
+}
+
+// budget is one trial's core.Budget, the trial started at start and now
+// reading the clock: Over(left) holds once now + left/rate is past
+// start + limit — the run could not finish inside the limit even with every
+// remaining leaf at rate and all its additions free, so it has lost. With
+// no limit the budget only supplies the arenas.
+func (l probeLimit) budget(start time.Time, now func() time.Time) core.Budget {
+	b := core.Budget{Arenas: l.arenas}
+	if l.limit <= 0 {
+		return b
+	}
+	deadline := start.Add(l.limit)
+	b.Over = func(left int64) bool {
+		rest := time.Duration(float64(left) / l.rate * float64(time.Second))
+		return now().Add(rest).After(deadline)
+	}
+	return b
+}
+
+// timeDecision is the production timeRun: the fastest of ProbeTrials runs,
+// each under its own budget (see probeLimit.budget), so a trial that cannot
+// finish inside a positive limit stops at the first check that proves it;
+// the probe reports core.ErrStopped when every trial stopped.
+func (t *Tuner) timeDecision(d *decision, req op.Request, lim probeLimit) (float64, error) {
 	best := math.Inf(1)
 	for i := 0; i < t.opts.ProbeTrials; i++ {
-		var stop *atomic.Bool
-		var timer *time.Timer
-		if limit > 0 {
-			// A fresh flag per trial: a timer that fires late cannot stop
-			// the next one.
-			stop = new(atomic.Bool)
-			timer = time.AfterFunc(limit, func() { stop.Store(true) })
-		}
 		start := time.Now()
-		err := d.runUntil(req, stop)
+		err := d.runBudget(req, lim.budget(start, time.Now))
 		secs := time.Since(start).Seconds()
-		if timer != nil {
-			timer.Stop()
-		}
 		if errors.Is(err, core.ErrStopped) {
 			continue
 		}
@@ -1145,7 +1172,7 @@ func (t *Tuner) timeDecision(d *decision, req op.Request, limit time.Duration) (
 		best = min(best, secs)
 	}
 	if math.IsInf(best, 1) {
-		return limit.Seconds(), core.ErrStopped
+		return lim.limit.Seconds(), core.ErrStopped
 	}
 	return best, nil
 }
@@ -1161,12 +1188,21 @@ func (t *Tuner) timeDecision(d *decision, req op.Request, limit time.Duration) (
 // plan: the tuner may fail to find a speedup, it must not pick a slowdown.
 //
 // The classical survivors are timed first, and the rule's own cut-off is
-// where a fast probe stops: every fast survivor runs against a deadline of
-// (1 − probeMargin) times the fastest classical time. A run that passes it
-// has lost whatever it would have measured, so it is stopped (see
-// core.Executor.WithStop) and never wins. The decisions are those of timing
-// every survivor to completion; only the losers' time is saved. The
-// confirming pair runs without a deadline.
+// where a fast probe stops: every fast survivor runs against a limit of
+// (1 − probeMargin) times the fastest classical time T_c. A run is stopped
+// (see core.Executor.WithBudget) at the first check where it could not
+// finish inside that limit even with its remaining leaf flops at
+// leafRateSlack × classical's flop rate (flops/T_c) and its additions free;
+// it has lost whatever it would have measured, and never wins. While the
+// slack holds, the decisions are those of timing every survivor to
+// completion; only the losers' time is saved. The confirming pair runs
+// without a limit.
+//
+// Every run the probe times draws its workspace from one arena pool, made
+// here and dropped on return: each fast survivor reuses the arenas the
+// previous one warmed instead of allocating and zeroing its own, and
+// nothing a probe warmed outlives the decision — the winner's executor
+// starts with an empty pool.
 //
 // A positive ProbeBudget additionally stops the sweep once the wall-clock
 // budget is spent; with no probe completed the model's top pick
@@ -1201,6 +1237,7 @@ func (t *Tuner) probe(o op.Op, survivors []*decision, m, k, n int) (*decision, e
 	// time sets every fast deadline.
 	req.C.Zero()
 
+	arenas := new(workspace.Pool)
 	var best, classical *decision
 	var firstErr error
 	failed := make([]bool, len(survivors))
@@ -1213,13 +1250,15 @@ sweep:
 			if !deadline.IsZero() && !time.Now().Before(deadline) {
 				break sweep
 			}
-			var limit time.Duration
+			lim := probeLimit{arenas: arenas}
 			if fast && classical != nil {
-				limit = time.Duration((1 - probeMargin) * classical.plan.MeasuredSeconds * float64(time.Second))
+				tc := classical.plan.MeasuredSeconds
+				lim.limit = time.Duration((1 - probeMargin) * tc * float64(time.Second))
+				lim.rate = leafRateSlack * 2 * float64(m) * float64(k) * float64(n) / tc
 			}
-			secs, err := t.timeRun(d, req, limit)
+			secs, err := t.timeRun(d, req, lim)
 			if errors.Is(err, core.ErrStopped) {
-				continue // past the deadline: lost
+				continue // cannot beat the limit: lost
 			}
 			if err != nil {
 				failed[i] = true
@@ -1256,11 +1295,11 @@ sweep:
 	if !beats(best.plan.MeasuredSeconds, classical.plan.MeasuredSeconds) {
 		return classical, nil
 	}
-	fast, err := t.timeRun(best, req, 0)
+	fast, err := t.timeRun(best, req, probeLimit{arenas: arenas})
 	if err != nil {
 		return classical, nil
 	}
-	if ref, err := t.timeRun(classical, req, 0); err == nil && !beats(fast, ref) {
+	if ref, err := t.timeRun(classical, req, probeLimit{arenas: arenas}); err == nil && !beats(fast, ref) {
 		return classical, nil
 	}
 	best.plan.MeasuredSeconds = min(best.plan.MeasuredSeconds, fast)

@@ -197,6 +197,10 @@ func (a *Arena) Bytes() int64 {
 // Reserve warms the arena so a single contiguous allocation of n float64s
 // (and anything smaller) will not trigger a new chunk. Allocations cannot
 // span chunks, so this requires one chunk of at least n, not n in total.
+// On an arena with no float allocation live (as a pooled arena comes from
+// Get) the new chunk replaces the smaller ones instead of joining them, so
+// an arena that serves one call after another — a pool shared by several
+// executors — retains its largest reservation, not their sum.
 func (a *Arena) Reserve(n int) {
 	if n <= 0 {
 		return // e.g. a below-cutoff problem with no fast-path workspace
@@ -208,6 +212,10 @@ func (a *Arena) Reserve(n int) {
 	}
 	if n < minFloatChunk {
 		n = minFloatChunk
+	}
+	if a.floats.ci == 0 && a.floats.off == 0 {
+		clear(a.floats.chunks)
+		a.floats.chunks = a.floats.chunks[:0]
 	}
 	a.floats.chunks = append(a.floats.chunks, make([]float64, n)) //fastmm:allow amortized warm-up chunk, retained across calls
 }

@@ -127,6 +127,30 @@ func TestReserve(t *testing.T) {
 	}
 }
 
+// TestReserveReplacesOnIdleArena: an idle arena whose chunks are all too
+// small swaps them for the one reservation, so a pooled arena that served a
+// smaller call retains the larger footprint, not both; an arena with live
+// float allocations keeps them valid and grows instead.
+func TestReserveReplacesOnIdleArena(t *testing.T) {
+	a := New()
+	a.Reserve(2 * minFloatChunk)
+	a.Floats(minFloatChunk) // a small chunk's worth of live data...
+	a.Reset()               // ...released, as Pool.Put does
+	a.Reserve(5 * minFloatChunk)
+	if got, want := a.Bytes(), int64(5*minFloatChunk*8); got != want {
+		t.Fatalf("idle arena retained %d bytes after a larger reservation, want %d", got, want)
+	}
+	live := a.Floats(3)
+	live[0] = 42
+	a.Reserve(9 * minFloatChunk)
+	if got, want := a.Bytes(), int64((5+9)*minFloatChunk*8); got != want {
+		t.Fatalf("arena with live data retained %d bytes, want %d (both chunks)", got, want)
+	}
+	if live[0] != 42 {
+		t.Fatal("a live allocation lost its data to Reserve")
+	}
+}
+
 func TestSteadyStateAllocFree(t *testing.T) {
 	a := New()
 	work := func() {
