@@ -122,3 +122,20 @@ func TestAutoPlanFor(t *testing.T) {
 		t.Fatalf("64³ must dispatch to classical, got %v", small)
 	}
 }
+
+// A ProbeTopK below AutoNoProbes is an error on every public path, not a
+// silent "always classical, never probed".
+func TestProbeTopKBelowNoProbesFails(t *testing.T) {
+	opts := autoTestOpts(1)
+	opts.ProbeTopK = fastmm.AutoNoProbes - 1
+	if _, err := fastmm.NewAutoExecutor(opts); err == nil {
+		t.Error("NewAutoExecutor accepted ProbeTopK below AutoNoProbes")
+	}
+	A, B, C := fastmm.NewMatrix(8, 8), fastmm.NewMatrix(8, 8), fastmm.NewMatrix(8, 8)
+	if err := fastmm.Auto(C, A, B, opts); err == nil {
+		t.Error("Auto accepted ProbeTopK below AutoNoProbes")
+	}
+	if _, err := fastmm.NewBatcher(fastmm.BatchOptions{Resources: fastmm.Resources{Workers: 1}, Tuning: opts}); err == nil {
+		t.Error("NewBatcher accepted ProbeTopK below AutoNoProbes")
+	}
+}

@@ -53,7 +53,6 @@ package fastmm
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"sync"
 	"time"
 
@@ -198,6 +197,12 @@ func NewScheduleExecutor(names []string, opts Options) (*Executor, error) {
 // probing, and the default on-disk tuning cache (JSON under
 // os.UserCacheDir()/fastmm, overridable via the FASTMM_TUNE_CACHE
 // environment variable; set it to "off" to disable the disk layer).
+// Resources sets the budget and the leaf backends raced; MinDim the
+// recursion cutoff; ProbeTopK how many leaders are timed (AutoNoProbes:
+// none); Algorithms the catalog entries ranked; Profile a fixed
+// calibration; NoDiskCache keeps decisions in memory. Everything else the
+// tuner does — recursion depths, addition strategies, one timing per probe
+// — is fixed.
 type AutoOptions = tuner.Options
 
 // AutoPlan is one fully specified tuned configuration: algorithm, recursion
@@ -282,8 +287,7 @@ var (
 // The map holds one entry per genuinely distinct option set for the process
 // lifetime; own the dispatcher via NewAutoExecutor to control that.
 func sharedAuto(opts AutoOptions) (*AutoExecutor, error) {
-	norm := opts.Normalized() // zero value and spelled-out defaults share one dispatcher
-	key := autoOptionsKey(norm)
+	key := opts.Key() // zero value and spelled-out defaults share one dispatcher
 	autoMu.Lock()
 	defer autoMu.Unlock()
 	if t, ok := autoByOpt[key]; ok {
@@ -297,22 +301,13 @@ func sharedAuto(opts AutoOptions) (*AutoExecutor, error) {
 	return t, nil
 }
 
-// autoOptionsKey renders a normalized AutoOptions as a map key: two option
-// sets that behave identically render identically. Shared by the Auto
-// dispatcher map and the shared-batcher map.
-func autoOptionsKey(norm AutoOptions) string {
-	return fmt.Sprintf("%s min%d s%d k%d t%d pb%d cse%t alg%s st%v disk%t prof%s",
-		norm.Resources.Key(), norm.MinDim, norm.MaxSteps, norm.ProbeTopK,
-		norm.ProbeTrials, norm.ProbeBudget, norm.CSE, strings.Join(norm.Algorithms, ","),
-		norm.Strategies, norm.NoDiskCache, norm.Profile.Fingerprint())
-}
-
 // BatchOptions configures a Batcher (and MultiplyBatch). The zero value is
 // ready to use: GOMAXPROCS total workers, an unbounded-bytes warm pool of at
 // most batch.DefaultMaxEntries shape-class entries, and default tuning.
 // Workspace bounds the bytes of executor workspace the warm pool retains
-// (LRU eviction); Tuning passes probe policy, candidate restrictions, and
-// cache behavior through to the autotuner.
+// (LRU eviction); Tuning passes the autotuner's options (MinDim, ProbeTopK,
+// Algorithms, Profile, NoDiskCache, and a per-plan Workspace cap) through
+// to every per-width tuner, whose Workers the batcher sets itself.
 type BatchOptions = batch.Options
 
 // Batcher dispatches many multiplications through warm per-shape-class
@@ -422,11 +417,11 @@ type TraceSpan = trace.Span
 
 // BatchDriftOptions configures the drift loop (BatchOptions.Drift): every
 // completed execution is compared against the calibrated service-time
-// prediction, K consecutive completions outside the confidence band declare
-// a drift event, and drift events trigger a rate-limited re-tune of the
-// class (warm entry evicted, cached plan invalidated in memory and on disk,
-// class re-tuned, admission estimator reseeded). The zero value enables the
-// loop with defaults; set Disable to turn it off.
+// prediction, eight consecutive completions outside a ±50% band declare a
+// drift event, and drift events trigger a re-tune of the class at most once
+// a minute (warm entry evicted, cached plan invalidated in memory and on
+// disk, class re-tuned, admission estimator reseeded). The zero value
+// enables the loop; Disable, its only field, turns it off.
 type BatchDriftOptions = batch.DriftOptions
 
 // NewBatcher builds a batched dispatcher. The machine calibration behind its
@@ -466,13 +461,7 @@ var (
 // mirroring sharedAuto: one entry per genuinely distinct option set, alive
 // for the process lifetime (its runner goroutines park on an empty queue).
 func sharedBatcher(opts BatchOptions) (*Batcher, error) {
-	norm := opts.Normalized()
-	key := fmt.Sprintf("%s e%d g%d q%d ag%d tr%t/%d/%d dr%t/%g/%d/%d | %s",
-		norm.Resources.Key(), norm.MaxEntries, norm.GrainFLOPs,
-		norm.QueueDepth, norm.AgingWindow,
-		norm.Trace.Disable, norm.Trace.Ring, norm.Trace.Sample,
-		norm.Drift.Disable, norm.Drift.Band, norm.Drift.K, norm.Drift.MinReprobeInterval,
-		autoOptionsKey(norm.Tuning.Normalized()))
+	key := opts.Key()
 	batchMu.Lock()
 	defer batchMu.Unlock()
 	if b, ok := batchByOpt[key]; ok {

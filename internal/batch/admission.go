@@ -145,20 +145,21 @@ func (s *svcEstimator) reseed(o op.Op, class tuner.ShapeClass, secs float64) {
 }
 
 // checkDrift folds one observed service time into the drift state: an
-// observation outside the band [pred/(1+band), pred·(1+band)] extends the
-// out-of-band streak, an in-band one resets it, and the K-th consecutive
-// out-of-band observation declares a drift event (true), resetting the
-// streak and stamping the history. Unseeded cells never drift.
-func (e *ewma) checkDrift(secs, band float64, k int, nowNanos int64) bool {
+// observation outside the band [pred/(1+driftBand), pred·(1+driftBand)]
+// extends the out-of-band streak, an in-band one resets it, and the
+// driftK-th consecutive out-of-band observation declares a drift event
+// (true), resetting the streak and stamping the history. Unseeded cells
+// never drift.
+func (e *ewma) checkDrift(secs float64, nowNanos int64) bool {
 	pred := math.Float64frombits(e.predicted.Load())
 	if pred <= 0 {
 		return false
 	}
-	if secs <= pred*(1+band) && secs >= pred/(1+band) {
+	if secs <= pred*(1+driftBand) && secs >= pred/(1+driftBand) {
 		e.streak.Store(0)
 		return false
 	}
-	if e.streak.Add(1) < int32(k) {
+	if e.streak.Add(1) < driftK {
 		return false
 	}
 	e.streak.Store(0)

@@ -105,14 +105,14 @@ type Options struct {
 	// Trace.Disable to turn the layer off entirely.
 	Trace trace.Config
 	// Drift configures drift detection and re-probing. The zero value
-	// leaves the loop ON with the defaults (see DriftOptions); set
-	// Drift.Disable to turn it off.
+	// leaves the loop ON (see DriftOptions); set Drift.Disable to turn it
+	// off.
 	Drift DriftOptions
 	// Tuning configures the per-entry tuners. Workers is managed per entry
-	// width and Profile is filled from the batcher's one calibration, so
-	// those two fields are overridden; everything else (probe policy,
-	// candidate restrictions, per-plan Workspace cap, NoDiskCache, ...)
-	// passes through to internal/tuner.
+	// width, and every width shares the first tuner's calibration (Profile
+	// when set); MinDim, ProbeTopK, Algorithms, the per-plan Workspace cap,
+	// Backends (default: the batcher's own) and NoDiskCache pass through to
+	// internal/tuner.
 	Tuning tuner.Options
 }
 
@@ -143,14 +143,28 @@ func (o Options) withDefaults() Options {
 		o.Clock = wallClock{}
 	}
 	o.Trace = o.Trace.Normalized()
-	o.Drift = o.Drift.withDefaults()
+	if len(o.Tuning.Backends) == 0 {
+		o.Tuning.Backends = o.Backends
+	}
 	return o
 }
 
-// Normalized returns the options with defaults resolved — two option sets
-// behave identically iff their normalized forms are equal (the key of
-// fastmm's shared-batcher map).
-func (o Options) Normalized() Options { return o.withDefaults() }
+// Key renders the options' identity: option sets with equal keys build
+// batchers that behave identically, and the zero value renders like its
+// defaults spelled out. The budget renders through resources.Resources.Key
+// and the tuning through tuner.Options.Key; a Clock other than the wall
+// clock enters by identity. fastmm's shared-batcher map keys on it.
+func (o Options) Key() string {
+	o = o.withDefaults()
+	clock := "wall"
+	if _, ok := o.Clock.(wallClock); !ok {
+		clock = fmt.Sprintf("%T@%p", o.Clock, o.Clock)
+	}
+	return fmt.Sprintf("%s e%d g%d q%d ag%d clk:%s tr%t/%d/%d dr%t | %s",
+		o.Resources.Key(), o.MaxEntries, o.GrainFLOPs, o.QueueDepth, o.AgingWindow,
+		clock, o.Trace.Disable, o.Trace.Ring, o.Trace.Sample, o.Drift.Disable,
+		o.Tuning.Key())
+}
 
 // entryKey identifies one warm entry: an operation's plan space (op.PlanOp —
 // MultiplyAdd shares Multiply's entries) and shape class at one internal
@@ -315,9 +329,6 @@ func (b *Batcher) tunerFor(w int) (*tuner.Tuner, error) {
 	}
 	topts := b.opts.Tuning
 	topts.Workers = w
-	if len(topts.Backends) == 0 {
-		topts.Backends = b.opts.Backends
-	}
 	if b.prof != nil {
 		topts.Profile = b.prof
 	}

@@ -21,61 +21,35 @@ import (
 // the fresh plan. Re-probing is rate-limited so a noisy class re-tunes at a
 // bounded cadence, not on every excursion.
 
-// Drift-loop defaults (DriftOptions zero values).
+// The drift loop's fixed tuning.
 const (
-	// DefaultDriftBand is the relative confidence band around the calibrated
+	// driftBand is the relative confidence band around the calibrated
 	// prediction: an observation outside [pred/(1+band), pred·(1+band)]
-	// counts toward a drift event.
-	DefaultDriftBand = 0.5
-	// DefaultDriftK is how many consecutive out-of-band completions declare
-	// a drift event.
-	DefaultDriftK = 8
-	// DefaultMinReprobeInterval rate-limits re-probing across the whole
-	// batcher.
-	DefaultMinReprobeInterval = time.Minute
+	// counts toward a drift event. Both directions count: a class running
+	// far faster than predicted is also mis-calibrated (admission
+	// over-rejects on its behalf).
+	driftBand = 0.5
+	// driftK is how many consecutive out-of-band completions declare a
+	// drift event. One in-band completion resets the streak, so isolated
+	// outliers (GC pause, cache-cold call) never trigger.
+	driftK = 8
+	// minReprobeInterval rate-limits re-probing across the whole batcher.
+	// Events inside the window still count in Stats.DriftEvents; they just
+	// don't re-probe.
+	minReprobeInterval = time.Minute
 )
 
 // DriftOptions configures drift detection and re-probing (Options.Drift).
-// The zero value enables the loop with the defaults; set Disable to turn it
-// off (executions then feed the EWMA only).
+// The zero value enables the loop; set Disable to turn it off (executions
+// then feed the EWMA only).
 type DriftOptions struct {
-	// Band is the relative divergence tolerated between an observed service
-	// time and the calibrated prediction before the observation counts as
-	// out-of-band (default DefaultDriftBand). Both directions count: a class
-	// running far faster than predicted is also mis-calibrated (admission
-	// over-rejects on its behalf).
-	Band float64
-	// K is the number of consecutive out-of-band completions that declare a
-	// drift event (default DefaultDriftK). One in-band completion resets the
-	// streak, so isolated outliers (GC pause, cache-cold call) never trigger.
-	K int
-	// MinReprobeInterval bounds how often drift events may trigger re-tuning
-	// (default DefaultMinReprobeInterval). Events inside the window still
-	// count in Stats.DriftEvents; they just don't re-probe.
-	MinReprobeInterval time.Duration
 	// Disable turns the drift loop off.
 	Disable bool
 }
 
-func (d DriftOptions) withDefaults() DriftOptions {
-	if d.Disable {
-		return DriftOptions{Disable: true}
-	}
-	if d.Band <= 0 {
-		d.Band = DefaultDriftBand
-	}
-	if d.K <= 0 {
-		d.K = DefaultDriftK
-	}
-	if d.MinReprobeInterval <= 0 {
-		d.MinReprobeInterval = DefaultMinReprobeInterval
-	}
-	return d
-}
-
 // checkDrift folds one completed execution into the drift detector and, on a
 // drift event, schedules a re-probe of the entry's (op, class) if none ran
-// within MinReprobeInterval. Runs on every execution path after the EWMA
+// within minReprobeInterval. Runs on every execution path after the EWMA
 // observation; the non-drifting common case is a few atomic loads.
 func (b *Batcher) checkDrift(e *warmEntry, secs float64) {
 	if b.opts.Drift.Disable || secs <= 0 {
@@ -83,12 +57,12 @@ func (b *Batcher) checkDrift(e *warmEntry, secs float64) {
 	}
 	c := b.est.cell(e.key.op, e.key.class)
 	now := b.clock.Now().UnixNano()
-	if !c.checkDrift(secs, b.opts.Drift.Band, b.opts.Drift.K, now) {
+	if !c.checkDrift(secs, now) {
 		return
 	}
 	b.met.driftEvents.Add(1)
 	last := b.lastReprobe.Load()
-	if last != 0 && now-last < int64(b.opts.Drift.MinReprobeInterval) {
+	if last != 0 && now-last < int64(minReprobeInterval) {
 		return
 	}
 	if !b.lastReprobe.CompareAndSwap(last, now) {

@@ -45,18 +45,19 @@ func waitForReprobes(t *testing.T, b *Batcher, want int64) Stats {
 }
 
 // TestDriftTriggersSingleReprobe is the drift loop end to end on the fake
-// clock: executions observed at ~1s against a calibration predicting
-// microseconds build an out-of-band streak, the K-th completion declares a
-// drift event, the event triggers exactly one rate-limited re-probe (the
-// warm entry is rebuilt — fresh pointer — and the estimator reseeded), and
-// further drift events inside MinReprobeInterval count but do not re-probe.
+// clock: executions observed at ~10ms against a calibration predicting
+// microseconds build an out-of-band streak, the driftK-th completion
+// declares a drift event, the event triggers exactly one rate-limited
+// re-probe (the warm entry is rebuilt — fresh pointer — and the estimator
+// reseeded), and further drift events inside minReprobeInterval count but
+// do not re-probe. The step keeps the whole run well inside that interval.
 func TestDriftTriggersSingleReprobe(t *testing.T) {
 	const n = 64
-	const k = 3
+	const k = driftK
 	fc := newFakeClock()
 	opts := testOptions(1)
-	opts.Clock = &stepClock{fc: fc, step: time.Second}
-	opts.Drift = DriftOptions{Band: 0.5, K: k, MinReprobeInterval: time.Hour}
+	opts.Clock = &stepClock{fc: fc, step: 10 * time.Millisecond}
+	opts.Drift = DriftOptions{} // on: testOptions turns it off
 	b := newTestBatcher(t, opts)
 	A, B := randMat(n, n, 1), randMat(n, n, 2)
 	C := mat.New(n, n)
@@ -83,7 +84,7 @@ func TestDriftTriggersSingleReprobe(t *testing.T) {
 	}
 
 	// Keep drifting: events accrue, but the rate limiter holds the re-probe
-	// count at one for the next fake-clock hour.
+	// count at one inside minReprobeInterval of fake-clock time.
 	for i := 0; i < 3*k; i++ {
 		if err := b.Do(mulReq(C, A, B)); err != nil {
 			t.Fatal(err)

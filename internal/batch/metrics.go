@@ -254,11 +254,10 @@ type Stats struct {
 	EffectiveGFLOPS float64
 	// BusySeconds is the accumulated execution time behind that rate.
 	BusySeconds float64
-	// DriftEvents counts declared calibration-drift events (K consecutive
-	// completions outside the confidence band around the calibrated
+	// DriftEvents counts declared calibration-drift events (eight
+	// consecutive completions outside a ±50% band around the calibrated
 	// prediction); Reprobes the re-tunes they triggered. Reprobes ≤
-	// DriftEvents: the rate limiter absorbs events inside
-	// Drift.MinReprobeInterval.
+	// DriftEvents: the rate limiter allows one re-probe a minute.
 	DriftEvents int64
 	Reprobes    int64
 	// TraceSampled / TraceLost are the trace ring's lifetime claim and

@@ -61,7 +61,7 @@ func TestRankEnumeratesFused(t *testing.T) {
 		if v.steps == 1 {
 			// One-step fused plans are emitted under the first strategy
 			// only (TestRankOpEmitsEachExecutorOnce).
-			v.strat = tn.opts.Strategies[0].String()
+			v.strat = strategies[0].String()
 		}
 		fp, ok := fused[v]
 		if !ok {
@@ -172,7 +172,7 @@ func TestRankOpEmitsEachExecutorOnce(t *testing.T) {
 	A.FillRandom(rng)
 	B.FillRandom(rng)
 	var first *mat.Dense
-	for _, strat := range tn.opts.Strategies {
+	for _, strat := range strategies {
 		d, err := tn.build(op.Multiply, Plan{Algorithm: "strassen", Backend: gemm.Default().Name(),
 			Steps: 1, Parallel: "sequential", Strategy: strat.String(), Fused: true, Workers: 1})
 		if err != nil {
@@ -185,7 +185,7 @@ func TestRankOpEmitsEachExecutorOnce(t *testing.T) {
 		if first == nil {
 			first = C
 		} else if diff := mat.MaxAbsDiff(C, first); diff != 0 {
-			t.Errorf("one-step fused %s differs from %s by %g", strat, tn.opts.Strategies[0], diff)
+			t.Errorf("one-step fused %s differs from %s by %g", strat, strategies[0], diff)
 		}
 	}
 }

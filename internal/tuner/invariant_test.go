@@ -129,35 +129,18 @@ func TestPickNeverLosesToClassical(t *testing.T) {
 	}
 }
 
-// TestPickKeepsBudgetAndFailureBehaviour: the classical reference changes
-// neither of the probe's older contracts. An exhausted ProbeBudget times
-// nothing and returns the model's top pick; a survivor whose probe fails is
-// skipped, and when that survivor is the classical reference the fastest
-// remaining plan wins as before.
-func TestPickKeepsBudgetAndFailureBehaviour(t *testing.T) {
+// TestPickKeepsFailureBehaviour: the classical reference does not change
+// the probe's failure contract. A survivor whose probe fails is skipped,
+// and when that survivor is the classical reference the fastest remaining
+// plan wins as before.
+func TestPickKeepsFailureBehaviour(t *testing.T) {
 	const n = 512
-	opts := Options{Resources: Resources{Workers: 1}, Profile: testProfile(1), NoDiskCache: true}
-
-	starved := opts
-	starved.ProbeBudget = time.Nanosecond
-	tn := mustTuner(t, starved)
-	timer := &scriptedTimer{fast: []float64{0.5}, classical: []float64{1}}
-	tn.timeRun = timer.time
+	tn := mustTuner(t, Options{Resources: Resources{Workers: 1}, Profile: testProfile(1), NoDiskCache: true})
 	ranked := classicalLast(t, tn, n)
-	d, err := tn.pick(op.Multiply, ranked, n, n, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(timer.calls) != 0 || d.plan.MeasuredSeconds != 0 || d.plan.String() != ranked[0].String() {
-		t.Fatalf("starved budget: %d timings, picked %v, want none and the model's top pick %v", len(timer.calls), d.plan, ranked[0])
-	}
-
-	tn = mustTuner(t, opts)
-	ranked = classicalLast(t, tn, n)
-	timer = &scriptedTimer{fast: []float64{0.9, 0.8, 0.7}, classical: []float64{0.1},
+	timer := &scriptedTimer{fast: []float64{0.9, 0.8, 0.7}, classical: []float64{0.1},
 		fail: func(p Plan) bool { return p.IsClassical() || p.String() == ranked[0].String() }}
 	tn.timeRun = timer.time
-	d, err = tn.pick(op.Multiply, ranked, n, n, n)
+	d, err := tn.pick(op.Multiply, ranked, n, n, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,8 +234,8 @@ func TestStoppedProbeNeverWins(t *testing.T) {
 	}
 }
 
-// TestTimeDecisionStopsAtLimit: the production stopwatch binds each trial
-// to a budget. A fast plan that cannot finish inside its limit at the given
+// TestTimeDecisionStopsAtLimit: the production stopwatch binds its run to
+// a budget. A fast plan that cannot finish inside its limit at the given
 // rate reports core.ErrStopped — with a hopeless rate at its first check,
 // long before the limit — while an ample rate and limit, or no limit, runs
 // it to completion; the classical baseline is never stopped. Every run
@@ -271,20 +254,20 @@ func TestTimeDecisionStopsAtLimit(t *testing.T) {
 	req := op.Request{Op: op.Multiply, C: mat.New(n, n), A: A, B: B}
 	pool := new(workspace.Pool)
 
-	if secs, err := tn.timeDecision(fast, req, probeLimit{limit: time.Nanosecond, rate: 1e30, arenas: pool}); !errors.Is(err, core.ErrStopped) || secs != time.Nanosecond.Seconds() {
+	if secs, err := timeDecision(fast, req, probeLimit{limit: time.Nanosecond, rate: 1e30, arenas: pool}); !errors.Is(err, core.ErrStopped) || secs != time.Nanosecond.Seconds() {
 		t.Fatalf("fast run against a 1ns limit: %gs, %v; want the limit and core.ErrStopped", secs, err)
 	}
 	start := time.Now()
-	if _, err := tn.timeDecision(fast, req, probeLimit{limit: time.Hour, rate: 1, arenas: pool}); !errors.Is(err, core.ErrStopped) {
+	if _, err := timeDecision(fast, req, probeLimit{limit: time.Hour, rate: 1, arenas: pool}); !errors.Is(err, core.ErrStopped) {
 		t.Fatalf("fast run whose leaves cannot finish inside an hour at 1 flop/s: %v, want core.ErrStopped", err)
 	}
 	if waited := time.Since(start); waited > time.Minute {
 		t.Fatalf("a run that could not finish was stopped only after %v", waited)
 	}
-	if secs, err := tn.timeDecision(fast, req, probeLimit{limit: time.Hour, rate: 1e30, arenas: pool}); err != nil || secs <= 0 {
+	if secs, err := timeDecision(fast, req, probeLimit{limit: time.Hour, rate: 1e30, arenas: pool}); err != nil || secs <= 0 {
 		t.Fatalf("fast run with an ample limit and rate: %gs, %v", secs, err)
 	}
-	if secs, err := tn.timeDecision(fast, req, probeLimit{arenas: pool}); err != nil || secs <= 0 {
+	if secs, err := timeDecision(fast, req, probeLimit{arenas: pool}); err != nil || secs <= 0 {
 		t.Fatalf("fast run without a limit: %gs, %v", secs, err)
 	}
 	if got := fast.exec.WorkspaceRetained(); got != 0 || pool.Bytes() == 0 {
@@ -295,7 +278,7 @@ func TestTimeDecisionStopsAtLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if secs, err := tn.timeDecision(d, req, probeLimit{limit: time.Nanosecond, rate: 1, arenas: pool}); err != nil || secs <= 0 {
+	if secs, err := timeDecision(d, req, probeLimit{limit: time.Nanosecond, rate: 1, arenas: pool}); err != nil || secs <= 0 {
 		t.Fatalf("classical run against a 1ns limit: %gs, %v; classical is never stopped", secs, err)
 	}
 }
@@ -426,7 +409,7 @@ func TestProbeSharesOneArenaPool(t *testing.T) {
 		}
 		// Run every survivor to completion on the probe's pool, then
 		// report a scripted fast win so a fast plan is the decision.
-		if _, err := tn.timeDecision(d, req, probeLimit{arenas: lim.arenas}); err != nil {
+		if _, err := timeDecision(d, req, probeLimit{arenas: lim.arenas}); err != nil {
 			return 0, err
 		}
 		if d.plan.IsClassical() {

@@ -8,20 +8,26 @@
 //
 // The pipeline per shape:
 //
-//  1. enumerate candidate plans — every catalog algorithm × steps ×
-//     scheduler × addition strategy, plus the classical gemm baseline;
+//  1. enumerate candidate plans — every algorithm of Options.Algorithms ×
+//     steps up to DefaultMaxSteps × scheduler × addition strategy
+//     (write-once, streaming) × leaf backend of Options.Backends, plus the
+//     classical gemm baseline per backend; shapes below Options.MinDim get
+//     the baseline alone;
 //  2. prune and rank them with the analytic cost recurrences of
 //     internal/costmodel, turned into predicted seconds by a one-time
-//     machine calibration (measured gemm GFLOPS at a few block sizes and
-//     the measured STREAM-add bandwidth);
-//  3. optionally refine the top-K survivors with short empirical probes —
-//     the best-predicted classical plan always among them and timed first,
-//     every fast probe stopped once it can no longer finish inside that
-//     measured time less the margin, and a fast plan chosen only when it
-//     beats the classical time by the margin, twice (see probe);
+//     machine calibration (Options.Profile, or measured gemm GFLOPS at a
+//     few block sizes and the measured STREAM-add bandwidth), dropping any
+//     plan whose workspace exceeds Options.Workspace;
+//  3. unless Options.ProbeTopK is NoProbes, refine the top-K survivors with
+//     one short empirical probe each — the best-predicted classical plan
+//     always among them and timed first, every fast probe stopped once it
+//     can no longer finish inside that measured time less the margin, and a
+//     fast plan chosen only when it beats the classical time by the margin,
+//     twice (see probe);
 //  4. persist the winner in an on-disk tuning cache (JSON under
-//     os.UserCacheDir, overridable via FASTMM_TUNE_CACHE) fronted by an
-//     in-memory LRU, so repeated shapes dispatch in O(1).
+//     os.UserCacheDir, overridable via FASTMM_TUNE_CACHE; none with
+//     Options.NoDiskCache) fronted by an in-memory LRU, so repeated shapes
+//     dispatch in O(1).
 //
 // fastmm.Auto and fastmm.NewAutoExecutor are the public surface;
 // cmd/fmmtune pre-warms, inspects, and clears the caches.
@@ -31,7 +37,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -62,8 +67,8 @@ const (
 	// DefaultMinDim mirrors core.Options.MinDim: shapes whose largest
 	// dimension is below it go straight to classical gemm (§3.4's cutoff).
 	DefaultMinDim = 128
-	// DefaultMaxSteps bounds the recursion depths enumerated; the paper
-	// never profits from more than three steps at practical sizes.
+	// DefaultMaxSteps is the deepest recursion enumerated; the paper never
+	// profits from more than three steps at practical sizes.
 	DefaultMaxSteps = 3
 
 	lruSize = 128
@@ -76,6 +81,10 @@ const ClassicalAlgorithm = "classical"
 // embedded in Options so Workers/Workspace/Backends spell the same way — and
 // hash into cache keys the same way — across every layer.
 type Resources = resources.Resources
+
+// strategies are the addition strategies every fast candidate is ranked
+// under: write-once and streaming, §3.2's two winners.
+var strategies = []addchain.Strategy{addchain.WriteOnce, addchain.Streaming}
 
 // Options configures a Tuner. The zero value is ready to use: GOMAXPROCS
 // workers, no workspace cap, quick auto-calibration on first use, top-4
@@ -100,32 +109,16 @@ type Options struct {
 	// MinDim is the recursion cutoff (default 128): shapes with
 	// max(m,k,n) < MinDim dispatch to classical gemm without ranking.
 	MinDim int
-	// MaxSteps bounds the recursion depths considered (default 3).
-	MaxSteps int
 	// ProbeTopK is how many top-ranked candidates to time empirically
-	// before committing (0 → DefaultProbeTopK, NoProbes → model only).
+	// before committing (0 → DefaultProbeTopK, NoProbes → model only; a
+	// value below NoProbes fails New).
 	ProbeTopK int
-	// ProbeTrials is the timing trials per probe (default 1; the probe
-	// reports the fastest).
-	ProbeTrials int
-	// ProbeBudget, when positive, bounds the wall-clock time spent probing
-	// one tuning decision: once the budget is exhausted no further survivor
-	// is timed, and the winner is the best measured so far (or the model's
-	// top pick when the budget ran out before the first probe); the two runs
-	// that confirm a fast plan against classical are not cut short. The zero
-	// value keeps the purely count-based ProbeTopK policy.
-	ProbeBudget time.Duration
 	// Algorithms restricts the candidate catalog entries. The default is
 	// the catalog minus the classical decompositions (the direct gemm
 	// baseline already covers them) and minus the Numeric and APA entries:
 	// their product is off by the entry's ApproxTol, an accuracy loss a
 	// caller takes on by naming the entry here, never by default.
 	Algorithms []string
-	// Strategies restricts the addition strategies considered (default
-	// write-once and streaming — §3.2's two winners).
-	Strategies []addchain.Strategy
-	// CSE applies common-subexpression elimination to candidate plans.
-	CSE bool
 	// Profile supplies a calibration instead of loading or measuring one
 	// (tests and reproducible benchmarks).
 	Profile *Profile
@@ -139,14 +132,8 @@ func (o Options) withDefaults() Options {
 	if o.MinDim <= 0 {
 		o.MinDim = DefaultMinDim
 	}
-	if o.MaxSteps <= 0 {
-		o.MaxSteps = DefaultMaxSteps
-	}
 	if o.ProbeTopK == 0 {
 		o.ProbeTopK = DefaultProbeTopK
-	}
-	if o.ProbeTrials <= 0 {
-		o.ProbeTrials = 1
 	}
 	if len(o.Algorithms) == 0 {
 		for _, name := range catalog.Names() {
@@ -159,17 +146,33 @@ func (o Options) withDefaults() Options {
 			o.Algorithms = append(o.Algorithms, name)
 		}
 	}
-	if len(o.Strategies) == 0 {
-		o.Strategies = []addchain.Strategy{addchain.WriteOnce, addchain.Streaming}
-	}
 	return o
 }
 
-// Normalized returns the options with all defaults resolved — the form in
-// which two option sets behave identically iff they are equal. fastmm's
-// shared-dispatcher map keys on it so spelled-out defaults and the zero
-// value land on the same tuner.
-func (o Options) Normalized() Options { return o.withDefaults() }
+// Key renders the options' identity: every value that changes what a tuner
+// built from them decides, or where it keeps its decisions. Option sets
+// with equal keys behave identically, and the zero value renders like its
+// defaults spelled out. The resource budget renders through
+// resources.Resources.Key and the candidate algorithms enter as a hash.
+// The tuner's cache keys end in it, with the resolved calibration in place
+// of a nil Profile (ProfileVersion, in the key's prefix, retires cached
+// plans when the model changes); fastmm's shared-dispatcher and
+// shared-batcher maps key on it.
+func (o Options) Key() string {
+	o = o.withDefaults()
+	h := fnv.New64a()
+	for _, name := range o.Algorithms {
+		h.Write([]byte(name))
+		h.Write([]byte{0})
+	}
+	// NoDiskCache enters only when set: a tuner that persists never has it.
+	disk := ""
+	if o.NoDiskCache {
+		disk = "/nodisk"
+	}
+	return fmt.Sprintf("%s/min%d/k%d/c%016x/p%s%s", o.Resources.Key(),
+		o.MinDim, o.ProbeTopK, h.Sum64(), o.Profile.Fingerprint(), disk)
+}
 
 // Plan is one fully specified way to run a multiplication — the unit the
 // tuner ranks, probes, caches, and reports.
@@ -377,7 +380,6 @@ var persistMu sync.Mutex
 type modelKey struct {
 	name  string
 	strat addchain.Strategy
-	cse   bool
 	fused bool
 }
 
@@ -385,6 +387,9 @@ type modelKey struct {
 // persisted profile, a fresh quick calibration (persisted best-effort).
 func New(opts Options) (*Tuner, error) {
 	opts = opts.withDefaults()
+	if opts.ProbeTopK < NoProbes {
+		return nil, fmt.Errorf("tuner: ProbeTopK %d is below NoProbes (%d)", opts.ProbeTopK, NoProbes)
+	}
 	for _, name := range opts.Backends {
 		if _, err := gemm.Get(name); err != nil {
 			return nil, fmt.Errorf("tuner: %w", err)
@@ -397,7 +402,7 @@ func New(opts Options) (*Tuner, error) {
 		dirty:  map[string]Plan{},
 		models: map[modelKey]*costmodel.Model{},
 	}
-	t.timeRun = t.timeDecision
+	t.timeRun = timeDecision
 	switch {
 	case opts.Profile != nil:
 		if !opts.Profile.Valid() {
@@ -422,7 +427,8 @@ func New(opts Options) (*Tuner, error) {
 			}
 		}
 	}
-	t.keySuffix = t.makeKeySuffix()
+	t.opts.Profile = t.prof
+	t.keySuffix = t.opts.Key()
 	if !opts.NoDiskCache {
 		t.disk = loadEntries()
 	}
@@ -560,33 +566,6 @@ func (t *Tuner) key(o op.Op, m, k, n int) string {
 	b = append(b, '/')
 	b = append(b, t.keySuffix...)
 	return string(b)
-}
-
-// makeKeySuffix encodes every option that changes a tuning answer. The
-// resource budget renders through resources.Resources.Key — the same
-// fragment fastmm's shared-dispatcher and shared-batcher maps embed — and
-// the candidate set (algorithms × strategies) enters as a hash so
-// differently restricted tuners never share entries; ProfileVersion (in
-// key) retires cached plans when the model changes.
-func (t *Tuner) makeKeySuffix() string {
-	h := fnv.New64a()
-	for _, name := range t.opts.Algorithms {
-		h.Write([]byte(name))
-		h.Write([]byte{0})
-	}
-	for _, s := range t.opts.Strategies {
-		fmt.Fprintf(h, "%d,", int(s))
-	}
-	// ProbeBudget enters only when set, so default-policy tuners keep the
-	// cache keys (and persisted entries) of earlier versions.
-	budget := ""
-	if t.opts.ProbeBudget > 0 {
-		budget = fmt.Sprintf("/pb%d", t.opts.ProbeBudget)
-	}
-	return fmt.Sprintf("%s/min%d/s%d/k%d/t%d/cse%t/c%016x/p%s%s",
-		t.opts.Resources.Key(),
-		t.opts.MinDim, t.opts.MaxSteps, t.opts.ProbeTopK, t.opts.ProbeTrials,
-		t.opts.CSE, h.Sum64(), t.prof.Fingerprint(), budget)
 }
 
 func (t *Tuner) decide(o op.Op, m, k, n int) (*decision, error) {
@@ -852,7 +831,7 @@ func (t *Tuner) algorithmPlans(o op.Op, a *algo.Algorithm, m, k, n int, ma costm
 			return nil
 		}
 	}
-	for steps := 1; steps <= t.opts.MaxSteps; steps++ {
+	for steps := 1; steps <= DefaultMaxSteps; steps++ {
 		dM, dK, dN := ipow(b.M, steps), ipow(b.K, steps), ipow(b.N, steps)
 		if m < dM || k < dK || n < dN {
 			break // deeper recursion no longer fits one base-case block
@@ -872,7 +851,7 @@ func (t *Tuner) algorithmPlans(o op.Op, a *algo.Algorithm, m, k, n int, ma costm
 		if fixup < 0 {
 			fixup = 0
 		}
-		for si, strat := range t.opts.Strategies {
+		for si, strat := range strategies {
 			for _, fused := range fusedDims {
 				if fused && steps == 1 && si > 0 {
 					// A one-step fused plan has no explicit level for the
@@ -907,7 +886,6 @@ func (t *Tuner) algorithmPlans(o op.Op, a *algo.Algorithm, m, k, n int, ma costm
 						Steps:            steps,
 						Parallel:         sc.par.String(),
 						Strategy:         strat.String(),
-						CSE:              t.opts.CSE,
 						Fused:            fused,
 						Workers:          planWorkers(sc.par, workers),
 						WorkspaceBytes:   ws,
@@ -945,13 +923,13 @@ func planWorkers(par core.Parallel, workers int) int {
 // model returns the cached cost model for one (algorithm, strategy, fused)
 // triple.
 func (t *Tuner) model(a *algo.Algorithm, strat addchain.Strategy, fused bool) *costmodel.Model {
-	key := modelKey{name: a.Name, strat: strat, cse: t.opts.CSE, fused: fused}
+	key := modelKey{name: a.Name, strat: strat, fused: fused}
 	t.modelMu.Lock()
 	defer t.modelMu.Unlock()
 	if m, ok := t.models[key]; ok {
 		return m
 	}
-	m := costmodel.NewTrustedFused(a, strat, t.opts.CSE, fused)
+	m := costmodel.NewTrustedFused(a, strat, false, fused)
 	t.models[key] = m
 	return m
 }
@@ -1135,8 +1113,8 @@ type probeLimit struct {
 	arenas *workspace.Pool
 }
 
-// budget is one trial's core.Budget, the trial started at start and now
-// reading the clock: Over(left) holds once now + left/rate is past
+// budget is the core.Budget of one run started at start, with now reading
+// the clock: Over(left) holds once now + left/rate is past
 // start + limit — the run could not finish inside the limit even with every
 // remaining leaf at rate and all its additions free, so it has lost. With
 // no limit the budget only supplies the arenas.
@@ -1153,28 +1131,21 @@ func (l probeLimit) budget(start time.Time, now func() time.Time) core.Budget {
 	return b
 }
 
-// timeDecision is the production timeRun: the fastest of ProbeTrials runs,
-// each under its own budget (see probeLimit.budget), so a trial that cannot
-// finish inside a positive limit stops at the first check that proves it;
-// the probe reports core.ErrStopped when every trial stopped.
-func (t *Tuner) timeDecision(d *decision, req op.Request, lim probeLimit) (float64, error) {
-	best := math.Inf(1)
-	for i := 0; i < t.opts.ProbeTrials; i++ {
-		start := time.Now()
-		err := d.runBudget(req, lim.budget(start, time.Now))
-		secs := time.Since(start).Seconds()
-		if errors.Is(err, core.ErrStopped) {
-			continue
-		}
-		if err != nil {
-			return 0, err
-		}
-		best = min(best, secs)
+// timeDecision is the production timeRun: one run under its budget (see
+// probeLimit.budget), so a run that cannot finish inside a positive limit
+// stops at the first check that proves it and reports the limit with
+// core.ErrStopped.
+func timeDecision(d *decision, req op.Request, lim probeLimit) (float64, error) {
+	start := time.Now()
+	err := d.runBudget(req, lim.budget(start, time.Now))
+	secs := time.Since(start).Seconds()
+	switch {
+	case errors.Is(err, core.ErrStopped):
+		return lim.limit.Seconds(), err
+	case err != nil:
+		return 0, err
 	}
-	if math.IsInf(best, 1) {
-		return lim.limit.Seconds(), core.ErrStopped
-	}
-	return best, nil
+	return secs, nil
 }
 
 // probe times each surviving decision on deterministic random operands of
@@ -1204,10 +1175,6 @@ func (t *Tuner) timeDecision(d *decision, req op.Request, lim probeLimit) (float
 // nothing a probe warmed outlives the decision — the winner's executor
 // starts with an empty pool.
 //
-// A positive ProbeBudget additionally stops the sweep once the wall-clock
-// budget is spent; with no probe completed the model's top pick
-// (survivors[0]) wins by ranking.
-//
 // A survivor whose probe multiply fails at run time — a backend that built
 // fine but misbehaves on this machine, e.g. a blas plan over a broken
 // library — is skipped and its error recorded, never fatal (earlier code
@@ -1215,10 +1182,6 @@ func (t *Tuner) timeDecision(d *decision, req op.Request, lim probeLimit) (float
 // the remaining survivors; only when every survivor failed does the first
 // error surface to the caller.
 func (t *Tuner) probe(o op.Op, survivors []*decision, m, k, n int) (*decision, error) {
-	var deadline time.Time
-	if t.opts.ProbeBudget > 0 {
-		deadline = time.Now().Add(t.opts.ProbeBudget)
-	}
 	rng := rand.New(rand.NewSource(int64(m)*1_000_003 + int64(k)*1_009 + int64(n) + int64(o)*7919))
 	// Operands follow the op's triple convention: the general multiply probes
 	// m×k · k×n; ATA probes a k×m operand (C = AᵗA is m×m), Syrk an m×k one.
@@ -1240,15 +1203,10 @@ func (t *Tuner) probe(o op.Op, survivors []*decision, m, k, n int) (*decision, e
 	arenas := new(workspace.Pool)
 	var best, classical *decision
 	var firstErr error
-	failed := make([]bool, len(survivors))
-sweep:
 	for _, fast := range []bool{false, true} {
-		for i, d := range survivors {
+		for _, d := range survivors {
 			if d.plan.IsClassical() == fast {
 				continue
-			}
-			if !deadline.IsZero() && !time.Now().Before(deadline) {
-				break sweep
 			}
 			lim := probeLimit{arenas: arenas}
 			if fast && classical != nil {
@@ -1261,7 +1219,6 @@ sweep:
 				continue // cannot beat the limit: lost
 			}
 			if err != nil {
-				failed[i] = true
 				if firstErr == nil {
 					firstErr = fmt.Errorf("tuner: probing %s: %w", d.plan, err)
 				}
@@ -1277,18 +1234,13 @@ sweep:
 		}
 	}
 	if best == nil {
-		// No successful probe: fall back to the model ranking among survivors
-		// that did not fail (unprobed because the budget ran out first).
-		for i, d := range survivors {
-			if !failed[i] {
-				return d, nil
-			}
-		}
+		// A probe is stopped only against a measured classical time, so no
+		// best means every survivor failed.
 		return nil, firstErr
 	}
 	if classical == nil || best.plan.IsClassical() {
-		// No measured reference (its probe failed or the budget ran out
-		// first), or classical won outright.
+		// No measured reference (its probe failed), or classical won
+		// outright.
 		return best, nil
 	}
 	beats := func(fast, ref float64) bool { return fast < ref*(1-probeMargin) }

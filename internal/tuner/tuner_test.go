@@ -429,53 +429,13 @@ func TestEmptyEnvFallsBackToDefault(t *testing.T) {
 	}
 }
 
-// An exhausted ProbeBudget must fall back to the model's top pick (no probe
-// ran, so no MeasuredSeconds), while a generous budget probes as before —
-// the first bullet of the roadmap's "richer probe policy".
-func TestProbeBudget(t *testing.T) {
-	starved := mustTuner(t, Options{
-		Resources:   Resources{Workers: 1},
-		Profile:     testProfile(1),
-		ProbeBudget: time.Nanosecond, // spent before the first probe starts
-		NoDiskCache: true,
-	})
-	p, err := starved.PlanForOp(op.Multiply, 192, 192, 192)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.MeasuredSeconds != 0 {
-		t.Fatalf("starved budget still probed: %+v", p)
-	}
-	ranked, err := starved.RankOp(op.Multiply, 192, 192, 192)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Algorithm != ranked[0].Algorithm || p.Steps != ranked[0].Steps {
-		t.Fatalf("starved budget must return the model's top pick %v, got %v", ranked[0], p)
-	}
-
-	generous := mustTuner(t, Options{
-		Resources:   Resources{Workers: 1},
-		Profile:     testProfile(1),
-		ProbeBudget: time.Hour,
-		NoDiskCache: true,
-	})
-	p2, err := generous.PlanForOp(op.Multiply, 192, 192, 192)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p2.MeasuredSeconds <= 0 {
-		t.Fatalf("generous budget must probe: %+v", p2)
-	}
-
-	// The budget is part of the tuning identity: differently budgeted tuners
-	// must not share cache entries.
-	if starved.key(op.Multiply, 192, 192, 192) == generous.key(op.Multiply, 192, 192, 192) {
-		t.Fatal("ProbeBudget must enter the cache key")
-	}
-	unbudgeted := mustTuner(t, modelOnlyOpts(1))
-	if strings.Contains(unbudgeted.key(op.Multiply, 192, 192, 192), "/pb") {
-		t.Fatal("zero ProbeBudget must keep the legacy cache key")
+// A ProbeTopK below NoProbes fails New: pick would count the probe pool as
+// full before adding anything, so only classical would survive, unprobed.
+func TestProbeTopKBelowNoProbesFails(t *testing.T) {
+	opts := modelOnlyOpts(1)
+	opts.ProbeTopK = NoProbes - 1
+	if _, err := New(opts); err == nil || !strings.Contains(err.Error(), "ProbeTopK") {
+		t.Fatalf("New with ProbeTopK %d: %v, want an error naming ProbeTopK", opts.ProbeTopK, err)
 	}
 }
 
@@ -571,7 +531,7 @@ func TestRememberMergesOnSave(t *testing.T) {
 	// Build both tuners before any decision is made, so neither starts out
 	// having loaded the other's entries (the interleaving the bug needs).
 	optsA := Options{Resources: Resources{Workers: 1}, Profile: testProfile(1), ProbeTopK: NoProbes}
-	optsB := Options{Resources: Resources{Workers: 1}, Profile: testProfile(1), ProbeTopK: NoProbes, MaxSteps: 2}
+	optsB := Options{Resources: Resources{Workers: 1}, Profile: testProfile(1), ProbeTopK: NoProbes, MinDim: 2 * DefaultMinDim}
 	ta := mustTuner(t, optsA)
 	tb := mustTuner(t, optsB)
 	if ta.keySuffix == tb.keySuffix {
