@@ -11,6 +11,7 @@ import (
 
 	"fastmm"
 	"fastmm/internal/costmodel"
+	"fastmm/internal/gemm"
 	"fastmm/internal/mat"
 	"fastmm/internal/tuner"
 )
@@ -28,6 +29,7 @@ func autoTestProfile(workers int) *tuner.Profile {
 		GOMAXPROCS: workers,
 		Machine: costmodel.Machine{
 			Workers: workers,
+			Backend: gemm.Default().Name(),
 			Gemm: []costmodel.GemmSample{
 				{N: 64, SeqGFLOPS: 1.2, ParGFLOPS: par(1.2)},
 				{N: 256, SeqGFLOPS: 2.0, ParGFLOPS: par(2.0)},

@@ -21,7 +21,6 @@ import (
 	"strings"
 	"time"
 
-	"fastmm/internal/costmodel"
 	"fastmm/internal/gemm"
 	"fastmm/internal/op"
 	"fastmm/internal/tuner"
@@ -271,39 +270,19 @@ func cmdClear(args []string) error {
 func printProfile(p *tuner.Profile) {
 	fmt.Printf("calibration (v%d, %s, GOMAXPROCS %d, quick=%v):\n",
 		p.Version, p.CreatedAt.Format("2006-01-02 15:04:05 MST"), p.GOMAXPROCS, p.Quick)
-	if len(p.Machine.BackendGemm) > 0 {
-		names := make([]string, 0, len(p.Machine.BackendGemm))
-		for name := range p.Machine.BackendGemm {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			note := ""
-			if name == gemm.Default().Name() {
-				note = " (default)"
-			}
-			fmt.Printf("  backend %s%s:\n", name, note)
-			printCurve(p.Machine.BackendGemm[name], p.Machine.Workers)
-		}
-	} else { // pre-multi-backend profile: one anonymous curve
-		printCurve(p.Machine.Gemm, p.Machine.Workers)
+	fmt.Printf("  gemm on backend %s:\n", p.Machine.Backend)
+	fmt.Printf("    %-8s %12s %12s\n", "N", "seq GFLOPS", fmt.Sprintf("%dw GFLOPS", p.Machine.Workers))
+	for _, s := range p.Machine.Gemm {
+		fmt.Printf("    %-8d %12.3f %12.3f\n", s.N, s.SeqGFLOPS, s.ParGFLOPS)
 	}
 	fmt.Printf("  add bandwidth: %.2f GB/s seq, %.2f GB/s at %d workers\n",
 		p.Machine.AddSeqGBps, p.Machine.AddParGBps, p.Machine.Workers)
 }
 
-func printCurve(samples []costmodel.GemmSample, workers int) {
-	fmt.Printf("    %-8s %12s %12s\n", "N", "seq GFLOPS", fmt.Sprintf("%dw GFLOPS", workers))
-	for _, s := range samples {
-		fmt.Printf("    %-8d %12.3f %12.3f\n", s.N, s.SeqGFLOPS, s.ParGFLOPS)
-	}
-}
-
 // printBackends lists the registered leaf backends with their acceleration
-// state and, for the blocked ones, the micro-kernel tile that was selected on
+// state and, for the blocked one, the micro-kernel tile that was selected on
 // this machine ("simd* 8x24" is the AVX-512 kernel, "simd* 6x8" the AVX2
-// one, "simd 6x8" the Go fallback) — which curve above will actually run for
-// each name.
+// one, "simd 8x4" the Go fallback).
 func printBackends() {
 	fmt.Print("leaf backends:")
 	for _, name := range gemm.Names() {

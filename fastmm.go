@@ -9,10 +9,9 @@
 // variants, rectangular base cases, and compositions such as the ⟨54,54,54⟩
 // algorithm), a recursive executor with dynamic peeling and three
 // matrix-addition strategies, three shared-memory schedulers (DFS, BFS,
-// HYBRID), pluggable classical leaf kernels used both as base case and
-// baseline (a portable Go blocked gemm, a SIMD micro-kernel — AVX-512 8×24
-// where the CPU has it, else AVX2 6×8, else Go — and an optional cgo BLAS
-// bridge; the autotuner calibrates and picks between them per shape, see
+// HYBRID), a classical leaf kernel used both as base case and baseline (one
+// blocked gemm whose micro-kernel is AVX-512 8×24 where the CPU has it, else
+// AVX2 6×8, else Go 8×4, and an optional cgo BLAS bridge; see
 // LeafBackends), and the ALS-based numerical search for discovering new
 // algorithms.
 //
@@ -99,7 +98,7 @@ type BaseCase = algo.BaseCase
 // execution, write-once additions, and automatic recursion cutoff.
 type Options = core.Options
 
-// Resources is the resource budget — Workers, Workspace, Backends — shared
+// Resources is the resource budget — Workers and Workspace — shared
 // by every options type in the stack: it is embedded in Options,
 // AutoOptions, and BatchOptions, so the three layers spell (and cache-key)
 // a budget identically.
@@ -197,12 +196,12 @@ func NewScheduleExecutor(names []string, opts Options) (*Executor, error) {
 // probing, and the default on-disk tuning cache (JSON under
 // os.UserCacheDir()/fastmm, overridable via the FASTMM_TUNE_CACHE
 // environment variable; set it to "off" to disable the disk layer).
-// Resources sets the budget and the leaf backends raced; MinDim the
-// recursion cutoff; ProbeTopK how many leaders are timed (AutoNoProbes:
-// none); Algorithms the catalog entries ranked; Profile a fixed
-// calibration; NoDiskCache keeps decisions in memory. Everything else the
-// tuner does — recursion depths, addition strategies, one timing per probe
-// — is fixed.
+// Resources sets the budget; MinDim the recursion cutoff; ProbeTopK how
+// many leaders are timed (AutoNoProbes: none); Algorithms the catalog
+// entries ranked; Profile a fixed calibration; NoDiskCache keeps decisions
+// in memory. Everything else the tuner does — the leaf backend (the
+// default one), recursion depths, addition strategies, one timing per
+// probe — is fixed.
 type AutoOptions = tuner.Options
 
 // AutoPlan is one fully specified tuned configuration: algorithm, recursion
@@ -475,12 +474,11 @@ func sharedBatcher(opts BatchOptions) (*Batcher, error) {
 	return b, nil
 }
 
-// LeafBackends lists the registered leaf-kernel backends ("portable" and
-// "simd" always; "blas" when built with the blas tag). The autotuner
-// enumerates the default backend alone when it is accelerated, and all of
-// them as a candidate dimension otherwise — name the ones to race in
-// AutoOptions.Backends, pin an executor with Options.Backend, or override
-// the process default with the FASTMM_BACKEND environment variable.
+// LeafBackends lists the registered leaf-kernel backends ("simd" always;
+// "blas" when built with the blas tag). The autotuner calibrates and plans
+// on the default backend — override it for the process with the
+// FASTMM_BACKEND environment variable — and Options.Backend pins one
+// executor to a named backend.
 func LeafBackends() []string { return gemm.Names() }
 
 // LeafBackendAccelerated reports whether the named backend runs an

@@ -92,13 +92,6 @@ type Program struct {
 	cache map[string]any
 }
 
-// InModule reports whether the package with the given import path was loaded
-// with syntax — i.e. whether analyzers can see its function bodies.
-func (prog *Program) InModule(path string) bool {
-	_, ok := prog.Packages[path]
-	return ok
-}
-
 // Cached memoizes program-wide analyzer state: the first call under a key
 // runs build and stores the result; later calls return it. The driver runs
 // passes sequentially, so no locking is needed.

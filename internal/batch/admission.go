@@ -231,9 +231,9 @@ func (b *Batcher) estimateFor(o op.Op, m, k, n int) (tuner.ShapeClass, int64) {
 			if t, ok := gemm.Default().(interface{ Tile() (mr, nr int) }); ok {
 				_, nr = t.Tile()
 			}
-			secs = b.prof.Machine.SymmetricTime("", cm, ck, nr, b.opts.Workers)
+			secs = b.prof.Machine.SymmetricTime(cm, ck, nr, b.opts.Workers)
 		} else {
-			secs = b.prof.Machine.ClassicalTime(cm, ck, cn, b.opts.Workers)
+			secs = b.prof.Machine.ClassicalTimeFor(cm, ck, cn, b.opts.Workers)
 		}
 		b.est.seed(o, class, secs)
 	}

@@ -72,9 +72,7 @@ type Options struct {
 	// retained across calls: least-recently-used entries are evicted
 	// (executor, arenas and all) until the pool fits; the most recently used
 	// entry always survives, so a budget below one entry's footprint
-	// degrades to per-class-switch rebuilding, never to failure. Backends,
-	// when set, restricts the leaf-kernel backends the per-width tuners
-	// enumerate (it seeds Tuning.Backends unless that is set itself).
+	// degrades to per-class-switch rebuilding, never to failure.
 	resources.Resources
 	// MaxEntries bounds the warm-entry count independently of bytes
 	// (default DefaultMaxEntries).
@@ -110,9 +108,8 @@ type Options struct {
 	Drift DriftOptions
 	// Tuning configures the per-entry tuners. Workers is managed per entry
 	// width, and every width shares the first tuner's calibration (Profile
-	// when set); MinDim, ProbeTopK, Algorithms, the per-plan Workspace cap,
-	// Backends (default: the batcher's own) and NoDiskCache pass through to
-	// internal/tuner.
+	// when set); MinDim, ProbeTopK, Algorithms, the per-plan Workspace cap
+	// and NoDiskCache pass through to internal/tuner.
 	Tuning tuner.Options
 }
 
@@ -143,9 +140,6 @@ func (o Options) withDefaults() Options {
 		o.Clock = wallClock{}
 	}
 	o.Trace = o.Trace.Normalized()
-	if len(o.Tuning.Backends) == 0 {
-		o.Tuning.Backends = o.Backends
-	}
 	return o
 }
 

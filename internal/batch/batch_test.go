@@ -31,6 +31,7 @@ func testProfile(workers int) *tuner.Profile {
 		GOMAXPROCS: workers,
 		Machine: costmodel.Machine{
 			Workers: workers,
+			Backend: gemm.Default().Name(),
 			Gemm: []costmodel.GemmSample{
 				{N: 64, SeqGFLOPS: 0.8, ParGFLOPS: par(0.8)},
 				{N: 256, SeqGFLOPS: 1.0, ParGFLOPS: par(1.0)},

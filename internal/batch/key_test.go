@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"fastmm/internal/catalog"
-	"fastmm/internal/gemm"
 	"fastmm/internal/trace"
 	"fastmm/internal/tuner"
 )
@@ -66,10 +65,6 @@ func eachOption(t *testing.T, v reflect.Value, path string, visit func(path stri
 
 // spelledOutTuning is tuner.Options{} with every default written out.
 func spelledOutTuning() tuner.Options {
-	backends := gemm.Names()
-	if be := gemm.Default(); be.Accelerated() {
-		backends = []string{be.Name()}
-	}
 	var algs []string
 	for _, name := range catalog.Names() {
 		if a := catalog.MustGet(name); !strings.HasPrefix(name, "classical") && !a.Numeric && !a.APA {
@@ -77,7 +72,7 @@ func spelledOutTuning() tuner.Options {
 		}
 	}
 	return tuner.Options{
-		Resources:  tuner.Resources{Workers: runtime.GOMAXPROCS(0), Backends: backends},
+		Resources:  tuner.Resources{Workers: runtime.GOMAXPROCS(0)},
 		MinDim:     tuner.DefaultMinDim,
 		ProbeTopK:  tuner.DefaultProbeTopK,
 		Algorithms: algs,
@@ -102,7 +97,7 @@ func TestOptionsKey(t *testing.T) {
 		}
 	})
 	// The tuner's whole settable surface; the rest of its policy is fixed.
-	want := "Resources.Workers Resources.Workspace Resources.Backends MinDim ProbeTopK Algorithms Profile NoDiskCache"
+	want := "Resources.Workers Resources.Workspace MinDim ProbeTopK Algorithms Profile NoDiskCache"
 	if got := strings.Join(tunerFields, " "); got != want {
 		t.Errorf("tuner.Options fields %q, want %q", got, want)
 	}
@@ -131,7 +126,7 @@ func TestOptionsKey(t *testing.T) {
 	})
 	// Resources; MaxEntries, GrainFLOPs, QueueDepth, AgingWindow, Clock;
 	// Trace; Drift; Tuning.
-	if want := 3 + 5 + 3 + 1 + len(tunerFields); visited != want {
+	if want := 2 + 5 + 3 + 1 + len(tunerFields); visited != want {
 		t.Errorf("visited %d batch.Options fields, want %d", visited, want)
 	}
 

@@ -84,10 +84,7 @@ type Options struct {
 	// degrades to DFS — the paper's memory-vs-parallelism dial (§4,
 	// Table 3) — and the executor's arena pool sheds arenas beyond
 	// (approximately) this many bytes, while always keeping one so reuse
-	// survives a cap below even the DFS footprint. Backends, when set, is
-	// validated against the registry (the executor itself runs the single
-	// Backend below; the list exists so one Resources value can be shared
-	// verbatim with the tuner and batcher options).
+	// survives a cap below even the DFS footprint.
 	Resources
 	// Steps is the number of recursive steps before the classical base
 	// case. 0 selects automatic cutoff: recurse while every subproblem
@@ -106,9 +103,9 @@ type Options struct {
 	// Parallel selects the scheduler.
 	Parallel Parallel
 	// Backend names the leaf-kernel backend (gemm.Backend) the base-case
-	// multiplications and peeling fixups run on: "portable", "simd", "blas",
-	// or "" for gemm.Default(). The autotuner sets it per plan; unknown
-	// names fail executor construction.
+	// multiplications and peeling fixups run on: "simd", "blas" (in a blas
+	// build), or "" for gemm.Default(). The autotuner sets it per plan;
+	// unknown names fail executor construction.
 	Backend string
 	// Fused runs the last recursion level through the fused blocked engine
 	// (gemm.DispatchFused) when the backend supports it: the S_r/T_r linear
@@ -228,9 +225,6 @@ func newSchedule(algs []*algo.Algorithm, opts Options, verify bool) (*Executor, 
 		return nil, fmt.Errorf("core: empty algorithm schedule")
 	}
 	opts = opts.withDefaults()
-	if err := opts.Resources.Validate(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
 	be, err := gemm.Resolve(opts.Backend)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)

@@ -12,7 +12,7 @@ import (
 )
 
 // fusedCapableBackend returns a registered backend that supports the fused
-// engine (always at least "portable").
+// engine (always at least "simd").
 func fusedCapableBackend(t *testing.T) string {
 	t.Helper()
 	for _, name := range gemm.Names() {

@@ -15,7 +15,7 @@ import (
 	"fastmm/internal/workspace"
 )
 
-// tripwire is the portable backend under its own name. It counts its leaf
+// tripwire is the simd backend under its own name. It counts its leaf
 // calls and, once armed with a flag, sets that flag as its next leaf call
 // returns: a budget reading the flag runs out "after the first leaf" at a
 // deterministic point.
@@ -45,7 +45,7 @@ func (b *tripwire) trip() {
 }
 
 var tripwireBackend = func() *tripwire {
-	be, err := gemm.Get("portable")
+	be, err := gemm.Get("simd")
 	if err != nil {
 		panic(err)
 	}

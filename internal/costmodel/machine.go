@@ -21,15 +21,11 @@ type GemmSample struct {
 type Machine struct {
 	// Workers is the worker count the parallel samples were measured at.
 	Workers int
-	// Gemm holds throughput samples in ascending N order for the default
-	// leaf backend — the curve used when no backend is named.
+	// Backend names the leaf-kernel backend (a gemm.Backend name) the Gemm
+	// curve was measured on: the curve predicts that backend and no other.
+	Backend string
+	// Gemm holds throughput samples in ascending N order.
 	Gemm []GemmSample
-	// BackendGemm holds one measured gemm curve per leaf-kernel backend,
-	// keyed by gemm.Backend name ("portable", "simd", "blas"). This is what
-	// lets the tuner rank the backend as a candidate dimension: the same
-	// analytic flop counts divided by each backend's measured rate. Backends
-	// missing from the map fall back to the default Gemm curve.
-	BackendGemm map[string][]GemmSample `json:"backend_gemm,omitempty"`
 	// AddSeqGBps and AddParGBps are the measured STREAM-add bandwidths
 	// (GB/s) at one worker and at Workers workers — the rate the matrix
 	// additions of the S/T/C phases run at (§4.5's bandwidth wall).
@@ -37,41 +33,26 @@ type Machine struct {
 	AddParGBps float64
 }
 
-// gemmCurve resolves the throughput curve for one backend name, falling back
-// to the default curve for the empty name or an uncalibrated backend.
-func (ma Machine) gemmCurve(backend string) []GemmSample {
-	if c, ok := ma.BackendGemm[backend]; ok && len(c) > 0 {
-		return c
-	}
-	return ma.Gemm
-}
-
 // Valid reports whether the profile has enough data to predict with.
 func (ma Machine) Valid() bool {
 	return len(ma.Gemm) > 0 && ma.Gemm[0].SeqGFLOPS > 0 && ma.AddSeqGBps > 0
 }
 
-// GemmRate interpolates the classical-gemm rate (GFLOPS) of the default
-// backend for a square-ish problem of size n run with w workers; see
-// GemmRateFor.
-func (ma Machine) GemmRate(n, w int) float64 { return ma.GemmRateFor("", n, w) }
-
-// GemmRateFor interpolates one backend's classical-gemm rate (GFLOPS) for a
+// GemmRateFor interpolates the classical-gemm rate (GFLOPS) for a
 // square-ish problem of size n run with w workers. Between samples the rate
 // is linear in n; above the largest sample it is flat (the post-ramp-up
 // plateau); below the smallest sample it decays proportionally to n (packing
 // overhead dominates tiny blocks). Worker counts between 1 and Workers
 // interpolate linearly between the sequential and parallel curves.
-func (ma Machine) GemmRateFor(backend string, n, w int) float64 {
-	curve := ma.gemmCurve(backend)
-	if len(curve) == 0 {
+func (ma Machine) GemmRateFor(n, w int) float64 {
+	if len(ma.Gemm) == 0 {
 		return 0
 	}
-	seq := interpSamples(curve, n, false)
+	seq := interpSamples(ma.Gemm, n, false)
 	if w <= 1 || ma.Workers <= 1 {
 		return seq
 	}
-	par := interpSamples(curve, n, true)
+	par := interpSamples(ma.Gemm, n, true)
 	if par <= 0 {
 		par = seq
 	}
@@ -122,17 +103,11 @@ func (ma Machine) AddRate(w int) float64 {
 	return ma.AddSeqGBps + (ma.AddParGBps-ma.AddSeqGBps)*frac
 }
 
-// ClassicalTime predicts the seconds one classical p×q×r gemm takes with w
-// workers on the default backend; see ClassicalTimeFor.
-func (ma Machine) ClassicalTime(p, q, r, w int) float64 {
-	return ma.ClassicalTimeFor("", p, q, r, w)
-}
-
 // ClassicalTimeFor predicts the seconds one classical p×q×r gemm takes with
-// w workers on the named backend: Equation (3)'s flop count over the
-// interpolated rate at the problem's effective (geometric-mean) dimension.
-func (ma Machine) ClassicalTimeFor(backend string, p, q, r, w int) float64 {
-	rate := ma.GemmRateFor(backend, effectiveDim(p, q, r), w)
+// w workers: Equation (3)'s flop count over the interpolated rate at the
+// problem's effective (geometric-mean) dimension.
+func (ma Machine) ClassicalTimeFor(p, q, r, w int) float64 {
+	rate := ma.GemmRateFor(effectiveDim(p, q, r), w)
 	if rate <= 0 {
 		return math.Inf(1)
 	}
@@ -154,9 +129,6 @@ func effectiveDim(p, q, r int) int {
 // ExecShape tells the time model how a candidate schedule deploys its
 // workers — the scheduler axis of §4 reduced to what affects predicted time.
 type ExecShape struct {
-	// Backend names the leaf-kernel backend whose calibrated gemm curve the
-	// leaf multiplications run at ("" = the default backend's curve).
-	Backend string
 	// LeafWorkers is the parallelism inside each leaf gemm call (DFS and
 	// HYBRID's deferred phase use all workers; BFS leaves are sequential).
 	LeafWorkers int
@@ -197,7 +169,7 @@ func (m *Model) PredictTime(p, q, r, steps int, ma Machine, ex ExecShape) (TimeE
 	}
 	leafDim := effectiveDim(lp, lq, lr)
 
-	mulSecs := c.MulFlops / (ma.GemmRateFor(ex.Backend, leafDim, ex.LeafWorkers) * 1e9)
+	mulSecs := c.MulFlops / (ma.GemmRateFor(leafDim, ex.LeafWorkers) * 1e9)
 	if ex.TaskWorkers > 1 {
 		mulSecs /= taskSpeedup(c.BaseCalls, ex.TaskWorkers, ex.Balanced)
 	}

@@ -23,24 +23,24 @@ func testMachine() Machine {
 
 func TestGemmRateInterpolation(t *testing.T) {
 	ma := testMachine()
-	if got := ma.GemmRate(64, 1); got != 1.0 {
+	if got := ma.GemmRateFor(64, 1); got != 1.0 {
 		t.Fatalf("exact sample: got %v", got)
 	}
-	if got := ma.GemmRate(2048, 1); got != 2.5 {
+	if got := ma.GemmRateFor(2048, 1); got != 2.5 {
 		t.Fatalf("above range clamps to plateau: got %v", got)
 	}
-	if got := ma.GemmRate(32, 1); got != 0.5 {
+	if got := ma.GemmRateFor(32, 1); got != 0.5 {
 		t.Fatalf("below range decays with n: got %v", got)
 	}
-	mid := ma.GemmRate(160, 1)
+	mid := ma.GemmRateFor(160, 1)
 	if mid <= 1.0 || mid >= 2.0 {
 		t.Fatalf("interpolated rate out of bracket: %v", mid)
 	}
 	// Rate must grow with workers, capped at the parallel curve.
-	if !(ma.GemmRate(256, 1) < ma.GemmRate(256, 4) && ma.GemmRate(256, 4) < ma.GemmRate(256, 8)) {
+	if !(ma.GemmRateFor(256, 1) < ma.GemmRateFor(256, 4) && ma.GemmRateFor(256, 4) < ma.GemmRateFor(256, 8)) {
 		t.Fatal("rate not monotone in workers")
 	}
-	if ma.GemmRate(256, 16) != ma.GemmRate(256, 8) {
+	if ma.GemmRateFor(256, 16) != ma.GemmRateFor(256, 8) {
 		t.Fatal("workers beyond calibration should clamp")
 	}
 }
@@ -57,15 +57,15 @@ func TestAddRate(t *testing.T) {
 
 func TestClassicalTimeScales(t *testing.T) {
 	ma := testMachine()
-	small := ma.ClassicalTime(256, 256, 256, 1)
-	big := ma.ClassicalTime(512, 512, 512, 1)
+	small := ma.ClassicalTimeFor(256, 256, 256, 1)
+	big := ma.ClassicalTimeFor(512, 512, 512, 1)
 	if !(small > 0 && big > 4*small) {
 		t.Fatalf("classical time must grow ~n³: small=%v big=%v", small, big)
 	}
-	if par := ma.ClassicalTime(512, 512, 512, 8); par >= big {
+	if par := ma.ClassicalTimeFor(512, 512, 512, 8); par >= big {
 		t.Fatal("parallel classical must be faster")
 	}
-	if !math.IsInf((Machine{}).ClassicalTime(10, 10, 10, 1), 1) {
+	if !math.IsInf((Machine{}).ClassicalTimeFor(10, 10, 10, 1), 1) {
 		t.Fatal("uncalibrated machine must predict +inf")
 	}
 }

@@ -2,7 +2,7 @@ package costmodel
 
 // Structured-operation pricing: the adjustments the tuner applies on top of
 // the general-multiply time model when ranking candidates for the ATA/Syrk
-// and MultiplyAdd operations.
+// operations.
 
 // MoveSeconds predicts the seconds needed to stream `floats` float64 values
 // through memory at the add bandwidth available to w workers. Callers count
@@ -25,15 +25,9 @@ func (ma Machine) StructuredOverheadSeconds(ar, ac, cdim, w int) float64 {
 	return ma.MoveSeconds(transpose+mirror, w)
 }
 
-// AccumulateOverheadSeconds prices the epilogue of a MultiplyAdd: one axpy
-// sweep over the m×n result (read the product temporary, read C, write C).
-func (ma Machine) AccumulateOverheadSeconds(m, n, w int) float64 {
-	return ma.MoveSeconds(3*float64(m)*float64(n), w)
-}
-
 // SymmetricTime predicts the seconds of the classical symmetric product
-// (gemm.ATA or gemm.Syrk) whose gemm-equivalent triple is ⟨p,q,p⟩, on the
-// named backend with w workers. A backend whose leaf engine has an nr-wide
+// (gemm.ATA or gemm.Syrk) whose gemm-equivalent triple is ⟨p,q,p⟩, with w
+// workers. A backend whose leaf engine has an nr-wide
 // micro-tile runs one lower-triangle pass — the triangle, plus the tiles
 // the diagonal crosses, run whole: about nr/2 more columns a row, so
 // (½ + nr/2p) of the general product's flops — and then the mirror sweep.
@@ -43,8 +37,8 @@ func (ma Machine) AccumulateOverheadSeconds(m, n, w int) float64 {
 // It prices the tuner's classical ATA/Syrk plan and the symmetric walk's
 // diagonal leaves, and seeds the batcher's admission estimate and drift
 // baseline for symmetric classes that have never been measured.
-func (ma Machine) SymmetricTime(backend string, p, q, nr, w int) float64 {
-	full := ma.ClassicalTimeFor(backend, p, q, p, w)
+func (ma Machine) SymmetricTime(p, q, nr, w int) float64 {
+	full := ma.ClassicalTimeFor(p, q, p, w)
 	if nr <= 0 {
 		return full + ma.StructuredOverheadSeconds(p, q, p, w)
 	}

@@ -3,7 +3,7 @@
 // Package avx holds the architecture-specific half of the "simd" leaf
 // backend. On this build (non-amd64, or the `nosimd` tag) the assembly is
 // compiled out: Supported and Supported512 are false and the gemm package
-// substitutes its pure-Go 6×8 kernel, so the "simd" backend keeps working
+// substitutes its pure-Go 8×4 kernel, so the "simd" backend keeps working
 // everywhere.
 package avx
 

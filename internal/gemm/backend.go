@@ -9,8 +9,8 @@ import (
 	"fastmm/internal/mat"
 )
 
-// EnvBackend overrides the default backend by name (e.g. "portable",
-// "simd", "blas"). Unknown or unavailable names are ignored.
+// EnvBackend overrides the default backend by name ("simd", or "blas" in a
+// build with the blas tag). Unknown or unavailable names are ignored.
 const EnvBackend = "FASTMM_BACKEND"
 
 // Backend is one leaf-kernel implementation. Implementations are registered
@@ -18,12 +18,11 @@ const EnvBackend = "FASTMM_BACKEND"
 // calibration profiles, and cache keys — renaming a backend retires every
 // cached decision that mentions it.
 type Backend interface {
-	// Name is the stable identifier ("portable", "simd", "blas").
+	// Name is the stable identifier ("simd", "blas").
 	Name() string
 	// Accelerated reports whether the backend runs an architecture-specific
-	// fast path on this machine (false for pure-Go fallbacks). It affects
-	// default-backend selection only; non-accelerated backends stay fully
-	// usable and produce the same results.
+	// fast path on this machine (false for a pure-Go fallback kernel). It is
+	// reported, never used to choose: the results are the same either way.
 	Accelerated() bool
 	// Gemm computes C = alpha·A·B (accumulate=false) or C += alpha·A·B
 	// (accumulate=true) using up to workers goroutines. Callers go through
@@ -86,8 +85,7 @@ func Resolve(name string) (Backend, error) {
 	return Get(name)
 }
 
-// Names lists the registered backend names in sorted order (the order the
-// tuner enumerates and the calibration measures, so it must be stable).
+// Names lists the registered backend names in sorted order.
 func Names() []string {
 	regMu.Lock()
 	defer regMu.Unlock()
@@ -105,8 +103,8 @@ func namesLocked() []string {
 
 // Default returns the backend the package-level Mul/MulAdd/... entry points
 // dispatch to. Resolution order: the FASTMM_BACKEND environment variable
-// (when it names a registered backend), a compiled-in "blas" backend, an
-// accelerated "simd" backend, then "portable".
+// (when it names a registered backend), a compiled-in "blas" backend, then
+// "simd".
 func Default() Backend {
 	regMu.Lock()
 	defer regMu.Unlock()
@@ -137,15 +135,8 @@ func pickDefaultLocked() Backend {
 	if b, ok := registry["blas"]; ok {
 		return b
 	}
-	if b, ok := registry["simd"]; ok && b.Accelerated() {
+	if b, ok := registry["simd"]; ok {
 		return b
 	}
-	if b, ok := registry["portable"]; ok {
-		return b
-	}
-	// Unreachable in practice: portable registers unconditionally.
-	for _, b := range registry {
-		return b
-	}
-	panic("gemm: no backend registered")
+	panic("gemm: simd backend not registered") // simd.go registers it at init
 }

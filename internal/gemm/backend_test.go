@@ -82,17 +82,11 @@ func TestBackendsOnViews(t *testing.T) {
 	}
 }
 
+// TestBackendRegistry: one blocked backend, "simd", beside the blas bridge
+// of a blas build.
 func TestBackendRegistry(t *testing.T) {
-	names := Names()
-	if len(names) < 2 {
-		t.Fatalf("expected at least portable+simd registered, have %v", names)
-	}
-	seen := map[string]bool{}
-	for _, n := range names {
-		seen[n] = true
-	}
-	if !seen["portable"] || !seen["simd"] {
-		t.Fatalf("portable and simd must always register, have %v", names)
+	if got := fmt.Sprint(Names()); got != "[simd]" && got != "[blas simd]" {
+		t.Fatalf("registered backends %s, want [simd] or, under -tags blas, [blas simd]", got)
 	}
 	if _, err := Get("no-such-backend"); err == nil {
 		t.Fatal("Get of unknown backend must fail")
@@ -109,11 +103,11 @@ func TestBackendRegistry(t *testing.T) {
 	}
 
 	old := Default().Name()
-	if err := SetDefault("portable"); err != nil {
+	if err := SetDefault("simd"); err != nil {
 		t.Fatal(err)
 	}
-	if Default().Name() != "portable" {
-		t.Fatalf("SetDefault(portable) not honored: %s", Default().Name())
+	if Default().Name() != "simd" {
+		t.Fatalf("SetDefault(simd) not honored: %s", Default().Name())
 	}
 	if err := SetDefault("no-such-backend"); err == nil {
 		t.Fatal("SetDefault of unknown backend must fail")
@@ -123,18 +117,17 @@ func TestBackendRegistry(t *testing.T) {
 	}
 }
 
-// TestBackendPackWorkspace pins the workspace contract: blocked backends
-// report their exact slab sizes (whole micro-tiles of the mc/nc panels), and
+// TestBackendPackWorkspace pins the workspace contract: every blocked engine
+// reports its exact slab sizes (whole micro-tiles of the mc/nc panels), and
 // no tile's slabs outgrow the 256-deep, 2048-wide panels the engine had
 // before k-panels were capped at kcMax.
 func TestBackendPackWorkspace(t *testing.T) {
-	for _, name := range []string{"portable", "simd"} {
-		be, _ := Get(name)
-		bk := be.(*blockedBackend)
+	be, _ := Get("simd")
+	for _, bk := range append(kernelTable(), be.(*blockedBackend)) {
 		wantA := ((mc + bk.mr - 1) / bk.mr) * bk.mr * kcMax
 		wantB := kcMax * ((nc + bk.nr - 1) / bk.nr) * bk.nr
-		if got := be.PackFloatsPerWorker(); got != int64(wantA+wantB) {
-			t.Fatalf("%s: PackFloatsPerWorker = %d, want %d", name, got, wantA+wantB)
+		if got := bk.PackFloatsPerWorker(); got != int64(wantA+wantB) {
+			t.Fatalf("%s: PackFloatsPerWorker = %d, want %d", bk.name, got, wantA+wantB)
 		}
 	}
 	for _, bk := range kernelTable() {

@@ -7,7 +7,7 @@ import (
 	"fastmm/internal/mat"
 )
 
-// maxMR/maxNR bound the micro-tile dims a blocked backend may use: the
+// maxMR/maxNR bound the micro-tile dims a blocked engine may use: the
 // widest register tile any kernel here has (8×24 fills the 32 zmm registers).
 const (
 	maxMR = 8
@@ -24,7 +24,7 @@ type microKernelFunc func(C *mat.Dense, i0, j0, kb int, ap, bp []float64, overwr
 // blockedBackend is the shared GotoBLAS/BLIS-structured engine: everything —
 // panel blocking, packing, slab parallelism, the scatter epilogue — is
 // generic, and only the full-tile micro-kernel (plus its MR×NR shape) differs
-// per backend, the BLIS thesis applied to this repository. There is no edge
+// per machine, the BLIS thesis applied to this repository. There is no edge
 // kernel: the packed panels are zero-padded to whole micro-tiles, so a border
 // tile is the same full-tile kernel call aimed at the scratch tile.
 type blockedBackend struct {
@@ -36,7 +36,7 @@ type blockedBackend struct {
 	pool         sync.Pool
 }
 
-// newBlocked builds a blocked backend around one micro-kernel. The packing
+// newBlocked builds a blocked engine around one micro-kernel. The packing
 // slabs are sized for the worst-case panel (mc and nc rounded up to whole
 // micro-tiles), so any mr/nr ≤ maxMR/maxNR works with the shared blocking
 // parameters.

@@ -9,20 +9,19 @@
 // them (following the BLIS observation — Van Zee & van de Geijn — that only
 // the micro-kernel needs to be architecture-specific):
 //
-//   - "portable": the pure-Go blocked kernel with an 8×4 register-tiled
-//     micro-kernel. Always registered, runs everywhere.
-//   - "simd": the same blocked structure with the widest micro-kernel the
-//     CPU runs, chosen at init: 8×24 on AVX-512, else 6×8 on AVX2 FMA lanes
-//     (both Go assembly on amd64), else a pure-Go 6×8 (other architectures,
-//     older CPUs, the `nosimd` build tag). One name for all three.
+//   - "simd": the blocked engine with the widest micro-kernel the machine
+//     runs, chosen at init: 8×24 on AVX-512, else 6×8 on AVX2 FMA lanes
+//     (both Go assembly on amd64), else a pure-Go 8×4 (other architectures,
+//     older CPUs, the `nosimd` build tag). Always registered; one name for
+//     all three.
 //   - "blas": a cgo bridge to a vendor cblas_dgemm, only compiled under the
 //     `blas` build tag.
 //
-// The blocked backends share one engine (blocked.go) with the usual
+// The blocked backend is one engine (blocked.go) with the usual
 // GotoBLAS/BLIS structure: the operands are partitioned into cache-sized
 // panels (one pc → jc → ic loop nest), panels are packed into contiguous
-// buffers, and a register-blocked micro-kernel computes MR×NR tiles of C; a
-// blocked backend is that micro-kernel plus its MR×NR and nothing else. The
+// buffers, and a register-blocked micro-kernel computes MR×NR tiles of C;
+// only the micro-kernel and its MR×NR depend on the machine. The
 // engine's operands are lists: A and B are each a list of (matrix,
 // coefficient) sources summed while packing, and the product goes to a list
 // of (matrix, coefficient) destinations — the fused leaf of a fast algorithm
@@ -38,8 +37,7 @@
 // The performance *shape* — a ramp-up phase followed by a flat region,
 // higher flat rate for square than for skinny shapes — matches Figure 3 of
 // the paper, which is what the framework's recursion-cutoff logic depends
-// on; the autotuner calibrates one such curve per backend and picks the leaf
-// backend per shape like any other candidate dimension.
+// on; the autotuner calibrates one such curve, on the default backend.
 //
 // The package-level Mul/MulAdd/... entry points dispatch to Default(), the
 // best backend available on this machine (override with FASTMM_BACKEND or
@@ -58,8 +56,8 @@ import (
 	"fastmm/internal/mat"
 )
 
-// Blocking parameters shared by the blocked backends; each backend brings its
-// own MR×NR micro-kernel tile. A k-panel is at most kcMax deep, and a product
+// Blocking parameters shared by every micro-kernel; each kernel brings its
+// own MR×NR tile. A k-panel is at most kcMax deep, and a product
 // of depth k is split into kPanels(k) = ⌈k/kcMax⌉ panels of near-equal depth:
 // every extra panel re-reads and re-writes all of C, so k = 320 runs as one
 // panel and k = 625 as 312 + 313 rather than 384 + 241. The packed A panel is

@@ -2,15 +2,11 @@ package gemm
 
 import "fastmm/internal/mat"
 
-func init() {
-	Register(newBlocked("portable", false, 8, 4, microKernel8x4))
-}
-
 // microKernel8x4 computes a full 8×4 tile: C[i0:i0+8, j0:j0+4] += Ap·Bp
 // over kb terms, or = Ap·Bp with overwrite set. Thirty-two scalar
 // accumulators keep the tile in registers — the widest tile the Go compiler
 // reliably keeps off the stack on every architecture, which is what makes
-// this the portable backend.
+// it the "simd" backend's fallback where no assembly kernel runs.
 func microKernel8x4(C *mat.Dense, i0, j0, kb int, ap, bp []float64, overwrite bool) {
 	const (
 		mr = 8

@@ -14,14 +14,11 @@ import (
 const machineEps = 2.220446049250313e-16
 
 // kernelTable returns one unregistered blocked engine per micro-kernel this
-// build and machine can run — not only the ones the registry selected, so
+// build and machine can run — not only the one the registry selected, so
 // the AVX2 tile stays tested on a machine whose "simd" backend runs the
-// AVX-512 one, and the Go 6×8 on any machine with assembly.
+// AVX-512 one, and the Go 8×4 on any machine with assembly.
 func kernelTable() []*blockedBackend {
-	ks := []*blockedBackend{
-		newBlocked("go-8x4", false, 8, 4, microKernel8x4),
-		newBlocked("go-6x8", false, 6, 8, microKernel6x8go),
-	}
+	ks := []*blockedBackend{newBlocked("go-8x4", false, 8, 4, microKernel8x4)}
 	if avx.Supported {
 		ks = append(ks, newBlocked("avx2-6x8", true, 6, 8, microKernel6x8asm))
 	}
@@ -97,19 +94,22 @@ func conform(t *testing.T, rng *rand.Rand, bk *blockedBackend, m, k, n int) {
 // TestKernelSelection logs which kernel the "simd" backend selected, so a CI
 // log says what the runner exercised, and pins the fallback order.
 func TestKernelSelection(t *testing.T) {
-	mr, nr, _ := pickSIMDKernel()
-	want := [2]int{6, 8}
-	if avx.Supported512 {
-		want = [2]int{8, 24}
+	name, mr, nr, _ := pickSIMDKernel()
+	want := "go-8x4"
+	switch {
+	case avx.Supported512:
+		want = "avx512-8x24"
+	case avx.Supported:
+		want = "avx2-6x8"
 	}
-	if [2]int{mr, nr} != want {
-		t.Fatalf("simd selected %d×%d with avx2=%v avx512=%v, want %d×%d", mr, nr, avx.Supported, avx.Supported512, want[0], want[1])
+	if name != want {
+		t.Fatalf("simd selected %s with avx2=%v avx512=%v, want %s", name, avx.Supported, avx.Supported512, want)
 	}
 	be, _ := Get("simd")
 	if gm, gn := be.(*blockedBackend).Tile(); gm != mr || gn != nr {
 		t.Fatalf("registered simd tile %d×%d, selected %d×%d", gm, gn, mr, nr)
 	}
-	t.Logf("kernel selected for simd: %d×%d (avx2=%v avx512=%v accelerated=%v)", mr, nr, avx.Supported, avx.Supported512, be.Accelerated())
+	t.Logf("kernel selected for simd: %s (avx2=%v avx512=%v accelerated=%v)", name, avx.Supported, avx.Supported512, be.Accelerated())
 }
 
 // BenchmarkKernel times each runnable micro-kernel on packed panels that

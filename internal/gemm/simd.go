@@ -6,24 +6,24 @@ import (
 )
 
 func init() {
-	mr, nr, kern := pickSIMDKernel()
+	_, mr, nr, kern := pickSIMDKernel()
 	Register(newBlocked("simd", avx.Supported, mr, nr, kern))
 }
 
 // pickSIMDKernel selects the widest full-tile micro-kernel this build and
-// machine can run: the AVX-512 8×24 assembly, else the AVX2+FMA 6×8
-// assembly, else the pure-Go rendering of the 6×8 tile (non-amd64, the
-// `nosimd` build tag, or a CPU/OS without AVX2/FMA/YMM support). All three
-// run under the one backend name — the tile is a property of the machine,
-// not something a plan or a cache key chooses.
-func pickSIMDKernel() (mr, nr int, kern microKernelFunc) {
+// machine can run, and its name: the AVX-512 8×24 assembly, else the
+// AVX2+FMA 6×8 assembly, else the pure-Go 8×4 (non-amd64, the `nosimd`
+// build tag, or a CPU/OS without AVX2/FMA/YMM support). All three run under
+// the one backend name — the tile is a property of the machine, not
+// something a plan or a cache key chooses.
+func pickSIMDKernel() (name string, mr, nr int, kern microKernelFunc) {
 	switch {
 	case avx.Supported512:
-		return 8, 24, microKernel8x24asm
+		return "avx512-8x24", 8, 24, microKernel8x24asm
 	case avx.Supported:
-		return 6, 8, microKernel6x8asm
+		return "avx2-6x8", 6, 8, microKernel6x8asm
 	}
-	return 6, 8, microKernel6x8go
+	return "go-8x4", 8, 4, microKernel8x4
 }
 
 // microKernel6x8asm adapts the packed-panel call onto the assembly kernel:

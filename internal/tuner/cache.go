@@ -49,8 +49,9 @@ func cacheDirLocation() (string, bool) {
 }
 
 // LoadProfile reads the persisted calibration, reporting ok=false for any
-// missing, unreadable, corrupt, or version-mismatched file — callers fall
-// back to recalibrating, never to an error.
+// missing, unreadable, corrupt, or version-mismatched file, or one measured
+// on another backend — callers fall back to recalibrating, never to an
+// error.
 func LoadProfile() (*Profile, bool) {
 	path, _, ok := Paths()
 	if !ok {

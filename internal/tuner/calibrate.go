@@ -17,9 +17,9 @@ import (
 
 // ProfileVersion invalidates persisted calibrations (and tuning-cache keys)
 // when the measurement protocol or the time model changes shape.
-// v2: one gemm curve per leaf-kernel backend (Machine.BackendGemm) and the
-// backend as a tuning dimension — v1 caches and profiles are retired cleanly
-// because both the cache-key prefix and the profile fingerprint change.
+// v2: one gemm curve per leaf-kernel backend and the backend as a tuning
+// dimension — v1 caches and profiles are retired cleanly because both the
+// cache-key prefix and the profile fingerprint change.
 // v3: operation-typed plans (the op token joins the cache key and Plan) and
 // the resource budget rendered through resources.Resources.Key — v2 caches
 // are retired cleanly for the same reason.
@@ -35,7 +35,9 @@ import (
 // v7: the leaf splits k into balanced panels of at most 384 and stores its
 // first k-panel from the micro-kernel — v6 curves price classical too slow on
 // thin shapes (k = 320, 625) and must be re-measured.
-const ProfileVersion = 7
+// v8: one gemm curve, measured on the default backend and naming it
+// (Machine.Backend); the backend is no longer a tuning dimension.
+const ProfileVersion = 8
 
 // Profile is a one-time machine calibration: the measured gemm throughput
 // curve and addition bandwidth that parameterize the cost model's time
@@ -50,9 +52,12 @@ type Profile struct {
 }
 
 // Valid reports whether the profile can parameterize predictions on this
-// process (version match and calibrated rates present).
+// process: version match, calibrated rates present, and measured on the
+// backend this process multiplies with (gemm.Default) — a curve of another
+// backend prices every candidate at the wrong rate.
 func (p *Profile) Valid() bool {
-	return p != nil && p.Version == ProfileVersion && p.Machine.Valid()
+	return p != nil && p.Version == ProfileVersion && p.Machine.Valid() &&
+		p.Machine.Backend == gemm.Default().Name()
 }
 
 // Fingerprint identifies a profile by the fields predictions depend on —
@@ -76,10 +81,10 @@ func (p *Profile) Fingerprint() string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// Calibrate measures the machine: classical-gemm GFLOPS at a few square
-// block sizes (sequentially and at the given worker count — the two
-// endpoints the time model interpolates between) for every registered leaf
-// backend, and the STREAM-add bandwidth the matrix additions run at. quick
+// Calibrate measures the machine: classical-gemm GFLOPS of the default leaf
+// backend at a few square block sizes (sequentially and at the given worker
+// count — the two endpoints the time model interpolates between), and the
+// STREAM-add bandwidth the matrix additions run at. quick
 // shrinks the protocol to smoke-test cost for first-use auto-calibration and
 // tests; the full protocol is what cmd/fmmtune calibrate runs.
 func Calibrate(workers int, quick bool) *Profile {
@@ -95,36 +100,27 @@ func Calibrate(workers int, quick bool) *Profile {
 		streamN = 1 << 20
 	}
 
-	ma := costmodel.Machine{Workers: workers, BackendGemm: map[string][]costmodel.GemmSample{}}
+	be := gemm.Default()
+	ma := costmodel.Machine{Workers: workers, Backend: be.Name()}
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range sizes {
 		A, B, C := mat.New(n, n), mat.New(n, n), mat.New(n, n)
 		A.FillRandom(rng)
 		B.FillRandom(rng)
 		flops := 2*float64(n)*float64(n)*float64(n) - float64(n)*float64(n)
-		for _, name := range gemm.Names() {
-			be, err := gemm.Get(name)
-			if err != nil {
-				continue
-			}
-			seq := bestTime(trials, func() { gemm.Dispatch(be, C, 1, A, B, false, 1) })
-			par := seq
-			// Worker-agnostic backends (blas) would make the parallel pass
-			// re-time the identical call — their curve is flat by contract.
-			if workers > 1 && !gemm.WorkerAgnostic(be) {
-				par = bestTime(trials, func() { gemm.Dispatch(be, C, 1, A, B, false, workers) })
-			}
-			ma.BackendGemm[name] = append(ma.BackendGemm[name], costmodel.GemmSample{
-				N:         n,
-				SeqGFLOPS: flops / seq / 1e9,
-				ParGFLOPS: flops / par / 1e9,
-			})
+		seq := bestTime(trials, func() { gemm.Dispatch(be, C, 1, A, B, false, 1) })
+		par := seq
+		// Worker-agnostic backends (blas) would make the parallel pass
+		// re-time the identical call — their curve is flat by contract.
+		if workers > 1 && !gemm.WorkerAgnostic(be) {
+			par = bestTime(trials, func() { gemm.Dispatch(be, C, 1, A, B, false, workers) })
 		}
+		ma.Gemm = append(ma.Gemm, costmodel.GemmSample{
+			N:         n,
+			SeqGFLOPS: flops / seq / 1e9,
+			ParGFLOPS: flops / par / 1e9,
+		})
 	}
-	// The plain Gemm curve stays the default backend's — what the
-	// package-level gemm entry points (and any caller that names no
-	// backend) actually run.
-	ma.Gemm = ma.BackendGemm[gemm.Default().Name()]
 
 	ma.AddSeqGBps = stream.Run(stream.Add, streamN, 1, trials).GBps
 	ma.AddParGBps = ma.AddSeqGBps

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"fastmm/internal/catalog"
+	"fastmm/internal/core"
 	"fastmm/internal/gemm"
 	"fastmm/internal/mat"
 	"fastmm/internal/op"
@@ -127,11 +129,18 @@ func TestFusedPlanBuildsAndPersists(t *testing.T) {
 // executorKey identifies what a plan builds: every plan field the executor
 // depends on. The strategy shapes only explicit levels, so a one-step fused
 // plan (whose one level is the fused one) builds the same executor under
-// every strategy.
+// every strategy. HYBRID runs as BFS for the symmetric ops (core's
+// structuredMode) and wherever W divides the leaf count R^steps, since then
+// no leaf is deferred.
 func executorKey(p Plan) Plan {
 	p.PredictedSeconds, p.MeasuredSeconds, p.WorkspaceBytes = 0, 0, 0
 	if p.Fused && p.Steps == 1 {
 		p.Strategy = ""
+	}
+	if p.Parallel == core.Hybrid.String() {
+		if leaves := ipow(catalog.MustGet(p.Algorithm).Rank(), p.Steps); p.Op != "" || leaves%p.Workers == 0 {
+			p.Parallel = core.BFS.String()
+		}
 	}
 	return p
 }

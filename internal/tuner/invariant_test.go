@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"fastmm/internal/core"
-	"fastmm/internal/gemm"
 	"fastmm/internal/mat"
 	"fastmm/internal/op"
 	"fastmm/internal/workspace"
@@ -273,7 +272,7 @@ func TestTimeDecisionStopsAtLimit(t *testing.T) {
 	if got := fast.exec.WorkspaceRetained(); got != 0 || pool.Bytes() == 0 {
 		t.Fatalf("executor retained %d bytes, probe pool %d; want every arena in the probe pool", got, pool.Bytes())
 	}
-	classical := tn.classicalPlan(op.Multiply, n, n, n, gemm.Default())
+	classical := tn.classicalPlan(op.Multiply, n, n, n)
 	d, err := tn.build(op.Multiply, classical)
 	if err != nil {
 		t.Fatal(err)

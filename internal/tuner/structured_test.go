@@ -167,35 +167,29 @@ func TestRankOpPricesSymmetry(t *testing.T) {
 // TestClassicalSymmetricIsTrianglePriced: the classical ATA and Syrk plans
 // are gemm.ATA/Syrk's lower-triangle pass, so at 1024 each is ranked at no
 // more than 0.6× the classical multiply of the same triple — half the flops,
-// the diagonal tiles and the mirror — on every backend.
+// the diagonal tiles and the mirror.
 func TestClassicalSymmetricIsTrianglePriced(t *testing.T) {
 	for _, w := range []int{1, 2} {
 		tn := mustTuner(t, modelOnlyOpts(w))
 		const n = 1024
-		classical := func(o op.Op) map[string]float64 {
+		classical := func(o op.Op) float64 {
 			plans, err := tn.RankOp(o, n, n, n)
 			if err != nil {
 				t.Fatal(err)
 			}
-			out := map[string]float64{}
 			for _, p := range plans {
 				if p.IsClassical() {
-					out[p.Backend] = p.PredictedSeconds
+					return p.PredictedSeconds
 				}
 			}
-			return out
+			t.Fatalf("w=%d %v: no classical plan", w, o)
+			return 0
 		}
 		mul := classical(op.Multiply)
 		for _, o := range []op.Op{op.ATA, op.Syrk} {
-			sym := classical(o)
-			if len(sym) == 0 || len(sym) != len(mul) {
-				t.Fatalf("w=%d %v: classical plans on %d backends, multiply on %d", w, o, len(sym), len(mul))
-			}
-			for be, secs := range sym {
-				if secs > 0.6*mul[be] {
-					t.Errorf("w=%d %v on %s: classical predicted %.4gs, multiply %.4gs (ratio %.2f > 0.6)",
-						w, o, be, secs, mul[be], secs/mul[be])
-				}
+			if secs := classical(o); secs > 0.6*mul {
+				t.Errorf("w=%d %v: classical predicted %.4gs, multiply %.4gs (ratio %.2f > 0.6)",
+					w, o, secs, mul, secs/mul)
 			}
 		}
 	}

@@ -10,9 +10,9 @@
 //
 //  1. enumerate candidate plans — every algorithm of Options.Algorithms ×
 //     steps up to DefaultMaxSteps × scheduler × addition strategy
-//     (write-once, streaming) × leaf backend of Options.Backends, plus the
-//     classical gemm baseline per backend; shapes below Options.MinDim get
-//     the baseline alone;
+//     (write-once, streaming), plus the classical gemm baseline, all on the
+//     default leaf backend; shapes below Options.MinDim get the baseline
+//     alone;
 //  2. prune and rank them with the analytic cost recurrences of
 //     internal/costmodel, turned into predicted seconds by a one-time
 //     machine calibration (Options.Profile, or measured gemm GFLOPS at a
@@ -78,7 +78,7 @@ const (
 const ClassicalAlgorithm = "classical"
 
 // Resources is the shared resource budget (see internal/resources); it is
-// embedded in Options so Workers/Workspace/Backends spell the same way — and
+// embedded in Options so Workers/Workspace spell the same way — and
 // hash into cache keys the same way — across every layer.
 type Resources = resources.Resources
 
@@ -97,14 +97,7 @@ type Options struct {
 	// threaded through to the built executor, which additionally degrades
 	// BFS/HYBRID to DFS at run time (a cap below even the classical kernel's
 	// packing slabs still selects sequential classical gemm — multiplication
-	// must remain possible); Backends restricts the leaf-kernel backends
-	// enumerated as a candidate dimension (default: the default gemm backend
-	// alone when it is accelerated — a pure-Go leaf beside it is several
-	// times slower and could only win by mistake — else every registered
-	// backend) — each candidate is ranked once per backend against that
-	// backend's calibrated gemm curve, and the classical baseline exists per
-	// backend too, so the tuner picks the leaf kernel the same way it picks
-	// everything else. Unknown backend names fail New.
+	// must remain possible).
 	Resources
 	// MinDim is the recursion cutoff (default 128): shapes with
 	// max(m,k,n) < MinDim dispatch to classical gemm without ranking.
@@ -128,7 +121,7 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	o.Resources = o.Resources.NormalizedBackends()
+	o.Resources = o.Resources.Normalized()
 	if o.MinDim <= 0 {
 		o.MinDim = DefaultMinDim
 	}
@@ -153,7 +146,8 @@ func (o Options) withDefaults() Options {
 // built from them decides, or where it keeps its decisions. Option sets
 // with equal keys behave identically, and the zero value renders like its
 // defaults spelled out. The resource budget renders through
-// resources.Resources.Key and the candidate algorithms enter as a hash.
+// resources.Resources.Key, the default leaf backend — the one every plan
+// runs on — by name, and the candidate algorithms as a hash.
 // The tuner's cache keys end in it, with the resolved calibration in place
 // of a nil Profile (ProfileVersion, in the key's prefix, retires cached
 // plans when the model changes); fastmm's shared-dispatcher and
@@ -170,7 +164,7 @@ func (o Options) Key() string {
 	if o.NoDiskCache {
 		disk = "/nodisk"
 	}
-	return fmt.Sprintf("%s/min%d/k%d/c%016x/p%s%s", o.Resources.Key(),
+	return fmt.Sprintf("%s/be:%s/min%d/k%d/c%016x/p%s%s", o.Resources.Key(), gemm.Default().Name(),
 		o.MinDim, o.ProbeTopK, h.Sum64(), o.Profile.Fingerprint(), disk)
 }
 
@@ -347,7 +341,8 @@ func (d *decision) runClassical(r op.Request) error {
 type Tuner struct {
 	opts      Options
 	prof      *Profile
-	keySuffix string // options part of the cache key, precomputed in New
+	be        gemm.Backend // the leaf backend every plan runs on: gemm.Default() at New
+	keySuffix string       // options part of the cache key, precomputed in New
 
 	mu   sync.Mutex
 	lru  *lru
@@ -390,13 +385,9 @@ func New(opts Options) (*Tuner, error) {
 	if opts.ProbeTopK < NoProbes {
 		return nil, fmt.Errorf("tuner: ProbeTopK %d is below NoProbes (%d)", opts.ProbeTopK, NoProbes)
 	}
-	for _, name := range opts.Backends {
-		if _, err := gemm.Get(name); err != nil {
-			return nil, fmt.Errorf("tuner: %w", err)
-		}
-	}
 	t := &Tuner{
 		opts:   opts,
+		be:     gemm.Default(),
 		lru:    newLRU(lruSize),
 		disk:   map[string]Plan{},
 		dirty:  map[string]Plan{},
@@ -406,14 +397,14 @@ func New(opts Options) (*Tuner, error) {
 	switch {
 	case opts.Profile != nil:
 		if !opts.Profile.Valid() {
-			return nil, fmt.Errorf("tuner: supplied calibration profile is invalid")
+			return nil, fmt.Errorf("tuner: supplied calibration profile is invalid (or not measured on backend %s)", t.be.Name())
 		}
 		t.prof = opts.Profile
 	case opts.NoDiskCache:
 		t.prof = Calibrate(opts.Workers, true)
 	default:
 		// A persisted profile calibrated at fewer workers than requested
-		// cannot predict this tuner's parallel candidates (GemmRate clamps
+		// cannot predict this tuner's parallel candidates (GemmRateFor clamps
 		// at the calibrated count) — recalibrate, but never clobber a
 		// deliberate full-protocol calibration with the quick one; the user
 		// re-runs `fmmtune calibrate -workers N` for that.
@@ -633,41 +624,31 @@ func (t *Tuner) remember(key string, d *decision, persist bool) {
 	_ = saveEntries(merged)
 }
 
-// RankOp enumerates the candidate plans for an (op, shape) — every leaf
-// backend × (classical baseline + algorithm × steps × scheduler × strategy)
-// — and sorts them by predicted time (fastest first), workspace-cap
-// survivors only. The shape is the gemm-equivalent product triple; for the
-// symmetric ops each plan is priced as the op runs it: the classical
-// baseline as one lower-triangle pass (≈ ½ the flops) plus the mirror, fast
-// plans as the symmetric recursion (fast off-diagonal products, classical
-// diagonal leaves) plus the transpose and mirrors it pays. A classical
-// baseline is always present, so the result is never empty.
+// RankOp enumerates the candidate plans for an (op, shape) — the classical
+// baseline plus algorithm × steps × scheduler × strategy, on the tuner's
+// leaf backend — and sorts them by predicted time (fastest first),
+// workspace-cap survivors only. The shape is the gemm-equivalent product
+// triple; for the symmetric ops each plan is priced as the op runs it: the
+// classical baseline as one lower-triangle pass (≈ ½ the flops) plus the
+// mirror, fast plans as the symmetric recursion (fast off-diagonal products,
+// classical diagonal leaves) plus the transpose and mirrors it pays. A
+// classical baseline is always present, so the result is never empty.
 func (t *Tuner) RankOp(o op.Op, m, k, n int) ([]Plan, error) {
 	o = o.PlanOp()
 	if m <= 0 || k <= 0 || n <= 0 {
 		return nil, fmt.Errorf("tuner: invalid shape %d×%d×%d", m, k, n)
 	}
-	ma := t.prof.Machine
-	var plans []Plan
-	for _, backend := range t.opts.Backends {
-		be, err := gemm.Get(backend)
-		if err != nil {
-			continue // validated in New; a racing re-Register never panics
-		}
-		plans = append(plans, t.classicalPlan(o, m, k, n, be))
-
-		// Below the recursion cutoff no fast algorithm is worth its
-		// additions; guarantee classical rather than trusting the model at
-		// sizes the calibration barely covers.
-		if maxInt3(m, k, n) < t.opts.MinDim {
-			continue
-		}
+	plans := []Plan{t.classicalPlan(o, m, k, n)}
+	// Below the recursion cutoff no fast algorithm is worth its additions;
+	// guarantee classical rather than trusting the model at sizes the
+	// calibration barely covers.
+	if maxInt3(m, k, n) >= t.opts.MinDim {
 		for _, name := range t.opts.Algorithms {
 			a, err := catalog.GetVerified(name)
 			if err != nil {
 				continue // unknown or unverifiable entries never panic the tuner
 			}
-			plans = append(plans, t.algorithmPlans(o, a, m, k, n, ma, be)...)
+			plans = append(plans, t.algorithmPlans(o, a, m, k, n)...)
 		}
 	}
 
@@ -687,11 +668,11 @@ func (t *Tuner) RankOp(o op.Op, m, k, n int) ([]Plan, error) {
 	return plans, nil
 }
 
-// classicalPlan is the direct-gemm baseline of (o, shape) on one backend;
-// for the symmetric ops that is gemm.ATA/Syrk, priced as its triangle pass.
-func (t *Tuner) classicalPlan(o op.Op, m, k, n int, be gemm.Backend) Plan {
+// classicalPlan is the direct-gemm baseline of (o, shape); for the
+// symmetric ops that is gemm.ATA/Syrk, priced as its triangle pass.
+func (t *Tuner) classicalPlan(o op.Op, m, k, n int) Plan {
 	workers := t.opts.Workers
-	slab := 8 * be.PackFloatsPerWorker()
+	slab := 8 * t.be.PackFloatsPerWorker()
 	if cap := t.opts.Workspace; cap > 0 && slab > 0 && int64(workers)*slab > cap {
 		// Degrade parallelism until the packing slabs fit; one worker's
 		// slab is the floor below which gemm cannot go.
@@ -704,13 +685,13 @@ func (t *Tuner) classicalPlan(o op.Op, m, k, n int, be gemm.Backend) Plan {
 	if workers > 1 {
 		parallel = "parallel" // direct gemm slab parallelism, not a scheduler
 	}
-	secs := t.prof.Machine.ClassicalTimeFor(be.Name(), m, k, n, workers)
+	secs := t.prof.Machine.ClassicalTimeFor(m, k, n, workers)
 	if o.Symmetric() {
-		secs = t.prof.Machine.SymmetricTime(be.Name(), m, k, triangleTile(be), workers)
+		secs = t.prof.Machine.SymmetricTime(m, k, triangleTile(t.be), workers)
 	}
 	return Plan{
 		Algorithm:        ClassicalAlgorithm,
-		Backend:          be.Name(),
+		Backend:          t.be.Name(),
 		Parallel:         parallel,
 		Workers:          workers,
 		WorkspaceBytes:   int64(workers) * slab,
@@ -744,8 +725,8 @@ func triangleTile(be gemm.Backend) int {
 // The recursion depth per sub-multiply is clamped to what the executor's
 // MinDim cutoff will actually take at that shape; 0 steps means the
 // sub-multiply runs classical.
-func (t *Tuner) symPredictSeconds(a *algo.Algorithm, model *costmodel.Model, ma costmodel.Machine, ex costmodel.ExecShape, be gemm.Backend, maxSteps, p, q, w int) float64 {
-	backend := be.Name()
+func (t *Tuner) symPredictSeconds(a *algo.Algorithm, model *costmodel.Model, ex costmodel.ExecShape, maxSteps, p, q, w int) float64 {
+	ma := t.prof.Machine
 	b := a.Base
 	minDim := t.opts.MinDim
 	total := 0.0
@@ -762,11 +743,11 @@ func (t *Tuner) symPredictSeconds(a *algo.Algorithm, model *costmodel.Model, ma 
 			}
 			st--
 		}
-		sub := ma.ClassicalTimeFor(backend, mm, kk, nn, w)
+		sub := ma.ClassicalTimeFor(mm, kk, nn, w)
 		if st > 0 {
 			dM, dK, dN := ipow(b.M, st), ipow(b.K, st), ipow(b.N, st)
 			cm, ck, cn := mm-mm%dM, kk-kk%dK, nn-nn%dN
-			fix := sub - ma.ClassicalTimeFor(backend, cm, ck, cn, w)
+			fix := sub - ma.ClassicalTimeFor(cm, ck, cn, w)
 			if fix < 0 {
 				fix = 0
 			}
@@ -779,7 +760,7 @@ func (t *Tuner) symPredictSeconds(a *algo.Algorithm, model *costmodel.Model, ma 
 		s = s - h // the larger child; odd splits round the estimate up
 	}
 	// Diagonal leaves: cnt blocks, each one classical Syrk.
-	total += cnt * ma.SymmetricTime(backend, s, q, triangleTile(be), w)
+	total += cnt * ma.SymmetricTime(s, q, triangleTile(t.be), w)
 	return total + ma.StructuredOverheadSeconds(p, q, p, t.opts.Workers)
 }
 
@@ -804,20 +785,22 @@ func (t *Tuner) schedules() []schedCand {
 }
 
 // algorithmPlans enumerates the viable (steps, scheduler, strategy) plans of
-// one algorithm on one shape for one leaf backend, with predicted times and
-// model workspaces. Shapes that don't divide the base case are handled the
-// way the executor does — the recursion runs on the largest divisible core
-// and the model charges the peeling borders as classical gemm work (on the
-// same backend) on top.
-func (t *Tuner) algorithmPlans(o op.Op, a *algo.Algorithm, m, k, n int, ma costmodel.Machine, be gemm.Backend) []Plan {
+// one algorithm on one shape, with predicted times and model workspaces.
+// Shapes that don't divide the base case are handled the way the executor
+// does — the recursion runs on the largest divisible core and the model
+// charges the peeling borders as classical gemm work on top. A HYBRID plan
+// is emitted only where it runs as HYBRID: the symmetric ops run it as BFS
+// (core's structuredMode), and a leaf count R^steps that W divides defers no
+// leaf — either way it would build its BFS twin's executor.
+func (t *Tuner) algorithmPlans(o op.Op, a *algo.Algorithm, m, k, n int) []Plan {
 	var out []Plan
+	ma := t.prof.Machine
 	b := a.Base
 	workers := t.opts.Workers
-	backend := be.Name()
 	// The fused engine is a candidate dimension only where the leaf backend
 	// supports it; other backends enumerate explicit plans alone.
 	fusedDims := []bool{false}
-	if gemm.CanFuse(be) {
+	if gemm.CanFuse(t.be) {
 		fusedDims = []bool{false, true}
 	}
 	if o.Symmetric() {
@@ -847,10 +830,11 @@ func (t *Tuner) algorithmPlans(o op.Op, a *algo.Algorithm, m, k, n int, ma costm
 			}
 		}
 		cm, ck, cn := m-m%dM, k-k%dK, n-n%dN
-		fixup := ma.ClassicalTimeFor(backend, m, k, n, workers) - ma.ClassicalTimeFor(backend, cm, ck, cn, workers)
+		fixup := ma.ClassicalTimeFor(m, k, n, workers) - ma.ClassicalTimeFor(cm, ck, cn, workers)
 		if fixup < 0 {
 			fixup = 0
 		}
+		bfsHybrid := o.Symmetric() || ipow(a.Rank(), steps)%workers == 0
 		for si, strat := range strategies {
 			for _, fused := range fusedDims {
 				if fused && steps == 1 && si > 0 {
@@ -865,24 +849,25 @@ func (t *Tuner) algorithmPlans(o op.Op, a *algo.Algorithm, m, k, n int, ma costm
 					continue
 				}
 				for _, sc := range t.schedules() {
-					ex := sc.ex
-					ex.Backend = backend
-					est, err := model.PredictTime(cm, ck, cn, steps, ma, ex)
+					if sc.par == core.Hybrid && bfsHybrid {
+						continue
+					}
+					est, err := model.PredictTime(cm, ck, cn, steps, ma, sc.ex)
 					if err != nil {
 						continue
 					}
 					fix := fixup
 					if o.Symmetric() {
-						est.Seconds = t.symPredictSeconds(a, model, ma, ex, be, steps, m, k, planWorkers(sc.par, workers))
+						est.Seconds = t.symPredictSeconds(a, model, sc.ex, steps, m, k, planWorkers(sc.par, workers))
 						fix = 0 // peeling priced per level inside the walk
 					}
-					ws := modelWorkspaceBytes(cost, sc.par, workers, be)
+					ws := modelWorkspaceBytes(cost, sc.par, workers, t.be)
 					if cap := t.opts.Workspace; cap > 0 && ws > cap {
 						continue
 					}
 					out = append(out, Plan{
 						Algorithm:        a.Name,
-						Backend:          backend,
+						Backend:          t.be.Name(),
 						Steps:            steps,
 						Parallel:         sc.par.String(),
 						Strategy:         strat.String(),
@@ -1081,8 +1066,8 @@ func (t *Tuner) pick(o op.Op, ranked []Plan, m, k, n int) (*decision, error) {
 		}
 	}
 	if len(survivors) == 0 {
-		// Nothing fits the cap: classical on the default backend always runs.
-		p := t.classicalPlan(o, m, k, n, gemm.Default())
+		// Nothing fits the cap: classical always runs.
+		p := t.classicalPlan(o, m, k, n)
 		if o.Symmetric() {
 			p.Op = o.Key()
 		}

@@ -34,6 +34,7 @@ func testProfile(workers int) *Profile {
 		GOMAXPROCS: workers,
 		Machine: costmodel.Machine{
 			Workers: workers,
+			Backend: gemm.Default().Name(),
 			Gemm: []costmodel.GemmSample{
 				{N: 64, SeqGFLOPS: 1.2, ParGFLOPS: par(1.2)},
 				{N: 256, SeqGFLOPS: 2.0, ParGFLOPS: par(2.0)},
@@ -486,7 +487,7 @@ func TestEntryAndForget(t *testing.T) {
 func TestProbeSkipsFailingSurvivor(t *testing.T) {
 	tn := mustTuner(t, Options{Resources: Resources{Workers: 1}, Profile: testProfile(1), NoDiskCache: true})
 	mkDecision := func() *decision {
-		d, err := tn.build(op.Multiply, tn.classicalPlan(op.Multiply, 64, 64, 64, gemm.Default()))
+		d, err := tn.build(op.Multiply, tn.classicalPlan(op.Multiply, 64, 64, 64))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,6 +7,7 @@ import (
 
 	"fastmm/internal/batch"
 	"fastmm/internal/costmodel"
+	"fastmm/internal/gemm"
 	"fastmm/internal/tuner"
 )
 
@@ -17,6 +18,7 @@ func sharedTestProfile() *tuner.Profile {
 		GOMAXPROCS: 1,
 		Machine: costmodel.Machine{
 			Workers:    1,
+			Backend:    gemm.Default().Name(),
 			Gemm:       []costmodel.GemmSample{{N: 64, SeqGFLOPS: 1, ParGFLOPS: 1}, {N: 256, SeqGFLOPS: 2, ParGFLOPS: 2}},
 			AddSeqGBps: 6,
 			AddParGBps: 6,

@@ -152,7 +152,7 @@ func (r *recordingBackend) PackFloatsPerWorker() int64 { return r.inner.PackFloa
 // through the process default backend, so a SetDefault (or FASTMM_BACKEND)
 // redirects them.
 func TestClassicalHonorsBackendRegistry(t *testing.T) {
-	orig, err := gemm.Get("portable")
+	orig, err := gemm.Get("simd")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestClassicalHonorsBackendRegistry(t *testing.T) {
 			t.Fatal(err)
 		}
 	}()
-	if err := gemm.SetDefault("portable"); err != nil {
+	if err := gemm.SetDefault("simd"); err != nil {
 		t.Fatal(err)
 	}
 
