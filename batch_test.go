@@ -369,21 +369,19 @@ func TestBatcherStatsPublicSurface(t *testing.T) {
 }
 
 // TestAdmissionDeniedPublicSurface drives a real rejection through the public
-// API: a single-worker batcher whose runner is pinned by a huge no-deadline
+// API: a single-worker batcher whose runner is pinned by a no-deadline
 // backlog must shed a deadline'd item it cannot possibly start in time. The
 // assertion is tolerant of scheduling (if the backlog drained improbably
 // fast the item is simply admitted) but the usual path exercises
 // fastmm.ErrAdmissionDenied end to end.
 func TestAdmissionDeniedPublicSurface(t *testing.T) {
-	opts := batchTestOpts(1)
-	opts.QueueDepth = 128
-	b, err := fastmm.NewBatcher(opts)
+	b, err := fastmm.NewBatcher(batchTestOpts(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
 
-	const n = 256
+	const n = 384
 	A := fastmm.RandomMatrix(n, n, 9)
 	B := fastmm.RandomMatrix(n, n, 10)
 	for i := 0; i < 2; i++ { // observe real service times into the estimator
@@ -391,7 +389,7 @@ func TestAdmissionDeniedPublicSurface(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 64; i++ { // a deep no-deadline backlog pins the runner
+	for i := 0; i < 4; i++ { // a no-deadline backlog that fills the 4×Workers queue
 		if _, err := b.SubmitRequest(mulReq(fastmm.NewMatrix(n, n), A, B), fastmm.SubmitOpts{}); err != nil {
 			t.Fatal(err)
 		}

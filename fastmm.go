@@ -196,12 +196,12 @@ func NewScheduleExecutor(names []string, opts Options) (*Executor, error) {
 // probing, and the default on-disk tuning cache (JSON under
 // os.UserCacheDir()/fastmm, overridable via the FASTMM_TUNE_CACHE
 // environment variable; set it to "off" to disable the disk layer).
-// Resources sets the budget; MinDim the recursion cutoff; ProbeTopK how
-// many leaders are timed (AutoNoProbes: none); Algorithms the catalog
-// entries ranked; Profile a fixed calibration; NoDiskCache keeps decisions
-// in memory. Everything else the tuner does — the leaf backend (the
-// default one), recursion depths, addition strategies, one timing per
-// probe — is fixed.
+// Resources sets the budget; ProbeTopK how many leaders are timed
+// (AutoNoProbes: none); Algorithms the catalog entries ranked; Profile a
+// fixed calibration; NoDiskCache keeps decisions in memory. Everything else
+// the tuner does — the leaf backend (the default one), the recursion cutoff
+// (128, §3.4), recursion depths, addition strategies, one timing per probe —
+// is fixed.
 type AutoOptions = tuner.Options
 
 // AutoPlan is one fully specified tuned configuration: algorithm, recursion
@@ -302,11 +302,14 @@ func sharedAuto(opts AutoOptions) (*AutoExecutor, error) {
 
 // BatchOptions configures a Batcher (and MultiplyBatch). The zero value is
 // ready to use: GOMAXPROCS total workers, an unbounded-bytes warm pool of at
-// most batch.DefaultMaxEntries shape-class entries, and default tuning.
-// Workspace bounds the bytes of executor workspace the warm pool retains
-// (LRU eviction); Tuning passes the autotuner's options (MinDim, ProbeTopK,
-// Algorithms, Profile, NoDiskCache, and a per-plan Workspace cap) through
-// to every per-width tuner, whose Workers the batcher sets itself.
+// most 64 shape-class entries, and default tuning. Workspace bounds the
+// bytes of executor workspace the warm pool retains (LRU eviction); Trace
+// sets the trace sampling rate; Drift turns the drift loop off; Tuning
+// passes the autotuner's options (ProbeTopK, Algorithms, Profile,
+// NoDiskCache, and a per-plan Workspace cap) through to every per-width
+// tuner, whose Workers the batcher sets itself. The rest of the serving
+// policy is fixed: a queue of 4×Workers items, a 1 s lane-aging window, and
+// 64 Mi flops per worker of internal parallelism.
 type BatchOptions = batch.Options
 
 // Batcher dispatches many multiplications through warm per-shape-class
@@ -321,8 +324,8 @@ type BatchOptions = batch.Options
 // per-item deadline (fail-fast with ErrDeadlineExceeded), and a completion
 // Callback so servers avoid ticket bookkeeping — hardened with
 // deadline-aware admission control (ErrAdmissionDenied sheds guaranteed-dead
-// work at submit), a lane-aging window that bounds Low-lane starvation
-// (BatchOptions.AgingWindow), and an allocation-free metrics surface
+// work at submit), a 1 s lane-aging window that bounds Low-lane starvation,
+// and an allocation-free metrics surface
 // (Batcher.Stats). It is safe for concurrent use; see NewBatcher.
 type Batcher = batch.Batcher
 
@@ -394,10 +397,10 @@ const BatchNumLanes = batch.NumLanes
 func BatchHistogramBounds() []time.Duration { return batch.HistogramBounds() }
 
 // TraceConfig configures per-request execution tracing
-// (BatchOptions.Trace). The zero value leaves tracing ON at the default
-// 1-in-64 sampling rate into a 128-record ring — the record path is
-// allocation-free and never takes a blocking lock, cheap enough for
-// production; set Disable to turn the layer off. Sampled records are read
+// (BatchOptions.Trace). Tracing is always on, into a 128-record ring; the
+// zero value samples one request in 64, and Sample sets another rate (1
+// traces every request). The record path is allocation-free and never takes
+// a blocking lock, cheap enough for production. Sampled records are read
 // back with Batcher.Traces().
 type TraceConfig = trace.Config
 

@@ -31,11 +31,6 @@ type Chain struct {
 	Terms []Term
 }
 
-// IsCopy reports whether the chain is a plain copy of a single source with
-// coefficient 1 — the case where the executor avoids materializing a
-// temporary entirely (§3.1).
-func (c Chain) IsCopy() bool { return len(c.Terms) == 1 && c.Terms[0].Coeff == 1 }
-
 // IsScaledCopy reports whether the chain has a single (possibly scaled) term,
 // which the executor pipes through to the base-case multiply as a scalar
 // factor instead of materializing.

@@ -19,7 +19,7 @@ func TestFromColumnsStrassen(t *testing.T) {
 		t.Fatal(err)
 	}
 	// S3 = A11: a copy; S1 = A11 + A22: two terms.
-	if !p.Outputs[2].IsCopy() {
+	if ch := p.Outputs[2]; len(ch.Terms) != 1 || ch.Terms[0].Coeff != 1 {
 		t.Fatalf("S3 should be a copy: %+v", p.Outputs[2])
 	}
 	if len(p.Outputs[0].Terms) != 2 {

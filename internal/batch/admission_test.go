@@ -18,7 +18,7 @@ import (
 	"fastmm/internal/tuner"
 )
 
-// admissionHarness is one isolated batcher with a single blocked runner, so
+// admissionHarness is one isolated batcher whose runners are all blocked, so
 // queued fillers stay queued and backlogs are exact. release (idempotent,
 // also run in t.Cleanup) unblocks the runner and lets the backlog drain.
 type admissionHarness struct {
@@ -27,14 +27,12 @@ type admissionHarness struct {
 	release func()
 }
 
-func newAdmissionHarness(t *testing.T) *admissionHarness {
+// The queue holds 4×workers items.
+func newAdmissionHarness(t *testing.T, workers int) *admissionHarness {
 	t.Helper()
 	fc := newFakeClock()
-	opts := testOptions(1)
-	opts.Clock = fc
-	opts.QueueDepth = 64
-	b := newTestBatcher(t, opts)
-	release := blockRunners(t, b, 1)
+	b := newClockedBatcher(t, testOptions(workers), fc)
+	release := blockRunners(t, b, workers)
 	return &admissionHarness{b: b, fc: fc, release: release}
 }
 
@@ -129,7 +127,7 @@ func TestAdmissionTable(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			h := newAdmissionHarness(t)
+			h := newAdmissionHarness(t, 4) // room for 10 fillers and the probe item
 			h.setEstimate(n, n, n, tc.estSecs)
 			h.fill(t, tc.fillLane, tc.fillN, n)
 
@@ -208,7 +206,7 @@ func TestAdmissionTable(t *testing.T) {
 // still have a future.
 func TestAdmissionSkipsAlreadyExpired(t *testing.T) {
 	const n = 64
-	h := newAdmissionHarness(t)
+	h := newAdmissionHarness(t, 1)
 	h.setEstimate(n, n, n, 3600)
 	h.fill(t, LaneNormal, 2, n)
 

@@ -1,5 +1,5 @@
 // Lane-aging tests: strict priority must soften into a bounded starvation
-// window — a queued item older than Options.AgingWindow is served ahead of
+// window — a queued item older than DefaultAgingWindow is served ahead of
 // higher-priority lanes. Everything runs on the fake clock; aging decisions
 // are pure state transitions here.
 package batch
@@ -21,14 +21,14 @@ func stampedTask(fc *fakeClock, l Lane) *task {
 
 // TestAgedLaneHeadOvertakesStrictPriority is the queue-level regression test
 // of the aging redesign: once a Low head has waited past the window, pop must
-// serve it before fresh High traffic. On the pre-aging strict-priority queue
-// (aging disabled — see TestStrictPriorityStarvesWithoutAging for that
-// behavior pinned down) the Low item below is never popped while High items
-// remain, and this test fails.
+// serve it before fresh High traffic. On a strict-priority queue (the
+// behavior TestStrictPriorityBelowAgingWindow pins inside the window) the
+// Low item below is never popped while High items remain, and this test
+// fails.
 func TestAgedLaneHeadOvertakesStrictPriority(t *testing.T) {
-	const window = 10 * time.Millisecond
+	const window = DefaultAgingWindow
 	fc := newFakeClock()
-	q := newLaneQueue(64, fc, window)
+	q := newLaneQueue(64, fc)
 
 	low := stampedTask(fc, LaneLow)
 	if err := q.push(low); err != nil {
@@ -73,9 +73,9 @@ func TestAgedLaneHeadOvertakesStrictPriority(t *testing.T) {
 // TestAgedOldestHeadWinsAcrossLanes: when several lane heads are over the
 // window, the oldest submission is served first, regardless of lane priority.
 func TestAgedOldestHeadWinsAcrossLanes(t *testing.T) {
-	const window = 10 * time.Millisecond
+	const window = DefaultAgingWindow
 	fc := newFakeClock()
-	q := newLaneQueue(64, fc, window)
+	q := newLaneQueue(64, fc)
 
 	low := stampedTask(fc, LaneLow) // oldest
 	if err := q.push(low); err != nil {
@@ -103,12 +103,12 @@ func TestAgedOldestHeadWinsAcrossLanes(t *testing.T) {
 	}
 }
 
-// TestStrictPriorityStarvesWithoutAging pins down the pre-PR behavior the
-// aging window exists to bound: with aging disabled, a Low item starves
-// behind queued High traffic no matter how much time passes.
-func TestStrictPriorityStarvesWithoutAging(t *testing.T) {
+// TestStrictPriorityBelowAgingWindow pins down strict priority inside the
+// window: a Low item that has waited just under DefaultAgingWindow still
+// drains only after every queued High item.
+func TestStrictPriorityBelowAgingWindow(t *testing.T) {
 	fc := newFakeClock()
-	q := newLaneQueue(64, fc, 0) // aging disabled: the old strict-priority queue
+	q := newLaneQueue(64, fc)
 
 	low := stampedTask(fc, LaneLow)
 	if err := q.push(low); err != nil {
@@ -119,7 +119,7 @@ func TestStrictPriorityStarvesWithoutAging(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fc.Advance(time.Hour) // an unbounded wait changes nothing without aging
+	fc.Advance(DefaultAgingWindow - time.Nanosecond)
 	for i := 0; i < 3; i++ {
 		tk, _ := q.pop()
 		if tk.lane != LaneHigh {
@@ -133,17 +133,12 @@ func TestStrictPriorityStarvesWithoutAging(t *testing.T) {
 
 // TestLaneAgingBoundsStarvationEndToEnd drives aging through the full
 // batcher: a Low item queued behind a High backlog must be the first to
-// execute once its wait exceeds Options.AgingWindow. Without aging (the
-// pre-PR scheduler, Options.AgingWindow < 0) the High items all execute
-// first and the order assertion below fails.
+// execute once its wait exceeds DefaultAgingWindow. Without aging (strict
+// priority) the High items all execute first and the order assertion below
+// fails. The Low item and three High items fill the one-worker queue.
 func TestLaneAgingBoundsStarvationEndToEnd(t *testing.T) {
-	const window = 50 * time.Millisecond
 	fc := newFakeClock()
-	opts := testOptions(1)
-	opts.Clock = fc
-	opts.AgingWindow = window
-	opts.QueueDepth = 64
-	b := newTestBatcher(t, opts)
+	b := newClockedBatcher(t, testOptions(1), fc)
 
 	release := blockRunners(t, b, 1)
 
@@ -167,11 +162,11 @@ func TestLaneAgingBoundsStarvationEndToEnd(t *testing.T) {
 	}
 
 	submit("low", LaneLow)
-	fc.Advance(30 * time.Millisecond) // the High flood arrives later...
-	for i := 0; i < 4; i++ {
+	fc.Advance(DefaultAgingWindow * 3 / 5) // the High flood arrives later...
+	for i := 0; i < 3; i++ {
 		submit(fmt.Sprintf("high%d", i), LaneHigh)
 	}
-	fc.Advance(30 * time.Millisecond) // ...and only the Low item is over the window
+	fc.Advance(DefaultAgingWindow * 3 / 5) // ...and only the Low item is over the window
 
 	release()
 	if err := b.Wait(); err != nil {
@@ -180,13 +175,13 @@ func TestLaneAgingBoundsStarvationEndToEnd(t *testing.T) {
 
 	mu.Lock()
 	defer mu.Unlock()
-	if len(order) != 5 {
-		t.Fatalf("completed %d items, want 5 (%v)", len(order), order)
+	if len(order) != 4 {
+		t.Fatalf("completed %d items, want 4 (%v)", len(order), order)
 	}
 	if order[0] != "low" {
 		t.Fatalf("starved Low item must execute within the aging window; order %v", order)
 	}
-	for i := 1; i < 5; i++ {
+	for i := 1; i < 4; i++ {
 		if want := fmt.Sprintf("high%d", i-1); order[i] != want {
 			t.Fatalf("High backlog must drain FIFO after the aged item; order %v", order)
 		}

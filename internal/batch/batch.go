@@ -47,9 +47,25 @@ import (
 // ErrClosed is returned by Do, SubmitRequest and PlanForOp after Close.
 var ErrClosed = errors.New("batch: batcher is closed")
 
-// DefaultGrainFLOPs is the per-worker work grain below which a multiply
-// prefers inter-multiply concurrency over splitting itself (Options.GrainFLOPs).
+// DefaultGrainFLOPs is the flop count that justifies one worker of internal
+// parallelism: a multiply is granted at most flops/DefaultGrainFLOPs
+// internal workers, so small problems run sequentially and rely on
+// inter-multiply concurrency for throughput.
 const DefaultGrainFLOPs = 64 << 20
+
+// DefaultMaxEntries bounds the warm-entry count independently of bytes.
+const DefaultMaxEntries = 64
+
+// DefaultAgingWindow bounds lane starvation: a queued item whose wait
+// exceeds it is served ahead of higher-priority lanes (oldest first), so a
+// sustained High flood delays a Low item by at most the window plus the
+// executions already in flight.
+const DefaultAgingWindow = time.Second
+
+// queuePerWorker sizes the asynchronous submission queue, shared across all
+// priority lanes: 4×Workers items, beyond which SubmitRequest blocks
+// (backpressure).
+const queuePerWorker = 4
 
 // Resources aliases the shared execution budget (internal/resources) so
 // callers can write batch.Options{Resources: batch.Resources{...}} without
@@ -58,7 +74,7 @@ type Resources = resources.Resources
 
 // Options configures a Batcher. The zero value is ready to use: GOMAXPROCS
 // workers, an unlimited warm pool of up to DefaultMaxEntries entries, and
-// default tuning behavior.
+// default tuning.
 type Options struct {
 	// Resources is the shared execution budget (internal/resources). Workers
 	// is the total goroutine budget across every multiplication in flight
@@ -74,33 +90,10 @@ type Options struct {
 	// entry always survives, so a budget below one entry's footprint
 	// degrades to per-class-switch rebuilding, never to failure.
 	resources.Resources
-	// MaxEntries bounds the warm-entry count independently of bytes
-	// (default DefaultMaxEntries).
-	MaxEntries int
-	// GrainFLOPs is the flop count that justifies one worker of internal
-	// parallelism (default DefaultGrainFLOPs): a multiply is granted at most
-	// flops/GrainFLOPs internal workers, so small problems run sequentially
-	// and rely on inter-multiply concurrency for throughput.
-	GrainFLOPs int64
-	// QueueDepth is the capacity of the asynchronous submission queue,
-	// shared across all priority lanes (default 4×Workers); a full queue
-	// makes SubmitRequest block (backpressure).
-	QueueDepth int
-	// AgingWindow bounds lane starvation: a queued item whose wait exceeds
-	// the window is served ahead of higher-priority lanes (oldest first), so
-	// a sustained High flood delays a Low item by at most the window plus
-	// the executions already in flight. Zero means DefaultAgingWindow;
-	// negative disables aging (strict priority, the pre-aging behavior).
-	AgingWindow time.Duration
-	// Clock is the time source for deadlines, admission, aging, and the
-	// sweeper (default: the wall clock). Tests inject a fake clock to make
-	// every time-dependent behavior deterministic.
-	Clock Clock
 	// Trace configures per-request execution tracing (internal/trace). The
-	// zero value leaves tracing ON at the default 1-in-trace.DefaultSample
-	// rate into a trace.DefaultRing-record ring — the record path is
-	// allocation-free and lock-light, cheap enough for production. Set
-	// Trace.Disable to turn the layer off entirely.
+	// zero value traces one request in trace.DefaultSample into a
+	// trace.DefaultRing-record ring — the record path is allocation-free and
+	// lock-light, cheap enough for production.
 	Trace trace.Config
 	// Drift configures drift detection and re-probing. The zero value
 	// leaves the loop ON (see DriftOptions); set Drift.Disable to turn it
@@ -108,56 +101,34 @@ type Options struct {
 	Drift DriftOptions
 	// Tuning configures the per-entry tuners. Workers is managed per entry
 	// width, and every width shares the first tuner's calibration (Profile
-	// when set); MinDim, ProbeTopK, Algorithms, the per-plan Workspace cap
-	// and NoDiskCache pass through to internal/tuner.
+	// when set); ProbeTopK, Algorithms, the per-plan Workspace cap and
+	// NoDiskCache pass through to internal/tuner.
 	Tuning tuner.Options
+
+	// clock is the time source for deadlines, admission, aging, and the
+	// sweeper; nil means the wall clock. Only the package's tests set it,
+	// to make every time-dependent behavior deterministic.
+	clock Clock
 }
-
-// DefaultMaxEntries bounds the warm pool when Options.MaxEntries is zero.
-const DefaultMaxEntries = 64
-
-// DefaultAgingWindow bounds lane starvation when Options.AgingWindow is zero.
-const DefaultAgingWindow = time.Second
 
 func (o Options) withDefaults() Options {
 	o.Resources = o.Resources.Normalized()
-	if o.MaxEntries <= 0 {
-		o.MaxEntries = DefaultMaxEntries
-	}
-	if o.GrainFLOPs <= 0 {
-		o.GrainFLOPs = DefaultGrainFLOPs
-	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 4 * o.Workers
-	}
-	switch {
-	case o.AgingWindow == 0:
-		o.AgingWindow = DefaultAgingWindow
-	case o.AgingWindow < 0:
-		o.AgingWindow = -1 // canonical "disabled" (any negative behaves alike)
-	}
-	if o.Clock == nil {
-		o.Clock = wallClock{}
-	}
 	o.Trace = o.Trace.Normalized()
+	if o.clock == nil {
+		o.clock = wallClock{}
+	}
 	return o
 }
 
 // Key renders the options' identity: option sets with equal keys build
 // batchers that behave identically, and the zero value renders like its
 // defaults spelled out. The budget renders through resources.Resources.Key
-// and the tuning through tuner.Options.Key; a Clock other than the wall
-// clock enters by identity. fastmm's shared-batcher map keys on it.
+// and the tuning through tuner.Options.Key. fastmm's shared-batcher map
+// keys on it.
 func (o Options) Key() string {
 	o = o.withDefaults()
-	clock := "wall"
-	if _, ok := o.Clock.(wallClock); !ok {
-		clock = fmt.Sprintf("%T@%p", o.Clock, o.Clock)
-	}
-	return fmt.Sprintf("%s e%d g%d q%d ag%d clk:%s tr%t/%d/%d dr%t | %s",
-		o.Resources.Key(), o.MaxEntries, o.GrainFLOPs, o.QueueDepth, o.AgingWindow,
-		clock, o.Trace.Disable, o.Trace.Ring, o.Trace.Sample, o.Drift.Disable,
-		o.Tuning.Key())
+	return fmt.Sprintf("%s tr%d dr%t | %s",
+		o.Resources.Key(), o.Trace.Sample, o.Drift.Disable, o.Tuning.Key())
 }
 
 // entryKey identifies one warm entry: an operation's plan space (op.PlanOp —
@@ -249,8 +220,7 @@ type Batcher struct {
 
 	sem wsem
 
-	// ring is the trace buffer (nil when Options.Trace disabled — every
-	// call on it is then a nil check); lastReprobe is the drift loop's rate
+	// ring is the trace buffer; lastReprobe is the drift loop's rate
 	// limiter (unix nanos of the last accepted re-probe, CAS-claimed).
 	ring        *trace.Ring
 	lastReprobe atomic.Int64
@@ -260,7 +230,7 @@ type Batcher struct {
 	// items sitting idle in the queue. The width policy divides Workers by
 	// it: deriving width from enqueue-time counts starved every executing
 	// multiply down to a fraction of its fair share whenever a burst sat
-	// queued (QueueDepth defaults to 4×Workers, so ~1/4).
+	// queued (the queue holds 4×Workers items, so ~1/4).
 	executing atomic.Int64
 
 	// outMu/outCond guard the outstanding count and the first error; Wait
@@ -301,7 +271,7 @@ func New(opts Options) (*Batcher, error) {
 		closeDone: make(chan struct{}),
 	}
 	b.ring = trace.New(b.opts.Trace)
-	b.clock = b.opts.Clock
+	b.clock = b.opts.clock
 	b.outCond = sync.NewCond(&b.outMu)
 	b.sem.free = b.opts.Workers
 	if _, err := b.tunerFor(b.opts.Workers); err != nil { // calibrate once
@@ -451,10 +421,10 @@ func (b *Batcher) beginSync() error {
 // and Callback only — Wait does not aggregate expiries), and an optional
 // completion callback. Request and lane errors surface immediately and the
 // item is never queued; a full queue makes SubmitRequest block
-// (backpressure, lanes share one QueueDepth). Execution errors go to the
-// Ticket, the Callback and, aggregated, Wait. The request's operands must
-// stay untouched until the Ticket resolves; a caller that wants to reuse A
-// or B sooner submits a copy.
+// (backpressure, lanes share one capacity of 4×Workers items). Execution
+// errors go to the Ticket, the Callback and, aggregated, Wait. The request's
+// operands must stay untouched until the Ticket resolves; a caller that
+// wants to reuse A or B sooner submits a copy.
 //
 // A future deadline is additionally screened by admission control: when the
 // queued backlog ahead of the item (at calibrated per-class service-time
@@ -647,20 +617,16 @@ func (b *Batcher) PlanForOp(o op.Op, m, k, n int) (tuner.Plan, error) {
 	return e.te.Plan(), nil
 }
 
-// Traces returns a snapshot of the published trace records, oldest first
-// (nil when tracing is disabled). Safe for concurrent use; the snapshot
-// allocates, the record path it observes does not.
+// Traces returns a snapshot of the published trace records, oldest first.
+// Safe for concurrent use; the snapshot allocates, the record path it
+// observes does not.
 func (b *Batcher) Traces() []trace.Record { return b.ring.Snapshot() }
 
 // startRunners spins up the runner pool on first async use (a batcher used
 // only synchronously never spawns a goroutine). Callers hold submitMu.
 func (b *Batcher) startRunners() {
 	b.queueOnce.Do(func() {
-		aging := b.opts.AgingWindow
-		if aging < 0 {
-			aging = 0 // disabled
-		}
-		b.queue = newLaneQueue(b.opts.QueueDepth, b.clock, aging)
+		b.queue = newLaneQueue(queuePerWorker*b.opts.Workers, b.clock)
 		for i := 0; i < b.opts.Workers; i++ {
 			go b.runner(b.queue)
 		}
@@ -834,7 +800,7 @@ func (b *Batcher) widthFor(m, k, n, load int) int {
 		load = 1
 	}
 	w := b.opts.Workers / load
-	if g := flopsFor(m, k, n) / b.opts.GrainFLOPs; g < int64(w) {
+	if g := flopsFor(m, k, n) / DefaultGrainFLOPs; g < int64(w) {
 		w = int(g)
 	}
 	if w < 1 {
@@ -974,7 +940,7 @@ func (b *Batcher) touch(e *warmEntry) {
 // arenas are collectable once in-flight holders finish. Callers hold b.mu.
 func (b *Batcher) evictLocked() {
 	for b.lru.Len() > 1 &&
-		(b.lru.Len() > b.opts.MaxEntries ||
+		(b.lru.Len() > DefaultMaxEntries ||
 			(b.opts.Workspace > 0 && b.retained > b.opts.Workspace)) {
 		back := b.lru.Back()
 		e := back.Value.(*warmEntry)

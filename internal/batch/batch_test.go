@@ -46,10 +46,6 @@ func testProfile(workers int) *tuner.Profile {
 func testOptions(workers int) Options {
 	return Options{
 		Resources: Resources{Workers: workers},
-		// Disable lane aging by default: the scheduling-order tests pin down
-		// strict priority, and a wall-clock hiccup past the default window
-		// must not promote a lane head mid-test. Aging has dedicated tests.
-		AgingWindow: -1,
 		// Disable the drift loop by default: tests run synthetic calibration
 		// profiles on real machines, so observed times legitimately diverge
 		// from the profile's predictions and would trigger re-probes
@@ -144,23 +140,29 @@ func TestSameClassSharesWarmEntry(t *testing.T) {
 	}
 }
 
+// TestMaxEntriesEviction fills DefaultMaxEntries+1 distinct classes. Every
+// one is below the recursion cutoff, so each runs classical and is never
+// probed; the pool keeps the most recent DefaultMaxEntries.
 func TestMaxEntriesEviction(t *testing.T) {
-	opts := testOptions(1)
-	opts.MaxEntries = 2
-	b, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	for _, n := range []int{64, 96, 128, 160} { // four distinct classes
-		A, B := randMat(n, n, int64(n)), randMat(n, n, int64(n+1))
-		C := mat.New(n, n)
-		if err := b.Do(mulReq(C, A, B)); err != nil {
-			t.Fatal(err)
+	b := newTestBatcher(t, testOptions(1))
+	dims := []int{4, 5, 6, 7, 8, 10, 12, 14, 16, 20, 24, 28, 32, 40, 48, 56, 64, 80, 96, 112}
+	classes := 0
+	for _, m := range dims {
+		for _, k := range dims {
+			if classes == DefaultMaxEntries+1 {
+				break
+			}
+			classes++
+			A, B := randMat(m, k, int64(m)), randMat(k, 8, int64(k))
+			C := mat.New(m, 8)
+			if err := b.Do(mulReq(C, A, B)); err != nil {
+				t.Fatal(err)
+			}
+			checkProduct(t, C, A, B)
 		}
 	}
-	if got := b.WarmEntries(); got > 2 {
-		t.Fatalf("MaxEntries=2 but pool holds %d entries", got)
+	if got := b.WarmEntries(); got != DefaultMaxEntries {
+		t.Fatalf("%d classes touched, pool holds %d entries, want %d", classes, got, DefaultMaxEntries)
 	}
 }
 

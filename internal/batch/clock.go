@@ -7,10 +7,11 @@ import "time"
 
 // Clock is the time source behind every deadline, aging, admission, and
 // sweeper decision a Batcher makes. Production batchers run on the wall
-// clock (Options.Clock nil); tests inject a fake so that "a deadline passes
-// while the item is queued" is a deterministic state transition instead of a
-// sleep — the whole QoS layer (expiry sweeping, lane aging, admission
-// estimates) is testable without wall-clock flakiness.
+// clock; the package's tests inject a fake through Options' unexported
+// clock field, so that "a deadline passes while the item is queued" is a
+// deterministic state transition instead of a sleep — the whole QoS layer
+// (expiry sweeping, lane aging, admission estimates) is testable without
+// wall-clock flakiness.
 type Clock interface {
 	// Now reports the current time.
 	Now() time.Time

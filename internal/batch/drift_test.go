@@ -56,9 +56,8 @@ func TestDriftTriggersSingleReprobe(t *testing.T) {
 	const k = driftK
 	fc := newFakeClock()
 	opts := testOptions(1)
-	opts.Clock = &stepClock{fc: fc, step: 10 * time.Millisecond}
 	opts.Drift = DriftOptions{} // on: testOptions turns it off
-	b := newTestBatcher(t, opts)
+	b := newClockedBatcher(t, opts, &stepClock{fc: fc, step: 10 * time.Millisecond})
 	A, B := randMat(n, n, 1), randMat(n, n, 2)
 	C := mat.New(n, n)
 
@@ -107,9 +106,8 @@ func TestNoDriftLoopWhenDisabled(t *testing.T) {
 	const n = 64
 	fc := newFakeClock()
 	opts := testOptions(1)
-	opts.Clock = &stepClock{fc: fc, step: time.Second}
 	opts.Drift = DriftOptions{Disable: true}
-	b := newTestBatcher(t, opts)
+	b := newClockedBatcher(t, opts, &stepClock{fc: fc, step: time.Second})
 	A, B := randMat(n, n, 1), randMat(n, n, 2)
 	C := mat.New(n, n)
 

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"fastmm/internal/catalog"
 	"fastmm/internal/trace"
@@ -29,12 +28,6 @@ func setNonDefault(t *testing.T, f reflect.Value, path string) {
 		f.Set(reflect.ValueOf([]string{"nondefault"}))
 	case reflect.Pointer:
 		f.Set(reflect.New(f.Type().Elem()))
-	case reflect.Interface:
-		v := reflect.ValueOf(newFakeClock())
-		if !v.Type().AssignableTo(f.Type()) {
-			t.Fatalf("%s: no non-default value for %s", path, f.Type())
-		}
-		f.Set(v)
 	default:
 		t.Fatalf("%s: no non-default value for %s", path, f.Type())
 	}
@@ -73,7 +66,6 @@ func spelledOutTuning() tuner.Options {
 	}
 	return tuner.Options{
 		Resources:  tuner.Resources{Workers: runtime.GOMAXPROCS(0)},
-		MinDim:     tuner.DefaultMinDim,
 		ProbeTopK:  tuner.DefaultProbeTopK,
 		Algorithms: algs,
 	}
@@ -97,21 +89,16 @@ func TestOptionsKey(t *testing.T) {
 		}
 	})
 	// The tuner's whole settable surface; the rest of its policy is fixed.
-	want := "Resources.Workers Resources.Workspace MinDim ProbeTopK Algorithms Profile NoDiskCache"
+	want := "Resources.Workers Resources.Workspace ProbeTopK Algorithms Profile NoDiskCache"
 	if got := strings.Join(tunerFields, " "); got != want {
 		t.Errorf("tuner.Options fields %q, want %q", got, want)
 	}
 
 	var bopts Options
 	spelled := Options{
-		Resources:   Resources{Workers: runtime.GOMAXPROCS(0)},
-		MaxEntries:  DefaultMaxEntries,
-		GrainFLOPs:  DefaultGrainFLOPs,
-		QueueDepth:  4 * runtime.GOMAXPROCS(0),
-		AgingWindow: DefaultAgingWindow,
-		Clock:       wallClock{},
-		Trace:       trace.Config{Ring: trace.DefaultRing, Sample: trace.DefaultSample},
-		Tuning:      spelledOutTuning(),
+		Resources: Resources{Workers: runtime.GOMAXPROCS(0)},
+		Trace:     trace.Config{Sample: trace.DefaultSample},
+		Tuning:    spelledOutTuning(),
 	}
 	if got, want := bopts.Key(), spelled.Key(); got != want {
 		t.Fatalf("zero batch options key %q, spelled-out defaults %q", got, want)
@@ -124,22 +111,8 @@ func TestOptionsKey(t *testing.T) {
 			t.Errorf("batch.Options.%s set to a non-default value leaves the key at %q", path, base)
 		}
 	})
-	// Resources; MaxEntries, GrainFLOPs, QueueDepth, AgingWindow, Clock;
-	// Trace; Drift; Tuning.
-	if want := 2 + 5 + 3 + 1 + len(tunerFields); visited != want {
+	// Resources; Trace; Drift; Tuning.
+	if want := 2 + 1 + 1 + len(tunerFields); visited != want {
 		t.Errorf("visited %d batch.Options fields, want %d", visited, want)
-	}
-
-	// Two clocks of one type are two identities; negative aging windows all
-	// mean "off" and render alike.
-	a, b := bopts, bopts
-	a.Clock, b.Clock = newFakeClock(), newFakeClock()
-	if a.Key() == b.Key() {
-		t.Error("two distinct clocks share a key")
-	}
-	a, b = bopts, bopts
-	a.AgingWindow, b.AgingWindow = -1, -time.Hour
-	if a.Key() != b.Key() {
-		t.Errorf("negative aging windows render apart: %q vs %q", a.Key(), b.Key())
 	}
 }

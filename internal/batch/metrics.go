@@ -262,8 +262,7 @@ type Stats struct {
 	Reprobes    int64
 	// TraceSampled / TraceLost are the trace ring's lifetime claim and
 	// contention-drop counts; TraceSamples splits the claims per operation
-	// (op.Op.String names). Sum(TraceSamples) == TraceSampled. All zero when
-	// tracing is disabled.
+	// (op.Op.String names). Sum(TraceSamples) == TraceSampled.
 	TraceSampled int64
 	TraceLost    int64
 	TraceSamples map[string]int64

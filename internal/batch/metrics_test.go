@@ -166,7 +166,7 @@ func checkLaneInvariants(t *testing.T, s Stats) {
 // checks the snapshot field by field.
 func TestStatsSnapshotCounts(t *testing.T) {
 	const n = 64
-	h := newAdmissionHarness(t) // 1 blocked runner, fake clock
+	h := newAdmissionHarness(t, 1) // 1 blocked runner, fake clock
 	b, fc := h.b, h.fc
 
 	A, B := randMat(n, n, 1), randMat(n, n, 2)

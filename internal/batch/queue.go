@@ -87,7 +87,7 @@ type SubmitOpts struct {
 // byte of the async path.
 //
 // Strict priority is softened by aging: when a lane's head item has waited
-// longer than the aging window, pop serves it ahead of higher-priority
+// longer than DefaultAgingWindow, pop serves it ahead of higher-priority
 // lanes (oldest over-window head first), so a sustained High flood can delay
 // a Low item by at most the window plus the executions already in flight —
 // a bounded starvation window instead of an unbounded one.
@@ -104,7 +104,6 @@ type laneQueue struct {
 	capacity int
 	closed   bool
 	clock    Clock
-	aging    time.Duration // 0 disables aged-head promotion
 	// deadlineSig nudges the sweeper when a deadline'd item is pushed;
 	// done wakes it (and any other select-based observer) on close.
 	deadlineSig chan struct{}
@@ -175,11 +174,10 @@ func (r *taskRing) sweepExpired(now time.Time, expired []*task) ([]*task, time.T
 	return expired, next
 }
 
-func newLaneQueue(capacity int, clock Clock, aging time.Duration) *laneQueue {
+func newLaneQueue(capacity int, clock Clock) *laneQueue {
 	q := &laneQueue{
 		capacity:    capacity,
 		clock:       clock,
-		aging:       aging,
 		deadlineSig: make(chan struct{}, 1),
 		done:        make(chan struct{}),
 	}
@@ -233,21 +231,18 @@ func (q *laneQueue) pop() (t *task, ok bool) {
 		return nil, false
 	}
 	lane := Lane(-1)
-	aged := false
-	if q.aging > 0 {
-		now := q.clock.Now() //fastmm:allow injected Clock interface: wallClock in prod, fake in tests
-		var oldest time.Time
-		for _, l := range laneOrder {
-			h := q.lanes[l].peek()
-			if h == nil || h.submitted.IsZero() || now.Sub(h.submitted) < q.aging {
-				continue
-			}
-			if oldest.IsZero() || h.submitted.Before(oldest) {
-				oldest, lane = h.submitted, l
-			}
+	now := q.clock.Now() //fastmm:allow injected Clock interface: wallClock in prod, fake in tests
+	var oldest time.Time
+	for _, l := range laneOrder {
+		h := q.lanes[l].peek()
+		if h == nil || h.submitted.IsZero() || now.Sub(h.submitted) < DefaultAgingWindow {
+			continue
 		}
-		aged = lane >= 0
+		if oldest.IsZero() || h.submitted.Before(oldest) {
+			oldest, lane = h.submitted, l
+		}
 	}
+	aged := lane >= 0
 	if lane < 0 {
 		for _, l := range laneOrder {
 			if q.lanes[l].n > 0 {

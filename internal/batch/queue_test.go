@@ -15,7 +15,7 @@ func laneTask(l Lane) *task {
 // priority behavior the scheduling-order tests pin down. Aging has its own
 // tests (aging_test.go).
 func testQueue(capacity int) *laneQueue {
-	return newLaneQueue(capacity, newFakeClock(), 0)
+	return newLaneQueue(capacity, newFakeClock())
 }
 
 // TestLaneQueuePriorityOrder: pop must drain High before Normal before Low,

@@ -48,6 +48,15 @@ func newTestBatcher(t *testing.T, opts Options) *Batcher {
 	return b
 }
 
+// newClockedBatcher is newTestBatcher on the given clock. A fake clock
+// never advances by itself, so deadlines, admission and the aging window
+// move only when the test moves them.
+func newClockedBatcher(t *testing.T, opts Options, clk Clock) *Batcher {
+	t.Helper()
+	opts.clock = clk
+	return newTestBatcher(t, opts)
+}
+
 // blockRunners occupies every runner of b inside a completion callback: the
 // blocker items execute (releasing their executing count and semaphore
 // tokens), then their callbacks park until release is called, so the queue
@@ -88,13 +97,11 @@ func blockRunners(t *testing.T, b *Batcher, runners int) (release func()) {
 // an executing multiply's width. On the pre-fix policy (width derived from
 // the enqueue-time inflight count) the synchronous multiply below would be
 // granted 8/(1+32) → width 1; the fixed policy grants it the full budget
-// because it is the only multiplication executing.
+// because it is the only multiplication executing. The burst fills the
+// 4×Workers queue exactly.
 func TestWidthPolicyCountsExecutingOnly(t *testing.T) {
 	const workers = 8
-	opts := testOptions(workers)
-	opts.GrainFLOPs = 1 // the grain cap never binds; the test isolates fair share
-	opts.QueueDepth = 4 * workers
-	b := newTestBatcher(t, opts)
+	b := newTestBatcher(t, testOptions(workers))
 
 	release := blockRunners(t, b, workers)
 
@@ -115,8 +122,10 @@ func TestWidthPolicyCountsExecutingOnly(t *testing.T) {
 
 	// The one executing multiply: a synchronous call in a fresh shape class
 	// (so its granted width is readable off its warm-pool entry key). Its
-	// fair share among executing multiplies is the whole Workers budget.
-	const m2 = 96
+	// fair share among executing multiplies is the whole Workers budget, and
+	// at 2·656³ flops it carries more than DefaultGrainFLOPs per worker, so
+	// the grain cap does not bind either.
+	const m2 = 656
 	A2, B2 := randMat(m2, m2, 3), randMat(m2, m2, 4)
 	C2 := mat.New(m2, m2)
 	if err := b.Do(mulReq(C2, A2, B2)); err != nil {
@@ -144,10 +153,10 @@ func TestWidthPolicyCountsExecutingOnly(t *testing.T) {
 
 // TestLanePrioritySchedulingOrder: with a single runner, queued items must
 // execute strictly by lane priority (High, Normal, Low), FIFO within a lane.
+// The fake clock never advances, so no item ages past the window; the four
+// items fill the one-worker queue.
 func TestLanePrioritySchedulingOrder(t *testing.T) {
-	opts := testOptions(1)
-	opts.QueueDepth = 16
-	b := newTestBatcher(t, opts)
+	b := newClockedBatcher(t, testOptions(1), newFakeClock())
 
 	release := blockRunners(t, b, 1)
 
@@ -170,17 +179,15 @@ func TestLanePrioritySchedulingOrder(t *testing.T) {
 		}
 	}
 	submit(0, LaneLow)
-	submit(1, LaneLow)
-	submit(2, LaneNormal)
-	submit(3, LaneHigh)
-	submit(4, LaneNormal)
-	submit(5, LaneHigh)
+	submit(1, LaneNormal)
+	submit(2, LaneHigh)
+	submit(3, LaneLow)
 
 	release()
 	if err := b.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	want := []int{3, 5, 2, 4, 0, 1}
+	want := []int{2, 1, 0, 3}
 	mu.Lock()
 	defer mu.Unlock()
 	if len(order) != len(want) {
@@ -199,9 +206,7 @@ func TestLanePrioritySchedulingOrder(t *testing.T) {
 // Wait must not aggregate the expiry as a batch error.
 func TestDeadlineExpiresWithoutExecuting(t *testing.T) {
 	fc := newFakeClock()
-	opts := testOptions(1)
-	opts.Clock = fc
-	b := newTestBatcher(t, opts)
+	b := newClockedBatcher(t, testOptions(1), fc)
 
 	release := blockRunners(t, b, 1)
 
@@ -250,9 +255,7 @@ func TestDeadlineExpiresWithoutExecuting(t *testing.T) {
 // reach it.
 func TestDeadlineExpiresWhileStarved(t *testing.T) {
 	fc := newFakeClock()
-	opts := testOptions(1)
-	opts.Clock = fc
-	b := newTestBatcher(t, opts)
+	b := newClockedBatcher(t, testOptions(1), fc)
 	blockRunners(t, b, 1) // the only runner stays parked for the whole test
 
 	const n = 64
@@ -285,9 +288,7 @@ func TestDeadlineExpiresWhileStarved(t *testing.T) {
 // busy.
 func TestDeadlineAlreadyExpiredAtSubmit(t *testing.T) {
 	fc := newFakeClock()
-	opts := testOptions(1)
-	opts.Clock = fc
-	b := newTestBatcher(t, opts)
+	b := newClockedBatcher(t, testOptions(1), fc)
 	blockRunners(t, b, 1)
 
 	const n = 64

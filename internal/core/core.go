@@ -75,6 +75,12 @@ func (p Parallel) String() string {
 // Workers/Workspace defaulting and cache-key rendering happen in one place.
 type Resources = resources.Resources
 
+// MinDim is §3.4's recursion cutoff: automatic-cutoff recursion (Steps 0)
+// splits while every subproblem block dimension stays at least MinDim, and
+// the autotuner sends shapes whose largest dimension is below it straight to
+// classical gemm.
+const MinDim = 128
+
 // Options configures an Executor.
 type Options struct {
 	// Resources is the execution budget: Workers bounds the goroutines used
@@ -89,11 +95,9 @@ type Options struct {
 	// Steps is the number of recursive steps before the classical base
 	// case. 0 selects automatic cutoff: recurse while every subproblem
 	// block dimension stays at least MinDim (§3.4's rule of thumb).
+	// Explicit Steps ignore MinDim, but a step is never taken on a
+	// subproblem smaller than one base-case block.
 	Steps int
-	// MinDim is the automatic-cutoff threshold (default 128). Explicit
-	// Steps ignore it, but a step is never taken on a subproblem smaller
-	// than one base-case block.
-	MinDim int
 	// Strategy picks the matrix-addition implementation (§3.2); default
 	// write-once, the paper's overall winner.
 	Strategy addchain.Strategy
@@ -161,9 +165,6 @@ func (s *Stats) add(field *int64, n int64) {
 }
 
 func (o Options) withDefaults() Options {
-	if o.MinDim == 0 {
-		o.MinDim = 128
-	}
 	o.Resources = o.Resources.Normalized()
 	if o.Steps < 0 {
 		o.Steps = 0
@@ -204,7 +205,7 @@ func New(a *algo.Algorithm, opts Options) (*Executor, error) {
 // the tuning time. Passing an unverified algorithm silently computes the
 // wrong product; use New unless the source is trusted.
 func NewTrusted(a *algo.Algorithm, opts Options) (*Executor, error) {
-	return NewScheduleTrusted([]*algo.Algorithm{a}, opts)
+	return newSchedule([]*algo.Algorithm{a}, opts, false)
 }
 
 // NewSchedule builds an executor that cycles through the given algorithms by
@@ -212,12 +213,6 @@ func NewTrusted(a *algo.Algorithm, opts Options) (*Executor, error) {
 // paper's ⟨54,54,54⟩ algorithm composes ⟨3,3,6⟩∘⟨3,6,3⟩∘⟨6,3,3⟩ (§5.2).
 func NewSchedule(algs []*algo.Algorithm, opts Options) (*Executor, error) {
 	return newSchedule(algs, opts, true)
-}
-
-// NewScheduleTrusted is NewSchedule without per-algorithm verification; see
-// NewTrusted for the contract.
-func NewScheduleTrusted(algs []*algo.Algorithm, opts Options) (*Executor, error) {
-	return newSchedule(algs, opts, false)
 }
 
 func newSchedule(algs []*algo.Algorithm, opts Options, verify bool) (*Executor, error) {
@@ -549,7 +544,7 @@ func (e *Executor) shouldRecurse(level int, p, q, r int) bool {
 	if e.opts.Steps > 0 {
 		return level < e.opts.Steps
 	}
-	return p/b.M >= e.opts.MinDim && q/b.K >= e.opts.MinDim && r/b.N >= e.opts.MinDim
+	return p/b.M >= MinDim && q/b.K >= MinDim && r/b.N >= MinDim
 }
 
 // multiply computes C (+)= alpha·A·B recursively within arena ar (owned by

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -162,24 +164,34 @@ func TestHybridManyWorkersFewTasks(t *testing.T) {
 	check(t, e, 64, 64, 64, rng)
 }
 
+// TestAutoCutoff: Steps 0 recurses while every block stays at least MinDim.
 func TestAutoCutoff(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	e, err := New(catalog.Strassen(), Options{Steps: 0, MinDim: 16})
+	var stats Stats
+	e, err := New(catalog.Strassen(), Options{Steps: 0, Stats: &stats})
 	if err != nil {
 		t.Fatal(err)
 	}
-	check(t, e, 100, 100, 100, rng) // should recurse ~2 levels
-	check(t, e, 10, 10, 10, rng)    // below cutoff: plain gemm
+	for _, c := range []struct{ n, leaves int64 }{
+		{2*MinDim + 3, 7}, // one level: the 129-blocks stay ≥ MinDim, their halves do not
+		{2*MinDim - 1, 1}, // a 127-block would fall below the cutoff: plain gemm
+	} {
+		stats.Reset()
+		check(t, e, int(c.n), int(c.n), int(c.n), rng)
+		if got := stats.Snapshot().LeafCalls; got != c.leaves {
+			t.Errorf("%d³: %d leaf calls, want %d", c.n, got, c.leaves)
+		}
+	}
 }
 
 func TestAutoCutoffParallelModes(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	for _, mode := range []Parallel{BFS, Hybrid} {
-		e, err := New(catalog.Strassen(), Options{Resources: Resources{Workers: 4}, Steps: 0, MinDim: 16, Parallel: mode})
+		e, err := New(catalog.Strassen(), Options{Resources: Resources{Workers: 4}, Steps: 0, Parallel: mode})
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(t, e, 120, 120, 120, rng)
+		check(t, e, 2*MinDim+10, 2*MinDim+6, 2*MinDim+2, rng)
 	}
 }
 
@@ -322,8 +334,34 @@ func TestParallelStringNames(t *testing.T) {
 func TestOptionsDefaults(t *testing.T) {
 	e, _ := New(catalog.Strassen(), Options{})
 	o := e.Opts()
-	if o.MinDim != 128 || o.Workers < 1 {
+	if o.Workers < 1 {
 		t.Fatalf("defaults %+v", o)
+	}
+}
+
+// TestOptionsFields pins the executor's settable surface: the budget, the
+// plan's own choices and the stats sink. The recursion cutoff is the
+// constant MinDim, shared with the tuner that prices it.
+func TestOptionsFields(t *testing.T) {
+	var fields []string
+	var walk func(t reflect.Type, path string)
+	walk = func(t reflect.Type, path string) {
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			if !f.IsExported() {
+				continue
+			}
+			if f.Type.Kind() == reflect.Struct {
+				walk(f.Type, path+f.Name+".")
+				continue
+			}
+			fields = append(fields, path+f.Name)
+		}
+	}
+	walk(reflect.TypeOf(Options{}), "")
+	want := "Resources.Workers Resources.Workspace Steps Strategy CSE Parallel Backend Fused Stats"
+	if got := strings.Join(fields, " "); got != want {
+		t.Errorf("core.Options fields %q, want %q", got, want)
 	}
 }
 

@@ -264,3 +264,51 @@ func TestFusedStatsAndTrace(t *testing.T) {
 		t.Errorf("fused spans = %d, want 7", fusedSpans)
 	}
 }
+
+// TestFusedOneStepSchedulersAgree pins why the tuner ranks no fused one-step
+// BFS or HYBRID general multiply, and no fused HYBRID plan at all: the fused
+// level gives each level-0 product every worker and spawns no task, so a
+// one-step plan computes bit for bit what DFS computes, and a fused last
+// level never calls a leaf gemm, so HYBRID defers nothing at any depth.
+func TestFusedOneStepSchedulersAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	be := fusedCapableBackend(t)
+	const m, k, n = 259, 263, 261 // peeled: top-level fix-ups under every scheduler
+	A, B := randMat(m, k, rng), randMat(k, n, rng)
+	var dfs *mat.Dense
+	for _, mode := range []Parallel{DFS, BFS, Hybrid} {
+		var stats Stats
+		e, err := New(catalog.Strassen(), Options{Resources: Resources{Workers: 2}, Steps: 1, Parallel: mode, Fused: true, Backend: be, Stats: &stats})
+		if err != nil {
+			t.Fatal(err)
+		}
+		C := mat.New(m, n)
+		if err := e.Multiply(C, A, B); err != nil {
+			t.Fatal(err)
+		}
+		if s := stats.Snapshot(); s.TasksSpawned != 0 || s.DeferredLeaves != 0 || s.FusedCalls == 0 {
+			t.Errorf("%v: fused one-step stats %+v, want fused calls, no task, no deferred leaf", mode, s)
+		}
+		if dfs == nil {
+			dfs = C
+		} else if !bitIdentical(C, dfs) {
+			t.Errorf("%v: fused one-step differs from DFS by %g", mode, mat.MaxAbsDiff(C, dfs))
+		}
+	}
+
+	// Two steps: 7² = 49 leaves on 2 workers. The explicit HYBRID plan
+	// defers the odd one; the fused plan has no leaf to defer.
+	for _, fused := range []bool{false, true} {
+		var stats Stats
+		e, err := New(catalog.Strassen(), Options{Resources: Resources{Workers: 2}, Steps: 2, Parallel: Hybrid, Fused: fused, Backend: be, Stats: &stats})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Multiply(mat.New(m, n), A, B); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := stats.Snapshot().DeferredLeaves, map[bool]int64{false: 1, true: 0}[fused]; got != want {
+			t.Errorf("two-step HYBRID fused=%v: %d deferred leaves, want %d", fused, got, want)
+		}
+	}
+}

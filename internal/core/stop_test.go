@@ -82,9 +82,9 @@ var stopOps = []stopOp{
 		func(A *mat.Dense) (int, int) { return A.Rows(), A.Rows() }, noLeafFlops},
 }
 
-// The one peeled shape: odd dimensions put fix-ups at every level, and the
-// symmetric ops split it at least once at MinDim 16.
-const stopM, stopK, stopN = 67, 63, 65
+// The one peeled shape: odd dimensions put fix-ups at both levels, and the
+// symmetric ops split it once (p ≥ 2·MinDim).
+const stopM, stopK, stopN = 259, 263, 67
 
 // TestStopLeavesExecutorClean: under every scheduler, explicit and fused,
 // for every entry point, a call whose budget trips before it starts or
@@ -138,7 +138,7 @@ func (w *watch) check(t *testing.T, want int64) {
 }
 
 func checkStop(t *testing.T, mode Parallel, fused bool, o stopOp, afterFirstLeaf bool, A, B *mat.Dense) {
-	opts := Options{Resources: Resources{Workers: 2}, Steps: 2, MinDim: 16, Parallel: mode, Fused: fused, Backend: "tripwire"}
+	opts := Options{Resources: Resources{Workers: 2}, Steps: 2, Parallel: mode, Fused: fused, Backend: "tripwire"}
 	newExec := func() *Executor {
 		e, err := New(catalog.MustGet("strassen"), opts)
 		if err != nil {

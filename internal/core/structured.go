@@ -115,7 +115,7 @@ func (e *Executor) symRecurse(ctx *runContext, ar *workspace.Arena, C, L, R *mat
 		return
 	}
 	p, q := L.Rows(), L.Cols()
-	if p < 2*e.opts.MinDim || p < 2 {
+	if p < 2*MinDim || p < 2 {
 		e.symLeaf(ctx, C, L)
 		return
 	}

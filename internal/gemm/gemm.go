@@ -113,11 +113,6 @@ func MulParallel(C *mat.Dense, alpha float64, A, B *mat.Dense, workers int) {
 	Dispatch(Default(), C, alpha, A, B, false, workers)
 }
 
-// MulAddParallel computes C += alpha·A·B using up to workers goroutines.
-func MulAddParallel(C *mat.Dense, alpha float64, A, B *mat.Dense, workers int) {
-	Dispatch(Default(), C, alpha, A, B, true, workers)
-}
-
 // Dispatch computes C (+)= alpha·A·B through one backend: it validates
 // dimensions, strips the degenerate cases every backend would otherwise
 // re-handle, and hands the non-empty problem to be.Gemm. It is the single

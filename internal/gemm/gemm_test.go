@@ -113,18 +113,6 @@ func TestMulParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestMulAddParallel(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	A, B := randMat(200, 100, rng), randMat(100, 180, rng)
-	C := randMat(200, 180, rng)
-	want := C.Clone()
-	MulAdd(want, A, B)
-	MulAddParallel(C, 1, A, B, 6)
-	if d := mat.MaxAbsDiff(C, want); d > tolFor(100) {
-		t.Fatalf("parallel accumulate off by %g", d)
-	}
-}
-
 func TestMulOnViews(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	big := randMat(300, 300, rng)

@@ -117,13 +117,3 @@ func Run(k Kernel, n, workers, trials int) Result {
 	gb := float64(n) * float64(k.bytesMoved()) / 1e9
 	return Result{Kernel: k, Workers: workers, GBps: gb / best.Seconds()}
 }
-
-// ScalingCurve measures triad bandwidth across worker counts, returning one
-// result per entry of workerCounts.
-func ScalingCurve(n int, workerCounts []int, trials int) []Result {
-	out := make([]Result, 0, len(workerCounts))
-	for _, w := range workerCounts {
-		out = append(out, Run(Triad, n, w, trials))
-	}
-	return out
-}

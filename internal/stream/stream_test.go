@@ -28,16 +28,6 @@ func TestKernelSemantics(t *testing.T) {
 	}
 }
 
-func TestScalingCurve(t *testing.T) {
-	rs := ScalingCurve(1<<19, []int{1, 2}, 2)
-	if len(rs) != 2 {
-		t.Fatalf("len %d", len(rs))
-	}
-	if rs[0].Workers != 1 || rs[1].Workers != 2 {
-		t.Fatal("worker metadata")
-	}
-}
-
 func TestWorkerClamp(t *testing.T) {
 	r := Run(Triad, 1024, 0, 1) // workers < 1 clamps to 1
 	if r.Workers != 1 {

@@ -30,7 +30,7 @@ import (
 	"sync/atomic"
 )
 
-// DefaultRing is the default ring capacity (records).
+// DefaultRing is the ring capacity (records).
 const DefaultRing = 128
 
 // DefaultSample is the default sampling rate: one traced request in every
@@ -42,27 +42,16 @@ const DefaultSample = 64
 const MaxSpans = 32
 
 // Config configures a Ring (batch.Options.Trace). The zero value means
-// tracing on with the defaults; set Disable to turn the layer off entirely
-// (no ring is allocated and every record-path call is a nil check).
+// tracing at the default rate into a DefaultRing-record ring.
 type Config struct {
-	// Ring is the ring capacity in records (default DefaultRing).
-	Ring int
 	// Sample traces one request in every Sample submissions (default
 	// DefaultSample; 1 traces every request).
 	Sample int
-	// Disable turns tracing off.
-	Disable bool
 }
 
 // Normalized resolves the config's defaults — two configs behave identically
 // iff their normalized forms are equal.
 func (c Config) Normalized() Config {
-	if c.Disable {
-		return Config{Disable: true}
-	}
-	if c.Ring <= 0 {
-		c.Ring = DefaultRing
-	}
 	if c.Sample <= 0 {
 		c.Sample = DefaultSample
 	}
@@ -214,8 +203,7 @@ type Record struct {
 
 // Ring is a fixed-size concurrent trace buffer. Writers claim a slot
 // (Sample), fill the record in place, and release it (Publish); readers
-// (Snapshot) copy published records without blocking writers. A nil *Ring is
-// valid and inert — the disabled configuration.
+// (Snapshot) copy published records without blocking writers.
 type Ring struct {
 	sample uint64 // 1-in-N rate, ≥1
 	tick   atomic.Uint64
@@ -235,14 +223,14 @@ type slot struct {
 	rec Record
 }
 
-// New builds a ring for the config, or returns nil when tracing is disabled
-// — every method on the nil ring is a no-op, so callers never branch.
+// New builds a DefaultRing-record ring for the config.
 func New(cfg Config) *Ring {
-	cfg = cfg.Normalized()
-	if cfg.Disable {
-		return nil
-	}
-	r := &Ring{sample: uint64(cfg.Sample), slots: make([]slot, cfg.Ring)}
+	return newRing(DefaultRing, cfg.Normalized().Sample)
+}
+
+// newRing builds a ring of the given capacity and 1-in-sample rate.
+func newRing(capacity, sample int) *Ring {
+	r := &Ring{sample: uint64(sample), slots: make([]slot, capacity)}
 	for i := range r.slots {
 		r.slots[i].rec.slot = int32(i)
 	}
@@ -251,15 +239,12 @@ func New(cfg Config) *Ring {
 
 // Sample decides whether this request is traced and, if so, claims a ring
 // slot and returns its record, reset and ready to fill; the caller must
-// eventually Publish it. Returns nil when the request is not sampled, the
-// slot is contended (sample dropped, counted in Lost), or the ring is nil.
-// Never blocks, never allocates.
+// eventually Publish it. Returns nil when the request is not sampled or the
+// slot is contended (sample dropped, counted in Lost). Never blocks, never
+// allocates.
 //
 //fastmm:zeroalloc
 func (r *Ring) Sample() *Record {
-	if r == nil {
-		return nil
-	}
 	if t := r.tick.Add(1); r.sample > 1 && t%r.sample != 1 {
 		return nil
 	}
@@ -279,7 +264,7 @@ func (r *Ring) Sample() *Record {
 //
 //fastmm:zeroalloc
 func (r *Ring) Publish(rec *Record) {
-	if r == nil || rec == nil {
+	if rec == nil {
 		return
 	}
 	rec.Seq = r.pub.Add(1)
@@ -290,9 +275,6 @@ func (r *Ring) Publish(rec *Record) {
 // (claimed, not yet published) are skipped — the reader never blocks a
 // writer. Safe for concurrent use; allocates (it is the cold path).
 func (r *Ring) Snapshot() []Record {
-	if r == nil {
-		return nil
-	}
 	out := make([]Record, 0, len(r.slots))
 	for i := range r.slots {
 		s := &r.slots[i]
@@ -312,16 +294,10 @@ func (r *Ring) Snapshot() []Record {
 // lifetime; Lost how many sampling decisions were dropped to slot
 // contention (a full ring of in-flight records).
 func (r *Ring) Sampled() int64 {
-	if r == nil {
-		return 0
-	}
 	return r.taken.Load()
 }
 
 // Lost reports dropped samples; see Sampled.
 func (r *Ring) Lost() int64 {
-	if r == nil {
-		return 0
-	}
 	return r.lost.Load()
 }

@@ -2,40 +2,36 @@ package trace
 
 import (
 	"encoding/json"
+	"reflect"
 	"sync"
 	"testing"
 )
 
-func TestNilRingIsInert(t *testing.T) {
-	var r *Ring
-	if rec := r.Sample(); rec != nil {
-		t.Fatalf("nil ring sampled a record")
+func TestNormalizedDefaults(t *testing.T) {
+	if c := (Config{}).Normalized(); c.Sample != DefaultSample {
+		t.Fatalf("zero config normalized to %+v", c)
 	}
-	r.Publish(nil)
-	if s := r.Snapshot(); s != nil {
-		t.Fatalf("nil ring snapshot = %v, want nil", s)
-	}
-	if r.Sampled() != 0 || r.Lost() != 0 {
-		t.Fatalf("nil ring has counters")
-	}
-	if New(Config{Disable: true}) != nil {
-		t.Fatalf("disabled config built a ring")
+	if c := (Config{Sample: 3}).Normalized(); c.Sample != 3 {
+		t.Fatalf("Sample 3 normalized to %+v", c)
 	}
 }
 
-func TestNormalizedDefaults(t *testing.T) {
-	c := Config{}.Normalized()
-	if c.Ring != DefaultRing || c.Sample != DefaultSample || c.Disable {
-		t.Fatalf("zero config normalized to %+v", c)
+// TestNewBuildsDefaultRing: tracing has one knob, the sample rate. Every
+// config builds a ring of DefaultRing records.
+func TestNewBuildsDefaultRing(t *testing.T) {
+	if n := reflect.TypeOf(Config{}).NumField(); n != 1 {
+		t.Fatalf("Config has %d fields, want 1 (Sample)", n)
 	}
-	d := Config{Disable: true, Ring: 7, Sample: 3}.Normalized()
-	if d != (Config{Disable: true}) {
-		t.Fatalf("disabled config kept fields: %+v", d)
+	for _, cfg := range []Config{{}, {Sample: 1}} {
+		r := New(cfg)
+		if len(r.slots) != DefaultRing || r.sample != uint64(cfg.Normalized().Sample) {
+			t.Fatalf("New(%+v): %d slots at 1-in-%d", cfg, len(r.slots), r.sample)
+		}
 	}
 }
 
 func TestSampleRate(t *testing.T) {
-	r := New(Config{Ring: 64, Sample: 4})
+	r := newRing(64, 4)
 	var got int
 	for i := 0; i < 40; i++ {
 		if rec := r.Sample(); rec != nil {
@@ -52,7 +48,7 @@ func TestSampleRate(t *testing.T) {
 }
 
 func TestPublishOrderAndSnapshot(t *testing.T) {
-	r := New(Config{Ring: 8, Sample: 1})
+	r := newRing(8, 1)
 	for i := 0; i < 5; i++ {
 		rec := r.Sample()
 		if rec == nil {
@@ -75,7 +71,7 @@ func TestPublishOrderAndSnapshot(t *testing.T) {
 }
 
 func TestRingReclaimsOldestSlots(t *testing.T) {
-	r := New(Config{Ring: 4, Sample: 1})
+	r := newRing(4, 1)
 	for i := 0; i < 10; i++ {
 		rec := r.Sample()
 		rec.M = i
@@ -93,7 +89,7 @@ func TestRingReclaimsOldestSlots(t *testing.T) {
 }
 
 func TestInFlightSlotSkippedNotBlocked(t *testing.T) {
-	r := New(Config{Ring: 2, Sample: 1})
+	r := newRing(2, 1)
 	a := r.Sample() // held in flight
 	b := r.Sample()
 	b.M = 42
@@ -130,7 +126,7 @@ func TestSpansClampAndCount(t *testing.T) {
 }
 
 func TestRecordJSONRoundTrip(t *testing.T) {
-	r := New(Config{Ring: 2, Sample: 1})
+	r := newRing(2, 1)
 	rec := r.Sample()
 	rec.Op = "multiply"
 	rec.M, rec.K, rec.N = 64, 64, 64
@@ -166,7 +162,7 @@ func TestRecordJSONRoundTrip(t *testing.T) {
 // and publish against readers snapshotting, with concurrent span writers per
 // record (the BFS fan-out shape).
 func TestConcurrentWritersAndReaders(t *testing.T) {
-	r := New(Config{Ring: 16, Sample: 1})
+	r := newRing(16, 1)
 	const writers, perWriter = 8, 200
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -229,7 +225,7 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 // TestRecordPathAllocFree pins the zero-allocation contract of the hot path:
 // sample, fill, record spans, publish.
 func TestRecordPathAllocFree(t *testing.T) {
-	r := New(Config{Ring: 8, Sample: 1})
+	r := newRing(8, 1)
 	allocs := testing.AllocsPerRun(500, func() {
 		rec := r.Sample()
 		if rec == nil {
@@ -246,7 +242,7 @@ func TestRecordPathAllocFree(t *testing.T) {
 		t.Fatalf("record path allocates %.1f/op, want 0", allocs)
 	}
 	// The unsampled path too.
-	r2 := New(Config{Ring: 8, Sample: 1 << 20})
+	r2 := newRing(8, 1<<20)
 	r2.Sample() // consume the first-tick sample
 	allocs = testing.AllocsPerRun(500, func() {
 		if rec := r2.Sample(); rec != nil {

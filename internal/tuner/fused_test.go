@@ -130,19 +130,56 @@ func TestFusedPlanBuildsAndPersists(t *testing.T) {
 // depends on. The strategy shapes only explicit levels, so a one-step fused
 // plan (whose one level is the fused one) builds the same executor under
 // every strategy. HYBRID runs as BFS for the symmetric ops (core's
-// structuredMode) and wherever W divides the leaf count R^steps, since then
-// no leaf is deferred.
+// structuredMode), wherever W divides the leaf count R^steps, and on a
+// fused last level, since then no leaf is deferred. A fused one-step
+// general multiply runs as DFS under BFS (TestFusedOneStepSchedulersAgree
+// in core).
 func executorKey(p Plan) Plan {
 	p.PredictedSeconds, p.MeasuredSeconds, p.WorkspaceBytes = 0, 0, 0
 	if p.Fused && p.Steps == 1 {
 		p.Strategy = ""
 	}
 	if p.Parallel == core.Hybrid.String() {
-		if leaves := ipow(catalog.MustGet(p.Algorithm).Rank(), p.Steps); p.Op != "" || leaves%p.Workers == 0 {
+		if leaves := ipow(catalog.MustGet(p.Algorithm).Rank(), p.Steps); p.Op != "" || p.Fused || leaves%p.Workers == 0 {
 			p.Parallel = core.BFS.String()
 		}
 	}
+	if p.Parallel == core.BFS.String() && p.Fused && p.Steps == 1 && p.Op == "" {
+		p.Parallel = core.DFS.String()
+	}
 	return p
+}
+
+// TestRankOpDropsFusedSchedulerTwins: at W = 2 a general multiply ranks no
+// fused HYBRID plan and no fused one-step BFS plan — each runs as a twin
+// ranked beside it. AᵗA keeps its fused one-step BFS plans: the symmetric
+// walk runs them differently from DFS.
+func TestRankOpDropsFusedSchedulerTwins(t *testing.T) {
+	tn := mustTuner(t, modelOnlyOpts(2))
+	for _, s := range [][3]int{{1024, 1024, 1024}, {2560, 320, 2560}, {2500, 625, 625}} {
+		ranked, err := tn.RankOp(op.Multiply, s[0], s[1], s[2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range ranked {
+			if p.Fused && (p.Parallel == core.Hybrid.String() || p.Parallel == core.BFS.String() && p.Steps == 1) {
+				t.Errorf("multiply %v ranks %s, which runs as its twin", s, p)
+			}
+		}
+	}
+	ranked, err := tn.RankOp(op.ATA, 1024, 1024, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bfs := 0
+	for _, p := range ranked {
+		if p.Fused && p.Steps == 1 && p.Parallel == core.BFS.String() {
+			bfs++
+		}
+	}
+	if bfs == 0 {
+		t.Error("AᵗA ranks no fused one-step BFS plan")
+	}
 }
 
 // TestRankOpEmitsEachExecutorOnce: no two ranked candidates build the same

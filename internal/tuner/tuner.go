@@ -11,7 +11,7 @@
 //  1. enumerate candidate plans — every algorithm of Options.Algorithms ×
 //     steps up to DefaultMaxSteps × scheduler × addition strategy
 //     (write-once, streaming), plus the classical gemm baseline, all on the
-//     default leaf backend; shapes below Options.MinDim get the baseline
+//     default leaf backend; shapes below core.MinDim get the baseline
 //     alone;
 //  2. prune and rank them with the analytic cost recurrences of
 //     internal/costmodel, turned into predicted seconds by a one-time
@@ -64,9 +64,6 @@ const (
 	// NoProbes disables empirical probing: decisions come from the model
 	// ranking (and the cache) alone.
 	NoProbes = -1
-	// DefaultMinDim mirrors core.Options.MinDim: shapes whose largest
-	// dimension is below it go straight to classical gemm (§3.4's cutoff).
-	DefaultMinDim = 128
 	// DefaultMaxSteps is the deepest recursion enumerated; the paper never
 	// profits from more than three steps at practical sizes.
 	DefaultMaxSteps = 3
@@ -99,9 +96,6 @@ type Options struct {
 	// packing slabs still selects sequential classical gemm — multiplication
 	// must remain possible).
 	Resources
-	// MinDim is the recursion cutoff (default 128): shapes with
-	// max(m,k,n) < MinDim dispatch to classical gemm without ranking.
-	MinDim int
 	// ProbeTopK is how many top-ranked candidates to time empirically
 	// before committing (0 → DefaultProbeTopK, NoProbes → model only; a
 	// value below NoProbes fails New).
@@ -122,9 +116,6 @@ type Options struct {
 
 func (o Options) withDefaults() Options {
 	o.Resources = o.Resources.Normalized()
-	if o.MinDim <= 0 {
-		o.MinDim = DefaultMinDim
-	}
 	if o.ProbeTopK == 0 {
 		o.ProbeTopK = DefaultProbeTopK
 	}
@@ -164,8 +155,8 @@ func (o Options) Key() string {
 	if o.NoDiskCache {
 		disk = "/nodisk"
 	}
-	return fmt.Sprintf("%s/be:%s/min%d/k%d/c%016x/p%s%s", o.Resources.Key(), gemm.Default().Name(),
-		o.MinDim, o.ProbeTopK, h.Sum64(), o.Profile.Fingerprint(), disk)
+	return fmt.Sprintf("%s/be:%s/k%d/c%016x/p%s%s", o.Resources.Key(), gemm.Default().Name(),
+		o.ProbeTopK, h.Sum64(), o.Profile.Fingerprint(), disk)
 }
 
 // Plan is one fully specified way to run a multiplication — the unit the
@@ -642,7 +633,7 @@ func (t *Tuner) RankOp(o op.Op, m, k, n int) ([]Plan, error) {
 	// Below the recursion cutoff no fast algorithm is worth its additions;
 	// guarantee classical rather than trusting the model at sizes the
 	// calibration barely covers.
-	if maxInt3(m, k, n) >= t.opts.MinDim {
+	if maxInt3(m, k, n) >= core.MinDim {
 		for _, name := range t.opts.Algorithms {
 			a, err := catalog.GetVerified(name)
 			if err != nil {
@@ -728,7 +719,7 @@ func triangleTile(be gemm.Backend) int {
 func (t *Tuner) symPredictSeconds(a *algo.Algorithm, model *costmodel.Model, ex costmodel.ExecShape, maxSteps, p, q, w int) float64 {
 	ma := t.prof.Machine
 	b := a.Base
-	minDim := t.opts.MinDim
+	minDim := core.MinDim
 	total := 0.0
 	cnt := 1.0
 	s := p
@@ -788,10 +779,15 @@ func (t *Tuner) schedules() []schedCand {
 // one algorithm on one shape, with predicted times and model workspaces.
 // Shapes that don't divide the base case are handled the way the executor
 // does — the recursion runs on the largest divisible core and the model
-// charges the peeling borders as classical gemm work on top. A HYBRID plan
-// is emitted only where it runs as HYBRID: the symmetric ops run it as BFS
-// (core's structuredMode), and a leaf count R^steps that W divides defers no
-// leaf — either way it would build its BFS twin's executor.
+// charges the peeling borders as classical gemm work on top. A plan is
+// emitted only under a scheduler it runs as. HYBRID: the symmetric ops run
+// it as BFS (core's structuredMode), and a leaf count R^steps that W divides
+// defers no leaf, nor does a fused last level, which never calls a leaf
+// gemm — each would run as its BFS twin. BFS: a fused one-step general
+// multiply gives every product all workers and spawns no task, so it runs
+// as its DFS twin. (The symmetric walk runs diagonal leaves and transposes
+// one worker wide under BFS, so there a fused one-step BFS plan differs
+// from DFS and stays.)
 func (t *Tuner) algorithmPlans(o op.Op, a *algo.Algorithm, m, k, n int) []Plan {
 	var out []Plan
 	ma := t.prof.Machine
@@ -810,7 +806,7 @@ func (t *Tuner) algorithmPlans(o op.Op, a *algo.Algorithm, m, k, n int) []Plan {
 		// that behavior, and a flood of identically-priced degenerates would
 		// crowd the real fast walks out of the probe pool.
 		h := m / 2
-		if (m-h)/b.M < t.opts.MinDim || k/b.K < t.opts.MinDim || h/b.N < t.opts.MinDim {
+		if (m-h)/b.M < core.MinDim || k/b.K < core.MinDim || h/b.N < core.MinDim {
 			return nil
 		}
 	}
@@ -825,7 +821,7 @@ func (t *Tuner) algorithmPlans(o op.Op, a *algo.Algorithm, m, k, n int) []Plan {
 			// plan executes identically to the shallower one already
 			// emitted, and duplicates would crowd the probe pool.
 			h := m / 2
-			if (m-h)/ipow(b.M, steps) < t.opts.MinDim || k/ipow(b.K, steps) < t.opts.MinDim || h/ipow(b.N, steps) < t.opts.MinDim {
+			if (m-h)/ipow(b.M, steps) < core.MinDim || k/ipow(b.K, steps) < core.MinDim || h/ipow(b.N, steps) < core.MinDim {
 				break
 			}
 		}
@@ -849,7 +845,10 @@ func (t *Tuner) algorithmPlans(o op.Op, a *algo.Algorithm, m, k, n int) []Plan {
 					continue
 				}
 				for _, sc := range t.schedules() {
-					if sc.par == core.Hybrid && bfsHybrid {
+					if sc.par == core.Hybrid && (bfsHybrid || fused) {
+						continue
+					}
+					if sc.par == core.BFS && fused && steps == 1 && !o.Symmetric() {
 						continue
 					}
 					est, err := model.PredictTime(cm, ck, cn, steps, ma, sc.ex)
@@ -987,7 +986,6 @@ func (t *Tuner) build(o op.Op, p Plan) (*decision, error) {
 	exec, err := core.NewTrusted(a, core.Options{
 		Resources: core.Resources{Workers: p.Workers, Workspace: t.opts.Workspace},
 		Steps:     p.Steps,
-		MinDim:    t.opts.MinDim,
 		Strategy:  strat,
 		CSE:       p.CSE,
 		Fused:     p.Fused,

@@ -251,7 +251,6 @@ func TestMultiplyMatchesClassical(t *testing.T) {
 		Resources:   Resources{Workers: 2},
 		Profile:     testProfile(2),
 		ProbeTopK:   2, // exercise the probing path on small shapes
-		MinDim:      64,
 		NoDiskCache: true,
 	}
 	tn := mustTuner(t, opts)
@@ -532,7 +531,7 @@ func TestRememberMergesOnSave(t *testing.T) {
 	// Build both tuners before any decision is made, so neither starts out
 	// having loaded the other's entries (the interleaving the bug needs).
 	optsA := Options{Resources: Resources{Workers: 1}, Profile: testProfile(1), ProbeTopK: NoProbes}
-	optsB := Options{Resources: Resources{Workers: 1}, Profile: testProfile(1), ProbeTopK: NoProbes, MinDim: 2 * DefaultMinDim}
+	optsB := Options{Resources: Resources{Workers: 1}, Profile: testProfile(1), ProbeTopK: NoProbes, Algorithms: []string{"strassen"}}
 	ta := mustTuner(t, optsA)
 	tb := mustTuner(t, optsB)
 	if ta.keySuffix == tb.keySuffix {

@@ -5,9 +5,9 @@ import (
 	"testing"
 	"time"
 
-	"fastmm/internal/batch"
 	"fastmm/internal/costmodel"
 	"fastmm/internal/gemm"
+	"fastmm/internal/trace"
 	"fastmm/internal/tuner"
 )
 
@@ -35,9 +35,8 @@ func TestSharedDispatchersKeyOnOptions(t *testing.T) {
 	spelled := opts
 	spelled.Profile = sharedTestProfile()
 	spelled.Workers = runtime.GOMAXPROCS(0)
-	spelled.MinDim = tuner.DefaultMinDim
 	other := opts
-	other.MinDim = 2 * tuner.DefaultMinDim
+	other.ProbeTopK = 2
 
 	a, err := sharedAuto(opts)
 	if err != nil {
@@ -47,13 +46,13 @@ func TestSharedDispatchersKeyOnOptions(t *testing.T) {
 		t.Fatalf("spelled-out defaults got another dispatcher (%v)", err)
 	}
 	if c, err := sharedAuto(other); err != nil || c == a {
-		t.Fatalf("a different MinDim shared the dispatcher (%v)", err)
+		t.Fatalf("a different ProbeTopK shared the dispatcher (%v)", err)
 	}
 
 	bopts := BatchOptions{Tuning: opts, Drift: BatchDriftOptions{Disable: true}}
 	bspelled := bopts
 	bspelled.Tuning = spelled
-	bspelled.MaxEntries = batch.DefaultMaxEntries
+	bspelled.Trace.Sample = trace.DefaultSample
 	bother := bopts
 	bother.Tuning = other
 	x, err := sharedBatcher(bopts)
@@ -64,6 +63,6 @@ func TestSharedDispatchersKeyOnOptions(t *testing.T) {
 		t.Fatalf("spelled-out defaults got another batcher (%v)", err)
 	}
 	if z, err := sharedBatcher(bother); err != nil || z == x {
-		t.Fatalf("a different Tuning.MinDim shared the batcher (%v)", err)
+		t.Fatalf("a different Tuning.ProbeTopK shared the batcher (%v)", err)
 	}
 }
