@@ -249,11 +249,10 @@ func Do(req Request, opts AutoOptions) error {
 }
 
 // MultiplyATA computes C = Aᵗ·A (C must be n×n for A m×n, and must not alias
-// A) with the tuned plan for the shape, with an exactly symmetric result
-// (C.At(i,j) == C.At(j,i) bit-for-bit). The classical plan is one
-// lower-triangle pass of the leaf engine, about ½ the flops of
-// Multiply(C, Aᵗ, A), mirrored; a fast plan is a symmetric recursion that
-// computes each lower off-diagonal block once with the fast multiply.
+// A) with an exactly symmetric result (C.At(i,j) == C.At(j,i) bit-for-bit).
+// Its plan is always classical: one lower-triangle pass of the leaf engine,
+// about ½ the flops of Multiply(C, Aᵗ, A), mirrored — no fast walk over the
+// triangle beats that at practical sizes, so the shape is never probed.
 func MultiplyATA(C, A *Matrix, opts AutoOptions) error {
 	return Do(Request{Op: OpATA, C: C, A: A}, opts)
 }

@@ -227,11 +227,7 @@ func (b *Batcher) estimateFor(o op.Op, m, k, n int) (tuner.ShapeClass, int64) {
 			// multiply (the default backend's lower-triangle pass) plus the
 			// mirror; pricing them off the gemm curve would overstate their
 			// backlog and mislead both admission and the drift baseline.
-			nr := 0
-			if t, ok := gemm.Default().(interface{ Tile() (mr, nr int) }); ok {
-				_, nr = t.Tile()
-			}
-			secs = b.prof.Machine.SymmetricTime(cm, ck, nr, b.opts.Workers)
+			secs = b.prof.Machine.SymmetricTime(cm, ck, gemm.TriangleTile(gemm.Default()), b.opts.Workers)
 		} else {
 			secs = b.prof.Machine.ClassicalTimeFor(cm, ck, cn, b.opts.Workers)
 		}

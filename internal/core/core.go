@@ -303,13 +303,13 @@ type Budget struct {
 	// leaves of 2·(m/M^s)(k/K^s)(n/N^s) over the peeled core — peeling
 	// fix-ups are not counted, so it is a lower bound), and each leaf gemm
 	// and fused product takes off its own 2·m·k·n as it starts. The first
-	// true stops the call. The symmetric walk (MultiplyATA/Syrk) always
-	// passes 0. Over is called from one goroutine at a time (a check that
-	// finds it busy skips it), and never again once it has returned true.
+	// true stops the call. Over is called from one goroutine at a time (a
+	// check that finds it busy skips it), and never again once it has
+	// returned true.
 	Over func(leftFlops int64) bool
 	// Arenas, when non-nil, is the pool every arena of the call comes from
-	// and goes back to — the root's, BFS/HYBRID tasks', the symmetric
-	// walk's — instead of the executor's own.
+	// and goes back to — the root's and BFS/HYBRID tasks' — instead of the
+	// executor's own.
 	Arenas *workspace.Pool
 }
 

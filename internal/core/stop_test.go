@@ -58,32 +58,14 @@ var tripwireBackend = func() *tripwire {
 type stopOp struct {
 	name string
 	run  func(s Stoppable, C, A, B *mat.Dense) error
-	dims func(A *mat.Dense) (rows, cols int) // C's shape for operand A (B is A's k×n partner)
-	// leafFlops is what the budget's Over first sees for a strassen Steps-2
-	// call on A (and its partner): the 49 leaves over the peeled core for the
-	// general multiply, 0 for the symmetric walk.
-	leafFlops func(A *mat.Dense) int64
 }
-
-func strassen2LeafFlops(A *mat.Dense) int64 {
-	return 49 * 2 * int64(A.Rows()/4) * int64(A.Cols()/4) * int64(stopN/4)
-}
-
-func noLeafFlops(*mat.Dense) int64 { return 0 }
 
 var stopOps = []stopOp{
-	{"Multiply", func(s Stoppable, C, A, B *mat.Dense) error { return s.MultiplyTrace(C, A, B, nil) },
-		func(A *mat.Dense) (int, int) { return A.Rows(), stopN }, strassen2LeafFlops},
-	{"MultiplyAdd", func(s Stoppable, C, A, B *mat.Dense) error { return s.MultiplyAdd(C, A, B, -0.5) },
-		func(A *mat.Dense) (int, int) { return A.Rows(), stopN }, strassen2LeafFlops},
-	{"ATA", func(s Stoppable, C, A, _ *mat.Dense) error { return s.MultiplyATA(C, A) },
-		func(A *mat.Dense) (int, int) { return A.Cols(), A.Cols() }, noLeafFlops},
-	{"Syrk", func(s Stoppable, C, A, _ *mat.Dense) error { return s.MultiplySyrk(C, A) },
-		func(A *mat.Dense) (int, int) { return A.Rows(), A.Rows() }, noLeafFlops},
+	{"Multiply", func(s Stoppable, C, A, B *mat.Dense) error { return s.MultiplyTrace(C, A, B, nil) }},
+	{"MultiplyAdd", func(s Stoppable, C, A, B *mat.Dense) error { return s.MultiplyAdd(C, A, B, -0.5) }},
 }
 
-// The one peeled shape: odd dimensions put fix-ups at both levels, and the
-// symmetric ops split it once (p ≥ 2·MinDim).
+// The one peeled shape: odd dimensions put fix-ups at both levels.
 const stopM, stopK, stopN = 259, 263, 67
 
 // TestStopLeavesExecutorClean: under every scheduler, explicit and fused,
@@ -146,15 +128,16 @@ func checkStop(t *testing.T, mode Parallel, fused bool, o stopOp, afterFirstLeaf
 		}
 		return e
 	}
-	r, c := o.dims(A)
-	base := randMat(r, c, rand.New(rand.NewSource(7))) // MultiplyAdd accumulates into it
+	base := randMat(stopM, stopN, rand.New(rand.NewSource(7))) // MultiplyAdd accumulates into it
 	run := func(e *Executor, b Budget) (*mat.Dense, int64, error) {
 		C := base.Clone()
 		before := tripwireBackend.calls.Load()
 		err := o.run(e.WithBudget(b), C, A, B)
 		return C, tripwireBackend.calls.Load() - before, err
 	}
-	wantLeft := o.leafFlops(A)
+	// What Over first sees for a strassen Steps-2 call: the 49 leaves over
+	// the peeled core.
+	wantLeft := 49 * 2 * int64(stopM/4) * int64(stopK/4) * int64(stopN/4)
 
 	e := newExec()
 	if _, _, err := run(e, Budget{}); err != nil { // warm the arenas
@@ -201,7 +184,7 @@ func checkStop(t *testing.T, mode Parallel, fused bool, o stopOp, afterFirstLeaf
 		t.Fatalf("Over was asked %d times, want once: it said stop at the first check", len(w.lefts))
 	case afterFirstLeaf && (leaves == 0 || leaves >= fullLeaves):
 		t.Fatalf("a call stopped after its first leaf ran %d of %d leaves", leaves, fullLeaves)
-	case afterFirstLeaf && wantLeft > 0 && (mode == Sequential || mode == DFS) && w.lefts[len(w.lefts)-1] >= wantLeft:
+	case afterFirstLeaf && (mode == Sequential || mode == DFS) && w.lefts[len(w.lefts)-1] >= wantLeft:
 		// Only where leaves and checks share a goroutine: a BFS task may
 		// start and finish a leaf between another task's read of left and
 		// its Over reading the flag.

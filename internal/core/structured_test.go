@@ -42,14 +42,15 @@ func checkExactSymmetry(t *testing.T, C *mat.Dense) {
 	}
 }
 
-// TestStructuredMatchesGemm is the structured-operation property sweep: every
-// exact catalog algorithm, under every scheduler, on randomized operand
-// shapes — square, tall, wide, and peeling-triggering odd sizes — must agree
-// with the classical Gram/SYRK reference AND be exactly symmetric, while
-// reusing one executor across all shapes.
+// TestStructuredMatchesGemm: an executor built for any exact catalog
+// algorithm, under every scheduler, runs MultiplyATA and MultiplySyrk as
+// gemm.ATA/gemm.Syrk on its backend at its width (1 for Sequential, Workers
+// otherwise): bit for bit, exactly symmetric, and with the executor reused
+// across shapes. The shapes reach past 2·MinDim, where a fast walk over the
+// triangle would split the result and multiply its off-diagonal block fast.
 func TestStructuredMatchesGemm(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	modes := []Parallel{Sequential, DFS, BFS, Hybrid}
+	shapes := [][2]int{{67, 45}, {300, 257}, {257, 300}, {2*MinDim + 3, 96}}
 	for _, name := range catalog.Names() {
 		a, err := catalog.Get(name)
 		if err != nil {
@@ -59,56 +60,47 @@ func TestStructuredMatchesGemm(t *testing.T) {
 			continue // approximate algorithms have their own error model
 		}
 		t.Run(name, func(t *testing.T) {
-			b := a.Base
-			for _, mode := range modes {
+			for _, mode := range []Parallel{Sequential, DFS, BFS, Hybrid} {
 				e, err := New(a, Options{Resources: Resources{Workers: 3}, Steps: 1, Parallel: mode})
 				if err != nil {
 					t.Fatal(err)
 				}
-				for trial := 0; trial < 3; trial++ {
-					// Random multiples of the base dims plus a remainder from
-					// trial 1 on, so dynamic peeling fires inside the
-					// off-diagonal fast multiplies.
-					m := b.M * (1 + rng.Intn(3))
-					n := b.N * (1 + rng.Intn(3))
-					if trial > 0 {
-						m += rng.Intn(b.M)
-						n += rng.Intn(b.N)
-					}
-					A := randMat(m, n, rng)
-					tol := 1e-10 * float64(m+n+1)
-					if a.Numeric {
-						tol = 1e-6 * float64(m+n+1)
-					}
-
-					gotATA := mat.New(n, n)
-					if err := e.MultiplyATA(gotATA, A); err != nil {
-						t.Fatal(err)
-					}
-					if d := mat.MaxAbsDiff(gotATA, refATA(A)); d > tol {
-						t.Fatalf("%s %v ATA %dx%d trial %d: max diff %g > %g",
-							name, mode, m, n, trial, d, tol)
-					}
-					checkExactSymmetry(t, gotATA)
-
-					gotSyrk := mat.New(m, m)
-					if err := e.MultiplySyrk(gotSyrk, A); err != nil {
-						t.Fatal(err)
-					}
-					if d := mat.MaxAbsDiff(gotSyrk, refSyrk(A)); d > tol {
-						t.Fatalf("%s %v SYRK %dx%d trial %d: max diff %g > %g",
-							name, mode, m, n, trial, d, tol)
-					}
-					checkExactSymmetry(t, gotSyrk)
+				w := 3
+				if mode == Sequential {
+					w = 1
+				}
+				for _, s := range shapes {
+					A := randMat(s[0], s[1], rng)
+					checkStructuredIsGemm(t, e.MultiplyATA, gemm.ATA, mat.New(s[1], s[1]), A, w)
+					checkStructuredIsGemm(t, e.MultiplySyrk, gemm.Syrk, mat.New(s[0], s[0]), A, w)
 				}
 			}
 		})
 	}
 }
 
-// TestStructuredPeelingEdgeShapes drives the all-borders peeling shapes and
-// strongly rectangular panels (the normal-equations case: tall-skinny A)
-// through both structured operations at two recursion steps.
+// checkStructuredIsGemm runs one structured entry point into C and fails
+// unless C is bitwise the classical pass at w workers and exactly symmetric.
+func checkStructuredIsGemm(t *testing.T, run func(C, A *mat.Dense) error,
+	classical func(be gemm.Backend, C *mat.Dense, alpha float64, A *mat.Dense, accumulate bool, workers int),
+	C, A *mat.Dense, w int) {
+	t.Helper()
+	if err := run(C, A); err != nil {
+		t.Fatal(err)
+	}
+	want := mat.New(C.Rows(), C.Cols())
+	classical(gemm.Default(), want, 1, A, false, w)
+	if !bitIdentical(C, want) {
+		t.Fatalf("%d×%d operand: differs from the classical pass at %d workers by %g",
+			A.Rows(), A.Cols(), w, mat.MaxAbsDiff(C, want))
+	}
+	checkExactSymmetry(t, C)
+}
+
+// TestStructuredPeelingEdgeShapes drives degenerate, odd and strongly
+// rectangular operands (the normal-equations case: tall-skinny A) through
+// both structured operations under every scheduler: each agrees with the
+// gemm oracle and is exactly symmetric.
 func TestStructuredPeelingEdgeShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	shapes := [][2]int{{13, 9}, {65, 67}, {129, 127}, {200, 48}, {48, 200}, {1, 7}, {7, 1}}
@@ -180,8 +172,8 @@ func TestMultiplyAddMatchesReference(t *testing.T) {
 }
 
 // TestStructuredReuseAllocsDFS enforces the steady-state allocation guarantee
-// for the structured path: a reused executor runs MultiplyATA out of its
-// arenas — at most 1 alloc/op once warm.
+// for the structured path: a reused one-worker DFS executor runs MultiplyATA
+// from the gemm kernel's pooled packing slabs — at most 1 alloc/op once warm.
 func TestStructuredReuseAllocsDFS(t *testing.T) {
 	e := mustExec(t, "strassen", Options{Resources: Resources{Workers: 1}, Steps: 2, Parallel: DFS})
 	rng := rand.New(rand.NewSource(5))

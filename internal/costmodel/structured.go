@@ -1,8 +1,7 @@
 package costmodel
 
-// Structured-operation pricing: the adjustments the tuner applies on top of
-// the general-multiply time model when ranking candidates for the ATA/Syrk
-// operations.
+// Structured-operation pricing: the time the tuner and the batcher predict
+// for the classical ATA/Syrk operations.
 
 // MoveSeconds predicts the seconds needed to stream `floats` float64 values
 // through memory at the add bandwidth available to w workers. Callers count
@@ -15,16 +14,6 @@ func (ma Machine) MoveSeconds(floats float64, w int) float64 {
 	return floats * 8 / (rate * 1e9)
 }
 
-// StructuredOverheadSeconds prices the extra data movement the executor's
-// symmetric recursion pays beyond its multiply work: materializing the
-// transpose of the ar×ac operand (read + write) plus the mirror epilogues
-// over the cdim×cdim result (read half, write half).
-func (ma Machine) StructuredOverheadSeconds(ar, ac, cdim, w int) float64 {
-	transpose := 2 * float64(ar) * float64(ac)
-	mirror := float64(cdim) * float64(cdim)
-	return ma.MoveSeconds(transpose+mirror, w)
-}
-
 // SymmetricTime predicts the seconds of the classical symmetric product
 // (gemm.ATA or gemm.Syrk) whose gemm-equivalent triple is ⟨p,q,p⟩, with w
 // workers. A backend whose leaf engine has an nr-wide
@@ -32,16 +21,18 @@ func (ma Machine) StructuredOverheadSeconds(ar, ac, cdim, w int) float64 {
 // the diagonal crosses, run whole: about nr/2 more columns a row, so
 // (½ + nr/2p) of the general product's flops — and then the mirror sweep.
 // nr = 0 is a backend without that pass, which multiplies a materialized
-// transpose in full before the mirror.
+// transpose in full before the mirror: the transpose moves the p×q operand
+// (read + write), the mirror the p×p result (read half, write half).
 //
-// It prices the tuner's classical ATA/Syrk plan and the symmetric walk's
-// diagonal leaves, and seeds the batcher's admission estimate and drift
-// baseline for symmetric classes that have never been measured.
+// It prices the tuner's ATA/Syrk plan, and seeds the batcher's admission
+// estimate and drift baseline for symmetric classes that have never been
+// measured.
 func (ma Machine) SymmetricTime(p, q, nr, w int) float64 {
 	full := ma.ClassicalTimeFor(p, q, p, w)
+	mirror := float64(p) * float64(p)
 	if nr <= 0 {
-		return full + ma.StructuredOverheadSeconds(p, q, p, w)
+		return full + ma.MoveSeconds(2*float64(p)*float64(q)+mirror, w)
 	}
 	share := min(1, 0.5+float64(nr)/(2*float64(p)))
-	return share*full + ma.MoveSeconds(float64(p)*float64(p), w)
+	return share*full + ma.MoveSeconds(mirror, w)
 }

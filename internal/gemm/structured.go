@@ -9,8 +9,8 @@ import (
 )
 
 // Structured classical kernels: AᵗA (Gram) and A·Aᵗ (SYRK) as single calls
-// over the backend registry — the classical baseline of the executor's
-// symmetric recursion, and the leaf of its diagonal blocks.
+// over the backend registry — the only way the structured operations run,
+// from the tuner's plans and from core.Executor.MultiplyATA/MultiplySyrk.
 //
 // On a blocked backend the call is one lower-triangle pass of the leaf
 // engine: the transposed operand is packed straight from A by the other
@@ -23,8 +23,17 @@ import (
 // Either way the exactness contract holds: when overwriting, the strict
 // lower triangle is computed once and mirrored up, so C[i][j] == C[j][i]
 // bit-for-bit under any backend. Accumulating calls compute the whole
-// product onto C, so a C that is not symmetric keeps its meaning. The
-// tuner's classical plans for the ATA/Syrk ops dispatch here.
+// product onto C, so a C that is not symmetric keeps its meaning.
+
+// TriangleTile is the micro-tile width to which be's lower-triangle pass
+// rounds the diagonal: nr for a blocked backend, 0 for a backend without the
+// pass (see costmodel.Machine.SymmetricTime).
+func TriangleTile(be Backend) int {
+	if bk, ok := be.(*blockedBackend); ok {
+		return bk.nr
+	}
+	return 0
+}
 
 // ATA computes C = alpha·Aᵗ·A (overwriting C, or accumulating when
 // accumulate is set) with the given backend and worker budget. C must be n×n

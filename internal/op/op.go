@@ -7,10 +7,8 @@
 // Every layer that used to hard-code "C = A·B" keys on an Op instead: the
 // tuner caches plans per (op, shape), the batcher buckets warm entries per
 // (op, shape class), and the cost model prices the symmetric operations at
-// their reduced flop count: the classical AᵗA and A·Aᵗ are one
-// lower-triangle pass at about ½ the flops of a general multiply, and the
-// fast plans run the symmetric recursion of Arrigoni/Massini
-// (arXiv:1902.02104).
+// their reduced flop count: AᵗA and A·Aᵗ run only as one classical
+// lower-triangle pass at about ½ the flops of a general multiply.
 package op
 
 import (

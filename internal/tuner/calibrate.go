@@ -37,7 +37,12 @@ import (
 // thin shapes (k = 320, 625) and must be re-measured.
 // v8: one gemm curve, measured on the default backend and naming it
 // (Machine.Backend); the backend is no longer a tuning dimension.
-const ProfileVersion = 8
+// v9: AᵗA and Syrk run only as the classical triangle pass, and every curve
+// sample times a warm call — v8 caches may hold fast AᵗA/Syrk plans that no
+// longer run, and v8 quick curves read the cold first call of each size
+// (0.5–1.4 GFLOPS sequential at 64³ on a 2-CPU AVX-512 Xeon, against 23–27
+// warm).
+const ProfileVersion = 9
 
 // Profile is a one-time machine calibration: the measured gemm throughput
 // curve and addition bandwidth that parameterize the cost model's time
@@ -83,7 +88,8 @@ func (p *Profile) Fingerprint() string {
 
 // Calibrate measures the machine: classical-gemm GFLOPS of the default leaf
 // backend at a few square block sizes (sequentially and at the given worker
-// count — the two endpoints the time model interpolates between), and the
+// count — the two endpoints the time model interpolates between; each
+// timed after one untimed call at that size and width), and the
 // STREAM-add bandwidth the matrix additions run at. quick
 // shrinks the protocol to smoke-test cost for first-use auto-calibration and
 // tests; the full protocol is what cmd/fmmtune calibrate runs.
@@ -138,11 +144,15 @@ func Calibrate(workers int, quick bool) *Profile {
 }
 
 // bestTime returns the fastest of trials timings of f, in seconds — the
-// paper's protocol for microbenchmarks, robust to scheduling noise.
+// paper's protocol for microbenchmarks, robust to scheduling noise — after
+// one untimed call: the first call of a size and width pays for packing
+// buffers, page faults and cold caches, which a one-trial quick protocol
+// would otherwise record as the curve.
 func bestTime(trials int, f func()) float64 {
 	if trials < 1 {
 		trials = 1
 	}
+	f()
 	ts := make([]float64, 0, trials)
 	for i := 0; i < trials; i++ {
 		start := time.Now()

@@ -129,22 +129,21 @@ func TestFusedPlanBuildsAndPersists(t *testing.T) {
 // executorKey identifies what a plan builds: every plan field the executor
 // depends on. The strategy shapes only explicit levels, so a one-step fused
 // plan (whose one level is the fused one) builds the same executor under
-// every strategy. HYBRID runs as BFS for the symmetric ops (core's
-// structuredMode), wherever W divides the leaf count R^steps, and on a
-// fused last level, since then no leaf is deferred. A fused one-step
-// general multiply runs as DFS under BFS (TestFusedOneStepSchedulersAgree
-// in core).
+// every strategy. HYBRID runs as BFS wherever W divides the leaf count
+// R^steps, and on a fused last level, since then no leaf is deferred. A
+// fused one-step multiply runs as DFS under BFS
+// (TestFusedOneStepSchedulersAgree in core).
 func executorKey(p Plan) Plan {
 	p.PredictedSeconds, p.MeasuredSeconds, p.WorkspaceBytes = 0, 0, 0
 	if p.Fused && p.Steps == 1 {
 		p.Strategy = ""
 	}
 	if p.Parallel == core.Hybrid.String() {
-		if leaves := ipow(catalog.MustGet(p.Algorithm).Rank(), p.Steps); p.Op != "" || p.Fused || leaves%p.Workers == 0 {
+		if leaves := ipow(catalog.MustGet(p.Algorithm).Rank(), p.Steps); p.Fused || leaves%p.Workers == 0 {
 			p.Parallel = core.BFS.String()
 		}
 	}
-	if p.Parallel == core.BFS.String() && p.Fused && p.Steps == 1 && p.Op == "" {
+	if p.Parallel == core.BFS.String() && p.Fused && p.Steps == 1 {
 		p.Parallel = core.DFS.String()
 	}
 	return p
@@ -152,8 +151,7 @@ func executorKey(p Plan) Plan {
 
 // TestRankOpDropsFusedSchedulerTwins: at W = 2 a general multiply ranks no
 // fused HYBRID plan and no fused one-step BFS plan — each runs as a twin
-// ranked beside it. AᵗA keeps its fused one-step BFS plans: the symmetric
-// walk runs them differently from DFS.
+// ranked beside it.
 func TestRankOpDropsFusedSchedulerTwins(t *testing.T) {
 	tn := mustTuner(t, modelOnlyOpts(2))
 	for _, s := range [][3]int{{1024, 1024, 1024}, {2560, 320, 2560}, {2500, 625, 625}} {
@@ -167,44 +165,25 @@ func TestRankOpDropsFusedSchedulerTwins(t *testing.T) {
 			}
 		}
 	}
-	ranked, err := tn.RankOp(op.ATA, 1024, 1024, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bfs := 0
-	for _, p := range ranked {
-		if p.Fused && p.Steps == 1 && p.Parallel == core.BFS.String() {
-			bfs++
-		}
-	}
-	if bfs == 0 {
-		t.Error("AᵗA ranks no fused one-step BFS plan")
-	}
 }
 
 // TestRankOpEmitsEachExecutorOnce: no two ranked candidates build the same
 // executor, so no probe is spent timing a plan twice.
 func TestRankOpEmitsEachExecutorOnce(t *testing.T) {
-	shapes := map[op.Op][][3]int{
-		op.Multiply: {{512, 512, 512}, {1024, 1024, 1024}, {2560, 320, 2560}},
-		op.ATA:      {{1024, 1024, 1024}, {625, 2500, 625}},
-	}
 	for _, w := range []int{1, 2} {
 		tn := mustTuner(t, modelOnlyOpts(w))
-		for o, list := range shapes {
-			for _, s := range list {
-				ranked, err := tn.RankOp(o, s[0], s[1], s[2])
-				if err != nil {
-					t.Fatal(err)
+		for _, s := range [][3]int{{512, 512, 512}, {1024, 1024, 1024}, {2560, 320, 2560}} {
+			ranked, err := tn.RankOp(op.Multiply, s[0], s[1], s[2])
+			if err != nil {
+				t.Fatal(err)
+			}
+			seen := map[Plan]Plan{}
+			for _, p := range ranked {
+				k := executorKey(p)
+				if q, dup := seen[k]; dup {
+					t.Errorf("%v at %dw: %s and %s build the same executor", s, w, q, p)
 				}
-				seen := map[Plan]Plan{}
-				for _, p := range ranked {
-					k := executorKey(p)
-					if q, dup := seen[k]; dup {
-						t.Errorf("%s %v at %dw: %s and %s build the same executor", o, s, w, q, p)
-					}
-					seen[k] = p
-				}
+				seen[k] = p
 			}
 		}
 	}

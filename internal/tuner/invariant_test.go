@@ -389,7 +389,7 @@ func TestProbeSharesOneArenaPool(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ws := execWorkspace(d.exec, op.Multiply, n, n, n) - 8*d.be.PackFloatsPerWorker() // the arena part
+		ws := d.exec.WorkspaceBytes(n, n, n) - 8*d.be.PackFloatsPerWorker() // the arena part
 		maxWS, sumWS = max(maxWS, ws), sumWS+ws
 	}
 	// On top of the largest reservation: view headers, pointer and

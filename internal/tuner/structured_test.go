@@ -164,6 +164,65 @@ func TestRankOpPricesSymmetry(t *testing.T) {
 	}
 }
 
+// TestRankOpSymmetricIsClassicalOnly: AᵗA and Syrk rank exactly one plan,
+// the classical triangle pass, tagged with the op's token — at one and two
+// workers, on structured-par's triples and at 4096³.
+func TestRankOpSymmetricIsClassicalOnly(t *testing.T) {
+	for _, w := range []int{1, 2} {
+		tn := mustTuner(t, modelOnlyOpts(w))
+		for _, o := range []op.Op{op.ATA, op.Syrk} {
+			for _, s := range [][3]int{{1024, 2048, 1024}, {768, 1536, 768}, {4096, 4096, 4096}} {
+				ranked, err := tn.RankOp(o, s[0], s[1], s[2])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(ranked) != 1 || !ranked[0].IsClassical() || ranked[0].Op != o.Key() {
+					t.Errorf("w=%d %v %v: ranked %d plans, first %v; want the one classical %s plan",
+						w, o, s, len(ranked), ranked[0], o.Key())
+				}
+			}
+		}
+	}
+}
+
+// TestPlanForOpSymmetricNeverProbes: deciding an AᵗA or Syrk plan times
+// nothing, even with probing on and a timer on which every fast plan would
+// win — and a fast plan found in the disk cache is refused and re-decided as
+// classical. A multiply decision on the same tuner does reach the timer.
+func TestPlanForOpSymmetricNeverProbes(t *testing.T) {
+	tn := mustTuner(t, Options{Resources: Resources{Workers: 2}, Profile: testProfile(2), NoDiskCache: true})
+	timer := &scriptedTimer{fast: []float64{0.5}, classical: []float64{1}}
+	tn.timeRun = timer.time
+	decide := func(o op.Op, m, k int) {
+		t.Helper()
+		p, err := tn.PlanForOp(o, m, k, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !p.IsClassical() || p.Op != o.Key() {
+			t.Errorf("%v %dx%d: decided %v, want the classical %s plan", o, m, k, p, o.Key())
+		}
+	}
+	for _, o := range []op.Op{op.ATA, op.Syrk} {
+		decide(o, 1024, 2048)
+	}
+	if len(timer.calls) != 0 {
+		t.Fatalf("symmetric decisions timed %d runs (%v), want none", len(timer.calls), timer.calls)
+	}
+	for _, o := range []op.Op{op.ATA, op.Syrk} {
+		tn.disk[tn.key(o, 768, 1536, 768)] = Plan{Op: o.Key(), Algorithm: "strassen", Backend: gemm.Default().Name(),
+			Steps: 1, Parallel: "dfs", Strategy: "write-once", Workers: 2}
+		decide(o, 768, 1536)
+	}
+	const m = 1024
+	if _, err := tn.PlanForOp(op.Multiply, m, m, m); err != nil {
+		t.Fatal(err)
+	}
+	if len(timer.calls) == 0 {
+		t.Fatal("a multiply decision never reached the timer: the seam is not wired")
+	}
+}
+
 // TestClassicalSymmetricIsTrianglePriced: the classical ATA and Syrk plans
 // are gemm.ATA/Syrk's lower-triangle pass, so at 1024 each is ranked at no
 // more than 0.6× the classical multiply of the same triple — half the flops,

@@ -11,8 +11,8 @@
 //  1. enumerate candidate plans — every algorithm of Options.Algorithms ×
 //     steps up to DefaultMaxSteps × scheduler × addition strategy
 //     (write-once, streaming), plus the classical gemm baseline, all on the
-//     default leaf backend; shapes below core.MinDim get the baseline
-//     alone;
+//     default leaf backend; shapes below core.MinDim, and the symmetric ops
+//     AᵗA and Syrk at every shape, get the baseline alone;
 //  2. prune and rank them with the analytic cost recurrences of
 //     internal/costmodel, turned into predicted seconds by a one-time
 //     machine calibration (Options.Profile, or measured gemm GFLOPS at a
@@ -217,7 +217,6 @@ func (p Plan) String() string {
 
 // decision is a plan bound to its runnable executor and resolved backend.
 type decision struct {
-	op   op.Op // the plan-space op (MultiplyAdd requests ride a Multiply decision)
 	plan Plan
 	be   gemm.Backend   // the plan's leaf backend, resolved at build time
 	exec *core.Executor // nil for classical
@@ -228,8 +227,7 @@ type decision struct {
 }
 
 // run executes one request — C = Alpha·op(A,B) + Beta·C — with the decision's
-// plan. The overwrite paths (Beta == 0) are the hot, allocation-conscious
-// ones; accumulating into a symmetric result allocates one temporary.
+// plan.
 func (d *decision) run(r op.Request) error { return d.runBudget(r, core.Budget{}) }
 
 // runBudget is run with a fast plan's executor bound to a budget (see
@@ -263,33 +261,6 @@ func (d *decision) runBudget(r op.Request, b core.Budget) error {
 			mat.Scale(r.C, r.Beta, r.C)
 		}
 		return exec.MultiplyAdd(r.C, r.A, r.B, r.Alpha)
-	case op.ATA, op.Syrk:
-		sym := exec.MultiplyATA
-		if r.Op == op.Syrk {
-			sym = exec.MultiplySyrk
-		}
-		if r.Beta == 0 {
-			if err := sym(r.C, r.A); err != nil {
-				return err
-			}
-			if r.Alpha != 1 {
-				mat.Scale(r.C, r.Alpha, r.C)
-			}
-			return nil
-		}
-		// Accumulating a symmetric product: compute into a fresh temporary,
-		// then one axpy. Allocates — acceptable for this rare path; exact
-		// symmetry of the update is preserved (the temporary is exactly
-		// symmetric and axpy is elementwise).
-		T := mat.New(r.C.Rows(), r.C.Cols())
-		if err := sym(T, r.A); err != nil {
-			return err
-		}
-		if r.Beta != 1 {
-			mat.Scale(r.C, r.Beta, r.C)
-		}
-		mat.Axpy(r.C, r.Alpha, T)
-		return nil
 	}
 	return fmt.Errorf("tuner: unsupported op %s", r.Op)
 }
@@ -428,8 +399,8 @@ func (t *Tuner) Multiply(C, A, B *mat.Dense) error {
 
 // Do executes one operation-typed request — C = Alpha·op(A,B) + Beta·C —
 // with the tuned plan for its (op, shape), tuning on first touch. Tuning is
-// per plan-space op: ATA and Syrk get their own cached plans (ranked at the
-// symmetric recursion's reduced cost), while MultiplyAdd rides Multiply's.
+// per plan-space op: ATA and Syrk get their own cached plans (always the
+// classical triangle pass), while MultiplyAdd rides Multiply's.
 func (t *Tuner) Do(req op.Request) error {
 	req = req.Normalized()
 	if err := req.Validate(); err != nil {
@@ -619,38 +590,27 @@ func (t *Tuner) remember(key string, d *decision, persist bool) {
 // baseline plus algorithm × steps × scheduler × strategy, on the tuner's
 // leaf backend — and sorts them by predicted time (fastest first),
 // workspace-cap survivors only. The shape is the gemm-equivalent product
-// triple; for the symmetric ops each plan is priced as the op runs it: the
-// classical baseline as one lower-triangle pass (≈ ½ the flops) plus the
-// mirror, fast plans as the symmetric recursion (fast off-diagonal products,
-// classical diagonal leaves) plus the transpose and mirrors it pays. A
-// classical baseline is always present, so the result is never empty.
+// triple. A classical baseline is always present, so the result is never
+// empty; for the symmetric ops it is the whole result (see classicalPlan).
 func (t *Tuner) RankOp(o op.Op, m, k, n int) ([]Plan, error) {
 	o = o.PlanOp()
 	if m <= 0 || k <= 0 || n <= 0 {
 		return nil, fmt.Errorf("tuner: invalid shape %d×%d×%d", m, k, n)
 	}
 	plans := []Plan{t.classicalPlan(o, m, k, n)}
-	// Below the recursion cutoff no fast algorithm is worth its additions;
-	// guarantee classical rather than trusting the model at sizes the
-	// calibration barely covers.
-	if maxInt3(m, k, n) >= core.MinDim {
-		for _, name := range t.opts.Algorithms {
-			a, err := catalog.GetVerified(name)
-			if err != nil {
-				continue // unknown or unverifiable entries never panic the tuner
-			}
-			plans = append(plans, t.algorithmPlans(o, a, m, k, n)...)
-		}
+	// The symmetric ops run classical only (see classicalPlan). Below the
+	// recursion cutoff no fast algorithm is worth its additions; guarantee
+	// classical rather than trusting the model at sizes the calibration
+	// barely covers.
+	if o.Symmetric() || maxInt3(m, k, n) < core.MinDim {
+		return plans, nil
 	}
-
-	if o.Symmetric() {
-		// Both kinds of plan were priced as the op: the classical one as
-		// gemm.ATA/Syrk's triangle pass, fast ones level by level inside
-		// algorithmPlans (the symmetric recursion runs the candidate at
-		// halved shapes, where fast rankings differ from the full-size one).
-		for i := range plans {
-			plans[i].Op = o.Key()
+	for _, name := range t.opts.Algorithms {
+		a, err := catalog.GetVerified(name)
+		if err != nil {
+			continue // unknown or unverifiable entries never panic the tuner
 		}
+		plans = append(plans, t.algorithmPlans(a, m, k, n)...)
 	}
 
 	sort.SliceStable(plans, func(i, j int) bool {
@@ -659,8 +619,11 @@ func (t *Tuner) RankOp(o op.Op, m, k, n int) ([]Plan, error) {
 	return plans, nil
 }
 
-// classicalPlan is the direct-gemm baseline of (o, shape); for the
-// symmetric ops that is gemm.ATA/Syrk, priced as its triangle pass.
+// classicalPlan is the direct-gemm baseline of (o, shape). For the symmetric
+// ops it is gemm.ATA/Syrk, priced as its triangle pass, tagged with the op's
+// token, and their only plan: a fast product runs at no less than half the
+// result size there, and against the triangle's half flops it never crosses
+// over at practical sizes.
 func (t *Tuner) classicalPlan(o op.Op, m, k, n int) Plan {
 	workers := t.opts.Workers
 	slab := 8 * t.be.PackFloatsPerWorker()
@@ -676,83 +639,19 @@ func (t *Tuner) classicalPlan(o op.Op, m, k, n int) Plan {
 	if workers > 1 {
 		parallel = "parallel" // direct gemm slab parallelism, not a scheduler
 	}
-	secs := t.prof.Machine.ClassicalTimeFor(m, k, n, workers)
-	if o.Symmetric() {
-		secs = t.prof.Machine.SymmetricTime(m, k, triangleTile(t.be), workers)
-	}
-	return Plan{
+	p := Plan{
 		Algorithm:        ClassicalAlgorithm,
 		Backend:          t.be.Name(),
 		Parallel:         parallel,
 		Workers:          workers,
 		WorkspaceBytes:   int64(workers) * slab,
-		PredictedSeconds: secs,
+		PredictedSeconds: t.prof.Machine.ClassicalTimeFor(m, k, n, workers),
 	}
-}
-
-// triangleTile is the micro-tile width to which gemm.ATA/Syrk's
-// lower-triangle pass on be rounds the diagonal — 0 for a backend without
-// the pass (see costmodel's SymmetricTime).
-func triangleTile(be gemm.Backend) int {
-	if t, ok := be.(interface{ Tile() (mr, nr int) }); ok {
-		_, nr := t.Tile()
-		return nr
+	if o.Symmetric() {
+		p.Op = o.Key()
+		p.PredictedSeconds = t.prof.Machine.SymmetricTime(m, k, gemm.TriangleTile(t.be), workers)
 	}
-	return 0
-}
-
-// symPredictSeconds prices one fast candidate for the symmetric recursion
-// T(p) = 2T(p/2) + M(p/2): walk the recursion tree the core executor will
-// actually run (split while the block stays ≥ 2·MinDim), price every
-// off-diagonal multiply with the candidate's own time model AT ITS OWN
-// (halved) shape, and price the diagonal leaf blocks as the leaf backend's
-// classical Syrk — the triangle pass core's symLeaf runs — plus the
-// transpose and mirror sweeps the walk pays. A flat ×2/3 of the full-size
-// estimate — the obvious shortcut — preserves the general-multiply
-// ranking, but fast algorithms keep different fractions of their advantage
-// as the shape halves (fewer recursion steps fit, peeling fractions grow),
-// so the shortcut mispicks; probing only the top few of a mis-ranked list
-// never sees the real winner.
-// The recursion depth per sub-multiply is clamped to what the executor's
-// MinDim cutoff will actually take at that shape; 0 steps means the
-// sub-multiply runs classical.
-func (t *Tuner) symPredictSeconds(a *algo.Algorithm, model *costmodel.Model, ex costmodel.ExecShape, maxSteps, p, q, w int) float64 {
-	ma := t.prof.Machine
-	b := a.Base
-	minDim := core.MinDim
-	total := 0.0
-	cnt := 1.0
-	s := p
-	for s >= 2*minDim && s >= 2 {
-		h := s / 2
-		mm, kk, nn := s-h, q, h
-		st := maxSteps
-		for st > 0 {
-			dM, dK, dN := ipow(b.M, st), ipow(b.K, st), ipow(b.N, st)
-			if dM > 0 && dK > 0 && dN > 0 && mm/dM >= minDim && kk/dK >= minDim && nn/dN >= minDim {
-				break
-			}
-			st--
-		}
-		sub := ma.ClassicalTimeFor(mm, kk, nn, w)
-		if st > 0 {
-			dM, dK, dN := ipow(b.M, st), ipow(b.K, st), ipow(b.N, st)
-			cm, ck, cn := mm-mm%dM, kk-kk%dK, nn-nn%dN
-			fix := sub - ma.ClassicalTimeFor(cm, ck, cn, w)
-			if fix < 0 {
-				fix = 0
-			}
-			if est, err := model.PredictTime(cm, ck, cn, st, ma, ex); err == nil {
-				sub = est.Seconds + fix
-			}
-		}
-		total += cnt * sub
-		cnt *= 2
-		s = s - h // the larger child; odd splits round the estimate up
-	}
-	// Diagonal leaves: cnt blocks, each one classical Syrk.
-	total += cnt * ma.SymmetricTime(s, q, triangleTile(t.be), w)
-	return total + ma.StructuredOverheadSeconds(p, q, p, t.opts.Workers)
+	return p
 }
 
 // schedCand pairs a scheduler with the worker deployment the time model
@@ -780,15 +679,12 @@ func (t *Tuner) schedules() []schedCand {
 // Shapes that don't divide the base case are handled the way the executor
 // does — the recursion runs on the largest divisible core and the model
 // charges the peeling borders as classical gemm work on top. A plan is
-// emitted only under a scheduler it runs as. HYBRID: the symmetric ops run
-// it as BFS (core's structuredMode), and a leaf count R^steps that W divides
-// defers no leaf, nor does a fused last level, which never calls a leaf
-// gemm — each would run as its BFS twin. BFS: a fused one-step general
+// emitted only under a scheduler it runs as. HYBRID: a leaf count R^steps
+// that W divides defers no leaf, nor does a fused last level, which never
+// calls a leaf gemm — each would run as its BFS twin. BFS: a fused one-step
 // multiply gives every product all workers and spawns no task, so it runs
-// as its DFS twin. (The symmetric walk runs diagonal leaves and transposes
-// one worker wide under BFS, so there a fused one-step BFS plan differs
-// from DFS and stays.)
-func (t *Tuner) algorithmPlans(o op.Op, a *algo.Algorithm, m, k, n int) []Plan {
+// as its DFS twin.
+func (t *Tuner) algorithmPlans(a *algo.Algorithm, m, k, n int) []Plan {
 	var out []Plan
 	ma := t.prof.Machine
 	b := a.Base
@@ -799,38 +695,17 @@ func (t *Tuner) algorithmPlans(o op.Op, a *algo.Algorithm, m, k, n int) []Plan {
 	if gemm.CanFuse(t.be) {
 		fusedDims = []bool{false, true}
 	}
-	if o.Symmetric() {
-		// A candidate that cannot take even one fast step on the largest
-		// off-diagonal multiply (⌈p/2⌉ × q × ⌊p/2⌋) degenerates to a
-		// classical symmetric walk — the classical baseline already covers
-		// that behavior, and a flood of identically-priced degenerates would
-		// crowd the real fast walks out of the probe pool.
-		h := m / 2
-		if (m-h)/b.M < core.MinDim || k/b.K < core.MinDim || h/b.N < core.MinDim {
-			return nil
-		}
-	}
 	for steps := 1; steps <= DefaultMaxSteps; steps++ {
 		dM, dK, dN := ipow(b.M, steps), ipow(b.K, steps), ipow(b.N, steps)
 		if m < dM || k < dK || n < dN {
 			break // deeper recursion no longer fits one base-case block
-		}
-		if o.Symmetric() && steps > 1 {
-			// The MinDim cutoff clamps the recursion depth of every
-			// sub-multiply; once the largest one clamps below `steps` this
-			// plan executes identically to the shallower one already
-			// emitted, and duplicates would crowd the probe pool.
-			h := m / 2
-			if (m-h)/ipow(b.M, steps) < core.MinDim || k/ipow(b.K, steps) < core.MinDim || h/ipow(b.N, steps) < core.MinDim {
-				break
-			}
 		}
 		cm, ck, cn := m-m%dM, k-k%dK, n-n%dN
 		fixup := ma.ClassicalTimeFor(m, k, n, workers) - ma.ClassicalTimeFor(cm, ck, cn, workers)
 		if fixup < 0 {
 			fixup = 0
 		}
-		bfsHybrid := o.Symmetric() || ipow(a.Rank(), steps)%workers == 0
+		bfsHybrid := ipow(a.Rank(), steps)%workers == 0
 		for si, strat := range strategies {
 			for _, fused := range fusedDims {
 				if fused && steps == 1 && si > 0 {
@@ -848,17 +723,12 @@ func (t *Tuner) algorithmPlans(o op.Op, a *algo.Algorithm, m, k, n int) []Plan {
 					if sc.par == core.Hybrid && (bfsHybrid || fused) {
 						continue
 					}
-					if sc.par == core.BFS && fused && steps == 1 && !o.Symmetric() {
+					if sc.par == core.BFS && fused && steps == 1 {
 						continue
 					}
 					est, err := model.PredictTime(cm, ck, cn, steps, ma, sc.ex)
 					if err != nil {
 						continue
-					}
-					fix := fixup
-					if o.Symmetric() {
-						est.Seconds = t.symPredictSeconds(a, model, sc.ex, steps, m, k, planWorkers(sc.par, workers))
-						fix = 0 // peeling priced per level inside the walk
 					}
 					ws := modelWorkspaceBytes(cost, sc.par, workers, t.be)
 					if cap := t.opts.Workspace; cap > 0 && ws > cap {
@@ -873,7 +743,7 @@ func (t *Tuner) algorithmPlans(o op.Op, a *algo.Algorithm, m, k, n int) []Plan {
 						Fused:            fused,
 						Workers:          planWorkers(sc.par, workers),
 						WorkspaceBytes:   ws,
-						PredictedSeconds: est.Seconds + fix,
+						PredictedSeconds: est.Seconds + fixup,
 					})
 				}
 			}
@@ -961,7 +831,8 @@ func parseStrategy(s string) (addchain.Strategy, error) {
 // already); the workspace cap is threaded through so the executor's run-time
 // degradation also holds. The plan's backend resolves here — an unknown name
 // (edited cache file, a blas plan loaded into a non-blas build) fails and
-// falls through to a fresh ranking, like an unknown algorithm.
+// falls through to a fresh ranking, like an unknown algorithm or a fast plan
+// for a symmetric op.
 func (t *Tuner) build(o op.Op, p Plan) (*decision, error) {
 	o = o.PlanOp()
 	be, err := gemm.Resolve(p.Backend)
@@ -969,7 +840,10 @@ func (t *Tuner) build(o op.Op, p Plan) (*decision, error) {
 		return nil, err
 	}
 	if p.IsClassical() {
-		return &decision{op: o, plan: p, be: be}, nil
+		return &decision{plan: p, be: be}, nil
+	}
+	if o.Symmetric() {
+		return nil, fmt.Errorf("tuner: %s runs only as classical, not %s", o, p)
 	}
 	a, err := catalog.GetVerified(p.Algorithm)
 	if err != nil {
@@ -995,22 +869,7 @@ func (t *Tuner) build(o op.Op, p Plan) (*decision, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &decision{op: o, plan: p, be: be, exec: exec}, nil
-}
-
-// execWorkspace is the executor's exact footprint prediction for one (op,
-// gemm-equivalent shape): the Table-3 model for multiplies, its structured
-// counterpart for the symmetric recursion (triple convention of PlanForOp:
-// the ATA operand is k×m, the Syrk operand m×k).
-func execWorkspace(exec *core.Executor, o op.Op, m, k, n int) int64 {
-	switch o {
-	case op.ATA:
-		return exec.WorkspaceBytesATA(k, m)
-	case op.Syrk:
-		return exec.WorkspaceBytesSyrk(m, k)
-	default:
-		return exec.WorkspaceBytes(m, k, n)
-	}
+	return &decision{plan: p, be: be, exec: exec}, nil
 }
 
 // probeMargin is how much faster than the measured classical baseline a
@@ -1028,14 +887,6 @@ const probeMargin = 0.03
 func (t *Tuner) pick(o op.Op, ranked []Plan, m, k, n int) (*decision, error) {
 	o = o.PlanOp()
 	topK := t.opts.ProbeTopK
-	if o.Symmetric() && topK != NoProbes && topK < 2*DefaultProbeTopK {
-		// The symmetric walk is priced by the general-multiply model at
-		// halved shapes, where its discrimination is weakest — the ranked
-		// leaders sit within a few percent of each other while their
-		// measured walks differ by 2× (probes are cached per (op, shape),
-		// so the deeper pool is a one-time cost).
-		topK = 2 * DefaultProbeTopK
-	}
 	survivors := make([]*decision, 0, len(ranked))
 	haveClassical := false
 	for _, p := range ranked {
@@ -1046,16 +897,14 @@ func (t *Tuner) pick(o op.Op, ranked []Plan, m, k, n int) (*decision, error) {
 		if err != nil {
 			continue
 		}
-		if cap := t.opts.Workspace; cap > 0 && d.exec != nil {
+		if d.exec != nil {
 			// Re-check with the executor's exact Table-3 model (the
 			// ranking filtered on the cheaper analytic recurrence).
-			ws := execWorkspace(d.exec, o, m, k, n)
-			if ws > cap {
+			ws := d.exec.WorkspaceBytes(m, k, n)
+			if cap := t.opts.Workspace; cap > 0 && ws > cap {
 				continue
 			}
 			d.plan.WorkspaceBytes = ws
-		} else if d.exec != nil {
-			d.plan.WorkspaceBytes = execWorkspace(d.exec, o, m, k, n)
 		}
 		survivors = append(survivors, d)
 		haveClassical = haveClassical || p.IsClassical()
@@ -1065,16 +914,12 @@ func (t *Tuner) pick(o op.Op, ranked []Plan, m, k, n int) (*decision, error) {
 	}
 	if len(survivors) == 0 {
 		// Nothing fits the cap: classical always runs.
-		p := t.classicalPlan(o, m, k, n)
-		if o.Symmetric() {
-			p.Op = o.Key()
-		}
-		return t.build(o, p)
+		return t.build(o, t.classicalPlan(o, m, k, n))
 	}
 	if topK == NoProbes || len(survivors) == 1 {
 		return survivors[0], nil
 	}
-	return t.probe(o, survivors, m, k, n)
+	return t.probe(survivors, m, k, n)
 }
 
 // leafRateSlack is how much faster than classical's measured flop rate on
@@ -1131,8 +976,8 @@ func timeDecision(d *decision, req op.Request, lim probeLimit) (float64, error) 
 	return secs, nil
 }
 
-// probe times each surviving decision on deterministic random operands of
-// the real shape and returns the fastest — with classical as the reference a
+// probe times each surviving multiply decision on deterministic random
+// operands of the real shape and returns the fastest — with classical as the reference a
 // fast plan has to beat. One short multiplication per candidate: the probes
 // exist to catch what the model misranks, and their cost is amortized by the
 // disk cache. The fastest survivor wins outright when it is classical; a
@@ -1164,20 +1009,10 @@ func timeDecision(d *decision, req op.Request, lim probeLimit) (float64, error) 
 // called this unreachable and panicked the process). The winner comes from
 // the remaining survivors; only when every survivor failed does the first
 // error surface to the caller.
-func (t *Tuner) probe(o op.Op, survivors []*decision, m, k, n int) (*decision, error) {
-	rng := rand.New(rand.NewSource(int64(m)*1_000_003 + int64(k)*1_009 + int64(n) + int64(o)*7919))
-	// Operands follow the op's triple convention: the general multiply probes
-	// m×k · k×n; ATA probes a k×m operand (C = AᵗA is m×m), Syrk an m×k one.
-	req := op.Request{Op: o, C: mat.New(m, n)}
-	switch o {
-	case op.ATA:
-		req.A = mat.New(k, m)
-	case op.Syrk:
-		req.A = mat.New(m, k)
-	default:
-		req.A, req.B = mat.New(m, k), mat.New(k, n)
-		req.B.FillRandom(rng)
-	}
+func (t *Tuner) probe(survivors []*decision, m, k, n int) (*decision, error) {
+	rng := rand.New(rand.NewSource(int64(m)*1_000_003 + int64(k)*1_009 + int64(n)))
+	req := op.Request{Op: op.Multiply, C: mat.New(m, n), A: mat.New(m, k), B: mat.New(k, n)}
+	req.B.FillRandom(rng)
 	req.A.FillRandom(rng)
 	// Fault C's pages in untimed: the first probe is classical's, and its
 	// time sets every fast deadline.

@@ -498,7 +498,7 @@ func TestProbeSkipsFailingSurvivor(t *testing.T) {
 
 	// The failing candidate ranks first; on the old code its probe panicked
 	// the process ("unreachable").
-	got, err := tn.probe(op.Multiply, []*decision{bad, good}, 64, 64, 64)
+	got, err := tn.probe([]*decision{bad, good}, 64, 64, 64)
 	if err != nil {
 		t.Fatalf("probe with one failing survivor must fall back, got error %v", err)
 	}
@@ -513,7 +513,7 @@ func TestProbeSkipsFailingSurvivor(t *testing.T) {
 	// arbitrary broken winner.
 	bad2 := mkDecision()
 	bad2.failMul = errors.New("also broken")
-	if _, err := tn.probe(op.Multiply, []*decision{bad, bad2}, 64, 64, 64); err == nil {
+	if _, err := tn.probe([]*decision{bad, bad2}, 64, 64, 64); err == nil {
 		t.Fatal("all-failing survivors must surface an error")
 	} else if !strings.Contains(err.Error(), "backend exploded") {
 		t.Fatalf("the recorded error must name the first failure, got %v", err)
