@@ -42,7 +42,10 @@ import (
 // longer run, and v8 quick curves read the cold first call of each size
 // (0.5–1.4 GFLOPS sequential at 64³ on a 2-CPU AVX-512 Xeon, against 23–27
 // warm).
-const ProfileVersion = 9
+// v10: a quick curve sample is the best of five timings, not one — a v9
+// quick curve may hold a single slow draw (2 GFLOPS at 64³ and two workers
+// on a 2-CPU AVX-512 Xeon, against 17–27 for the best of five).
+const ProfileVersion = 10
 
 // Profile is a one-time machine calibration: the measured gemm throughput
 // curve and addition bandwidth that parameterize the cost model's time
@@ -98,11 +101,14 @@ func Calibrate(workers int, quick bool) *Profile {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	sizes := []int{96, 192, 384, 640}
-	trials := 2
+	trials, streamTrials := 2, 2
 	streamN := 1 << 23
 	if quick {
+		// Gemm samples stay best-of-five (see ProfileVersion 10): the
+		// extra timings cost milliseconds, a slow single draw misprices
+		// every plan.
 		sizes = []int{64, 128, 256}
-		trials = 1
+		trials, streamTrials = 5, 1
 		streamN = 1 << 20
 	}
 
@@ -128,10 +134,10 @@ func Calibrate(workers int, quick bool) *Profile {
 		})
 	}
 
-	ma.AddSeqGBps = stream.Run(stream.Add, streamN, 1, trials).GBps
+	ma.AddSeqGBps = stream.Run(stream.Add, streamN, 1, streamTrials).GBps
 	ma.AddParGBps = ma.AddSeqGBps
 	if workers > 1 {
-		ma.AddParGBps = stream.Run(stream.Add, streamN, workers, trials).GBps
+		ma.AddParGBps = stream.Run(stream.Add, streamN, workers, streamTrials).GBps
 	}
 
 	return &Profile{

@@ -99,7 +99,7 @@ func TestPickNeverLosesToClassical(t *testing.T) {
 			tn := mustTuner(t, Options{Resources: Resources{Workers: 1}, Profile: testProfile(1), NoDiskCache: true})
 			timer := &scriptedTimer{fast: tc.fast, classical: tc.classical}
 			tn.timeRun = timer.time
-			d, err := tn.pick(op.Multiply, classicalLast(t, tn, n), n, n, n)
+			d, _, err := tn.pick(op.Multiply, classicalLast(t, tn, n), n, n, n, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,7 +139,7 @@ func TestPickKeepsFailureBehaviour(t *testing.T) {
 	timer := &scriptedTimer{fast: []float64{0.9, 0.8, 0.7}, classical: []float64{0.1},
 		fail: func(p Plan) bool { return p.IsClassical() || p.String() == ranked[0].String() }}
 	tn.timeRun = timer.time
-	d, err := tn.pick(op.Multiply, ranked, n, n, n)
+	d, _, err := tn.pick(op.Multiply, ranked, n, n, n, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestPickKeepsFailureBehaviour(t *testing.T) {
 	}
 
 	timer.fail = func(Plan) bool { return true }
-	if _, err := tn.pick(op.Multiply, ranked, n, n, n); err == nil {
+	if _, _, err := tn.pick(op.Multiply, ranked, n, n, n, nil); err == nil {
 		t.Fatal("every survivor failing must surface the first error")
 	}
 }
@@ -173,7 +173,7 @@ func TestProbeStopsAtClassicalDeadline(t *testing.T) {
 				tn := mustTuner(t, opts)
 				timer := &scriptedTimer{fast: tc.fast, classical: tc.classical, toCompletion: toCompletion}
 				tn.timeRun = timer.time
-				d, err := tn.pick(op.Multiply, classicalLast(t, tn, n), n, n, n)
+				d, _, err := tn.pick(op.Multiply, classicalLast(t, tn, n), n, n, n, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -221,7 +221,7 @@ func TestStoppedProbeNeverWins(t *testing.T) {
 		}
 		return 0.1, core.ErrStopped
 	}
-	d, err := tn.pick(op.Multiply, classicalLast(t, tn, n), n, n, n)
+	d, _, err := tn.pick(op.Multiply, classicalLast(t, tn, n), n, n, n, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,10 +284,12 @@ func TestTimeDecisionStopsAtLimit(t *testing.T) {
 
 // TestProbeBoundIsSound drives a real fast run under the probe bound with a
 // scripted clock: time advances only with leaf work, at simRate flops per
-// second, and additions are free. A run whose remaining leaves finish by
-// the deadline at the bound's rate is never stopped; a run that cannot
-// finish is stopped at the first check after the projected finish
-// (now + left/rate) crosses the deadline, and at no check before it.
+// second, and additions are free, so the run's pace is simRate from its
+// first leaf on. A run whose remaining leaves finish by the deadline at the
+// bound's rate is never stopped; a run that cannot finish is stopped at the
+// first check after the projected finish (now + left/rate, with rate the
+// lower of the bound's and paceSlack × simRate once a leaf has started)
+// crosses the deadline, and at no check before it.
 func TestProbeBoundIsSound(t *testing.T) {
 	const n = 256 // strassen s2: 49 leaves of 64³, no peeling
 	const rate = 2e9
@@ -343,7 +345,11 @@ func TestProbeBoundIsSound(t *testing.T) {
 				t.Fatalf("first check saw %v, want %d left flops", checks, total)
 			}
 			for i, c := range checks {
-				projected := float64(total-c.left)/tc.simRate + float64(c.left)/rate
+				r := rate
+				if c.left < total {
+					r = min(rate, paceSlack*tc.simRate)
+				}
+				projected := float64(total-c.left)/tc.simRate + float64(c.left)/r
 				crossed := projected > tc.limitSecs
 				if c.over != crossed {
 					t.Fatalf("check %d (left %d, projected %gs vs limit %gs) returned %v", i, c.left, projected, tc.limitSecs, c.over)
@@ -353,6 +359,63 @@ func TestProbeBoundIsSound(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPaceBound drives probeLimit.budget with a scripted clock through the
+// checks of one run: 8 Gflop of leaves against a 1 s limit, at a leaf rate
+// the old bound alone would let finish in 0.1 s. The run's pace is the leaf
+// flops it has started over the seconds since the last check that saw none
+// started. A pace that projects inside the limit is never stopped; one that
+// projects past it stops at the first check after the first leaf, which the
+// old bound would have let pass; and before any leaf starts only the old
+// bound applies, however long the lead-in takes.
+func TestPaceBound(t *testing.T) {
+	const total = int64(8e9)
+	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+	type check struct {
+		at   time.Duration
+		left int64
+		over bool
+	}
+	for _, tc := range []struct {
+		name   string
+		checks []check
+	}{
+		{"a pace inside the limit is never stopped", []check{
+			// 0.2 s of additions, then a leaf per 0.09 s (11.1 Gflop/s):
+			// the last leaf ends at 0.92 s.
+			{0, total, false}, {ms(200), total, false},
+			{ms(290), total - 1e9, false}, {ms(380), total - 2e9, false},
+			{ms(470), total - 3e9, false}, {ms(560), total - 4e9, false},
+			{ms(650), total - 5e9, false}, {ms(740), total - 6e9, false},
+			{ms(830), total - 7e9, false}, {ms(920), 0, false},
+		}},
+		{"a pace past the limit stops after the first leaf", []check{
+			// 0.1 s of additions, then a first leaf of 0.2 s: 5 Gflop/s
+			// projects 0.3 + 7/(1.15·5) = 1.52 s; the old bound 0.39 s.
+			{0, total, false}, {ms(100), total, false}, {ms(300), total - 1e9, true},
+		}},
+		{"before the first leaf only the old bound applies", []check{
+			// No leaf started: the projection is now + 0.1 s.
+			{0, total, false}, {ms(500), total, false}, {ms(890), total, false}, {ms(910), total, true},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			start := time.Unix(1000, 0)
+			var clock time.Duration
+			lim := probeLimit{limit: time.Second, rate: float64(total) / 0.1}
+			over := lim.budget(start, func() time.Time { return start.Add(clock) }).Over
+			for i, c := range tc.checks {
+				clock = c.at
+				if got := over(c.left); got != c.over {
+					t.Fatalf("check %d at %v with %d flops left: over=%v, want %v", i, c.at, c.left, got, c.over)
+				}
+			}
+		})
+	}
+	if got := (probeLimit{}).budget(time.Now(), time.Now).Over; got != nil {
+		t.Fatal("a budget without a limit must not test anything")
 	}
 }
 
@@ -416,7 +479,7 @@ func TestProbeSharesOneArenaPool(t *testing.T) {
 		}
 		return 0.5, nil
 	}
-	d, err := tn.pick(op.Multiply, append(plans, *classical), n, n, n)
+	d, _, err := tn.pick(op.Multiply, append(plans, *classical), n, n, n, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,9 +21,11 @@
 //  3. unless Options.ProbeTopK is NoProbes, refine the top-K survivors with
 //     one short empirical probe each — the best-predicted classical plan
 //     always among them and timed first, every fast probe stopped once it
-//     can no longer finish inside that measured time less the margin, and a
+//     can no longer finish inside that measured time less the margin, at
+//     its leaf-rate bound or, once its leaves run, at its own pace, and a
 //     fast plan chosen only when it beats the classical time by the margin,
-//     twice (see probe);
+//     twice (see probe); a cold overwriting Do lends the probe its
+//     operands, and when classical wins the reference probe was the call;
 //  4. persist the winner in an on-disk tuning cache (JSON under
 //     os.UserCacheDir, overridable via FASTMM_TUNE_CACHE; none with
 //     Options.NoDiskCache) fronted by an in-memory LRU, so repeated shapes
@@ -318,11 +320,12 @@ type Tuner struct {
 	modelMu sync.Mutex
 	models  map[modelKey]*costmodel.Model
 
-	// timeRun is the probe's stopwatch: the seconds one survivor takes on the
-	// probe request, or core.ErrStopped once the run provably cannot finish
-	// inside a positive limit (see probeLimit). It is timeDecision
-	// everywhere but in the invariant tests, which script the measured times
-	// through it.
+	// timeRun is the probe's stopwatch: it runs d on req — the caller's own
+	// request, when the probe serves one, so the run's result is the call's
+	// — and reports the seconds the run took, or core.ErrStopped once its
+	// budget finds it cannot finish inside a positive limit (see
+	// probeLimit.budget). It is timeDecision everywhere but in tests, which
+	// script the measured times through it.
 	timeRun func(d *decision, req op.Request, lim probeLimit) (float64, error)
 }
 
@@ -401,14 +404,23 @@ func (t *Tuner) Multiply(C, A, B *mat.Dense) error {
 // with the tuned plan for its (op, shape), tuning on first touch. Tuning is
 // per plan-space op: ATA and Syrk get their own cached plans (always the
 // classical triangle pass), while MultiplyAdd rides Multiply's.
+//
+// A cold overwriting multiply (Beta 0) lends the probe its operands: the
+// classical reference probe runs this very request, trace included, and
+// when classical wins the call is already served. Otherwise the winner
+// runs the request once more, overwriting C.
 func (t *Tuner) Do(req op.Request) error {
 	req = req.Normalized()
 	if err := req.Validate(); err != nil {
 		return fmt.Errorf("tuner: %w", err)
 	}
 	m, k, n := req.Shape()
-	d, err := t.decide(req.Op.PlanOp(), m, k, n)
-	if err != nil {
+	var serve *op.Request
+	if req.Op == op.Multiply && req.Beta == 0 {
+		serve = &req
+	}
+	d, served, err := t.decide(req.Op.PlanOp(), m, k, n, serve)
+	if err != nil || served {
 		return err
 	}
 	return d.run(req)
@@ -418,7 +430,7 @@ func (t *Tuner) Do(req op.Request) error {
 // touch. The shape is always the gemm-equivalent product triple ⟨m,k,n⟩
 // (op.Op.Shape): ATA on an m×n operand asks for ⟨n,m,n⟩, Syrk for ⟨m,n,m⟩.
 func (t *Tuner) PlanForOp(o op.Op, m, k, n int) (Plan, error) {
-	d, err := t.decide(o.PlanOp(), m, k, n)
+	d, _, err := t.decide(o.PlanOp(), m, k, n, nil)
 	if err != nil {
 		return Plan{}, err
 	}
@@ -444,7 +456,7 @@ func (t *Tuner) Entry(m, k, n int) (*Entry, error) { return t.EntryOp(op.Multipl
 // see PlanForOp for the triple convention. The batched dispatcher resolves
 // one entry per (op, shape class) and runs requests through it.
 func (t *Tuner) EntryOp(o op.Op, m, k, n int) (*Entry, error) {
-	d, err := t.decide(o.PlanOp(), m, k, n)
+	d, _, err := t.decide(o.PlanOp(), m, k, n, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -521,12 +533,16 @@ func (t *Tuner) key(o op.Op, m, k, n int) string {
 	return string(b)
 }
 
-func (t *Tuner) decide(o op.Op, m, k, n int) (*decision, error) {
+// decide resolves an (op, shape) to its decision: from the LRU, the disk
+// cache, or a fresh ranking and probe. serve, when non-nil, is an
+// overwriting multiply of the shape that a probe may serve (see probe);
+// served reports that it did.
+func (t *Tuner) decide(o op.Op, m, k, n int, serve *op.Request) (*decision, bool, error) {
 	key := t.key(o, m, k, n)
 	t.mu.Lock()
 	if d, ok := t.lru.get(key); ok {
 		t.mu.Unlock()
-		return d, nil
+		return d, false, nil
 	}
 	cached, onDisk := t.disk[key]
 	t.mu.Unlock()
@@ -534,7 +550,7 @@ func (t *Tuner) decide(o op.Op, m, k, n int) (*decision, error) {
 	if onDisk {
 		if d, err := t.build(o, cached); err == nil {
 			t.remember(key, d, false)
-			return d, nil
+			return d, false, nil
 		}
 		// A cache entry naming an unknown algorithm (edited file, older
 		// catalog) falls through to a fresh ranking.
@@ -542,14 +558,14 @@ func (t *Tuner) decide(o op.Op, m, k, n int) (*decision, error) {
 
 	ranked, err := t.RankOp(o, m, k, n)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	d, err := t.pick(o, ranked, m, k, n)
+	d, served, err := t.pick(o, ranked, m, k, n, serve)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	t.remember(key, d, true)
-	return d, nil
+	return d, served, nil
 }
 
 // remember installs a decision in the LRU and, when persist is set, appends
@@ -884,7 +900,8 @@ const probeMargin = 0.03
 // the configured number of probes decides among the leaders empirically. The
 // best-predicted classical plan always joins the probed survivors, however
 // the model ranked it — it is the reference probe holds every fast plan to.
-func (t *Tuner) pick(o op.Op, ranked []Plan, m, k, n int) (*decision, error) {
+// serve and served are decide's (see probe).
+func (t *Tuner) pick(o op.Op, ranked []Plan, m, k, n int, serve *op.Request) (*decision, bool, error) {
 	o = o.PlanOp()
 	topK := t.opts.ProbeTopK
 	survivors := make([]*decision, 0, len(ranked))
@@ -914,12 +931,13 @@ func (t *Tuner) pick(o op.Op, ranked []Plan, m, k, n int) (*decision, error) {
 	}
 	if len(survivors) == 0 {
 		// Nothing fits the cap: classical always runs.
-		return t.build(o, t.classicalPlan(o, m, k, n))
+		d, err := t.build(o, t.classicalPlan(o, m, k, n))
+		return d, false, err
 	}
 	if topK == NoProbes || len(survivors) == 1 {
-		return survivors[0], nil
+		return survivors[0], false, nil
 	}
-	return t.probe(survivors, m, k, n)
+	return t.probe(survivors, m, k, n, serve)
 }
 
 // leafRateSlack is how much faster than classical's measured flop rate on
@@ -932,9 +950,26 @@ func (t *Tuner) pick(o op.Op, ranked []Plan, m, k, n int) (*decision, error) {
 // margin over that.
 const leafRateSlack = 1.3
 
+// paceSlack is how much faster than its own pace a fast probe's remaining
+// leaves may run before the pace bound could stop a plan that would have
+// finished in time. A run's pace is the leaf flops it has started per
+// second since its first leaf started, the additions between leaves
+// included; the additions some plans make before their first leaf (a
+// streaming plan forms every operand sum first) are left out, as they would
+// make the pace look slower than the rest of the run. Measured on a 2-CPU
+// AVX-512 Xeon over the top-4 fast probes of the benchmark's multiply shapes
+// run to completion, the rest of a sequential run beat its pace at a check
+// by at most 1.32× (median about 1.0); at two workers, where the leaf-rate
+// bound almost always stops a run first, by up to about 3×. A slack below
+// the worst case can stop a fast plan that would have won by a few percent,
+// a margin the probe's single noisy timing does not resolve either; a larger
+// one forgoes most of the saving.
+const paceSlack = 1.15
+
 // probeLimit is what one timed probe run is held to: the decision's arena
 // pool, and for a fast probe a limit and the flop rate its remaining leaves
-// are assumed to run at (leafRateSlack × classical's measured rate).
+// are assumed to run at before it has started one (leafRateSlack ×
+// classical's measured rate).
 type probeLimit struct {
 	limit  time.Duration // 0: run to completion
 	rate   float64       // flops per second
@@ -942,27 +977,40 @@ type probeLimit struct {
 }
 
 // budget is the core.Budget of one run started at start, with now reading
-// the clock: Over(left) holds once now + left/rate is past
-// start + limit — the run could not finish inside the limit even with every
-// remaining leaf at rate and all its additions free, so it has lost. With
-// no limit the budget only supplies the arenas.
+// the clock: Over(left) holds once now + left/rate is past start + limit —
+// the run could not finish inside the limit even with every remaining leaf
+// at rate and all its additions free, so it has lost. rate is the limit's
+// until the run has started a leaf; from then on it is the lower of that
+// and paceSlack × the run's pace: the leaf flops it has started (the first
+// check's left less this one's) over the seconds since the last check that
+// saw none started. With no limit the budget only supplies the arenas.
 func (l probeLimit) budget(start time.Time, now func() time.Time) core.Budget {
 	b := core.Budget{Arenas: l.arenas}
 	if l.limit <= 0 {
 		return b
 	}
-	deadline := start.Add(l.limit)
+	total := int64(-1) // the first check's left: the plan's whole leaf flops
+	var lead float64   // seconds to the last check that saw no leaf started
 	b.Over = func(left int64) bool {
-		rest := time.Duration(float64(left) / l.rate * float64(time.Second))
-		return now().Add(rest).After(deadline)
+		elapsed := now().Sub(start).Seconds()
+		if total < 0 {
+			total = left
+		}
+		rate := l.rate
+		if started := total - left; started == 0 {
+			lead = elapsed
+		} else if elapsed > lead {
+			rate = min(rate, paceSlack*float64(started)/(elapsed-lead))
+		}
+		return elapsed+float64(left)/rate > l.limit.Seconds()
 	}
 	return b
 }
 
-// timeDecision is the production timeRun: one run under its budget (see
-// probeLimit.budget), so a run that cannot finish inside a positive limit
-// stops at the first check that proves it and reports the limit with
-// core.ErrStopped.
+// timeDecision is the production timeRun: it runs d on req once under its
+// budget (see probeLimit.budget), so a run that cannot finish inside a
+// positive limit stops at the first check that proves it and reports the
+// limit with core.ErrStopped.
 func timeDecision(d *decision, req op.Request, lim probeLimit) (float64, error) {
 	start := time.Now()
 	err := d.runBudget(req, lim.budget(start, time.Now))
@@ -976,9 +1024,31 @@ func timeDecision(d *decision, req op.Request, lim probeLimit) (float64, error) 
 	return secs, nil
 }
 
-// probe times each surviving multiply decision on deterministic random
-// operands of the real shape and returns the fastest — with classical as the reference a
-// fast plan has to beat. One short multiplication per candidate: the probes
+// probeRequests returns the requests a probe times: ref for its classical
+// survivors and scratch for its fast ones. Serving a caller, ref is the
+// caller's request and scratch reads its A and B into a C of its own;
+// otherwise both are one multiply on deterministic random operands of the
+// shape. Every C is faulted in untimed: the first probe is classical's, and
+// its time sets every fast deadline.
+func probeRequests(m, k, n int, serve *op.Request) (ref, scratch op.Request) {
+	if serve == nil {
+		rng := rand.New(rand.NewSource(int64(m)*1_000_003 + int64(k)*1_009 + int64(n)))
+		req := op.Request{Op: op.Multiply, C: mat.New(m, n), A: mat.New(m, k), B: mat.New(k, n)}
+		req.B.FillRandom(rng)
+		req.A.FillRandom(rng)
+		req.C.Zero()
+		return req, req
+	}
+	ref = *serve
+	ref.C.Zero()
+	scratch = op.Request{Op: op.Multiply, C: mat.New(m, n), A: serve.A, B: serve.B}
+	scratch.C.Zero()
+	return ref, scratch
+}
+
+// probe times each surviving multiply decision on operands of the real
+// shape and returns the fastest — with classical as the reference a fast
+// plan has to beat. One short multiplication per candidate: the probes
 // exist to catch what the model misranks, and their cost is amortized by the
 // disk cache. The fastest survivor wins outright when it is classical; a
 // fast plan wins only if it is more than probeMargin faster than the fastest
@@ -991,11 +1061,21 @@ func timeDecision(d *decision, req op.Request, lim probeLimit) (float64, error) 
 // (1 − probeMargin) times the fastest classical time T_c. A run is stopped
 // (see core.Executor.WithBudget) at the first check where it could not
 // finish inside that limit even with its remaining leaf flops at
-// leafRateSlack × classical's flop rate (flops/T_c) and its additions free;
-// it has lost whatever it would have measured, and never wins. While the
-// slack holds, the decisions are those of timing every survivor to
-// completion; only the losers' time is saved. The confirming pair runs
-// without a limit.
+// leafRateSlack × classical's flop rate (flops/T_c), or, once it has
+// started a leaf, at paceSlack × its own pace (see probeLimit.budget), and
+// its additions free; it has lost whatever it would have measured, and
+// never wins. While the slacks hold, the decisions are those of timing
+// every survivor to completion; only the losers' time is saved. The
+// confirming pair runs without a limit.
+//
+// serve, when non-nil, is a caller's overwriting multiply of the shape, and
+// the probe runs on its operands (see probeRequests): the classical
+// survivors run serve itself, writing the caller's C, and served reports
+// that the returned decision is the classical survivor whose run wrote C
+// last — the caller's call is then done, since a survivor whose run failed
+// is never returned. A fast winner, or a reference run that failed, leaves
+// the call to the caller. Without serve the probe runs on operands of its
+// own and never serves.
 //
 // Every run the probe times draws its workspace from one arena pool, made
 // here and dropped on return: each fast survivor reuses the arenas the
@@ -1009,30 +1089,30 @@ func timeDecision(d *decision, req op.Request, lim probeLimit) (float64, error) 
 // called this unreachable and panicked the process). The winner comes from
 // the remaining survivors; only when every survivor failed does the first
 // error surface to the caller.
-func (t *Tuner) probe(survivors []*decision, m, k, n int) (*decision, error) {
-	rng := rand.New(rand.NewSource(int64(m)*1_000_003 + int64(k)*1_009 + int64(n)))
-	req := op.Request{Op: op.Multiply, C: mat.New(m, n), A: mat.New(m, k), B: mat.New(k, n)}
-	req.B.FillRandom(rng)
-	req.A.FillRandom(rng)
-	// Fault C's pages in untimed: the first probe is classical's, and its
-	// time sets every fast deadline.
-	req.C.Zero()
+func (t *Tuner) probe(survivors []*decision, m, k, n int, serve *op.Request) (*decision, bool, error) {
+	ref, scratch := probeRequests(m, k, n, serve)
 
 	arenas := new(workspace.Pool)
-	var best, classical *decision
+	var best, classical, servedBy *decision
 	var firstErr error
 	for _, fast := range []bool{false, true} {
 		for _, d := range survivors {
 			if d.plan.IsClassical() == fast {
 				continue
 			}
-			lim := probeLimit{arenas: arenas}
-			if fast && classical != nil {
-				tc := classical.plan.MeasuredSeconds
-				lim.limit = time.Duration((1 - probeMargin) * tc * float64(time.Second))
-				lim.rate = leafRateSlack * 2 * float64(m) * float64(k) * float64(n) / tc
+			req, lim := ref, probeLimit{arenas: arenas}
+			if fast {
+				req = scratch
+				if classical != nil {
+					tc := classical.plan.MeasuredSeconds
+					lim.limit = time.Duration((1 - probeMargin) * tc * float64(time.Second))
+					lim.rate = leafRateSlack * 2 * float64(m) * float64(k) * float64(n) / tc
+				}
 			}
 			secs, err := t.timeRun(d, req, lim)
+			if !fast && serve != nil {
+				servedBy = d // the caller's C holds this run's result
+			}
 			if errors.Is(err, core.ErrStopped) {
 				continue // cannot beat the limit: lost
 			}
@@ -1054,24 +1134,24 @@ func (t *Tuner) probe(survivors []*decision, m, k, n int) (*decision, error) {
 	if best == nil {
 		// A probe is stopped only against a measured classical time, so no
 		// best means every survivor failed.
-		return nil, firstErr
+		return nil, false, firstErr
 	}
 	if classical == nil || best.plan.IsClassical() {
 		// No measured reference (its probe failed), or classical won
 		// outright.
-		return best, nil
+		return best, best == servedBy, nil
 	}
 	beats := func(fast, ref float64) bool { return fast < ref*(1-probeMargin) }
 	if !beats(best.plan.MeasuredSeconds, classical.plan.MeasuredSeconds) {
-		return classical, nil
+		return classical, classical == servedBy, nil
 	}
-	fast, err := t.timeRun(best, req, probeLimit{arenas: arenas})
+	fast, err := t.timeRun(best, scratch, probeLimit{arenas: arenas})
 	if err != nil {
-		return classical, nil
+		return classical, classical == servedBy, nil
 	}
-	if ref, err := t.timeRun(classical, req, probeLimit{arenas: arenas}); err == nil && !beats(fast, ref) {
-		return classical, nil
+	if ref, err := t.timeRun(classical, scratch, probeLimit{arenas: arenas}); err == nil && !beats(fast, ref) {
+		return classical, classical == servedBy, nil
 	}
 	best.plan.MeasuredSeconds = min(best.plan.MeasuredSeconds, fast)
-	return best, nil
+	return best, false, nil
 }
