@@ -200,13 +200,13 @@ func NewScheduleExecutor(names []string, opts Options) (*Executor, error) {
 // (AutoNoProbes: none); Algorithms the catalog entries ranked; Profile a
 // fixed calibration; NoDiskCache keeps decisions in memory. Everything else
 // the tuner does — the leaf backend (the default one), the recursion cutoff
-// (128, §3.4), recursion depths, addition strategies, one timing per probe —
-// is fixed.
+// (128, §3.4), recursion depths, the addition strategy (write-once, without
+// CSE, for every fast plan), one timing per probe — is fixed.
 type AutoOptions = tuner.Options
 
 // AutoPlan is one fully specified tuned configuration: algorithm, recursion
-// depth, scheduler, addition strategy, workers, and the predicted/measured
-// times behind the choice.
+// depth, scheduler, fused last level, workers, and the predicted/measured
+// times behind the choice. Its Strategy is write-once on every fast plan.
 type AutoPlan = tuner.Plan
 
 // AutoNoProbes, assigned to AutoOptions.ProbeTopK, makes the dispatcher
@@ -227,11 +227,11 @@ type AutoExecutor = tuner.Tuner
 func NewAutoExecutor(opts AutoOptions) (*AutoExecutor, error) { return tuner.New(opts) }
 
 // Auto computes C = A·B with an automatically chosen (algorithm, steps,
-// scheduler, strategy) plan for the operands' shape. Dispatchers are shared
-// process-wide per distinct AutoOptions, so repeated calls with the same
-// options hit the warm path. Each call re-derives the option-set key
-// (microseconds, not a re-tune); the hottest paths should hold their own
-// dispatcher from NewAutoExecutor instead.
+// scheduler, fused) plan for the operands' shape, its additions write-once.
+// Dispatchers are shared process-wide per distinct AutoOptions, so repeated
+// calls with the same options hit the warm path. Each call re-derives the
+// option-set key (microseconds, not a re-tune); the hottest paths should
+// hold their own dispatcher from NewAutoExecutor instead.
 func Auto(C, A, B *Matrix, opts AutoOptions) error {
 	return Do(Request{Op: OpMultiply, C: C, A: A, B: B}, opts)
 }

@@ -264,16 +264,17 @@ func rewriteChain(c Chain, k pairKey, auxNode int) Chain {
 	return Chain{Dst: c.Dst, Terms: terms}
 }
 
-// Strategy selects how the executor evaluates the plan's chains (§3.2).
+// Strategy selects how the executor evaluates the plan's chains (§3.2). The
+// zero value is WriteOnce, the paper's practical choice.
 type Strategy int
 
 const (
-	// Pairwise evaluates each chain as a copy followed by repeated axpy
-	// calls (the daxpy method, §3.2 method 1).
-	Pairwise Strategy = iota
 	// WriteOnce evaluates each chain in a single fused pass, writing every
 	// destination element exactly once (§3.2 method 2 — the paper's best).
-	WriteOnce
+	WriteOnce Strategy = iota
+	// Pairwise evaluates each chain as a copy followed by repeated axpy
+	// calls (the daxpy method, §3.2 method 1).
+	Pairwise
 	// Streaming walks each source block once, scattering updates into all
 	// destination temporaries (§3.2 method 3).
 	Streaming

@@ -88,6 +88,16 @@ func TestCorruptedAlgorithmFailsVerify(t *testing.T) {
 	}
 }
 
+// TestNaNAlgorithmFailsVerify: a NaN coefficient makes the reconstruction
+// NaN where the tensor is a number, which must fail, never pass as 0.
+func TestNaNAlgorithmFailsVerify(t *testing.T) {
+	s := strassen()
+	s.U.Set(0, 0, math.NaN())
+	if err := s.Verify(); err == nil {
+		t.Fatal("an algorithm with a NaN coefficient must fail verification")
+	}
+}
+
 func TestShapeErrors(t *testing.T) {
 	s := strassen()
 	s.Base = BaseCase{2, 2, 3}

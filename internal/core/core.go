@@ -98,8 +98,8 @@ type Options struct {
 	// Explicit Steps ignore MinDim, but a step is never taken on a
 	// subproblem smaller than one base-case block.
 	Steps int
-	// Strategy picks the matrix-addition implementation (§3.2); default
-	// write-once, the paper's overall winner.
+	// Strategy picks the matrix-addition implementation (§3.2); the zero
+	// value is write-once, the paper's overall winner.
 	Strategy addchain.Strategy
 	// CSE applies greedy length-2 common-subexpression elimination to the
 	// S- and T-formation plans (§3.3).

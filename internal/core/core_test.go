@@ -339,6 +339,18 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 }
 
+// TestZeroStrategyIsWriteOnce: an executor built without a strategy forms
+// its operand sums write-once, §3.2's practical strategy, not pairwise.
+func TestZeroStrategyIsWriteOnce(t *testing.T) {
+	e, err := New(catalog.Strassen(), Options{Steps: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Opts().Strategy; got != addchain.WriteOnce {
+		t.Errorf("core.Options{} runs %s, want %s", got, addchain.WriteOnce)
+	}
+}
+
 // TestOptionsFields pins the executor's settable surface: the budget, the
 // plan's own choices and the stats sink. The recursion cutoff is the
 // constant MinDim, shared with the tuner that prices it.

@@ -192,7 +192,7 @@ func TestSIMDKernelVsGoKernel(t *testing.T) {
 						want.Set(2+i, 3+j, sum)
 					}
 				}
-				if d := maxDiff(got, want); !(d <= 1e-12*float64(kb+1)) {
+				if d := mat.MaxAbsDiff(got, want); !(d <= 1e-12*float64(kb+1)) {
 					t.Fatalf("%s kb=%d overwrite=%v: kernel differs from the rank-1 sum by %g", bk.name, kb, overwrite, d)
 				}
 			}

@@ -25,21 +25,6 @@ func bitsEqual(a, b *mat.Dense) bool {
 	return true
 }
 
-// maxDiff is mat.MaxAbsDiff with a NaN on one side only counted as an
-// infinite difference, so a kernel that reads a NaN-filled destination it
-// was told to overwrite cannot pass.
-func maxDiff(a, b *mat.Dense) float64 {
-	for i := 0; i < a.Rows(); i++ {
-		rb := b.Row(i)
-		for j, v := range a.Row(i) {
-			if math.IsNaN(v) != math.IsNaN(rb[j]) {
-				return math.Inf(1)
-			}
-		}
-	}
-	return mat.MaxAbsDiff(a, b)
-}
-
 // subView returns a random r×c matrix that is a strided window of a larger
 // allocation, so row stride ≠ cols.
 func subView(rng *rand.Rand, r, c int) *mat.Dense {

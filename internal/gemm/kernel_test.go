@@ -80,7 +80,7 @@ func conform(t *testing.T, rng *rand.Rand, bk *blockedBackend, m, k, n int) {
 				C.Fill(math.NaN())
 			}
 			Dispatch(bk, C, 1, A, B, acc, w)
-			if d := maxDiff(C, want); !(d <= bound) {
+			if d := mat.MaxAbsDiff(C, want); !(d <= bound) {
 				t.Fatalf("%s %d×%d×%d acc=%v w=%d: off Naive by %g, bound %g", bk.name, m, k, n, acc, w, d, bound)
 			}
 			C.Fill(-7)

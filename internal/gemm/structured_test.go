@@ -85,7 +85,7 @@ func TestStructuredClassicalMatchesMul(t *testing.T) {
 					run(be, C, alpha, A, false, w)
 					want := mat.New(sh.p, sh.p)
 					mat.Scale(want, alpha, prod)
-					if d := maxDiff(C, want); !(d <= bound) {
+					if d := mat.MaxAbsDiff(C, want); !(d <= bound) {
 						t.Fatalf("%s: off the reference by %g, bound %g", what, d, bound)
 					}
 					checkSymmetric(t, what, C)

@@ -214,16 +214,28 @@ func (m *Dense) FrobNorm() float64 {
 	return math.Sqrt(s)
 }
 
-// MaxAbsDiff returns max |a_ij − b_ij|. Dimensions must match.
+// AbsDiff is |x − y| for a correctness oracle: equal values differ by 0,
+// equal infinities and two NaNs included, and a NaN against a number differs
+// by +Inf, so a NaN on one side can never pass a tolerance.
+func AbsDiff(x, y float64) float64 {
+	switch xn, yn := math.IsNaN(x), math.IsNaN(y); {
+	case x == y || xn && yn:
+		return 0
+	case xn || yn:
+		return math.Inf(1)
+	}
+	return math.Abs(x - y)
+}
+
+// MaxAbsDiff returns max |a_ij − b_ij| under AbsDiff's rules. Dimensions
+// must match.
 func MaxAbsDiff(a, b *Dense) float64 {
 	a.mustSameDims(b, "MaxAbsDiff")
 	var v float64
 	for i := 0; i < a.rows; i++ {
 		ra, rb := a.Row(i), b.Row(i)
 		for j := range ra {
-			if d := math.Abs(ra[j] - rb[j]); d > v {
-				v = d
-			}
+			v = max(v, AbsDiff(ra[j], rb[j]))
 		}
 	}
 	return v

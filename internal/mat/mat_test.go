@@ -211,6 +211,33 @@ func TestMaxAbsDiffAndEqualApprox(t *testing.T) {
 	}
 }
 
+// TestMaxAbsDiffNaNAndInf: a NaN on one side only differs by +Inf; equal
+// values differ by 0, equal infinities and two NaNs included.
+func TestMaxAbsDiffNaNAndInf(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		x, y, want float64
+	}{
+		{nan, 0, inf},
+		{0, nan, inf},
+		{nan, inf, inf},
+		{nan, nan, 0},
+		{inf, inf, 0},
+		{-inf, -inf, 0},
+		{inf, -inf, inf},
+		{inf, 1, inf},
+		{1, 3.5, 2.5},
+	} {
+		a, b := FromRows([][]float64{{1, c.x}}), FromRows([][]float64{{1, c.y}})
+		if got := MaxAbsDiff(a, b); got != c.want {
+			t.Errorf("MaxAbsDiff(%v, %v) = %v, want %v", c.x, c.y, got, c.want)
+		}
+	}
+	if EqualApprox(FromRows([][]float64{{nan}}), New(1, 1), 1) {
+		t.Error("EqualApprox holds for a NaN against a zero")
+	}
+}
+
 func TestTranspose(t *testing.T) {
 	src := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	dst := New(3, 2)

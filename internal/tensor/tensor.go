@@ -66,16 +66,15 @@ func (t *Tensor) MaxAbs() float64 {
 	return m
 }
 
-// MaxAbsDiff returns max |a_ijk − b_ijk|; dimensions must match.
+// MaxAbsDiff returns max |a_ijk − b_ijk| under mat.AbsDiff's rules (a NaN
+// on one side only counts as +Inf); dimensions must match.
 func MaxAbsDiff(a, b *Tensor) float64 {
 	if a.I != b.I || a.J != b.J || a.K != b.K {
 		panic(fmt.Sprintf("tensor: dims %d×%d×%d vs %d×%d×%d", a.I, a.J, a.K, b.I, b.J, b.K))
 	}
 	var m float64
 	for i, v := range a.data {
-		if d := math.Abs(v - b.data[i]); d > m {
-			m = d
-		}
+		m = max(m, mat.AbsDiff(v, b.data[i]))
 	}
 	return m
 }

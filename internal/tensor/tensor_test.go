@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -167,6 +168,29 @@ func TestUnfoldBadModePanics(t *testing.T) {
 		}
 	}()
 	New(1, 1, 1).Unfold(4)
+}
+
+// TestMaxAbsDiffNaNAndInf: a NaN on one side only differs by +Inf; equal
+// values differ by 0, equal infinities and two NaNs included.
+func TestMaxAbsDiffNaNAndInf(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		x, y, want float64
+	}{
+		{nan, 0, inf},
+		{0, nan, inf},
+		{nan, nan, 0},
+		{inf, inf, 0},
+		{inf, -inf, inf},
+		{1, 3.5, 2.5},
+	} {
+		a, b := New(1, 2, 1), New(1, 2, 1)
+		a.Set(0, 1, 0, c.x)
+		b.Set(0, 1, 0, c.y)
+		if got := MaxAbsDiff(a, b); got != c.want {
+			t.Errorf("MaxAbsDiff(%v, %v) = %v, want %v", c.x, c.y, got, c.want)
+		}
+	}
 }
 
 func TestMaxAbsAndNNZ(t *testing.T) {

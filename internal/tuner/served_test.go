@@ -39,19 +39,6 @@ func bitwiseEqual(a, b *mat.Dense) bool {
 	return true
 }
 
-// offBy is the largest elementwise distance of got from want, +Inf where got
-// holds a NaN (mat.MaxAbsDiff skips NaNs: NaN > v is false).
-func offBy(got, want *mat.Dense) float64 {
-	for i := 0; i < got.Rows(); i++ {
-		for j := 0; j < got.Cols(); j++ {
-			if math.IsNaN(got.At(i, j)) {
-				return math.Inf(1)
-			}
-		}
-	}
-	return mat.MaxAbsDiff(got, want)
-}
-
 // timedRun is one call of a recording timer: the plan it timed and the
 // request it was handed.
 type timedRun struct {
@@ -174,7 +161,7 @@ func TestColdDoFastWinOverwrites(t *testing.T) {
 	ref := mat.New(servedN, servedN)
 	gemm.Mul(ref, A, B)
 	mat.Scale(ref, -2, ref)
-	if diff := offBy(C, ref); diff > 1e-9*servedN {
+	if diff := mat.MaxAbsDiff(C, ref); diff > 1e-9*servedN {
 		t.Fatalf("C is off the product by %g", diff)
 	}
 }
@@ -205,7 +192,7 @@ func TestFailedReferenceNeverServes(t *testing.T) {
 	}
 	ref := mat.New(servedN, servedN)
 	gemm.Mul(ref, A, B)
-	if diff := offBy(C, ref); diff > 1e-9*servedN {
+	if diff := mat.MaxAbsDiff(C, ref); diff > 1e-9*servedN {
 		t.Fatalf("C is off the product by %g after a failed reference run", diff)
 	}
 }
@@ -270,7 +257,7 @@ func TestUnservedCallersProbeOwnOperands(t *testing.T) {
 			t.Fatal(err)
 		}
 		ownOperands(tc.name, C, A)
-		if diff := offBy(C, want); diff > 1e-9*float64(n) {
+		if diff := mat.MaxAbsDiff(C, want); diff > 1e-9*float64(n) {
 			t.Fatalf("%s: off by %g", tc.name, diff)
 		}
 	}
@@ -324,7 +311,7 @@ func TestConcurrentColdDo(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
 		}
-		if diff := offBy(C, want); diff > 1e-9*n {
+		if diff := mat.MaxAbsDiff(C, want); diff > 1e-9*n {
 			t.Fatalf("caller %d: off by %g", i, diff)
 		}
 	}

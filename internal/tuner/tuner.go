@@ -1,6 +1,6 @@
 // Package tuner is the shape-aware autotuning dispatcher: given a problem
 // shape ⟨m,k,n⟩ and a worker count it picks the (algorithm, recursion depth,
-// scheduler, addition strategy) combination predicted — and optionally
+// scheduler, fused last level) combination predicted — and optionally
 // measured — to be fastest on this machine. It operationalizes the paper's
 // central empirical claim that no single fast algorithm wins everywhere
 // (Figs. 4–6): the best choice depends on the shape, the core count, and the
@@ -9,10 +9,11 @@
 // The pipeline per shape:
 //
 //  1. enumerate candidate plans — every algorithm of Options.Algorithms ×
-//     steps up to DefaultMaxSteps × scheduler × addition strategy
-//     (write-once, streaming), plus the classical gemm baseline, all on the
-//     default leaf backend; shapes below core.MinDim, and the symmetric ops
-//     AᵗA and Syrk at every shape, get the baseline alone;
+//     steps up to DefaultMaxSteps × scheduler × fused last level, plus the
+//     classical gemm baseline, all on the default leaf backend; every fast
+//     plan forms its operand sums write-once (§3.2's practical strategy,
+//     without CSE); shapes below core.MinDim, and the symmetric ops AᵗA and
+//     Syrk at every shape, get the baseline alone;
 //  2. prune and rank them with the analytic cost recurrences of
 //     internal/costmodel, turned into predicted seconds by a one-time
 //     machine calibration (Options.Profile, or measured gemm GFLOPS at a
@@ -80,10 +81,6 @@ const ClassicalAlgorithm = "classical"
 // embedded in Options so Workers/Workspace spell the same way — and
 // hash into cache keys the same way — across every layer.
 type Resources = resources.Resources
-
-// strategies are the addition strategies every fast candidate is ranked
-// under: write-once and streaming, §3.2's two winners.
-var strategies = []addchain.Strategy{addchain.WriteOnce, addchain.Streaming}
 
 // Options configures a Tuner. The zero value is ready to use: GOMAXPROCS
 // workers, no workspace cap, quick auto-calibration on first use, top-4
@@ -339,7 +336,6 @@ var persistMu sync.Mutex
 
 type modelKey struct {
 	name  string
-	strat addchain.Strategy
 	fused bool
 }
 
@@ -552,8 +548,9 @@ func (t *Tuner) decide(o op.Op, m, k, n int, serve *op.Request) (*decision, bool
 			t.remember(key, d, false)
 			return d, false, nil
 		}
-		// A cache entry naming an unknown algorithm (edited file, older
-		// catalog) falls through to a fresh ranking.
+		// A cache entry build rejects (an unknown algorithm or backend
+		// from an edited file or older catalog, a plan RankOp does not
+		// emit) falls through to a fresh ranking.
 	}
 
 	ranked, err := t.RankOp(o, m, k, n)
@@ -603,9 +600,9 @@ func (t *Tuner) remember(key string, d *decision, persist bool) {
 }
 
 // RankOp enumerates the candidate plans for an (op, shape) — the classical
-// baseline plus algorithm × steps × scheduler × strategy, on the tuner's
-// leaf backend — and sorts them by predicted time (fastest first),
-// workspace-cap survivors only. The shape is the gemm-equivalent product
+// baseline plus algorithm × steps × scheduler × fused, every fast plan
+// write-once without CSE, on the tuner's leaf backend — and sorts them by
+// predicted time (fastest first), workspace-cap survivors only. The shape is the gemm-equivalent product
 // triple. A classical baseline is always present, so the result is never
 // empty; for the symmetric ops it is the whole result (see classicalPlan).
 func (t *Tuner) RankOp(o op.Op, m, k, n int) ([]Plan, error) {
@@ -690,9 +687,9 @@ func (t *Tuner) schedules() []schedCand {
 	}
 }
 
-// algorithmPlans enumerates the viable (steps, scheduler, strategy) plans of
-// one algorithm on one shape, with predicted times and model workspaces.
-// Shapes that don't divide the base case are handled the way the executor
+// algorithmPlans enumerates the viable (steps, scheduler, fused) plans of
+// one algorithm on one shape, all write-once, with predicted times and model
+// workspaces. Shapes that don't divide the base case are handled the way the executor
 // does — the recursion runs on the largest divisible core and the model
 // charges the peeling borders as classical gemm work on top. A plan is
 // emitted only under a scheduler it runs as. HYBRID: a leaf count R^steps
@@ -722,46 +719,38 @@ func (t *Tuner) algorithmPlans(a *algo.Algorithm, m, k, n int) []Plan {
 			fixup = 0
 		}
 		bfsHybrid := ipow(a.Rank(), steps)%workers == 0
-		for si, strat := range strategies {
-			for _, fused := range fusedDims {
-				if fused && steps == 1 && si > 0 {
-					// A one-step fused plan has no explicit level for the
-					// strategy to shape: every strategy builds the same
-					// executor, so only the first is emitted (and probed).
+		for _, fused := range fusedDims {
+			model := t.model(a, fused)
+			cost, err := model.Evaluate(cm, ck, cn, steps)
+			if err != nil {
+				continue
+			}
+			for _, sc := range t.schedules() {
+				if sc.par == core.Hybrid && (bfsHybrid || fused) {
 					continue
 				}
-				model := t.model(a, strat, fused)
-				cost, err := model.Evaluate(cm, ck, cn, steps)
+				if sc.par == core.BFS && fused && steps == 1 {
+					continue
+				}
+				est, err := model.PredictTime(cm, ck, cn, steps, ma, sc.ex)
 				if err != nil {
 					continue
 				}
-				for _, sc := range t.schedules() {
-					if sc.par == core.Hybrid && (bfsHybrid || fused) {
-						continue
-					}
-					if sc.par == core.BFS && fused && steps == 1 {
-						continue
-					}
-					est, err := model.PredictTime(cm, ck, cn, steps, ma, sc.ex)
-					if err != nil {
-						continue
-					}
-					ws := modelWorkspaceBytes(cost, sc.par, workers, t.be)
-					if cap := t.opts.Workspace; cap > 0 && ws > cap {
-						continue
-					}
-					out = append(out, Plan{
-						Algorithm:        a.Name,
-						Backend:          t.be.Name(),
-						Steps:            steps,
-						Parallel:         sc.par.String(),
-						Strategy:         strat.String(),
-						Fused:            fused,
-						Workers:          planWorkers(sc.par, workers),
-						WorkspaceBytes:   ws,
-						PredictedSeconds: est.Seconds + fixup,
-					})
+				ws := modelWorkspaceBytes(cost, sc.par, workers, t.be)
+				if cap := t.opts.Workspace; cap > 0 && ws > cap {
+					continue
 				}
+				out = append(out, Plan{
+					Algorithm:        a.Name,
+					Backend:          t.be.Name(),
+					Steps:            steps,
+					Parallel:         sc.par.String(),
+					Strategy:         addchain.WriteOnce.String(),
+					Fused:            fused,
+					Workers:          planWorkers(sc.par, workers),
+					WorkspaceBytes:   ws,
+					PredictedSeconds: est.Seconds + fixup,
+				})
 			}
 		}
 	}
@@ -790,16 +779,16 @@ func planWorkers(par core.Parallel, workers int) int {
 	return workers
 }
 
-// model returns the cached cost model for one (algorithm, strategy, fused)
-// triple.
-func (t *Tuner) model(a *algo.Algorithm, strat addchain.Strategy, fused bool) *costmodel.Model {
-	key := modelKey{name: a.Name, strat: strat, fused: fused}
+// model returns the cached write-once cost model for one (algorithm, fused)
+// pair.
+func (t *Tuner) model(a *algo.Algorithm, fused bool) *costmodel.Model {
+	key := modelKey{name: a.Name, fused: fused}
 	t.modelMu.Lock()
 	defer t.modelMu.Unlock()
 	if m, ok := t.models[key]; ok {
 		return m
 	}
-	m := costmodel.NewTrustedFused(a, strat, false, fused)
+	m := costmodel.NewTrustedFused(a, addchain.WriteOnce, false, fused)
 	t.models[key] = m
 	return m
 }
@@ -832,23 +821,14 @@ func parseParallel(s string) (core.Parallel, error) {
 	return 0, fmt.Errorf("tuner: unknown scheduler %q", s)
 }
 
-// parseStrategy inverts addchain.Strategy.String for cache entries.
-func parseStrategy(s string) (addchain.Strategy, error) {
-	for _, st := range []addchain.Strategy{addchain.Pairwise, addchain.WriteOnce, addchain.Streaming} {
-		if st.String() == s {
-			return st, nil
-		}
-	}
-	return 0, fmt.Errorf("tuner: unknown strategy %q", s)
-}
-
 // build turns a plan into a runnable decision for one plan-space op. Fast
 // plans get a trusted executor (the catalog verified the algorithm once
 // already); the workspace cap is threaded through so the executor's run-time
 // degradation also holds. The plan's backend resolves here — an unknown name
 // (edited cache file, a blas plan loaded into a non-blas build) fails and
-// falls through to a fresh ranking, like an unknown algorithm or a fast plan
-// for a symmetric op.
+// falls through to a fresh ranking, like an unknown algorithm, a fast plan
+// for a symmetric op, or a fast plan RankOp would not emit: one that is not
+// write-once, or uses CSE (an earlier version's cached streaming plan).
 func (t *Tuner) build(o op.Op, p Plan) (*decision, error) {
 	o = o.PlanOp()
 	be, err := gemm.Resolve(p.Backend)
@@ -861,6 +841,9 @@ func (t *Tuner) build(o op.Op, p Plan) (*decision, error) {
 	if o.Symmetric() {
 		return nil, fmt.Errorf("tuner: %s runs only as classical, not %s", o, p)
 	}
+	if p.Strategy != addchain.WriteOnce.String() || p.CSE {
+		return nil, fmt.Errorf("tuner: fast plans run write-once without CSE, not %s (cse %t)", p.Strategy, p.CSE)
+	}
 	a, err := catalog.GetVerified(p.Algorithm)
 	if err != nil {
 		return nil, err
@@ -869,15 +852,10 @@ func (t *Tuner) build(o op.Op, p Plan) (*decision, error) {
 	if err != nil {
 		return nil, err
 	}
-	strat, err := parseStrategy(p.Strategy)
-	if err != nil {
-		return nil, err
-	}
 	exec, err := core.NewTrusted(a, core.Options{
 		Resources: core.Resources{Workers: p.Workers, Workspace: t.opts.Workspace},
 		Steps:     p.Steps,
-		Strategy:  strat,
-		CSE:       p.CSE,
+		Strategy:  addchain.WriteOnce,
 		Fused:     p.Fused,
 		Parallel:  par,
 		Backend:   p.Backend,
@@ -954,13 +932,16 @@ const leafRateSlack = 1.3
 // leaves may run before the pace bound could stop a plan that would have
 // finished in time. A run's pace is the leaf flops it has started per
 // second since its first leaf started, the additions between leaves
-// included; the additions some plans make before their first leaf (a
-// streaming plan forms every operand sum first) are left out, as they would
-// make the pace look slower than the rest of the run. Measured on a 2-CPU
-// AVX-512 Xeon over the top-4 fast probes of the benchmark's multiply shapes
-// run to completion, the rest of a sequential run beat its pace at a check
-// by at most 1.32× (median about 1.0); at two workers, where the leaf-rate
-// bound almost always stops a run first, by up to about 3×. A slack below
+// included; the additions a plan makes before its first leaf are left out,
+// as they would make the pace look slower than the rest of the run. No
+// ranked plan streams, so that lead is only the first product's operand
+// sums on each explicit level; it stays left out because the slack below was
+// measured that way, and taking it in would need a measurement of its own.
+// Measured on a 2-CPU AVX-512 Xeon over the top-4 fast probes of the
+// benchmark's multiply shapes run to completion, the rest of a sequential
+// run beat its pace at a check by at most 1.32× (median about 1.0); at two
+// workers, where the leaf-rate bound almost always stops a run first, by up
+// to about 3×. A slack below
 // the worst case can stop a fast plan that would have won by a few percent,
 // a margin the probe's single noisy timing does not resolve either; a larger
 // one forgoes most of the saving.

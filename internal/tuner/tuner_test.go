@@ -161,6 +161,52 @@ func TestWorkspaceCapRespected(t *testing.T) {
 	}
 }
 
+// TestCachedNonWriteOncePlanReranks: build accepts only the fast plans RankOp
+// emits — write-once, no CSE — so a streaming or CSE plan cached by an
+// earlier version falls through to a fresh ranking, like an unknown
+// algorithm, and the fresh decision replaces it on disk.
+func TestCachedNonWriteOncePlanReranks(t *testing.T) {
+	fast := Plan{Algorithm: "strassen", Backend: gemm.Default().Name(), Steps: 1,
+		Parallel: "sequential", Strategy: addchain.WriteOnce.String(), Workers: 1}
+	streaming, cse := fast, fast
+	streaming.Strategy = addchain.Streaming.String()
+	cse.CSE = true
+
+	tn := mustTuner(t, modelOnlyOpts(1))
+	if _, err := tn.build(op.Multiply, fast); err != nil {
+		t.Fatalf("write-once plan must build: %v", err)
+	}
+	for _, p := range []Plan{streaming, cse} {
+		if _, err := tn.build(op.Multiply, p); err == nil {
+			t.Errorf("build accepted %s (cse %t)", p, p.CSE)
+		}
+	}
+
+	const n = 512
+	want, err := tn.PlanForOp(op.Multiply, n, n, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Setenv(EnvCacheDir, t.TempDir())
+	opts := Options{Resources: Resources{Workers: 1}, Profile: testProfile(1), ProbeTopK: NoProbes}
+	key := mustTuner(t, opts).key(op.Multiply, n, n, n)
+	for _, stale := range []Plan{streaming, cse} {
+		if err := saveEntries(map[string]Plan{key: stale}); err != nil {
+			t.Fatal(err)
+		}
+		got, err := mustTuner(t, opts).PlanForOp(op.Multiply, n, n, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if executorKey(got) != executorKey(want) {
+			t.Errorf("cached %s (cse %t) decided %s, want the fresh ranking's %s", stale, stale.CSE, got, want)
+		}
+		if onDisk := loadEntries()[key]; executorKey(onDisk) != executorKey(want) {
+			t.Errorf("cached %s (cse %t) left %s on disk, want %s", stale, stale.CSE, onDisk, want)
+		}
+	}
+}
+
 // The disk cache must round-trip decisions, and corrupt or missing cache
 // files must degrade to pure model ranking — never to an error.
 func TestCacheRoundTrip(t *testing.T) {
@@ -326,16 +372,7 @@ func TestParseRoundTrips(t *testing.T) {
 			t.Fatalf("parallel %v: %v %v", p, got, err)
 		}
 	}
-	for _, s := range []addchain.Strategy{addchain.Pairwise, addchain.WriteOnce, addchain.Streaming} {
-		got, err := parseStrategy(s.String())
-		if err != nil || got != s {
-			t.Fatalf("strategy %v: %v %v", s, got, err)
-		}
-	}
 	if _, err := parseParallel("bogus"); err == nil {
-		t.Fatal("want error")
-	}
-	if _, err := parseStrategy("bogus"); err == nil {
 		t.Fatal("want error")
 	}
 }
