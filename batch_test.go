@@ -25,10 +25,6 @@ func batchTestOpts(workers int) fastmm.BatchOptions {
 	return fastmm.BatchOptions{
 		Resources: fastmm.Resources{Workers: workers},
 		Tuning:    autoTestOpts(workers),
-		// The synthetic test profile's predictions legitimately diverge from
-		// this machine's real timings; leaving the drift loop on would
-		// trigger re-probes (and their allocations) mid-test.
-		Drift: fastmm.BatchDriftOptions{Disable: true},
 	}
 }
 

@@ -7,7 +7,7 @@
 //
 //	fmmtune calibrate [-quick] [-workers N]      measure and persist the machine profile
 //	fmmtune warm -shape MxKxN [-shape ...]       pre-tune shapes into the cache, printing each decision's wall time
-//	fmmtune show [-shape MxKxN]                  print profile, cache, calibration health, and optionally a ranking
+//	fmmtune show [-shape MxKxN]                  print profile, cache, and optionally a ranking
 //	fmmtune clear [-profile]                     drop the tuning cache (and the profile)
 package main
 
@@ -61,8 +61,7 @@ func usage() {
 commands:
   calibrate [-quick] [-workers N]   measure gemm GFLOPS + add bandwidth, persist the profile
   warm -shape MxKxN [-shape ...]    pre-tune shapes (model ranking + probes) into the cache
-  show [-shape MxKxN]               print the profile, cached plans, and calibration health (live
-                                    ewma vs predicted service time per class); with -shape, the ranking
+  show [-shape MxKxN]               print the profile and cached plans; with -shape, the ranking
   clear [-profile]                  remove the tuning cache; -profile also drops the calibration
 
 environment:
@@ -185,7 +184,6 @@ func cmdShow(args []string) error {
 			fmt.Printf("  %-40s %v\n", k, p)
 		}
 	}
-	printHealth()
 
 	if len(shapes) == 0 {
 		return nil
@@ -222,36 +220,6 @@ func cmdShow(args []string) error {
 		}
 	}
 	return nil
-}
-
-// printHealth reports the calibration-health snapshot a serving Batcher's
-// drift loop persists beside the tuning cache: per-(op, shape class) what the
-// calibrated baseline predicted the service time to be, what the live EWMA of
-// completed requests observed, and the class's drift history. It is how an
-// operator answers "is the persisted calibration still telling the truth on
-// this machine" without attaching to a running process.
-func printHealth() {
-	h, ok := tuner.LoadHealth()
-	if !ok || len(h.Entries) == 0 {
-		fmt.Println("calibration health: no snapshot (a serving Batcher writes one as its drift loop observes requests)")
-		return
-	}
-	fmt.Printf("calibration health (%d classes, updated %s):\n",
-		len(h.Entries), h.Updated.Format("2006-01-02 15:04:05 MST"))
-	for _, e := range h.Entries {
-		cm, ck, cn := e.Class.Dims()
-		ratio := ""
-		if e.PredictedSeconds > 0 && e.EWMASeconds > 0 {
-			ratio = fmt.Sprintf(" (×%.2f)", e.EWMASeconds/e.PredictedSeconds)
-		}
-		drift := "never drifted"
-		if e.Drifts > 0 {
-			drift = fmt.Sprintf("%d drift event(s), last %s",
-				e.Drifts, e.LastDrift.Format("2006-01-02 15:04:05 MST"))
-		}
-		fmt.Printf("  %-9s %4dx%4dx%4d  predicted %.4gs, observed ewma %.4gs%s — %s\n",
-			e.Op, cm, ck, cn, e.PredictedSeconds, e.EWMASeconds, ratio, drift)
-	}
 }
 
 func cmdClear(args []string) error {

@@ -219,8 +219,8 @@ func main() {
 	st := batcher.Stats()
 	fmt.Printf("stats: warm hit rate %.0f%%, %d warm classes, %.1f effective GFLOPS over %.2fs busy, backends %v\n",
 		100*st.WarmHitRate(), st.WarmEntries, st.EffectiveGFLOPS, st.BusySeconds, st.Backends)
-	fmt.Printf("  observability: %d traces sampled (%d lost) %v, drift events %d, re-probes %d\n",
-		st.TraceSampled, st.TraceLost, st.TraceSamples, st.DriftEvents, st.Reprobes)
+	fmt.Printf("  observability: %d traces sampled (%d lost) %v\n",
+		st.TraceSampled, st.TraceLost, st.TraceSamples)
 	laneName := map[fastmm.Lane]string{fastmm.LaneHigh: "high", fastmm.LaneNormal: "normal", fastmm.LaneLow: "low"}
 	for _, lane := range []fastmm.Lane{fastmm.LaneHigh, fastmm.LaneNormal, fastmm.LaneLow} {
 		ls := st.Lanes[lane]

@@ -31,9 +31,9 @@
 //	})
 //	err = exec.Multiply(C, A, B)
 //
-// Or let the autotuner pick the algorithm, depth, scheduler, and addition
-// strategy for each shape (the paper's Figs. 4–6 show no single choice wins
-// everywhere):
+// Or let the autotuner pick the algorithm, depth, scheduler, and leaf form
+// (explicit or fused) for each shape (the paper's Figs. 4–6 show no single
+// choice wins everywhere):
 //
 //	err := fastmm.Auto(C, A, B, fastmm.AutoOptions{})
 //
@@ -303,12 +303,12 @@ func sharedAuto(opts AutoOptions) (*AutoExecutor, error) {
 // ready to use: GOMAXPROCS total workers, an unbounded-bytes warm pool of at
 // most 64 shape-class entries, and default tuning. Workspace bounds the
 // bytes of executor workspace the warm pool retains (LRU eviction); Trace
-// sets the trace sampling rate; Drift turns the drift loop off; Tuning
-// passes the autotuner's options (ProbeTopK, Algorithms, Profile,
-// NoDiskCache, and a per-plan Workspace cap) through to every per-width
-// tuner, whose Workers the batcher sets itself. The rest of the serving
-// policy is fixed: a queue of 4×Workers items, a 1 s lane-aging window, and
-// 64 Mi flops per worker of internal parallelism.
+// sets the trace sampling rate; Tuning passes the autotuner's options
+// (ProbeTopK, Algorithms, Profile, NoDiskCache, and a per-plan Workspace
+// cap) through to every per-width tuner, whose Workers the batcher sets
+// itself. The rest of the serving policy is fixed: a queue of 4×Workers
+// items, a 1 s lane-aging window, and 64 Mi flops per worker of internal
+// parallelism.
 type BatchOptions = batch.Options
 
 // Batcher dispatches many multiplications through warm per-shape-class
@@ -415,15 +415,6 @@ type TraceRecord = trace.Record
 // ("sched"), a recursion step with its workspace mark ("step"), or a leaf
 // gemm call with backend, dims, and duration ("leaf").
 type TraceSpan = trace.Span
-
-// BatchDriftOptions configures the drift loop (BatchOptions.Drift): every
-// completed execution is compared against the calibrated service-time
-// prediction, eight consecutive completions outside a ±50% band declare a
-// drift event, and drift events trigger a re-tune of the class at most once
-// a minute (warm entry evicted, cached plan invalidated in memory and on
-// disk, class re-tuned, admission estimator reseeded). The zero value
-// enables the loop; Disable, its only field, turns it off.
-type BatchDriftOptions = batch.DriftOptions
 
 // NewBatcher builds a batched dispatcher. The machine calibration behind its
 // tuners happens here (once), so construction may take ~100ms on a machine

@@ -2,7 +2,7 @@
 // packages off the raw wall clock.
 //
 // internal/batch runs its entire QoS layer — deadline expiry, lane aging,
-// admission estimates, drift detection — on an injectable Clock so tests are
+// admission estimates — on an injectable Clock so tests are
 // deterministic state machines instead of sleeps. One careless time.Now in a
 // helper quietly re-introduces wall-clock flakiness and splits the time base
 // between the fake and the real clock. Packages opt in with a

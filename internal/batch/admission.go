@@ -3,7 +3,6 @@ package batch
 import (
 	"errors"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,21 +45,9 @@ type svcKey struct {
 	class tuner.ShapeClass
 }
 
-// ewma holds a float64 in atomic bits so observe can CAS without a lock. It
-// doubles as the drift detector's per-(op, class) state: the calibrated
-// prediction the live EWMA is compared against, the streak of consecutive
-// out-of-band observations, and the class's drift history.
+// ewma holds a float64 in atomic bits so observe can CAS without a lock.
 type ewma struct {
 	bits atomic.Uint64
-	// predicted is the calibrated baseline (float64 bits): the tuned plan's
-	// measured probe time when one ran, else its model prediction. Zero
-	// until the class is seeded; drift detection is inert until then.
-	predicted atomic.Uint64
-	// streak counts consecutive out-of-band completions; drifts and
-	// lastDrift (unix nanos) record declared drift events.
-	streak    atomic.Int32
-	drifts    atomic.Int64
-	lastDrift atomic.Int64
 }
 
 func (e *ewma) load() float64 { return math.Float64frombits(e.bits.Load()) }
@@ -119,88 +106,12 @@ func (s *svcEstimator) estimate(o op.Op, class tuner.ShapeClass) float64 {
 }
 
 // seed installs a model-derived estimate only while the key has no value
-// yet — live observations always win over the model. The same value seeds
-// the drift baseline (also first-touch-only: a re-ranked plan must not
-// silently move the band a streak is being measured against).
+// yet — live observations always win over the model.
 func (s *svcEstimator) seed(o op.Op, class tuner.ShapeClass, secs float64) {
 	if secs <= 0 {
 		return
 	}
-	c := s.cell(o, class)
-	c.bits.CompareAndSwap(0, math.Float64bits(secs))
-	c.predicted.CompareAndSwap(0, math.Float64bits(secs))
-}
-
-// reseed unconditionally replaces the key's estimate and drift baseline with
-// a fresh calibration — the re-probe path, where the whole point is that the
-// old values no longer describe the machine. The streak restarts.
-func (s *svcEstimator) reseed(o op.Op, class tuner.ShapeClass, secs float64) {
-	if secs <= 0 {
-		return
-	}
-	c := s.cell(o, class)
-	c.bits.Store(math.Float64bits(secs))
-	c.predicted.Store(math.Float64bits(secs))
-	c.streak.Store(0)
-}
-
-// checkDrift folds one observed service time into the drift state: an
-// observation outside the band [pred/(1+driftBand), pred·(1+driftBand)]
-// extends the out-of-band streak, an in-band one resets it, and the
-// driftK-th consecutive out-of-band observation declares a drift event
-// (true), resetting the streak and stamping the history. Unseeded cells
-// never drift.
-func (e *ewma) checkDrift(secs float64, nowNanos int64) bool {
-	pred := math.Float64frombits(e.predicted.Load())
-	if pred <= 0 {
-		return false
-	}
-	if secs <= pred*(1+driftBand) && secs >= pred/(1+driftBand) {
-		e.streak.Store(0)
-		return false
-	}
-	if e.streak.Add(1) < driftK {
-		return false
-	}
-	e.streak.Store(0)
-	e.drifts.Add(1)
-	e.lastDrift.Store(nowNanos)
-	return true
-}
-
-// healthEntries snapshots every key's calibration health (sorted for
-// deterministic output) — the payload of tuner.SaveHealth.
-func (s *svcEstimator) healthEntries() []tuner.HealthEntry {
-	s.mu.RLock()
-	out := make([]tuner.HealthEntry, 0, len(s.byKey))
-	for key, c := range s.byKey {
-		he := tuner.HealthEntry{
-			Op:               key.op.String(),
-			Class:            key.class,
-			PredictedSeconds: math.Float64frombits(c.predicted.Load()),
-			EWMASeconds:      c.load(),
-			Drifts:           c.drifts.Load(),
-		}
-		if ld := c.lastDrift.Load(); ld != 0 {
-			he.LastDrift = time.Unix(0, ld)
-		}
-		out = append(out, he)
-	}
-	s.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Op != out[j].Op {
-			return out[i].Op < out[j].Op
-		}
-		ci, cj := out[i].Class, out[j].Class
-		if ci.M != cj.M {
-			return ci.M < cj.M
-		}
-		if ci.K != cj.K {
-			return ci.K < cj.K
-		}
-		return ci.N < cj.N
-	})
-	return out
+	s.cell(o, class).bits.CompareAndSwap(0, math.Float64bits(secs))
 }
 
 // observe folds a measured execution time into the key's EWMA.
@@ -226,7 +137,7 @@ func (b *Batcher) estimateFor(o op.Op, m, k, n int) (tuner.ShapeClass, int64) {
 			// Classical symmetric ops run one triangle of the general
 			// multiply (the default backend's lower-triangle pass) plus the
 			// mirror; pricing them off the gemm curve would overstate their
-			// backlog and mislead both admission and the drift baseline.
+			// backlog and mislead admission.
 			secs = b.prof.Machine.SymmetricTime(cm, ck, gemm.TriangleTile(gemm.Default()), b.opts.Workers)
 		} else {
 			secs = b.prof.Machine.ClassicalTimeFor(cm, ck, cn, b.opts.Workers)

@@ -265,3 +265,59 @@ func TestEWMAObserve(t *testing.T) {
 		t.Fatalf("estimate moved on a non-positive observation: %g", got)
 	}
 }
+
+// stepClock wraps the fake clock and advances it a fixed step on every Now()
+// call, so each timedRun observes a service time of at least one step: a
+// machine whose executions run far slower than the seeded estimate.
+type stepClock struct {
+	fc   *fakeClock
+	step time.Duration
+}
+
+func (s *stepClock) Now() time.Time {
+	now := s.fc.Now()
+	s.fc.Advance(s.step)
+	return now
+}
+
+func (s *stepClock) NewTimer(d time.Duration) Timer { return s.fc.NewTimer(d) }
+
+// TestOffEstimateExecutionKeepsWarmEntry: executions observed at a second
+// each, against an estimate seeded at microseconds, only move the admission
+// EWMA. The batcher never re-tunes while serving, so the warm entry stays
+// the one built on first touch and WarmMisses stays flat; a real machine
+// change is handled offline (fmmtune clear / calibrate).
+func TestOffEstimateExecutionKeepsWarmEntry(t *testing.T) {
+	const n = 64
+	b := newClockedBatcher(t, testOptions(1), &stepClock{fc: newFakeClock(), step: time.Second})
+	A, B := randMat(n, n, 1), randMat(n, n, 2)
+	C := mat.New(n, n)
+
+	before, _, err := b.entryFor(op.Multiply, n, n, n, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	class := tuner.ClassOf(n, n, n)
+	seeded := b.est.estimate(op.Multiply, class)
+	misses := b.Stats().WarmMisses
+	for i := 0; i < 32; i++ {
+		if err := b.Do(mulReq(C, A, B)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Real time for any background rebuild to land before the checks.
+	time.Sleep(20 * time.Millisecond)
+	if got := b.est.estimate(op.Multiply, class); got < 100*seeded {
+		t.Fatalf("estimate %g s after 1 s executions (seeded %g s): the workload is not off its estimate", got, seeded)
+	}
+	if got := b.Stats().WarmMisses; got != misses {
+		t.Fatalf("WarmMisses %d → %d: an off-estimate execution rebuilt an entry", misses, got)
+	}
+	after, _, err := b.entryFor(op.Multiply, n, n, n, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after != before {
+		t.Fatal("warm entry rebuilt after off-estimate executions")
+	}
+}

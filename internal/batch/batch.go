@@ -95,10 +95,6 @@ type Options struct {
 	// trace.DefaultRing-record ring — the record path is allocation-free and
 	// lock-light, cheap enough for production.
 	Trace trace.Config
-	// Drift configures drift detection and re-probing. The zero value
-	// leaves the loop ON (see DriftOptions); set Drift.Disable to turn it
-	// off.
-	Drift DriftOptions
 	// Tuning configures the per-entry tuners. Workers is managed per entry
 	// width, and every width shares the first tuner's calibration (Profile
 	// when set); ProbeTopK, Algorithms, the per-plan Workspace cap and
@@ -127,8 +123,8 @@ func (o Options) withDefaults() Options {
 // keys on it.
 func (o Options) Key() string {
 	o = o.withDefaults()
-	return fmt.Sprintf("%s tr%d dr%t | %s",
-		o.Resources.Key(), o.Trace.Sample, o.Drift.Disable, o.Tuning.Key())
+	return fmt.Sprintf("%s tr%d | %s",
+		o.Resources.Key(), o.Trace.Sample, o.Tuning.Key())
 }
 
 // entryKey identifies one warm entry: an operation's plan space (op.PlanOp —
@@ -220,10 +216,8 @@ type Batcher struct {
 
 	sem wsem
 
-	// ring is the trace buffer; lastReprobe is the drift loop's rate
-	// limiter (unix nanos of the last accepted re-probe, CAS-claimed).
-	ring        *trace.Ring
-	lastReprobe atomic.Int64
+	// ring is the trace buffer.
+	ring *trace.Ring
 
 	// executing counts multiplications that are actually running (dequeued
 	// by a runner, or a synchronous call past its entry resolution) — NOT
@@ -364,11 +358,10 @@ func (b *Batcher) sample(o op.Op, m, k, n int, verdict string) *trace.Record {
 
 // timedRun is run with the shared per-execution metrics and service-time
 // feedback folded in: op and backend mix, effective flops and busy time,
-// the (op, class) EWMA estimate (the admission currency), and the drift
-// check that estimate feeds. Both execution paths — sync and queued —
-// funnel through it. rec, when non-nil, receives the resolved plan, the
-// execution's spans (threaded via req.Trace), and the outcome; the caller
-// publishes it.
+// and the (op, class) EWMA estimate (the admission currency). Both
+// execution paths — sync and queued — funnel through it. rec, when
+// non-nil, receives the resolved plan, the execution's spans (threaded via
+// req.Trace), and the outcome; the caller publishes it.
 func (b *Batcher) timedRun(e *warmEntry, req op.Request, rec *trace.Record) error {
 	plan := e.te.Plan()
 	if rec != nil {
@@ -395,7 +388,6 @@ func (b *Batcher) timedRun(e *warmEntry, req op.Request, rec *trace.Record) erro
 	m, k, n := req.Shape()
 	b.met.recordExec(plan.Backend, req.Op, m, k, n, d)
 	b.est.observe(e.key.op, e.key.class, d.Seconds())
-	b.checkDrift(e, d.Seconds())
 	return err
 }
 

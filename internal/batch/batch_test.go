@@ -46,11 +46,6 @@ func testProfile(workers int) *tuner.Profile {
 func testOptions(workers int) Options {
 	return Options{
 		Resources: Resources{Workers: workers},
-		// Disable the drift loop by default: tests run synthetic calibration
-		// profiles on real machines, so observed times legitimately diverge
-		// from the profile's predictions and would trigger re-probes
-		// mid-test. Drift has dedicated fake-clock tests.
-		Drift: DriftOptions{Disable: true},
 		Tuning: tuner.Options{
 			Profile:     testProfile(workers),
 			ProbeTopK:   tuner.NoProbes,

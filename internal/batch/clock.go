@@ -17,15 +17,12 @@ type Clock interface {
 	Now() time.Time
 	// NewTimer returns a timer that delivers on C after d.
 	NewTimer(d time.Duration) Timer
-	// AfterFunc runs f on its own goroutine after d; Stop cancels a run
-	// that has not started.
-	AfterFunc(d time.Duration, f func()) Timer
 }
 
 // Timer is the Clock counterpart of *time.Timer, reduced to what the batcher
 // uses: the delivery channel and cancellation.
 type Timer interface {
-	// C is the delivery channel (nil for AfterFunc timers).
+	// C is the delivery channel.
 	C() <-chan time.Time
 	// Stop cancels the timer; it reports whether the stop prevented a
 	// delivery that had not yet fired.
@@ -41,11 +38,6 @@ func (wallClock) Now() time.Time { return time.Now() }
 
 //fastmm:wallclock the production Clock implementation
 func (wallClock) NewTimer(d time.Duration) Timer { return wallTimer{time.NewTimer(d)} }
-
-//fastmm:wallclock the production Clock implementation
-func (wallClock) AfterFunc(d time.Duration, f func()) Timer {
-	return wallTimer{time.AfterFunc(d, f)}
-}
 
 type wallTimer struct{ t *time.Timer }
 

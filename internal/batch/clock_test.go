@@ -17,11 +17,9 @@ type fakeClock struct {
 }
 
 type fakeTimer struct {
-	fc    *fakeClock
-	when  time.Time
-	ch    chan time.Time // NewTimer delivery (nil for AfterFunc)
-	f     func()         // AfterFunc callback (nil for NewTimer)
-	fired bool
+	fc   *fakeClock
+	when time.Time
+	ch   chan time.Time
 }
 
 // newFakeClock starts at a fixed, arbitrary epoch — deterministic runs must
@@ -38,17 +36,6 @@ func (fc *fakeClock) Now() time.Time {
 
 func (fc *fakeClock) NewTimer(d time.Duration) Timer {
 	t := &fakeTimer{fc: fc, ch: make(chan time.Time, 1)}
-	fc.arm(t, d)
-	return t
-}
-
-func (fc *fakeClock) AfterFunc(d time.Duration, f func()) Timer {
-	t := &fakeTimer{fc: fc, f: f}
-	fc.arm(t, d)
-	return t
-}
-
-func (fc *fakeClock) arm(t *fakeTimer, d time.Duration) {
 	fc.mu.Lock()
 	t.when = fc.now.Add(d)
 	if d <= 0 {
@@ -57,6 +44,7 @@ func (fc *fakeClock) arm(t *fakeTimer, d time.Duration) {
 		fc.timers = append(fc.timers, t)
 	}
 	fc.mu.Unlock()
+	return t
 }
 
 // Advance moves the clock forward by d, firing (in deadline order) every
@@ -80,9 +68,8 @@ func (fc *fakeClock) setLocked(now time.Time) {
 	}
 	fc.now = now
 	for {
-		// Fire one due timer per pass, earliest first, so an AfterFunc that
-		// arms another timer (due or not) is handled like the real clock
-		// would: strictly in deadline order.
+		// Fire one due timer per pass, earliest first: strictly in deadline
+		// order, like the real clock.
 		var next *fakeTimer
 		idx := -1
 		for i, t := range fc.timers {
@@ -102,11 +89,6 @@ func (fc *fakeClock) setLocked(now time.Time) {
 }
 
 func (fc *fakeClock) deliverLocked(t *fakeTimer) {
-	t.fired = true
-	if t.f != nil {
-		go t.f() // AfterFunc contract: the callback runs on its own goroutine
-		return
-	}
 	select {
 	case t.ch <- fc.now:
 	default:
@@ -167,17 +149,5 @@ func TestFakeClockStop(t *testing.T) {
 	}
 	if tm.Stop() {
 		t.Fatal("second Stop should report false")
-	}
-}
-
-func TestFakeClockAfterFunc(t *testing.T) {
-	fc := newFakeClock()
-	ran := make(chan struct{})
-	fc.AfterFunc(time.Second, func() { close(ran) })
-	fc.Advance(time.Second)
-	select {
-	case <-ran:
-	case <-time.After(5 * time.Second):
-		t.Fatal("AfterFunc callback never ran")
 	}
 }

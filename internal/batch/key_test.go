@@ -73,7 +73,7 @@ func spelledOutTuning() tuner.Options {
 
 // TestOptionsKey: each option set renders one key that is its identity. The
 // zero value and its defaults spelled out render alike, and setting any
-// exported field — inside Resources, Trace, Drift and Tuning too — to a
+// exported field — inside Resources, Trace and Tuning too — to a
 // value other than its default changes the key.
 func TestOptionsKey(t *testing.T) {
 	var topts tuner.Options
@@ -111,8 +111,8 @@ func TestOptionsKey(t *testing.T) {
 			t.Errorf("batch.Options.%s set to a non-default value leaves the key at %q", path, base)
 		}
 	})
-	// Resources; Trace; Drift; Tuning.
-	if want := 2 + 1 + 1 + len(tunerFields); visited != want {
+	// Resources; Trace; Tuning.
+	if want := 2 + 1 + len(tunerFields); visited != want {
 		t.Errorf("visited %d batch.Options fields, want %d", visited, want)
 	}
 }

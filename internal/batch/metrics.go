@@ -159,11 +159,6 @@ type metrics struct {
 	// traceSamples counts claimed trace records per operation (same
 	// indexing); their sum equals the ring's Sampled count.
 	traceSamples [op.NumOps]atomic.Int64
-	// driftEvents counts declared drift events (K consecutive out-of-band
-	// completions); reprobes the re-tunes they triggered (≤ driftEvents —
-	// the rate limiter absorbs the rest).
-	driftEvents atomic.Int64
-	reprobes    atomic.Int64
 }
 
 func newMetrics() *metrics {
@@ -254,12 +249,6 @@ type Stats struct {
 	EffectiveGFLOPS float64
 	// BusySeconds is the accumulated execution time behind that rate.
 	BusySeconds float64
-	// DriftEvents counts declared calibration-drift events (eight
-	// consecutive completions outside a ±50% band around the calibrated
-	// prediction); Reprobes the re-tunes they triggered. Reprobes ≤
-	// DriftEvents: the rate limiter allows one re-probe a minute.
-	DriftEvents int64
-	Reprobes    int64
 	// TraceSampled / TraceLost are the trace ring's lifetime claim and
 	// contention-drop counts; TraceSamples splits the claims per operation
 	// (op.Op.String names). Sum(TraceSamples) == TraceSampled.
@@ -330,8 +319,6 @@ func (b *Batcher) Stats() Stats {
 			s.Ops[op.Op(i).String()] = v
 		}
 	}
-	s.DriftEvents = b.met.driftEvents.Load()
-	s.Reprobes = b.met.reprobes.Load()
 	s.TraceSampled = b.ring.Sampled()
 	s.TraceLost = b.ring.Lost()
 	s.TraceSamples = map[string]int64{}

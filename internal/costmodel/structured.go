@@ -25,8 +25,7 @@ func (ma Machine) MoveSeconds(floats float64, w int) float64 {
 // (read + write), the mirror the p×p result (read half, write half).
 //
 // It prices the tuner's ATA/Syrk plan, and seeds the batcher's admission
-// estimate and drift baseline for symmetric classes that have never been
-// measured.
+// estimate for symmetric classes that have never been measured.
 func (ma Machine) SymmetricTime(p, q, nr, w int) float64 {
 	full := ma.ClassicalTimeFor(p, q, p, w)
 	mirror := float64(p) * float64(p)

@@ -28,7 +28,7 @@ import (
 // v5: the "simd" leaf selects an AVX-512 8×24 micro-kernel where the machine
 // has one and every border tile runs through the kernel — v4 calibration
 // curves and plans describe the 6×8 leaf at about half the rate and must be
-// retired on upgrade, not trusted until drift detection notices.
+// retired on upgrade.
 // v6: classical ATA/Syrk is one lower-triangle pass of the leaf engine at
 // about half the flops of the transpose-and-gemm it replaced — v5 ATA/Syrk
 // decisions ranked fast plans against the old price and must be re-tuned.

@@ -14,7 +14,7 @@ import (
 // The grid is geometric with step ratio ≤ 5/4 (values v = µ·2^e with
 // mantissa µ ∈ [4,7]; the widest step is 4·2^e → 5·2^e), so a class
 // representative overstates any member dimension by less than 25%. That is inside the tuner's own decision noise:
-// the (algorithm, steps, scheduler, strategy) winner is stable across a
+// the (algorithm, steps, scheduler, fused) winner is stable across a
 // bucket even where the exact timings are not, and the executor itself
 // handles any member shape via dynamic peeling, so sharing a plan across a
 // class costs accuracy in the plan choice only, never correctness.

@@ -490,23 +490,6 @@ func (t *Tuner) ForgetOp(o op.Op, m, k, n int) {
 	t.mu.Unlock()
 }
 
-// InvalidateOp drops an (op, shape) decision everywhere this tuner resolves
-// from — the LRU, the loaded disk snapshot, and the dirty set — so the next
-// touch of the shape re-ranks (and, per the probe policy, re-probes) from
-// scratch instead of rebuilding the cached plan. This is the drift-recovery
-// primitive: ForgetOp only releases the executor (the plan survives on
-// disk), which is exactly wrong when the plan itself has gone stale against
-// the machine's current behavior. The persisted file entry is superseded
-// when the fresh decision saves (merge-on-save is keyed per entry).
-func (t *Tuner) InvalidateOp(o op.Op, m, k, n int) {
-	key := t.key(o.PlanOp(), m, k, n)
-	t.mu.Lock()
-	t.lru.remove(key)
-	delete(t.disk, key)
-	delete(t.dirty, key)
-	t.mu.Unlock()
-}
-
 // key identifies a tuning decision: the op and shape plus every option that
 // changes the answer. Only the op and shape vary per call; the options part
 // is precomputed once in New so the warm dispatch path formats one string.

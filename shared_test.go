@@ -49,7 +49,7 @@ func TestSharedDispatchersKeyOnOptions(t *testing.T) {
 		t.Fatalf("a different ProbeTopK shared the dispatcher (%v)", err)
 	}
 
-	bopts := BatchOptions{Tuning: opts, Drift: BatchDriftOptions{Disable: true}}
+	bopts := BatchOptions{Tuning: opts}
 	bspelled := bopts
 	bspelled.Tuning = spelled
 	bspelled.Trace.Sample = trace.DefaultSample
