@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"fastmm/internal/bench"
-	"fastmm/internal/generated"
 	"fastmm/internal/mat"
 )
 
@@ -80,13 +79,4 @@ func BenchmarkFast424Outer1024(b *testing.B)  { benchOuter(b, "fast424", 1024, 2
 func BenchmarkStrassenOuter1024(b *testing.B) { benchOuter(b, "strassen", 1024, 256, false) }
 func BenchmarkStrassenOuter1024Fused(b *testing.B) {
 	benchOuter(b, "strassen", 1024, 256, true)
-}
-
-func BenchmarkGenerated512(b *testing.B) {
-	A, B := randSquare(512)
-	C := mat.New(512, 512)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		generated.MultiplyStrassen(C, A, B, 2)
-	}
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"fastmm"
-	"fastmm/internal/codegen"
 	"fastmm/internal/core"
 	"fastmm/internal/mat"
 )
@@ -53,10 +52,4 @@ func benchOuter(b *testing.B, alg string, n, k int, fused bool) {
 	}
 	b.StopTimer()
 	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "effGFLOPS")
-}
-
-// generateSmoke runs the code generator on one algorithm, discarding output.
-func generateSmoke(a *fastmm.Algorithm) error {
-	_, err := codegen.Generate(a, "g", "Mul")
-	return err
 }

@@ -20,14 +20,11 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"strings"
 	"time"
 
 	"fastmm/internal/bench"
-	"fastmm/internal/generated"
-	"fastmm/internal/mat"
 )
 
 func main() {
@@ -54,8 +51,6 @@ func main() {
 		listExperiments(os.Stderr)
 		os.Exit(2)
 	}
-
-	installGeneratedStrassen()
 
 	cfg := bench.Config{
 		Trials:       *trials,
@@ -109,35 +104,4 @@ func listExperiments(w *os.File) {
 		e, _ := bench.Lookup(n)
 		fmt.Fprintf(w, "  %-10s %s\n", n, e.Title)
 	}
-}
-
-// installGeneratedStrassen wires the generated-code series used by fig1,
-// keeping internal/bench decoupled from the codegen output.
-func installGeneratedStrassen() {
-	bench.SetGeneratedStrassen(func(cfg bench.Config, sizes []int) ([]bench.Point, error) {
-		var pts []bench.Point
-		for _, n := range sizes {
-			A := mat.New(n, n)
-			B := mat.New(n, n)
-			rng := rand.New(rand.NewSource(int64(n)))
-			A.FillRandom(rng)
-			B.FillRandom(rng)
-			C := mat.New(n, n)
-			best := -1.0
-			for _, steps := range []int{1, 2, 3} {
-				start := time.Now()
-				for t := 0; t < cfg.Trials; t++ {
-					generated.MultiplyStrassen(C, A, B, steps)
-				}
-				secs := time.Since(start).Seconds() / float64(cfg.Trials)
-				if best < 0 || secs < best {
-					best = secs
-				}
-			}
-			eff := (2*float64(n)*float64(n)*float64(n) - float64(n)*float64(n)) / best * 1e-9
-			pts = append(pts, bench.Point{Series: "strassen-gen", X: n, P: n, Q: n, R: n,
-				Workers: 1, Seconds: best, Eff: eff, EffCore: eff})
-		}
-		return pts, nil
-	})
 }

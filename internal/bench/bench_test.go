@@ -55,6 +55,17 @@ func TestLookupUnknown(t *testing.T) {
 	}
 }
 
+func TestRunRejectsNegativeConfig(t *testing.T) {
+	for _, cfg := range []Config{
+		{Workers: -1}, {SmallWorkers: -1}, {Trials: -1}, {Scale: -1},
+	} {
+		cfg.Quick = true
+		if _, err := Run("table2", cfg); err == nil {
+			t.Fatalf("Run accepted %+v", cfg)
+		}
+	}
+}
+
 func TestEffectiveMatchesEquation3(t *testing.T) {
 	// 2·P·Q·R − P·R over time.
 	got := effective(100, 200, 300, 2)

@@ -42,11 +42,16 @@ func Lookup(name string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("bench: unknown experiment %q (known: %v)", name, Names())
 }
 
-// Run executes one experiment by id.
+// Run executes one experiment by id. A zero Trials, Scale, Workers or
+// SmallWorkers takes its default; a negative one is an error.
 func Run(name string, cfg Config) ([]Point, error) {
 	e, err := Lookup(name)
 	if err != nil {
 		return nil, err
+	}
+	if cfg.Trials < 0 || !(cfg.Scale >= 0) || cfg.Workers < 0 || cfg.SmallWorkers < 0 {
+		return nil, fmt.Errorf("bench: trials %d, scale %g, workers %d and small workers %d must not be negative",
+			cfg.Trials, cfg.Scale, cfg.Workers, cfg.SmallWorkers)
 	}
 	return e.Run(cfg.withDefaults())
 }
@@ -245,25 +250,8 @@ func runFig1(cfg Config) ([]Point, error) {
 		}
 		pts = append(pts, p...)
 	}
-	if gen := generatedStrassenSeries; gen != nil {
-		p, err := gen(cfg, sizes)
-		if err != nil {
-			return nil, err
-		}
-		pts = append(pts, p...)
-	}
 	table(cfg.Out, "Fig. 1: sequential N×N×N, effective GFLOPS (Eq. 3)", "eff", pts)
 	return pts, nil
-}
-
-// generatedStrassenSeries is installed by callers that link the generated
-// Strassen implementation (cmd/fmmbench, bench_test), keeping this package
-// decoupled from the codegen output.
-var generatedStrassenSeries func(cfg Config, sizes []int) ([]Point, error)
-
-// SetGeneratedStrassen installs the generated-code series for fig1.
-func SetGeneratedStrassen(f func(cfg Config, sizes []int) ([]Point, error)) {
-	generatedStrassenSeries = f
 }
 
 func runFig2(cfg Config) ([]Point, error) {

@@ -1,6 +1,7 @@
 // Package catalog holds the repository's named fast matrix-multiplication
-// algorithms — the Go analogue of the coefficient files driving Benson &
-// Ballard's code generator. Every entry is an exact bilinear algorithm
+// algorithms — the Go analogue of Benson & Ballard's coefficient files,
+// which internal/core's executor turns into implementations when it is
+// constructed. Every entry is an exact bilinear algorithm
 // (verified by the test suite against the ⟨M,K,N⟩ tensor); Table 2 of the
 // paper is regenerated from these entries by cmd/fmminfo.
 //

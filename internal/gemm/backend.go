@@ -101,10 +101,10 @@ func namesLocked() []string {
 	return out
 }
 
-// Default returns the backend the package-level Mul/MulAdd/... entry points
-// dispatch to. Resolution order: the FASTMM_BACKEND environment variable
-// (when it names a registered backend), a compiled-in "blas" backend, then
-// "simd".
+// Default returns the backend the package-level Mul and MulParallel entry
+// points dispatch to. Resolution order: the FASTMM_BACKEND environment
+// variable (when it names a registered backend), a compiled-in "blas"
+// backend, then "simd".
 func Default() Backend {
 	regMu.Lock()
 	defer regMu.Unlock()

@@ -39,6 +39,21 @@ func TestBackendsMatchNaive(t *testing.T) {
 					t.Fatalf("%dx%dx%d: differs from Naive by %g", m, k, n, d)
 				}
 
+				// alpha scaling on overwrite: C = -2.5·A·B, whatever C held.
+				scaled, wantScaled := randMat(m, n, rng), mat.New(m, n)
+				Dispatch(be, scaled, -2.5, A, B, false, 1)
+				mat.Scale(wantScaled, -2.5, want)
+				if d := mat.MaxAbsDiff(scaled, wantScaled); d > tolFor(k) {
+					t.Fatalf("%dx%dx%d: alpha=-2.5 overwrite off by %g", m, k, n, d)
+				}
+
+				// alpha = 0 on overwrite zeroes C without a product.
+				zeroed := randMat(m, n, rng)
+				Dispatch(be, zeroed, 0, A, B, false, 1)
+				if zeroed.MaxAbs() != 0 {
+					t.Fatalf("%dx%dx%d: alpha=0 overwrite must zero C", m, k, n)
+				}
+
 				// alpha scaling + accumulate: C += -0.5·A·B twice is C - A·B.
 				acc := want.Clone()
 				Dispatch(be, acc, -0.5, A, B, true, 1)
@@ -214,9 +229,25 @@ func TestDispatchDegenerate(t *testing.T) {
 			t.Fatalf("%s: k=0 product must zero C", name)
 		}
 		C.Fill(1)
+		Dispatch(be, C, 0, mat.New(3, 5), mat.New(5, 4), false, 1)
+		if C.MaxAbs() != 0 {
+			t.Fatalf("%s: alpha=0 overwrite of a k=5 product must zero C", name)
+		}
+		C.Fill(1)
 		Dispatch(be, C, 0, mat.New(3, 5), mat.New(5, 4), true, 1)
 		if C.MaxAbs() != 1 {
 			t.Fatalf("%s: alpha=0 accumulate must leave C untouched", name)
+		}
+		// A non-unit alpha on overwrite gives alpha·A·B: 3·(ones 3×5 · ones 5×4)
+		// is 15 in every entry, whatever C held.
+		A, B, want := mat.New(3, 5), mat.New(5, 4), mat.New(3, 4)
+		A.Fill(1)
+		B.Fill(1)
+		want.Fill(15)
+		C.Fill(-7)
+		Dispatch(be, C, 3, A, B, false, 1)
+		if d := mat.MaxAbsDiff(C, want); d != 0 {
+			t.Fatalf("%s: alpha=3 overwrite off by %g", name, d)
 		}
 	}
 }

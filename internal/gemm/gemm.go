@@ -39,9 +39,9 @@
 // the paper, which is what the framework's recursion-cutoff logic depends
 // on; the autotuner calibrates one such curve, on the default backend.
 //
-// The package-level Mul/MulAdd/... entry points dispatch to Default(), the
-// best backend available on this machine (override with FASTMM_BACKEND or
-// SetDefault).
+// The package-level Mul and MulParallel entry points dispatch to Default(),
+// the best backend available on this machine (override with FASTMM_BACKEND
+// or SetDefault).
 //
 // Worker contract: the requested worker count is honored as given — the
 // kernel no longer silently clamps it to GOMAXPROCS. Budgeting parallelism
@@ -91,21 +91,6 @@ const naiveMax = 48
 // Mul computes C = A·B sequentially with the default backend. C must be M×N
 // for A M×K, B K×N.
 func Mul(C, A, B *mat.Dense) { Dispatch(Default(), C, 1, A, B, false, 1) }
-
-// MulAdd computes C += A·B sequentially.
-func MulAdd(C, A, B *mat.Dense) { Dispatch(Default(), C, 1, A, B, true, 1) }
-
-// MulScaled computes C = alpha·A·B sequentially. The fast-algorithm executor
-// uses alpha to pipe scalar factors through to the base case instead of
-// materializing scaled temporaries (§3.1).
-func MulScaled(C *mat.Dense, alpha float64, A, B *mat.Dense) {
-	Dispatch(Default(), C, alpha, A, B, false, 1)
-}
-
-// MulAddScaled computes C += alpha·A·B sequentially.
-func MulAddScaled(C *mat.Dense, alpha float64, A, B *mat.Dense) {
-	Dispatch(Default(), C, alpha, A, B, true, 1)
-}
 
 // MulParallel computes C = alpha·A·B using up to workers goroutines. The
 // requested count is honored (see the package comment's worker contract).

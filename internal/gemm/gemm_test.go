@@ -41,55 +41,6 @@ func TestMulMatchesNaiveVariedSizes(t *testing.T) {
 	}
 }
 
-func TestMulAddAccumulates(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	A, B := randMat(60, 70, rng), randMat(70, 55, rng)
-	C := randMat(60, 55, rng)
-	orig := C.Clone()
-	prod := mat.New(60, 55)
-	Naive(prod, A, B)
-
-	MulAdd(C, A, B)
-	want := mat.New(60, 55)
-	for i := 0; i < 60; i++ {
-		for j := 0; j < 55; j++ {
-			want.Set(i, j, orig.At(i, j)+prod.At(i, j))
-		}
-	}
-	if d := mat.MaxAbsDiff(C, want); d > tolFor(70) {
-		t.Fatalf("MulAdd off by %g", d)
-	}
-}
-
-func TestMulScaled(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	A, B := randMat(33, 44, rng), randMat(44, 22, rng)
-	want := mat.New(33, 22)
-	Naive(want, A, B)
-	mat.Scale(want, -2.5, want)
-	got := mat.New(33, 22)
-	MulScaled(got, -2.5, A, B)
-	if d := mat.MaxAbsDiff(got, want); d > tolFor(44) {
-		t.Fatalf("MulScaled off by %g", d)
-	}
-}
-
-func TestMulScaledZeroAlpha(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	A, B := randMat(10, 10, rng), randMat(10, 10, rng)
-	C := randMat(10, 10, rng)
-	MulScaled(C, 0, A, B)
-	if C.MaxAbs() != 0 {
-		t.Fatal("alpha=0 with no accumulate must zero C")
-	}
-	C2 := randMat(10, 10, rng)
-	orig := C2.Clone()
-	MulAddScaled(C2, 0, A, B)
-	if d := mat.MaxAbsDiff(C2, orig); d != 0 {
-		t.Fatal("alpha=0 with accumulate must leave C untouched")
-	}
-}
-
 func TestMulParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	shapes := [][3]int{
