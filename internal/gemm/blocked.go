@@ -313,30 +313,57 @@ func packA(ap []float64, A *mat.Dense, ic, pc, mb, kb, mr int, scale float64, ad
 // order: for each group of nr columns, the kb rows are stored k-major
 // ([k*nr + j]), zero-padded to a multiple of nr columns. add as for packA:
 // the T temporary of the explicit path is never formed.
+//
+// The walk is row by row — k outer, the nr-wide strips inner — so each
+// source row is read once, front to back, and each full strip is a
+// fixed-width store of nr values rather than a memmove call; only the
+// ragged last strip is zero-padded. nr is a micro-tile width, or a height
+// when packB packs a transposed A panel.
 func packB(bp []float64, B *mat.Dense, pc, jc, kb, nb, nr int, scale float64, add bool) {
-	idx := 0
-	for jr := 0; jr < nb; jr += nr {
-		cols := min(nr, nb-jr)
-		for kk := 0; kk < kb; kk++ {
-			src := B.Row(pc + kk)[jc+jr : jc+jr+cols]
-			dst := bp[idx+kk*nr : idx+kk*nr+nr]
-			d := dst[:len(src)] // same length as src: no bounds checks in the loops
+	full := nb - nb%nr
+	for kk := 0; kk < kb; kk++ {
+		src := B.Row(pc + kk)[jc : jc+nb : jc+nb]
+		// Row kk of strip j/nr starts at (j/nr)·nr·kb + kk·nr = j·kb + kk·nr.
+		o := kk * nr
+		for j := 0; j < full; j += nr {
+			s := src[j : j+nr : j+nr]
+			d := bp[o : o+nr : o+nr][:len(s)] // same length as s: no bounds checks in the loops
 			switch {
 			case add:
-				for j, v := range src {
-					d[j] += scale * v
+				for t, v := range s {
+					d[t] += scale * v
 				}
-				continue
 			case scale == 1:
-				copy(d, src)
+				for t, v := range s {
+					d[t] = v
+				}
 			default:
-				for j, v := range src {
-					d[j] = scale * v
+				for t, v := range s {
+					d[t] = scale * v
 				}
 			}
-			clear(dst[cols:])
+			o += nr * kb
 		}
-		idx += nr * kb
+		if full == nb {
+			continue
+		}
+		// The ragged last strip, zero-padded to nr wide.
+		s := src[full:]
+		d := bp[o : o+nr : o+nr]
+		switch {
+		case add:
+			for t, v := range s {
+				d[t] += scale * v
+			}
+			continue
+		case scale == 1:
+			copy(d, s)
+		default:
+			for t, v := range s {
+				d[t] = scale * v
+			}
+		}
+		clear(d[len(s):])
 	}
 }
 

@@ -142,6 +142,88 @@ func TestMultiSourcePackingIsPackedSum(t *testing.T) {
 	}
 }
 
+// TestPackLayout holds both packers to the micro-panel layout written out
+// element by element, not to another run of the packer: packB's panel of
+// scale·X at (pc, jc) is bp[(j/w)·w·kb + k·w + j%w] = scale·X[pc+k][jc+j],
+// packA's at (ic, pc) is ap[(i/w)·w·kb + k·w + i%w] = scale·X[ic+i][pc+k],
+// and the padding of a partial last strip is exactly zero. Every kernel's
+// widths are covered, each packer at both (the transposed layouts swap
+// them), on panels that start inside a strided view, with and without a
+// partial strip, kb from 1 to kcMax, and add on top of an earlier source.
+// The slab starts NaN-poisoned, so an element the packer skips shows, and
+// nothing past the panel may be written.
+func TestPackLayout(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	const r0, c0 = 3, 5
+	rows, cols := r0+kcMax+2, c0+3*maxNR+4
+	packers := []struct {
+		name string
+		x, y *mat.Dense // the packed source and the one packed before it
+		// pack packs the kb×nb panel of scale·src at (r0, c0) of the
+		// panel's orientation, at width w.
+		pack func(bp []float64, src *mat.Dense, kb, nb, w int, scale float64, add bool)
+		at   func(src *mat.Dense, k, j int) float64
+	}{
+		{"packB", subView(rng, rows, cols), subView(rng, rows, cols),
+			func(bp []float64, src *mat.Dense, kb, nb, w int, scale float64, add bool) {
+				packB(bp, src, r0, c0, kb, nb, w, scale, add)
+			},
+			func(src *mat.Dense, k, j int) float64 { return src.At(r0+k, c0+j) }},
+		{"packA", subView(rng, cols, rows), subView(rng, cols, rows),
+			func(bp []float64, src *mat.Dense, kb, nb, w int, scale float64, add bool) {
+				packA(bp, src, c0, r0, nb, kb, w, scale, add)
+			},
+			func(src *mat.Dense, k, j int) float64 { return src.At(c0+j, r0+k) }},
+	}
+	for _, bk := range kernelTable() {
+		widths := []int{bk.mr, bk.nr}
+		if bk.mr == bk.nr {
+			widths = widths[:1]
+		}
+		for _, p := range packers {
+			for _, w := range widths {
+				for _, kb := range []int{1, 7, kcMax} {
+					for _, nb := range []int{1, w, 2*w + 3, 3 * w} {
+						for _, scale := range []float64{1, -1, 0.5} {
+							for _, add := range []bool{false, true} {
+								strips := (nb + w - 1) / w
+								bp := make([]float64, strips*w*kb+w)
+								for i := range bp {
+									bp[i] = math.NaN()
+								}
+								if add {
+									p.pack(bp, p.y, kb, nb, w, -0.5, false)
+								}
+								p.pack(bp, p.x, kb, nb, w, scale, add)
+								what := fmt.Sprintf("%s %s w=%d kb=%d nb=%d scale=%g add=%v", bk.name, p.name, w, kb, nb, scale, add)
+								for k := 0; k < kb; k++ {
+									for j := 0; j < strips*w; j++ {
+										var want float64 // padding
+										if j < nb {
+											want = scale * p.at(p.x, k, j)
+											if add {
+												want = -0.5*p.at(p.y, k, j) + want
+											}
+										}
+										if got := bp[(j/w)*w*kb+k*w+j%w]; math.Float64bits(got) != math.Float64bits(want) {
+											t.Fatalf("%s: element (k=%d, j=%d) is %g, want %g", what, k, j, got, want)
+										}
+									}
+								}
+								for i, v := range bp[strips*w*kb:] {
+									if !math.IsNaN(v) {
+										t.Fatalf("%s: wrote %g past the panel, at +%d", what, v, i)
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkLeaf is the engine's microbenchmark: the sequential leaf on the
 // default backend as plain gemm and as a fused product with 2 and 4 sources
 // per side (two destinations, the first a first-touch overwrite the way the
@@ -184,5 +266,45 @@ func BenchmarkLeaf(b *testing.B) {
 	}
 	for _, sh := range [][3]int{{2560, 320, 2560}, {2500, 625, 625}} {
 		leaf(fmt.Sprintf("plain/%dx%dx%d", sh[0], sh[1], sh[2]), 1, sh[0], sh[1], sh[2])
+	}
+}
+
+// BenchmarkPack times each packer on the panel it packs in the loop nest:
+// packB at nr = 24 on a kcMax×nc B panel and at nr = 8 on the kcMax×mc
+// panel of AᵗA's transposed A, packA at mr = 8 on an mc×kcMax A panel and at
+// mr = 24 on the nc×kcMax panel of Syrk's transposed B. Each source panel is
+// a window of a wider matrix, as in a real call. GB/s counts the panel read
+// once and written once, the bytes mat's BenchmarkCopy counts for a copy, so
+// the two read as a ratio.
+func BenchmarkPack(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	bench := func(name string, rows, cols, width int, pack func(dst []float64, X *mat.Dense, width int)) {
+		b.Run(name, func(b *testing.B) {
+			X := randMat(rows+64, cols+64, rng).View(0, 0, rows, cols)
+			dst := make([]float64, (rows+maxNR)*(cols+maxNR))
+			b.SetBytes(int64(rows) * int64(cols) * 8 * 2)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pack(dst, X, width)
+			}
+		})
+	}
+	for _, nr := range []int{24, 8} {
+		nb := nc
+		if nr == 8 {
+			nb = mc
+		}
+		bench(fmt.Sprintf("packB/nr=%d", nr), kcMax, nb, nr, func(dst []float64, X *mat.Dense, nr int) {
+			packB(dst, X, 0, 0, X.Rows(), X.Cols(), nr, 1, false)
+		})
+	}
+	for _, mr := range []int{8, 24} {
+		mb := mc
+		if mr == 24 {
+			mb = nc
+		}
+		bench(fmt.Sprintf("packA/mr=%d", mr), mb, kcMax, mr, func(dst []float64, X *mat.Dense, mr int) {
+			packA(dst, X, 0, 0, X.Rows(), X.Cols(), mr, 1, false)
+		})
 	}
 }

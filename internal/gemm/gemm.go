@@ -135,9 +135,6 @@ func Naive(C, A, B *mat.Dense) {
 		ai := A.Row(i)
 		for p := 0; p < k; p++ {
 			aip := ai[p]
-			if aip == 0 {
-				continue
-			}
 			bp := B.Row(p)
 			for j := 0; j < n; j++ {
 				ci[j] += aip * bp[j]
@@ -168,9 +165,6 @@ func small(C *mat.Dense, alpha float64, A, B *mat.Dense, accumulate bool) {
 		ai := A.Row(i)
 		for p := 0; p < k; p++ {
 			aip := alpha * ai[p]
-			if aip == 0 {
-				continue
-			}
 			bp := B.Row(p)[:n]
 			for j, bv := range bp {
 				ci[j] += aip * bv

@@ -2,6 +2,7 @@ package gemm
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -38,6 +39,71 @@ func TestMulMatchesNaiveVariedSizes(t *testing.T) {
 				t.Fatalf("Mul differs from Naive by %g", d)
 			}
 		})
+	}
+}
+
+// TestNaNAndInfSurviveZeroFactors: 0·NaN and 0·Inf are NaN, so a NaN or an
+// Inf in one operand reaches every entry of C whose dot product meets it,
+// even where the other operand holds zeros. Sizes straddle naiveMax, where
+// the triple loop hands over to the blocked engine; every entry point with a
+// triple-loop path is covered: Dispatch (small), DispatchFused with a scaled
+// source (smallSummed), ATA and Syrk (their tiny path), and Naive.
+func TestNaNAndInfSurviveZeroFactors(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	inf := math.Inf(1)
+	// check holds C to its pattern: C[0][0] is corner unless corner is NaN,
+	// the entries nanAt marks are NaN, and every other entry is zero.
+	check := func(what string, C *mat.Dense, nanAt func(i, j int) bool, corner float64) {
+		t.Helper()
+		for i := 0; i < C.Rows(); i++ {
+			for j := 0; j < C.Cols(); j++ {
+				got := C.At(i, j)
+				switch {
+				case i == 0 && j == 0 && !math.IsNaN(corner):
+					if got != corner {
+						t.Fatalf("%s: C[0][0] = %g, want %g", what, got, corner)
+					}
+				case nanAt(i, j):
+					if !math.IsNaN(got) {
+						t.Fatalf("%s: C[%d][%d] = %g, want NaN", what, i, j, got)
+					}
+				case got != 0:
+					t.Fatalf("%s: C[%d][%d] = %g, want 0", what, i, j, got)
+				}
+			}
+		}
+	}
+	firstTwoCols := func(_, j int) bool { return j < 2 }
+	rowOrCol0 := func(i, j int) bool { return i == 0 || j == 0 }
+	for _, n := range []int{2, naiveMax - 1, naiveMax, naiveMax + 1} {
+		Z := mat.New(n, n)
+		B := randMat(n, n, rng)
+		B.Set(0, 0, math.NaN())
+		B.Set(0, 1, inf)
+		C := mat.New(n, n)
+		Naive(C, Z, B)
+		check(fmt.Sprintf("Naive n=%d", n), C, firstTwoCols, math.NaN())
+		for _, bk := range kernelTable() {
+			C := randMat(n, n, rng)
+			Dispatch(bk, C, 1, Z, B, false, 1)
+			check(fmt.Sprintf("%s Dispatch n=%d", bk.name, n), C, firstTwoCols, math.NaN())
+			C = randMat(n, n, rng)
+			DispatchFused(bk, []Scaled{{M: C, Coeff: 1}}, 1,
+				[]Scaled{{M: Z, Coeff: 0.5}}, []Scaled{{M: B, Coeff: 1}}, false, 1)
+			check(fmt.Sprintf("%s DispatchFused n=%d", bk.name, n), C, firstTwoCols, math.NaN())
+			// AᵗA of a zero A with a NaN at [0][0]: row and column 0 of C
+			// meet it. A·Aᵗ with +Inf there: C[0][0] = Inf·Inf, the rest of
+			// row and column 0 Inf·0.
+			A := mat.New(n, n)
+			A.Set(0, 0, math.NaN())
+			C = randMat(n, n, rng)
+			ATA(bk, C, 1, A, false, 1)
+			check(fmt.Sprintf("%s ATA n=%d", bk.name, n), C, rowOrCol0, math.NaN())
+			A.Set(0, 0, inf)
+			C = randMat(n, n, rng)
+			Syrk(bk, C, 1, A, false, 1)
+			check(fmt.Sprintf("%s Syrk n=%d", bk.name, n), C, rowOrCol0, inf)
+		}
 	}
 }
 

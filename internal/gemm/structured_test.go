@@ -179,29 +179,42 @@ func TestStructuredZeroAlloc(t *testing.T) {
 }
 
 // BenchmarkStructured times ATA and Syrk on an n×n operand against a
-// general gemm of the same n³ triple, on the default backend at one worker.
-// GFLOPS counts the general product's 2n³ flops for all three, so the
-// structured rows read as their speed-up over gemm.
+// general gemm of the same n³ triple, on the default backend at one worker,
+// and ATA and Syrk at two workers on the repository benchmark's
+// structured-par shapes (AᵗA of 2048×1024, Syrk of 768×1536), where the
+// triangle is split into slabs and each slab mirrors its own rows. GFLOPS
+// counts the general product's 2·p²·k flops for a p×p result of depth k, so
+// the structured rows read as their speed-up over gemm.
 func BenchmarkStructured(b *testing.B) {
 	be := Default()
+	run := func(name, kind string, rows, cols, workers int) {
+		b.Run(name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			A, B := randDense(rows, cols, rng), randDense(cols, cols, rng)
+			p, k := cols, rows
+			if kind == "syrk" {
+				p, k = rows, cols
+			}
+			C := mat.New(p, p)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				switch kind {
+				case "ata":
+					ATA(be, C, 1, A, false, workers)
+				case "syrk":
+					Syrk(be, C, 1, A, false, workers)
+				default:
+					Dispatch(be, C, 1, A, B, false, workers)
+				}
+			}
+			b.ReportMetric(2*float64(p)*float64(p)*float64(k)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
+		})
+	}
 	for _, kind := range []string{"ata", "syrk", "gemm"} {
 		for _, n := range []int{512, 1024} {
-			b.Run(fmt.Sprintf("%s/%d", kind, n), func(b *testing.B) {
-				rng := rand.New(rand.NewSource(1))
-				A, B, C := randDense(n, n, rng), randDense(n, n, rng), mat.New(n, n)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					switch kind {
-					case "ata":
-						ATA(be, C, 1, A, false, 1)
-					case "syrk":
-						Syrk(be, C, 1, A, false, 1)
-					default:
-						Dispatch(be, C, 1, A, B, false, 1)
-					}
-				}
-				b.ReportMetric(2*float64(n)*float64(n)*float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOPS")
-			})
+			run(fmt.Sprintf("%s/%d", kind, n), kind, n, n, 1)
 		}
 	}
+	run("ata/2048x1024/W=2", "ata", 2048, 1024, 2)
+	run("syrk/768x1536/W=2", "syrk", 768, 1536, 2)
 }

@@ -254,9 +254,15 @@ func EqualApprox(a, b *Dense, tol float64) bool {
 }
 
 // transposeTile is the edge of the square blocks Transpose and MirrorLower
-// copy through: the 64 destination rows a block writes into (one cache line
-// each, 4 KiB together) stay in L1 while the block's source rows stream by.
-const transposeTile = 64
+// copy through, and transposeRows how many source rows transposeBlock reads
+// side by side. Each pass over a block stores a run of eight contiguous
+// values — a cache line's worth — into each of its 64 destination rows
+// (4 KiB, held in L1 while the source rows stream by), where one scalar
+// store per row and pass would take eight passes to fill the same lines.
+const (
+	transposeTile = 64
+	transposeRows = 8
+)
 
 // Transpose writes srcᵀ into dst. dst must be Cols(src)×Rows(src).
 func Transpose(dst, src *Dense) {
@@ -286,20 +292,50 @@ func MirrorLower(C *Dense) {
 		for j0 := 0; j0 < i0; j0 += transposeTile {
 			transposeBlock(C, C, i0, i1, j0, j0+transposeTile)
 		}
-		// The diagonal block: row i contributes its columns left of i.
-		for i := i0 + 1; i < i1; i++ {
-			for j, v := range C.Row(i)[i0:i] {
-				C.data[(i0+j)*C.stride+i] = v
+		// The diagonal block, transposeRows rows at a time: the rows'
+		// columns left of the group go through transposeBlock, the small
+		// triangle on the diagonal element by element.
+		for i := i0; i < i1; i += transposeRows {
+			r := min(transposeRows, i1-i)
+			transposeBlock(C, C, i, i+r, i0, i)
+			for a := 1; a < r; a++ {
+				for b := 0; b < a; b++ {
+					C.data[(i+b)*C.stride+i+a] = C.data[(i+a)*C.stride+i+b]
+				}
 			}
 		}
 	}
 }
 
-// transposeBlock writes src[i0:i1, j0:j1]ᵀ into dst[j0:j1, i0:i1].
+// transposeBlock writes src[i0:i1, j0:j1]ᵀ into dst[j0:j1, i0:i1],
+// gathering transposeRows source rows per pass so each destination row
+// takes their values as one contiguous run; the last (i1−i0) mod
+// transposeRows rows go one value at a time. dst may be src when the two
+// regions do not overlap.
 func transposeBlock(dst, src *Dense, i0, i1, j0, j1 int) {
-	for i := i0; i < i1; i++ {
-		for j, v := range src.Row(i)[j0:j1] {
-			dst.data[(j0+j)*dst.stride+i] = v
+	i := i0
+	for ; i+transposeRows <= i1; i += transposeRows {
+		r0 := src.Row(i)[j0:j1:j1]
+		// Same length as r0: no bounds checks in the loop.
+		r1 := src.Row(i + 1)[j0:j1][:len(r0)]
+		r2 := src.Row(i + 2)[j0:j1][:len(r0)]
+		r3 := src.Row(i + 3)[j0:j1][:len(r0)]
+		r4 := src.Row(i + 4)[j0:j1][:len(r0)]
+		r5 := src.Row(i + 5)[j0:j1][:len(r0)]
+		r6 := src.Row(i + 6)[j0:j1][:len(r0)]
+		r7 := src.Row(i + 7)[j0:j1][:len(r0)]
+		o := j0*dst.stride + i
+		for j, v := range r0 {
+			d := dst.data[o : o+transposeRows : o+transposeRows]
+			d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = v, r1[j], r2[j], r3[j], r4[j], r5[j], r6[j], r7[j]
+			o += dst.stride
+		}
+	}
+	for ; i < i1; i++ {
+		o := j0*dst.stride + i
+		for _, v := range src.Row(i)[j0:j1] {
+			dst.data[o] = v
+			o += dst.stride
 		}
 	}
 }

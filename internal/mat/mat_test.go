@@ -372,50 +372,64 @@ func TestTransposeInvolutionProperty(t *testing.T) {
 }
 
 // TestBlockedTransposeAndMirror: Transpose and MirrorLower copy in 64×64
-// blocks; on strided views whose sizes fall on and beside the block edge,
-// every element lands where the element-wise definition puts it, and
-// nothing outside the view is written.
+// blocks, gathering eight source rows per pass. On strided views of every
+// size from 1 to 9 (each remainder of the gather, alone and beside whole
+// groups) and beside the block edge, every element lands bit for bit where
+// the element-wise definition puts it, and nothing outside the view is
+// written.
 func TestBlockedTransposeAndMirror(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	sizes := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65, 130}
 	view := func(r, c int) (*Dense, *Dense) {
 		frame := New(r+3, c+5)
 		frame.FillRandom(rng)
 		return frame, frame.View(1, 2, r, c)
 	}
-	for _, sh := range [][2]int{{1, 1}, {63, 64}, {64, 65}, {130, 70}, {129, 193}} {
-		r, c := sh[0], sh[1]
-		_, src := view(r, c)
-		frame, dst := view(c, r)
-		before := frame.Clone()
-		Transpose(dst, src)
-		for i := 0; i < r; i++ {
-			for j := 0; j < c; j++ {
-				if dst.At(j, i) != src.At(i, j) {
-					t.Fatalf("%d×%d: dst(%d,%d) = %g, src(%d,%d) = %g", r, c, j, i, dst.At(j, i), i, j, src.At(i, j))
+	// same reports whether a and b hold the same bits, with b's (1, 2)
+	// window of want's size replaced by want.
+	same := func(a, b, want *Dense) bool {
+		for i := 0; i < a.rows; i++ {
+			for j := 0; j < a.cols; j++ {
+				v := b.At(i, j)
+				if i >= 1 && j >= 2 && i-1 < want.rows && j-2 < want.cols {
+					v = want.At(i-1, j-2)
+				}
+				if math.Float64bits(a.At(i, j)) != math.Float64bits(v) {
+					return false
 				}
 			}
 		}
-		dst.CopyFrom(before.View(1, 2, c, r))
-		if !EqualApprox(frame, before, 0) {
-			t.Fatalf("%d×%d: Transpose wrote outside its destination view", r, c)
+		return true
+	}
+	for _, r := range sizes {
+		for _, c := range sizes {
+			_, src := view(r, c)
+			frame, dst := view(c, r)
+			before := frame.Clone()
+			want := New(c, r)
+			for i := 0; i < r; i++ {
+				for j := 0; j < c; j++ {
+					want.Set(j, i, src.At(i, j))
+				}
+			}
+			Transpose(dst, src)
+			if !same(frame, before, want) {
+				t.Fatalf("%d×%d: Transpose differs from the element-wise transpose, or wrote outside its view", r, c)
+			}
 		}
 	}
-	for _, n := range []int{1, 2, 64, 65, 150} {
+	for _, n := range sizes {
 		frame, C := view(n, n)
+		before := frame.Clone()
 		want := C.Clone()
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
 				want.Set(i, j, want.At(j, i))
 			}
 		}
-		outside := frame.Clone()
 		MirrorLower(C)
-		if !EqualApprox(C, want, 0) {
-			t.Fatalf("%d×%d: MirrorLower differs from the element-wise mirror", n, n)
-		}
-		C.CopyFrom(outside.View(1, 2, n, n))
-		if !EqualApprox(frame, outside, 0) {
-			t.Fatalf("%d×%d: MirrorLower wrote outside its view", n, n)
+		if !same(frame, before, want) {
+			t.Fatalf("%d×%d: MirrorLower differs from the element-wise mirror, or wrote outside its view", n, n)
 		}
 	}
 }
@@ -426,8 +440,21 @@ func BenchmarkTranspose(b *testing.B) {
 	src, dst := New(2048, 1024), New(1024, 2048)
 	src.Fill(1)
 	b.SetBytes(2048 * 1024 * 8 * 2)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Transpose(dst, src)
+	}
+}
+
+// BenchmarkCopy moves BenchmarkTranspose's bytes without transposing them:
+// the rate a pass at copy speed would reach.
+func BenchmarkCopy(b *testing.B) {
+	src, dst := New(2048, 1024), New(2048, 1024)
+	src.Fill(1)
+	b.SetBytes(2048 * 1024 * 8 * 2)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst.CopyFrom(src)
 	}
 }
 
@@ -435,6 +462,7 @@ func BenchmarkMirror(b *testing.B) {
 	C := New(1024, 1024)
 	C.Fill(1)
 	b.SetBytes(1024 * 1024 * 8)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MirrorLower(C)
 	}
