@@ -91,15 +91,24 @@ func (s *shapeList) Set(v string) error {
 	return nil
 }
 
+// parse parses a subcommand's flags, refusing a negative -workers (0 means
+// GOMAXPROCS).
+func parse(fs *flag.FlagSet, args []string, workers *int) error {
+	if err := fs.Parse(args); err != nil || *workers >= 0 {
+		return err
+	}
+	return fmt.Errorf("%s: -workers %d is negative (0 means GOMAXPROCS)", fs.Name(), *workers)
+}
+
 func cmdCalibrate(args []string) error {
 	fs := flag.NewFlagSet("calibrate", flag.ExitOnError)
 	quick := fs.Bool("quick", false, "abbreviated protocol (~100ms instead of seconds)")
 	workers := fs.Int("workers", 0, "worker count to calibrate for (default GOMAXPROCS)")
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args, workers); err != nil {
 		return err
 	}
 	w := *workers
-	if w <= 0 {
+	if w == 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
 	fmt.Printf("calibrating (%d workers, quick=%v)...\n", w, *quick)
@@ -119,7 +128,7 @@ func cmdWarm(args []string) error {
 	fs.Var(&shapes, "shape", "problem shape MxKxN (repeatable)")
 	workers := fs.Int("workers", 0, "worker count to tune for (default GOMAXPROCS)")
 	probes := fs.Int("probes", 0, "top-K candidates to probe empirically (default 4; -1 = model only)")
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args, workers); err != nil {
 		return err
 	}
 	if len(shapes) == 0 {
@@ -151,7 +160,7 @@ func cmdShow(args []string) error {
 	var shapes shapeList
 	fs.Var(&shapes, "shape", "also print the model ranking for this shape (repeatable)")
 	workers := fs.Int("workers", 0, "worker count for -shape rankings (default GOMAXPROCS)")
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args, workers); err != nil {
 		return err
 	}
 
@@ -194,7 +203,7 @@ func cmdShow(args []string) error {
 	// calibrated at fewer workers than requested can't predict the parallel
 	// candidates, so Auto would recalibrate rather than use it.
 	w := *workers
-	if w <= 0 {
+	if w == 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
 	prof, _ := tuner.LoadProfile()

@@ -31,9 +31,9 @@
 //	})
 //	err = exec.Multiply(C, A, B)
 //
-// Or let the autotuner pick the algorithm, depth, scheduler, and leaf form
-// (explicit or fused) for each shape (the paper's Figs. 4–6 show no single
-// choice wins everywhere):
+// Or let the autotuner pick the algorithm, depth and scheduler for each shape
+// (the paper's Figs. 4–6 show no single choice wins everywhere); its fast
+// plans fuse their last level wherever the leaf backend can:
 //
 //	err := fastmm.Auto(C, A, B, fastmm.AutoOptions{})
 //
@@ -201,12 +201,15 @@ func NewScheduleExecutor(names []string, opts Options) (*Executor, error) {
 // fixed calibration; NoDiskCache keeps decisions in memory. Everything else
 // the tuner does — the leaf backend (the default one), the recursion cutoff
 // (128, §3.4), recursion depths, the addition strategy (write-once, without
-// CSE, for every fast plan), one timing per probe — is fixed.
+// CSE, for every fast plan), a fused last level on every fast plan exactly
+// where the backend can fuse, one timing per probe — is fixed.
 type AutoOptions = tuner.Options
 
 // AutoPlan is one fully specified tuned configuration: algorithm, recursion
-// depth, scheduler, fused last level, workers, and the predicted/measured
-// times behind the choice. Its Strategy is write-once on every fast plan.
+// depth, scheduler, workers, and the predicted/measured times behind the
+// choice. Its Strategy is write-once on every fast plan, and Fused follows
+// the leaf backend: set on every fast plan where it can fuse (simd), on none
+// where it cannot (blas).
 type AutoPlan = tuner.Plan
 
 // AutoNoProbes, assigned to AutoOptions.ProbeTopK, makes the dispatcher
@@ -227,7 +230,8 @@ type AutoExecutor = tuner.Tuner
 func NewAutoExecutor(opts AutoOptions) (*AutoExecutor, error) { return tuner.New(opts) }
 
 // Auto computes C = A·B with an automatically chosen (algorithm, steps,
-// scheduler, fused) plan for the operands' shape, its additions write-once.
+// scheduler) plan for the operands' shape, its additions write-once and its
+// last level fused wherever the leaf backend can fuse.
 // Dispatchers are shared process-wide per distinct AutoOptions, so repeated
 // calls with the same options hit the warm path. Each call re-derives the
 // option-set key (microseconds, not a re-tune); the hottest paths should
@@ -499,12 +503,16 @@ func Multiply(C, A, B *Matrix, algorithm string, opts Options) error {
 // repository's vendor-dgemm stand-in), sequentially. It routes through the
 // backend registry's dispatch explicitly, so the process-default backend —
 // SetDefault, or the FASTMM_BACKEND environment variable — is honored here
-// exactly as it is in tuned plans.
-func Classical(C, A, B *Matrix) { gemm.Dispatch(gemm.Default(), C, 1, A, B, false, 1) }
+// exactly as it is in tuned plans. Like mismatched dimensions, a C that
+// shares storage with A or B panics.
+func Classical(C, A, B *Matrix) { ClassicalParallel(C, A, B, 1) }
 
 // ClassicalParallel computes C = A·B with the classical kernel using up to
 // workers goroutines, through the same registry dispatch as Classical.
 func ClassicalParallel(C, A, B *Matrix, workers int) {
+	if mat.Overlaps(C, A) || mat.Overlaps(C, B) {
+		panic("fastmm: classical product into a C that aliases A or B")
+	}
 	gemm.Dispatch(gemm.Default(), C, 1, A, B, false, workers)
 }
 

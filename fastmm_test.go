@@ -1,6 +1,7 @@
 package fastmm_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -134,6 +135,61 @@ func TestClassicalHelpers(t *testing.T) {
 		for c := 0; c < 40; c++ {
 			if math.Abs(C1.At(r, c)-want.At(r, c)) > 1e-11 || math.Abs(C2.At(r, c)-want.At(r, c)) > 1e-11 {
 				t.Fatal("classical helpers wrong")
+			}
+		}
+	}
+}
+
+// TestDirectEntriesRefuseAliasedC: every entry that multiplies without the
+// tuner's request validation refuses a C that shares storage with an
+// operand — the executor's entries with an error, the classical helpers with
+// a panic, as for mismatched dimensions — and leaves the operands as they
+// were. k spans several of the leaf's k-panels, where an aliased product
+// would read entries it has already overwritten.
+func TestDirectEntriesRefuseAliasedC(t *testing.T) {
+	const n = 1024
+	exec, err := fastmm.NewExecutor("strassen", fastmm.Options{Steps: 1, Fused: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := func(f func(C, A, B *fastmm.Matrix)) func(C, A, B *fastmm.Matrix) error {
+		return func(C, A, B *fastmm.Matrix) (err error) {
+			defer func() {
+				if r := recover(); r != nil {
+					err = fmt.Errorf("panic: %v", r)
+				}
+			}()
+			f(C, A, B)
+			return nil
+		}
+	}
+	for _, entry := range []struct {
+		name  string
+		unary bool // takes A alone, so C can alias only A
+		run   func(C, A, B *fastmm.Matrix) error
+	}{
+		{"Executor.Multiply", false, exec.Multiply},
+		{"Executor.MultiplyAdd", false, func(C, A, B *fastmm.Matrix) error { return exec.MultiplyAdd(C, A, B, 1) }},
+		{"Executor.MultiplyATA", true, func(C, A, _ *fastmm.Matrix) error { return exec.MultiplyATA(C, A) }},
+		{"Executor.MultiplySyrk", true, func(C, A, _ *fastmm.Matrix) error { return exec.MultiplySyrk(C, A) }},
+		{"Classical", false, refused(fastmm.Classical)},
+		{"ClassicalParallel", false, refused(func(C, A, B *fastmm.Matrix) { fastmm.ClassicalParallel(C, A, B, 2) })},
+	} {
+		for _, aliasB := range []bool{false, true} {
+			if aliasB && entry.unary {
+				continue
+			}
+			A, B := fastmm.RandomMatrix(n, n, 1), fastmm.RandomMatrix(n, n, 2)
+			A0, B0 := A.Clone(), B.Clone()
+			C, alias := A, "A"
+			if aliasB {
+				C, alias = B, "B"
+			}
+			if err := entry.run(C, A, B); err == nil {
+				t.Errorf("%s with C aliasing %s: no error", entry.name, alias)
+			}
+			if maxAbsDiffPub(A, A0) != 0 || maxAbsDiffPub(B, B0) != 0 {
+				t.Errorf("%s with C aliasing %s: a refused call modified its operands", entry.name, alias)
 			}
 		}
 	}

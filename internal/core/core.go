@@ -119,7 +119,8 @@ type Options struct {
 	// (Huang et al., arXiv:1611.01120). Workspace accounting and the
 	// Workspace cap see the reduced footprint. On a backend without fused
 	// support (gemm.CanFuse false — the blas bridge) the option is ignored
-	// and the explicit path runs exactly as before.
+	// and the explicit path runs. The autotuner sets it exactly where the
+	// backend can fuse; cmd/fmmbench's explicit-vs-fused figures set it.
 	Fused bool
 	// Stats, when non-nil, accumulates scheduler counters across Multiply
 	// calls (atomic; safe under all schedulers). Used by tests and by the
@@ -273,7 +274,7 @@ func (e *Executor) Algorithm() *algo.Algorithm { return e.schedule[0].alg }
 func (e *Executor) Backend() string { return e.be.Name() }
 
 // Multiply computes C = A·B. C must be A.Rows()×B.Cols() and must not alias
-// A or B.
+// A or B; a call that breaks either rule returns an error and does no work.
 func (e *Executor) Multiply(C, A, B *mat.Dense) error { return e.MultiplyTrace(C, A, B, nil) }
 
 // MultiplyTrace is Multiply with an optional execution-trace sink: when tr
@@ -347,6 +348,9 @@ func (e *Executor) product(C, A, B *mat.Dense, alpha float64, acc bool, tr *trac
 		return fmt.Errorf("core: dimension mismatch C %d×%d = A %d×%d · B %d×%d",
 			C.Rows(), C.Cols(), A.Rows(), A.Cols(), B.Rows(), B.Cols())
 	}
+	if err := refuseAlias(C, A, B); err != nil {
+		return err
+	}
 	mode := e.scheduleMode(A.Rows(), A.Cols(), B.Cols())
 	var left int64
 	if b.Over != nil {
@@ -387,6 +391,16 @@ func (e *Executor) product(C, A, B *mat.Dense, alpha float64, acc bool, tr *trac
 		})
 	}
 	return ctx.err()
+}
+
+// refuseAlias returns an error when C shares storage with A or B (nil for
+// the unary ops): every entry reads its operands while it writes C.
+func refuseAlias(C, A, B *mat.Dense) error {
+	if mat.Overlaps(C, A) || B != nil && mat.Overlaps(C, B) {
+		//fastmm:allow error construction on the reject path, before any work
+		return errors.New("core: C aliases an operand")
+	}
+	return nil
 }
 
 // scheduleMode resolves the scheduler for one call: the configured mode,

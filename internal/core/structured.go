@@ -14,14 +14,18 @@ import (
 // computed once and mirrored up, so C[i][j] == C[j][i] bit-for-bit.
 
 // MultiplyATA computes C = Aᵗ·A for an m×n operand A; C must be n×n and must
-// not alias A. The result is exactly symmetric: C.At(i,j) == C.At(j,i) for
-// all i,j, bit-for-bit. It is gemm.ATA on the executor's backend, one worker
-// wide when Sequential and Workers wide otherwise.
+// not alias A (either is an error). The result is exactly symmetric:
+// C.At(i,j) == C.At(j,i) for all i,j, bit-for-bit. It is gemm.ATA on the
+// executor's backend, one worker wide when Sequential and Workers wide
+// otherwise.
 func (e *Executor) MultiplyATA(C, A *mat.Dense) error {
 	n := A.Cols()
 	if C.Rows() != n || C.Cols() != n {
 		return fmt.Errorf("core: ATA dimension mismatch C %d×%d = Aᵗ·A for A %d×%d (want C %d×%d)",
 			C.Rows(), C.Cols(), A.Rows(), A.Cols(), n, n)
+	}
+	if err := refuseAlias(C, A, nil); err != nil {
+		return err
 	}
 	gemm.ATA(e.be, C, 1, A, false, e.symmetricWorkers())
 	return nil
@@ -35,6 +39,9 @@ func (e *Executor) MultiplySyrk(C, A *mat.Dense) error {
 	if C.Rows() != m || C.Cols() != m {
 		return fmt.Errorf("core: SYRK dimension mismatch C %d×%d = A·Aᵗ for A %d×%d (want C %d×%d)",
 			C.Rows(), C.Cols(), A.Rows(), A.Cols(), m, m)
+	}
+	if err := refuseAlias(C, A, nil); err != nil {
+		return err
 	}
 	gemm.Syrk(e.be, C, 1, A, false, e.symmetricWorkers())
 	return nil

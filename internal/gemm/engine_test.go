@@ -243,6 +243,9 @@ func BenchmarkLeaf(b *testing.B) {
 	}
 	leaf := func(name string, srcs, m, k, n int) {
 		b.Run(name, func(b *testing.B) {
+			if srcs > 1 && !CanFuse(be) {
+				b.Skip("the default backend cannot fuse")
+			}
 			asrcs, bsrcs, dsts := list(srcs, m, k), list(srcs, k, n), list(min(srcs, 2), m, n)
 			dsts[0].Overwrite = true
 			b.ResetTimer()

@@ -29,16 +29,17 @@ type Scaled = mat.Scaled
 // zeroing pass precedes the scatter). Destinations must not alias any
 // source. Callers go through DispatchFused, which validates shapes and strips
 // the degenerate cases, so implementations see m,n,k ≥ 1, non-empty operand
-// lists, alpha ≠ 0, and workers ≥ 1.
+// lists, alpha ≠ 0, and workers ≥ 1. The simd backend implements it on
+// every kernel; the blas bridge does not.
 type FusedBackend interface {
 	Backend
 	GemmFused(dsts []Scaled, alpha float64, asrcs, bsrcs []Scaled, accumulate bool, workers int)
 }
 
-// CanFuse reports whether be supports the fused leaf natively. Backends that
-// cannot (the blas bridge) still work through DispatchFused, which
-// materializes the operand sums exactly like the explicit path — CanFuse is
-// how the tuner and executor decide whether fusing buys anything.
+// CanFuse reports whether be runs the fused leaf (is a FusedBackend): simd
+// does, the blas bridge does not. The tuner fuses the last level of every
+// fast plan exactly where it holds, core ignores Options.Fused where it does
+// not, and DispatchFused refuses such a backend.
 func CanFuse(be Backend) bool {
 	_, ok := be.(FusedBackend)
 	return ok
@@ -46,10 +47,14 @@ func CanFuse(be Backend) bool {
 
 // DispatchFused is the fused counterpart of Dispatch: it validates the
 // operand lists, strips degenerate problems, and routes to the backend's
-// GemmFused — or, for backends without one, to a fallback that materializes
-// S and T and scatters the explicit product, preserving the semantics (but
-// not the workspace savings) everywhere.
+// GemmFused. It panics, as it does on mismatched operand lists, when be
+// cannot fuse (CanFuse): nothing emulates the fused leaf, so a caller checks
+// CanFuse and runs the explicit path instead.
 func DispatchFused(be Backend, dsts []Scaled, alpha float64, asrcs, bsrcs []Scaled, accumulate bool, workers int) {
+	fb, ok := be.(FusedBackend)
+	if !ok {
+		panic("gemm: fused dispatch on a backend that cannot fuse")
+	}
 	m, k, n := checkDimsFused(dsts, asrcs, bsrcs)
 	if len(dsts) == 0 || m == 0 || n == 0 {
 		return
@@ -67,48 +72,8 @@ func DispatchFused(be Backend, dsts []Scaled, alpha float64, asrcs, bsrcs []Scal
 	if workers < 1 {
 		workers = 1
 	}
-	if fb, ok := be.(FusedBackend); ok {
-		//fastmm:allow FusedBackend interface dispatch; the registry kernels are vetted via blockedBackend.leaf
-		fb.GemmFused(dsts, alpha, asrcs, bsrcs, accumulate, workers)
-		return
-	}
-	fusedFallback(be, dsts, alpha, asrcs, bsrcs, accumulate, workers)
-}
-
-// fusedFallback emulates GemmFused on a backend without native support: it
-// materializes the S/T operand sums and the product exactly like the explicit
-// executor path, then scatter-adds. It allocates — the point of the fused
-// engine is that blocked backends never take this path, and the executor only
-// engages fusion when the backend is a FusedBackend.
-//
-//fastmm:allow fallback materializes by design; fused executors never reach it
-func fusedFallback(be Backend, dsts []Scaled, alpha float64, asrcs, bsrcs []Scaled, accumulate bool, workers int) {
-	m, k := asrcs[0].M.Rows(), asrcs[0].M.Cols()
-	n := bsrcs[0].M.Cols()
-	S := materializeSum(asrcs, m, k)
-	T := materializeSum(bsrcs, k, n)
-	P := mat.New(m, n)
-	be.Gemm(P, alpha, S, T, false, workers)
-	for _, d := range dsts {
-		if !accumulate || d.Overwrite {
-			mat.Scale(d.M, d.Coeff, P)
-		} else {
-			mat.Axpy(d.M, d.Coeff, P)
-		}
-	}
-}
-
-// materializeSum returns Σ c_t·M_t, reusing the single source directly when
-// its coefficient is 1.
-func materializeSum(srcs []Scaled, r, c int) *mat.Dense {
-	if len(srcs) == 1 && srcs[0].Coeff == 1 {
-		return srcs[0].M
-	}
-	out := mat.New(r, c)
-	for _, s := range srcs {
-		mat.Axpy(out, s.Coeff, s.M)
-	}
-	return out
+	//fastmm:allow FusedBackend interface dispatch; the registry kernels are vetted via blockedBackend.leaf
+	fb.GemmFused(dsts, alpha, asrcs, bsrcs, accumulate, workers)
 }
 
 func checkDimsFused(dsts, asrcs, bsrcs []Scaled) (m, k, n int) {

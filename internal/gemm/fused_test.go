@@ -8,8 +8,8 @@ import (
 	"fastmm/internal/mat"
 )
 
-// unfusedWrap hides a backend's FusedBackend capability so tests can drive
-// the DispatchFused fallback path.
+// unfusedWrap hides a backend's FusedBackend capability, standing in for a
+// backend that cannot fuse.
 type unfusedWrap struct{ Backend }
 
 // fusedReference computes the fused semantics the slow, obvious way:
@@ -51,7 +51,7 @@ func randScaleds(rng *rand.Rand, count, r, c int) []Scaled {
 // TestDispatchFusedMatchesReference drives the fused engine across operand
 // counts, alpha values, accumulate modes, worker counts, and shapes chosen to
 // hit the small path, full tiles, and the edge micro-kernel — on every
-// registered backend plus the materializing fallback.
+// registered backend that can fuse.
 func TestDispatchFusedMatchesReference(t *testing.T) {
 	shapes := []struct{ m, k, n int }{
 		{8, 8, 8},    // small path
@@ -68,17 +68,16 @@ func TestDispatchFusedMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		backends = append(backends, be)
 		if CanFuse(be) {
-			backends = append(backends, unfusedWrap{be})
+			backends = append(backends, be)
 		}
+	}
+	if len(backends) == 0 {
+		t.Fatal("no registered backend can fuse")
 	}
 	rng := rand.New(rand.NewSource(7))
 	for _, be := range backends {
 		name := be.Name()
-		if _, ok := be.(unfusedWrap); ok {
-			name += "/fallback"
-		}
 		for _, sh := range shapes {
 			for _, alpha := range []float64{1, -0.5} {
 				for _, acc := range []bool{false, true} {
@@ -111,10 +110,38 @@ func TestDispatchFusedMatchesReference(t *testing.T) {
 	}
 }
 
+// TestDispatchFusedRefusesUnfusedBackend: nothing emulates the fused leaf,
+// so DispatchFused on a backend that cannot fuse panics, as it does on
+// mismatched operand lists, and leaves the destination alone.
+func TestDispatchFusedRefusesUnfusedBackend(t *testing.T) {
+	be := unfusedWrap{Default()}
+	if CanFuse(be) {
+		t.Fatal("unfusedWrap still advertises fusion")
+	}
+	rng := rand.New(rand.NewSource(5))
+	asrcs, bsrcs := randScaleds(rng, 2, 64, 64), randScaleds(rng, 2, 64, 64)
+	dst := mat.New(64, 64)
+	dst.Fill(3)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("DispatchFused on a backend that cannot fuse did not panic")
+			}
+		}()
+		DispatchFused(be, []Scaled{{M: dst, Coeff: 1}}, 1, asrcs, bsrcs, false, 1)
+	}()
+	if dst.At(0, 0) != 3 || dst.At(63, 63) != 3 {
+		t.Error("a refused fused dispatch wrote its destination")
+	}
+}
+
 // TestDispatchFusedDegenerate covers the stripped cases: k=0 and alpha=0
 // must zero (or preserve) destinations without touching the backend.
 func TestDispatchFusedDegenerate(t *testing.T) {
-	be := Default()
+	be, err := Get("simd") // the backend that fuses, whatever the default
+	if err != nil {
+		t.Fatal(err)
+	}
 	A := mat.New(4, 0)
 	B := mat.New(0, 4)
 	d := mat.New(4, 4)

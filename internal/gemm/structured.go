@@ -53,7 +53,7 @@ func Syrk(be Backend, C *mat.Dense, alpha float64, A *mat.Dense, accumulate bool
 // symmetric is Dispatch for the structured ops: it validates C, strips the
 // degenerate cases, and hands the product to the blocked engine's triangle
 // pass, or — on any other backend — to Dispatch over a materialized
-// transpose followed by the mirror, like DispatchFused's fallback.
+// transpose followed by the mirror.
 func symmetric(be Backend, C *mat.Dense, alpha float64, A *mat.Dense, gram, accumulate bool, workers int) {
 	p, k := A.Rows(), A.Cols()
 	if gram {

@@ -14,6 +14,7 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"unsafe"
 )
 
 // Dense is a dense row-major matrix, possibly a view into a larger matrix.
@@ -134,6 +135,51 @@ func (m *Dense) ViewInto(dst *Dense, i, j, r, c int) {
 	off := i*m.stride + j
 	end := off + (r-1)*m.stride + c
 	dst.rows, dst.cols, dst.stride, dst.data = r, c, m.stride, m.data[off:end]
+}
+
+// Overlaps reports whether x and y share any element of storage, in O(1).
+// Views with one row stride — in practice views of one parent — are
+// compared exactly, so disjoint blocks of a parent (side by side, or
+// interleaved row by row) do not overlap. Views with different strides are
+// compared by their address ranges alone, which can only err towards
+// reporting an overlap. Every product entry point refuses a C that overlaps
+// an operand: it reads the operands while it writes the result.
+func Overlaps(x, y *Dense) bool {
+	xd, yd := x.data, y.data
+	if len(xd) == 0 || len(yd) == 0 {
+		return false
+	}
+	const word = unsafe.Sizeof(float64(0))
+	x0, y0 := uintptr(unsafe.Pointer(&xd[0])), uintptr(unsafe.Pointer(&yd[0]))
+	if x0+uintptr(len(xd))*word <= y0 || y0+uintptr(len(yd))*word <= x0 {
+		return false
+	}
+	s := x.stride
+	if s != y.stride || x.cols > s || y.cols > s {
+		return true
+	}
+	// Row i of x covers elements [i·s, i·s+x.cols) and row j of y covers
+	// [d+j·s, d+j·s+y.cols), d being y's offset from x. The two meet iff
+	// -y.cols < d+t·s < x.cols for some row difference t = j-i the shapes
+	// allow; as both widths are at most s, only the two smallest t with
+	// d+t·s > -y.cols can satisfy it.
+	d := (int(y0) - int(x0)) / int(word)
+	t := floorDiv(-y.cols-d, s) + 1
+	for ; t*s+d < x.cols; t++ {
+		if t > -x.rows && t < y.rows {
+			return true
+		}
+	}
+	return false
+}
+
+// floorDiv is a/b rounded towards negative infinity, for b > 0.
+func floorDiv(a, b int) int {
+	q := a / b
+	if a%b < 0 {
+		q--
+	}
+	return q
 }
 
 // Clone returns a compact (stride == cols) deep copy of m.

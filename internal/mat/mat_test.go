@@ -622,3 +622,24 @@ func TestViewIntoOutOfBoundsPanics(t *testing.T) {
 	var v Dense
 	m.ViewInto(&v, 2, 2, 2, 2)
 }
+
+// The O(1) overlap rule agrees with marking every element, over random pairs
+// of views of one parent (1-wide, 1-high and full-width views included).
+func TestOverlapsMatchesElementwise(t *testing.T) {
+	const rows, cols = 9, 7
+	P := New(rows, cols)
+	rng := rand.New(rand.NewSource(1))
+	view := func() (*Dense, [4]int) {
+		i, j := rng.Intn(rows), rng.Intn(cols)
+		r, c := 1+rng.Intn(rows-i), 1+rng.Intn(cols-j)
+		return P.View(i, j, r, c), [4]int{i, j, r, c}
+	}
+	for trial := 0; trial < 20000; trial++ {
+		x, xb := view()
+		y, yb := view()
+		want := xb[0] < yb[0]+yb[2] && yb[0] < xb[0]+xb[2] && xb[1] < yb[1]+yb[3] && yb[1] < xb[1]+xb[3]
+		if got := Overlaps(x, y); got != want {
+			t.Fatalf("Overlaps(%v, %v) = %v, want %v", xb, yb, got, want)
+		}
+	}
+}

@@ -13,7 +13,6 @@ package op
 
 import (
 	"fmt"
-	"unsafe"
 
 	"fastmm/internal/mat"
 	"fastmm/internal/trace"
@@ -191,55 +190,11 @@ func (r Request) Validate() error {
 				r.Op, r.C.Rows(), r.C.Cols(), r.A.Rows(), r.A.Cols(), r.B.Rows(), r.B.Cols())
 		}
 	}
-	if overlaps(r.C, r.A) {
+	if mat.Overlaps(r.C, r.A) {
 		return fmt.Errorf("op: %s: C aliases A", r.Op)
 	}
-	if r.B != nil && overlaps(r.C, r.B) {
+	if r.B != nil && mat.Overlaps(r.C, r.B) {
 		return fmt.Errorf("op: %s: C aliases B", r.Op)
 	}
 	return nil
-}
-
-// overlaps reports whether two matrices share any element of storage, in
-// O(1). Views with one row stride — in practice views of one parent — are
-// compared exactly, so disjoint blocks of a parent (side by side, or
-// interleaved row by row) do not overlap. Views with different strides are
-// compared by their address ranges alone, which can only err towards
-// reporting an overlap.
-func overlaps(x, y *mat.Dense) bool {
-	xd, yd := x.Data(), y.Data()
-	if len(xd) == 0 || len(yd) == 0 {
-		return false
-	}
-	const word = unsafe.Sizeof(float64(0))
-	x0, y0 := uintptr(unsafe.Pointer(&xd[0])), uintptr(unsafe.Pointer(&yd[0]))
-	if x0+uintptr(len(xd))*word <= y0 || y0+uintptr(len(yd))*word <= x0 {
-		return false
-	}
-	s := x.Stride()
-	if s != y.Stride() || x.Cols() > s || y.Cols() > s {
-		return true
-	}
-	// Row i of x covers elements [i·s, i·s+x.Cols) and row j of y covers
-	// [d+j·s, d+j·s+y.Cols), d being y's offset from x. The two meet iff
-	// -y.Cols < d+t·s < x.Cols for some row difference t = j-i the shapes
-	// allow; as both widths are at most s, only the two smallest t with
-	// d+t·s > -y.Cols can satisfy it.
-	d := (int(y0) - int(x0)) / int(word)
-	t := floorDiv(-y.Cols()-d, s) + 1
-	for ; t*s+d < x.Cols(); t++ {
-		if t > -x.Rows() && t < y.Rows() {
-			return true
-		}
-	}
-	return false
-}
-
-// floorDiv is a/b rounded towards negative infinity, for b > 0.
-func floorDiv(a, b int) int {
-	q := a / b
-	if a%b < 0 {
-		q--
-	}
-	return q
 }

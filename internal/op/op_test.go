@@ -1,7 +1,6 @@
 package op
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -152,27 +151,6 @@ func TestValidateAliasing(t *testing.T) {
 	// Empty operands own no storage and alias nothing.
 	if err := (Request{Op: Multiply, C: P.View(0, 0, 0, 4), A: P.View(0, 0, 0, 4), B: sq(0, 0)}).Validate(); err != nil {
 		t.Errorf("empty views: %v", err)
-	}
-}
-
-// The O(1) overlap rule agrees with marking every element, over random pairs
-// of views of one parent (1-wide, 1-high and full-width views included).
-func TestOverlapsMatchesElementwise(t *testing.T) {
-	const rows, cols = 9, 7
-	P := mat.New(rows, cols)
-	rng := rand.New(rand.NewSource(1))
-	view := func() (*mat.Dense, [4]int) {
-		i, j := rng.Intn(rows), rng.Intn(cols)
-		r, c := 1+rng.Intn(rows-i), 1+rng.Intn(cols-j)
-		return P.View(i, j, r, c), [4]int{i, j, r, c}
-	}
-	for trial := 0; trial < 20000; trial++ {
-		x, xb := view()
-		y, yb := view()
-		want := xb[0] < yb[0]+yb[2] && yb[0] < xb[0]+xb[2] && xb[1] < yb[1]+yb[3] && yb[1] < xb[1]+xb[3]
-		if got := overlaps(x, y); got != want {
-			t.Fatalf("overlaps(%v, %v) = %v, want %v", xb, yb, got, want)
-		}
 	}
 }
 

@@ -14,60 +14,40 @@ import (
 	"fastmm/internal/op"
 )
 
-// TestRankEnumeratesFused: on a fuse-capable backend every explicit fast plan
-// has a fused twin in the candidate list, and the twin's model workspace is
-// never larger (the fused level drops its S/T/M temporaries).
-func TestRankEnumeratesFused(t *testing.T) {
-	tn := mustTuner(t, modelOnlyOpts(1))
-	ranked, err := tn.RankOp(op.Multiply, 512, 512, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	type variant struct {
-		alg, backend, par string
-		steps             int
-	}
-	explicit := map[variant]Plan{}
-	fused := map[variant]Plan{}
-	for _, p := range ranked {
-		if p.IsClassical() {
-			if p.Fused {
-				t.Fatalf("classical plan marked fused: %+v", p)
-			}
-			continue
-		}
-		v := variant{p.Algorithm, p.Backend, p.Parallel, p.Steps}
-		if p.Fused {
-			be, err := gemm.Get(p.Backend)
+// TestRankFusedFollowsBackend: fusion is a property of the leaf backend,
+// not a candidate dimension. Over the benchmark's multiply shapes at one and
+// two workers every fast plan is fused exactly when the default backend can
+// fuse, so the blas bridge ranks explicit plans alone. On a fusing backend no
+// plan is HYBRID (a fused last level defers no leaf, so it runs as BFS) and
+// none is a one-step BFS (it runs as DFS).
+func TestRankFusedFollowsBackend(t *testing.T) {
+	fuses := gemm.CanFuse(gemm.Default())
+	for _, w := range []int{1, 2} {
+		tn := mustTuner(t, modelOnlyOpts(w))
+		for _, s := range [][3]int{{1024, 1024, 1024}, {1280, 1280, 1280}, {2560, 320, 2560}, {2500, 625, 625}} {
+			ranked, err := tn.RankOp(op.Multiply, s[0], s[1], s[2])
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !gemm.CanFuse(be) {
-				t.Fatalf("fused plan on a backend that cannot fuse: %+v", p)
+			fast := 0
+			for _, p := range ranked {
+				if p.IsClassical() {
+					if p.Fused {
+						t.Errorf("%v at %dw: classical plan marked fused: %s", s, w, p)
+					}
+					continue
+				}
+				fast++
+				if p.Fused != fuses {
+					t.Errorf("%v at %dw ranks %s; want fused %t on backend %s", s, w, p, fuses, gemm.Default().Name())
+				}
+				if fuses && (p.Parallel == core.Hybrid.String() || p.Parallel == core.BFS.String() && p.Steps == 1) {
+					t.Errorf("%v at %dw ranks %s, which runs under another scheduler", s, w, p)
+				}
 			}
-			fused[v] = p
-		} else {
-			explicit[v] = p
-		}
-	}
-	if len(fused) == 0 {
-		t.Fatal("no fused candidates enumerated (default backend should fuse)")
-	}
-	for v, ep := range explicit {
-		be, err := gemm.Get(v.backend)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !gemm.CanFuse(be) {
-			continue
-		}
-		fp, ok := fused[v]
-		if !ok {
-			t.Errorf("explicit plan %s has no fused twin", ep)
-			continue
-		}
-		if fp.WorkspaceBytes > ep.WorkspaceBytes {
-			t.Errorf("%s: fused workspace %d exceeds explicit %d", fp, fp.WorkspaceBytes, ep.WorkspaceBytes)
+			if fast == 0 {
+				t.Errorf("%v at %dw: no fast candidates", s, w)
+			}
 		}
 	}
 }
@@ -79,7 +59,7 @@ func TestFusedPlanBuildsAndPersists(t *testing.T) {
 	tn := mustTuner(t, modelOnlyOpts(1))
 	p := Plan{
 		Algorithm: "strassen",
-		Backend:   gemm.Default().Name(),
+		Backend:   "simd", // the backend that fuses, whatever the default
 		Steps:     1,
 		Parallel:  "dfs",
 		Strategy:  "write-once",

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"fastmm/internal/core"
+	"fastmm/internal/gemm"
 	"fastmm/internal/mat"
 	"fastmm/internal/op"
 	"fastmm/internal/workspace"
@@ -242,7 +243,7 @@ func TestStoppedProbeNeverWins(t *testing.T) {
 func TestTimeDecisionStopsAtLimit(t *testing.T) {
 	const n = 384
 	tn := mustTuner(t, Options{Resources: Resources{Workers: 1}, Profile: testProfile(1), NoDiskCache: true})
-	fast, err := tn.build(op.Multiply, Plan{Algorithm: "strassen", Steps: 2, Parallel: "sequential", Strategy: "write-once", Workers: 1})
+	fast, err := tn.build(op.Multiply, Plan{Algorithm: "strassen", Steps: 2, Parallel: "sequential", Strategy: "write-once", Fused: gemm.CanFuse(gemm.Default()), Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +296,7 @@ func TestProbeBoundIsSound(t *testing.T) {
 	const rate = 2e9
 	total := int64(49 * 2 * 64 * 64 * 64)
 	tn := mustTuner(t, Options{Resources: Resources{Workers: 1}, Profile: testProfile(1), NoDiskCache: true})
-	d, err := tn.build(op.Multiply, Plan{Algorithm: "strassen", Steps: 2, Parallel: "sequential", Strategy: "write-once", Workers: 1})
+	d, err := tn.build(op.Multiply, Plan{Algorithm: "strassen", Steps: 2, Parallel: "sequential", Strategy: "write-once", Fused: gemm.CanFuse(gemm.Default()), Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,10 +420,11 @@ func TestPaceBound(t *testing.T) {
 	}
 }
 
-// TestProbeSharesOneArenaPool: one probe over several explicit survivors
-// hands every run the same arena pool, which ends up holding about the
-// largest survivor's workspace rather than the sum of them all; the
-// winner's executor, like every survivor's, retains nothing.
+// TestProbeSharesOneArenaPool: one probe over several multi-step survivors
+// — fused where the backend fuses, their upper levels' temporaries drawn
+// from arenas — hands every run the same arena pool, which ends up holding
+// about the largest survivor's workspace rather than the sum of them all;
+// the winner's executor, like every survivor's, retains nothing.
 func TestProbeSharesOneArenaPool(t *testing.T) {
 	const n = 384
 	tn := mustTuner(t, Options{Resources: Resources{Workers: 1}, Profile: testProfile(1), NoDiskCache: true})
@@ -438,12 +440,12 @@ func TestProbeSharesOneArenaPool(t *testing.T) {
 			if classical == nil {
 				classical = &ranked[i]
 			}
-		case !p.Fused && len(plans) < DefaultProbeTopK:
+		case p.Steps >= 2 && len(plans) < DefaultProbeTopK:
 			plans = append(plans, p)
 		}
 	}
 	if classical == nil || len(plans) < 2 {
-		t.Fatalf("need a classical plan and explicit fast ones, have %d", len(plans))
+		t.Fatalf("need a classical plan and multi-step fast ones, have %d", len(plans))
 	}
 	var maxWS, sumWS int64
 	var execs []*core.Executor

@@ -1,19 +1,19 @@
 // Package tuner is the shape-aware autotuning dispatcher: given a problem
 // shape ⟨m,k,n⟩ and a worker count it picks the (algorithm, recursion depth,
-// scheduler, fused last level) combination predicted — and optionally
-// measured — to be fastest on this machine. It operationalizes the paper's
-// central empirical claim that no single fast algorithm wins everywhere
-// (Figs. 4–6): the best choice depends on the shape, the core count, and the
-// memory budget.
+// scheduler) combination predicted — and optionally measured — to be fastest
+// on this machine. It operationalizes the paper's central empirical claim
+// that no single fast algorithm wins everywhere (Figs. 4–6): the best choice
+// depends on the shape, the core count, and the memory budget.
 //
 // The pipeline per shape:
 //
 //  1. enumerate candidate plans — every algorithm of Options.Algorithms ×
-//     steps up to DefaultMaxSteps × scheduler × fused last level, plus the
-//     classical gemm baseline, all on the default leaf backend; every fast
-//     plan forms its operand sums write-once (§3.2's practical strategy,
-//     without CSE); shapes below core.MinDim, and the symmetric ops AᵗA and
-//     Syrk at every shape, get the baseline alone;
+//     steps up to DefaultMaxSteps × scheduler, plus the classical gemm
+//     baseline, all on the default leaf backend; every fast plan forms its
+//     operand sums write-once (§3.2's practical strategy, without CSE) and
+//     fuses its last level exactly when the backend can (gemm.CanFuse: simd
+//     does, blas does not); shapes below core.MinDim, and the symmetric ops
+//     AᵗA and Syrk at every shape, get the baseline alone;
 //  2. prune and rank them with the analytic cost recurrences of
 //     internal/costmodel, turned into predicted seconds by a one-time
 //     machine calibration (Options.Profile, or measured gemm GFLOPS at a
@@ -178,8 +178,8 @@ type Plan struct {
 	CSE      bool   `json:"cse,omitempty"`
 	// Fused runs the last recursion level through the fused-operand engine
 	// (no S/T/M temporaries; operand sums folded into packing, products
-	// scatter-added through the epilogue). Enumerated only for leaf backends
-	// that support it (gemm.CanFuse).
+	// scatter-added through the epilogue) exactly when the plan is fast and
+	// its backend can fuse (gemm.CanFuse); build refuses any other value.
 	Fused   bool `json:"fused,omitempty"`
 	Workers int  `json:"workers"`
 	// WorkspaceBytes is the plan's predicted peak workspace: the built
@@ -315,7 +315,7 @@ type Tuner struct {
 	dirty map[string]Plan
 
 	modelMu sync.Mutex
-	models  map[modelKey]*costmodel.Model
+	models  map[string]*costmodel.Model // by algorithm name
 
 	// timeRun is the probe's stopwatch: it runs d on req — the caller's own
 	// request, when the probe serves one, so the run's result is the call's
@@ -334,11 +334,6 @@ type Tuner struct {
 // rename makes races lose entries, not integrity.
 var persistMu sync.Mutex
 
-type modelKey struct {
-	name  string
-	fused bool
-}
-
 // New builds a tuner. Calibration resolution order: Options.Profile, the
 // persisted profile, a fresh quick calibration (persisted best-effort).
 func New(opts Options) (*Tuner, error) {
@@ -352,7 +347,7 @@ func New(opts Options) (*Tuner, error) {
 		lru:    newLRU(lruSize),
 		disk:   map[string]Plan{},
 		dirty:  map[string]Plan{},
-		models: map[modelKey]*costmodel.Model{},
+		models: map[string]*costmodel.Model{},
 	}
 	t.timeRun = timeDecision
 	switch {
@@ -583,10 +578,10 @@ func (t *Tuner) remember(key string, d *decision, persist bool) {
 }
 
 // RankOp enumerates the candidate plans for an (op, shape) — the classical
-// baseline plus algorithm × steps × scheduler × fused, every fast plan
-// write-once without CSE, on the tuner's leaf backend — and sorts them by
-// predicted time (fastest first), workspace-cap survivors only. The shape is the gemm-equivalent product
-// triple. A classical baseline is always present, so the result is never
+// baseline plus algorithm × steps × scheduler, every fast plan write-once
+// without CSE and fused where the tuner's leaf backend can fuse — and sorts
+// them by predicted time (fastest first), workspace-cap survivors only. The
+// shape is the gemm-equivalent product triple. A classical baseline is always present, so the result is never
 // empty; for the symmetric ops it is the whole result (see classicalPlan).
 func (t *Tuner) RankOp(o op.Op, m, k, n int) ([]Plan, error) {
 	o = o.PlanOp()
@@ -670,27 +665,24 @@ func (t *Tuner) schedules() []schedCand {
 	}
 }
 
-// algorithmPlans enumerates the viable (steps, scheduler, fused) plans of
-// one algorithm on one shape, all write-once, with predicted times and model
-// workspaces. Shapes that don't divide the base case are handled the way the executor
-// does — the recursion runs on the largest divisible core and the model
-// charges the peeling borders as classical gemm work on top. A plan is
-// emitted only under a scheduler it runs as. HYBRID: a leaf count R^steps
-// that W divides defers no leaf, nor does a fused last level, which never
-// calls a leaf gemm — each would run as its BFS twin. BFS: a fused one-step
-// multiply gives every product all workers and spawns no task, so it runs
-// as its DFS twin.
+// algorithmPlans enumerates the viable (steps, scheduler) plans of one
+// algorithm on one shape, all write-once and fused where the backend can
+// fuse, with predicted times and model workspaces. Shapes that don't divide
+// the base case are handled the way the executor does — the recursion runs
+// on the largest divisible core and the model charges the peeling borders as
+// classical gemm work on top. A plan is emitted only under a scheduler it
+// runs as. HYBRID: a leaf count R^steps that W divides defers no leaf, nor
+// does a fused last level, which never calls a leaf gemm — each would run as
+// its BFS twin, so a fusing backend ranks no HYBRID plan. BFS: a fused
+// one-step multiply gives every product all workers and spawns no task, so
+// it runs as its DFS twin.
 func (t *Tuner) algorithmPlans(a *algo.Algorithm, m, k, n int) []Plan {
 	var out []Plan
 	ma := t.prof.Machine
 	b := a.Base
 	workers := t.opts.Workers
-	// The fused engine is a candidate dimension only where the leaf backend
-	// supports it; other backends enumerate explicit plans alone.
-	fusedDims := []bool{false}
-	if gemm.CanFuse(t.be) {
-		fusedDims = []bool{false, true}
-	}
+	fused := gemm.CanFuse(t.be)
+	model := t.model(a)
 	for steps := 1; steps <= DefaultMaxSteps; steps++ {
 		dM, dK, dN := ipow(b.M, steps), ipow(b.K, steps), ipow(b.N, steps)
 		if m < dM || k < dK || n < dN {
@@ -702,39 +694,36 @@ func (t *Tuner) algorithmPlans(a *algo.Algorithm, m, k, n int) []Plan {
 			fixup = 0
 		}
 		bfsHybrid := ipow(a.Rank(), steps)%workers == 0
-		for _, fused := range fusedDims {
-			model := t.model(a, fused)
-			cost, err := model.Evaluate(cm, ck, cn, steps)
+		cost, err := model.Evaluate(cm, ck, cn, steps)
+		if err != nil {
+			continue
+		}
+		for _, sc := range t.schedules() {
+			if sc.par == core.Hybrid && (bfsHybrid || fused) {
+				continue
+			}
+			if sc.par == core.BFS && fused && steps == 1 {
+				continue
+			}
+			est, err := model.PredictTime(cm, ck, cn, steps, ma, sc.ex)
 			if err != nil {
 				continue
 			}
-			for _, sc := range t.schedules() {
-				if sc.par == core.Hybrid && (bfsHybrid || fused) {
-					continue
-				}
-				if sc.par == core.BFS && fused && steps == 1 {
-					continue
-				}
-				est, err := model.PredictTime(cm, ck, cn, steps, ma, sc.ex)
-				if err != nil {
-					continue
-				}
-				ws := modelWorkspaceBytes(cost, sc.par, workers, t.be)
-				if cap := t.opts.Workspace; cap > 0 && ws > cap {
-					continue
-				}
-				out = append(out, Plan{
-					Algorithm:        a.Name,
-					Backend:          t.be.Name(),
-					Steps:            steps,
-					Parallel:         sc.par.String(),
-					Strategy:         addchain.WriteOnce.String(),
-					Fused:            fused,
-					Workers:          planWorkers(sc.par, workers),
-					WorkspaceBytes:   ws,
-					PredictedSeconds: est.Seconds + fixup,
-				})
+			ws := modelWorkspaceBytes(cost, sc.par, workers, t.be)
+			if cap := t.opts.Workspace; cap > 0 && ws > cap {
+				continue
 			}
+			out = append(out, Plan{
+				Algorithm:        a.Name,
+				Backend:          t.be.Name(),
+				Steps:            steps,
+				Parallel:         sc.par.String(),
+				Strategy:         addchain.WriteOnce.String(),
+				Fused:            fused,
+				Workers:          planWorkers(sc.par, workers),
+				WorkspaceBytes:   ws,
+				PredictedSeconds: est.Seconds + fixup,
+			})
 		}
 	}
 	return out
@@ -762,17 +751,16 @@ func planWorkers(par core.Parallel, workers int) int {
 	return workers
 }
 
-// model returns the cached write-once cost model for one (algorithm, fused)
-// pair.
-func (t *Tuner) model(a *algo.Algorithm, fused bool) *costmodel.Model {
-	key := modelKey{name: a.Name, fused: fused}
+// model returns the cached write-once cost model of one algorithm, its last
+// level fused wherever the tuner's leaf backend can fuse.
+func (t *Tuner) model(a *algo.Algorithm) *costmodel.Model {
 	t.modelMu.Lock()
 	defer t.modelMu.Unlock()
-	if m, ok := t.models[key]; ok {
+	if m, ok := t.models[a.Name]; ok {
 		return m
 	}
-	m := costmodel.NewTrustedFused(a, addchain.WriteOnce, false, fused)
-	t.models[key] = m
+	m := costmodel.NewTrustedFused(a, addchain.WriteOnce, false, gemm.CanFuse(t.be))
+	t.models[a.Name] = m
 	return m
 }
 
@@ -811,7 +799,9 @@ func parseParallel(s string) (core.Parallel, error) {
 // (edited cache file, a blas plan loaded into a non-blas build) fails and
 // falls through to a fresh ranking, like an unknown algorithm, a fast plan
 // for a symmetric op, or a fast plan RankOp would not emit: one that is not
-// write-once, or uses CSE (an earlier version's cached streaming plan).
+// write-once, uses CSE (an earlier version's cached streaming plan), or
+// whose Fused disagrees with its backend (an earlier version's cached
+// explicit plan on a fusing backend).
 func (t *Tuner) build(o op.Op, p Plan) (*decision, error) {
 	o = o.PlanOp()
 	be, err := gemm.Resolve(p.Backend)
@@ -826,6 +816,9 @@ func (t *Tuner) build(o op.Op, p Plan) (*decision, error) {
 	}
 	if p.Strategy != addchain.WriteOnce.String() || p.CSE {
 		return nil, fmt.Errorf("tuner: fast plans run write-once without CSE, not %s (cse %t)", p.Strategy, p.CSE)
+	}
+	if p.Fused != gemm.CanFuse(be) {
+		return nil, fmt.Errorf("tuner: fast plans on backend %s run fused %t, not %s", be.Name(), gemm.CanFuse(be), p)
 	}
 	a, err := catalog.GetVerified(p.Algorithm)
 	if err != nil {

@@ -161,22 +161,24 @@ func TestWorkspaceCapRespected(t *testing.T) {
 	}
 }
 
-// TestCachedNonWriteOncePlanReranks: build accepts only the fast plans RankOp
-// emits — write-once, no CSE — so a streaming or CSE plan cached by an
-// earlier version falls through to a fresh ranking, like an unknown
-// algorithm, and the fresh decision replaces it on disk.
-func TestCachedNonWriteOncePlanReranks(t *testing.T) {
-	fast := Plan{Algorithm: "strassen", Backend: gemm.Default().Name(), Steps: 1,
-		Parallel: "sequential", Strategy: addchain.WriteOnce.String(), Workers: 1}
-	streaming, cse := fast, fast
-	streaming.Strategy = addchain.Streaming.String()
-	cse.CSE = true
+// canonicalFast is a fast plan RankOp emits at one worker: write-once,
+// without CSE, and fused exactly when the default backend can fuse.
+func canonicalFast() Plan {
+	return Plan{Algorithm: "strassen", Backend: gemm.Default().Name(), Steps: 1, Parallel: "sequential",
+		Strategy: addchain.WriteOnce.String(), Fused: gemm.CanFuse(gemm.Default()), Workers: 1}
+}
 
+// requireCachedPlansRerank: build accepts canonicalFast and refuses every
+// stale plan, and a tuner that finds a stale plan in the disk cache ranks
+// the shape afresh, like an unknown algorithm, and replaces the entry on
+// disk with the fresh decision.
+func requireCachedPlansRerank(t *testing.T, stale ...Plan) {
+	t.Helper()
 	tn := mustTuner(t, modelOnlyOpts(1))
-	if _, err := tn.build(op.Multiply, fast); err != nil {
-		t.Fatalf("write-once plan must build: %v", err)
+	if _, err := tn.build(op.Multiply, canonicalFast()); err != nil {
+		t.Fatalf("%s must build: %v", canonicalFast(), err)
 	}
-	for _, p := range []Plan{streaming, cse} {
+	for _, p := range stale {
 		if _, err := tn.build(op.Multiply, p); err == nil {
 			t.Errorf("build accepted %s (cse %t)", p, p.CSE)
 		}
@@ -190,8 +192,8 @@ func TestCachedNonWriteOncePlanReranks(t *testing.T) {
 	t.Setenv(EnvCacheDir, t.TempDir())
 	opts := Options{Resources: Resources{Workers: 1}, Profile: testProfile(1), ProbeTopK: NoProbes}
 	key := mustTuner(t, opts).key(op.Multiply, n, n, n)
-	for _, stale := range []Plan{streaming, cse} {
-		if err := saveEntries(map[string]Plan{key: stale}); err != nil {
+	for _, p := range stale {
+		if err := saveEntries(map[string]Plan{key: p}); err != nil {
 			t.Fatal(err)
 		}
 		got, err := mustTuner(t, opts).PlanForOp(op.Multiply, n, n, n)
@@ -199,12 +201,30 @@ func TestCachedNonWriteOncePlanReranks(t *testing.T) {
 			t.Fatal(err)
 		}
 		if executorKey(got) != executorKey(want) {
-			t.Errorf("cached %s (cse %t) decided %s, want the fresh ranking's %s", stale, stale.CSE, got, want)
+			t.Errorf("cached %s (cse %t) decided %s, want the fresh ranking's %s", p, p.CSE, got, want)
 		}
 		if onDisk := loadEntries()[key]; executorKey(onDisk) != executorKey(want) {
-			t.Errorf("cached %s (cse %t) left %s on disk, want %s", stale, stale.CSE, onDisk, want)
+			t.Errorf("cached %s (cse %t) left %s on disk, want %s", p, p.CSE, onDisk, want)
 		}
 	}
+}
+
+// TestCachedNonWriteOncePlanReranks: a streaming or CSE plan cached by an
+// earlier version is not a plan RankOp emits, so it re-ranks.
+func TestCachedNonWriteOncePlanReranks(t *testing.T) {
+	streaming, cse := canonicalFast(), canonicalFast()
+	streaming.Strategy = addchain.Streaming.String()
+	cse.CSE = true
+	requireCachedPlansRerank(t, streaming, cse)
+}
+
+// TestCachedOtherFusedPlanReranks: a fast plan is fused exactly when its
+// backend can fuse, so a cached plan that disagrees — an explicit plan an
+// earlier version ranked on the fusing simd backend — re-ranks.
+func TestCachedOtherFusedPlanReranks(t *testing.T) {
+	flipped := canonicalFast()
+	flipped.Fused = !flipped.Fused
+	requireCachedPlansRerank(t, flipped)
 }
 
 // The disk cache must round-trip decisions, and corrupt or missing cache
