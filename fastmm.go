@@ -31,6 +31,11 @@
 //	})
 //	err = exec.Multiply(C, A, B)
 //
+// Multiply, MultiplyAdd, MultiplyATA and MultiplySyrk are an Executor's Do
+// with the op filled in; Do takes any Request, C = Alpha·op(A,B) + Beta·C:
+//
+//	err = exec.Do(fastmm.Request{Op: fastmm.OpMultiply, C: C, A: A, B: B, Alpha: -2, Beta: 0.5})
+//
 // Or let the autotuner pick the algorithm, depth and scheduler for each shape
 // (the paper's Figs. 4–6 show no single choice wins everywhere); its fast
 // plans fuse their last level wherever the leaf backend can:
@@ -120,9 +125,9 @@ const (
 )
 
 // Request is one operation-typed work item, C = Alpha·op(A,B) + Beta·C:
-// the unit accepted by Do and by Batcher.SubmitRequest. Zero Alpha means 1,
-// zero Beta means overwrite; B must be nil for OpATA/OpSyrk. C must not
-// alias A or B.
+// the unit accepted by Do, Executor.Do and Batcher.SubmitRequest. Zero
+// Alpha means 1, zero Beta means overwrite; B must be nil for
+// OpATA/OpSyrk. C must not alias A or B.
 type Request = op.Request
 
 // Executor runs a fixed algorithm schedule; it is safe for concurrent use.

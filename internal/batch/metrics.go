@@ -1,6 +1,7 @@
 package batch
 
 import (
+	"math"
 	"math/bits"
 	"sync/atomic"
 	"time"
@@ -95,16 +96,13 @@ func HistogramBounds() []time.Duration {
 }
 
 // Quantile returns an upper bound for the q-quantile (0 < q ≤ 1) of the
-// distribution: the upper edge of the bucket the quantile falls in. Zero
-// when the histogram is empty.
+// distribution: the upper edge of the bucket holding the nearest-rank
+// sample, the ⌈q·Count⌉-th smallest. Zero when the histogram is empty.
 func (h Histogram) Quantile(q float64) time.Duration {
 	if h.Count == 0 || q <= 0 {
 		return 0
 	}
-	rank := int64(q * float64(h.Count))
-	if rank < 1 {
-		rank = 1
-	}
+	rank := int64(math.Ceil(q * float64(h.Count)))
 	bounds := HistogramBounds()
 	var cum int64
 	for i, c := range h.Counts {

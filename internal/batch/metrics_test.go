@@ -89,6 +89,32 @@ func TestHistogramQuantileMean(t *testing.T) {
 	}
 }
 
+// TestHistogramQuantileNearestRank: the q-quantile is the ⌈q·Count⌉-th
+// smallest sample's bucket, so the median of three samples in distinct
+// buckets is the middle one, and every q up to 1/3 reads the lowest.
+func TestHistogramQuantileNearestRank(t *testing.T) {
+	var h hist
+	for _, d := range []time.Duration{time.Microsecond, 100 * time.Microsecond, 10 * time.Millisecond} {
+		h.observe(d)
+	}
+	snap := h.snapshot()
+	for _, c := range []struct {
+		q    float64
+		want time.Duration
+	}{
+		{0.1, 2 * time.Microsecond},
+		{1.0 / 3, 2 * time.Microsecond},
+		{0.5, 128 * time.Microsecond},
+		{2.0 / 3, 128 * time.Microsecond},
+		{0.9, 16384 * time.Microsecond},
+		{1, 16384 * time.Microsecond},
+	} {
+		if got := snap.Quantile(c.q); got != c.want {
+			t.Errorf("Quantile(%.3g) of 3 samples = %v, want %v", c.q, got, c.want)
+		}
+	}
+}
+
 // TestMetricsHotPathAllocFree is the acceptance bar for the metrics surface:
 // every per-item update — counters, histograms, backend mix, effective
 // flops, the admission estimator's EWMA — must run without a single heap

@@ -34,6 +34,7 @@ import (
 	"fastmm/internal/algo"
 	"fastmm/internal/gemm"
 	"fastmm/internal/mat"
+	"fastmm/internal/op"
 	"fastmm/internal/resources"
 	"fastmm/internal/trace"
 	"fastmm/internal/workspace"
@@ -273,31 +274,56 @@ func (e *Executor) Algorithm() *algo.Algorithm { return e.schedule[0].alg }
 // (the default backend's name when Options.Backend was empty).
 func (e *Executor) Backend() string { return e.be.Name() }
 
-// Multiply computes C = A·B. C must be A.Rows()×B.Cols() and must not alias
-// A or B; a call that breaks either rule returns an error and does no work.
-func (e *Executor) Multiply(C, A, B *mat.Dense) error { return e.MultiplyTrace(C, A, B, nil) }
-
-// MultiplyTrace is Multiply with an optional execution-trace sink: when tr
-// is non-nil the call records its scheduling decision (the traversal mode
-// actually run, workspace-cap degradation included, and the granted width),
-// each recursion step's sub-shape and workspace mark, and every leaf gemm
-// call. The sink is fixed-capacity and concurrency-safe, so BFS fan-out
-// records without coordination; a nil sink costs one pointer check per site.
+// Do runs one request, C = α·op(A,B) + β·C, and is the executor's one
+// entry: Multiply, MultiplyAdd, MultiplyATA and MultiplySyrk are Do with
+// the op filled in. The request is checked by op.Request.Validate (shape
+// rules, nil operands, a C that overlaps A or B); a request that fails the
+// check returns its error and does no work. A β outside {0, 1} scales C
+// once up front; α and the accumulate flag (β ≠ 0) then ride the recursion
+// to the leaf gemm, the fused epilogue and the combine (§3.1), so no pass
+// over C runs after the product. AᵗA and Syrk are the backend's classical
+// lower-triangle pass (see MultiplyATA).
+//
+// When r.Trace is non-nil a general product records its scheduling
+// decision (the traversal mode actually run, workspace-cap degradation
+// included, and the granted width), each recursion step's sub-shape and
+// workspace mark, and every leaf and fused-leaf call. The sink is
+// fixed-capacity and concurrency-safe, so BFS fan-out records without
+// coordination; a nil sink costs one pointer check per site.
 //
 // The steady-state DFS path must stay allocation-free (the benchmarks pin it
 // at one pinned runContext alloc per call, waived below); fmmvet enforces
 // this over the whole static call graph.
 //
 //fastmm:zeroalloc
-func (e *Executor) MultiplyTrace(C, A, B *mat.Dense, tr *trace.Spans) error {
-	return e.product(C, A, B, 1, false, tr, Budget{})
+func (e *Executor) Do(r op.Request) error { return e.do(r, Budget{}) }
+
+// Multiply computes C = A·B. C must be A.Rows()×B.Cols() and must not alias
+// A or B; a call that breaks either rule returns an error and does no work.
+func (e *Executor) Multiply(C, A, B *mat.Dense) error {
+	return e.Do(op.Request{Op: op.Multiply, C: C, A: A, B: B})
+}
+
+// MultiplyAdd computes C += alpha·A·B. The accumulation rides the recursion
+// all the way to the leaves (alpha piped to the base case, §3.1; the leaf
+// gemm and the combine epilogue run in accumulate mode), so no product-sized
+// temporary is materialized and no separate final-add pass runs — under a
+// fused plan the accumulate happens inside the scatter-add epilogue itself.
+// Dimensions as for Multiply. An alpha of 0 adds nothing: the call checks
+// its operands and leaves C as it is.
+func (e *Executor) MultiplyAdd(C, A, B *mat.Dense, alpha float64) error {
+	r := op.Request{Op: op.MultiplyAdd, C: C, A: A, B: B, Alpha: alpha}
+	if alpha == 0 { // a Request reads Alpha 0 as 1
+		return r.Validate()
+	}
+	return e.Do(r)
 }
 
 // ErrStopped is returned by a budgeted call whose budget ran out before the
 // call finished. C then holds a partial result and must be discarded.
 var ErrStopped = errors.New("core: call stopped")
 
-// Budget bounds one call of a Stoppable (see WithBudget).
+// Budget bounds one Do call of a Stoppable (see WithBudget).
 type Budget struct {
 	// Over, when non-nil, is asked at every stop check with the leaf flops
 	// the call has not yet started: it starts at the plan's leaf flops (R^s
@@ -314,43 +340,49 @@ type Budget struct {
 	Arenas *workspace.Pool
 }
 
-// Stoppable is the executor's entry points bound to one Budget; see
-// WithBudget.
+// Stoppable is the executor's Do bound to one Budget; see WithBudget.
 type Stoppable struct {
 	e *Executor
 	b Budget
 }
 
-// WithBudget binds the executor's entry points to a budget; the tuner binds
-// one per probe run. Once Over returns true, the call skips its remaining
-// recursion levels, leaves, fused products, additions and peeling fix-ups,
-// drains its spawned tasks, releases its workspace on the ordinary return
-// path and returns ErrStopped. The overshoot is at most one leaf or one
-// addition pass past the check that stopped it. A zero Budget makes every
-// call an ordinary one.
+// WithBudget binds the executor's Do to a budget; the tuner binds one per
+// probe run and a zero one for every served call. Once Over returns true, a
+// general product skips its remaining recursion levels, leaves, fused
+// products, additions and peeling fix-ups, drains its spawned tasks,
+// releases its workspace on the ordinary return path and returns
+// ErrStopped. The overshoot is at most one leaf or one addition pass past
+// the check that stopped it. AᵗA and Syrk are one triangle pass with no
+// stop check. A zero Budget makes every call an ordinary one.
 func (e *Executor) WithBudget(b Budget) Stoppable { return Stoppable{e: e, b: b} }
 
-// MultiplyTrace is Executor.MultiplyTrace under the bound budget.
-func (s Stoppable) MultiplyTrace(C, A, B *mat.Dense, tr *trace.Spans) error {
-	return s.e.product(C, A, B, 1, false, tr, s.b)
-}
+// Do is Executor.Do under the bound budget.
+func (s Stoppable) Do(r op.Request) error { return s.e.do(r, s.b) }
 
-// MultiplyAdd is Executor.MultiplyAdd under the bound budget.
-func (s Stoppable) MultiplyAdd(C, A, B *mat.Dense, alpha float64) error {
-	return s.e.product(C, A, B, alpha, true, nil, s.b)
-}
-
-// product is every general-multiply entry: C = alpha·A·B, or C += alpha·A·B
-// with acc (MultiplyAdd), with an optional trace sink and budget.
-func (e *Executor) product(C, A, B *mat.Dense, alpha float64, acc bool, tr *trace.Spans, b Budget) error {
-	if A.Cols() != B.Rows() || C.Rows() != A.Rows() || C.Cols() != B.Cols() {
-		//fastmm:allow error construction on the reject path, before any work
-		return fmt.Errorf("core: dimension mismatch C %d×%d = A %d×%d · B %d×%d",
-			C.Rows(), C.Cols(), A.Rows(), A.Cols(), B.Rows(), B.Cols())
-	}
-	if err := refuseAlias(C, A, B); err != nil {
+// do is Do under budget b.
+func (e *Executor) do(r op.Request, b Budget) error {
+	r = r.Normalized()
+	if err := r.Validate(); err != nil {
 		return err
 	}
+	if r.Beta != 0 && r.Beta != 1 {
+		mat.Scale(r.C, r.Beta, r.C)
+	}
+	acc := r.Beta != 0
+	switch r.Op {
+	case op.ATA:
+		gemm.ATA(e.be, r.C, r.Alpha, r.A, acc, e.symmetricWorkers())
+	case op.Syrk:
+		gemm.Syrk(e.be, r.C, r.Alpha, r.A, acc, e.symmetricWorkers())
+	default:
+		return e.product(r.C, r.A, r.B, r.Alpha, acc, r.Trace, b)
+	}
+	return nil
+}
+
+// product is the general multiply of a validated request: C = alpha·A·B,
+// or C += alpha·A·B with acc, with an optional trace sink and budget.
+func (e *Executor) product(C, A, B *mat.Dense, alpha float64, acc bool, tr *trace.Spans, b Budget) error {
 	mode := e.scheduleMode(A.Rows(), A.Cols(), B.Cols())
 	var left int64
 	if b.Over != nil {
@@ -391,16 +423,6 @@ func (e *Executor) product(C, A, B *mat.Dense, alpha float64, acc bool, tr *trac
 		})
 	}
 	return ctx.err()
-}
-
-// refuseAlias returns an error when C shares storage with A or B (nil for
-// the unary ops): every entry reads its operands while it writes C.
-func refuseAlias(C, A, B *mat.Dense) error {
-	if mat.Overlaps(C, A) || B != nil && mat.Overlaps(C, B) {
-		//fastmm:allow error construction on the reject path, before any work
-		return errors.New("core: C aliases an operand")
-	}
-	return nil
 }
 
 // scheduleMode resolves the scheduler for one call: the configured mode,

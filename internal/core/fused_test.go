@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"fastmm/internal/catalog"
 	"fastmm/internal/gemm"
 	"fastmm/internal/mat"
+	"fastmm/internal/op"
 	"fastmm/internal/trace"
 )
 
@@ -228,40 +230,44 @@ func TestFusedDFSAllocationFree(t *testing.T) {
 }
 
 // TestFusedStatsAndTrace: a fused run reports its products through
-// Stats.FusedCalls (not LeafCalls) and records fused-leaf spans.
+// Stats.FusedCalls (not LeafCalls) and records its scheduler, step and
+// fused-leaf spans, whether it overwrites C or accumulates into it.
 func TestFusedStatsAndTrace(t *testing.T) {
-	var stats Stats
 	name := fusedCapableBackend(t)
-	e := mustExec(t, "strassen", Options{
-		Resources: Resources{Workers: 1}, Steps: 1, Parallel: DFS,
-		Backend: name, Fused: true, Stats: &stats,
-	})
-	C, A, B := randomProblem(64, 64, 64, 21)
-	var tr trace.Spans
-	if err := e.MultiplyTrace(C, A, B, &tr); err != nil {
-		t.Fatal(err)
-	}
-	s := stats.Snapshot()
-	if s.FusedCalls != 7 {
-		t.Errorf("FusedCalls = %d, want 7 (strassen rank)", s.FusedCalls)
-	}
-	if s.LeafCalls != 0 {
-		t.Errorf("LeafCalls = %d, want 0 (every leaf fused)", s.LeafCalls)
-	}
-	fusedSpans := 0
-	for _, sp := range tr.Slice() {
-		switch sp.Kind {
-		case trace.KindFusedLeaf:
-			fusedSpans++
-			if sp.Backend != name {
+	for _, req := range []op.Request{
+		{Op: op.Multiply},
+		{Op: op.MultiplyAdd, Alpha: -2},
+		{Op: op.Multiply, Beta: 0.5},
+	} {
+		var stats Stats
+		e := mustExec(t, "strassen", Options{
+			Resources: Resources{Workers: 1}, Steps: 1, Parallel: DFS,
+			Backend: name, Fused: true, Stats: &stats,
+		})
+		var tr trace.Spans
+		req.C, req.A, req.B = randomProblem(64, 64, 64, 21)
+		req.Trace = &tr
+		if err := e.Do(req); err != nil {
+			t.Fatal(err)
+		}
+		s := stats.Snapshot()
+		if s.FusedCalls != 7 {
+			t.Errorf("%s β=%g: FusedCalls = %d, want 7 (strassen rank)", req.Op, req.Beta, s.FusedCalls)
+		}
+		if s.LeafCalls != 0 {
+			t.Errorf("%s β=%g: LeafCalls = %d, want 0 (every leaf fused)", req.Op, req.Beta, s.LeafCalls)
+		}
+		kinds := map[string]int{}
+		for _, sp := range tr.Slice() {
+			kinds[sp.Kind]++
+			if sp.Kind == trace.KindFusedLeaf && sp.Backend != name {
 				t.Errorf("fused span backend %q, want %q", sp.Backend, name)
 			}
-		case trace.KindLeaf:
-			t.Errorf("unexpected explicit leaf span %+v in a fused run", sp)
 		}
-	}
-	if fusedSpans != 7 {
-		t.Errorf("fused spans = %d, want 7", fusedSpans)
+		want := map[string]int{trace.KindSched: 1, trace.KindStep: 1, trace.KindFusedLeaf: 7}
+		if fmt.Sprint(kinds) != fmt.Sprint(want) {
+			t.Errorf("%s β=%g: spans by kind %v, want %v", req.Op, req.Beta, kinds, want)
+		}
 	}
 }
 

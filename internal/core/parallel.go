@@ -18,8 +18,9 @@ type runContext struct {
 	mode    Parallel
 	workers int
 	sem     chan struct{}
-	// tr, when non-nil, is the call's execution-trace sink (set by
-	// MultiplyTrace): recursion steps and leaf gemm calls record into it.
+	// tr, when non-nil, is the call's execution-trace sink (the request's
+	// Trace, handed over by Do): recursion steps, leaf gemm and fused-leaf
+	// calls record into it.
 	// The sink is its own synchronization domain (atomic claim), so spawned
 	// tasks write to it without touching the context's mutex.
 	tr *trace.Spans

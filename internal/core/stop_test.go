@@ -12,6 +12,7 @@ import (
 	"fastmm/internal/catalog"
 	"fastmm/internal/gemm"
 	"fastmm/internal/mat"
+	"fastmm/internal/op"
 	"fastmm/internal/workspace"
 )
 
@@ -61,8 +62,12 @@ type stopOp struct {
 }
 
 var stopOps = []stopOp{
-	{"Multiply", func(s Stoppable, C, A, B *mat.Dense) error { return s.MultiplyTrace(C, A, B, nil) }},
-	{"MultiplyAdd", func(s Stoppable, C, A, B *mat.Dense) error { return s.MultiplyAdd(C, A, B, -0.5) }},
+	{"Multiply", func(s Stoppable, C, A, B *mat.Dense) error {
+		return s.Do(op.Request{Op: op.Multiply, C: C, A: A, B: B})
+	}},
+	{"MultiplyAdd", func(s Stoppable, C, A, B *mat.Dense) error {
+		return s.Do(op.Request{Op: op.MultiplyAdd, C: C, A: A, B: B, Alpha: -0.5})
+	}},
 }
 
 // The one peeled shape: odd dimensions put fix-ups at both levels.
@@ -236,7 +241,7 @@ func TestBudgetLeftIsLeafFlops(t *testing.T) {
 					t.Fatal(err)
 				}
 				w := new(watch)
-				if err := e.WithBudget(Budget{Over: w.over}).MultiplyTrace(mat.New(m, n), A, B, nil); err != nil {
+				if err := e.WithBudget(Budget{Over: w.over}).Do(op.Request{Op: op.Multiply, C: mat.New(m, n), A: A, B: B}); err != nil {
 					t.Fatal(err)
 				}
 				w.check(t, want)

@@ -10,7 +10,7 @@ import (
 
 // Structured classical kernels: AᵗA (Gram) and A·Aᵗ (SYRK) as single calls
 // over the backend registry — the only way the structured operations run,
-// from the tuner's plans and from core.Executor.MultiplyATA/MultiplySyrk.
+// from the tuner's plans and from core.Executor.Do (MultiplyATA/MultiplySyrk).
 //
 // On a blocked backend the call is one lower-triangle pass of the leaf
 // engine: the transposed operand is packed straight from A by the other
@@ -77,6 +77,7 @@ func symmetric(be Backend, C *mat.Dense, alpha float64, A *mat.Dense, gram, accu
 		bk.symmetric(C, alpha, A, gram, accumulate, max(workers, 1))
 		return
 	}
+	//fastmm:allow a backend without the triangle pass multiplies a transposed copy
 	T := mat.New(A.Cols(), A.Rows())
 	mat.Transpose(T, A)
 	if gram {
@@ -107,6 +108,7 @@ func (bk *blockedBackend) symmetric(C *mat.Dense, alpha float64, A *mat.Dense, g
 		return
 	}
 	nslabs := min(workers, (p+bk.mr-1)/bk.mr)
+	//fastmm:allow row-slab fan-out; the one-worker steady state returned above
 	hdrs := make([]mat.Dense, 3*nslabs)
 	var wg sync.WaitGroup
 	lo := 0
@@ -129,6 +131,7 @@ func (bk *blockedBackend) symmetric(C *mat.Dense, alpha float64, A *mat.Dense, g
 		slab := lay
 		slab.diag = lo
 		wg.Add(1)
+		//fastmm:allow row-slab fan-out; the one-worker steady state returned above
 		go func() {
 			defer wg.Done()
 			bk.symLeaf(c, alpha, l, r, accumulate, slab)

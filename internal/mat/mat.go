@@ -464,11 +464,6 @@ func combine2(dst *Dense, c0 float64, s0 *Dense, c1 float64, s1 *Dense) {
 	}
 }
 
-// AccumulateScaled computes dst += alpha*src; it is the streaming-strategy
-// update kernel (§3.2, method 3) applied from one source block into one of
-// its destination temporaries.
-func AccumulateScaled(dst *Dense, alpha float64, src *Dense) { Axpy(dst, alpha, src) }
-
 // String renders the matrix for debugging (small matrices only).
 func (m *Dense) String() string {
 	var b strings.Builder

@@ -503,15 +503,6 @@ func TestStringRendering(t *testing.T) {
 	}
 }
 
-func TestAccumulateScaled(t *testing.T) {
-	dst := FromRows([][]float64{{1, 1}})
-	src := FromRows([][]float64{{2, 3}})
-	AccumulateScaled(dst, 2, src)
-	if dst.At(0, 0) != 5 || dst.At(0, 1) != 7 {
-		t.Fatalf("dst=%v", dst)
-	}
-}
-
 func TestFillRandomRange(t *testing.T) {
 	m := New(20, 20)
 	m.FillRandom(rand.New(rand.NewSource(5)))

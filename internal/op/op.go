@@ -156,44 +156,56 @@ func (r Request) Shape() (m, k, n int) {
 // Validate checks the request's operands against its op's dimension rules
 // and rejects a C that shares storage with A or B: every executor reads the
 // operands while it writes the result, so an aliased call would return
-// garbage rather than fail.
+// garbage rather than fail. It allocates only to build the error of a
+// request that is refused, before any work (the waivers below), so the
+// zeroalloc entries can call it.
 func (r Request) Validate() error {
 	if !r.Op.Valid() {
+		//fastmm:allow reject path
 		return fmt.Errorf("op: invalid op %d", int(r.Op))
 	}
 	if r.C == nil || r.A == nil {
+		//fastmm:allow reject path
 		return fmt.Errorf("op: %s: nil operand", r.Op)
 	}
 	switch r.Op {
 	case ATA:
 		if r.B != nil {
+			//fastmm:allow reject path
 			return fmt.Errorf("op: %s takes no B operand", r.Op)
 		}
 		if n := r.A.Cols(); r.C.Rows() != n || r.C.Cols() != n {
+			//fastmm:allow reject path
 			return fmt.Errorf("op: %s: C must be %d×%d for A %d×%d, got %d×%d",
 				r.Op, n, n, r.A.Rows(), r.A.Cols(), r.C.Rows(), r.C.Cols())
 		}
 	case Syrk:
 		if r.B != nil {
+			//fastmm:allow reject path
 			return fmt.Errorf("op: %s takes no B operand", r.Op)
 		}
 		if m := r.A.Rows(); r.C.Rows() != m || r.C.Cols() != m {
+			//fastmm:allow reject path
 			return fmt.Errorf("op: %s: C must be %d×%d for A %d×%d, got %d×%d",
 				r.Op, m, m, r.A.Rows(), r.A.Cols(), r.C.Rows(), r.C.Cols())
 		}
 	default: // Multiply, MultiplyAdd
 		if r.B == nil {
+			//fastmm:allow reject path
 			return fmt.Errorf("op: %s: nil B operand", r.Op)
 		}
 		if r.A.Cols() != r.B.Rows() || r.C.Rows() != r.A.Rows() || r.C.Cols() != r.B.Cols() {
+			//fastmm:allow reject path
 			return fmt.Errorf("op: %s: dimension mismatch C %d×%d = A %d×%d · B %d×%d",
 				r.Op, r.C.Rows(), r.C.Cols(), r.A.Rows(), r.A.Cols(), r.B.Rows(), r.B.Cols())
 		}
 	}
 	if mat.Overlaps(r.C, r.A) {
+		//fastmm:allow reject path
 		return fmt.Errorf("op: %s: C aliases A", r.Op)
 	}
 	if r.B != nil && mat.Overlaps(r.C, r.B) {
+		//fastmm:allow reject path
 		return fmt.Errorf("op: %s: C aliases B", r.Op)
 	}
 	return nil

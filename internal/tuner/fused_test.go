@@ -2,6 +2,7 @@ package tuner
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"fastmm/internal/gemm"
 	"fastmm/internal/mat"
 	"fastmm/internal/op"
+	"fastmm/internal/trace"
 )
 
 // TestRankFusedFollowsBackend: fusion is a property of the leaf backend,
@@ -161,6 +163,56 @@ func TestRankOpEmitsEachExecutorOnce(t *testing.T) {
 				}
 				seen[k] = p
 			}
+		}
+	}
+}
+
+// TestFusedDecisionTracesEveryOp: a fused fast decision serving a traced
+// request records its scheduler, step and fused-leaf spans whatever its α
+// and β — an overwrite, an accumulate, and a β = 0.5 multiply — and
+// computes α·A·B + β·C.
+func TestFusedDecisionTracesEveryOp(t *testing.T) {
+	tn := mustTuner(t, modelOnlyOpts(1))
+	d, err := tn.build(op.Multiply, Plan{Algorithm: "strassen", Backend: "simd", Steps: 1,
+		Parallel: "dfs", Strategy: "write-once", Fused: true, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 256
+	rng := rand.New(rand.NewSource(12))
+	A, B, C0 := mat.New(n, n), mat.New(n, n), mat.New(n, n)
+	A.FillRandom(rng)
+	B.FillRandom(rng)
+	C0.FillRandom(rng)
+	prod := mat.New(n, n)
+	gemm.Mul(prod, A, B)
+	for _, req := range []op.Request{
+		{Op: op.Multiply, Alpha: -2},
+		{Op: op.MultiplyAdd, Alpha: -2},
+		{Op: op.Multiply, Beta: 0.5},
+	} {
+		var tr trace.Spans
+		req.C, req.A, req.B, req.Trace = C0.Clone(), A, B, &tr
+		if err := d.run(req); err != nil {
+			t.Fatal(err)
+		}
+		r := req.Normalized()
+		kinds := map[string]int{}
+		for _, sp := range tr.Slice() {
+			kinds[sp.Kind]++
+		}
+		want := map[string]int{trace.KindSched: 1, trace.KindStep: 1, trace.KindFusedLeaf: 7}
+		if fmt.Sprint(kinds) != fmt.Sprint(want) {
+			t.Errorf("%s α=%g β=%g: spans by kind %v, want %v", r.Op, r.Alpha, r.Beta, kinds, want)
+		}
+		ref := mat.New(n, n)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				ref.Set(i, j, r.Alpha*prod.At(i, j)+r.Beta*C0.At(i, j))
+			}
+		}
+		if diff := mat.MaxAbsDiff(req.C, ref); diff > 1e-10*float64(n+1) {
+			t.Errorf("%s α=%g β=%g: off by %g", r.Op, r.Alpha, r.Beta, diff)
 		}
 	}
 }

@@ -231,37 +231,22 @@ func (d *decision) run(r op.Request) error { return d.runBudget(r, core.Budget{}
 
 // runBudget is run with a fast plan's executor bound to a budget (see
 // core.Executor.WithBudget): once its Over holds the call returns
-// core.ErrStopped, and its arenas come from the budget's pool. The
-// classical baseline ignores the budget.
+// core.ErrStopped, and its arenas come from the budget's pool. A fast plan
+// runs the request through core.Executor.Do, which checks it and pipes α,
+// β and the trace into the recursion; the classical baseline checks it here
+// and ignores the budget.
 func (d *decision) runBudget(r op.Request, b core.Budget) error {
 	if d.failMul != nil {
 		return d.failMul
+	}
+	if d.exec != nil {
+		return d.exec.WithBudget(b).Do(r)
 	}
 	r = r.Normalized()
 	if err := r.Validate(); err != nil {
 		return fmt.Errorf("tuner: %w", err)
 	}
-	if d.exec == nil {
-		return d.runClassical(r)
-	}
-	exec := d.exec.WithBudget(b)
-	switch r.Op {
-	case op.Multiply, op.MultiplyAdd:
-		if r.Beta == 0 {
-			if err := exec.MultiplyTrace(r.C, r.A, r.B, r.Trace); err != nil {
-				return err
-			}
-			if r.Alpha != 1 {
-				mat.Scale(r.C, r.Alpha, r.C)
-			}
-			return nil
-		}
-		if r.Beta != 1 {
-			mat.Scale(r.C, r.Beta, r.C)
-		}
-		return exec.MultiplyAdd(r.C, r.A, r.B, r.Alpha)
-	}
-	return fmt.Errorf("tuner: unsupported op %s", r.Op)
+	return d.runClassical(r)
 }
 
 // runClassical serves a request on the direct-gemm baseline: alpha and the
