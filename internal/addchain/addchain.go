@@ -31,11 +31,6 @@ type Chain struct {
 	Terms []Term
 }
 
-// IsScaledCopy reports whether the chain has a single (possibly scaled) term,
-// which the executor pipes through to the base-case multiply as a scalar
-// factor instead of materializing.
-func (c Chain) IsScaledCopy() bool { return len(c.Terms) == 1 }
-
 // Plan is the addition DAG for one family of combinations (all S_r, all T_r,
 // or all C blocks).
 type Plan struct {

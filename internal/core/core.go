@@ -1,10 +1,15 @@
 // Package core is the execution engine of the framework: it turns an
 // algorithm JU,V,WK from the catalog into an actual matrix multiplication,
-// the way Benson & Ballard's generated C++ does. One Executor owns the
-// addition plans (with the chosen strategy and optional CSE) and runs the
-// recursion with dynamic peeling for arbitrary dimensions (§3.5), piping
-// single-coefficient temporaries through to the base case as scalar factors
-// (§3.1), and calling the classical gemm kernel at the leaves (§3.4).
+// the way Benson & Ballard's generated C++ does. One Executor lowers each
+// schedule level at construction to a product list (the addition plans,
+// with the chosen strategy and optional CSE, and each product's C
+// destinations) and runs the recursion with dynamic peeling for arbitrary
+// dimensions (§3.5). Every recursion step is one walk over its level's
+// products (step.go): each operand is aliased, piping single-coefficient
+// temporaries through to the base case as scalar factors (§3.1), formed, or
+// fused into the leaf's packing pass, and each product is materialised and
+// combined into C or scatter-added by the fused leaf's epilogue. The leaves
+// call the classical gemm kernel (§3.4).
 //
 // Parallel execution follows §4: DFS (parallel leaf gemm and parallel
 // additions), BFS (a goroutine task per recursive multiplication, bounded by
@@ -27,7 +32,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"fastmm/internal/addchain"
@@ -112,15 +116,17 @@ type Options struct {
 	// build), or "" for gemm.Default(). The autotuner sets it per plan;
 	// unknown names fail executor construction.
 	Backend string
-	// Fused runs the last recursion level through the fused blocked engine
-	// (gemm.DispatchFused) when the backend supports it: the S_r/T_r linear
-	// combinations fold into the leaf's packing pass and the M_r products
-	// scatter-add straight into the C blocks through the micro-kernel
-	// epilogue, so that level materializes no S/T/M temporaries at all
-	// (Huang et al., arXiv:1611.01120). Workspace accounting and the
-	// Workspace cap see the reduced footprint. On a backend without fused
-	// support (gemm.CanFuse false — the blas bridge) the option is ignored
-	// and the explicit path runs. The autotuner sets it exactly where the
+	// Fused lowers the last recursion level's products for the fused
+	// blocked engine (gemm.DispatchFused) when the backend supports it: each
+	// product's S_r/T_r combinations fold into the leaf's packing pass and
+	// its M_r scatter-adds straight into the C blocks through the
+	// micro-kernel epilogue, so that level materializes no S/T/M temporaries
+	// at all (Huang et al., arXiv:1611.01120). Every other level, and every
+	// level of an executor without it, forms its operands and materialises
+	// its products.
+	// Workspace accounting and the Workspace cap see the reduced footprint.
+	// On a backend without fused support (gemm.CanFuse false — the blas
+	// bridge) the option is ignored. The autotuner sets it exactly where the
 	// backend can fuse; cmd/fmmbench's explicit-vs-fused figures set it.
 	Fused bool
 	// Stats, when non-nil, accumulates scheduler counters across Multiply
@@ -174,14 +180,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// levelPlan holds the addition plans for one algorithm in the schedule.
-type levelPlan struct {
-	alg   *algo.Algorithm
-	splan *addchain.Plan // S_r from blocks of A (columns of U)
-	tplan *addchain.Plan // T_r from blocks of B (columns of V)
-	cplan *addchain.Plan // C blocks from the M_r (rows of W)
-}
-
 // Executor multiplies matrices with a fixed algorithm schedule and options.
 // It is safe for concurrent use by multiple goroutines. Reusing one Executor
 // across Multiply calls reuses its workspace arenas, so steady-state calls
@@ -191,7 +189,6 @@ type Executor struct {
 	opts     Options
 	be       gemm.Backend      // resolved from opts.Backend at construction
 	fbe      gemm.FusedBackend // non-nil iff opts.Fused and the backend can fuse
-	fplans   []fusedPlan       // per schedule level, set iff fbe != nil
 	arenas   workspace.Pool
 }
 
@@ -237,25 +234,10 @@ func newSchedule(algs []*algo.Algorithm, opts Options, verify bool) (*Executor, 
 				return nil, fmt.Errorf("core: refusing invalid algorithm: %w", err)
 			}
 		}
-		lp := levelPlan{
-			alg:   a,
-			splan: addchain.FromColumns(a.U),
-			tplan: addchain.FromColumns(a.V),
-			cplan: addchain.FromRows(a.W),
-		}
-		if opts.CSE {
-			lp.splan.ApplyCSE()
-			lp.tplan.ApplyCSE()
-		}
-		e.schedule = append(e.schedule, lp)
+		e.schedule = append(e.schedule, newLevel(a, opts.CSE))
 	}
-	if opts.Fused {
-		if fb, ok := be.(gemm.FusedBackend); ok {
-			e.fbe = fb
-			for _, lp := range e.schedule {
-				e.fplans = append(e.fplans, buildFusedPlan(lp))
-			}
-		}
+	if fb, ok := be.(gemm.FusedBackend); ok && opts.Fused {
+		e.fbe = fb
 	}
 	return e, nil
 }
@@ -464,7 +446,7 @@ func (e *Executor) workspaceBytes(mode Parallel, p, q, r int) int64 {
 
 // workspaceFloats counts the float64 temporaries live at once in the
 // subtree rooted at the given level and dims, mirroring the allocation
-// pattern of fastStep: every M_r is materialized, operands that are scaled
+// pattern of step: every M_r is materialized, operands that are scaled
 // copies of a source block are aliased (no buffer), CSE aux temporaries
 // are materialized per formOperand call (per branch) but only once per
 // family under streaming.
@@ -472,7 +454,7 @@ func (e *Executor) workspaceFloats(mode Parallel, p, q, r, level int) int64 {
 	if !e.shouldRecurse(level, p, q, r) {
 		return 0
 	}
-	lp := e.schedule[level%len(e.schedule)]
+	lp := &e.schedule[level%len(e.schedule)]
 	b := lp.alg.Base
 	R := int64(lp.alg.Rank())
 	bm, bk, bn := p/b.M, q/b.K, r/b.N // peeling-core block dims
@@ -489,7 +471,7 @@ func (e *Executor) workspaceFloats(mode Parallel, p, q, r, level int) int64 {
 	streamCost := sUnit*(auxS+matS) + tUnit*(auxT+matT) // whole family at once
 	self := R * int64(bm*bn)                            // the M_r products, all live until the combine
 	child := e.workspaceFloats(mode, bm, bk, bn, level+1)
-	if (mode == BFS || mode == Hybrid) && e.shouldSpawn(level) {
+	if mode == BFS || mode == Hybrid {
 		// Every branch runs concurrently with its own operand buffers
 		// (streaming still forms the families once, in the parent). Aux
 		// temporaries only materialize in branches that form an operand.
@@ -514,19 +496,19 @@ func (e *Executor) workspaceFloats(mode Parallel, p, q, r, level int) int64 {
 	return self + sUnit*perS + tUnit*perT + child
 }
 
-// aliasedOutput reports whether plan output ch is served by aliasing a
-// source block with a scalar factor instead of materializing a buffer —
-// the single shared decision used by formOperand, streamFamily, and the
-// workspace model.
-func aliasedOutput(p *addchain.Plan, ch addchain.Chain) bool {
-	return len(ch.Terms) > 0 && ch.IsScaledCopy() && ch.Terms[0].Src < p.NumSources
+// aliasedOutput reports whether a plan output chain is served by aliasing a
+// source block with a scalar factor instead of materializing a buffer (a
+// scaled copy, §3.1) — the single shared decision used by formOperand,
+// streamFamily, and the workspace model.
+func aliasedOutput(p *addchain.Plan, terms []addchain.Term) bool {
+	return len(terms) == 1 && terms[0].Src < p.NumSources
 }
 
 // materializedOutputs counts the plan outputs that require a buffer.
 func materializedOutputs(p *addchain.Plan) int {
 	n := 0
 	for _, ch := range p.Outputs {
-		if !aliasedOutput(p, ch) {
+		if !aliasedOutput(p, ch.Terms) {
 			n++
 		}
 	}
@@ -601,7 +583,7 @@ func (e *Executor) multiply(ctx *runContext, ar *workspace.Arena, C, A, B *mat.D
 		e.leafMultiply(ctx, C, A, B, alpha, level, leafBase, acc)
 		return
 	}
-	lp := e.schedule[level%len(e.schedule)]
+	lp := &e.schedule[level%len(e.schedule)]
 	b := lp.alg.Base
 
 	// Dynamic peeling (§3.5): carve the largest (M·i)×(K·j)×(N·k) core and
@@ -610,7 +592,7 @@ func (e *Executor) multiply(ctx *runContext, ar *workspace.Arena, C, A, B *mat.D
 	a11 := ar.View(A, 0, 0, pc, qc)
 	b11 := ar.View(B, 0, 0, qc, rc)
 	c11 := ar.View(C, 0, 0, pc, rc)
-	e.fastStep(ctx, ar, lp, c11, a11, b11, alpha, level, leafBase, acc)
+	e.step(ctx, ar, lp, c11, a11, b11, alpha, level, leafBase, acc)
 
 	// The fixup closures run on this goroutine (directly, or inside its
 	// bounded-compute section), so the views can come from this arena. The
@@ -686,339 +668,6 @@ func maxInt(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// operand is a formed (or aliased) input to a recursive multiplication.
-type operand struct {
-	m     *mat.Dense
-	alpha float64
-}
-
-// operands is an arena-backed family of operands (parallel slices, so both
-// parts come from existing arena slabs). The zero value means "not formed".
-type operands struct {
-	mats   []*mat.Dense
-	alphas []float64
-}
-
-func (o operands) at(r int) operand { return operand{m: o.mats[r], alpha: o.alphas[r]} }
-
-// fastStep performs one recursive step of the fast algorithm on a core whose
-// dimensions divide the base case exactly. All temporaries come from ar; the
-// step's mark is released on return, so a DFS traversal reuses one level's
-// buffers across siblings while spawned BFS/HYBRID branches draw their own
-// arenas from the call's pool (the M_r stay in the parent's arena — the
-// parent outlives its children and combines their results).
-func (e *Executor) fastStep(ctx *runContext, ar *workspace.Arena, lp levelPlan, C, A, B *mat.Dense, alpha float64, level, leafBase int, acc bool) {
-	b := lp.alg.Base
-	R := lp.alg.Rank()
-	bm, bk, bn := A.Rows()/b.M, A.Cols()/b.K, B.Cols()/b.N
-
-	if e.fbe != nil && !e.shouldRecurse(level+1, bm, bk, bn) {
-		// One level above the leaf with a fuse-capable backend: skip operand
-		// formation and the M_r products entirely and run the fused engine.
-		e.fusedStep(ctx, ar, lp, C, A, B, alpha, level, acc)
-		return
-	}
-
-	mark := ar.Mark()
-	defer ar.Release(mark)
-	if ctx.tr != nil {
-		ctx.tr.Add(trace.Span{
-			Kind:  trace.KindStep,
-			Level: int32(level),
-			M:     int32(A.Rows()),
-			K:     int32(A.Cols()),
-			N:     int32(B.Cols()),
-			Mark:  ar.LiveFloatBytes(),
-		})
-	}
-
-	ablocks := blocks(ar, A, b.M, b.K)
-	bblocks := blocks(ar, B, b.K, b.N)
-	cblocks := blocks(ar, C, b.M, b.N)
-
-	// The streaming strategy (§3.2 method 3) forms every S_r and T_r up
-	// front in one pass over the source blocks, at the cost of keeping all
-	// R temporaries alive — exactly the memory trade-off the paper
-	// describes. The other strategies form each operand inside task r.
-	// The operand families live as parallel mats/alphas slices so they
-	// come from the arena (there is no operand-struct slab).
-	var sOps, tOps operands
-	if e.opts.Strategy == addchain.Streaming {
-		aw := ctx.additionWorkers()
-		sOps = e.streamFamily(ctx, ar, lp.splan, ablocks, bm, bk, alpha, aw)
-		tOps = e.streamFamily(ctx, ar, lp.tplan, bblocks, bk, bn, 1, aw)
-	}
-
-	// The M_r live in this (parent) arena: they must survive until the
-	// combine below, after every child arena has been returned.
-	ms := ar.Ptrs(R)
-	for r := 0; r < R; r++ {
-		ms[r] = ar.Matrix(bm, bn)
-	}
-	childSpan := maxInt(1, e.leavesFrom(level+1))
-	topLevel := level == 0
-
-	if (ctx.mode == BFS || ctx.mode == Hybrid) && e.shouldSpawn(level) {
-		e.fanOut(ctx, lp, sOps, tOps, ablocks, bblocks, ms, bm, bk, bn, alpha, level, leafBase, childSpan)
-	} else {
-		for r := 0; r < R && !ctx.stopped(); r++ {
-			rmark := ar.Mark()
-			var s, t operand
-			if sOps.mats != nil {
-				s, t = sOps.at(r), tOps.at(r)
-			} else {
-				s = e.formOperand(ctx, ar, lp.splan, r, ablocks, bm, bk, alpha)
-				t = e.formOperand(ctx, ar, lp.tplan, r, bblocks, bk, bn, 1)
-			}
-			e.multiply(ctx, ar, ms[r], s.m, t.m, s.alpha*t.alpha, level+1, leafBase+r*childSpan, false)
-			ar.Release(rmark)
-		}
-	}
-
-	// Combine the M_r into the C blocks. At the top level all workers are
-	// available (§4.2); deeper combines run inside their own task.
-	combineWorkers := 1
-	if ctx.mode == DFS || (topLevel && ctx.mode != Sequential) {
-		combineWorkers = ctx.workers
-	}
-	if (ctx.mode == BFS || ctx.mode == Hybrid) && !topLevel {
-		//fastmm:allow BFS/HYBRID bounded-compute section; DFS takes the else branch
-		ctx.compute(func() { e.combine(ctx, ar, lp.cplan, cblocks, ms, combineWorkers, acc) })
-	} else {
-		e.combine(ctx, ar, lp.cplan, cblocks, ms, combineWorkers, acc)
-	}
-}
-
-// fanOut runs one recursion level's R branch multiplications as BFS/HYBRID
-// tasks. It lives apart from fastStep so the goroutine closure's captures
-// (sOps, tOps, ms, …) are heap-moved only on spawning paths — a DFS
-// traversal through fastStep must stay allocation-free.
-//
-//fastmm:allow BFS/HYBRID spawn path: allocates per task by design
-func (e *Executor) fanOut(ctx *runContext, lp levelPlan, sOps, tOps operands, ablocks, bblocks, ms []*mat.Dense, bm, bk, bn int, alpha float64, level, leafBase, childSpan int) {
-	var wg sync.WaitGroup
-	for r := 0; r < lp.alg.Rank(); r++ {
-		if s := e.opts.Stats; s != nil {
-			s.add(&s.TasksSpawned, 1)
-		}
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			car := ctx.arenas.Get()
-			defer ctx.arenas.Put(car)
-			var s, t operand
-			if sOps.mats != nil {
-				s, t = sOps.at(r), tOps.at(r)
-			} else {
-				ctx.compute(func() {
-					s = e.formOperand(ctx, car, lp.splan, r, ablocks, bm, bk, alpha)
-					t = e.formOperand(ctx, car, lp.tplan, r, bblocks, bk, bn, 1)
-				})
-			}
-			e.multiply(ctx, car, ms[r], s.m, t.m, s.alpha*t.alpha, level+1, leafBase+r*childSpan, false)
-		}(r)
-	}
-	wg.Wait()
-}
-
-// shouldSpawn limits task creation to recursion levels that still have
-// meaningful work; spawning below the leaf level is pointless.
-func (e *Executor) shouldSpawn(level int) bool {
-	return e.opts.Steps == 0 || level < e.opts.Steps
-}
-
-// blocks slices m into an mb×nb grid of equal arena-backed views (dims must
-// divide).
-func blocks(ar *workspace.Arena, m *mat.Dense, mb, nb int) []*mat.Dense {
-	rb, cb := m.Rows()/mb, m.Cols()/nb
-	out := ar.Ptrs(mb * nb)
-	for i := 0; i < mb; i++ {
-		for j := 0; j < nb; j++ {
-			out[i*nb+j] = ar.View(m, i*rb, j*cb, rb, cb)
-		}
-	}
-	return out
-}
-
-// formOperand materializes S_r (or T_r) per the configured strategy, or
-// returns an aliased block with a scalar factor when the chain is a scaled
-// copy (§3.1). alpha is a pending scale of the source operand and multiplies
-// into the formed combination.
-func (e *Executor) formOperand(ctx *runContext, ar *workspace.Arena, plan *addchain.Plan, r int, src []*mat.Dense, rows, cols int, alpha float64) operand {
-	ch := plan.Outputs[r]
-	if len(ch.Terms) == 0 {
-		z := ar.Matrix(rows, cols)
-		z.Zero()
-		return operand{m: z, alpha: 0}
-	}
-	if aliasedOutput(plan, ch) {
-		return operand{m: src[ch.Terms[0].Src], alpha: alpha * ch.Terms[0].Coeff}
-	}
-	workers := ctx.additionWorkers()
-	nodes := e.nodes(ar, plan, src, rows, cols, workers)
-	dst := ar.Matrix(rows, cols)
-	coeffs := ar.Floats(len(ch.Terms))
-	srcs := ar.Ptrs(len(ch.Terms))
-	for i, t := range ch.Terms {
-		coeffs[i] = alpha * t.Coeff
-		srcs[i] = nodes[t.Src]
-	}
-	if e.opts.Strategy == addchain.Pairwise {
-		parScale(dst, coeffs[0], srcs[0], workers)
-		for i := 1; i < len(srcs); i++ {
-			parAxpy(dst, coeffs[i], srcs[i], workers)
-		}
-	} else {
-		parCombine(dst, coeffs, srcs, workers)
-	}
-	return operand{m: dst, alpha: 1}
-}
-
-// streamFamily forms all outputs of a plan in one pass over the source
-// blocks: for each node, scatter its contribution into every destination
-// that uses it (§3.2 method 3). Scaled copies are still aliased.
-func (e *Executor) streamFamily(ctx *runContext, ar *workspace.Arena, plan *addchain.Plan, src []*mat.Dense, rows, cols int, alpha float64, workers int) operands {
-	nodes := e.nodes(ar, plan, src, rows, cols, workers)
-	out := operands{mats: ar.Ptrs(len(plan.Outputs)), alphas: ar.Floats(len(plan.Outputs))}
-	touched := ar.Bools(len(plan.Outputs))
-	for r, ch := range plan.Outputs {
-		switch {
-		case len(ch.Terms) == 0:
-			z := ar.Matrix(rows, cols)
-			z.Zero()
-			out.mats[r], out.alphas[r] = z, 0
-			touched[r] = true
-		case aliasedOutput(plan, ch):
-			out.mats[r], out.alphas[r] = src[ch.Terms[0].Src], alpha*ch.Terms[0].Coeff
-			touched[r] = true
-		default:
-			out.mats[r], out.alphas[r] = ar.Matrix(rows, cols), 1
-		}
-	}
-	for n, node := range nodes {
-		if ctx.stopped() {
-			break
-		}
-		for r, ch := range plan.Outputs {
-			if out.alphas[r] != 1 || aliasedOutput(plan, ch) {
-				continue // aliased or zero output
-			}
-			for _, t := range ch.Terms {
-				if t.Src != n {
-					continue
-				}
-				if !touched[r] {
-					parScale(out.mats[r], alpha*t.Coeff, node, workers)
-					touched[r] = true
-				} else {
-					parAxpy(out.mats[r], alpha*t.Coeff, node, workers)
-				}
-			}
-		}
-	}
-	return out
-}
-
-// nodes resolves plan node ids to matrices, materializing CSE temporaries on
-// demand (write-once, in dependency order).
-func (e *Executor) nodes(ar *workspace.Arena, plan *addchain.Plan, src []*mat.Dense, rows, cols, workers int) []*mat.Dense {
-	if len(plan.Aux) == 0 {
-		return src
-	}
-	nodes := ar.Ptrs(plan.NumNodes())
-	copy(nodes, src)
-	for _, aux := range plan.Aux {
-		d := ar.Matrix(rows, cols)
-		coeffs := ar.Floats(len(aux.Terms))
-		srcs := ar.Ptrs(len(aux.Terms))
-		for i, t := range aux.Terms {
-			coeffs[i] = t.Coeff
-			srcs[i] = nodes[t.Src]
-		}
-		parCombine(d, coeffs, srcs, workers)
-		nodes[aux.Dst] = d
-	}
-	return nodes
-}
-
-// combine forms the C blocks from the M_r per the configured strategy. With
-// acc the blocks accumulate (C_j += Σ w·M_r) instead of being overwritten —
-// MultiplyAdd's beta path reaching the combine epilogue.
-func (e *Executor) combine(ctx *runContext, ar *workspace.Arena, plan *addchain.Plan, cblocks, ms []*mat.Dense, workers int, acc bool) {
-	if e.opts.Strategy == addchain.Streaming {
-		e.streamCombine(ctx, ar, plan, cblocks, ms, workers, acc)
-		return
-	}
-	mark := ar.Mark()
-	defer ar.Release(mark)
-	for j, ch := range plan.Outputs {
-		if ctx.stopped() {
-			return
-		}
-		dst := cblocks[j]
-		if len(ch.Terms) == 0 {
-			if !acc {
-				dst.Zero()
-			}
-			continue
-		}
-		coeffs := ar.Floats(len(ch.Terms))
-		srcs := ar.Ptrs(len(ch.Terms))
-		for i, t := range ch.Terms {
-			coeffs[i] = t.Coeff
-			srcs[i] = ms[t.Src]
-		}
-		switch {
-		case acc:
-			for i := range srcs {
-				parAxpy(dst, coeffs[i], srcs[i], workers)
-			}
-		case e.opts.Strategy == addchain.Pairwise:
-			parScale(dst, coeffs[0], srcs[0], workers)
-			for i := 1; i < len(srcs); i++ {
-				parAxpy(dst, coeffs[i], srcs[i], workers)
-			}
-		default: // WriteOnce
-			parCombine(dst, coeffs, srcs, workers)
-		}
-	}
-}
-
-// streamCombine implements the streaming strategy for the output side: walk
-// each M_r once and scatter its contribution into every C block using it.
-// With acc every contribution accumulates and untouched blocks are left
-// as-is rather than zeroed.
-func (e *Executor) streamCombine(ctx *runContext, ar *workspace.Arena, plan *addchain.Plan, cblocks, ms []*mat.Dense, workers int, acc bool) {
-	mark := ar.Mark()
-	defer ar.Release(mark)
-	touched := ar.Bools(len(cblocks))
-	for r, m := range ms {
-		if ctx.stopped() {
-			return
-		}
-		for j, ch := range plan.Outputs {
-			for _, t := range ch.Terms {
-				if t.Src != r {
-					continue
-				}
-				if !touched[j] && !acc {
-					parScale(cblocks[j], t.Coeff, m, workers)
-				} else {
-					parAxpy(cblocks[j], t.Coeff, m, workers)
-				}
-				touched[j] = true
-			}
-		}
-	}
-	if !acc {
-		for j := range plan.Outputs {
-			if !touched[j] {
-				cblocks[j].Zero()
-			}
-		}
-	}
 }
 
 func (e *Executor) countFixup() {

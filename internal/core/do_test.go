@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"fastmm/internal/addchain"
+	"fastmm/internal/catalog"
 	"fastmm/internal/gemm"
 	"fastmm/internal/mat"
 	"fastmm/internal/op"
@@ -116,4 +118,75 @@ func TestDoRejectsBeforeWork(t *testing.T) {
 			t.Errorf("%s: a refused request changed C", name)
 		}
 	}
+}
+
+// FuzzDo checks Do against the gemm oracle over every non-APA catalog entry,
+// scheduler, step count (1 or 2), last-level lowering (explicit or fused),
+// addition strategy and CSE, for Multiply and MultiplyAdd with α ∈ {1, −2}
+// and β ∈ {0, 1, 0.5}. Each dimension is 0, 1, a prime (37, which peels at
+// every level of every entry) or three full-recursion bases plus one, so
+// shapes are empty, smaller than one block, peeled, or exact above a one-row
+// border. The tolerance is the suite's 1e-10·(k+1) (1e-6·(k+1) for a
+// numeric entry, as in check). The checked-in corpus under testdata/fuzz
+// covers both lowerings, peeling and β outside {0, 1}.
+func FuzzDo(f *testing.F) {
+	var algs []string
+	for _, name := range catalog.Names() {
+		if a, err := catalog.Get(name); err == nil && !a.APA {
+			algs = append(algs, name)
+		}
+	}
+	f.Fuzz(func(t *testing.T, alg, sched, steps, flags, strategy, o, alpha, beta, m, k, n uint8) {
+		a, err := catalog.Get(algs[int(alg)%len(algs)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{
+			Resources: Resources{Workers: 2},
+			Steps:     1 + int(steps)%2,
+			Parallel:  Parallel(sched % 4),
+			Fused:     flags&1 != 0,
+			CSE:       flags&2 != 0,
+			Strategy:  []addchain.Strategy{addchain.WriteOnce, addchain.Pairwise, addchain.Streaming}[strategy%3],
+		}
+		e, err := New(a, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dim := func(i uint8, base int) int {
+			full := base
+			if opts.Steps == 2 {
+				full *= base
+			}
+			return []int{0, 1, 37, 3*full + 1}[i%4]
+		}
+		p, q, r := dim(m, a.Base.M), dim(k, a.Base.K), dim(n, a.Base.N)
+		rng := rand.New(rand.NewSource(int64(p*q + r)))
+		A, B, C0 := randMat(p, q, rng), randMat(q, r, rng), randMat(p, r, rng)
+		req := op.Request{
+			Op: []op.Op{op.Multiply, op.MultiplyAdd}[o%2], C: C0.Clone(), A: A, B: B,
+			Alpha: []float64{1, -2}[alpha%2], Beta: []float64{0, 1, 0.5}[beta%3],
+		}
+		if err := e.Do(req); err != nil {
+			t.Fatal(err)
+		}
+		b := req.Beta
+		if req.Op == op.MultiplyAdd {
+			b = 1
+		}
+		want := mat.New(p, r)
+		gemm.Naive(want, A, B)
+		for i := 0; i < p; i++ {
+			for j := 0; j < r; j++ {
+				want.Set(i, j, req.Alpha*want.At(i, j)+b*C0.At(i, j))
+			}
+		}
+		tol := 1e-10 * float64(q+1)
+		if a.Numeric {
+			tol = 1e-6 * float64(q+1)
+		}
+		if d := mat.MaxAbsDiff(req.C, want); d > tol {
+			t.Fatalf("%s %+v %s α=%g β=%g %dx%dx%d: max diff %g > %g", a.Name, opts, req.Op, req.Alpha, req.Beta, p, q, r, d, tol)
+		}
+	})
 }

@@ -115,6 +115,10 @@ func TestFusedTwoStepAndCSE(t *testing.T) {
 		{"strassen", Options{Resources: Resources{Workers: 3}, Steps: 2, Parallel: DFS, Fused: true}},
 		{"strassen", Options{Resources: Resources{Workers: 3}, Steps: 2, Parallel: Hybrid, Fused: true}},
 		{"fast424", Options{Resources: Resources{Workers: 1}, Steps: 1, Parallel: Sequential, CSE: true, Fused: true}},
+		// The explicit level forms its operands from CSE aux nodes and the
+		// fused level below it expands them, in one call.
+		{"fast424", Options{Resources: Resources{Workers: 3}, Steps: 2, Parallel: DFS, CSE: true, Fused: true}},
+		{"fast424", Options{Resources: Resources{Workers: 3}, Steps: 2, Parallel: BFS, CSE: true, Fused: true}},
 	}
 	for _, tc := range cases {
 		e := mustExec(t, tc.alg, tc.opts)

@@ -566,8 +566,9 @@ func (t *Tuner) remember(key string, d *decision, persist bool) {
 // baseline plus algorithm × steps × scheduler, every fast plan write-once
 // without CSE and fused where the tuner's leaf backend can fuse — and sorts
 // them by predicted time (fastest first), workspace-cap survivors only. The
-// shape is the gemm-equivalent product triple. A classical baseline is always present, so the result is never
-// empty; for the symmetric ops it is the whole result (see classicalPlan).
+// shape is the gemm-equivalent product triple. A classical baseline is
+// always present, so the result is never empty; for the symmetric ops it is
+// the whole result (see classicalPlan).
 func (t *Tuner) RankOp(o op.Op, m, k, n int) ([]Plan, error) {
 	o = o.PlanOp()
 	if m <= 0 || k <= 0 || n <= 0 {
