@@ -7,8 +7,9 @@
 //
 //	fmminfo -table2
 //	fmminfo -table3
-//	fmminfo -alg fast424      # one algorithm in depth
-//	fmminfo                   # everything
+//	fmminfo -alg fast424          # one algorithm in depth
+//	fmminfo -alg fast424 -model   # plus its priced walk and workspace
+//	fmminfo                       # everything
 package main
 
 import (
@@ -20,6 +21,7 @@ import (
 	"fastmm/internal/algo"
 	"fastmm/internal/bench"
 	"fastmm/internal/catalog"
+	"fastmm/internal/core"
 	"fastmm/internal/costmodel"
 )
 
@@ -62,16 +64,13 @@ func main() {
 	}
 }
 
-// printModel evaluates the analytic cost recurrences (§2.1, §3.2) across a
-// size sweep: total flops relative to classical, addition share, predicted
-// read/write volume, and workspace for both traversal orders.
+// printModel prices the algorithm across a size sweep through the
+// executor's own walk: total flops relative to classical, addition share,
+// the multiplication ratio, and the executor's WorkspaceBytes (in MiB,
+// packing slabs included) for a sequential depth-first and a BFS traversal.
 func printModel(a *algo.Algorithm) {
-	m, err := costmodel.New(a, addchain.WriteOnce, false)
-	if err != nil {
-		fatal(err)
-	}
 	b := a.Base
-	fmt.Printf("\n  analytic cost model (write-once additions, no CSE):\n")
+	fmt.Printf("\n  analytic cost model (write-once additions, no CSE; workspace in MiB):\n")
 	fmt.Printf("  %6s %5s %12s %9s %9s %12s %12s\n",
 		"N", "steps", "flops/cls", "add%", "mulRatio", "ws(DFS)", "ws(BFS)")
 	for _, steps := range []int{1, 2, 3} {
@@ -88,17 +87,24 @@ func printModel(a *algo.Algorithm) {
 		dm, dk, dn := pow(b.M, steps), pow(b.K, steps), pow(b.N, steps)
 		l := lcm(lcm(dm, dk), dn)
 		n = ((n + l - 1) / l) * l
-		c, err := m.Evaluate(n, n, n, steps)
-		if err != nil {
-			continue
-		}
+		seq, bfs := executor(a, steps, core.Sequential), executor(a, steps, core.BFS)
+		c := costmodel.Evaluate(seq, n, n, n)
 		nf := float64(n)
 		classical := 2*nf*nf*nf - nf*nf
-		ratio, _ := m.MulRatio(n, steps)
-		fmt.Printf("  %6d %5d %12.4f %8.2f%% %9.3f %12.3g %12.3g\n",
-			n, steps, c.Flops()/classical, 100*c.AddFlops/c.Flops(), ratio,
-			c.Workspace, c.WorkspaceBFS)
+		const mib = 1 << 20
+		fmt.Printf("  %6d %5d %12.4f %8.2f%% %9.3f %12.3f %12.3f\n",
+			n, steps, c.Flops()/classical, 100*c.AddFlops/c.Flops(), classical/c.MulFlops,
+			float64(seq.WorkspaceBytes(n, n, n))/mib, float64(bfs.WorkspaceBytes(n, n, n))/mib)
 	}
+}
+
+// executor builds the write-once executor of the given depth and scheduler.
+func executor(a *algo.Algorithm, steps int, par core.Parallel) *core.Executor {
+	e, err := core.New(a, core.Options{Steps: steps, Parallel: par})
+	if err != nil {
+		fatal(err)
+	}
+	return e
 }
 
 func pow(b, e int) int {

@@ -46,32 +46,41 @@ type Plan struct {
 // FromColumns builds the plan whose r-th output is Σ_i F[i][r]·source_i —
 // the S_r/T_r formation pattern for factor matrices U and V.
 func FromColumns(f *mat.Dense) *Plan {
-	p := &Plan{NumSources: f.Rows()}
-	for r := 0; r < f.Cols(); r++ {
-		ch := Chain{Dst: r}
-		for i := 0; i < f.Rows(); i++ {
-			if v := f.At(i, r); v != 0 {
-				ch.Terms = append(ch.Terms, Term{Src: i, Coeff: v})
-			}
-		}
-		p.Outputs = append(p.Outputs, ch)
-	}
-	return p
+	return fromFactor(f.Cols(), f.Rows(), func(o, i int) float64 { return f.At(i, o) })
 }
 
 // FromRows builds the plan whose j-th output is Σ_r F[j][r]·source_r — the
 // C-block formation pattern for the factor matrix W (sources are the M_r).
 func FromRows(f *mat.Dense) *Plan {
-	p := &Plan{NumSources: f.Cols()}
-	for j := 0; j < f.Rows(); j++ {
-		ch := Chain{Dst: j}
-		row := f.Row(j)
-		for r, v := range row {
-			if v != 0 {
-				ch.Terms = append(ch.Terms, Term{Src: r, Coeff: v})
+	return fromFactor(f.Rows(), f.Cols(), f.At)
+}
+
+// fromFactor builds the plan whose o-th of outs outputs sums coeff(o, s) ×
+// source s over the nonzero coefficients. The chains share one array of
+// terms, so an executor's construction — which the tuner pays for every
+// candidate it ranks — allocates three times per plan, not once per term.
+func fromFactor(outs, srcs int, coeff func(o, s int) float64) *Plan {
+	n := 0
+	for o := 0; o < outs; o++ {
+		for s := 0; s < srcs; s++ {
+			if coeff(o, s) != 0 {
+				n++
 			}
 		}
-		p.Outputs = append(p.Outputs, ch)
+	}
+	p := &Plan{NumSources: srcs, Outputs: make([]Chain, outs)}
+	terms := make([]Term, 0, n)
+	for o := range p.Outputs {
+		start := len(terms)
+		for s := 0; s < srcs; s++ {
+			if v := coeff(o, s); v != 0 {
+				terms = append(terms, Term{Src: s, Coeff: v})
+			}
+		}
+		p.Outputs[o].Dst = o
+		if len(terms) > start {
+			p.Outputs[o].Terms = terms[start:len(terms):len(terms)]
+		}
 	}
 	return p
 }

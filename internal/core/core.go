@@ -9,7 +9,10 @@
 // temporaries through to the base case as scalar factors (§3.1), formed, or
 // fused into the leaf's packing pass, and each product is materialised and
 // combined into C or scatter-added by the fused leaf's epilogue. The leaves
-// call the classical gemm kernel (§3.4).
+// call the classical gemm kernel (§3.4). Walk yields a call's levels as
+// multiply runs them (peeled core, addition plans, lowering), and what
+// sizes or prices a call folds that walk: WorkspaceBytes, a budget's leaf
+// flops, HYBRID's leaf numbering and internal/costmodel.
 //
 // Parallel execution follows §4: DFS (parallel leaf gemm and parallel
 // additions), BFS (a goroutine task per recursive multiplication, bounded by
@@ -368,9 +371,9 @@ func (e *Executor) product(C, A, B *mat.Dense, alpha float64, acc bool, tr *trac
 	mode := e.scheduleMode(A.Rows(), A.Cols(), B.Cols())
 	var left int64
 	if b.Over != nil {
-		left = e.leafFlops(0, A.Rows(), A.Cols(), B.Cols())
+		left = e.leafFlops(A.Rows(), A.Cols(), B.Cols())
 	}
-	ctx := newRunContext(e.opts, mode, e.leafCount(), b, left, &e.arenas) //fastmm:allow the pinned one allocation per call (runContext + its BFS/HYBRID sync)
+	ctx := newRunContext(e.opts, mode, e.leafCount(A.Rows(), A.Cols(), B.Cols()), b, left, &e.arenas) //fastmm:allow the pinned one allocation per call (runContext + its BFS/HYBRID sync)
 	ctx.tr = tr
 	if tr != nil {
 		tr.Add(trace.Span{
@@ -392,7 +395,7 @@ func (e *Executor) product(C, A, B *mat.Dense, alpha float64, acc bool, tr *trac
 		// Single-traversal modes use this one arena for the whole call:
 		// reserving the analytic footprint up front makes even the first
 		// call's matrix temporaries a single chunk allocation.
-		ar.Reserve(int(e.workspaceFloats(mode, A.Rows(), A.Cols(), B.Cols(), 0)))
+		ar.Reserve(int(e.workspaceFloats(mode, A.Rows(), A.Cols(), B.Cols())))
 	}
 	if mode != Hybrid {
 		// Only HYBRID needs the deferred-leaf pump of ctx.root; calling
@@ -425,8 +428,8 @@ func (e *Executor) scheduleMode(p, q, r int) Parallel {
 // p×q by q×r problem claims under the executor's configured scheduler — the
 // analytic memory model of the paper's Table 3, extended with the gemm
 // kernel's per-worker packing slabs. DFS charges one branch per level;
-// BFS/HYBRID charge every concurrent branch. The estimate walks the actual
-// recursion tree (schedule, steps, peeling cores), so it is exact for the
+// BFS/HYBRID charge every concurrent branch. The estimate folds the call's
+// Walk (schedule, steps, peeling cores, lowering), so it is exact for the
 // matrix temporaries; per-task scratch (headers, coefficient slabs, one
 // 32 KiB minimum arena chunk per concurrent task) adds small change on top
 // that the Workspace cap does not meter.
@@ -435,7 +438,7 @@ func (e *Executor) WorkspaceBytes(p, q, r int) int64 {
 }
 
 func (e *Executor) workspaceBytes(mode Parallel, p, q, r int) int64 {
-	floats := e.workspaceFloats(mode, p, q, r, 0)
+	floats := e.workspaceFloats(mode, p, q, r)
 	packWorkers := 1
 	if mode != Sequential {
 		packWorkers = e.opts.Workers
@@ -444,56 +447,49 @@ func (e *Executor) workspaceBytes(mode Parallel, p, q, r int) int64 {
 	return 8 * (floats + int64(packWorkers)*e.be.PackFloatsPerWorker())
 }
 
-// workspaceFloats counts the float64 temporaries live at once in the
-// subtree rooted at the given level and dims, mirroring the allocation
-// pattern of step: every M_r is materialized, operands that are scaled
-// copies of a source block are aliased (no buffer), CSE aux temporaries
-// are materialized per formOperand call (per branch) but only once per
-// family under streaming.
-func (e *Executor) workspaceFloats(mode Parallel, p, q, r, level int) int64 {
-	if !e.shouldRecurse(level, p, q, r) {
-		return 0
-	}
-	lp := &e.schedule[level%len(e.schedule)]
-	b := lp.alg.Base
-	R := int64(lp.alg.Rank())
-	bm, bk, bn := p/b.M, q/b.K, r/b.N // peeling-core block dims
-	if e.fbe != nil && !e.shouldRecurse(level+1, bm, bk, bn) {
-		// The fused level materializes no S/T/M temporaries at all: operand
-		// sums form inside the leaf's packing pass and products scatter-add
-		// straight into C. Only view headers and Scaled scratch remain —
-		// small change the model does not meter, like the per-task scratch.
-		return 0
-	}
-	sUnit, tUnit := int64(bm*bk), int64(bk*bn)
-	auxS, auxT := int64(len(lp.splan.Aux)), int64(len(lp.tplan.Aux))
-	matS, matT := int64(materializedOutputs(lp.splan)), int64(materializedOutputs(lp.tplan))
-	streamCost := sUnit*(auxS+matS) + tUnit*(auxT+matT) // whole family at once
-	self := R * int64(bm*bn)                            // the M_r products, all live until the combine
-	child := e.workspaceFloats(mode, bm, bk, bn, level+1)
-	if mode == BFS || mode == Hybrid {
-		// Every branch runs concurrently with its own operand buffers
-		// (streaming still forms the families once, in the parent). Aux
-		// temporaries only materialize in branches that form an operand.
-		if e.opts.Strategy == addchain.Streaming {
-			return self + streamCost + R*child
+// workspaceFloats counts the float64 temporaries live at once in a p×q by
+// q×r call under mode, folding its walk by step's allocation pattern: an
+// unfused level holds its R products M_r, all live until the combine, and
+// its formed operands — none for an operand aliased to a scaled source
+// block, and CSE aux temporaries per formed operand, or once per family
+// under streaming. A fused level holds none: operand sums form inside the
+// leaf's packing pass and products scatter-add straight into C (view
+// headers and Scaled scratch are small change the model does not meter,
+// like the per-task scratch). DFS holds one subproblem per level at a time;
+// BFS/HYBRID hold every subproblem of every level at once.
+func (e *Executor) workspaceFloats(mode Parallel, p, q, r int) int64 {
+	var floats int64
+	for w := e.Walk(p, q, r); w.Next() && !w.Fused; {
+		sUnit, tUnit := int64(w.BM*w.BK), int64(w.BK*w.BN)
+		auxS, auxT := int64(len(w.S.Aux)), int64(len(w.T.Aux))
+		matS, matT := int64(materializedOutputs(w.S)), int64(materializedOutputs(w.T))
+		level := int64(w.Alg.Rank()) * int64(w.BM*w.BN) // the M_r
+		bfs := mode == BFS || mode == Hybrid
+		switch {
+		case e.opts.Strategy == addchain.Streaming:
+			// Every S_r and T_r at once, formed in the parent.
+			level += sUnit*(auxS+matS) + tUnit*(auxT+matT)
+		case bfs:
+			// Every branch forms its own operands concurrently; aux
+			// temporaries only materialize in branches that form one.
+			level += sUnit*matS*(1+auxS) + tUnit*matT*(1+auxT)
+		default:
+			// One branch at a time: its operands are released before the
+			// next, so the peak is one formed operand plus its aux.
+			if matS > 0 {
+				level += sUnit * (1 + auxS)
+			}
+			if matT > 0 {
+				level += tUnit * (1 + auxT)
+			}
 		}
-		return self + sUnit*matS*(1+auxS) + tUnit*matT*(1+auxT) + R*child
+		branches := int64(1)
+		if bfs {
+			branches = w.Count
+		}
+		floats += branches * level
 	}
-	if e.opts.Strategy == addchain.Streaming {
-		return self + streamCost + child
-	}
-	// One branch at a time: its operands are released before the next, so
-	// the peak is one materialized operand plus its aux (aliased branches
-	// materialize nothing, aux included).
-	var perS, perT int64
-	if matS > 0 {
-		perS = 1 + auxS
-	}
-	if matT > 0 {
-		perT = 1 + auxT
-	}
-	return self + sUnit*perS + tUnit*perT + child
+	return floats
 }
 
 // aliasedOutput reports whether a plan output chain is served by aliasing a
@@ -519,35 +515,114 @@ func materializedOutputs(p *addchain.Plan) int {
 // arena pool — the live counterpart of the WorkspaceBytes prediction.
 func (e *Executor) WorkspaceRetained() int64 { return e.arenas.Bytes() }
 
-// leafFlops is the flop count of the leaf products of a p×q by q×r call
-// from the given level down: R^s leaves of 2·(p/M^s)(q/K^s)(r/N^s) over the
-// peeled cores, the count Budget.Over starts from. A fused last level runs
-// exactly these products, so it counts the same.
-func (e *Executor) leafFlops(level, p, q, r int) int64 {
-	if !e.shouldRecurse(level, p, q, r) {
-		return 2 * int64(p) * int64(q) * int64(r)
-	}
-	lp := e.schedule[level%len(e.schedule)]
-	b := lp.alg.Base
-	return int64(lp.alg.Rank()) * e.leafFlops(level+1, p/b.M, q/b.K, r/b.N)
+// Level is one level of a call's recursion as the executor runs it: the
+// subproblem, the core dynamic peeling carves out of it (§3.5), the level's
+// addition plans and its lowering. multiply runs each level; WorkspaceBytes,
+// a budget's leaf flops, HYBRID's leaf numbering and internal/costmodel's
+// prices fold over a Walk of them.
+type Level struct {
+	// Depth is the level's recursion depth, 0 at the top, and Count the
+	// number of its subproblems: the product of the ranks above it.
+	Depth int
+	Count int64
+	// M, K and N are each subproblem's dims: A is M×K and B is K×N.
+	M, K, N int
+	// CM, CK and CN are the peeled core's dims, the largest multiples of the
+	// base case; the borders beyond them run as classical fix-up products.
+	// BM, BK and BN are the core's block dims, the next level's M, K and N.
+	CM, CK, CN int
+	BM, BK, BN int
+	// Alg is the level's algorithm, and S, T and C its addition plans: the
+	// S_r from the blocks of A, the T_r from those of B, and the C blocks
+	// from the M_r.
+	Alg     *algo.Algorithm
+	S, T, C *addchain.Plan
+	// Fused is the level's lowering: its products fold their operand sums
+	// into the leaf's packing pass and scatter-add into C, so it holds no
+	// S/T/M temporary. An unfused level forms its operands and materialises
+	// its products. Only an executor's last level fuses, with Options.Fused
+	// on a backend that can.
+	Fused bool
+
+	lp *levelPlan
 }
 
-// leafCount returns R^L, the number of leaf multiplications for explicit
-// Steps (used by Hybrid's load-balance split). For auto cutoff it returns 0
-// and Hybrid degrades to BFS.
-func (e *Executor) leafCount() int { return e.leavesFrom(0) }
+// Walk is a cursor over the levels of one call's recursion. It allocates
+// nothing.
+type Walk struct {
+	Level
+	e    *Executor
+	done bool
+}
 
-// leavesFrom returns the number of leaves of a full subtree rooted at the
-// given level (Π of the ranks of the remaining levels), or 0 in auto mode.
-func (e *Executor) leavesFrom(level int) int {
+// Walk returns the walk of a p×q by q×r call. Each Next moves to the next
+// level the executor recurses at, top down. Once Next returns false, Level
+// describes the leaves: Depth is the number of levels, Count the number of
+// leaf products and M, K and N their dims.
+func (e *Executor) Walk(p, q, r int) Walk { return e.walkFrom(0, p, q, r) }
+
+// walkFrom is the walk of a subproblem at the given depth.
+func (e *Executor) walkFrom(depth, p, q, r int) Walk {
+	return Walk{e: e, Level: Level{Depth: depth - 1, Count: 1, BM: p, BK: q, BN: r}}
+}
+
+// Next moves to the next level and reports whether the executor takes a
+// step there.
+func (w *Walk) Next() bool {
+	if w.done {
+		return false
+	}
+	count := w.Count
+	if w.Alg != nil {
+		count *= int64(w.Alg.Rank())
+	}
+	var ok bool
+	w.Level, ok = w.e.level(w.Depth+1, w.BM, w.BK, w.BN)
+	w.Count, w.done = count, !ok
+	return ok
+}
+
+// leaves is where the walk of a subproblem at the given depth ends.
+func (e *Executor) leaves(depth, p, q, r int) Level {
+	w := e.walkFrom(depth, p, q, r)
+	for w.Next() {
+	}
+	return w.Level
+}
+
+// level is the step at the given depth of a p×q by q×r subproblem; ok
+// reports that the executor takes one (shouldRecurse). Without a step only
+// Depth, M, K and N are set.
+func (e *Executor) level(depth, p, q, r int) (lv Level, ok bool) {
+	lv = Level{Depth: depth, M: p, K: q, N: r}
+	if !e.shouldRecurse(depth, p, q, r) {
+		return lv, false
+	}
+	lp := &e.schedule[depth%len(e.schedule)]
+	b := lp.alg.Base
+	lv.CM, lv.CK, lv.CN = p-p%b.M, q-q%b.K, r-r%b.N
+	lv.BM, lv.BK, lv.BN = p/b.M, q/b.K, r/b.N
+	lv.Alg, lv.S, lv.T, lv.C, lv.lp = lp.alg, lp.splan, lp.tplan, lp.cplan, lp
+	lv.Fused = e.fbe != nil && !e.shouldRecurse(depth+1, lv.BM, lv.BK, lv.BN)
+	return lv, true
+}
+
+// leafFlops is the flop count of a p×q by q×r call's leaf products, the
+// count Budget.Over starts from: 2·M·K·N for each leaf of the walk. A fused
+// last level runs exactly these products, so it counts the same.
+func (e *Executor) leafFlops(p, q, r int) int64 {
+	lv := e.leaves(0, p, q, r)
+	return lv.Count * 2 * int64(lv.M) * int64(lv.K) * int64(lv.N)
+}
+
+// leafCount is the leaf count HYBRID's load-balance split works from: the
+// walk's for explicit Steps, and 0 under automatic cutoff, where HYBRID
+// degrades to BFS.
+func (e *Executor) leafCount(p, q, r int) int {
 	if e.opts.Steps == 0 {
 		return 0
 	}
-	n := 1
-	for l := level; l < e.opts.Steps; l++ {
-		n *= e.schedule[l%len(e.schedule)].alg.Rank()
-	}
-	return n
+	return int(e.leaves(0, p, q, r).Count)
 }
 
 // shouldRecurse applies §3.4: an explicit step count is honored as long as
@@ -578,58 +653,49 @@ func (e *Executor) multiply(ctx *runContext, ar *workspace.Arena, C, A, B *mat.D
 	if ctx.stopped() {
 		return
 	}
-	p, q, r := A.Rows(), A.Cols(), B.Cols()
-	if !e.shouldRecurse(level, p, q, r) {
-		e.leafMultiply(ctx, C, A, B, alpha, level, leafBase, acc)
+	lv, ok := e.level(level, A.Rows(), A.Cols(), B.Cols())
+	if !ok {
+		e.leafMultiply(ctx, C, A, B, alpha, leafBase, acc)
 		return
 	}
-	lp := &e.schedule[level%len(e.schedule)]
-	b := lp.alg.Base
 
-	// Dynamic peeling (§3.5): carve the largest (M·i)×(K·j)×(N·k) core and
-	// fix up the borders with classical products.
-	pc, qc, rc := p-p%b.M, q-q%b.K, r-r%b.N
-	a11 := ar.View(A, 0, 0, pc, qc)
-	b11 := ar.View(B, 0, 0, qc, rc)
+	// Dynamic peeling (§3.5): the step runs on the level's core, and one
+	// classical product fixes up each border.
+	p, q, r, pc, qc, rc := lv.M, lv.K, lv.N, lv.CM, lv.CK, lv.CN
 	c11 := ar.View(C, 0, 0, pc, rc)
-	e.step(ctx, ar, lp, c11, a11, b11, alpha, level, leafBase, acc)
+	e.step(ctx, ar, &lv, c11, ar.View(A, 0, 0, pc, qc), ar.View(B, 0, 0, qc, rc), alpha, leafBase, acc)
 
-	// The fixup closures run on this goroutine (directly, or inside its
-	// bounded-compute section), so the views can come from this arena. The
-	// first write into each region honors acc; later contributions always
-	// accumulate.
-	if qc < q { // C11 += A12·B21
-		e.countFixup()
-		//fastmm:allow dynamic-peeling fixup, off the uniform steady-state path
-		ctx.fixup(level, func(w int) {
-			gemm.Dispatch(e.be, c11, alpha, ar.View(A, 0, qc, pc, q-qc), ar.View(B, qc, 0, q-qc, rc), true, w)
-		})
+	// The first write into each border honors acc; later contributions
+	// always accumulate.
+	if rc < r { // C12 (+)= A11·B12
+		e.fixup(ctx, level, ar.View(C, 0, rc, pc, r-rc), alpha, ar.View(A, 0, 0, pc, qc), ar.View(B, 0, rc, qc, r-rc), acc)
 	}
-	if rc < r { // C12 (+)= A11·B12 + A12·B22
-		e.countFixup()
-		//fastmm:allow dynamic-peeling fixup, off the uniform steady-state path
-		ctx.fixup(level, func(w int) {
-			c12 := ar.View(C, 0, rc, pc, r-rc)
-			gemm.Dispatch(e.be, c12, alpha, ar.View(A, 0, 0, pc, qc), ar.View(B, 0, rc, qc, r-rc), acc, w)
-			if qc < q {
-				gemm.Dispatch(e.be, c12, alpha, ar.View(A, 0, qc, pc, q-qc), ar.View(B, qc, rc, q-qc, r-rc), true, w)
-			}
-		})
+	if qc < q { // [C11 C12] += A12·[B21 B22] (full-width top strip)
+		e.fixup(ctx, level, ar.View(C, 0, 0, pc, r), alpha, ar.View(A, 0, qc, pc, q-qc), ar.View(B, qc, 0, q-qc, r), true)
 	}
 	if pc < p { // [C21 C22] (+)= A2·B (full-width bottom strip)
-		e.countFixup()
-		//fastmm:allow dynamic-peeling fixup, off the uniform steady-state path
-		ctx.fixup(level, func(w int) {
-			gemm.Dispatch(e.be, ar.View(C, pc, 0, p-pc, r), alpha, ar.View(A, pc, 0, p-pc, q), B, acc, w)
-		})
+		e.fixup(ctx, level, ar.View(C, pc, 0, p-pc, r), alpha, ar.View(A, pc, 0, p-pc, q), B, acc)
 	}
+}
+
+// fixup runs one peeling fix-up, C (+)= alpha·A·B, as a classical gemm at
+// the scheduler's fix-up width (runContext.fixup), counted and traced as a
+// fix-up of the given level.
+func (e *Executor) fixup(ctx *runContext, level int, C *mat.Dense, alpha float64, A, B *mat.Dense, acc bool) {
+	if s := e.opts.Stats; s != nil {
+		s.add(&s.FixupCalls, 1)
+	}
+	//fastmm:allow dynamic-peeling fixup, off the uniform steady-state path
+	ctx.fixup(level, func(w int) {
+		gemm.DispatchTraced(e.be, C, alpha, A, B, acc, w, ctx.tr, trace.Span{Kind: trace.KindFixup, Level: int32(level)})
+	})
 }
 
 // leafMultiply is the recursion base case: a classical gemm call whose
 // parallelism depends on the scheduler (§4): DFS leaves use all workers, BFS
 // leaves run sequentially inside their task, HYBRID defers the tail leaves to
 // a second all-worker phase.
-func (e *Executor) leafMultiply(ctx *runContext, C, A, B *mat.Dense, alpha float64, level, leafIdx int, acc bool) {
+func (e *Executor) leafMultiply(ctx *runContext, C, A, B *mat.Dense, alpha float64, leafIdx int, acc bool) {
 	if s := e.opts.Stats; s != nil {
 		s.add(&s.LeafCalls, 1)
 	}
@@ -652,7 +718,7 @@ func (e *Executor) leafMultiply(ctx *runContext, C, A, B *mat.Dense, alpha float
 		}
 		//fastmm:allow HYBRID BFS-phase task body, spawn path by design
 		ctx.compute(func() { e.leafGemm(ctx, C, alpha, A, B, acc, 1) })
-		ctx.leafDone(maxInt(1, e.leavesFrom(level)))
+		ctx.leafDone()
 	}
 }
 
@@ -660,18 +726,5 @@ func (e *Executor) leafMultiply(ctx *runContext, C, A, B *mat.Dense, alpha float
 // starts — for a task-run leaf, not when it is queued.
 func (e *Executor) leafGemm(ctx *runContext, C *mat.Dense, alpha float64, A, B *mat.Dense, acc bool, workers int) {
 	ctx.startLeaf(A.Rows(), A.Cols(), B.Cols())
-	gemm.DispatchTraced(e.be, C, alpha, A, B, acc, workers, ctx.tr)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func (e *Executor) countFixup() {
-	if s := e.opts.Stats; s != nil {
-		s.add(&s.FixupCalls, 1)
-	}
+	gemm.DispatchTraced(e.be, C, alpha, A, B, acc, workers, ctx.tr, trace.Span{Kind: trace.KindLeaf})
 }

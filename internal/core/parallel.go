@@ -211,13 +211,13 @@ func (ctx *runContext) deferLeaf(f func()) {
 	<-d.done
 }
 
-// leafDone credits span completed BFS-phase leaves toward the phase barrier.
-func (ctx *runContext) leafDone(span int) {
+// leafDone credits one completed BFS-phase leaf toward the phase barrier.
+func (ctx *runContext) leafDone() {
 	if ctx.mode != Hybrid {
 		return
 	}
 	ctx.mu.Lock()
-	ctx.leavesDone += span
+	ctx.leavesDone++
 	ctx.cond.Broadcast()
 	ctx.mu.Unlock()
 }

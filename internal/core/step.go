@@ -77,13 +77,23 @@ func newLevel(a *algo.Algorithm, cse bool) levelPlan {
 		lp.splan.ApplyCSE()
 		lp.tplan.ApplyCSE()
 	}
-	for r := range lp.prods {
-		lp.prods[r].s, lp.prods[r].t = lp.splan.Outputs[r].Terms, lp.tplan.Outputs[r].Terms
+	// Product r's destinations are column r of W, in block order; they share
+	// one array, so the level allocates a few times, not once per product.
+	n := 0
+	for _, ch := range lp.cplan.Outputs {
+		n += len(ch.Terms)
 	}
-	for j, ch := range lp.cplan.Outputs {
-		for _, t := range ch.Terms {
-			lp.prods[t.Src].c = append(lp.prods[t.Src].c, dest{blk: j, coeff: t.Coeff})
+	dests := make([]dest, 0, n)
+	for r := range lp.prods {
+		p := &lp.prods[r]
+		p.s, p.t = lp.splan.Outputs[r].Terms, lp.tplan.Outputs[r].Terms
+		start := len(dests)
+		for j := 0; j < a.W.Rows(); j++ {
+			if v := a.W.At(j, r); v != 0 {
+				dests = append(dests, dest{blk: j, coeff: v})
+			}
 		}
+		p.c = dests[start:len(dests):len(dests)]
 	}
 	covered := make([]bool, len(lp.cplan.Outputs))
 	for r := range lp.prods {
@@ -116,15 +126,16 @@ type stepState struct {
 	leafBase, span int
 }
 
-// step runs one recursion step on a core whose dimensions divide the base
-// case exactly. All temporaries come from ar; the step's mark is released on
-// return, so a DFS traversal reuses one level's buffers across siblings
-// while spawned BFS/HYBRID branches draw their own arenas from the call's
-// pool (the M_r stay in this arena: the parent outlives its children and
-// combines their results).
-func (e *Executor) step(ctx *runContext, ar *workspace.Arena, lp *levelPlan, C, A, B *mat.Dense, alpha float64, level, leafBase int, acc bool) {
+// step runs level lv's recursion step on its peeled core, whose dimensions
+// divide the base case exactly, lowered as lv.Fused says. All temporaries
+// come from ar; the step's mark is released on return, so a DFS traversal
+// reuses one level's buffers across siblings while spawned BFS/HYBRID
+// branches draw their own arenas from the call's pool (the M_r stay in this
+// arena: the parent outlives its children and combines their results).
+func (e *Executor) step(ctx *runContext, ar *workspace.Arena, lv *Level, C, A, B *mat.Dense, alpha float64, leafBase int, acc bool) {
 	mark := ar.Mark()
 	defer ar.Release(mark)
+	level := lv.Depth
 	if ctx.tr != nil {
 		ctx.tr.Add(trace.Span{
 			Kind:  trace.KindStep,
@@ -135,13 +146,12 @@ func (e *Executor) step(ctx *runContext, ar *workspace.Arena, lp *levelPlan, C, 
 			Mark:  ar.LiveFloatBytes(),
 		})
 	}
-	b := lp.alg.Base
-	bm, bk, bn := A.Rows()/b.M, A.Cols()/b.K, B.Cols()/b.N
+	lp, b := lv.lp, lv.Alg.Base
 	st := stepState{
 		lp: lp, a: blocks(ar, A, b.M, b.K), b: blocks(ar, B, b.K, b.N), c: blocks(ar, C, b.M, b.N),
 		alpha: alpha, acc: acc, level: level, leafBase: leafBase,
 	}
-	if e.fbe == nil || e.shouldRecurse(level+1, bm, bk, bn) {
+	if !lv.Fused {
 		// Materialise. The streaming pre-pass (§3.2 method 3) forms every
 		// S_r and T_r in one pass over the source blocks, at the cost of
 		// keeping all R alive; otherwise each product forms its own.
@@ -152,9 +162,9 @@ func (e *Executor) step(ctx *runContext, ar *workspace.Arena, lp *levelPlan, C, 
 		}
 		st.ms = ar.Ptrs(len(lp.prods))
 		for r := range st.ms {
-			st.ms[r] = ar.Matrix(bm, bn)
+			st.ms[r] = ar.Matrix(lv.BM, lv.BN)
 		}
-		st.span = maxInt(1, e.leavesFrom(level+1))
+		st.span = int(e.leaves(level+1, lv.BM, lv.BK, lv.BN).Count)
 		if ctx.mode == BFS || ctx.mode == Hybrid {
 			e.fanOut(ctx, st)
 		} else {

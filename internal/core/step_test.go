@@ -14,8 +14,9 @@ import (
 // call records: the scheduler's span, then per recursion level walked one
 // step span of the peeled core, followed by its R products (recursive
 // multiplies down to leaf spans of the block shape, or on a fused level R
-// fused-leaf spans) and its untraced peeling fix-ups, one per peeled
-// dimension.
+// fused-leaf spans) and its peeling fix-ups, one gemm and one span per
+// peeled dimension: the right border of the core's rows, the top strip's
+// extra inner dimension, and the bottom strip.
 func wantWalk(a *algo.Algorithm, steps int, fused bool, p, q, r int) ([]string, Stats) {
 	b := a.Base
 	spans := []string{fmt.Sprintf("%s 0 %dx%dx%d", trace.KindSched, p, q, r)}
@@ -37,8 +38,12 @@ func wantWalk(a *algo.Algorithm, steps int, fused bool, p, q, r int) ([]string, 
 				walk(level+1, pc/b.M, qc/b.K, rc/b.N)
 			}
 		}
-		for _, peeled := range []bool{qc < q, rc < r, pc < p} {
-			if peeled {
+		for _, fix := range []struct {
+			peeled  bool
+			m, k, n int
+		}{{rc < r, pc, qc, r - rc}, {qc < q, pc, q - qc, r}, {pc < p, p - pc, q, r}} {
+			if fix.peeled {
+				spans = append(spans, fmt.Sprintf("%s %d %dx%dx%d", trace.KindFixup, level, fix.m, fix.k, fix.n))
 				st.FixupCalls++
 			}
 		}
@@ -49,16 +54,17 @@ func wantWalk(a *algo.Algorithm, steps int, fused bool, p, q, r int) ([]string, 
 
 // TestWalkCallSequence pins the order of a Sequential call's work, which
 // the repository benchmark's replay of a plan assumes: the recorded spans
-// (kind, level, M×K×N) and Stats of strassen s2 and fast424 s1 on a shape
-// that peels at every level, explicit and fused, against wantWalk. A span
-// sink holds the first trace.MaxSpans spans and counts the rest.
+// (kind, level, M×K×N) and Stats of strassen s1 and s2 and fast424 s1 on a
+// shape that peels at every level, explicit and fused, against wantWalk. A
+// span sink holds the first trace.MaxSpans spans and counts the rest, so
+// strassen s1 and fast424 s1, which fit, show every fix-up span.
 func TestWalkCallSequence(t *testing.T) {
 	const m, k, n = 67, 45, 53
 	be := fusedCapableBackend(t)
 	for _, tc := range []struct {
 		alg   string
 		steps int
-	}{{"strassen", 2}, {"fast424", 1}} {
+	}{{"strassen", 1}, {"strassen", 2}, {"fast424", 1}} {
 		for _, fused := range []bool{false, true} {
 			var stats Stats
 			e := mustExec(t, tc.alg, Options{Steps: tc.steps, Parallel: Sequential, Fused: fused, Backend: be, Stats: &stats})
@@ -80,6 +86,18 @@ func TestWalkCallSequence(t *testing.T) {
 			}
 			if s := stats.Snapshot(); s != wantStats {
 				t.Errorf("%s s%d fused=%v: stats %+v, want %+v", tc.alg, tc.steps, fused, s, wantStats)
+			}
+			// The executor's own walk counts the same fix-ups.
+			var walked int64
+			for w := e.Walk(m, k, n); w.Next(); {
+				for _, peeled := range []bool{w.CN < w.N, w.CK < w.K, w.CM < w.M} {
+					if peeled {
+						walked += w.Count
+					}
+				}
+			}
+			if walked != wantStats.FixupCalls {
+				t.Errorf("%s s%d fused=%v: the walk has %d fix-ups, want %d", tc.alg, tc.steps, fused, walked, wantStats.FixupCalls)
 			}
 		}
 	}

@@ -156,6 +156,37 @@ func TestWorkspaceBytesOrdering(t *testing.T) {
 	}
 }
 
+// TestStreamingWorkspaceLarger: §3.2's streaming keeps all R operand
+// temporaries alive, write-once only one pair at a time.
+func TestStreamingWorkspaceLarger(t *testing.T) {
+	ws := func(s addchain.Strategy) int64 {
+		return mustExec(t, "strassen", Options{Steps: 2, Parallel: Sequential, Strategy: s}).WorkspaceBytes(128, 128, 128)
+	}
+	if st, wo := ws(addchain.Streaming), ws(addchain.WriteOnce); st <= wo {
+		t.Fatalf("streaming workspace %d should exceed write-once %d", st, wo)
+	}
+}
+
+// TestBFSWorkspaceGrowsWithRank: §4.2's memory cost of a step is its R
+// products M_r — for one Strassen step, 7 quarter-size blocks — which every
+// traversal holds at once, and BFS holds them for every branch.
+func TestBFSWorkspaceGrowsWithRank(t *testing.T) {
+	const n = 64
+	quarter := int64(n/2) * int64(n/2)
+	ws := func(par Parallel, steps int) int64 {
+		return mustExec(t, "strassen", Options{Resources: Resources{Workers: 2}, Steps: steps, Parallel: par}).WorkspaceBytes(n, n, n)
+	}
+	for _, par := range []Parallel{Sequential, BFS} {
+		if got, floor := ws(par, 1), 8*7*quarter; got < floor {
+			t.Errorf("%v: workspace %d below the M_r floor %d", par, got, floor)
+		}
+	}
+	// A second step adds 7 branches of 7 sixteenth-size M_r under BFS.
+	if got, floor := ws(BFS, 2)-ws(BFS, 1), 8*49*quarter/4; got < floor {
+		t.Errorf("BFS's second step adds %d bytes, below its M_r floor %d", got, floor)
+	}
+}
+
 // TestWorkspaceCapDegradesBFSToDFS: with a cap below the BFS footprint the
 // call must still succeed (via DFS) and spawn no tasks.
 func TestWorkspaceCapDegradesBFSToDFS(t *testing.T) {

@@ -1,10 +1,13 @@
-// Package costmodel evaluates the analytic cost recurrences of Benson &
-// Ballard for any algorithm in the framework: arithmetic flops (§2.1),
-// block reads/writes of the addition phases under each strategy (§3.2), and
-// workspace footprints (§3.2's strategy comparison and §4.2's BFS memory
-// analysis). The model is exact — it follows the same recursion, peeling
-// excluded, as the executor — and the test suite pins it against the paper's
-// closed forms (e.g. F_Strassen(N) = 7·N^log₂7 − 6·N²).
+// Package costmodel prices an executor's recursion with the analytic cost
+// terms of Benson & Ballard: arithmetic flops (§2.1), the block reads and
+// writes of the addition phases under each strategy (§3.2), and the leaf
+// products. It folds core's Walk — the levels, peeled cores, addition plans
+// and lowerings the executor itself runs — so it follows the same recursion
+// as the executor. The counts cover the divisible core the recursion runs
+// without peeling, and PredictTime prices the rest as classical gemm time.
+// The executor's WorkspaceBytes is the one workspace model. The test suite
+// pins the counts against the paper's closed forms (e.g. F_Strassen(N) =
+// 7·N^log₂7 − 6·N²).
 package costmodel
 
 import (
@@ -12,6 +15,7 @@ import (
 
 	"fastmm/internal/addchain"
 	"fastmm/internal/algo"
+	"fastmm/internal/core"
 )
 
 // Cost aggregates the model's predictions for one multiplication.
@@ -24,12 +28,6 @@ type Cost struct {
 	// Reads and Writes count scalar block-element transfers performed by
 	// the addition phases under the chosen strategy (§3.2's metric).
 	Reads, Writes float64
-	// Workspace is the peak number of temporary scalars alive at once for
-	// a depth-first traversal; WorkspaceBFS is the total temporary
-	// allocation if all R subproblems of each node are alive together
-	// (the BFS worst case of §4.2).
-	Workspace    float64
-	WorkspaceBFS float64
 	// BaseCalls is the number of leaf gemm invocations (R^steps).
 	BaseCalls float64
 }
@@ -37,18 +35,83 @@ type Cost struct {
 // Flops returns total arithmetic.
 func (c Cost) Flops() float64 { return c.MulFlops + c.AddFlops }
 
-// Model evaluates costs for a fixed algorithm and addition strategy.
+// Evaluate is the cost of the executor's p×q by q×r call over its
+// divisible core, peeling excluded (see fold).
+func Evaluate(e *core.Executor, p, q, r int) Cost {
+	cm, ck, cn := divisibleCore(e, p, q, r)
+	c, _ := fold(e, cm, ck, cn)
+	return c
+}
+
+// divisibleCore is the part of a p×q by q×r call the executor's recursion
+// covers without peeling at any level: the leaves' dims of its walk times
+// the base dims of the levels above them.
+func divisibleCore(e *core.Executor, p, q, r int) (cm, ck, cn int) {
+	cm, ck, cn = 1, 1, 1
+	w := e.Walk(p, q, r)
+	for w.Next() {
+		b := w.Alg.Base
+		cm, ck, cn = cm*b.M, ck*b.K, cn*b.N
+	}
+	return cm * w.M, ck * w.K, cn * w.N
+}
+
+// fold folds the executor's walk of a p×q by q×r call that peels nothing
+// into its cost, and returns the walk's end, the leaves. Per level, Count
+// subproblems each pay the level's addition flops and traffic on its block
+// elements: an unfused level its S/T/C plans' Plan.Cost under the
+// executor's strategy; a fused level one streaming read per packing source
+// beyond the one the gemm reads anyway and one read-modify-write per
+// scatter term, since it forms no S/T temporary, materialises no M_r and
+// reads nothing back for a combine. Each leaf costs 2mkn − mn multiply
+// flops.
+func fold(e *core.Executor, p, q, r int) (Cost, core.Level) {
+	var c Cost
+	strat := e.Opts().Strategy
+	w := e.Walk(p, q, r)
+	for w.Next() {
+		n := float64(w.Count)
+		sElems := float64(w.BM) * float64(w.BK)
+		tElems := float64(w.BK) * float64(w.BN)
+		cElems := float64(w.BM) * float64(w.BN)
+		c.AddFlops += n * (float64(w.S.Additions())*sElems + float64(w.T.Additions())*tElems + float64(w.C.Additions())*cElems)
+		if w.Fused {
+			R := float64(w.Alg.Rank())
+			cTerms := totalTerms(w.C)
+			c.Reads += n * ((totalTerms(w.S)-R)*sElems + (totalTerms(w.T)-R)*tElems + cTerms*cElems)
+			c.Writes += n * cTerms * cElems
+		} else {
+			sc, tc, cc := w.S.Cost(strat), w.T.Cost(strat), w.C.Cost(strat)
+			c.Reads += n * (float64(sc.Reads)*sElems + float64(tc.Reads)*tElems + float64(cc.Reads)*cElems)
+			c.Writes += n * (float64(sc.Writes)*sElems + float64(tc.Writes)*tElems + float64(cc.Writes)*cElems)
+		}
+	}
+	c.BaseCalls = float64(w.Count)
+	c.MulFlops = c.BaseCalls * gemmFlops(w.M, w.K, w.N)
+	return c, w.Level
+}
+
+// gemmFlops is Equation (3)'s classical count, 2pqr − pr.
+func gemmFlops(p, q, r int) float64 {
+	return 2*float64(p)*float64(q)*float64(r) - float64(p)*float64(r)
+}
+
+// totalTerms counts the source terms across a plan's outputs (aux expansion
+// ignored: the fused executor expands CSE temporaries back to sources, and
+// real catalog plans change term counts only marginally under CSE).
+func totalTerms(p *addchain.Plan) float64 {
+	n := 0
+	for _, ch := range p.Outputs {
+		n += len(ch.Terms)
+	}
+	return float64(n)
+}
+
+// Model prices one algorithm under fixed addition options at any explicit
+// depth: Evaluate builds the executor of that depth and folds its walk.
 type Model struct {
-	alg    *algo.Algorithm
-	strat  addchain.Strategy
-	cse    bool
-	fused  bool
-	splan  *addchain.Plan
-	tplan  *addchain.Plan
-	cplan  *addchain.Plan
-	sCosts addchain.Costs
-	tCosts addchain.Costs
-	cCosts addchain.Costs
+	alg  *algo.Algorithm
+	opts core.Options
 }
 
 // New builds a cost model. CSE mirrors the executor's option (applied to the
@@ -60,39 +123,17 @@ func New(a *algo.Algorithm, strat addchain.Strategy, cse bool) (*Model, error) {
 	return NewTrusted(a, strat, cse), nil
 }
 
-// NewTrusted builds a cost model without re-verifying the algorithm. The
-// tuner evaluates hundreds of candidate models per shape against algorithms
-// the catalog has already verified once; repeating the tensor check per model
-// would dominate the ranking time.
+// NewTrusted builds a cost model without re-verifying the algorithm against
+// its tensor; passing an unverified algorithm prices the wrong product.
 func NewTrusted(a *algo.Algorithm, strat addchain.Strategy, cse bool) *Model {
 	return NewTrustedFused(a, strat, cse, false)
 }
 
-// NewTrustedFused is NewTrusted with the fused-leaf dimension: when fused is
-// set, the model's last recursion level runs the fused blocked engine — no
-// S/T/M temporaries, operand sums formed inside the packing pass (one extra
-// streaming read per extra source) and products scatter-added into C (one
-// read-modify-write per W term). The memory-traffic and workspace terms of
-// that level shrink accordingly, which is exactly the signal the tuner needs
-// to enumerate Fused as a candidate dimension.
+// NewTrustedFused is NewTrusted with the executor's Fused option: with
+// fused set, the last level fuses wherever the default backend can (see
+// core.Options.Fused), and the model prices it as fold says.
 func NewTrustedFused(a *algo.Algorithm, strat addchain.Strategy, cse, fused bool) *Model {
-	m := &Model{
-		alg:   a,
-		strat: strat,
-		cse:   cse,
-		fused: fused,
-		splan: addchain.FromColumns(a.U),
-		tplan: addchain.FromColumns(a.V),
-		cplan: addchain.FromRows(a.W),
-	}
-	if cse {
-		m.splan.ApplyCSE()
-		m.tplan.ApplyCSE()
-	}
-	m.sCosts = m.splan.Cost(strat)
-	m.tCosts = m.tplan.Cost(strat)
-	m.cCosts = m.cplan.Cost(strat)
-	return m
+	return &Model{alg: a, opts: core.Options{Strategy: strat, CSE: cse, Fused: fused}}
 }
 
 // Evaluate computes the cost of multiplying P×Q by Q×R with the given number
@@ -107,93 +148,17 @@ func (m *Model) Evaluate(p, q, r, steps int) (Cost, error) {
 		}
 		cp, cq, cr = cp/b.M, cq/b.K, cr/b.N
 	}
-	return m.eval(p, q, r, steps), nil
-}
-
-func (m *Model) eval(p, q, r, steps int) Cost {
-	if steps == 0 {
-		flops := 2*float64(p)*float64(q)*float64(r) - float64(p)*float64(r)
-		return Cost{MulFlops: flops, BaseCalls: 1}
+	if steps == 0 { // an executor's Steps 0 is the automatic cutoff
+		return Cost{MulFlops: gemmFlops(p, q, r), BaseCalls: 1}, nil
 	}
-	b := m.alg.Base
-	R := float64(m.alg.Rank())
-	child := m.eval(p/b.M, q/b.K, r/b.N, steps-1)
-
-	// Temporaries at this level have the child block dimensions.
-	sElems := float64(p/b.M) * float64(q/b.K)
-	tElems := float64(q/b.K) * float64(r/b.N)
-	cElems := float64(p/b.M) * float64(r/b.N)
-
-	if m.fused && steps == 1 {
-		return m.evalFusedLevel(child, R, sElems, tElems, cElems)
+	o := m.opts
+	o.Steps = steps
+	e, err := core.NewTrusted(m.alg, o)
+	if err != nil {
+		return Cost{}, fmt.Errorf("costmodel: %w", err)
 	}
-
-	var c Cost
-	c.MulFlops = R * child.MulFlops
-	c.BaseCalls = R * child.BaseCalls
-	c.AddFlops = R*child.AddFlops +
-		float64(m.splan.Additions())*sElems +
-		float64(m.tplan.Additions())*tElems +
-		float64(m.cplan.Additions())*cElems
-	c.Reads = R*child.Reads +
-		float64(m.sCosts.Reads)*sElems + float64(m.tCosts.Reads)*tElems + float64(m.cCosts.Reads)*cElems
-	c.Writes = R*child.Writes +
-		float64(m.sCosts.Writes)*sElems + float64(m.tCosts.Writes)*tElems + float64(m.cCosts.Writes)*cElems
-
-	// Workspace: all R products M_r (each bp×br at the child level after
-	// division... the M_r of THIS level are (bp)×(br) blocks of the child
-	// size) are alive simultaneously, plus the S/T temporaries.
-	mElems := cElems // each M_r has the C-block shape
-	var stAlive float64
-	switch m.strat {
-	case addchain.Streaming:
-		// All S_r and T_r alive at once (§3.2).
-		stAlive = R*(sElems+tElems) + auxElems(m.splan)*sElems + auxElems(m.tplan)*tElems
-	default:
-		// One S_r/T_r pair at a time.
-		stAlive = sElems + tElems
-	}
-	c.Workspace = R*mElems + stAlive + child.Workspace
-	c.WorkspaceBFS = R*mElems + R*(sElems+tElems) + R*child.WorkspaceBFS
-	return c
+	return Evaluate(e, p, q, r), nil
 }
-
-// evalFusedLevel is the last recursion level under the fused engine: the
-// addition arithmetic still happens (inside the packers and the scatter-add
-// epilogue), but the only extra memory traffic is one streaming read per
-// extra packing source and one read-modify-write per scatter term — the S/T
-// formation writes, the M materialization, and the C combine's full
-// read-back all disappear, along with the level's entire workspace.
-func (m *Model) evalFusedLevel(child Cost, R, sElems, tElems, cElems float64) Cost {
-	var c Cost
-	c.MulFlops = R * child.MulFlops
-	c.BaseCalls = R * child.BaseCalls
-	c.AddFlops = R*child.AddFlops +
-		float64(m.splan.Additions())*sElems +
-		float64(m.tplan.Additions())*tElems +
-		float64(m.cplan.Additions())*cElems
-	sTerms, tTerms, cTerms := totalTerms(m.splan), totalTerms(m.tplan), totalTerms(m.cplan)
-	c.Reads = R*child.Reads +
-		(sTerms-R)*sElems + (tTerms-R)*tElems + // extra pack sources beyond the one gemm reads anyway
-		cTerms*cElems // scatter-add reads each destination tile
-	c.Writes = R*child.Writes + cTerms*cElems // scatter-add writes each destination tile
-	c.Workspace = child.Workspace
-	c.WorkspaceBFS = R * child.WorkspaceBFS
-	return c
-}
-
-// totalTerms counts the source terms across a plan's outputs (aux expansion
-// ignored: the fused executor expands CSE temporaries back to sources, and
-// real catalog plans change term counts only marginally under CSE).
-func totalTerms(p *addchain.Plan) float64 {
-	n := 0
-	for _, ch := range p.Outputs {
-		n += len(ch.Terms)
-	}
-	return float64(n)
-}
-
-func auxElems(p *addchain.Plan) float64 { return float64(len(p.Aux)) }
 
 // MulRatio returns the classical-to-fast multiplication flop ratio at the
 // given square size and depth — the realized speedup upper bound if
@@ -204,6 +169,5 @@ func (m *Model) MulRatio(n, steps int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	classical := 2*float64(n)*float64(n)*float64(n) - float64(n)*float64(n)
-	return classical / c.MulFlops, nil
+	return gemmFlops(n, n, n) / c.MulFlops, nil
 }

@@ -130,44 +130,6 @@ func TestStrategyReadWriteOrdering(t *testing.T) {
 	}
 }
 
-func TestStreamingWorkspaceLarger(t *testing.T) {
-	// §3.2: streaming keeps all R temporaries alive; write-once only one
-	// pair at a time.
-	mw, _ := New(catalog.Strassen(), addchain.WriteOnce, false)
-	ms, _ := New(catalog.Strassen(), addchain.Streaming, false)
-	cw, err := mw.Evaluate(128, 128, 128, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs, err := ms.Evaluate(128, 128, 128, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cs.Workspace <= cw.Workspace {
-		t.Fatalf("streaming workspace %v should exceed write-once %v", cs.Workspace, cw.Workspace)
-	}
-}
-
-func TestBFSWorkspaceGrowsWithRank(t *testing.T) {
-	// §4.2: each recursive step costs a factor R/(MN) more memory than C
-	// to store the M_r. For Strassen one step: 7 quarter-size blocks =
-	// (7/4)·N² plus S/T.
-	m, _ := New(catalog.Strassen(), addchain.WriteOnce, false)
-	n := 64
-	c, err := m.Evaluate(n, n, n, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	quarter := float64(n/2) * float64(n/2)
-	wantMs := 7 * quarter
-	if c.WorkspaceBFS < wantMs {
-		t.Fatalf("BFS workspace %v below the M_r floor %v", c.WorkspaceBFS, wantMs)
-	}
-	if c.Workspace < wantMs {
-		t.Fatalf("even DFS holds all M_r of one node: %v < %v", c.Workspace, wantMs)
-	}
-}
-
 func TestCSEReducesAddFlops(t *testing.T) {
 	// fast424 has 20 CSE-eliminable additions (see Table 3 reproduction);
 	// the model must show fewer addition flops with CSE on.

@@ -3,6 +3,8 @@ package costmodel
 import (
 	"fmt"
 	"math"
+
+	"fastmm/internal/core"
 )
 
 // GemmSample records the measured classical-gemm throughput at one square
@@ -143,45 +145,37 @@ type ExecShape struct {
 
 // TimeEstimate is a predicted wall-clock decomposition for one candidate.
 type TimeEstimate struct {
-	Seconds    float64 // total predicted time
+	Seconds    float64 // total predicted time, peeling fix-ups included
 	MulSeconds float64 // leaf classical multiplications
 	AddSeconds float64 // S/T/C addition traffic at the add bandwidth
 	LeafDim    int     // effective leaf block dimension used for the rate
 }
 
-// PredictTime turns the analytic recurrences into predicted seconds on the
-// calibrated machine: leaf gemm flops at the interpolated gemm rate, addition
-// reads+writes at the measured add bandwidth, and task parallelism as a
-// load-balance factor over the leaf count. Dimensions must satisfy the same
-// divisibility requirement as Evaluate.
-func (m *Model) PredictTime(p, q, r, steps int, ma Machine, ex ExecShape) (TimeEstimate, error) {
+// PredictTime turns the executor's p×q by q×r call into predicted seconds
+// on the calibrated machine: the leaf gemm flops of its divisible core's
+// walk (see fold) at the interpolated gemm rate, its addition reads+writes
+// at the measured add bandwidth, task parallelism as a load-balance factor
+// over the leaf count, and the peeled borders as the classical time of the
+// whole shape less that of the divisible core.
+func PredictTime(e *core.Executor, p, q, r int, ma Machine, ex ExecShape) (TimeEstimate, error) {
 	if !ma.Valid() {
 		return TimeEstimate{}, fmt.Errorf("costmodel: machine profile not calibrated")
 	}
-	c, err := m.Evaluate(p, q, r, steps)
-	if err != nil {
-		return TimeEstimate{}, err
-	}
-	b := m.alg.Base
-	lp, lq, lr := p, q, r
-	for s := 0; s < steps; s++ {
-		lp, lq, lr = lp/b.M, lq/b.K, lr/b.N
-	}
-	leafDim := effectiveDim(lp, lq, lr)
+	cm, ck, cn := divisibleCore(e, p, q, r)
+	c, leaves := fold(e, cm, ck, cn)
+	leafDim := effectiveDim(leaves.M, leaves.K, leaves.N)
 
 	mulSecs := c.MulFlops / (ma.GemmRateFor(leafDim, ex.LeafWorkers) * 1e9)
 	if ex.TaskWorkers > 1 {
 		mulSecs /= taskSpeedup(c.BaseCalls, ex.TaskWorkers, ex.Balanced)
 	}
 
-	workers := ex.LeafWorkers
-	if ex.TaskWorkers > workers {
-		workers = ex.TaskWorkers
-	}
+	workers := max(ex.LeafWorkers, ex.TaskWorkers)
 	addSecs := (c.Reads + c.Writes) * 8 / (ma.AddRate(workers) * 1e9)
+	fixSecs := max(0, ma.ClassicalTimeFor(p, q, r, workers)-ma.ClassicalTimeFor(cm, ck, cn, workers))
 
 	return TimeEstimate{
-		Seconds:    mulSecs + addSecs,
+		Seconds:    mulSecs + addSecs + fixSecs,
 		MulSeconds: mulSecs,
 		AddSeconds: addSecs,
 		LeafDim:    leafDim,

@@ -4,8 +4,8 @@ import (
 	"math"
 	"testing"
 
-	"fastmm/internal/addchain"
 	"fastmm/internal/catalog"
+	"fastmm/internal/core"
 )
 
 func testMachine() Machine {
@@ -71,21 +71,28 @@ func TestClassicalTimeScales(t *testing.T) {
 }
 
 func TestPredictTime(t *testing.T) {
-	m := NewTrusted(catalog.Strassen(), addchain.WriteOnce, false)
 	ma := testMachine()
+	exec := func(par core.Parallel) *core.Executor {
+		e, err := core.NewTrusted(catalog.Strassen(), core.Options{Steps: 1, Parallel: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	e := exec(core.Sequential)
 
-	seq, err := m.PredictTime(512, 512, 512, 1, ma, ExecShape{LeafWorkers: 1, TaskWorkers: 1})
+	seq, err := PredictTime(e, 512, 512, 512, ma, ExecShape{LeafWorkers: 1, TaskWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq.Seconds <= 0 || seq.MulSeconds <= 0 || seq.AddSeconds <= 0 {
-		t.Fatalf("all components must be positive: %+v", seq)
+	if seq.Seconds <= 0 || seq.MulSeconds <= 0 || seq.AddSeconds <= 0 || seq.Seconds != seq.MulSeconds+seq.AddSeconds {
+		t.Fatalf("all components must be positive, and a divisible shape has no fix-ups: %+v", seq)
 	}
 	if seq.LeafDim != 256 {
 		t.Fatalf("one Strassen step of 512 leaves 256 blocks, got %d", seq.LeafDim)
 	}
 
-	dfs, err := m.PredictTime(512, 512, 512, 1, ma, ExecShape{LeafWorkers: 8, TaskWorkers: 1})
+	dfs, err := PredictTime(exec(core.DFS), 512, 512, 512, ma, ExecShape{LeafWorkers: 8, TaskWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +100,7 @@ func TestPredictTime(t *testing.T) {
 		t.Fatalf("DFS with 8 workers must beat sequential: %v vs %v", dfs.Seconds, seq.Seconds)
 	}
 
-	bfs, err := m.PredictTime(512, 512, 512, 1, ma, ExecShape{LeafWorkers: 1, TaskWorkers: 8})
+	bfs, err := PredictTime(exec(core.BFS), 512, 512, 512, ma, ExecShape{LeafWorkers: 1, TaskWorkers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,10 +113,21 @@ func TestPredictTime(t *testing.T) {
 		t.Fatalf("BFS load balance: got %v want %v", bfs.MulSeconds, wantMul)
 	}
 
-	if _, err := m.PredictTime(511, 511, 511, 1, ma, ExecShape{LeafWorkers: 1, TaskWorkers: 1}); err == nil {
-		t.Fatal("indivisible dims must error like Evaluate")
+	// A peeled shape is its divisible core plus the borders as classical
+	// time.
+	peeled, err := PredictTime(e, 513, 512, 515, ma, ExecShape{LeafWorkers: 1, TaskWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := m.PredictTime(512, 512, 512, 1, Machine{}, ExecShape{}); err == nil {
+	wantFix := ma.ClassicalTimeFor(513, 512, 515, 1) - ma.ClassicalTimeFor(512, 512, 514, 1)
+	inner, err := PredictTime(e, 512, 512, 514, ma, ExecShape{LeafWorkers: 1, TaskWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if peeled.Seconds != inner.Seconds+wantFix {
+		t.Fatalf("peeled 513×512×515: %+v, want the 512×512×514 core %+v plus %v of fix-ups", peeled, inner, wantFix)
+	}
+	if _, err := PredictTime(e, 512, 512, 512, Machine{}, ExecShape{}); err == nil {
 		t.Fatal("uncalibrated machine must error")
 	}
 }

@@ -18,10 +18,12 @@ import (
 type Resources struct {
 	// Workers bounds the goroutines used (default GOMAXPROCS).
 	Workers int
-	// Workspace, when positive, caps workspace bytes. The executor treats it
-	// as a per-call footprint cap (BFS/HYBRID degrade to DFS above it), the
-	// tuner as a plan filter, and the batcher as the warm pool's retained
-	// byte budget.
+	// Workspace, when positive, caps workspace bytes, always as one model
+	// counts them: the executor's WorkspaceBytes, its walk of the call's
+	// recursion. The executor treats it as a per-call footprint cap
+	// (BFS/HYBRID degrade to DFS above it), the tuner as a filter on that
+	// same figure for each candidate's executor, and the batcher as the warm
+	// pool's retained byte budget.
 	Workspace int64
 }
 

@@ -72,6 +72,10 @@ const (
 	// S/T/M temporaries of the last recursion level folded into the packing
 	// and scatter-add epilogue. Same payload as KindLeaf.
 	KindFusedLeaf = "fused"
+	// KindFixup is one dynamic-peeling fix-up gemm (§3.5): a border of a
+	// recursion level's subproblem run as a classical product. KindLeaf's
+	// payload plus the level.
+	KindFixup = "fixup"
 )
 
 // Span is one timed or structural event inside a request's execution. The
@@ -81,7 +85,7 @@ type Span struct {
 	Kind    string `json:"kind"`
 	Sched   string `json:"sched,omitempty"`   // KindSched: the traversal mode's name
 	Backend string `json:"backend,omitempty"` // KindLeaf: the leaf kernel's name
-	Level   int32  `json:"level,omitempty"`   // recursion level (KindStep/KindLeaf)
+	Level   int32  `json:"level,omitempty"`   // recursion level (KindStep/KindFixup)
 	M       int32  `json:"m,omitempty"`
 	K       int32  `json:"k,omitempty"`
 	N       int32  `json:"n,omitempty"`

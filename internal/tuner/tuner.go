@@ -14,11 +14,12 @@
 //     fuses its last level exactly when the backend can (gemm.CanFuse: simd
 //     does, blas does not); shapes below core.MinDim, and the symmetric ops
 //     AᵗA and Syrk at every shape, get the baseline alone;
-//  2. prune and rank them with the analytic cost recurrences of
-//     internal/costmodel, turned into predicted seconds by a one-time
-//     machine calibration (Options.Profile, or measured gemm GFLOPS at a
-//     few block sizes and the measured STREAM-add bandwidth), dropping any
-//     plan whose workspace exceeds Options.Workspace;
+//  2. build each fast candidate's executor and rank the candidates by
+//     internal/costmodel's price of that executor's own walk, turned into
+//     predicted seconds by a one-time machine calibration
+//     (Options.Profile, or measured gemm GFLOPS at a few block sizes and
+//     the measured STREAM-add bandwidth), dropping any plan whose
+//     executor's WorkspaceBytes exceeds Options.Workspace;
 //  3. unless Options.ProbeTopK is NoProbes, refine the top-K survivors with
 //     one short empirical probe each — the best-predicted classical plan
 //     always among them and timed first, every fast probe stopped once it
@@ -88,12 +89,12 @@ type Resources = resources.Resources
 type Options struct {
 	// Resources is the execution budget: Workers bounds the goroutines a
 	// chosen plan may use (default GOMAXPROCS); Workspace, when positive,
-	// caps the workspace bytes a chosen plan may claim — candidates whose
-	// predicted footprint exceeds it are never selected, and the cap is
-	// threaded through to the built executor, which additionally degrades
-	// BFS/HYBRID to DFS at run time (a cap below even the classical kernel's
-	// packing slabs still selects sequential classical gemm — multiplication
-	// must remain possible).
+	// caps the workspace bytes a chosen plan may claim — fast candidates
+	// whose executor's WorkspaceBytes exceeds it are never ranked, and the
+	// cap is threaded through to the built executor, which additionally
+	// degrades BFS/HYBRID to DFS at run time (a cap below even the classical
+	// kernel's packing slabs still selects sequential classical gemm —
+	// multiplication must remain possible).
 	Resources
 	// ProbeTopK is how many top-ranked candidates to time empirically
 	// before committing (0 → DefaultProbeTopK, NoProbes → model only; a
@@ -260,7 +261,7 @@ func (d *decision) runClassical(r op.Request) error {
 	w := d.plan.Workers
 	switch r.Op {
 	case op.Multiply, op.MultiplyAdd:
-		gemm.DispatchTraced(d.be, r.C, r.Alpha, r.A, r.B, acc, w, r.Trace)
+		gemm.DispatchTraced(d.be, r.C, r.Alpha, r.A, r.B, acc, w, r.Trace, trace.Span{Kind: trace.KindLeaf})
 	case op.ATA, op.Syrk:
 		var start time.Time
 		if r.Trace != nil {
@@ -273,7 +274,7 @@ func (d *decision) runClassical(r op.Request) error {
 		}
 		if r.Trace != nil {
 			m, k, n := r.Shape()
-			gemm.TraceLeaf(r.Trace, trace.KindLeaf, d.be, m, k, n, time.Since(start))
+			gemm.TraceLeaf(r.Trace, trace.Span{Kind: trace.KindLeaf}, d.be, m, k, n, time.Since(start))
 		}
 	default:
 		return fmt.Errorf("tuner: unsupported op %s", r.Op)
@@ -298,9 +299,6 @@ type Tuner struct {
 	// never resurrects entries another process — or `fmmtune clear` —
 	// removed from the file since we loaded it.
 	dirty map[string]Plan
-
-	modelMu sync.Mutex
-	models  map[string]*costmodel.Model // by algorithm name
 
 	// timeRun is the probe's stopwatch: it runs d on req — the caller's own
 	// request, when the probe serves one, so the run's result is the call's
@@ -327,12 +325,11 @@ func New(opts Options) (*Tuner, error) {
 		return nil, fmt.Errorf("tuner: ProbeTopK %d is below NoProbes (%d)", opts.ProbeTopK, NoProbes)
 	}
 	t := &Tuner{
-		opts:   opts,
-		be:     gemm.Default(),
-		lru:    newLRU(lruSize),
-		disk:   map[string]Plan{},
-		dirty:  map[string]Plan{},
-		models: map[string]*costmodel.Model{},
+		opts:  opts,
+		be:    gemm.Default(),
+		lru:   newLRU(lruSize),
+		disk:  map[string]Plan{},
+		dirty: map[string]Plan{},
 	}
 	t.timeRun = timeDecision
 	switch {
@@ -579,7 +576,7 @@ func (t *Tuner) RankOp(o op.Op, m, k, n int) ([]Plan, error) {
 	// recursion cutoff no fast algorithm is worth its additions; guarantee
 	// classical rather than trusting the model at sizes the calibration
 	// barely covers.
-	if o.Symmetric() || maxInt3(m, k, n) < core.MinDim {
+	if o.Symmetric() || max(m, k, n) < core.MinDim {
 		return plans, nil
 	}
 	for _, name := range t.opts.Algorithms {
@@ -587,7 +584,7 @@ func (t *Tuner) RankOp(o op.Op, m, k, n int) ([]Plan, error) {
 		if err != nil {
 			continue // unknown or unverifiable entries never panic the tuner
 		}
-		plans = append(plans, t.algorithmPlans(a, m, k, n)...)
+		plans = append(plans, t.algorithmPlans(o, a, m, k, n)...)
 	}
 
 	sort.SliceStable(plans, func(i, j int) bool {
@@ -653,81 +650,59 @@ func (t *Tuner) schedules() []schedCand {
 
 // algorithmPlans enumerates the viable (steps, scheduler) plans of one
 // algorithm on one shape, all write-once and fused where the backend can
-// fuse, with predicted times and model workspaces. Shapes that don't divide
-// the base case are handled the way the executor does — the recursion runs
-// on the largest divisible core and the model charges the peeling borders as
-// classical gemm work on top. A plan is emitted only under a scheduler it
-// runs as. HYBRID: a leaf count R^steps that W divides defers no leaf, nor
-// does a fused last level, which never calls a leaf gemm — each would run as
-// its BFS twin, so a fusing backend ranks no HYBRID plan. BFS: a fused
-// one-step multiply gives every product all workers and spawns no task, so
-// it runs as its DFS twin.
-func (t *Tuner) algorithmPlans(a *algo.Algorithm, m, k, n int) []Plan {
+// fuse. Each candidate is priced through the executor build makes for it:
+// costmodel.PredictTime folds that executor's walk, peeling borders
+// included, and its WorkspaceBytes is the footprint the cap filters on. A
+// depth the shape cannot reach (the walk stops short of it) ends the
+// enumeration. A plan is emitted only under a scheduler it runs as.
+// HYBRID: a leaf count that W divides defers no leaf, nor does a fused
+// last level, which never calls a leaf gemm — each would run as its BFS
+// twin, so a fusing backend ranks no HYBRID plan. BFS: a fused one-step
+// multiply gives every product all workers and spawns no task, so it runs
+// as its DFS twin.
+func (t *Tuner) algorithmPlans(o op.Op, a *algo.Algorithm, m, k, n int) []Plan {
 	var out []Plan
-	ma := t.prof.Machine
-	b := a.Base
 	workers := t.opts.Workers
 	fused := gemm.CanFuse(t.be)
-	model := t.model(a)
 	for steps := 1; steps <= DefaultMaxSteps; steps++ {
-		dM, dK, dN := ipow(b.M, steps), ipow(b.K, steps), ipow(b.N, steps)
-		if m < dM || k < dK || n < dN {
-			break // deeper recursion no longer fits one base-case block
-		}
-		cm, ck, cn := m-m%dM, k-k%dK, n-n%dN
-		fixup := ma.ClassicalTimeFor(m, k, n, workers) - ma.ClassicalTimeFor(cm, ck, cn, workers)
-		if fixup < 0 {
-			fixup = 0
-		}
-		bfsHybrid := ipow(a.Rank(), steps)%workers == 0
-		cost, err := model.Evaluate(cm, ck, cn, steps)
-		if err != nil {
-			continue
-		}
 		for _, sc := range t.schedules() {
-			if sc.par == core.Hybrid && (bfsHybrid || fused) {
+			if (sc.par == core.Hybrid && fused) || (sc.par == core.BFS && fused && steps == 1) {
 				continue
 			}
-			if sc.par == core.BFS && fused && steps == 1 {
-				continue
-			}
-			est, err := model.PredictTime(cm, ck, cn, steps, ma, sc.ex)
+			d, err := t.build(o, Plan{
+				Algorithm: a.Name,
+				Backend:   t.be.Name(),
+				Steps:     steps,
+				Parallel:  sc.par.String(),
+				Strategy:  addchain.WriteOnce.String(),
+				Fused:     fused,
+				Workers:   planWorkers(sc.par, workers),
+			})
 			if err != nil {
 				continue
 			}
-			ws := modelWorkspaceBytes(cost, sc.par, workers, t.be)
-			if cap := t.opts.Workspace; cap > 0 && ws > cap {
+			w := d.exec.Walk(m, k, n)
+			for w.Next() {
+			}
+			if w.Depth < steps {
+				return out // deeper recursion no longer fits one base-case block
+			}
+			if sc.par == core.Hybrid && w.Count%int64(workers) == 0 {
 				continue
 			}
-			out = append(out, Plan{
-				Algorithm:        a.Name,
-				Backend:          t.be.Name(),
-				Steps:            steps,
-				Parallel:         sc.par.String(),
-				Strategy:         addchain.WriteOnce.String(),
-				Fused:            fused,
-				Workers:          planWorkers(sc.par, workers),
-				WorkspaceBytes:   ws,
-				PredictedSeconds: est.Seconds + fixup,
-			})
+			est, err := costmodel.PredictTime(d.exec, m, k, n, t.prof.Machine, sc.ex)
+			if err != nil {
+				continue
+			}
+			d.plan.WorkspaceBytes = d.exec.WorkspaceBytes(m, k, n)
+			if cap := t.opts.Workspace; cap > 0 && d.plan.WorkspaceBytes > cap {
+				continue
+			}
+			d.plan.PredictedSeconds = est.Seconds
+			out = append(out, d.plan)
 		}
 	}
 	return out
-}
-
-// modelWorkspaceBytes converts the cost model's float counts to the byte
-// footprint the ranking filters on, matching core's convention of charging
-// the backend's packing slabs per (parallel) worker.
-func modelWorkspaceBytes(c costmodel.Cost, par core.Parallel, workers int, be gemm.Backend) int64 {
-	floats := c.Workspace
-	if par == core.BFS || par == core.Hybrid {
-		floats = c.WorkspaceBFS
-	}
-	packWorkers := 1
-	if par != core.Sequential {
-		packWorkers = workers
-	}
-	return 8*int64(floats) + 8*int64(packWorkers)*be.PackFloatsPerWorker()
 }
 
 func planWorkers(par core.Parallel, workers int) int {
@@ -735,37 +710,6 @@ func planWorkers(par core.Parallel, workers int) int {
 		return 1
 	}
 	return workers
-}
-
-// model returns the cached write-once cost model of one algorithm, its last
-// level fused wherever the tuner's leaf backend can fuse.
-func (t *Tuner) model(a *algo.Algorithm) *costmodel.Model {
-	t.modelMu.Lock()
-	defer t.modelMu.Unlock()
-	if m, ok := t.models[a.Name]; ok {
-		return m
-	}
-	m := costmodel.NewTrustedFused(a, addchain.WriteOnce, false, gemm.CanFuse(t.be))
-	t.models[a.Name] = m
-	return m
-}
-
-func ipow(base, exp int) int {
-	out := 1
-	for i := 0; i < exp; i++ {
-		out *= base
-	}
-	return out
-}
-
-func maxInt3(a, b, c int) int {
-	if b > a {
-		a = b
-	}
-	if c > a {
-		a = c
-	}
-	return a
 }
 
 // parseParallel inverts core.Parallel.String for cache entries.
@@ -836,11 +780,12 @@ func (t *Tuner) build(o op.Op, p Plan) (*decision, error) {
 const probeMargin = 0.03
 
 // pick builds the winner from a ranked candidate list: the first candidate
-// whose built executor honors the workspace cap wins the model round, then
-// the configured number of probes decides among the leaders empirically. The
-// best-predicted classical plan always joins the probed survivors, however
-// the model ranked it — it is the reference probe holds every fast plan to.
-// serve and served are decide's (see probe).
+// that builds wins the model round, then the configured number of probes
+// decides among the leaders empirically. The ranking already priced and
+// capped each fast plan with the executor build makes, so a plan that
+// builds here fits the cap. The best-predicted classical plan always joins
+// the probed survivors, however the model ranked it — it is the reference
+// probe holds every fast plan to. serve and served are decide's (see probe).
 func (t *Tuner) pick(o op.Op, ranked []Plan, m, k, n int, serve *op.Request) (*decision, bool, error) {
 	o = o.PlanOp()
 	topK := t.opts.ProbeTopK
@@ -853,15 +798,6 @@ func (t *Tuner) pick(o op.Op, ranked []Plan, m, k, n int, serve *op.Request) (*d
 		d, err := t.build(o, p)
 		if err != nil {
 			continue
-		}
-		if d.exec != nil {
-			// Re-check with the executor's exact Table-3 model (the
-			// ranking filtered on the cheaper analytic recurrence).
-			ws := d.exec.WorkspaceBytes(m, k, n)
-			if cap := t.opts.Workspace; cap > 0 && ws > cap {
-				continue
-			}
-			d.plan.WorkspaceBytes = ws
 		}
 		survivors = append(survivors, d)
 		haveClassical = haveClassical || p.IsClassical()

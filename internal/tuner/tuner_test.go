@@ -161,6 +161,76 @@ func TestWorkspaceCapRespected(t *testing.T) {
 	}
 }
 
+// TestRankedWorkspaceIsExecutors: every ranked fast plan carries the
+// WorkspaceBytes of the executor build makes from it — the ranking prices
+// each candidate through that executor, so there is one workspace model.
+func TestRankedWorkspaceIsExecutors(t *testing.T) {
+	for _, w := range []int{1, 2} {
+		tn := mustTuner(t, modelOnlyOpts(w))
+		for _, s := range [][3]int{{1280, 1280, 1280}, {2560, 320, 2560}, {2500, 625, 625}} {
+			ranked, err := tn.RankOp(op.Multiply, s[0], s[1], s[2])
+			if err != nil {
+				t.Fatal(err)
+			}
+			fast, off := 0, 0
+			for _, p := range ranked {
+				if p.IsClassical() {
+					continue
+				}
+				d, err := tn.build(op.Multiply, p)
+				if err != nil {
+					t.Fatalf("W=%d %v: ranked plan %v does not build: %v", w, s, p, err)
+				}
+				fast++
+				if got := d.exec.WorkspaceBytes(s[0], s[1], s[2]); got != p.WorkspaceBytes {
+					off++
+					t.Errorf("W=%d %v: %v ranked with %d workspace bytes, its executor's are %d", w, s, p, p.WorkspaceBytes, got)
+				}
+			}
+			if fast == 0 {
+				t.Errorf("W=%d %v: no fast plan ranked", w, s)
+			}
+			if off > 0 {
+				t.Logf("W=%d %v: %d of %d fast plans off", w, s, off, fast)
+			}
+		}
+	}
+}
+
+// TestWorkspaceCapKeepsFittingBFSPlan: a cap of exactly a BFS plan's
+// footprint keeps the plan ranked; a figure that overstates the footprint
+// would drop it.
+func TestWorkspaceCapKeepsFittingBFSPlan(t *testing.T) {
+	const n = 1280
+	want := Plan{Algorithm: "strassen", Backend: gemm.Default().Name(), Steps: 2, Parallel: core.BFS.String(),
+		Strategy: addchain.WriteOnce.String(), Fused: gemm.CanFuse(gemm.Default()), Workers: 2}
+	tn := mustTuner(t, modelOnlyOpts(2))
+	d, err := tn.build(op.Multiply, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := modelOnlyOpts(2)
+	opts.Workspace = d.exec.WorkspaceBytes(n, n, n)
+	ranked, err := mustTuner(t, opts).RankOp(op.Multiply, n, n, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range ranked {
+		if p.String() == want.String() {
+			return
+		}
+	}
+	t.Fatalf("a cap of %v's own footprint, %d bytes, dropped it from the ranking", want, opts.Workspace)
+}
+
+func ipow(base, exp int) int {
+	out := 1
+	for i := 0; i < exp; i++ {
+		out *= base
+	}
+	return out
+}
+
 // canonicalFast is a fast plan RankOp emits at one worker: write-once,
 // without CSE, and fused exactly when the default backend can fuse.
 func canonicalFast() Plan {
