@@ -18,7 +18,10 @@
 // additions), BFS (a goroutine task per recursive multiplication, bounded by
 // a worker semaphore), and HYBRID (task parallelism for the load-balanced
 // prefix of leaf multiplications, then the remainder with all workers on
-// each).
+// each). A call runs, and traces, the scheduler RunsAs resolves for its
+// shape: a BFS or HYBRID call with nothing to fan out or to defer runs as
+// the scheduler that does the same work, and internal/costmodel and the
+// autotuner read the same answer.
 //
 // All recursion temporaries — the S_r/T_r operand combinations, the M_r
 // products, block-view headers, and the addition plans' coefficient scratch
@@ -47,7 +50,9 @@ import (
 	"fastmm/internal/workspace"
 )
 
-// Parallel selects the scheduling scheme of §4.
+// Parallel selects the scheduling scheme of §4. An executor refuses a value
+// outside Sequential..Hybrid. What a call runs as is RunsAs's answer for
+// its shape, which may differ from the requested scheduler.
 type Parallel int
 
 const (
@@ -107,12 +112,14 @@ type Options struct {
 	// subproblem smaller than one base-case block.
 	Steps int
 	// Strategy picks the matrix-addition implementation (§3.2); the zero
-	// value is write-once, the paper's overall winner.
+	// value is write-once, the paper's overall winner. An executor refuses
+	// a value outside the three strategies.
 	Strategy addchain.Strategy
 	// CSE applies greedy length-2 common-subexpression elimination to the
 	// S- and T-formation plans (§3.3).
 	CSE bool
-	// Parallel selects the scheduler.
+	// Parallel selects the scheduler a call asks for; each call runs, and
+	// traces, the one RunsAs resolves for its shape.
 	Parallel Parallel
 	// Backend names the leaf-kernel backend (gemm.Backend) the base-case
 	// multiplications and peeling fixups run on: "simd", "blas" (in a blas
@@ -222,6 +229,12 @@ func newSchedule(algs []*algo.Algorithm, opts Options, verify bool) (*Executor, 
 		return nil, fmt.Errorf("core: empty algorithm schedule")
 	}
 	opts = opts.withDefaults()
+	if opts.Parallel < Sequential || opts.Parallel > Hybrid {
+		return nil, fmt.Errorf("core: unknown scheduler %v", opts.Parallel)
+	}
+	if opts.Strategy < addchain.WriteOnce || opts.Strategy > addchain.Streaming {
+		return nil, fmt.Errorf("core: unknown addition strategy %v", opts.Strategy)
+	}
 	be, err := gemm.Resolve(opts.Backend)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
@@ -270,8 +283,8 @@ func (e *Executor) Backend() string { return e.be.Name() }
 // lower-triangle pass (see MultiplyATA).
 //
 // When r.Trace is non-nil a general product records its scheduling
-// decision (the traversal mode actually run, workspace-cap degradation
-// included, and the granted width), each recursion step's sub-shape and
+// decision (the scheduler RunsAs resolves, which the call runs, and the
+// granted width), each recursion step's sub-shape and
 // workspace mark, and every leaf and fused-leaf call. The sink is
 // fixed-capacity and concurrency-safe, so BFS fan-out records without
 // coordination; a nil sink costs one pointer check per site.
@@ -366,23 +379,29 @@ func (e *Executor) do(r op.Request, b Budget) error {
 }
 
 // product is the general multiply of a validated request: C = alpha·A·B,
-// or C += alpha·A·B with acc, with an optional trace sink and budget.
+// or C += alpha·A·B with acc, with an optional trace sink and budget. It
+// runs, and traces, the scheduler RunsAs resolves for the call.
 func (e *Executor) product(C, A, B *mat.Dense, alpha float64, acc bool, tr *trace.Spans, b Budget) error {
-	mode := e.scheduleMode(A.Rows(), A.Cols(), B.Cols())
+	p, q, r := A.Rows(), A.Cols(), B.Cols()
+	mode := e.RunsAs(e.opts.Parallel, p, q, r)
 	var left int64
 	if b.Over != nil {
-		left = e.leafFlops(A.Rows(), A.Cols(), B.Cols())
+		left = e.leafFlops(p, q, r)
 	}
-	ctx := newRunContext(e.opts, mode, e.leafCount(A.Rows(), A.Cols(), B.Cols()), b, left, &e.arenas) //fastmm:allow the pinned one allocation per call (runContext + its BFS/HYBRID sync)
+	var leaves int
+	if mode == Hybrid {
+		leaves = int(e.leaves(0, p, q, r).Count)
+	}
+	ctx := newRunContext(e.opts, mode, leaves, b, left, &e.arenas) //fastmm:allow the pinned one allocation per call (runContext + its BFS/HYBRID sync)
 	ctx.tr = tr
 	if tr != nil {
 		tr.Add(trace.Span{
 			Kind:    trace.KindSched,
 			Sched:   mode.String(),
 			Workers: int32(ctx.workers),
-			M:       int32(A.Rows()),
-			K:       int32(A.Cols()),
-			N:       int32(B.Cols()),
+			M:       int32(p),
+			K:       int32(q),
+			N:       int32(r),
 		})
 	}
 	ar := ctx.arenas.Get()
@@ -395,7 +414,7 @@ func (e *Executor) product(C, A, B *mat.Dense, alpha float64, acc bool, tr *trac
 		// Single-traversal modes use this one arena for the whole call:
 		// reserving the analytic footprint up front makes even the first
 		// call's matrix temporaries a single chunk allocation.
-		ar.Reserve(int(e.workspaceFloats(mode, A.Rows(), A.Cols(), B.Cols())))
+		ar.Reserve(int(e.workspaceFloats(mode, p, q, r)))
 	}
 	if mode != Hybrid {
 		// Only HYBRID needs the deferred-leaf pump of ctx.root; calling
@@ -410,18 +429,37 @@ func (e *Executor) product(C, A, B *mat.Dense, alpha float64, acc bool, tr *trac
 	return ctx.err()
 }
 
-// scheduleMode resolves the scheduler for one call: the configured mode,
-// degraded BFS/HYBRID→DFS when the Workspace cap would be exceeded (§4's
-// memory trade-off; DFS is the minimum-workspace traversal, so it is never
-// degraded further).
-func (e *Executor) scheduleMode(p, q, r int) Parallel {
-	mode := e.opts.Parallel
-	if cap := e.opts.Workspace; cap > 0 && (mode == BFS || mode == Hybrid) {
-		if e.workspaceBytes(mode, p, q, r) > cap {
-			mode = DFS
+// RunsAs resolves the scheduler a p×q by q×r call runs as when par is
+// requested of this executor (its own Options.Parallel for its calls;
+// any other scheduler for a sibling executor that differs from it only
+// there). Sequential and DFS run as asked. BFS and HYBRID run as DFS when
+// their workspace would exceed the Workspace cap (§4's memory trade-off;
+// DFS is the minimum-workspace traversal) or when the top level is fused,
+// so every product is one fused leaf call all workers wide and nothing
+// fans out. HYBRID runs as BFS when it would defer no leaf: under
+// automatic cutoff (no static leaf count), with a fused last level (which
+// calls no leaf gemm) or with a leaf count the worker count divides. It
+// allocates nothing.
+func (e *Executor) RunsAs(par Parallel, p, q, r int) Parallel {
+	if par != BFS && par != Hybrid {
+		return par
+	}
+	if cap := e.opts.Workspace; cap > 0 && e.workspaceBytes(par, p, q, r) > cap {
+		return DFS
+	}
+	w := e.Walk(p, q, r)
+	for w.Next() {
+		if w.Fused && w.Depth == 0 {
+			return DFS
+		}
+		if w.Fused {
+			return BFS
 		}
 	}
-	return mode
+	if par == Hybrid && (e.opts.Steps == 0 || w.Count%int64(e.opts.Workers) == 0) {
+		return BFS
+	}
+	return par
 }
 
 // WorkspaceBytes predicts the peak workspace (in bytes) one Multiply of a
@@ -615,16 +653,6 @@ func (e *Executor) leafFlops(p, q, r int) int64 {
 	return lv.Count * 2 * int64(lv.M) * int64(lv.K) * int64(lv.N)
 }
 
-// leafCount is the leaf count HYBRID's load-balance split works from: the
-// walk's for explicit Steps, and 0 under automatic cutoff, where HYBRID
-// degrades to BFS.
-func (e *Executor) leafCount(p, q, r int) int {
-	if e.opts.Steps == 0 {
-		return 0
-	}
-	return int(e.leaves(0, p, q, r).Count)
-}
-
 // shouldRecurse applies §3.4: an explicit step count is honored as long as
 // one base-case block fits; auto mode recurses while all block dimensions
 // stay at least MinDim.
@@ -708,7 +736,7 @@ func (e *Executor) leafMultiply(ctx *runContext, C, A, B *mat.Dense, alpha float
 		//fastmm:allow BFS task body; per-task captures are the spawn cost
 		ctx.compute(func() { e.leafGemm(ctx, C, alpha, A, B, acc, 1) })
 	case Hybrid:
-		if ctx.isDeferredLeaf(leafIdx) {
+		if leafIdx >= ctx.bfsCut { // the deferred tail
 			if s := e.opts.Stats; s != nil {
 				s.add(&s.DeferredLeaves, 1)
 			}

@@ -275,11 +275,12 @@ func TestFusedStatsAndTrace(t *testing.T) {
 	}
 }
 
-// TestFusedOneStepSchedulersAgree pins why the tuner ranks no fused one-step
-// BFS or HYBRID general multiply, and no fused HYBRID plan at all: the fused
-// level gives each level-0 product every worker and spawns no task, so a
-// one-step plan computes bit for bit what DFS computes, and a fused last
-// level never calls a leaf gemm, so HYBRID defers nothing at any depth.
+// TestFusedOneStepSchedulersAgree pins why RunsAs resolves a fused one-step
+// BFS or HYBRID call to DFS, and every fused HYBRID call to BFS or DFS: the
+// fused level gives each level-0 product every worker and spawns no task,
+// so a one-step plan computes bit for bit what DFS computes, and a fused
+// last level never calls a leaf gemm, so HYBRID defers nothing at any
+// depth.
 func TestFusedOneStepSchedulersAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	be := fusedCapableBackend(t)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -40,8 +39,7 @@ type runContext struct {
 	// budget's pool when it names one, else the executor's own.
 	arenas *workspace.Pool
 
-	totalLeaves int // R^L for explicit Steps, else 0
-	bfsCut      int // leaves [0,bfsCut) run BFS-style; the rest are deferred
+	bfsCut int // HYBRID: leaves [0,bfsCut) run BFS-style; the rest are deferred
 
 	mu         sync.Mutex
 	cond       *sync.Cond
@@ -55,46 +53,34 @@ type deferredLeaf struct {
 	done chan struct{}
 }
 
-// newRunContext builds the per-call scheduling state. mode is the resolved
-// scheduler for this call (it may differ from opts.Parallel when the
-// Workspace cap degraded BFS/HYBRID to DFS). The condition variable and
-// semaphore are created only for the modes that use them, keeping the
-// sequential and DFS hot paths allocation-light. b binds the call's budget:
-// over starts from leftFlops, and arenas come from b.Arenas, or from own
-// when the budget names no pool.
+// newRunContext builds the per-call scheduling state. mode is the scheduler
+// the call runs as (Executor.RunsAs), and totalLeaves its leaf count, which
+// only HYBRID reads: its first totalLeaves − totalLeaves mod workers leaves
+// run BFS-style and the rest are deferred, at least one, or RunsAs would
+// have resolved BFS. The condition variable and semaphore are created only
+// for the modes that use them, keeping the sequential and DFS hot paths
+// allocation-light. b binds the call's budget: over starts from leftFlops,
+// and arenas come from b.Arenas, or from own when the budget names no pool.
 func newRunContext(opts Options, mode Parallel, totalLeaves int, b Budget, leftFlops int64, own *workspace.Pool) *runContext {
-	ctx := &runContext{mode: mode, workers: opts.Workers, totalLeaves: totalLeaves, over: b.Over, arenas: own}
+	ctx := &runContext{mode: mode, workers: opts.Workers, over: b.Over, arenas: own}
 	if b.Arenas != nil {
 		ctx.arenas = b.Arenas
 	}
 	ctx.left.Store(leftFlops)
 	if ctx.mode == Hybrid {
 		ctx.cond = sync.NewCond(&ctx.mu)
+		ctx.bfsCut = totalLeaves - totalLeaves%ctx.workers
 	}
 	if ctx.mode == BFS || ctx.mode == Hybrid {
 		ctx.sem = make(chan struct{}, ctx.workers)
 	}
-	switch {
-	case ctx.mode != Hybrid:
-		ctx.bfsCut = math.MaxInt
-	case totalLeaves == 0:
-		// Auto-cutoff recursion has no static leaf count; Hybrid degrades
-		// to BFS (everything before the cut).
-		ctx.bfsCut = math.MaxInt
-	default:
-		ctx.bfsCut = totalLeaves - totalLeaves%ctx.workers
-	}
 	return ctx
 }
 
-// root runs the recursion body. For HYBRID it additionally pumps the deferred
-// leaves once the BFS phase has finished (the explicit synchronization the
-// paper implements with OpenMP locks).
+// root runs a HYBRID call's recursion body and pumps the deferred leaves
+// once the BFS phase has finished (the explicit synchronization the paper
+// implements with OpenMP locks).
 func (ctx *runContext) root(f func()) {
-	if ctx.mode != Hybrid {
-		f()
-		return
-	}
 	go func() {
 		f()
 		ctx.mu.Lock()
@@ -106,7 +92,7 @@ func (ctx *runContext) root(f func()) {
 	for {
 		// A stopped call never completes its BFS phase, so the queue drains
 		// at once, without running the leaves.
-		if len(ctx.deferred) > 0 && (ctx.leavesDone >= ctx.bfsCut || ctx.bfsCut == math.MaxInt || ctx.stopSet()) {
+		if len(ctx.deferred) > 0 && (ctx.leavesDone >= ctx.bfsCut || ctx.stopSet()) {
 			d := ctx.deferred[0]
 			ctx.deferred = ctx.deferred[1:]
 			ctx.mu.Unlock()
@@ -178,26 +164,15 @@ func (ctx *runContext) err() error {
 	return nil
 }
 
-// compute runs f as bounded work: in BFS/HYBRID it occupies one worker slot;
-// in sequential/DFS modes it just runs (those modes have a single computing
-// goroutine at this layer). A stopped call skips f once it holds the slot, so
-// queued tasks drain without computing.
+// compute runs f as bounded work of a BFS or HYBRID call, the only ones that
+// call it: it occupies one worker slot. A stopped call skips f once it holds
+// the slot, so queued tasks drain without computing.
 func (ctx *runContext) compute(f func()) {
-	if ctx.sem == nil {
-		f()
-		return
-	}
 	ctx.sem <- struct{}{}
 	if !ctx.stopped() {
 		f()
 	}
 	<-ctx.sem
-}
-
-// isDeferredLeaf reports whether the leaf with the given preorder index is
-// in HYBRID's deferred tail.
-func (ctx *runContext) isDeferredLeaf(leafIdx int) bool {
-	return ctx.mode == Hybrid && leafIdx >= ctx.bfsCut
 }
 
 // deferLeaf queues a leaf for the post-BFS phase and blocks the calling task
@@ -213,9 +188,6 @@ func (ctx *runContext) deferLeaf(f func()) {
 
 // leafDone credits one completed BFS-phase leaf toward the phase barrier.
 func (ctx *runContext) leafDone() {
-	if ctx.mode != Hybrid {
-		return
-	}
 	ctx.mu.Lock()
 	ctx.leavesDone++
 	ctx.cond.Broadcast()

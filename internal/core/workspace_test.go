@@ -213,6 +213,11 @@ func TestWorkspaceCapDegradesBFSToDFS(t *testing.T) {
 	if s := stats.Snapshot(); s.TasksSpawned != 0 {
 		t.Errorf("capped call spawned %d tasks, want 0 (degraded to DFS)", s.TasksSpawned)
 	}
+	for _, par := range []Parallel{BFS, Hybrid} {
+		if got := e.RunsAs(par, n, n, n); got != DFS {
+			t.Errorf("capped %v call runs as %v, want dfs", par, got)
+		}
+	}
 	want := mat.New(n, n)
 	gemm.Mul(want, A, B)
 	if !mat.EqualApprox(C, want, 1e-9*float64(n)) {

@@ -4,7 +4,9 @@
 // products. It folds core's Walk — the levels, peeled cores, addition plans
 // and lowerings the executor itself runs — so it follows the same recursion
 // as the executor. The counts cover the divisible core the recursion runs
-// without peeling, and PredictTime prices the rest as classical gemm time.
+// without peeling, and PredictTime prices the rest as classical gemm time
+// and deploys the workers as the scheduler the call runs as
+// (core.Executor.RunsAs), so the model has no scheduler table of its own.
 // The executor's WorkspaceBytes is the one workspace model. The test suite
 // pins the counts against the paper's closed forms (e.g. F_Strassen(N) =
 // 7·N^log₂7 − 6·N²).

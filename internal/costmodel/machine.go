@@ -128,21 +128,6 @@ func effectiveDim(p, q, r int) int {
 	return int(g)
 }
 
-// ExecShape tells the time model how a candidate schedule deploys its
-// workers — the scheduler axis of §4 reduced to what affects predicted time.
-type ExecShape struct {
-	// LeafWorkers is the parallelism inside each leaf gemm call (DFS and
-	// HYBRID's deferred phase use all workers; BFS leaves are sequential).
-	LeafWorkers int
-	// TaskWorkers is the number of concurrently running branch tasks
-	// (BFS/HYBRID fan-out; 1 for sequential and DFS traversals).
-	TaskWorkers int
-	// Balanced marks schedules that smooth the task-count/worker-count
-	// mismatch (HYBRID's two-phase split, §4.3): speedup is min(tasks, W)
-	// instead of the round-based load balance of plain BFS.
-	Balanced bool
-}
-
 // TimeEstimate is a predicted wall-clock decomposition for one candidate.
 type TimeEstimate struct {
 	Seconds    float64 // total predicted time, peeling fix-ups included
@@ -156,8 +141,12 @@ type TimeEstimate struct {
 // walk (see fold) at the interpolated gemm rate, its addition reads+writes
 // at the measured add bandwidth, task parallelism as a load-balance factor
 // over the leaf count, and the peeled borders as the classical time of the
-// whole shape less that of the divisible core.
-func PredictTime(e *core.Executor, p, q, r int, ma Machine, ex ExecShape) (TimeEstimate, error) {
+// whole shape less that of the divisible core. The workers deploy as the
+// scheduler the call runs as (core.Executor.RunsAs) puts them, W being the
+// executor's Workers: a DFS call gives every leaf gemm all W, BFS runs
+// leaves one wide in W concurrent tasks, HYBRID does the same with its
+// balanced two-phase split (§4.3), and a sequential call uses one.
+func PredictTime(e *core.Executor, p, q, r int, ma Machine) (TimeEstimate, error) {
 	if !ma.Valid() {
 		return TimeEstimate{}, fmt.Errorf("costmodel: machine profile not calibrated")
 	}
@@ -165,12 +154,21 @@ func PredictTime(e *core.Executor, p, q, r int, ma Machine, ex ExecShape) (TimeE
 	c, leaves := fold(e, cm, ck, cn)
 	leafDim := effectiveDim(leaves.M, leaves.K, leaves.N)
 
-	mulSecs := c.MulFlops / (ma.GemmRateFor(leafDim, ex.LeafWorkers) * 1e9)
-	if ex.TaskWorkers > 1 {
-		mulSecs /= taskSpeedup(c.BaseCalls, ex.TaskWorkers, ex.Balanced)
+	o := e.Opts()
+	par := e.RunsAs(o.Parallel, p, q, r)
+	leafWorkers, taskWorkers := 1, 1
+	switch par {
+	case core.DFS:
+		leafWorkers = o.Workers
+	case core.BFS, core.Hybrid:
+		taskWorkers = o.Workers
+	}
+	mulSecs := c.MulFlops / (ma.GemmRateFor(leafDim, leafWorkers) * 1e9)
+	if taskWorkers > 1 {
+		mulSecs /= taskSpeedup(c.BaseCalls, taskWorkers, par == core.Hybrid)
 	}
 
-	workers := max(ex.LeafWorkers, ex.TaskWorkers)
+	workers := max(leafWorkers, taskWorkers)
 	addSecs := (c.Reads + c.Writes) * 8 / (ma.AddRate(workers) * 1e9)
 	fixSecs := max(0, ma.ClassicalTimeFor(p, q, r, workers)-ma.ClassicalTimeFor(cm, ck, cn, workers))
 

@@ -72,16 +72,17 @@ func TestClassicalTimeScales(t *testing.T) {
 
 func TestPredictTime(t *testing.T) {
 	ma := testMachine()
-	exec := func(par core.Parallel) *core.Executor {
-		e, err := core.NewTrusted(catalog.Strassen(), core.Options{Steps: 1, Parallel: par})
+	execW := func(par core.Parallel, workers int, fused bool) *core.Executor {
+		e, err := core.NewTrusted(catalog.Strassen(), core.Options{Resources: core.Resources{Workers: workers}, Steps: 1, Parallel: par, Fused: fused})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return e
 	}
+	exec := func(par core.Parallel) *core.Executor { return execW(par, 8, false) }
 	e := exec(core.Sequential)
 
-	seq, err := PredictTime(e, 512, 512, 512, ma, ExecShape{LeafWorkers: 1, TaskWorkers: 1})
+	seq, err := PredictTime(e, 512, 512, 512, ma)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestPredictTime(t *testing.T) {
 		t.Fatalf("one Strassen step of 512 leaves 256 blocks, got %d", seq.LeafDim)
 	}
 
-	dfs, err := PredictTime(exec(core.DFS), 512, 512, 512, ma, ExecShape{LeafWorkers: 8, TaskWorkers: 1})
+	dfs, err := PredictTime(exec(core.DFS), 512, 512, 512, ma)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestPredictTime(t *testing.T) {
 		t.Fatalf("DFS with 8 workers must beat sequential: %v vs %v", dfs.Seconds, seq.Seconds)
 	}
 
-	bfs, err := PredictTime(exec(core.BFS), 512, 512, 512, ma, ExecShape{LeafWorkers: 1, TaskWorkers: 8})
+	bfs, err := PredictTime(exec(core.BFS), 512, 512, 512, ma)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,21 +114,45 @@ func TestPredictTime(t *testing.T) {
 		t.Fatalf("BFS load balance: got %v want %v", bfs.MulSeconds, wantMul)
 	}
 
+	// The workers deploy as the call runs. 7 leaves on 6 workers: HYBRID
+	// defers one and balances (speedup 6), BFS takes two rounds (3.5); on 7
+	// workers HYBRID defers none and runs, and prices, as BFS.
+	price := func(e *core.Executor) TimeEstimate {
+		t.Helper()
+		est, err := PredictTime(e, 512, 512, 512, ma)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return est
+	}
+	if h, b := price(execW(core.Hybrid, 6, false)), price(execW(core.BFS, 6, false)); !(h.MulSeconds < b.MulSeconds) {
+		t.Fatalf("6 workers: HYBRID's balanced split (%v) must beat BFS's rounds (%v)", h.MulSeconds, b.MulSeconds)
+	}
+	if h, b := price(execW(core.Hybrid, 7, false)), price(execW(core.BFS, 7, false)); h != b {
+		t.Fatalf("7 workers: HYBRID runs as BFS, priced %+v, BFS %+v", h, b)
+	}
+	// A fused one-step BFS call fans nothing out: it runs, and prices, as DFS.
+	if fb := execW(core.BFS, 8, true); fb.Fused() {
+		if got, want := price(fb), price(execW(core.DFS, 8, true)); got != want {
+			t.Fatalf("fused one-step BFS priced %+v, its DFS twin %+v", got, want)
+		}
+	}
+
 	// A peeled shape is its divisible core plus the borders as classical
 	// time.
-	peeled, err := PredictTime(e, 513, 512, 515, ma, ExecShape{LeafWorkers: 1, TaskWorkers: 1})
+	peeled, err := PredictTime(e, 513, 512, 515, ma)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantFix := ma.ClassicalTimeFor(513, 512, 515, 1) - ma.ClassicalTimeFor(512, 512, 514, 1)
-	inner, err := PredictTime(e, 512, 512, 514, ma, ExecShape{LeafWorkers: 1, TaskWorkers: 1})
+	inner, err := PredictTime(e, 512, 512, 514, ma)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if peeled.Seconds != inner.Seconds+wantFix {
 		t.Fatalf("peeled 513×512×515: %+v, want the 512×512×514 core %+v plus %v of fix-ups", peeled, inner, wantFix)
 	}
-	if _, err := PredictTime(e, 512, 512, 512, Machine{}, ExecShape{}); err == nil {
+	if _, err := PredictTime(e, 512, 512, 512, Machine{}); err == nil {
 		t.Fatal("uncalibrated machine must error")
 	}
 }

@@ -227,10 +227,14 @@ func TestPackLayout(t *testing.T) {
 // BenchmarkLeaf is the engine's microbenchmark: the sequential leaf on the
 // default backend as plain gemm and as a fused product with 2 and 4 sources
 // per side (two destinations, the first a first-touch overwrite the way the
-// executor marks them), on squares, and as plain gemm on the outer-product
-// and tall-skinny shapes of the paper's Figs. 6–7, where k is one or two
-// k-panels deep. A fused/plain gap that grows is the packers or the
-// epilogue; a plain rate that drops is the loop nest or the micro-kernel.
+// executor marks them, which takes the primary route: a direct kernel store,
+// then one derived sweep), on squares, and as plain gemm on the
+// outer-product and tall-skinny shapes of the paper's Figs. 6–7, where k is
+// one or two k-panels deep. The scatter2 rows time the scatter route: 2
+// sources per side into two accumulating destinations, with no first-touch
+// mark, as Strassen's M4 and M5 take on every k-panel. A fused/plain gap
+// that grows is the packers or the epilogue; a plain rate that drops is the
+// loop nest or the micro-kernel.
 func BenchmarkLeaf(b *testing.B) {
 	be := Default()
 	rng := rand.New(rand.NewSource(1))
@@ -241,13 +245,13 @@ func BenchmarkLeaf(b *testing.B) {
 		}
 		return out
 	}
-	leaf := func(name string, srcs, m, k, n int) {
+	leaf := func(name string, srcs, m, k, n int, firstTouch bool) {
 		b.Run(name, func(b *testing.B) {
 			if srcs > 1 && !CanFuse(be) {
 				b.Skip("the default backend cannot fuse")
 			}
 			asrcs, bsrcs, dsts := list(srcs, m, k), list(srcs, k, n), list(min(srcs, 2), m, n)
-			dsts[0].Overwrite = true
+			dsts[0].Overwrite = firstTouch
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if srcs == 1 {
@@ -260,15 +264,16 @@ func BenchmarkLeaf(b *testing.B) {
 		})
 	}
 	for _, kind := range []struct {
-		name string
-		srcs int
-	}{{"plain", 1}, {"fused2", 2}, {"fused4", 4}} {
+		name       string
+		srcs       int
+		firstTouch bool
+	}{{"plain", 1, true}, {"fused2", 2, true}, {"fused4", 4, true}, {"scatter2", 2, false}} {
 		for _, n := range []int{128, 512, 1024} {
-			leaf(fmt.Sprintf("%s/%d", kind.name, n), kind.srcs, n, n, n)
+			leaf(fmt.Sprintf("%s/%d", kind.name, n), kind.srcs, n, n, n, kind.firstTouch)
 		}
 	}
 	for _, sh := range [][3]int{{2560, 320, 2560}, {2500, 625, 625}} {
-		leaf(fmt.Sprintf("plain/%dx%dx%d", sh[0], sh[1], sh[2]), 1, sh[0], sh[1], sh[2])
+		leaf(fmt.Sprintf("plain/%dx%dx%d", sh[0], sh[1], sh[2]), 1, sh[0], sh[1], sh[2], true)
 	}
 }
 

@@ -60,8 +60,10 @@ func (c Config) Normalized() Config {
 
 // Span kinds. Static strings, so recording a span never allocates.
 const (
-	// KindSched is the per-call scheduling decision: which traversal mode
-	// (sequential/DFS/BFS/hybrid) the executor ran and at what width.
+	// KindSched is the per-call scheduling decision: the traversal mode
+	// (sequential/DFS/BFS/hybrid) the executor ran, which is the one
+	// core.Executor.RunsAs resolves for the call and may differ from the
+	// one its options request, and at what width.
 	KindSched = "sched"
 	// KindStep is one recursion level: the sub-shape entering a fast step
 	// and the workspace arena mark it ran at.

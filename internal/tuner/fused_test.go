@@ -122,19 +122,27 @@ func executorKey(p Plan) Plan {
 	return p
 }
 
-// TestRankOpDropsFusedSchedulerTwins: at W = 2 a general multiply ranks no
-// fused HYBRID plan and no fused one-step BFS plan — each runs as a twin
-// ranked beside it.
+// TestRankOpDropsFusedSchedulerTwins: at W = 2 every ranked fast plan runs
+// as its own scheduler (its executor's RunsAs), so a general multiply ranks
+// no fused HYBRID plan and no fused one-step BFS plan — each would run as a
+// twin ranked beside it.
 func TestRankOpDropsFusedSchedulerTwins(t *testing.T) {
 	tn := mustTuner(t, modelOnlyOpts(2))
 	for _, s := range [][3]int{{1024, 1024, 1024}, {2560, 320, 2560}, {2500, 625, 625}} {
-		ranked, err := tn.RankOp(op.Multiply, s[0], s[1], s[2])
+		ranked, err := tn.rank(op.Multiply, s[0], s[1], s[2])
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range ranked {
+		for _, d := range ranked {
+			p := d.plan
 			if p.Fused && (p.Parallel == core.Hybrid.String() || p.Parallel == core.BFS.String() && p.Steps == 1) {
 				t.Errorf("multiply %v ranks %s, which runs as its twin", s, p)
+			}
+			if d.exec == nil {
+				continue
+			}
+			if par := d.exec.Opts().Parallel; d.exec.RunsAs(par, s[0], s[1], s[2]) != par {
+				t.Errorf("multiply %v ranks %s, which runs as %v", s, p, d.exec.RunsAs(par, s[0], s[1], s[2]))
 			}
 		}
 	}

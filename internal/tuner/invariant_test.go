@@ -50,21 +50,21 @@ func (s *scriptedTimer) time(d *decision, _ op.Request, lim probeLimit) (float64
 	return v, nil
 }
 
-// classicalLast ranks a shape and moves every classical plan behind every
-// fast one — the mis-ranking the invariant exists for: the model says
-// classical is the worst choice, far outside any top-K.
-func classicalLast(t *testing.T, tn *Tuner, n int) []Plan {
+// classicalLast ranks a shape and moves every classical decision behind
+// every fast one — the mis-ranking the invariant exists for: the model
+// says classical is the worst choice, far outside any top-K.
+func classicalLast(t *testing.T, tn *Tuner, n int) []*decision {
 	t.Helper()
-	ranked, err := tn.RankOp(op.Multiply, n, n, n)
+	ranked, err := tn.rank(op.Multiply, n, n, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fast, classical []Plan
-	for _, p := range ranked {
-		if p.IsClassical() {
-			classical = append(classical, p)
+	var fast, classical []*decision
+	for _, d := range ranked {
+		if d.plan.IsClassical() {
+			classical = append(classical, d)
 		} else {
-			fast = append(fast, p)
+			fast = append(fast, d)
 		}
 	}
 	if len(fast) <= DefaultProbeTopK || len(classical) == 0 {
@@ -100,7 +100,7 @@ func TestPickNeverLosesToClassical(t *testing.T) {
 			tn := mustTuner(t, Options{Resources: Resources{Workers: 1}, Profile: testProfile(1), NoDiskCache: true})
 			timer := &scriptedTimer{fast: tc.fast, classical: tc.classical}
 			tn.timeRun = timer.time
-			d, _, err := tn.pick(op.Multiply, classicalLast(t, tn, n), n, n, n, nil)
+			d, _, err := tn.pick(classicalLast(t, tn, n), n, n, n, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -138,13 +138,13 @@ func TestPickKeepsFailureBehaviour(t *testing.T) {
 	tn := mustTuner(t, Options{Resources: Resources{Workers: 1}, Profile: testProfile(1), NoDiskCache: true})
 	ranked := classicalLast(t, tn, n)
 	timer := &scriptedTimer{fast: []float64{0.9, 0.8, 0.7}, classical: []float64{0.1},
-		fail: func(p Plan) bool { return p.IsClassical() || p.String() == ranked[0].String() }}
+		fail: func(p Plan) bool { return p.IsClassical() || p.String() == ranked[0].plan.String() }}
 	tn.timeRun = timer.time
-	d, _, err := tn.pick(op.Multiply, ranked, n, n, n, nil)
+	d, _, err := tn.pick(ranked, n, n, n, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.plan.IsClassical() || d.plan.String() == ranked[0].String() {
+	if d.plan.IsClassical() || d.plan.String() == ranked[0].plan.String() {
 		t.Fatalf("picked %v, whose probe failed", d.plan)
 	}
 	if d.plan.MeasuredSeconds != 0.7 {
@@ -155,7 +155,7 @@ func TestPickKeepsFailureBehaviour(t *testing.T) {
 	}
 
 	timer.fail = func(Plan) bool { return true }
-	if _, _, err := tn.pick(op.Multiply, ranked, n, n, n, nil); err == nil {
+	if _, _, err := tn.pick(ranked, n, n, n, nil); err == nil {
 		t.Fatal("every survivor failing must surface the first error")
 	}
 }
@@ -174,7 +174,7 @@ func TestProbeStopsAtClassicalDeadline(t *testing.T) {
 				tn := mustTuner(t, opts)
 				timer := &scriptedTimer{fast: tc.fast, classical: tc.classical, toCompletion: toCompletion}
 				tn.timeRun = timer.time
-				d, _, err := tn.pick(op.Multiply, classicalLast(t, tn, n), n, n, n, nil)
+				d, _, err := tn.pick(classicalLast(t, tn, n), n, n, n, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -222,7 +222,7 @@ func TestStoppedProbeNeverWins(t *testing.T) {
 		}
 		return 0.1, core.ErrStopped
 	}
-	d, _, err := tn.pick(op.Multiply, classicalLast(t, tn, n), n, n, n, nil)
+	d, _, err := tn.pick(classicalLast(t, tn, n), n, n, n, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,32 +428,28 @@ func TestPaceBound(t *testing.T) {
 func TestProbeSharesOneArenaPool(t *testing.T) {
 	const n = 384
 	tn := mustTuner(t, Options{Resources: Resources{Workers: 1}, Profile: testProfile(1), NoDiskCache: true})
-	ranked, err := tn.RankOp(op.Multiply, n, n, n)
+	ranked, err := tn.rank(op.Multiply, n, n, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var plans []Plan
-	var classical *Plan
-	for i, p := range ranked {
+	var survivors []*decision
+	var classical *decision
+	for _, d := range ranked {
 		switch {
-		case p.IsClassical():
+		case d.plan.IsClassical():
 			if classical == nil {
-				classical = &ranked[i]
+				classical = d
 			}
-		case p.Steps >= 2 && len(plans) < DefaultProbeTopK:
-			plans = append(plans, p)
+		case d.plan.Steps >= 2 && len(survivors) < DefaultProbeTopK:
+			survivors = append(survivors, d)
 		}
 	}
-	if classical == nil || len(plans) < 2 {
-		t.Fatalf("need a classical plan and multi-step fast ones, have %d", len(plans))
+	if classical == nil || len(survivors) < 2 {
+		t.Fatalf("need a classical plan and multi-step fast ones, have %d", len(survivors))
 	}
 	var maxWS, sumWS int64
 	var execs []*core.Executor
-	for _, p := range plans {
-		d, err := tn.build(op.Multiply, p)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, d := range survivors {
 		ws := d.exec.WorkspaceBytes(n, n, n) - 8*d.be.PackFloatsPerWorker() // the arena part
 		maxWS, sumWS = max(maxWS, ws), sumWS+ws
 	}
@@ -481,7 +477,7 @@ func TestProbeSharesOneArenaPool(t *testing.T) {
 		}
 		return 0.5, nil
 	}
-	d, _, err := tn.pick(op.Multiply, append(plans, *classical), n, n, n, nil)
+	d, _, err := tn.pick(append(survivors, classical), n, n, n, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,14 +12,18 @@
 //     baseline, all on the default leaf backend; every fast plan forms its
 //     operand sums write-once (§3.2's practical strategy, without CSE) and
 //     fuses its last level exactly when the backend can (gemm.CanFuse: simd
-//     does, blas does not); shapes below core.MinDim, and the symmetric ops
-//     AᵗA and Syrk at every shape, get the baseline alone;
+//     does, blas does not); the schedulers are Sequential at one worker and
+//     DFS at more, joined by BFS and HYBRID only where the DFS executor's
+//     RunsAs says a call runs as them (so a fusing backend ranks no HYBRID
+//     plan and no one-step BFS plan); shapes below core.MinDim, and the
+//     symmetric ops AᵗA and Syrk at every shape, get the baseline alone;
 //  2. build each fast candidate's executor and rank the candidates by
 //     internal/costmodel's price of that executor's own walk, turned into
 //     predicted seconds by a one-time machine calibration
 //     (Options.Profile, or measured gemm GFLOPS at a few block sizes and
 //     the measured STREAM-add bandwidth), dropping any plan whose
-//     executor's WorkspaceBytes exceeds Options.Workspace;
+//     executor's WorkspaceBytes exceeds Options.Workspace; the ranked
+//     decisions keep their executors, so picking builds none;
 //  3. unless Options.ProbeTopK is NoProbes, refine the top-K survivors with
 //     one short empirical probe each — the best-predicted classical plan
 //     always among them and timed first, every fast probe stopped once it
@@ -513,11 +517,11 @@ func (t *Tuner) decide(o op.Op, m, k, n int, serve *op.Request) (*decision, bool
 		// emit) falls through to a fresh ranking.
 	}
 
-	ranked, err := t.RankOp(o, m, k, n)
+	ranked, err := t.rank(o, m, k, n)
 	if err != nil {
 		return nil, false, err
 	}
-	d, served, err := t.pick(o, ranked, m, k, n, serve)
+	d, served, err := t.pick(ranked, m, k, n, serve)
 	if err != nil {
 		return nil, false, err
 	}
@@ -567,30 +571,44 @@ func (t *Tuner) remember(key string, d *decision, persist bool) {
 // always present, so the result is never empty; for the symmetric ops it is
 // the whole result (see classicalPlan).
 func (t *Tuner) RankOp(o op.Op, m, k, n int) ([]Plan, error) {
+	ranked, err := t.rank(o, m, k, n)
+	if err != nil {
+		return nil, err
+	}
+	plans := make([]Plan, len(ranked))
+	for i, d := range ranked {
+		plans[i] = d.plan
+	}
+	return plans, nil
+}
+
+// rank is RankOp's ranking as the decisions it builds to price each plan,
+// so pick runs them without building any again.
+func (t *Tuner) rank(o op.Op, m, k, n int) ([]*decision, error) {
 	o = o.PlanOp()
 	if m <= 0 || k <= 0 || n <= 0 {
 		return nil, fmt.Errorf("tuner: invalid shape %d×%d×%d", m, k, n)
 	}
-	plans := []Plan{t.classicalPlan(o, m, k, n)}
+	ranked := []*decision{{plan: t.classicalPlan(o, m, k, n), be: t.be}}
 	// The symmetric ops run classical only (see classicalPlan). Below the
 	// recursion cutoff no fast algorithm is worth its additions; guarantee
 	// classical rather than trusting the model at sizes the calibration
 	// barely covers.
 	if o.Symmetric() || max(m, k, n) < core.MinDim {
-		return plans, nil
+		return ranked, nil
 	}
 	for _, name := range t.opts.Algorithms {
 		a, err := catalog.GetVerified(name)
 		if err != nil {
 			continue // unknown or unverifiable entries never panic the tuner
 		}
-		plans = append(plans, t.algorithmPlans(o, a, m, k, n)...)
+		ranked = append(ranked, t.algorithmPlans(a, m, k, n)...)
 	}
 
-	sort.SliceStable(plans, func(i, j int) bool {
-		return plans[i].PredictedSeconds < plans[j].PredictedSeconds
+	sort.SliceStable(ranked, func(i, j int) bool {
+		return ranked[i].plan.PredictedSeconds < ranked[j].plan.PredictedSeconds
 	})
-	return plans, nil
+	return ranked, nil
 }
 
 // classicalPlan is the direct-gemm baseline of (o, shape). For the symmetric
@@ -628,69 +646,53 @@ func (t *Tuner) classicalPlan(o op.Op, m, k, n int) Plan {
 	return p
 }
 
-// schedCand pairs a scheduler with the worker deployment the time model
-// sees: DFS parallelizes leaves, BFS fans out tasks, HYBRID fans out with
-// its balanced two-phase split (§4).
-type schedCand struct {
-	par core.Parallel
-	ex  costmodel.ExecShape
-}
-
-func (t *Tuner) schedules() []schedCand {
-	w := t.opts.Workers
-	if w <= 1 {
-		return []schedCand{{core.Sequential, costmodel.ExecShape{LeafWorkers: 1, TaskWorkers: 1}}}
-	}
-	return []schedCand{
-		{core.DFS, costmodel.ExecShape{LeafWorkers: w, TaskWorkers: 1}},
-		{core.BFS, costmodel.ExecShape{LeafWorkers: 1, TaskWorkers: w}},
-		{core.Hybrid, costmodel.ExecShape{LeafWorkers: 1, TaskWorkers: w, Balanced: true}},
-	}
-}
-
-// algorithmPlans enumerates the viable (steps, scheduler) plans of one
-// algorithm on one shape, all write-once and fused where the backend can
-// fuse. Each candidate is priced through the executor build makes for it:
+// algorithmPlans builds and prices the viable (steps, scheduler) plans of
+// one algorithm on one shape, all write-once and fused where the backend
+// can fuse. Each candidate is priced through its own executor:
 // costmodel.PredictTime folds that executor's walk, peeling borders
-// included, and its WorkspaceBytes is the footprint the cap filters on. A
+// included, and deploys its workers as the scheduler the call runs as, and
+// its WorkspaceBytes is the footprint the cap filters on. Per depth the
+// first scheduler is the base, Sequential at one worker and DFS at more; a
 // depth the shape cannot reach (the walk stops short of it) ends the
-// enumeration. A plan is emitted only under a scheduler it runs as.
-// HYBRID: a leaf count that W divides defers no leaf, nor does a fused
-// last level, which never calls a leaf gemm — each would run as its BFS
-// twin, so a fusing backend ranks no HYBRID plan. BFS: a fused one-step
-// multiply gives every product all workers and spawns no task, so it runs
-// as its DFS twin.
-func (t *Tuner) algorithmPlans(o op.Op, a *algo.Algorithm, m, k, n int) []Plan {
-	var out []Plan
-	workers := t.opts.Workers
-	fused := gemm.CanFuse(t.be)
+// enumeration. BFS and HYBRID are built only where the base executor's
+// RunsAs says a call runs as them, so no executor is built only to be
+// dropped as a twin: a fused one-step BFS multiply runs as DFS, a HYBRID
+// call that defers no leaf (a fused last level, or a leaf count W divides)
+// as BFS, and either as DFS under a cap its workspace exceeds.
+func (t *Tuner) algorithmPlans(a *algo.Algorithm, m, k, n int) []*decision {
+	var out []*decision
+	scheds := []core.Parallel{core.Sequential}
+	if t.opts.Workers > 1 {
+		scheds = []core.Parallel{core.DFS, core.BFS, core.Hybrid}
+	}
 	for steps := 1; steps <= DefaultMaxSteps; steps++ {
-		for _, sc := range t.schedules() {
-			if (sc.par == core.Hybrid && fused) || (sc.par == core.BFS && fused && steps == 1) {
+		var base *core.Executor
+		for _, par := range scheds {
+			if base != nil && base.RunsAs(par, m, k, n) != par {
 				continue
 			}
-			d, err := t.build(o, Plan{
+			d, err := t.executor(a, par, t.be, Plan{
 				Algorithm: a.Name,
 				Backend:   t.be.Name(),
 				Steps:     steps,
-				Parallel:  sc.par.String(),
+				Parallel:  par.String(),
 				Strategy:  addchain.WriteOnce.String(),
-				Fused:     fused,
-				Workers:   planWorkers(sc.par, workers),
+				Fused:     gemm.CanFuse(t.be),
+				Workers:   t.opts.Workers,
 			})
 			if err != nil {
-				continue
+				break
 			}
-			w := d.exec.Walk(m, k, n)
-			for w.Next() {
+			if base == nil {
+				base = d.exec
+				w := base.Walk(m, k, n)
+				for w.Next() {
+				}
+				if w.Depth < steps {
+					return out // deeper recursion no longer fits one base-case block
+				}
 			}
-			if w.Depth < steps {
-				return out // deeper recursion no longer fits one base-case block
-			}
-			if sc.par == core.Hybrid && w.Count%int64(workers) == 0 {
-				continue
-			}
-			est, err := costmodel.PredictTime(d.exec, m, k, n, t.prof.Machine, sc.ex)
+			est, err := costmodel.PredictTime(d.exec, m, k, n, t.prof.Machine)
 			if err != nil {
 				continue
 			}
@@ -699,17 +701,10 @@ func (t *Tuner) algorithmPlans(o op.Op, a *algo.Algorithm, m, k, n int) []Plan {
 				continue
 			}
 			d.plan.PredictedSeconds = est.Seconds
-			out = append(out, d.plan)
+			out = append(out, d)
 		}
 	}
 	return out
-}
-
-func planWorkers(par core.Parallel, workers int) int {
-	if par == core.Sequential {
-		return 1
-	}
-	return workers
 }
 
 // parseParallel inverts core.Parallel.String for cache entries.
@@ -722,10 +717,10 @@ func parseParallel(s string) (core.Parallel, error) {
 	return 0, fmt.Errorf("tuner: unknown scheduler %q", s)
 }
 
-// build turns a plan into a runnable decision for one plan-space op. Fast
-// plans get a trusted executor (the catalog verified the algorithm once
-// already); the workspace cap is threaded through so the executor's run-time
-// degradation also holds. The plan's backend resolves here — an unknown name
+// build turns a plan loaded from the disk cache into a runnable decision
+// for one plan-space op; the ranking builds its own. A fast plan gets a
+// trusted executor (the catalog verified the algorithm once already; see
+// executor). The plan's backend resolves here — an unknown name
 // (edited cache file, a blas plan loaded into a non-blas build) fails and
 // falls through to a fresh ranking, like an unknown algorithm, a fast plan
 // for a symmetric op, or a fast plan RankOp would not emit: one that is not
@@ -758,6 +753,13 @@ func (t *Tuner) build(o op.Op, p Plan) (*decision, error) {
 	if err != nil {
 		return nil, err
 	}
+	return t.executor(a, par, be, p)
+}
+
+// executor binds fast plan p, of algorithm a under scheduler par on backend
+// be, to a trusted executor. The workspace cap is threaded through, so the
+// executor's run-time degradation also holds.
+func (t *Tuner) executor(a *algo.Algorithm, par core.Parallel, be gemm.Backend, p Plan) (*decision, error) {
 	exec, err := core.NewTrusted(a, core.Options{
 		Resources: core.Resources{Workers: p.Workers, Workspace: t.opts.Workspace},
 		Steps:     p.Steps,
@@ -779,38 +781,31 @@ func (t *Tuner) build(o op.Op, p Plan) (*decision, error) {
 // that can never be a regression.
 const probeMargin = 0.03
 
-// pick builds the winner from a ranked candidate list: the first candidate
-// that builds wins the model round, then the configured number of probes
-// decides among the leaders empirically. The ranking already priced and
-// capped each fast plan with the executor build makes, so a plan that
-// builds here fits the cap. The best-predicted classical plan always joins
-// the probed survivors, however the model ranked it — it is the reference
-// probe holds every fast plan to. serve and served are decide's (see probe).
-func (t *Tuner) pick(o op.Op, ranked []Plan, m, k, n int, serve *op.Request) (*decision, bool, error) {
-	o = o.PlanOp()
+// pick chooses the winner among the ranked decisions, whose executors the
+// ranking built to price them, so it builds none: the model's first wins
+// the model round, then the configured number of probes decides among the
+// leaders empirically. The best-predicted classical plan always joins the
+// probed survivors, however the model ranked it — it is the reference
+// probe holds every fast plan to. serve and served are decide's (see
+// probe).
+func (t *Tuner) pick(ranked []*decision, m, k, n int, serve *op.Request) (*decision, bool, error) {
 	topK := t.opts.ProbeTopK
-	survivors := make([]*decision, 0, len(ranked))
+	if topK == NoProbes {
+		return ranked[0], false, nil
+	}
+	survivors := make([]*decision, 0, topK+1)
 	haveClassical := false
-	for _, p := range ranked {
-		if len(survivors) >= topK && topK != NoProbes && !p.IsClassical() {
+	for _, d := range ranked {
+		if len(survivors) >= topK && !d.plan.IsClassical() {
 			continue // the pool is full; only the classical reference is still wanted
 		}
-		d, err := t.build(o, p)
-		if err != nil {
-			continue
-		}
 		survivors = append(survivors, d)
-		haveClassical = haveClassical || p.IsClassical()
-		if topK == NoProbes || (len(survivors) >= topK && haveClassical) {
+		haveClassical = haveClassical || d.plan.IsClassical()
+		if len(survivors) >= topK && haveClassical {
 			break
 		}
 	}
-	if len(survivors) == 0 {
-		// Nothing fits the cap: classical always runs.
-		d, err := t.build(o, t.classicalPlan(o, m, k, n))
-		return d, false, err
-	}
-	if topK == NoProbes || len(survivors) == 1 {
+	if len(survivors) == 1 {
 		return survivors[0], false, nil
 	}
 	return t.probe(survivors, m, k, n, serve)
