@@ -308,43 +308,36 @@ type Costs struct {
 // nothing, matching the executor's behaviour.
 func (p *Plan) Cost(s Strategy) Costs {
 	var c Costs
-	chains := make([]Chain, 0, len(p.Aux)+len(p.Outputs))
-	chains = append(chains, p.Aux...)
-	chains = append(chains, p.Outputs...)
-	switch s {
-	case Pairwise:
+	var used map[int]bool // Streaming: the distinct source nodes read
+	if s == Streaming {
+		used = map[int]bool{}
+	}
+	for _, chains := range [2][]Chain{p.Aux, p.Outputs} {
 		for _, ch := range chains {
 			t := len(ch.Terms)
 			if t <= 1 {
 				continue
 			}
-			// copy (1R+1W) then t−1 axpys (2R+1W each)
-			c.Reads += 1 + 2*(t-1)
-			c.Writes += t
-		}
-	case WriteOnce:
-		for _, ch := range chains {
-			t := len(ch.Terms)
-			if t <= 1 {
-				continue
+			switch s {
+			case Pairwise:
+				// copy (1R+1W) then t−1 axpys (2R+1W each)
+				c.Reads += 1 + 2*(t-1)
+				c.Writes += t
+			case WriteOnce:
+				c.Reads += t
+				c.Writes++
+			case Streaming:
+				// Each distinct source node is read once; each multi-term
+				// destination is written once (updates accumulate in cache
+				// in the idealized model of §3.2).
+				for _, term := range ch.Terms {
+					used[term.Src] = true
+				}
+				c.Writes++
 			}
-			c.Reads += t
-			c.Writes++
 		}
-	case Streaming:
-		// Each distinct source node is read once; each multi-term
-		// destination is written once (updates accumulate in cache in the
-		// idealized model of §3.2).
-		used := map[int]bool{}
-		for _, ch := range chains {
-			if len(ch.Terms) <= 1 {
-				continue
-			}
-			for _, t := range ch.Terms {
-				used[t.Src] = true
-			}
-			c.Writes++
-		}
+	}
+	if s == Streaming {
 		c.Reads = len(used)
 	}
 	return c

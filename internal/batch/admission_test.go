@@ -293,7 +293,7 @@ func TestOffEstimateExecutionKeepsWarmEntry(t *testing.T) {
 	A, B := randMat(n, n, 1), randMat(n, n, 2)
 	C := mat.New(n, n)
 
-	before, _, err := b.entryFor(op.Multiply, n, n, n, 1)
+	before, _, _, err := b.entryFor(op.Multiply, n, n, n, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestOffEstimateExecutionKeepsWarmEntry(t *testing.T) {
 	if got := b.Stats().WarmMisses; got != misses {
 		t.Fatalf("WarmMisses %d → %d: an off-estimate execution rebuilt an entry", misses, got)
 	}
-	after, _, err := b.entryFor(op.Multiply, n, n, n, 1)
+	after, _, _, err := b.entryFor(op.Multiply, n, n, n, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

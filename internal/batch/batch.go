@@ -21,6 +21,13 @@
 // Workers budget among the multiplications actually executing — queued-but-
 // idle items never dilute it.
 //
+// A class is tuned once, at its representative shape, when a request first
+// misses it. A missing request of exactly that shape lends the tuner its
+// operands (tuner.Tuner.EntryOp), so the probes build none; if it is an
+// overwriting Multiply and classical wins, the classical reference probe
+// has computed it, and the batcher accounts it with that run's time
+// instead of running it again.
+//
 // This is the paper's §4.5 bandwidth-vs-compute lesson applied across calls
 // instead of within one: the per-call overheads (operand packing, addition
 // synchronization, goroutine fan-out) are fixed costs that only amortize when
@@ -321,7 +328,10 @@ func (b *Batcher) Do(req op.Request) error {
 	defer b.executing.Add(-1)
 	m, k, n := req.Shape()
 	rec := b.sample(req.Op, m, k, n, "sync")
-	e, hit, err := b.entryFor(req.Op, m, k, n, int(load))
+	if rec != nil {
+		req.Trace = &rec.Spans // before the build: a served run's spans land here
+	}
+	e, hit, served, err := b.entryFor(req.Op, m, k, n, int(load), &req)
 	if err != nil {
 		if rec != nil {
 			rec.Err = err.Error()
@@ -332,7 +342,7 @@ func (b *Batcher) Do(req op.Request) error {
 	if rec != nil {
 		rec.WarmHit = hit
 	}
-	err = b.timedRun(e, req, rec)
+	err = b.timedRun(e, req, rec, served)
 	b.ring.Publish(rec)
 	b.met.syncDone.Add(1)
 	return err
@@ -360,9 +370,12 @@ func (b *Batcher) sample(o op.Op, m, k, n int, verdict string) *trace.Record {
 // feedback folded in: op and backend mix, effective flops and busy time,
 // and the (op, class) EWMA estimate (the admission currency). Both
 // execution paths — sync and queued — funnel through it. rec, when
-// non-nil, receives the resolved plan, the execution's spans (threaded via
-// req.Trace), and the outcome; the caller publishes it.
-func (b *Batcher) timedRun(e *warmEntry, req op.Request, rec *trace.Record) error {
+// non-nil, receives the resolved plan and the outcome; the execution's
+// spans reach it through req.Trace, which the caller pointed at it before
+// resolving the entry, and the caller publishes it. served reports that
+// the entry's build already ran the request (see buildEntry): it is not run
+// again, and is accounted with the time that run took.
+func (b *Batcher) timedRun(e *warmEntry, req op.Request, rec *trace.Record, served bool) error {
 	plan := e.te.Plan()
 	if rec != nil {
 		cm, ck, cn := e.key.class.Dims()
@@ -374,11 +387,16 @@ func (b *Batcher) timedRun(e *warmEntry, req op.Request, rec *trace.Record) erro
 		rec.PlanWorkers = plan.Workers
 		rec.PredictedSeconds = plan.PredictedSeconds
 		rec.MeasuredSeconds = plan.MeasuredSeconds
-		req.Trace = &rec.Spans
 	}
-	start := b.clock.Now()
-	err := b.run(e, req)
-	d := b.clock.Now().Sub(start)
+	var err error
+	var d time.Duration
+	if served {
+		d = time.Duration(plan.MeasuredSeconds * float64(time.Second))
+	} else {
+		start := b.clock.Now()
+		err = b.run(e, req)
+		d = b.clock.Now().Sub(start)
+	}
 	if rec != nil {
 		rec.ServiceNanos = int64(d)
 		if err != nil {
@@ -602,7 +620,7 @@ func (b *Batcher) PlanForOp(o op.Op, m, k, n int) (tuner.Plan, error) {
 		return tuner.Plan{}, err
 	}
 	defer b.doneOutstanding(nil)
-	e, _, err := b.entryFor(o, m, k, n, 1)
+	e, _, _, err := b.entryFor(o, m, k, n, 1, nil)
 	if err != nil {
 		return tuner.Plan{}, err
 	}
@@ -698,7 +716,10 @@ func (b *Batcher) execute(tk *task) {
 	lc.executing.Add(1)
 	load := int(b.executing.Add(1))
 	m, k, n := tk.req.Shape()
-	e, hit, err := b.entryFor(tk.req.Op, m, k, n, load)
+	if tk.rec != nil {
+		tk.req.Trace = &tk.rec.Spans // before the build, as in Do
+	}
+	e, hit, served, err := b.entryFor(tk.req.Op, m, k, n, load, &tk.req)
 	if err == nil {
 		if tk.rec != nil {
 			tk.rec.WarmHit = hit
@@ -708,7 +729,7 @@ func (b *Batcher) execute(tk *task) {
 		// profiles of a serving process split by what was being computed.
 		// Both Set calls apply cached contexts — no allocation.
 		pprof.SetGoroutineLabels(e.labels[tk.lane])
-		err = b.timedRun(e, tk.req, tk.rec)
+		err = b.timedRun(e, tk.req, tk.rec, served)
 		pprof.SetGoroutineLabels(context.Background())
 	}
 	b.executing.Add(-1)
@@ -829,8 +850,10 @@ func satMul64(a, b int64) int64 {
 // touches of an op+class+width tune once — concurrent first-touchers wait
 // for the builder instead of tuning in parallel. hit reports whether the
 // pool already held the entry (false: this call tuned it, or waited on the
-// goroutine that did).
-func (b *Batcher) entryFor(o op.Op, m, k, n, load int) (e *warmEntry, hit bool, err error) {
+// goroutine that did). req, when non-nil, is the caller's request of that
+// shape: the build lends it to the tuner, and served reports that the
+// build ran it (see buildEntry).
+func (b *Batcher) entryFor(o op.Op, m, k, n, load int, req *op.Request) (e *warmEntry, hit, served bool, err error) {
 	key := entryKey{op: o.PlanOp(), class: tuner.ClassOf(m, k, n), workers: b.widthFor(m, k, n, load)}
 	waited := false
 	for {
@@ -839,7 +862,7 @@ func (b *Batcher) entryFor(o op.Op, m, k, n, load int) (e *warmEntry, hit bool, 
 			b.lru.MoveToFront(e.elem)
 			b.mu.Unlock()
 			b.met.warmHits.Add(1)
-			return e, !waited, nil
+			return e, !waited, false, nil
 		}
 		ch, building := b.building[key]
 		if !building {
@@ -847,8 +870,8 @@ func (b *Batcher) entryFor(o op.Op, m, k, n, load int) (e *warmEntry, hit bool, 
 			b.building[key] = ch
 			b.mu.Unlock()
 			b.met.warmMisses.Add(1)
-			e, err := b.buildEntry(key, ch)
-			return e, false, err
+			e, served, err := b.buildEntry(key, ch, req)
+			return e, false, served, err
 		}
 		b.mu.Unlock()
 		<-ch // another goroutine is tuning this class; reuse its result
@@ -857,23 +880,31 @@ func (b *Batcher) entryFor(o op.Op, m, k, n, load int) (e *warmEntry, hit bool, 
 }
 
 // buildEntry tunes a class representative at the key's width and installs
-// the entry, evicting over-budget LRU entries.
-func (b *Batcher) buildEntry(key entryKey, ch chan struct{}) (*warmEntry, error) {
+// the entry, evicting over-budget LRU entries. req, when non-nil, is the
+// request that missed; the tuner borrows it when its shape is the class
+// representative itself (tuner.Tuner.EntryOp): a cold decision then probes
+// on its operands instead of random ones, and served reports that the
+// classical reference probe ran req (an overwriting Multiply that
+// classical won) at the class's width, so the caller accounts it with the
+// entry plan's MeasuredSeconds and does not run it again. A request off its
+// representative's shape is not lent; its class is tuned on operands of the
+// tuner's own.
+func (b *Batcher) buildEntry(key entryKey, ch chan struct{}, req *op.Request) (*warmEntry, bool, error) {
 	var (
-		te  *tuner.Entry
-		err error
+		te     *tuner.Entry
+		served bool
 	)
+	cm, ck, cn := key.class.Dims()
 	tn, err := b.tunerFor(key.workers)
 	if err == nil {
-		cm, ck, cn := key.class.Dims()
-		te, err = tn.EntryOp(key.op, cm, ck, cn)
+		te, served, err = tn.EntryOp(key.op, cm, ck, cn, req)
 	}
 	b.mu.Lock()
 	delete(b.building, key)
 	close(ch)
 	if err != nil {
 		b.mu.Unlock()
-		return nil, err
+		return nil, false, err
 	}
 	tokens := te.Plan().Workers
 	if tokens < 1 {
@@ -883,7 +914,6 @@ func (b *Batcher) buildEntry(key entryKey, ch chan struct{}) (*warmEntry, error)
 		tokens = b.opts.Workers
 	}
 	e := &warmEntry{key: key, te: te, tokens: tokens}
-	cm, ck, cn := key.class.Dims()
 	class := fmt.Sprintf("%dx%dx%d", cm, ck, cn)
 	backend := te.Plan().Backend
 	if te.Plan().Fused {
@@ -909,7 +939,7 @@ func (b *Batcher) buildEntry(key entryKey, ch chan struct{}) (*warmEntry, error)
 	} else if plan.PredictedSeconds > 0 {
 		b.est.seed(key.op, key.class, plan.PredictedSeconds)
 	}
-	return e, nil
+	return e, served, nil
 }
 
 // touch refreshes an entry's retained-bytes accounting and LRU position

@@ -114,7 +114,7 @@ func TestSameClassSharesWarmEntry(t *testing.T) {
 		if got := tuner.ClassOf(m, k, n); got != wantClass {
 			t.Fatalf("ClassOf(%d,%d,%d) = %v, want %v", m, k, n, got, wantClass)
 		}
-		e, _, err := b.entryFor(op.Multiply, m, k, n, 1)
+		e, _, _, err := b.entryFor(op.Multiply, m, k, n, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

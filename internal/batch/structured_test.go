@@ -107,11 +107,11 @@ func TestOpBucketingSeparatesEntries(t *testing.T) {
 	}
 	defer b.Close()
 	m, k, n := 128, 128, 128
-	e1, _, err := b.entryFor(op.Multiply, m, k, n, 1)
+	e1, _, _, err := b.entryFor(op.Multiply, m, k, n, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, _, err := b.entryFor(op.ATA, m, k, n, 1)
+	e2, _, _, err := b.entryFor(op.ATA, m, k, n, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestOpBucketingSeparatesEntries(t *testing.T) {
 	if e1.key.op != op.Multiply || e2.key.op != op.ATA {
 		t.Fatalf("entry keys carry ops %v and %v", e1.key.op, e2.key.op)
 	}
-	e3, _, err := b.entryFor(op.MultiplyAdd, m, k, n, 1)
+	e3, _, _, err := b.entryFor(op.MultiplyAdd, m, k, n, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,6 +38,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"fastmm/internal/addchain"
@@ -195,7 +196,7 @@ func (o Options) withDefaults() Options {
 // across Multiply calls reuses its workspace arenas, so steady-state calls
 // are (amortized) allocation-free.
 type Executor struct {
-	schedule []levelPlan
+	schedule []*levelPlan
 	opts     Options
 	be       gemm.Backend      // resolved from opts.Backend at construction
 	fbe      gemm.FusedBackend // non-nil iff opts.Fused and the backend can fuse
@@ -213,8 +214,37 @@ func New(a *algo.Algorithm, opts Options) (*Executor, error) {
 // once; repeating the O(m²k²n²) tensor check per candidate would dominate
 // the tuning time. Passing an unverified algorithm silently computes the
 // wrong product; use New unless the source is trusted.
+//
+// For the same reason the level's lowering (its S/T/C addition plans and
+// product list) is built once per (algorithm, CSE) for the life of the
+// process and shared, read-only, by every NewTrusted executor of that
+// algorithm: every (steps, scheduler) candidate of every shape the tuner
+// ranks lowers it identically. The memo keys on the algorithm's pointer, so
+// a must be a long-lived, unchanging value — a catalog entry, which
+// catalog.Get hands out once per name. New and NewSchedule, which take
+// user algorithms, build their own.
 func NewTrusted(a *algo.Algorithm, opts Options) (*Executor, error) {
 	return newSchedule([]*algo.Algorithm{a}, opts, false)
+}
+
+// sharedLevels is NewTrusted's memo: one lowering per (algorithm, CSE).
+var sharedLevels sync.Map // levelKey → *levelPlan
+
+type levelKey struct {
+	a   *algo.Algorithm
+	cse bool
+}
+
+// sharedLevel returns the memo's lowering of a, building it on first use.
+// Concurrent first uses may both build; one lowering wins and both return
+// it.
+func sharedLevel(a *algo.Algorithm, cse bool) *levelPlan {
+	key := levelKey{a, cse}
+	if lp, ok := sharedLevels.Load(key); ok {
+		return lp.(*levelPlan)
+	}
+	lp, _ := sharedLevels.LoadOrStore(key, newLevel(a, cse))
+	return lp.(*levelPlan)
 }
 
 // NewSchedule builds an executor that cycles through the given algorithms by
@@ -245,12 +275,14 @@ func newSchedule(algs []*algo.Algorithm, opts Options, verify bool) (*Executor, 
 		if a == nil {
 			return nil, fmt.Errorf("core: nil algorithm in schedule")
 		}
+		lower := sharedLevel
 		if verify {
 			if err := a.Verify(); err != nil {
 				return nil, fmt.Errorf("core: refusing invalid algorithm: %w", err)
 			}
+			lower = newLevel
 		}
-		e.schedule = append(e.schedule, newLevel(a, opts.CSE))
+		e.schedule = append(e.schedule, lower(a, opts.CSE))
 	}
 	if fb, ok := be.(gemm.FusedBackend); ok && opts.Fused {
 		e.fbe = fb
@@ -434,12 +466,13 @@ func (e *Executor) product(C, A, B *mat.Dense, alpha float64, acc bool, tr *trac
 // any other scheduler for a sibling executor that differs from it only
 // there). Sequential and DFS run as asked. BFS and HYBRID run as DFS when
 // their workspace would exceed the Workspace cap (§4's memory trade-off;
-// DFS is the minimum-workspace traversal) or when the top level is fused,
-// so every product is one fused leaf call all workers wide and nothing
-// fans out. HYBRID runs as BFS when it would defer no leaf: under
-// automatic cutoff (no static leaf count), with a fused last level (which
-// calls no leaf gemm) or with a leaf count the worker count divides. It
-// allocates nothing.
+// DFS is the minimum-workspace traversal), when the walk takes no level, so
+// the call is one leaf gemm that DFS runs all workers wide, or when the top
+// level is fused, so every product is one fused leaf call all workers wide
+// and nothing fans out. HYBRID runs as BFS when it would defer no leaf:
+// under automatic cutoff (no static leaf count), with a fused last level
+// (which calls no leaf gemm) or with a leaf count the worker count divides.
+// It allocates nothing.
 func (e *Executor) RunsAs(par Parallel, p, q, r int) Parallel {
 	if par != BFS && par != Hybrid {
 		return par
@@ -455,6 +488,9 @@ func (e *Executor) RunsAs(par Parallel, p, q, r int) Parallel {
 		if w.Fused {
 			return BFS
 		}
+	}
+	if w.Depth == 0 {
+		return DFS
 	}
 	if par == Hybrid && (e.opts.Steps == 0 || w.Count%int64(e.opts.Workers) == 0) {
 		return BFS
@@ -500,7 +536,7 @@ func (e *Executor) workspaceFloats(mode Parallel, p, q, r int) int64 {
 	for w := e.Walk(p, q, r); w.Next() && !w.Fused; {
 		sUnit, tUnit := int64(w.BM*w.BK), int64(w.BK*w.BN)
 		auxS, auxT := int64(len(w.S.Aux)), int64(len(w.T.Aux))
-		matS, matT := int64(materializedOutputs(w.S)), int64(materializedOutputs(w.T))
+		matS, matT := int64(w.lp.smat), int64(w.lp.tmat)
 		level := int64(w.Alg.Rank()) * int64(w.BM*w.BN) // the M_r
 		bfs := mode == BFS || mode == Hybrid
 		switch {
@@ -572,7 +608,8 @@ type Level struct {
 	BM, BK, BN int
 	// Alg is the level's algorithm, and S, T and C its addition plans: the
 	// S_r from the blocks of A, the T_r from those of B, and the C blocks
-	// from the M_r.
+	// from the M_r. The plans are read-only: executors may share them (see
+	// NewTrusted).
 	Alg     *algo.Algorithm
 	S, T, C *addchain.Plan
 	// Fused is the level's lowering: its products fold their operand sums
@@ -636,7 +673,7 @@ func (e *Executor) level(depth, p, q, r int) (lv Level, ok bool) {
 	if !e.shouldRecurse(depth, p, q, r) {
 		return lv, false
 	}
-	lp := &e.schedule[depth%len(e.schedule)]
+	lp := e.schedule[depth%len(e.schedule)]
 	b := lp.alg.Base
 	lv.CM, lv.CK, lv.CN = p-p%b.M, q-q%b.K, r-r%b.N
 	lv.BM, lv.BK, lv.BN = p/b.M, q/b.K, r/b.N

@@ -31,13 +31,17 @@ import (
 // Options.Fused holds on a backend that can fuse; every other level forms
 // and materialises.
 
-// levelPlan is one schedule entry, lowered at construction.
+// levelPlan is one schedule entry, lowered at construction and never
+// changed after: NewTrusted executors of one algorithm share it.
 type levelPlan struct {
 	alg   *algo.Algorithm
 	splan *addchain.Plan // S_r from blocks of A (columns of U)
 	tplan *addchain.Plan // T_r from blocks of B (columns of V)
 	cplan *addchain.Plan // C blocks from the M_r (rows of W), for the combine
 	prods []product
+	// smat and tmat count the S and T outputs that need a buffer
+	// (materializedOutputs), for the workspace model.
+	smat, tmat int
 	// zero lists the C blocks no product that runs writes (possible only for
 	// degenerate W rows): an overwriting step clears them before its
 	// products.
@@ -65,8 +69,8 @@ type dest struct {
 func (p *product) vanished() bool { return len(p.s) == 0 || len(p.t) == 0 }
 
 // newLevel builds a level's plans and product list.
-func newLevel(a *algo.Algorithm, cse bool) levelPlan {
-	lp := levelPlan{
+func newLevel(a *algo.Algorithm, cse bool) *levelPlan {
+	lp := &levelPlan{
 		alg:   a,
 		splan: addchain.FromColumns(a.U),
 		tplan: addchain.FromColumns(a.V),
@@ -77,6 +81,7 @@ func newLevel(a *algo.Algorithm, cse bool) levelPlan {
 		lp.splan.ApplyCSE()
 		lp.tplan.ApplyCSE()
 	}
+	lp.smat, lp.tmat = materializedOutputs(lp.splan), materializedOutputs(lp.tplan)
 	// Product r's destinations are column r of W, in block order; they share
 	// one array, so the level allocates a few times, not once per product.
 	n := 0

@@ -197,16 +197,19 @@ func TestFailedReferenceNeverServes(t *testing.T) {
 	}
 }
 
-// TestUnservedCallersProbeOwnOperands: only an overwriting multiply lends
-// its operands. PlanForOp and EntryOp decisions, MultiplyAdd and a Multiply
-// with β ≠ 0 probe on operands of their own — one request shared by every
-// timing — and never touch the caller's; AᵗA and Syrk probe nothing. Every
+// TestUnservedCallersLendOperands: a cold call the probe cannot serve still
+// lends it A and B. MultiplyAdd and a Multiply with β ≠ 0 are probed on the
+// caller's A and B into one C of the probe's own, never the caller's C;
+// PlanForOp and EntryOp without a request probe on operands of their own,
+// one request shared by every timing; AᵗA and Syrk probe nothing. Every
 // call still computes its op.
-func TestUnservedCallersProbeOwnOperands(t *testing.T) {
+func TestUnservedCallersLendOperands(t *testing.T) {
 	tn := mustTuner(t, Options{Resources: Resources{Workers: 2}, Profile: testProfile(2), NoDiskCache: true})
 	var runs []timedRun
 	tn.timeRun = recordingTimer(&runs, fastLoses)
-	ownOperands := func(name string, callerC, callerA *mat.Dense) {
+	// probed checks that every timing ran on one request with a C of the
+	// probe's own and, for a caller, on the caller's A and B.
+	probed := func(name string, callerC, callerA, callerB *mat.Dense) {
 		t.Helper()
 		if len(runs) == 0 {
 			t.Fatalf("%s: nothing was probed", name)
@@ -216,8 +219,11 @@ func TestUnservedCallersProbeOwnOperands(t *testing.T) {
 			if r.req.C != first.C || r.req.A != first.A || r.req.B != first.B {
 				t.Fatalf("%s: %v timed on a request of its own, want the one probe request", name, r.plan)
 			}
-			if callerC != nil && (r.req.C == callerC || r.req.A == callerA) {
-				t.Fatalf("%s: %v timed on the caller's operands", name, r.plan)
+			if r.req.C == callerC {
+				t.Fatalf("%s: %v timed on the caller's C", name, r.plan)
+			}
+			if callerA != nil && (r.req.A != callerA || r.req.B != callerB) {
+				t.Fatalf("%s: %v timed on A/B of its own, want the caller's", name, r.plan)
 			}
 		}
 		runs = runs[:0]
@@ -225,11 +231,11 @@ func TestUnservedCallersProbeOwnOperands(t *testing.T) {
 	if _, err := tn.PlanForOp(op.Multiply, 288, 288, 288); err != nil {
 		t.Fatal(err)
 	}
-	ownOperands("PlanForOp", nil, nil)
-	if _, err := tn.EntryOp(op.Multiply, 352, 352, 352); err != nil {
-		t.Fatal(err)
+	probed("PlanForOp", nil, nil, nil)
+	if _, served, err := tn.EntryOp(op.Multiply, 352, 352, 352, nil); err != nil || served {
+		t.Fatalf("EntryOp: served %v, err %v", served, err)
 	}
-	ownOperands("EntryOp", nil, nil)
+	probed("EntryOp", nil, nil, nil)
 
 	for i, tc := range []struct {
 		name string
@@ -256,7 +262,7 @@ func TestUnservedCallersProbeOwnOperands(t *testing.T) {
 		if err := tn.Do(tc.req); err != nil {
 			t.Fatal(err)
 		}
-		ownOperands(tc.name, C, A)
+		probed(tc.name, C, A, B)
 		if diff := mat.MaxAbsDiff(C, want); diff > 1e-9*float64(n) {
 			t.Fatalf("%s: off by %g", tc.name, diff)
 		}
@@ -276,6 +282,86 @@ func TestUnservedCallersProbeOwnOperands(t *testing.T) {
 		}
 		if len(runs) != 0 {
 			t.Fatalf("%v: %d probe timings, want none", o, len(runs))
+		}
+	}
+}
+
+// TestEntryOpServesOnGridRequest: the batched dispatcher's entry for a class
+// borrows the request that missed when its shape is the class's
+// representative. On grid, the classical reference probe is the only
+// classical timing and runs on the caller's C, the entry reports the
+// request served, and C is the classical product at the plan's width; the
+// fast probes read the caller's A and B into a C of their own. Off grid —
+// 200³ in the class of 224³ — the probes run on operands of their own,
+// nothing is served, and the caller's C is never touched.
+func TestEntryOpServesOnGridRequest(t *testing.T) {
+	for _, w := range []int{1, 2} {
+		tn := mustTuner(t, Options{Resources: Resources{Workers: w}, Profile: testProfile(w), NoDiskCache: true})
+		var runs []timedRun
+		tn.timeRun = recordingTimer(&runs, fastLoses)
+
+		C, A, B := serveOperands(int64(40 + w))
+		req := op.Request{Op: op.Multiply, C: C, A: A, B: B}
+		e, served, err := tn.EntryOp(op.Multiply, servedN, servedN, servedN, &req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		classical, fast := 0, 0
+		for _, r := range runs {
+			if r.plan.IsClassical() {
+				classical++
+				if r.req.C != C || r.req.A != A || r.req.B != B {
+					t.Fatalf("w=%d: the reference probe ran on %+v, want the caller's request", w, r.req)
+				}
+				continue
+			}
+			fast++
+			if r.req.C == C || r.req.A != A || r.req.B != B {
+				t.Fatalf("w=%d: fast probe %v did not read the caller's A and B into a C of its own", w, r.plan)
+			}
+		}
+		if classical != 1 || fast == 0 || !served {
+			t.Fatalf("w=%d: %d classical and %d fast timings, served %v; want 1, some and true", w, classical, fast, served)
+		}
+		p := e.Plan()
+		if !p.IsClassical() || p.MeasuredSeconds <= 0 {
+			t.Fatalf("w=%d: entry plan %v measured %gs, want classical with the served run's time", w, p, p.MeasuredSeconds)
+		}
+		want := mat.New(servedN, servedN)
+		gemm.Dispatch(gemm.Default(), want, 1, A, B, false, p.Workers)
+		if !bitwiseEqual(C, want) {
+			t.Fatalf("w=%d: served C differs from gemm.Dispatch at %d workers (max diff %g)", w, p.Workers, mat.MaxAbsDiff(C, want))
+		}
+
+		runs = runs[:0]
+		const off = 200
+		cm, ck, cn := ClassOf(off, off, off).Dims()
+		if cm == off && ck == off && cn == off {
+			t.Fatalf("%d³ is its own class representative", off)
+		}
+		rng := rand.New(rand.NewSource(50))
+		A, B, C = mat.New(off, off), mat.New(off, off), mat.New(off, off)
+		A.FillRandom(rng)
+		B.FillRandom(rng)
+		C.Fill(math.NaN())
+		req = op.Request{Op: op.Multiply, C: C, A: A, B: B}
+		if _, served, err = tn.EntryOp(op.Multiply, cm, ck, cn, &req); err != nil || served {
+			t.Fatalf("w=%d: off grid: served %v, err %v", w, served, err)
+		}
+		if len(runs) == 0 {
+			t.Fatalf("w=%d: off grid: nothing was probed", w)
+		}
+		for _, r := range runs {
+			if r.req.C == C || r.req.A == A || r.req.B == B || r.req.C != runs[0].req.C {
+				t.Fatalf("w=%d: off grid: %v timed on the caller's operands or a request of its own", w, r.plan)
+			}
+		}
+		for i := 0; i < off; i++ {
+			for j := 0; j < off; j++ {
+				if !math.IsNaN(C.At(i, j)) {
+					t.Fatalf("w=%d: off grid: the probes wrote the caller's C[%d][%d]", w, i, j)
+				}
+			}
 		}
 	}
 }

@@ -30,8 +30,12 @@
 //     can no longer finish inside that measured time less the margin, at
 //     its leaf-rate bound or, once its leaves run, at its own pace, and a
 //     fast plan chosen only when it beats the classical time by the margin,
-//     twice (see probe); a cold overwriting Do lends the probe its
-//     operands, and when classical wins the reference probe was the call;
+//     twice (see probe); a cold decision made for a caller's request —
+//     Do, or the batched dispatcher's EntryOp on a class whose
+//     representative is the request's shape — probes on that request's A
+//     and B instead of random operands, and for an overwriting multiply
+//     the classical reference probe is the call, so when classical wins the
+//     call is already served;
 //  4. persist the winner in an on-disk tuning cache (JSON under
 //     os.UserCacheDir, overridable via FASTMM_TUNE_CACHE; none with
 //     Options.NoDiskCache) fronted by an in-memory LRU, so repeated shapes
@@ -382,21 +386,18 @@ func (t *Tuner) Multiply(C, A, B *mat.Dense) error {
 // per plan-space op: ATA and Syrk get their own cached plans (always the
 // classical triangle pass), while MultiplyAdd rides Multiply's.
 //
-// A cold overwriting multiply (Beta 0) lends the probe its operands: the
-// classical reference probe runs this very request, trace included, and
-// when classical wins the call is already served. Otherwise the winner
-// runs the request once more, overwriting C.
+// A cold call lends the decision its request (see probe): every probe of a
+// Multiply or MultiplyAdd reads the caller's A and B, into a C of its own
+// unless it may write the caller's. An overwriting multiply (Beta 0) is
+// served by the classical reference probe itself, trace included, so when
+// classical wins the call is done. Otherwise the winner runs the request.
 func (t *Tuner) Do(req op.Request) error {
 	req = req.Normalized()
 	if err := req.Validate(); err != nil {
 		return fmt.Errorf("tuner: %w", err)
 	}
 	m, k, n := req.Shape()
-	var serve *op.Request
-	if req.Op == op.Multiply && req.Beta == 0 {
-		serve = &req
-	}
-	d, served, err := t.decide(req.Op.PlanOp(), m, k, n, serve)
+	d, served, err := t.decide(req.Op.PlanOp(), m, k, n, &req)
 	if err != nil || served {
 		return err
 	}
@@ -427,17 +428,37 @@ type Entry struct {
 // Entry returns the warm multiply entry for a shape, tuning it on first
 // touch. The returned entry stays valid (and keeps its executor's arenas
 // warm) even if the tuner later evicts or Forgets the shape.
-func (t *Tuner) Entry(m, k, n int) (*Entry, error) { return t.EntryOp(op.Multiply, m, k, n) }
+func (t *Tuner) Entry(m, k, n int) (*Entry, error) {
+	e, _, err := t.EntryOp(op.Multiply, m, k, n, nil)
+	return e, err
+}
 
 // EntryOp returns the warm entry for an (op, gemm-equivalent-shape) pair;
 // see PlanForOp for the triple convention. The batched dispatcher resolves
 // one entry per (op, shape class) and runs requests through it.
-func (t *Tuner) EntryOp(o op.Op, m, k, n int) (*Entry, error) {
-	d, _, err := t.decide(o.PlanOp(), m, k, n, nil)
-	if err != nil {
-		return nil, err
+//
+// req, when non-nil, is the caller's request that asked for the entry. It
+// is lent to a cold decision only when its plan-space op and
+// gemm-equivalent shape are the entry's — the batched dispatcher's request
+// whose shape is its class's representative — and the probes then run on
+// it as Do's do (see probe). served reports that the classical reference
+// probe ran the request itself — an overwriting Multiply that classical
+// won — so the caller must not run it again; the entry's
+// Plan().MeasuredSeconds is then that run's time. A request not lent, or
+// none, leaves the probes on operands of their own, and nothing is served.
+func (t *Tuner) EntryOp(o op.Op, m, k, n int, req *op.Request) (e *Entry, served bool, err error) {
+	var lend *op.Request
+	if req != nil {
+		if rm, rk, rn := req.Shape(); req.Op.PlanOp() == o.PlanOp() && rm == m && rk == k && rn == n {
+			r := req.Normalized()
+			lend = &r
+		}
 	}
-	return &Entry{d: d}, nil
+	d, served, err := t.decide(o.PlanOp(), m, k, n, lend)
+	if err != nil {
+		return nil, false, err
+	}
+	return &Entry{d: d}, served, nil
 }
 
 // Plan reports the entry's tuned plan.
@@ -494,10 +515,10 @@ func (t *Tuner) key(o op.Op, m, k, n int) string {
 }
 
 // decide resolves an (op, shape) to its decision: from the LRU, the disk
-// cache, or a fresh ranking and probe. serve, when non-nil, is an
-// overwriting multiply of the shape that a probe may serve (see probe);
-// served reports that it did.
-func (t *Tuner) decide(o op.Op, m, k, n int, serve *op.Request) (*decision, bool, error) {
+// cache, or a fresh ranking and probe. lend, when non-nil, is a normalized
+// caller's request of the op and shape that the probes run on (see probe);
+// served reports that a probe ran it.
+func (t *Tuner) decide(o op.Op, m, k, n int, lend *op.Request) (*decision, bool, error) {
 	key := t.key(o, m, k, n)
 	t.mu.Lock()
 	if d, ok := t.lru.get(key); ok {
@@ -521,7 +542,7 @@ func (t *Tuner) decide(o op.Op, m, k, n int, serve *op.Request) (*decision, bool
 	if err != nil {
 		return nil, false, err
 	}
-	d, served, err := t.pick(ranked, m, k, n, serve)
+	d, served, err := t.pick(ranked, m, k, n, lend)
 	if err != nil {
 		return nil, false, err
 	}
@@ -786,9 +807,9 @@ const probeMargin = 0.03
 // the model round, then the configured number of probes decides among the
 // leaders empirically. The best-predicted classical plan always joins the
 // probed survivors, however the model ranked it — it is the reference
-// probe holds every fast plan to. serve and served are decide's (see
+// probe holds every fast plan to. lend and served are decide's (see
 // probe).
-func (t *Tuner) pick(ranked []*decision, m, k, n int, serve *op.Request) (*decision, bool, error) {
+func (t *Tuner) pick(ranked []*decision, m, k, n int, lend *op.Request) (*decision, bool, error) {
 	topK := t.opts.ProbeTopK
 	if topK == NoProbes {
 		return ranked[0], false, nil
@@ -808,7 +829,7 @@ func (t *Tuner) pick(ranked []*decision, m, k, n int, serve *op.Request) (*decis
 	if len(survivors) == 1 {
 		return survivors[0], false, nil
 	}
-	return t.probe(survivors, m, k, n, serve)
+	return t.probe(survivors, m, k, n, lend)
 }
 
 // leafRateSlack is how much faster than classical's measured flop rate on
@@ -898,14 +919,20 @@ func timeDecision(d *decision, req op.Request, lim probeLimit) (float64, error) 
 	return secs, nil
 }
 
+// serves reports whether a probe may serve a lent request: only an
+// overwriting Multiply's C is the reference probe's to write.
+func serves(lend *op.Request) bool {
+	return lend != nil && lend.Op == op.Multiply && lend.Beta == 0
+}
+
 // probeRequests returns the requests a probe times: ref for its classical
-// survivors and scratch for its fast ones. Serving a caller, ref is the
-// caller's request and scratch reads its A and B into a C of its own;
-// otherwise both are one multiply on deterministic random operands of the
-// shape. Every C is faulted in untimed: the first probe is classical's, and
-// its time sets every fast deadline.
-func probeRequests(m, k, n int, serve *op.Request) (ref, scratch op.Request) {
-	if serve == nil {
+// survivors and scratch for its fast ones. Lent a request, scratch reads its
+// A and B into a C of its own, and ref is the request itself when the probe
+// may serve it (serves), else scratch; without one both are one multiply on
+// deterministic random operands of the shape. Every C is faulted in untimed:
+// the first probe is classical's, and its time sets every fast deadline.
+func probeRequests(m, k, n int, lend *op.Request) (ref, scratch op.Request) {
+	if lend == nil {
 		rng := rand.New(rand.NewSource(int64(m)*1_000_003 + int64(k)*1_009 + int64(n)))
 		req := op.Request{Op: op.Multiply, C: mat.New(m, n), A: mat.New(m, k), B: mat.New(k, n)}
 		req.B.FillRandom(rng)
@@ -913,10 +940,13 @@ func probeRequests(m, k, n int, serve *op.Request) (ref, scratch op.Request) {
 		req.C.Zero()
 		return req, req
 	}
-	ref = *serve
-	ref.C.Zero()
-	scratch = op.Request{Op: op.Multiply, C: mat.New(m, n), A: serve.A, B: serve.B}
+	scratch = op.Request{Op: op.Multiply, C: mat.New(m, n), A: lend.A, B: lend.B}
 	scratch.C.Zero()
+	if !serves(lend) {
+		return scratch, scratch
+	}
+	ref = *lend
+	ref.C.Zero()
 	return ref, scratch
 }
 
@@ -942,14 +972,17 @@ func probeRequests(m, k, n int, serve *op.Request) (ref, scratch op.Request) {
 // every survivor to completion; only the losers' time is saved. The
 // confirming pair runs without a limit.
 //
-// serve, when non-nil, is a caller's overwriting multiply of the shape, and
-// the probe runs on its operands (see probeRequests): the classical
-// survivors run serve itself, writing the caller's C, and served reports
-// that the returned decision is the classical survivor whose run wrote C
-// last — the caller's call is then done, since a survivor whose run failed
-// is never returned. A fast winner, or a reference run that failed, leaves
-// the call to the caller. Without serve the probe runs on operands of its
-// own and never serves.
+// lend, when non-nil, is a caller's Multiply or MultiplyAdd of the shape,
+// and every probe reads its A and B (see probeRequests), so a cold call
+// builds no operands. Only an overwriting Multiply's C is written: the
+// classical survivors run that request itself, trace included, and served
+// reports that the returned decision is the classical survivor whose run
+// wrote C last — the caller's call is then done, since a survivor whose run
+// failed is never returned. A fast winner, or a reference run that failed,
+// leaves the call to the caller, whose trace then holds the reference
+// run's spans before its own. Any other lent request is probed into a C of
+// the probe's own and never served; without lend the probe runs on
+// operands of its own.
 //
 // Every run the probe times draws its workspace from one arena pool, made
 // here and dropped on return: each fast survivor reuses the arenas the
@@ -963,8 +996,9 @@ func probeRequests(m, k, n int, serve *op.Request) (ref, scratch op.Request) {
 // called this unreachable and panicked the process). The winner comes from
 // the remaining survivors; only when every survivor failed does the first
 // error surface to the caller.
-func (t *Tuner) probe(survivors []*decision, m, k, n int, serve *op.Request) (*decision, bool, error) {
-	ref, scratch := probeRequests(m, k, n, serve)
+func (t *Tuner) probe(survivors []*decision, m, k, n int, lend *op.Request) (*decision, bool, error) {
+	ref, scratch := probeRequests(m, k, n, lend)
+	serve := serves(lend)
 
 	arenas := new(workspace.Pool)
 	var best, classical, servedBy *decision
@@ -984,7 +1018,7 @@ func (t *Tuner) probe(survivors []*decision, m, k, n int, serve *op.Request) (*d
 				}
 			}
 			secs, err := t.timeRun(d, req, lim)
-			if !fast && serve != nil {
+			if !fast && serve {
 				servedBy = d // the caller's C holds this run's result
 			}
 			if errors.Is(err, core.ErrStopped) {

@@ -2,6 +2,7 @@ package tuner
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -776,5 +777,28 @@ func TestDefaultCandidatesAreExact(t *testing.T) {
 	named.Algorithms = []string{"strassen", "fast323n"}
 	if ranked(named, op.Multiply, 1536, 1024, 1024) == 0 {
 		t.Error("naming fast323n in Options.Algorithms must enrol it")
+	}
+}
+
+// BenchmarkRankOp times one ranking of a shape the tuner has not decided —
+// every candidate's executor built and priced, as a cold decision does
+// before it probes — on a square and on the thin outer-product shape of the
+// repository benchmark, at one and two workers under testProfile.
+func BenchmarkRankOp(b *testing.B) {
+	for _, w := range []int{1, 2} {
+		for _, s := range [][3]int{{1280, 1280, 1280}, {2560, 320, 2560}} {
+			b.Run(fmt.Sprintf("w%d/%dx%dx%d", w, s[0], s[1], s[2]), func(b *testing.B) {
+				tn, err := New(modelOnlyOpts(w))
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := tn.RankOp(op.Multiply, s[0], s[1], s[2]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
