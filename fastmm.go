@@ -314,10 +314,10 @@ func sharedAuto(opts AutoOptions) (*AutoExecutor, error) {
 // bytes of executor workspace the warm pool retains (LRU eviction); Trace
 // sets the trace sampling rate; Tuning passes the autotuner's options
 // (ProbeTopK, Algorithms, Profile, NoDiskCache, and a per-plan Workspace
-// cap) through to every per-width tuner, whose Workers the batcher sets
-// itself. The rest of the serving policy is fixed: a queue of 4×Workers
-// items, a 1 s lane-aging window, and 64 Mi flops per worker of internal
-// parallelism.
+// cap) through to the batcher's one tuner, whose Workers is the batcher's
+// and which decides each entry at that entry's width. The rest of the
+// serving policy is fixed: a queue of 4×Workers items, a 1 s lane-aging
+// window, and 64 Mi flops per worker of internal parallelism.
 type BatchOptions = batch.Options
 
 // Batcher dispatches many multiplications through warm per-shape-class

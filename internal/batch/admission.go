@@ -131,16 +131,17 @@ func (s *svcEstimator) observe(o op.Op, class tuner.ShapeClass, secs float64) {
 func (b *Batcher) estimateFor(o op.Op, m, k, n int) (tuner.ShapeClass, int64) {
 	class := tuner.ClassOf(m, k, n)
 	secs := b.est.estimate(o, class)
-	if secs <= 0 && b.prof != nil {
+	if secs <= 0 {
+		prof := b.tn.Calibration()
 		cm, ck, cn := class.Dims()
 		if o.Symmetric() {
 			// Classical symmetric ops run one triangle of the general
 			// multiply (the default backend's lower-triangle pass) plus the
 			// mirror; pricing them off the gemm curve would overstate their
 			// backlog and mislead admission.
-			secs = b.prof.Machine.SymmetricTime(cm, ck, gemm.TriangleTile(gemm.Default()), b.opts.Workers)
+			secs = prof.Machine.SymmetricTime(cm, ck, gemm.TriangleTile(gemm.Default()), b.opts.Workers)
 		} else {
-			secs = b.prof.Machine.ClassicalTimeFor(cm, ck, cn, b.opts.Workers)
+			secs = prof.Machine.ClassicalTimeFor(cm, ck, cn, b.opts.Workers)
 		}
 		b.est.seed(o, class, secs)
 	}

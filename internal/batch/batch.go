@@ -21,12 +21,14 @@
 // Workers budget among the multiplications actually executing — queued-but-
 // idle items never dilute it.
 //
-// A class is tuned once, at its representative shape, when a request first
-// misses it. A missing request of exactly that shape lends the tuner its
-// operands (tuner.Tuner.EntryOp), so the probes build none; if it is an
-// overwriting Multiply and classical wins, the classical reference probe
-// has computed it, and the batcher accounts it with that run's time
-// instead of running it again.
+// A class is tuned once per width, at its representative shape, when a
+// request first misses it. The Batcher's one tuner makes, keeps and
+// persists that decision, the width being an input of it
+// (tuner.Tuner.EntryOp), and concurrent misses of one class share it. A
+// missing request of exactly the representative shape lends the tuner its
+// operands, so the probes build none; if it is an overwriting Multiply and
+// classical wins, the classical reference probe has computed it, and the
+// batcher accounts it with that run's time instead of running it again.
 //
 // This is the paper's §4.5 bandwidth-vs-compute lesson applied across calls
 // instead of within one: the per-call overheads (operand packing, addition
@@ -102,10 +104,10 @@ type Options struct {
 	// trace.DefaultRing-record ring — the record path is allocation-free and
 	// lock-light, cheap enough for production.
 	Trace trace.Config
-	// Tuning configures the per-entry tuners. Workers is managed per entry
-	// width, and every width shares the first tuner's calibration (Profile
-	// when set); ProbeTopK, Algorithms, the per-plan Workspace cap and
-	// NoDiskCache pass through to internal/tuner.
+	// Tuning configures the Batcher's one tuner. Its Workers is
+	// Resources.Workers (a value set here is ignored), since each entry's
+	// width is an input of its decision; ProbeTopK, Algorithms, Profile, the
+	// per-plan Workspace cap and NoDiskCache pass through to internal/tuner.
 	Tuning tuner.Options
 
 	// clock is the time source for deadlines, admission, aging, and the
@@ -116,6 +118,7 @@ type Options struct {
 
 func (o Options) withDefaults() Options {
 	o.Resources = o.Resources.Normalized()
+	o.Tuning.Workers = o.Workers
 	o.Trace = o.Trace.Normalized()
 	if o.clock == nil {
 		o.clock = wallClock{}
@@ -207,19 +210,15 @@ func (t *task) expired(now time.Time) bool {
 // work (asynchronous and synchronous) and stops the runners.
 type Batcher struct {
 	opts  Options
-	prof  *tuner.Profile
+	tn    *tuner.Tuner
 	clock Clock
 	met   *metrics
 	est   *svcEstimator
 
-	tunersMu sync.Mutex
-	tuners   map[int]*tuner.Tuner
-
-	mu       sync.Mutex // warm pool: entries, lru, retained, building
+	mu       sync.Mutex // warm pool: entries, lru, retained
 	entries  map[entryKey]*warmEntry
 	lru      *list.List // of *warmEntry; front = most recently used
 	retained int64
-	building map[entryKey]chan struct{}
 
 	sem wsem
 
@@ -256,57 +255,33 @@ type Batcher struct {
 	closeErr  error
 }
 
-// New builds a Batcher. The one machine calibration behind every entry's
-// tuner happens here (or is taken from Options.Tuning.Profile), so the first
-// construction per process may take ~100ms; actual shape classes are tuned
-// lazily on first touch.
+// New builds a Batcher. Its one tuner, and the machine calibration behind
+// every entry, are built here (the calibration taken from
+// Options.Tuning.Profile when set), so the first construction per process
+// may take ~100ms; actual shape classes are tuned lazily on first touch.
 func New(opts Options) (*Batcher, error) {
 	b := &Batcher{
 		opts:      opts.withDefaults(),
 		met:       newMetrics(),
 		est:       newSvcEstimator(),
-		tuners:    map[int]*tuner.Tuner{},
 		entries:   map[entryKey]*warmEntry{},
 		lru:       list.New(),
-		building:  map[entryKey]chan struct{}{},
 		closeDone: make(chan struct{}),
 	}
 	b.ring = trace.New(b.opts.Trace)
 	b.clock = b.opts.clock
 	b.outCond = sync.NewCond(&b.outMu)
 	b.sem.free = b.opts.Workers
-	if _, err := b.tunerFor(b.opts.Workers); err != nil { // calibrate once
+	tn, err := tuner.New(b.opts.Tuning)
+	if err != nil {
 		return nil, err
 	}
+	b.tn = tn
 	return b, nil
 }
 
 // Workers reports the batcher's total worker budget.
 func (b *Batcher) Workers() int { return b.opts.Workers }
-
-// tunerFor returns the tuner for one internal width, building it lazily.
-// Every width shares the calibration of the first tuner built.
-func (b *Batcher) tunerFor(w int) (*tuner.Tuner, error) {
-	b.tunersMu.Lock()
-	defer b.tunersMu.Unlock()
-	if tn, ok := b.tuners[w]; ok {
-		return tn, nil
-	}
-	topts := b.opts.Tuning
-	topts.Workers = w
-	if b.prof != nil {
-		topts.Profile = b.prof
-	}
-	tn, err := tuner.New(topts)
-	if err != nil {
-		return nil, err
-	}
-	if b.prof == nil {
-		b.prof = tn.Calibration()
-	}
-	b.tuners[w] = tn
-	return tn, nil
-}
 
 // Do executes one operation-typed request — C = Alpha·op(A,B) + Beta·C —
 // synchronously through the warm entry for the request's (op, shape class),
@@ -846,65 +821,46 @@ func satMul64(a, b int64) int64 {
 }
 
 // entryFor resolves (building if needed) the warm entry for an (op, shape)
-// at the current load; (m,k,n) is the op's gemm-equivalent triple. First
-// touches of an op+class+width tune once — concurrent first-touchers wait
-// for the builder instead of tuning in parallel. hit reports whether the
-// pool already held the entry (false: this call tuned it, or waited on the
-// goroutine that did). req, when non-nil, is the caller's request of that
-// shape: the build lends it to the tuner, and served reports that the
-// build ran it (see buildEntry).
+// at the current load; (m,k,n) is the op's gemm-equivalent triple. hit
+// reports whether the pool already held the entry. req, when non-nil, is
+// the caller's request of that shape: the build lends it to the tuner, and
+// served reports that the build ran it (see buildEntry).
 func (b *Batcher) entryFor(o op.Op, m, k, n, load int, req *op.Request) (e *warmEntry, hit, served bool, err error) {
 	key := entryKey{op: o.PlanOp(), class: tuner.ClassOf(m, k, n), workers: b.widthFor(m, k, n, load)}
-	waited := false
-	for {
-		b.mu.Lock()
-		if e, ok := b.entries[key]; ok {
-			b.lru.MoveToFront(e.elem)
-			b.mu.Unlock()
-			b.met.warmHits.Add(1)
-			return e, !waited, false, nil
-		}
-		ch, building := b.building[key]
-		if !building {
-			ch = make(chan struct{})
-			b.building[key] = ch
-			b.mu.Unlock()
-			b.met.warmMisses.Add(1)
-			e, served, err := b.buildEntry(key, ch, req)
-			return e, false, served, err
-		}
+	b.mu.Lock()
+	if e, ok := b.entries[key]; ok {
+		b.lru.MoveToFront(e.elem)
 		b.mu.Unlock()
-		<-ch // another goroutine is tuning this class; reuse its result
-		waited = true
+		b.met.warmHits.Add(1)
+		return e, true, false, nil
 	}
+	b.mu.Unlock()
+	e, served, err = b.buildEntry(key, req)
+	return e, false, served, err
 }
 
 // buildEntry tunes a class representative at the key's width and installs
-// the entry, evicting over-budget LRU entries. req, when non-nil, is the
-// request that missed; the tuner borrows it when its shape is the class
-// representative itself (tuner.Tuner.EntryOp): a cold decision then probes
-// on its operands instead of random ones, and served reports that the
-// classical reference probe ran req (an overwriting Multiply that
-// classical won) at the class's width, so the caller accounts it with the
-// entry plan's MeasuredSeconds and does not run it again. A request off its
-// representative's shape is not lent; its class is tuned on operands of the
-// tuner's own.
-func (b *Batcher) buildEntry(key entryKey, ch chan struct{}, req *op.Request) (*warmEntry, bool, error) {
-	var (
-		te     *tuner.Entry
-		served bool
-	)
+// the entry, evicting over-budget LRU entries. Concurrent misses of one key
+// share the tuner's one decision: the first to install counts the miss, the
+// rest find its entry and count hits, and a failed decision counts a miss.
+// req, when non-nil, is the request that missed; the tuner borrows it when
+// its shape is the class representative and this miss decides
+// (tuner.Tuner.EntryOp), and served reports that the classical reference
+// probe ran it, so the caller accounts it with the entry plan's
+// MeasuredSeconds and does not run it again.
+func (b *Batcher) buildEntry(key entryKey, req *op.Request) (*warmEntry, bool, error) {
 	cm, ck, cn := key.class.Dims()
-	tn, err := b.tunerFor(key.workers)
-	if err == nil {
-		te, served, err = tn.EntryOp(key.op, cm, ck, cn, req)
+	te, served, err := b.tn.EntryOp(key.op, cm, ck, cn, key.workers, req)
+	if err != nil {
+		b.met.warmMisses.Add(1)
+		return nil, false, err
 	}
 	b.mu.Lock()
-	delete(b.building, key)
-	close(ch)
-	if err != nil {
+	if e, ok := b.entries[key]; ok {
+		b.lru.MoveToFront(e.elem)
 		b.mu.Unlock()
-		return nil, false, err
+		b.met.warmHits.Add(1)
+		return e, served, nil
 	}
 	tokens := te.Plan().Workers
 	if tokens < 1 {
@@ -930,6 +886,7 @@ func (b *Batcher) buildEntry(key entryKey, ch chan struct{}, req *op.Request) (*
 	b.entries[key] = e
 	b.evictLocked()
 	b.mu.Unlock()
+	b.met.warmMisses.Add(1)
 	// Seed the admission estimator from the tuned plan — the measured probe
 	// time when the tuner ran one, else the cost model's prediction. Live
 	// EWMA observations take over from the first real execution.
@@ -970,12 +927,8 @@ func (b *Batcher) evictLocked() {
 		e.elem = nil
 		delete(b.entries, e.key)
 		b.retained -= e.bytes
-		b.tunersMu.Lock()
-		if tn, ok := b.tuners[e.key.workers]; ok {
-			cm, ck, cn := e.key.class.Dims()
-			tn.ForgetOp(e.key.op, cm, ck, cn)
-		}
-		b.tunersMu.Unlock()
+		cm, ck, cn := e.key.class.Dims()
+		b.tn.ForgetOp(e.key.op, cm, ck, cn, e.key.workers)
 	}
 }
 

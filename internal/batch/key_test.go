@@ -74,7 +74,8 @@ func spelledOutTuning() tuner.Options {
 // TestOptionsKey: each option set renders one key that is its identity. The
 // zero value and its defaults spelled out render alike, and setting any
 // exported field — inside Resources, Trace and Tuning too — to a
-// value other than its default changes the key.
+// value other than its default changes the key, except Tuning's Workers,
+// which the Batcher sets from Resources.Workers.
 func TestOptionsKey(t *testing.T) {
 	var topts tuner.Options
 	if got, want := topts.Key(), spelledOutTuning().Key(); got != want {
@@ -107,12 +108,23 @@ func TestOptionsKey(t *testing.T) {
 	visited := 0
 	eachOption(t, reflect.ValueOf(&bopts).Elem(), "", func(path string) {
 		visited++
-		if bopts.Key() == base {
-			t.Errorf("batch.Options.%s set to a non-default value leaves the key at %q", path, base)
+		if ignored := path == "Tuning.Resources.Workers"; (bopts.Key() == base) != ignored {
+			t.Errorf("batch.Options.%s set to a non-default value renders key %q (base %q), want it changed: %t", path, bopts.Key(), base, !ignored)
 		}
 	})
 	// Resources; Trace; Tuning.
 	if want := 2 + 1 + len(tunerFields); visited != want {
 		t.Errorf("visited %d batch.Options fields, want %d", visited, want)
+	}
+}
+
+// TestOptionsKeyIgnoresTuningWorkers: the Batcher's tuner runs at
+// Resources.Workers whatever Tuning.Workers says, so two option sets that
+// differ only there behave identically and render one key.
+func TestOptionsKeyIgnoresTuningWorkers(t *testing.T) {
+	a := Options{Resources: Resources{Workers: 2}, Tuning: tuner.Options{Resources: tuner.Resources{Workers: 3}}}
+	b := Options{Resources: Resources{Workers: 2}}
+	if a.Key() != b.Key() {
+		t.Fatalf("keys differ: %q vs %q", a.Key(), b.Key())
 	}
 }

@@ -2,6 +2,7 @@ package batch
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -83,6 +84,43 @@ func TestColdOnGridRequestServedByBuild(t *testing.T) {
 		}
 		if got := b.est.estimate(op.Multiply, tuner.ClassOf(n, n, n)); got <= 0 {
 			t.Fatalf("async=%v: admission estimate %g, want the served run's time", async, got)
+		}
+	}
+}
+
+// TestConcurrentMissesBuildOnce: concurrent cold misses of one (op, class,
+// width) share the tuner's one decision: the pool installs one entry, Stats
+// count one miss and a hit for every other caller, and all of them report
+// the same plan.
+func TestConcurrentMissesBuildOnce(t *testing.T) {
+	opts := testOptions(2)
+	opts.Tuning.ProbeTopK = 0 // probe, so the decision lasts long enough to overlap
+	b := newTestBatcher(t, opts)
+	const callers, n = 4, 512
+	plans := make([]tuner.Plan, callers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range plans {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			p, err := b.PlanForOp(op.Multiply, n, n, n)
+			if err != nil {
+				t.Error(err)
+			}
+			plans[i] = p
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	st := b.Stats()
+	if b.WarmEntries() != 1 || st.WarmMisses != 1 || st.WarmHits != callers-1 {
+		t.Fatalf("%d entries, %d misses, %d hits; want 1, 1 and %d", b.WarmEntries(), st.WarmMisses, st.WarmHits, callers-1)
+	}
+	for i, p := range plans {
+		if p != plans[0] {
+			t.Fatalf("caller %d got %v, caller 0 %v", i, p, plans[0])
 		}
 	}
 }

@@ -22,7 +22,7 @@ func TestProfileNamesItsBackend(t *testing.T) {
 	}
 
 	tn := mustTuner(t, modelOnlyOpts(1))
-	if k := tn.key(op.Multiply, 512, 512, 512); !strings.Contains(k, "/be:"+def+"/") {
+	if k := tn.key(op.Multiply, 512, 512, 512, tn.opts.Workers); !strings.Contains(k, "/be:"+def+"/") {
 		t.Fatalf("cache key %q does not name backend %s", k, def)
 	}
 	ranked, err := tn.RankOp(op.Multiply, 512, 512, 512)

@@ -4,8 +4,10 @@ import (
 	"container/list"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
+	"strings"
 )
 
 // EnvCacheDir overrides where the tuning cache and calibration profile live.
@@ -16,18 +18,19 @@ const EnvCacheDir = "FASTMM_TUNE_CACHE"
 
 const (
 	profileFile = "calibration.json"
-	cacheFile   = "tune.json"
+	cacheDir    = "tune"
 )
 
-// Paths reports the calibration-profile and tuning-cache file locations.
-// ok is false when the disk layer is disabled (by EnvCacheDir or because no
-// user cache directory is resolvable).
+// Paths reports the calibration-profile file and the tuning-cache directory,
+// which holds one small JSON file per decision. ok is false when the disk
+// layer is disabled (by EnvCacheDir or because no user cache directory is
+// resolvable).
 func Paths() (profile, cache string, ok bool) {
 	dir, ok := cacheDirLocation()
 	if !ok {
 		return "", "", false
 	}
-	return filepath.Join(dir, profileFile), filepath.Join(dir, cacheFile), true
+	return filepath.Join(dir, profileFile), filepath.Join(dir, cacheDir), true
 }
 
 func cacheDirLocation() (string, bool) {
@@ -78,70 +81,83 @@ func SaveProfile(p *Profile) error {
 	return writeJSON(path, p)
 }
 
-// cacheData is the on-disk tuning-cache schema.
-type cacheData struct {
-	Version int             `json:"version"`
-	Entries map[string]Plan `json:"entries"`
+// entryFile is one decision's file in the tuning-cache directory. It
+// records its key: the file name is only the key's hash.
+type entryFile struct {
+	Key  string `json:"key"`
+	Plan Plan   `json:"plan"`
 }
 
-// loadEntries reads the persisted shape→plan table. Corrupt or missing files
-// degrade to an empty table (pure model ranking), never to an error.
-func loadEntries() map[string]Plan {
-	_, path, ok := Paths()
+// entryPath is the file that holds key's decision in the cache directory.
+func entryPath(dir, key string) string {
+	h := fnv.New64a()
+	h.Write([]byte(key))
+	return filepath.Join(dir, fmt.Sprintf("%016x.json", h.Sum64()))
+}
+
+// loadPlan reads key's persisted plan. A missing, unreadable or corrupt
+// file, or one recording another key, reads as absent (pure model ranking),
+// never as an error.
+func loadPlan(key string) (Plan, bool) {
+	_, dir, ok := Paths()
 	if !ok {
-		return map[string]Plan{}
+		return Plan{}, false
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return map[string]Plan{}
-	}
-	var c cacheData
-	if err := json.Unmarshal(data, &c); err != nil || c.Version != ProfileVersion || c.Entries == nil {
-		return map[string]Plan{}
-	}
-	return c.Entries
+	e, ok := readEntry(entryPath(dir, key))
+	return e.Plan, ok && e.Key == key
 }
 
-// saveEntries persists the table (atomic write, last writer wins — racing
-// processes lose entries, not integrity).
-func saveEntries(entries map[string]Plan) error {
-	_, path, ok := Paths()
+// storePlan persists key's plan as its own file (atomic write, last writer
+// wins per key — racing writers of one key each rename a whole file).
+func storePlan(key string, p Plan) error {
+	_, dir, ok := Paths()
 	if !ok {
 		return fmt.Errorf("tuner: disk cache disabled")
 	}
-	return writeJSON(path, cacheData{Version: ProfileVersion, Entries: entries})
+	return writeJSON(entryPath(dir, key), entryFile{Key: key, Plan: p})
 }
 
-// Entries returns the persisted tuning-cache table, keyed by the tuner's
-// decision key (empty when the disk layer is disabled or the file is
-// missing or corrupt). cmd/fmmtune uses it to inspect the cache.
-func Entries() map[string]Plan { return loadEntries() }
+func readEntry(path string) (entryFile, bool) {
+	var e entryFile
+	data, err := os.ReadFile(path)
+	if err != nil || json.Unmarshal(data, &e) != nil {
+		return entryFile{}, false
+	}
+	return e, true
+}
 
-// ClearCache removes the persisted tuning cache; withProfile also drops the
-// calibration. Missing files are not an error. It holds the process-wide
-// persistence lock so a clear cannot interleave with remember's
-// load-merge-save and be silently undone by the rewrite.
+// Entries returns the persisted decisions of this ProfileVersion, keyed by
+// the tuner's decision key (empty when the disk layer is disabled or the
+// directory is missing; corrupt files are skipped). cmd/fmmtune uses it to
+// inspect the cache.
+func Entries() map[string]Plan {
+	out := map[string]Plan{}
+	_, dir, ok := Paths()
+	if !ok {
+		return out
+	}
+	files, _ := filepath.Glob(filepath.Join(dir, "*.json"))
+	version := fmt.Sprintf("v%d/", ProfileVersion)
+	for _, f := range files {
+		if e, ok := readEntry(f); ok && strings.HasPrefix(e.Key, version) {
+			out[e.Key] = e.Plan
+		}
+	}
+	return out
+}
+
+// ClearCache removes the tuning-cache directory; withProfile also drops the
+// calibration. Missing files are not an error. A running tuner keeps its
+// in-memory decisions but writes back only the ones it makes afterwards.
 func ClearCache(withProfile bool) error {
-	persistMu.Lock()
-	defer persistMu.Unlock()
 	profile, cache, ok := Paths()
 	if !ok {
 		return nil
 	}
-	if err := removeIfPresent(cache); err != nil {
+	if err := os.RemoveAll(cache); err != nil || !withProfile {
 		return err
 	}
-	if withProfile {
-		return removeIfPresent(profile)
-	}
-	return nil
-}
-
-func removeIfPresent(path string) error {
-	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	return nil
+	return os.RemoveAll(profile)
 }
 
 func writeJSON(path string, v interface{}) error {
@@ -152,8 +168,8 @@ func writeJSON(path string, v interface{}) error {
 	if err != nil {
 		return err
 	}
-	// A unique temp file per writer: racing processes must each rename a
-	// fully written file, so the loser overwrites entries, never integrity.
+	// A unique temp file per writer: racing writers must each rename a fully
+	// written file, so the loser's write is overwritten, never torn.
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err

@@ -129,7 +129,7 @@ func executorKey(p Plan) Plan {
 func TestRankOpDropsFusedSchedulerTwins(t *testing.T) {
 	tn := mustTuner(t, modelOnlyOpts(2))
 	for _, s := range [][3]int{{1024, 1024, 1024}, {2560, 320, 2560}, {2500, 625, 625}} {
-		ranked, err := tn.rank(op.Multiply, s[0], s[1], s[2])
+		ranked, err := tn.rank(op.Multiply, s[0], s[1], s[2], 2)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -55,7 +55,7 @@ func (s *scriptedTimer) time(d *decision, _ op.Request, lim probeLimit) (float64
 // says classical is the worst choice, far outside any top-K.
 func classicalLast(t *testing.T, tn *Tuner, n int) []*decision {
 	t.Helper()
-	ranked, err := tn.rank(op.Multiply, n, n, n)
+	ranked, err := tn.rank(op.Multiply, n, n, n, tn.opts.Workers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestTimeDecisionStopsAtLimit(t *testing.T) {
 	if got := fast.exec.WorkspaceRetained(); got != 0 || pool.Bytes() == 0 {
 		t.Fatalf("executor retained %d bytes, probe pool %d; want every arena in the probe pool", got, pool.Bytes())
 	}
-	classical := tn.classicalPlan(op.Multiply, n, n, n)
+	classical := tn.classicalPlan(op.Multiply, n, n, n, tn.opts.Workers)
 	d, err := tn.build(op.Multiply, classical)
 	if err != nil {
 		t.Fatal(err)
@@ -428,7 +428,7 @@ func TestPaceBound(t *testing.T) {
 func TestProbeSharesOneArenaPool(t *testing.T) {
 	const n = 384
 	tn := mustTuner(t, Options{Resources: Resources{Workers: 1}, Profile: testProfile(1), NoDiskCache: true})
-	ranked, err := tn.rank(op.Multiply, n, n, n)
+	ranked, err := tn.rank(op.Multiply, n, n, n, tn.opts.Workers)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -232,7 +232,7 @@ func TestUnservedCallersLendOperands(t *testing.T) {
 		t.Fatal(err)
 	}
 	probed("PlanForOp", nil, nil, nil)
-	if _, served, err := tn.EntryOp(op.Multiply, 352, 352, 352, nil); err != nil || served {
+	if _, served, err := tn.EntryOp(op.Multiply, 352, 352, 352, tn.opts.Workers, nil); err != nil || served {
 		t.Fatalf("EntryOp: served %v, err %v", served, err)
 	}
 	probed("EntryOp", nil, nil, nil)
@@ -302,7 +302,7 @@ func TestEntryOpServesOnGridRequest(t *testing.T) {
 
 		C, A, B := serveOperands(int64(40 + w))
 		req := op.Request{Op: op.Multiply, C: C, A: A, B: B}
-		e, served, err := tn.EntryOp(op.Multiply, servedN, servedN, servedN, &req)
+		e, served, err := tn.EntryOp(op.Multiply, servedN, servedN, servedN, w, &req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -345,7 +345,7 @@ func TestEntryOpServesOnGridRequest(t *testing.T) {
 		B.FillRandom(rng)
 		C.Fill(math.NaN())
 		req = op.Request{Op: op.Multiply, C: C, A: A, B: B}
-		if _, served, err = tn.EntryOp(op.Multiply, cm, ck, cn, &req); err != nil || served {
+		if _, served, err = tn.EntryOp(op.Multiply, cm, ck, cn, w, &req); err != nil || served {
 			t.Fatalf("w=%d: off grid: served %v, err %v", w, served, err)
 		}
 		if len(runs) == 0 {
@@ -367,7 +367,7 @@ func TestEntryOpServesOnGridRequest(t *testing.T) {
 }
 
 // TestConcurrentColdDo: concurrent cold calls of one shape, each with its
-// own C and all sharing A and B, tune side by side on the production
+// own C and all sharing A and B, share one decision on the production
 // stopwatch; every call computes its product. Run under -race this checks
 // that a served probe shares nothing between callers but the read-only
 // operands.
@@ -399,6 +399,63 @@ func TestConcurrentColdDo(t *testing.T) {
 		}
 		if diff := mat.MaxAbsDiff(C, want); diff > 1e-9*n {
 			t.Fatalf("caller %d: off by %g", i, diff)
+		}
+	}
+}
+
+// TestConcurrentColdDoTunesOnce: concurrent cold Do calls on one shape make
+// one decision — the classical reference is timed once — and every caller's
+// C is the product: the deciding call's served by the reference probe, the
+// others' run by the decision it kept.
+func TestConcurrentColdDoTunesOnce(t *testing.T) {
+	tn := mustTuner(t, Options{Resources: Resources{Workers: 2}, Profile: testProfile(2), NoDiskCache: true})
+	var mu sync.Mutex
+	var runs []timedRun
+	record := recordingTimer(&runs, fastLoses)
+	tn.timeRun = func(d *decision, req op.Request, lim probeLimit) (float64, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		return record(d, req, lim)
+	}
+	const callers = 4
+	_, A, B := serveOperands(60)
+	Cs := make([]*mat.Dense, callers)
+	errs := make([]error, callers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range Cs {
+		Cs[i] = mat.New(servedN, servedN)
+		Cs[i].Fill(math.NaN())
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			errs[i] = tn.Do(op.Request{Op: op.Multiply, C: Cs[i], A: A, B: B})
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	classical := 0
+	for _, r := range runs {
+		if r.plan.IsClassical() {
+			classical++
+		}
+	}
+	if classical != 1 {
+		t.Fatalf("%d concurrent cold calls timed the classical reference %d times, want once", callers, classical)
+	}
+	p, err := tn.PlanForOp(op.Multiply, servedN, servedN, servedN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := mat.New(servedN, servedN)
+	gemm.Dispatch(gemm.Default(), want, 1, A, B, false, p.Workers)
+	for i, C := range Cs {
+		if errs[i] != nil {
+			t.Fatalf("caller %d: %v", i, errs[i])
+		}
+		if !bitwiseEqual(C, want) {
+			t.Fatalf("caller %d: C differs from gemm.Dispatch at %d workers (max diff %g)", i, p.Workers, mat.MaxAbsDiff(C, want))
 		}
 	}
 }

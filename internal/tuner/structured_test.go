@@ -100,7 +100,7 @@ func TestDoMatchesReference(t *testing.T) {
 func TestPerOpPlansAreDistinct(t *testing.T) {
 	tn := mustTuner(t, modelOnlyOpts(1))
 	m, k, n := 512, 512, 512
-	if tn.key(op.Multiply, m, k, n) == tn.key(op.ATA, m, k, n) {
+	if tn.key(op.Multiply, m, k, n, 1) == tn.key(op.ATA, m, k, n, 1) {
 		t.Fatal("multiply and ATA must not share a cache key")
 	}
 	mul, err := tn.PlanForOp(op.Multiply, m, k, n)
@@ -126,11 +126,11 @@ func TestPerOpPlansAreDistinct(t *testing.T) {
 		t.Fatalf("muladd plan %v differs from multiply plan %v", muladd, mul)
 	}
 
-	tn.ForgetOp(op.ATA, m, k, n)
-	if _, ok := tn.lru.get(tn.key(op.ATA, m, k, n)); ok {
+	tn.ForgetOp(op.ATA, m, k, n, 1)
+	if _, ok := tn.lru.get(tn.key(op.ATA, m, k, n, 1)); ok {
 		t.Fatal("ForgetOp(ATA) left the ATA entry")
 	}
-	if _, ok := tn.lru.get(tn.key(op.Multiply, m, k, n)); !ok {
+	if _, ok := tn.lru.get(tn.key(op.Multiply, m, k, n, 1)); !ok {
 		t.Fatal("ForgetOp(ATA) evicted the multiply entry")
 	}
 }
@@ -190,7 +190,8 @@ func TestRankOpSymmetricIsClassicalOnly(t *testing.T) {
 // win — and a fast plan found in the disk cache is refused and re-decided as
 // classical. A multiply decision on the same tuner does reach the timer.
 func TestPlanForOpSymmetricNeverProbes(t *testing.T) {
-	tn := mustTuner(t, Options{Resources: Resources{Workers: 2}, Profile: testProfile(2), NoDiskCache: true})
+	t.Setenv(EnvCacheDir, t.TempDir())
+	tn := mustTuner(t, Options{Resources: Resources{Workers: 2}, Profile: testProfile(2)})
 	timer := &scriptedTimer{fast: []float64{0.5}, classical: []float64{1}}
 	tn.timeRun = timer.time
 	decide := func(o op.Op, m, k int) {
@@ -210,8 +211,10 @@ func TestPlanForOpSymmetricNeverProbes(t *testing.T) {
 		t.Fatalf("symmetric decisions timed %d runs (%v), want none", len(timer.calls), timer.calls)
 	}
 	for _, o := range []op.Op{op.ATA, op.Syrk} {
-		tn.disk[tn.key(o, 768, 1536, 768)] = Plan{Op: o.Key(), Algorithm: "strassen", Backend: gemm.Default().Name(),
-			Steps: 1, Parallel: "dfs", Strategy: "write-once", Workers: 2}
+		if err := storePlan(tn.key(o, 768, 1536, 768, 2), Plan{Op: o.Key(), Algorithm: "strassen", Backend: gemm.Default().Name(),
+			Steps: 1, Parallel: "dfs", Strategy: "write-once", Workers: 2}); err != nil {
+			t.Fatal(err)
+		}
 		decide(o, 768, 1536)
 	}
 	const m = 1024
@@ -267,7 +270,7 @@ func TestPerOpCacheRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := ta.key(op.ATA, m, m, m)
+	key := ta.key(op.ATA, m, m, m, 1)
 	persisted := Entries()
 	if got, ok := persisted[key]; !ok {
 		t.Fatalf("ATA plan not persisted under %s (cache holds %d entries)", key, len(persisted))

@@ -5,7 +5,9 @@
 // that no single fast algorithm wins everywhere (Figs. 4–6): the best choice
 // depends on the shape, the core count, and the memory budget.
 //
-// The pipeline per shape:
+// A decision is keyed by (op, shape, width): the width is the worker count
+// a plan runs at, Options.Workers or any smaller count the batched
+// dispatcher asks for. The pipeline per key:
 //
 //  1. enumerate candidate plans — every algorithm of Options.Algorithms ×
 //     steps up to DefaultMaxSteps × scheduler, plus the classical gemm
@@ -36,10 +38,13 @@
 //     and B instead of random operands, and for an overwriting multiply
 //     the classical reference probe is the call, so when classical wins the
 //     call is already served;
-//  4. persist the winner in an on-disk tuning cache (JSON under
+//  4. keep the winner in an in-memory LRU, so repeated shapes dispatch in
+//     O(1), and persist it as one small JSON file per key (under
 //     os.UserCacheDir, overridable via FASTMM_TUNE_CACHE; none with
-//     Options.NoDiskCache) fronted by an in-memory LRU, so repeated shapes
-//     dispatch in O(1).
+//     Options.NoDiskCache), written atomically and read back on an LRU miss.
+//
+// Each key is decided at most once at a time: a concurrent first touch
+// waits for the decision in flight instead of ranking and probing again.
 //
 // fastmm.Auto and fastmm.NewAutoExecutor are the public surface;
 // cmd/fmmtune pre-warms, inspects, and clears the caches.
@@ -291,22 +296,20 @@ func (d *decision) runClassical(r op.Request) error {
 }
 
 // Tuner dispatches multiplications to autotuned plans. It is safe for
-// concurrent use; concurrent first-touches of the same shape may tune twice
-// (benign — the same winner lands in the cache).
+// concurrent use, and it is the one place a decision is made, kept and
+// persisted: Do, PlanForOp, Entry and RankOp work at Options.Workers,
+// EntryOp at the width its caller names.
 type Tuner struct {
 	opts      Options
 	prof      *Profile
 	be        gemm.Backend // the leaf backend every plan runs on: gemm.Default() at New
-	keySuffix string       // options part of the cache key, precomputed in New
+	keySuffix string       // Options.Key() less its leading "w<Workers>", where key renders the width
 
-	mu   sync.Mutex
-	lru  *lru
-	disk map[string]Plan
-	// dirty holds only the entries this tuner decided itself (not the
-	// startup-loaded snapshot): it is what persistence writes, so saving
-	// never resurrects entries another process — or `fmmtune clear` —
-	// removed from the file since we loaded it.
-	dirty map[string]Plan
+	mu  sync.Mutex
+	lru *lru
+	// deciding holds the keys whose decision is being made; each channel is
+	// closed once its decision is kept or has failed.
+	deciding map[string]chan struct{}
 
 	// timeRun is the probe's stopwatch: it runs d on req — the caller's own
 	// request, when the probe serves one, so the run's result is the call's
@@ -317,14 +320,6 @@ type Tuner struct {
 	timeRun func(d *decision, req op.Request, lim probeLimit) (float64, error)
 }
 
-// persistMu serializes tuning-cache persistence process-wide: the resource it
-// guards is one shared file, and tuners are routinely plural in-process (the
-// batcher builds one per internal width), so a per-Tuner lock could not make
-// the load-merge-save read-modify-write atomic. Under it, a goroutine holding
-// an older view can never overwrite a newer file; across processes the atomic
-// rename makes races lose entries, not integrity.
-var persistMu sync.Mutex
-
 // New builds a tuner. Calibration resolution order: Options.Profile, the
 // persisted profile, a fresh quick calibration (persisted best-effort).
 func New(opts Options) (*Tuner, error) {
@@ -333,11 +328,10 @@ func New(opts Options) (*Tuner, error) {
 		return nil, fmt.Errorf("tuner: ProbeTopK %d is below NoProbes (%d)", opts.ProbeTopK, NoProbes)
 	}
 	t := &Tuner{
-		opts:  opts,
-		be:    gemm.Default(),
-		lru:   newLRU(lruSize),
-		disk:  map[string]Plan{},
-		dirty: map[string]Plan{},
+		opts:     opts,
+		be:       gemm.Default(),
+		lru:      newLRU(lruSize),
+		deciding: map[string]chan struct{}{},
 	}
 	t.timeRun = timeDecision
 	switch {
@@ -365,10 +359,7 @@ func New(opts Options) (*Tuner, error) {
 		}
 	}
 	t.opts.Profile = t.prof
-	t.keySuffix = t.opts.Key()
-	if !opts.NoDiskCache {
-		t.disk = loadEntries()
-	}
+	t.keySuffix = strings.TrimPrefix(t.opts.Key(), "w"+strconv.Itoa(opts.Workers))
 	return t, nil
 }
 
@@ -397,7 +388,7 @@ func (t *Tuner) Do(req op.Request) error {
 		return fmt.Errorf("tuner: %w", err)
 	}
 	m, k, n := req.Shape()
-	d, served, err := t.decide(req.Op.PlanOp(), m, k, n, &req)
+	d, served, err := t.decide(req.Op.PlanOp(), m, k, n, t.opts.Workers, &req)
 	if err != nil || served {
 		return err
 	}
@@ -408,7 +399,7 @@ func (t *Tuner) Do(req op.Request) error {
 // touch. The shape is always the gemm-equivalent product triple ⟨m,k,n⟩
 // (op.Op.Shape): ATA on an m×n operand asks for ⟨n,m,n⟩, Syrk for ⟨m,n,m⟩.
 func (t *Tuner) PlanForOp(o op.Op, m, k, n int) (Plan, error) {
-	d, _, err := t.decide(o.PlanOp(), m, k, n, nil)
+	d, _, err := t.decide(o.PlanOp(), m, k, n, t.opts.Workers, nil)
 	if err != nil {
 		return Plan{}, err
 	}
@@ -425,17 +416,19 @@ type Entry struct {
 	d *decision
 }
 
-// Entry returns the warm multiply entry for a shape, tuning it on first
-// touch. The returned entry stays valid (and keeps its executor's arenas
-// warm) even if the tuner later evicts or Forgets the shape.
+// Entry returns the warm multiply entry for a shape at Options.Workers,
+// tuning it on first touch. The returned entry stays valid (and keeps its
+// executor's arenas warm) even if the tuner later evicts or Forgets the
+// shape.
 func (t *Tuner) Entry(m, k, n int) (*Entry, error) {
-	e, _, err := t.EntryOp(op.Multiply, m, k, n, nil)
+	e, _, err := t.EntryOp(op.Multiply, m, k, n, t.opts.Workers, nil)
 	return e, err
 }
 
-// EntryOp returns the warm entry for an (op, gemm-equivalent-shape) pair;
-// see PlanForOp for the triple convention. The batched dispatcher resolves
-// one entry per (op, shape class) and runs requests through it.
+// EntryOp returns the warm entry for an (op, gemm-equivalent-shape) pair at
+// width w, a worker count from 1 to Options.Workers; see PlanForOp for the
+// triple convention. The batched dispatcher resolves one entry per (op,
+// shape class, width) and runs requests through it.
 //
 // req, when non-nil, is the caller's request that asked for the entry. It
 // is lent to a cold decision only when its plan-space op and
@@ -446,7 +439,10 @@ func (t *Tuner) Entry(m, k, n int) (*Entry, error) {
 // won — so the caller must not run it again; the entry's
 // Plan().MeasuredSeconds is then that run's time. A request not lent, or
 // none, leaves the probes on operands of their own, and nothing is served.
-func (t *Tuner) EntryOp(o op.Op, m, k, n int, req *op.Request) (e *Entry, served bool, err error) {
+func (t *Tuner) EntryOp(o op.Op, m, k, n, w int, req *op.Request) (e *Entry, served bool, err error) {
+	if w < 1 || w > t.opts.Workers {
+		return nil, false, fmt.Errorf("tuner: width %d outside 1..%d", w, t.opts.Workers)
+	}
 	var lend *op.Request
 	if req != nil {
 		if rm, rk, rn := req.Shape(); req.Op.PlanOp() == o.PlanOp() && rm == m && rk == k && rn == n {
@@ -454,7 +450,7 @@ func (t *Tuner) EntryOp(o op.Op, m, k, n int, req *op.Request) (e *Entry, served
 			lend = &r
 		}
 	}
-	d, served, err := t.decide(o.PlanOp(), m, k, n, lend)
+	d, served, err := t.decide(o.PlanOp(), m, k, n, w, lend)
 	if err != nil {
 		return nil, false, err
 	}
@@ -480,22 +476,25 @@ func (e *Entry) WorkspaceRetained() int64 {
 	return e.d.exec.WorkspaceRetained()
 }
 
-// ForgetOp drops an (op, shape) decision from the tuner's in-memory cache,
-// so its executor (and retained arenas) can be collected once outstanding
-// Entry holders release it. The persisted plan survives: re-touching the
-// shape rebuilds the executor from the disk cache without re-probing.
-// Byte-budget eviction in the batched dispatcher is the intended caller.
-func (t *Tuner) ForgetOp(o op.Op, m, k, n int) {
-	key := t.key(o.PlanOp(), m, k, n)
+// ForgetOp drops an (op, shape) decision at width w from the tuner's
+// in-memory cache, so its executor (and retained arenas) can be collected
+// once outstanding Entry holders release it. The persisted plan survives:
+// re-touching the shape rebuilds the executor from its file in the disk
+// cache without re-probing. Byte-budget eviction in the batched dispatcher
+// is the intended caller.
+func (t *Tuner) ForgetOp(o op.Op, m, k, n, w int) {
+	key := t.key(o.PlanOp(), m, k, n, w)
 	t.mu.Lock()
 	t.lru.remove(key)
 	t.mu.Unlock()
 }
 
-// key identifies a tuning decision: the op and shape plus every option that
-// changes the answer. Only the op and shape vary per call; the options part
-// is precomputed once in New so the warm dispatch path formats one string.
-func (t *Tuner) key(o op.Op, m, k, n int) string {
+// key identifies a tuning decision: the op, shape and width plus every
+// option that changes the answer. It is the key a tuner built with Workers w
+// renders. Only the op, shape and width vary per call; the rest of the
+// options part is precomputed once in New so the warm dispatch path formats
+// one string.
+func (t *Tuner) key(o op.Op, m, k, n, w int) string {
 	// Hand-rolled (not Sprintf): this runs on every warm dispatch, and the
 	// sub-microsecond lookup contract leaves no room for verb parsing.
 	b := make([]byte, 0, 48+len(t.keySuffix))
@@ -509,36 +508,68 @@ func (t *Tuner) key(o op.Op, m, k, n int) string {
 	b = strconv.AppendInt(b, int64(k), 10)
 	b = append(b, 'x')
 	b = strconv.AppendInt(b, int64(n), 10)
-	b = append(b, '/')
+	b = append(b, "/w"...)
+	b = strconv.AppendInt(b, int64(w), 10)
 	b = append(b, t.keySuffix...)
 	return string(b)
 }
 
-// decide resolves an (op, shape) to its decision: from the LRU, the disk
-// cache, or a fresh ranking and probe. lend, when non-nil, is a normalized
-// caller's request of the op and shape that the probes run on (see probe);
-// served reports that a probe ran it.
-func (t *Tuner) decide(o op.Op, m, k, n int, lend *op.Request) (*decision, bool, error) {
-	key := t.key(o, m, k, n)
+// decide resolves an (op, shape) at width w to its decision: from the LRU,
+// or else from the key's file in the disk cache or a fresh ranking and
+// probe (see resolve). One decision per key is made at a time: a caller
+// that finds its key being decided waits, then takes the kept decision —
+// or, when that one failed and nothing was kept, decides itself. lend, when
+// non-nil, is a normalized caller's request of the op and shape that the
+// probes run on (see probe); only the deciding caller's is lent, and served
+// reports that a probe ran it.
+func (t *Tuner) decide(o op.Op, m, k, n, w int, lend *op.Request) (d *decision, served bool, err error) {
+	key := t.key(o, m, k, n, w)
 	t.mu.Lock()
-	if d, ok := t.lru.get(key); ok {
-		t.mu.Unlock()
-		return d, false, nil
-	}
-	cached, onDisk := t.disk[key]
-	t.mu.Unlock()
-
-	if onDisk {
-		if d, err := t.build(o, cached); err == nil {
-			t.remember(key, d, false)
+	for {
+		if d, ok := t.lru.get(key); ok {
+			t.mu.Unlock()
 			return d, false, nil
 		}
-		// A cache entry build rejects (an unknown algorithm or backend
-		// from an edited file or older catalog, a plan RankOp does not
-		// emit) falls through to a fresh ranking.
+		busy, ok := t.deciding[key]
+		if !ok {
+			break
+		}
+		t.mu.Unlock()
+		<-busy
+		t.mu.Lock()
 	}
+	done := make(chan struct{})
+	t.deciding[key] = done
+	t.mu.Unlock()
 
-	ranked, err := t.rank(o, m, k, n)
+	// Deferred, so that a decision that panics still wakes its waiters.
+	defer func() {
+		t.mu.Lock()
+		if d != nil {
+			t.lru.add(key, d)
+		}
+		delete(t.deciding, key)
+		t.mu.Unlock()
+		close(done)
+	}()
+	return t.resolve(o, m, k, n, w, key, lend)
+}
+
+// resolve makes key's decision: the plan in the key's file when it builds,
+// else the winner of a fresh ranking and probe, persisted as the key's file
+// (best-effort: a read-only home only costs the next process a re-decision).
+func (t *Tuner) resolve(o op.Op, m, k, n, w int, key string, lend *op.Request) (*decision, bool, error) {
+	if !t.opts.NoDiskCache {
+		if p, ok := loadPlan(key); ok {
+			if d, err := t.build(o, p); err == nil {
+				return d, false, nil
+			}
+			// A cache entry build rejects (an unknown algorithm or backend
+			// from an edited file or older catalog, a plan RankOp does not
+			// emit) falls through to a fresh ranking.
+		}
+	}
+	ranked, err := t.rank(o, m, k, n, w)
 	if err != nil {
 		return nil, false, err
 	}
@@ -546,42 +577,10 @@ func (t *Tuner) decide(o op.Op, m, k, n int, lend *op.Request) (*decision, bool,
 	if err != nil {
 		return nil, false, err
 	}
-	t.remember(key, d, true)
+	if !t.opts.NoDiskCache {
+		_ = storePlan(key, d.plan)
+	}
 	return d, served, nil
-}
-
-// remember installs a decision in the LRU and, when persist is set, appends
-// it to the disk cache (best-effort). Persistence merges on save: the cache
-// file is re-read under the process-wide persistMu and unioned with the
-// entries this tuner decided itself (its dirty set — not the startup-loaded
-// snapshot, which would resurrect entries removed from the file since), so
-// two in-process tuners with different option sets (disjoint key suffixes)
-// writing decisions — interleaved or concurrent — never clobber each
-// other's freshly persisted plans; last-writer-wins applies per entry, not
-// per file. (Across processes the atomic rename still means a racing writer
-// can lose entries, never file integrity.)
-func (t *Tuner) remember(key string, d *decision, persist bool) {
-	t.mu.Lock()
-	t.lru.add(key, d)
-	t.mu.Unlock()
-	if !persist || t.opts.NoDiskCache {
-		return
-	}
-	persistMu.Lock()
-	defer persistMu.Unlock()
-	t.mu.Lock()
-	t.disk[key] = d.plan
-	t.dirty[key] = d.plan
-	snapshot := make(map[string]Plan, len(t.dirty))
-	for k, v := range t.dirty {
-		snapshot[k] = v
-	}
-	t.mu.Unlock()
-	merged := loadEntries()
-	for k, v := range snapshot {
-		merged[k] = v // this tuner's own decisions win for its own keys
-	}
-	_ = saveEntries(merged)
 }
 
 // RankOp enumerates the candidate plans for an (op, shape) — the classical
@@ -590,9 +589,9 @@ func (t *Tuner) remember(key string, d *decision, persist bool) {
 // them by predicted time (fastest first), workspace-cap survivors only. The
 // shape is the gemm-equivalent product triple. A classical baseline is
 // always present, so the result is never empty; for the symmetric ops it is
-// the whole result (see classicalPlan).
+// the whole result (see classicalPlan). It ranks at Options.Workers.
 func (t *Tuner) RankOp(o op.Op, m, k, n int) ([]Plan, error) {
-	ranked, err := t.rank(o, m, k, n)
+	ranked, err := t.rank(o, m, k, n, t.opts.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -603,14 +602,14 @@ func (t *Tuner) RankOp(o op.Op, m, k, n int) ([]Plan, error) {
 	return plans, nil
 }
 
-// rank is RankOp's ranking as the decisions it builds to price each plan,
-// so pick runs them without building any again.
-func (t *Tuner) rank(o op.Op, m, k, n int) ([]*decision, error) {
+// rank is RankOp's ranking at width w as the decisions it builds to price
+// each plan, so pick runs them without building any again.
+func (t *Tuner) rank(o op.Op, m, k, n, w int) ([]*decision, error) {
 	o = o.PlanOp()
 	if m <= 0 || k <= 0 || n <= 0 {
 		return nil, fmt.Errorf("tuner: invalid shape %d×%d×%d", m, k, n)
 	}
-	ranked := []*decision{{plan: t.classicalPlan(o, m, k, n), be: t.be}}
+	ranked := []*decision{{plan: t.classicalPlan(o, m, k, n, w), be: t.be}}
 	// The symmetric ops run classical only (see classicalPlan). Below the
 	// recursion cutoff no fast algorithm is worth its additions; guarantee
 	// classical rather than trusting the model at sizes the calibration
@@ -623,7 +622,7 @@ func (t *Tuner) rank(o op.Op, m, k, n int) ([]*decision, error) {
 		if err != nil {
 			continue // unknown or unverifiable entries never panic the tuner
 		}
-		ranked = append(ranked, t.algorithmPlans(a, m, k, n)...)
+		ranked = append(ranked, t.algorithmPlans(a, m, k, n, w)...)
 	}
 
 	sort.SliceStable(ranked, func(i, j int) bool {
@@ -632,13 +631,13 @@ func (t *Tuner) rank(o op.Op, m, k, n int) ([]*decision, error) {
 	return ranked, nil
 }
 
-// classicalPlan is the direct-gemm baseline of (o, shape). For the symmetric
+// classicalPlan is the direct-gemm baseline of (o, shape) at width w. For the symmetric
 // ops it is gemm.ATA/Syrk, priced as its triangle pass, tagged with the op's
 // token, and their only plan: a fast product runs at no less than half the
 // result size there, and against the triangle's half flops it never crosses
 // over at practical sizes.
-func (t *Tuner) classicalPlan(o op.Op, m, k, n int) Plan {
-	workers := t.opts.Workers
+func (t *Tuner) classicalPlan(o op.Op, m, k, n, w int) Plan {
+	workers := w
 	slab := 8 * t.be.PackFloatsPerWorker()
 	if cap := t.opts.Workspace; cap > 0 && slab > 0 && int64(workers)*slab > cap {
 		// Degrade parallelism until the packing slabs fit; one worker's
@@ -668,7 +667,7 @@ func (t *Tuner) classicalPlan(o op.Op, m, k, n int) Plan {
 }
 
 // algorithmPlans builds and prices the viable (steps, scheduler) plans of
-// one algorithm on one shape, all write-once and fused where the backend
+// one algorithm on one shape at width w, all write-once and fused where the backend
 // can fuse. Each candidate is priced through its own executor:
 // costmodel.PredictTime folds that executor's walk, peeling borders
 // included, and deploys its workers as the scheduler the call runs as, and
@@ -680,10 +679,10 @@ func (t *Tuner) classicalPlan(o op.Op, m, k, n int) Plan {
 // dropped as a twin: a fused one-step BFS multiply runs as DFS, a HYBRID
 // call that defers no leaf (a fused last level, or a leaf count W divides)
 // as BFS, and either as DFS under a cap its workspace exceeds.
-func (t *Tuner) algorithmPlans(a *algo.Algorithm, m, k, n int) []*decision {
+func (t *Tuner) algorithmPlans(a *algo.Algorithm, m, k, n, w int) []*decision {
 	var out []*decision
 	scheds := []core.Parallel{core.Sequential}
-	if t.opts.Workers > 1 {
+	if w > 1 {
 		scheds = []core.Parallel{core.DFS, core.BFS, core.Hybrid}
 	}
 	for steps := 1; steps <= DefaultMaxSteps; steps++ {
@@ -699,17 +698,17 @@ func (t *Tuner) algorithmPlans(a *algo.Algorithm, m, k, n int) []*decision {
 				Parallel:  par.String(),
 				Strategy:  addchain.WriteOnce.String(),
 				Fused:     gemm.CanFuse(t.be),
-				Workers:   t.opts.Workers,
+				Workers:   w,
 			})
 			if err != nil {
 				break
 			}
 			if base == nil {
 				base = d.exec
-				w := base.Walk(m, k, n)
-				for w.Next() {
+				walk := base.Walk(m, k, n)
+				for walk.Next() {
 				}
-				if w.Depth < steps {
+				if walk.Depth < steps {
 					return out // deeper recursion no longer fits one base-case block
 				}
 			}

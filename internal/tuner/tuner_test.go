@@ -262,9 +262,9 @@ func requireCachedPlansRerank(t *testing.T, stale ...Plan) {
 	}
 	t.Setenv(EnvCacheDir, t.TempDir())
 	opts := Options{Resources: Resources{Workers: 1}, Profile: testProfile(1), ProbeTopK: NoProbes}
-	key := mustTuner(t, opts).key(op.Multiply, n, n, n)
+	key := mustTuner(t, opts).key(op.Multiply, n, n, n, 1)
 	for _, p := range stale {
-		if err := saveEntries(map[string]Plan{key: p}); err != nil {
+		if err := storePlan(key, p); err != nil {
 			t.Fatal(err)
 		}
 		got, err := mustTuner(t, opts).PlanForOp(op.Multiply, n, n, n)
@@ -274,7 +274,7 @@ func requireCachedPlansRerank(t *testing.T, stale ...Plan) {
 		if executorKey(got) != executorKey(want) {
 			t.Errorf("cached %s (cse %t) decided %s, want the fresh ranking's %s", p, p.CSE, got, want)
 		}
-		if onDisk := loadEntries()[key]; executorKey(onDisk) != executorKey(want) {
+		if onDisk, _ := loadPlan(key); executorKey(onDisk) != executorKey(want) {
 			t.Errorf("cached %s (cse %t) left %s on disk, want %s", p, p.CSE, onDisk, want)
 		}
 	}
@@ -298,8 +298,9 @@ func TestCachedOtherFusedPlanReranks(t *testing.T) {
 	requireCachedPlansRerank(t, flipped)
 }
 
-// The disk cache must round-trip decisions, and corrupt or missing cache
-// files must degrade to pure model ranking — never to an error.
+// The disk cache must round-trip decisions, one file per decision, and
+// corrupt, foreign or missing files must degrade to pure model ranking —
+// never to an error.
 func TestCacheRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	t.Setenv(EnvCacheDir, dir)
@@ -310,9 +311,13 @@ func TestCacheRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cachePath := filepath.Join(dir, "tune.json")
+	key := first.key(op.Multiply, 512, 512, 512, 1)
+	cachePath := entryPath(filepath.Join(dir, cacheDir), key)
 	if _, err := os.Stat(cachePath); err != nil {
-		t.Fatalf("warm must persist the cache: %v", err)
+		t.Fatalf("a decision must persist its file: %v", err)
+	}
+	if files, _ := filepath.Glob(filepath.Join(dir, cacheDir, "*")); len(files) != 1 {
+		t.Fatalf("cache directory holds %v, want the one decision's file", files)
 	}
 
 	second := mustTuner(t, opts)
@@ -339,15 +344,21 @@ func TestCacheRoundTrip(t *testing.T) {
 	}
 
 	// A cache entry referencing an unknown algorithm is skipped, not fatal.
-	stale := map[string]Plan{first.key(op.Multiply, 512, 512, 512): {
-		Algorithm: "no-such-algorithm", Parallel: "dfs", Strategy: "write-once", Workers: 1,
-	}}
-	if err := saveEntries(stale); err != nil {
+	if err := storePlan(key, Plan{Algorithm: "no-such-algorithm", Parallel: "dfs", Strategy: "write-once", Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	fourth := mustTuner(t, opts)
 	if got, err = fourth.PlanForOp(op.Multiply, 512, 512, 512); err != nil || got.Algorithm != want.Algorithm {
 		t.Fatalf("stale entry must fall back to ranking: %v %v", got, err)
+	}
+
+	// A file that records another key (a hash collision, a hand-copied
+	// file) is not this key's decision.
+	if err := writeJSON(cachePath, entryFile{Key: key + "x", Plan: Plan{Algorithm: "no-such-algorithm"}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := loadPlan(key); ok {
+		t.Fatal("a file recording another key was read as this key's plan")
 	}
 
 	// Disabled disk layer still works.
@@ -590,8 +601,13 @@ func TestEntryAndForget(t *testing.T) {
 		t.Fatalf("fast entry retained no workspace after a call: %+v", e.Plan())
 	}
 
-	tn.ForgetOp(op.Multiply, 192, 192, 192)
-	if _, ok := tn.lru.get(tn.key(op.Multiply, 192, 192, 192)); ok {
+	for _, w := range []int{0, 2} {
+		if _, _, err := tn.EntryOp(op.Multiply, 192, 192, 192, w, nil); err == nil {
+			t.Errorf("EntryOp at width %d of a 1-worker tuner succeeded", w)
+		}
+	}
+	tn.ForgetOp(op.Multiply, 192, 192, 192, 1)
+	if _, ok := tn.lru.get(tn.key(op.Multiply, 192, 192, 192, 1)); ok {
 		t.Fatal("Forget must drop the in-memory entry")
 	}
 	// The entry handle outlives the eviction, and re-touching re-tunes.
@@ -607,6 +623,26 @@ func TestEntryAndForget(t *testing.T) {
 	}
 }
 
+// TestKeyRendersWidth: a decision's key at width w is the key a tuner built
+// with Workers w renders for the same options, so a tuner deciding at every
+// width reads and writes the files that tuners built at each width do.
+func TestKeyRendersWidth(t *testing.T) {
+	const W = 3
+	prof := testProfile(W)
+	tn := mustTuner(t, Options{Resources: Resources{Workers: W}, Profile: prof})
+	for w := 1; w <= W; w++ {
+		per := mustTuner(t, Options{Resources: Resources{Workers: w}, Profile: prof})
+		want := fmt.Sprintf("v%d/mul/512x256x384/%s", ProfileVersion, per.opts.Key())
+		if got := tn.key(op.Multiply, 512, 256, 384, w); got != want {
+			t.Errorf("w=%d: key %q, want %q", w, got, want)
+		}
+	}
+	want := fmt.Sprintf("v%d/mul/512x512x512/w1/cap0/be:%s/", ProfileVersion, gemm.Default().Name())
+	if got := tn.key(op.Multiply, 512, 512, 512, 1); !strings.HasPrefix(got, want) {
+		t.Errorf("key %q, want the prefix %q", got, want)
+	}
+}
+
 // TestProbeSkipsFailingSurvivor is the probe-resilience regression: a
 // survivor whose multiply fails at run time (a backend that built fine but
 // misbehaves on this machine) must be skipped — recorded, never a process
@@ -614,7 +650,7 @@ func TestEntryAndForget(t *testing.T) {
 func TestProbeSkipsFailingSurvivor(t *testing.T) {
 	tn := mustTuner(t, Options{Resources: Resources{Workers: 1}, Profile: testProfile(1), NoDiskCache: true})
 	mkDecision := func() *decision {
-		d, err := tn.build(op.Multiply, tn.classicalPlan(op.Multiply, 64, 64, 64))
+		d, err := tn.build(op.Multiply, tn.classicalPlan(op.Multiply, 64, 64, 64, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -648,16 +684,14 @@ func TestProbeSkipsFailingSurvivor(t *testing.T) {
 	}
 }
 
-// TestRememberMergesOnSave is the cache-clobbering regression: two
-// in-process tuners with different option sets (disjoint cache-key
-// suffixes) interleaving fresh decisions must both end up in the persisted
-// file. The old code snapshotted only its own t.disk map, so the last
-// writer dropped the other tuner's freshly persisted plans wholesale.
+// TestRememberMergesOnSave is the cache-clobbering regression: tuners with
+// different option sets (disjoint cache-key suffixes) interleaving or racing
+// fresh decisions must all end up persisted, since each decision is a file
+// of its own, and no writer leaves a temporary file behind.
 func TestRememberMergesOnSave(t *testing.T) {
-	t.Setenv(EnvCacheDir, t.TempDir())
+	dir := t.TempDir()
+	t.Setenv(EnvCacheDir, dir)
 
-	// Build both tuners before any decision is made, so neither starts out
-	// having loaded the other's entries (the interleaving the bug needs).
 	optsA := Options{Resources: Resources{Workers: 1}, Profile: testProfile(1), ProbeTopK: NoProbes}
 	optsB := Options{Resources: Resources{Workers: 1}, Profile: testProfile(1), ProbeTopK: NoProbes, Algorithms: []string{"strassen"}}
 	ta := mustTuner(t, optsA)
@@ -676,22 +710,21 @@ func TestRememberMergesOnSave(t *testing.T) {
 		if _, err := tn.PlanForOp(op.Multiply, s[0], s[1], s[2]); err != nil {
 			t.Fatal(err)
 		}
-		wantKeys = append(wantKeys, tn.key(op.Multiply, s[0], s[1], s[2]))
+		wantKeys = append(wantKeys, tn.key(op.Multiply, s[0], s[1], s[2], 1))
 	}
 
 	persisted := Entries()
 	for _, key := range wantKeys {
 		if _, ok := persisted[key]; !ok {
-			t.Errorf("persisted cache lost entry %s (a later writer clobbered the file)", key)
+			t.Errorf("persisted cache lost entry %s (a later writer clobbered it)", key)
 		}
 	}
-	if len(persisted) < len(wantKeys) {
-		t.Fatalf("persisted cache holds %d entries, want ≥ %d", len(persisted), len(wantKeys))
+	if len(persisted) != len(wantKeys) {
+		t.Fatalf("persisted cache holds %d entries, want %d", len(persisted), len(wantKeys))
 	}
 
-	// Concurrent writers: the load-merge-save must be atomic across Tuner
-	// instances (the persistence lock is process-wide, not per tuner — a
-	// batcher builds one tuner per internal width, all sharing one file).
+	// Concurrent writers, two tuners over disjoint shapes and four
+	// goroutines on one shape of one tuner: every decision lands.
 	conc := [][3]int{{384, 384, 384}, {448, 448, 448}, {512, 512, 512}, {640, 640, 640}}
 	var wg sync.WaitGroup
 	for i, tn := range []*Tuner{ta, tb} {
@@ -706,6 +739,15 @@ func TestRememberMergesOnSave(t *testing.T) {
 			}
 		}(i, tn)
 	}
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := ta.PlanForOp(op.Multiply, 576, 576, 576); err != nil {
+				t.Errorf("concurrent PlanForOp 576³: %v", err)
+			}
+		}()
+	}
 	wg.Wait()
 	persisted = Entries()
 	for j, s := range conc {
@@ -713,29 +755,36 @@ func TestRememberMergesOnSave(t *testing.T) {
 		if j%2 == 1 {
 			tn = tb
 		}
-		if _, ok := persisted[tn.key(op.Multiply, s[0], s[1], s[2])]; !ok {
+		if _, ok := persisted[tn.key(op.Multiply, s[0], s[1], s[2], 1)]; !ok {
 			t.Errorf("concurrent writers lost persisted entry for %v", s)
 		}
 	}
+	if want := len(wantKeys) + len(conc) + 1; len(persisted) != want {
+		t.Errorf("persisted cache holds %d entries, want %d", len(persisted), want)
+	}
+	if tmp, _ := filepath.Glob(filepath.Join(dir, cacheDir, "*.tmp*")); len(tmp) != 0 {
+		t.Errorf("writers left temporary files %v", tmp)
+	}
+}
 
-	// The merge must not resurrect externally removed entries: a tuner
-	// that loaded the populated file at construction, then decides a new
-	// shape after an operator's cache clear, must persist only entries it
-	// decided itself — saving its startup-loaded snapshot back would undo
-	// `fmmtune clear` wholesale.
-	tc := mustTuner(t, optsA) // startup snapshot holds every entry so far
+// TestClearCacheIsNotUndone: a tuner that persisted a decision before an
+// operator's cache clear writes back only the decisions it makes after it,
+// so the clear is not undone by the tuner's next save.
+func TestClearCacheIsNotUndone(t *testing.T) {
+	t.Setenv(EnvCacheDir, t.TempDir())
+	tn := mustTuner(t, Options{Resources: Resources{Workers: 1}, Profile: testProfile(1), ProbeTopK: NoProbes})
+	if _, err := tn.PlanForOp(op.Multiply, 256, 256, 256); err != nil {
+		t.Fatal(err)
+	}
 	if err := ClearCache(false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tc.PlanForOp(op.Multiply, 896, 896, 896); err != nil {
+	if _, err := tn.PlanForOp(op.Multiply, 320, 320, 320); err != nil {
 		t.Fatal(err)
 	}
-	persisted = Entries()
-	if _, ok := persisted[tc.key(op.Multiply, 896, 896, 896)]; !ok {
-		t.Error("fresh decision after a clear was not persisted")
-	}
-	if len(persisted) != 1 {
-		t.Errorf("save resurrected %d cleared entries (file should hold only the fresh decision)", len(persisted)-1)
+	persisted := Entries()
+	if _, ok := persisted[tn.key(op.Multiply, 320, 320, 320, 1)]; !ok || len(persisted) != 1 {
+		t.Fatalf("after a clear and one decision the cache holds %d entries (fresh one present: %t), want only the fresh one", len(persisted), ok)
 	}
 }
 
