@@ -82,7 +82,7 @@ func TestNewAutoExecutorReuse(t *testing.T) {
 	C := fastmm.NewMatrix(n, n)
 	want := fastmm.NewMatrix(n, n)
 	fastmm.Classical(want, A, B)
-	for i := 0; i < 3; i++ { // repeated calls hit the warm LRU path
+	for i := 0; i < 3; i++ { // repeated calls hit the warm cache
 		if err := exec.Multiply(C, A, B); err != nil {
 			t.Fatal(err)
 		}
@@ -96,6 +96,43 @@ func TestNewAutoExecutorReuse(t *testing.T) {
 	}
 	if p.Workers != 1 {
 		t.Fatalf("1-worker tuner must produce 1-worker plans: %v", p)
+	}
+}
+
+// TestAutoAllocsSteadyState: a warm AutoExecutor.Do allocates no more than
+// running the tuner's entry for the shape directly — the warm lookup renders
+// no key and allocates nothing.
+func TestAutoAllocsSteadyState(t *testing.T) {
+	exec, err := fastmm.NewAutoExecutor(autoTestOpts(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{96, 256} {
+		A := fastmm.RandomMatrix(n, n, 1)
+		B := fastmm.RandomMatrix(n, n, 2)
+		req := fastmm.Request{Op: fastmm.OpMultiply, C: fastmm.NewMatrix(n, n), A: A, B: B}
+		entry, err := exec.Entry(n, n, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ { // warm the arenas
+			if err := exec.Do(req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		direct := testing.AllocsPerRun(10, func() {
+			if err := entry.Run(req); err != nil {
+				t.Fatal(err)
+			}
+		})
+		auto := testing.AllocsPerRun(10, func() {
+			if err := exec.Do(req); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if auto > direct && !raceEnabled {
+			t.Fatalf("%d³ (%v): warm Do allocates %.1f/op, its entry's Run %.1f/op", n, entry.Plan(), auto, direct)
+		}
 	}
 }
 

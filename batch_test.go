@@ -13,7 +13,10 @@ import (
 	"time"
 
 	"fastmm"
+	"fastmm/internal/costmodel"
+	"fastmm/internal/gemm"
 	"fastmm/internal/mat"
+	"fastmm/internal/tuner"
 )
 
 // mulReq is the request for C = A·B.
@@ -91,8 +94,8 @@ func TestBatcherAllocsSteadyState(t *testing.T) {
 // TestBatcherAndAutoHammer drives one shared AutoExecutor and one shared
 // Batcher from 8 goroutines with mixed shapes — the concurrency-hardening
 // scenario of the batched-dispatch issue. Run with -race in CI: it covers
-// the tuner's in-memory LRU, the batcher's warm pool and weighted semaphore,
-// and concurrent Submit/Wait.
+// the tuner's in-memory cache (Auto's, and the batcher's warm pool), the
+// batcher's weighted semaphore, and concurrent Submit/Wait.
 func TestBatcherAndAutoHammer(t *testing.T) {
 	auto, err := fastmm.NewAutoExecutor(autoTestOpts(2))
 	if err != nil {
@@ -228,6 +231,135 @@ func TestBatcherAndAutoHammer(t *testing.T) {
 	}
 	if st.EffectiveGFLOPS <= 0 || st.BusySeconds <= 0 {
 		t.Fatalf("throughput metrics empty: %g GFLOPS over %gs", st.EffectiveGFLOPS, st.BusySeconds)
+	}
+}
+
+// deepProfile is autoTestProfile(1) with a gemm whose rate falls steeply
+// past 128³ blocks, so the ranking recurses as deep as a shape allows and a
+// fast entry's executor retains megabytes of arenas (two-step Strassen at
+// 320³ to 448³ on one worker).
+func deepProfile() *tuner.Profile {
+	p := autoTestProfile(1)
+	p.Machine.Gemm = []costmodel.GemmSample{
+		{N: 64, SeqGFLOPS: 2.4, ParGFLOPS: 2.4},
+		{N: 128, SeqGFLOPS: 2.4, ParGFLOPS: 2.4},
+		{N: 256, SeqGFLOPS: 0.6, ParGFLOPS: 0.6},
+		{N: 1024, SeqGFLOPS: 0.2, ParGFLOPS: 0.2},
+	}
+	return p
+}
+
+// TestSharedPoolEvictionHammer: eight goroutines drive one AutoExecutor and
+// one Batcher over more shape classes than tuner.MaxEntries, under a
+// Workspace budget that ranks each fast plan but cannot keep the arenas of
+// all of them, so both caches evict entries that other goroutines are still
+// running. Every product must match gemm.Naive, and at quiescence each pool
+// holds at most MaxEntries entries, retaining no more than the budget unless
+// only its most recent entry is left.
+func TestSharedPoolEvictionHammer(t *testing.T) {
+	opts := autoTestOpts(1)
+	opts.Profile = deepProfile()
+	fast := []int{320, 384, 448}
+	uncapped, err := fastmm.NewAutoExecutor(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range fast {
+		p, err := uncapped.PlanForOp(fastmm.OpMultiply, n, n, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.IsClassical() {
+			t.Fatalf("%d³: the profile picked classical, want a fast plan", n)
+		}
+		opts.Workspace = max(opts.Workspace, p.WorkspaceBytes)
+	}
+	auto, err := fastmm.NewAutoExecutor(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := fastmm.NewBatcher(fastmm.BatchOptions{Resources: opts.Resources, Tuning: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+
+	// Shapes below the recursion cutoff, each its own class, run classical;
+	// there are more of them than the pools may keep.
+	type problem struct{ A, B, want *fastmm.Matrix }
+	var problems []problem
+	add := func(m, k, n int) {
+		p := problem{A: fastmm.RandomMatrix(m, k, int64(len(problems))), B: fastmm.RandomMatrix(k, n, int64(len(problems)+1000))}
+		p.want = fastmm.NewMatrix(m, n)
+		gemm.Naive(p.want, p.A, p.B)
+		problems = append(problems, p)
+	}
+	dims := []int{4, 5, 6, 7, 8, 10, 12, 14, 16, 20, 24, 28, 32, 40, 48, 56, 64, 80, 96, 112}
+	for i, small := 0, 0; small < tuner.MaxEntries+8; i++ {
+		if f := i / 32; i%32 == 0 && f < len(fast) { // spread the fast shapes out
+			add(fast[f], fast[f], fast[f])
+			continue
+		}
+		add(dims[small%len(dims)], dims[small/len(dims)], 8)
+		small++
+	}
+
+	const goroutines = 8
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := range problems {
+				p := problems[(i+g*len(problems)/goroutines)%len(problems)]
+				tol := 1e-9 * float64(p.A.Cols()+1)
+				C := fastmm.NewMatrix(p.want.Rows(), p.want.Cols())
+				if err := auto.Do(mulReq(C, p.A, p.B)); err != nil {
+					errs <- err
+					return
+				}
+				if d := mat.MaxAbsDiff(C, p.want); d > tol {
+					t.Errorf("auto g%d %dx%dx%d: max diff %g", g, p.A.Rows(), p.A.Cols(), p.B.Cols(), d)
+				}
+				C = fastmm.NewMatrix(p.want.Rows(), p.want.Cols())
+				if err := b.Do(mulReq(C, p.A, p.B)); err != nil {
+					errs <- err
+					return
+				}
+				if d := mat.MaxAbsDiff(C, p.want); d > tol {
+					t.Errorf("batch g%d %dx%dx%d: max diff %g", g, p.A.Rows(), p.A.Cols(), p.B.Cols(), d)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	st := b.Stats()
+	autoEntries, autoRetained := auto.Warm()
+	for _, pool := range []struct {
+		name     string
+		entries  int
+		retained int64
+	}{{"auto", autoEntries, autoRetained}, {"batch", st.WarmEntries, st.WorkspaceRetained}} {
+		if pool.entries > tuner.MaxEntries {
+			t.Errorf("%s pool holds %d entries, bound %d", pool.name, pool.entries, tuner.MaxEntries)
+		}
+		if pool.entries > 1 && pool.retained > opts.Workspace {
+			t.Errorf("%s pool: %d entries retain %d bytes over a budget of %d", pool.name, pool.entries, pool.retained, opts.Workspace)
+		}
+	}
+	if st.WarmMisses <= int64(len(problems)) {
+		t.Errorf("batch: %d misses over %d classes: nothing was evicted and re-decided", st.WarmMisses, len(problems))
+	}
+	for _, n := range fast {
+		if p, err := auto.PlanForOp(fastmm.OpMultiply, n, n, n); err != nil || p.IsClassical() {
+			t.Errorf("%d³: plan %v (err %v) under a budget of %d, want a fast plan", n, p, err, opts.Workspace)
+		}
 	}
 }
 

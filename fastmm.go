@@ -197,11 +197,13 @@ func NewScheduleExecutor(names []string, opts Options) (*Executor, error) {
 
 // AutoOptions configures the autotuning dispatcher behind Auto and
 // NewAutoExecutor. The zero value is ready to use: GOMAXPROCS workers, no
-// workspace cap, quick auto-calibration on first use, top-4 empirical
+// workspace budget, quick auto-calibration on first use, top-4 empirical
 // probing, and the default on-disk tuning cache (JSON under
 // os.UserCacheDir()/fastmm, overridable via the FASTMM_TUNE_CACHE
 // environment variable; set it to "off" to disable the disk layer).
-// Resources sets the budget; ProbeTopK how many leaders are timed
+// Resources sets the budget — Workspace, when positive, filters fast plans
+// whose workspace exceeds it and bounds the bytes the warm executors of the
+// in-memory cache (at most 128 entries) retain; ProbeTopK how many leaders are timed
 // (AutoNoProbes: none); Algorithms the catalog entries ranked; Profile a
 // fixed calibration; NoDiskCache keeps decisions in memory. Everything else
 // the tuner does — the leaf backend (the default one), the recursion cutoff
@@ -226,7 +228,7 @@ const AutoNoProbes = tuner.NoProbes
 // Each multiplication shape is tuned on first touch — candidate plans are
 // ranked by the calibrated cost model, the leaders optionally probed — and
 // the winner is cached in memory and on disk, so repeated shapes dispatch in
-// O(1). It is safe for concurrent use.
+// O(1) without allocating. It is safe for concurrent use.
 type AutoExecutor = tuner.Tuner
 
 // NewAutoExecutor builds an autotuning dispatcher. The first construction
@@ -309,15 +311,16 @@ func sharedAuto(opts AutoOptions) (*AutoExecutor, error) {
 }
 
 // BatchOptions configures a Batcher (and MultiplyBatch). The zero value is
-// ready to use: GOMAXPROCS total workers, an unbounded-bytes warm pool of at
-// most 64 shape-class entries, and default tuning. Workspace bounds the
-// bytes of executor workspace the warm pool retains (LRU eviction); Trace
-// sets the trace sampling rate; Tuning passes the autotuner's options
-// (ProbeTopK, Algorithms, Profile, NoDiskCache, and a per-plan Workspace
-// cap) through to the batcher's one tuner, whose Workers is the batcher's
-// and which decides each entry at that entry's width. The rest of the
-// serving policy is fixed: a queue of 4×Workers items, a 1 s lane-aging
-// window, and 64 Mi flops per worker of internal parallelism.
+// ready to use: GOMAXPROCS total workers, no workspace budget, and default
+// tuning. Resources is the batcher's one budget, handed to its one tuner,
+// whose cache is the warm pool: Workspace, when positive, filters fast plans
+// whose workspace exceeds it and bounds the bytes the pool's executors
+// retain (LRU eviction), and the pool holds at most 128 shape-class entries
+// either way. Trace sets the trace sampling rate; Tuning passes the
+// autotuner's other options (ProbeTopK, Algorithms, Profile, NoDiskCache)
+// through to the tuner, which decides each entry at that entry's width. The
+// rest of the serving policy is fixed: a queue of 4×Workers items, a 1 s
+// lane-aging window, and 64 Mi flops per worker of internal parallelism.
 type BatchOptions = batch.Options
 
 // Batcher dispatches many multiplications through warm per-shape-class

@@ -3,13 +3,14 @@
 // many requests, the serving regime the tuner alone cannot exploit. Where
 // fastmm.Auto pays dispatch, workspace warm-up, and intra-multiply
 // synchronization per call, a Batcher keys incoming work by shape class
-// (tuner.ClassOf's geometric bucketing), keeps a bounded pool of warm
-// per-class entries with LRU eviction under a byte budget, and runs
-// independent multiplications concurrently on a worker pool while splitting
-// each one's internal parallelism so the total stays inside one Workers
-// budget: a deep queue of small problems runs many sequential multiplies
-// side by side (near-perfect scaling — no per-call barriers), while a lone
-// large problem gets the full-width BFS/DFS treatment it gets today.
+// (tuner.ClassOf's geometric bucketing), resolves each request to its
+// class's warm entry in its tuner's cache — the one warm pool, bounded by
+// tuner.MaxEntries entries and the Workspace budget — and runs independent
+// multiplications concurrently on a worker pool while splitting each one's
+// internal parallelism so the total stays inside one Workers budget: a deep
+// queue of small problems runs many sequential multiplies side by side
+// (near-perfect scaling — no per-call barriers), while a lone large problem
+// gets the full-width BFS/DFS treatment it gets today.
 //
 // Every request is an op.Request, run synchronously by Do or queued by
 // SubmitRequest. The queued path is server-grade: work waits on priority
@@ -22,7 +23,7 @@
 // idle items never dilute it.
 //
 // A class is tuned once per width, at its representative shape, when a
-// request first misses it. The Batcher's one tuner makes, keeps and
+// request first misses it. The Batcher's one tuner makes, keeps warm and
 // persists that decision, the width being an input of it
 // (tuner.Tuner.EntryOp), and concurrent misses of one class share it. A
 // missing request of exactly the representative shape lends the tuner its
@@ -62,9 +63,6 @@ var ErrClosed = errors.New("batch: batcher is closed")
 // inter-multiply concurrency for throughput.
 const DefaultGrainFLOPs = 64 << 20
 
-// DefaultMaxEntries bounds the warm-entry count independently of bytes.
-const DefaultMaxEntries = 64
-
 // DefaultAgingWindow bounds lane starvation: a queued item whose wait
 // exceeds it is served ahead of higher-priority lanes (oldest first), so a
 // sustained High flood delays a Low item by at most the window plus the
@@ -82,8 +80,7 @@ const queuePerWorker = 4
 type Resources = resources.Resources
 
 // Options configures a Batcher. The zero value is ready to use: GOMAXPROCS
-// workers, an unlimited warm pool of up to DefaultMaxEntries entries, and
-// default tuning.
+// workers, no workspace budget, and default tuning.
 type Options struct {
 	// Resources is the shared execution budget (internal/resources). Workers
 	// is the total goroutine budget across every multiplication in flight
@@ -93,21 +90,24 @@ type Options struct {
 	// width and the gemm layer runs exactly the width it is handed (it no
 	// longer silently clamps to GOMAXPROCS), so a Workers above the core
 	// count oversubscribes rather than silently shrinking. Workspace, when
-	// positive, bounds the bytes of workspace the warm-entry pool may keep
-	// retained across calls: least-recently-used entries are evicted
-	// (executor, arenas and all) until the pool fits; the most recently used
-	// entry always survives, so a budget below one entry's footprint
-	// degrades to per-class-switch rebuilding, never to failure.
+	// positive, is the one workspace budget, handed to the tuner: it ranks
+	// no fast plan whose WorkspaceBytes exceeds it, and its cache — the
+	// warm pool — evicts least-recently-used entries (executor, arenas and
+	// all) while the bytes they retain across calls exceed it; the most
+	// recently used entry always survives, so a budget below one entry's
+	// retained arenas degrades to per-class-switch rebuilding, never to
+	// failure.
 	resources.Resources
 	// Trace configures per-request execution tracing (internal/trace). The
 	// zero value traces one request in trace.DefaultSample into a
 	// trace.DefaultRing-record ring — the record path is allocation-free and
 	// lock-light, cheap enough for production.
 	Trace trace.Config
-	// Tuning configures the Batcher's one tuner. Its Workers is
-	// Resources.Workers (a value set here is ignored), since each entry's
-	// width is an input of its decision; ProbeTopK, Algorithms, Profile, the
-	// per-plan Workspace cap and NoDiskCache pass through to internal/tuner.
+	// Tuning configures the Batcher's one tuner. Its Resources are the
+	// Batcher's (values set here are ignored): each entry's width is an
+	// input of its decision, and the Workspace budget bounds its cache.
+	// ProbeTopK, Algorithms, Profile and NoDiskCache pass through to
+	// internal/tuner.
 	Tuning tuner.Options
 
 	// clock is the time source for deadlines, admission, aging, and the
@@ -118,7 +118,7 @@ type Options struct {
 
 func (o Options) withDefaults() Options {
 	o.Resources = o.Resources.Normalized()
-	o.Tuning.Workers = o.Workers
+	o.Tuning.Resources = o.Resources
 	o.Trace = o.Trace.Normalized()
 	if o.clock == nil {
 		o.clock = wallClock{}
@@ -128,13 +128,11 @@ func (o Options) withDefaults() Options {
 
 // Key renders the options' identity: option sets with equal keys build
 // batchers that behave identically, and the zero value renders like its
-// defaults spelled out. The budget renders through resources.Resources.Key
-// and the tuning through tuner.Options.Key. fastmm's shared-batcher map
-// keys on it.
+// defaults spelled out. The tuning renders through tuner.Options.Key, the
+// budget with it. fastmm's shared-batcher map keys on it.
 func (o Options) Key() string {
 	o = o.withDefaults()
-	return fmt.Sprintf("%s tr%d | %s",
-		o.Resources.Key(), o.Trace.Sample, o.Tuning.Key())
+	return fmt.Sprintf("tr%d | %s", o.Trace.Sample, o.Tuning.Key())
 }
 
 // entryKey identifies one warm entry: an operation's plan space (op.PlanOp —
@@ -148,20 +146,21 @@ type entryKey struct {
 	workers int
 }
 
-// warmEntry is one pooled decision: the tuned plan + trusted executor for a
-// shape class (via tuner.Entry), its semaphore weight, and its last observed
-// retained-workspace bytes (the LRU eviction currency).
+// warmEntry is one request's resolved entry: its key and the tuner's warm
+// entry for it, which the tuner's cache keeps.
 type warmEntry struct {
-	key    entryKey
-	te     *tuner.Entry
-	tokens int
-	elem   *list.Element // nil once evicted
-	bytes  int64
-	// labels caches one pprof label context per lane (op, lane, class,
-	// backend), built once at entry construction so runner goroutines can
-	// SetGoroutineLabels without a per-execution allocation —
-	// pprof.WithLabels allocates, applying a cached context does not.
-	labels [numLanes]context.Context
+	key entryKey
+	te  *tuner.Entry
+}
+
+// laneLabels is one entry key's pprof label contexts, one per lane (op,
+// lane, class, backend), built for the plan's backend so runner goroutines
+// can SetGoroutineLabels without a per-execution allocation —
+// pprof.WithLabels allocates, applying a cached context does not.
+type laneLabels struct {
+	backend string
+	fused   bool
+	ctx     [numLanes]context.Context
 }
 
 // Ticket tracks one asynchronous multiplication.
@@ -215,10 +214,8 @@ type Batcher struct {
 	met   *metrics
 	est   *svcEstimator
 
-	mu       sync.Mutex // warm pool: entries, lru, retained
-	entries  map[entryKey]*warmEntry
-	lru      *list.List // of *warmEntry; front = most recently used
-	retained int64
+	labelMu sync.Mutex
+	labels  map[entryKey]*laneLabels
 
 	sem wsem
 
@@ -255,8 +252,8 @@ type Batcher struct {
 	closeErr  error
 }
 
-// New builds a Batcher. Its one tuner, and the machine calibration behind
-// every entry, are built here (the calibration taken from
+// New builds a Batcher. Its one tuner — the warm pool — and the machine
+// calibration behind every entry are built here (the calibration taken from
 // Options.Tuning.Profile when set), so the first construction per process
 // may take ~100ms; actual shape classes are tuned lazily on first touch.
 func New(opts Options) (*Batcher, error) {
@@ -264,8 +261,7 @@ func New(opts Options) (*Batcher, error) {
 		opts:      opts.withDefaults(),
 		met:       newMetrics(),
 		est:       newSvcEstimator(),
-		entries:   map[entryKey]*warmEntry{},
-		lru:       list.New(),
+		labels:    map[entryKey]*laneLabels{},
 		closeDone: make(chan struct{}),
 	}
 	b.ring = trace.New(b.opts.Trace)
@@ -348,9 +344,9 @@ func (b *Batcher) sample(o op.Op, m, k, n int, verdict string) *trace.Record {
 // non-nil, receives the resolved plan and the outcome; the execution's
 // spans reach it through req.Trace, which the caller pointed at it before
 // resolving the entry, and the caller publishes it. served reports that
-// the entry's build already ran the request (see buildEntry): it is not run
-// again, and is accounted with the time that run took.
-func (b *Batcher) timedRun(e *warmEntry, req op.Request, rec *trace.Record, served bool) error {
+// the entry's decision already ran the request (see entryFor): it is not
+// run again, and is accounted with the time that run took.
+func (b *Batcher) timedRun(e warmEntry, req op.Request, rec *trace.Record, served bool) error {
 	plan := e.te.Plan()
 	if rec != nil {
 		cm, ck, cn := e.key.class.Dims()
@@ -552,19 +548,18 @@ func (b *Batcher) Close() error {
 	return b.closeErr
 }
 
-// WarmEntries reports how many warm entries the pool currently holds.
+// WarmEntries reports how many warm entries the pool — the tuner's cache —
+// currently holds.
 func (b *Batcher) WarmEntries() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.entries)
+	n, _ := b.tn.Warm()
+	return n
 }
 
 // WorkspaceRetained reports the bytes of executor workspace the warm pool
 // currently retains (the LRU eviction currency; updated after each call).
 func (b *Batcher) WorkspaceRetained() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.retained
+	_, bytes := b.tn.Warm()
+	return bytes
 }
 
 // QueueDepth reports how many submitted items are currently queued across
@@ -703,7 +698,7 @@ func (b *Batcher) execute(tk *task) {
 		// (op, lane, class, backend) for the duration of the run, so CPU
 		// profiles of a serving process split by what was being computed.
 		// Both Set calls apply cached contexts — no allocation.
-		pprof.SetGoroutineLabels(e.labels[tk.lane])
+		pprof.SetGoroutineLabels(b.laneLabels(e, tk.lane))
 		err = b.timedRun(e, tk.req, tk.rec, served)
 		pprof.SetGoroutineLabels(context.Background())
 	}
@@ -767,14 +762,15 @@ func (b *Batcher) doneOutstanding(err error) {
 	b.outMu.Unlock()
 }
 
-// run executes one request through a warm entry under the semaphore and
-// refreshes the entry's byte accounting. The steady-state path allocates
+// run executes one request through a warm entry under the semaphore,
+// holding as many tokens as the plan's width; the entry's run refreshes its
+// byte accounting in the tuner's cache. The steady-state path allocates
 // nothing beyond the executor's own per-call context.
-func (b *Batcher) run(e *warmEntry, req op.Request) error {
-	b.sem.acquire(e.tokens)
+func (b *Batcher) run(e warmEntry, req op.Request) error {
+	tokens := min(max(e.te.Plan().Workers, 1), b.opts.Workers)
+	b.sem.acquire(tokens)
 	err := e.te.Run(req)
-	b.sem.release(e.tokens)
-	b.touch(e)
+	b.sem.release(tokens)
 	return err
 }
 
@@ -820,116 +816,58 @@ func satMul64(a, b int64) int64 {
 	return a * b
 }
 
-// entryFor resolves (building if needed) the warm entry for an (op, shape)
-// at the current load; (m,k,n) is the op's gemm-equivalent triple. hit
-// reports whether the pool already held the entry. req, when non-nil, is
-// the caller's request of that shape: the build lends it to the tuner, and
-// served reports that the build ran it (see buildEntry).
-func (b *Batcher) entryFor(o op.Op, m, k, n, load int, req *op.Request) (e *warmEntry, hit, served bool, err error) {
-	key := entryKey{op: o.PlanOp(), class: tuner.ClassOf(m, k, n), workers: b.widthFor(m, k, n, load)}
-	b.mu.Lock()
-	if e, ok := b.entries[key]; ok {
-		b.lru.MoveToFront(e.elem)
-		b.mu.Unlock()
+// entryFor resolves an (op, shape) at the current load to its class's warm
+// entry in the tuner's cache, tuning the class at the entry's width on a
+// miss; (m,k,n) is the op's gemm-equivalent triple. hit reports that the
+// cache held the entry, or that a concurrent miss of the same key decided
+// it: of N concurrent first touches, one counts a miss and the rest hits,
+// and a failed decision counts a miss. req, when non-nil, is the caller's
+// request: the tuner borrows it when its shape is the class representative
+// and this miss decides (tuner.Tuner.EntryOp), and served reports that the
+// classical reference probe ran it, so the caller accounts it with the
+// entry plan's MeasuredSeconds and does not run it again.
+func (b *Batcher) entryFor(o op.Op, m, k, n, load int, req *op.Request) (e warmEntry, hit, served bool, err error) {
+	e.key = entryKey{op: o.PlanOp(), class: tuner.ClassOf(m, k, n), workers: b.widthFor(m, k, n, load)}
+	cm, ck, cn := e.key.class.Dims()
+	e.te, hit, served, err = b.tn.EntryOp(e.key.op, cm, ck, cn, e.key.workers, req)
+	if hit {
 		b.met.warmHits.Add(1)
-		return e, true, false, nil
-	}
-	b.mu.Unlock()
-	e, served, err = b.buildEntry(key, req)
-	return e, false, served, err
-}
-
-// buildEntry tunes a class representative at the key's width and installs
-// the entry, evicting over-budget LRU entries. Concurrent misses of one key
-// share the tuner's one decision: the first to install counts the miss, the
-// rest find its entry and count hits, and a failed decision counts a miss.
-// req, when non-nil, is the request that missed; the tuner borrows it when
-// its shape is the class representative and this miss decides
-// (tuner.Tuner.EntryOp), and served reports that the classical reference
-// probe ran it, so the caller accounts it with the entry plan's
-// MeasuredSeconds and does not run it again.
-func (b *Batcher) buildEntry(key entryKey, req *op.Request) (*warmEntry, bool, error) {
-	cm, ck, cn := key.class.Dims()
-	te, served, err := b.tn.EntryOp(key.op, cm, ck, cn, key.workers, req)
-	if err != nil {
+	} else {
 		b.met.warmMisses.Add(1)
-		return nil, false, err
 	}
-	b.mu.Lock()
-	if e, ok := b.entries[key]; ok {
-		b.lru.MoveToFront(e.elem)
-		b.mu.Unlock()
-		b.met.warmHits.Add(1)
-		return e, served, nil
-	}
-	tokens := te.Plan().Workers
-	if tokens < 1 {
-		tokens = 1
-	}
-	if tokens > b.opts.Workers {
-		tokens = b.opts.Workers
-	}
-	e := &warmEntry{key: key, te: te, tokens: tokens}
-	class := fmt.Sprintf("%dx%dx%d", cm, ck, cn)
-	backend := te.Plan().Backend
-	if te.Plan().Fused {
-		// Fused plans run a different leaf engine on the same backend; mark
-		// them so profiles separate the two hot paths.
-		backend += "+fused"
-	}
-	for l := Lane(0); l < numLanes; l++ {
-		e.labels[l] = pprof.WithLabels(context.Background(), pprof.Labels(
-			"op", key.op.String(), "lane", l.String(),
-			"class", class, "backend", backend))
-	}
-	e.elem = b.lru.PushFront(e)
-	b.entries[key] = e
-	b.evictLocked()
-	b.mu.Unlock()
-	b.met.warmMisses.Add(1)
-	// Seed the admission estimator from the tuned plan — the measured probe
-	// time when the tuner ran one, else the cost model's prediction. Live
-	// EWMA observations take over from the first real execution.
-	plan := te.Plan()
-	if secs := plan.MeasuredSeconds; secs > 0 {
-		b.est.seed(key.op, key.class, secs)
-	} else if plan.PredictedSeconds > 0 {
-		b.est.seed(key.op, key.class, plan.PredictedSeconds)
-	}
-	return e, served, nil
+	return e, hit, served, err
 }
 
-// touch refreshes an entry's retained-bytes accounting and LRU position
-// after a call, evicting if the pool went over budget.
-func (b *Batcher) touch(e *warmEntry) {
-	bytes := e.te.WorkspaceRetained()
-	b.mu.Lock()
-	if e.elem != nil { // evicted entries are no longer accounted
-		b.retained += bytes - e.bytes
-		e.bytes = bytes
-		b.lru.MoveToFront(e.elem)
-		b.evictLocked()
+// laneLabels returns the pprof label context of e's runs on lane l. An
+// entry key's contexts are built on its first run, and again when a
+// re-decided entry runs on another backend than the one they name. The map
+// holds no more sets than the tuner's cache holds entries: once full, it is
+// emptied and refills as entries run, so keys the cache evicted do not
+// accumulate.
+func (b *Batcher) laneLabels(e warmEntry, l Lane) context.Context {
+	plan := e.te.Plan()
+	b.labelMu.Lock()
+	defer b.labelMu.Unlock()
+	ls := b.labels[e.key]
+	if ls == nil || ls.backend != plan.Backend || ls.fused != plan.Fused {
+		if len(b.labels) >= tuner.MaxEntries {
+			clear(b.labels)
+		}
+		ls = &laneLabels{backend: plan.Backend, fused: plan.Fused}
+		backend := plan.Backend
+		if plan.Fused {
+			// Fused plans run a different leaf engine on the same backend; mark
+			// them so profiles separate the two hot paths.
+			backend += "+fused"
+		}
+		for lane := Lane(0); lane < numLanes; lane++ {
+			ls.ctx[lane] = pprof.WithLabels(context.Background(), pprof.Labels(
+				"op", e.key.op.String(), "lane", lane.String(),
+				"class", e.key.class.String(), "backend", backend))
+		}
+		b.labels[e.key] = ls
 	}
-	b.mu.Unlock()
-}
-
-// evictLocked sheds least-recently-used entries while the pool exceeds the
-// entry-count bound or the byte budget, always keeping the most recent one.
-// The underlying tuner is told to Forget the class so the executor and its
-// arenas are collectable once in-flight holders finish. Callers hold b.mu.
-func (b *Batcher) evictLocked() {
-	for b.lru.Len() > 1 &&
-		(b.lru.Len() > DefaultMaxEntries ||
-			(b.opts.Workspace > 0 && b.retained > b.opts.Workspace)) {
-		back := b.lru.Back()
-		e := back.Value.(*warmEntry)
-		b.lru.Remove(back)
-		e.elem = nil
-		delete(b.entries, e.key)
-		b.retained -= e.bytes
-		cm, ck, cn := e.key.class.Dims()
-		b.tn.ForgetOp(e.key.op, cm, ck, cn, e.key.workers)
-	}
+	return ls.ctx[l]
 }
 
 func floorPow2(v int) int {

@@ -106,7 +106,7 @@ func TestSameClassSharesWarmEntry(t *testing.T) {
 	defer b.Close()
 
 	rng := rand.New(rand.NewSource(7))
-	var first *warmEntry
+	var first *tuner.Entry
 	wantClass := tuner.ClassOf(256, 256, 256)
 	for i := 0; i < 6; i++ {
 		// Dims in (224,256] all bucket to 256.
@@ -119,8 +119,8 @@ func TestSameClassSharesWarmEntry(t *testing.T) {
 			t.Fatal(err)
 		}
 		if first == nil {
-			first = e
-		} else if e != first {
+			first = e.te
+		} else if e.te != first {
 			t.Fatalf("shape %dx%dx%d did not reuse the class warm entry", m, k, n)
 		}
 		A, B := randMat(m, k, int64(i)), randMat(k, n, int64(i+100))
@@ -135,16 +135,16 @@ func TestSameClassSharesWarmEntry(t *testing.T) {
 	}
 }
 
-// TestMaxEntriesEviction fills DefaultMaxEntries+1 distinct classes. Every
+// TestMaxEntriesEviction fills tuner.MaxEntries+1 distinct classes. Every
 // one is below the recursion cutoff, so each runs classical and is never
-// probed; the pool keeps the most recent DefaultMaxEntries.
+// probed; the pool keeps the most recent tuner.MaxEntries.
 func TestMaxEntriesEviction(t *testing.T) {
 	b := newTestBatcher(t, testOptions(1))
 	dims := []int{4, 5, 6, 7, 8, 10, 12, 14, 16, 20, 24, 28, 32, 40, 48, 56, 64, 80, 96, 112}
 	classes := 0
 	for _, m := range dims {
 		for _, k := range dims {
-			if classes == DefaultMaxEntries+1 {
+			if classes == tuner.MaxEntries+1 {
 				break
 			}
 			classes++
@@ -156,20 +156,72 @@ func TestMaxEntriesEviction(t *testing.T) {
 			checkProduct(t, C, A, B)
 		}
 	}
-	if got := b.WarmEntries(); got != DefaultMaxEntries {
-		t.Fatalf("%d classes touched, pool holds %d entries, want %d", classes, got, DefaultMaxEntries)
+	if got := b.WarmEntries(); got != tuner.MaxEntries {
+		t.Fatalf("%d classes touched, pool holds %d entries, want %d", classes, got, tuner.MaxEntries)
 	}
 }
 
-func TestWorkspaceBudgetEviction(t *testing.T) {
-	opts := testOptions(1)
-	opts.Workspace = 1 // any retained workspace at all forces eviction to one entry
-	b, err := New(opts)
-	if err != nil {
-		t.Fatal(err)
+// TestLaneLabelsEvictWithPool: the runners' pprof label sets are bounded
+// like the pool they label — queued traffic over more classes than
+// tuner.MaxEntries leaves no more sets than that.
+func TestLaneLabelsEvictWithPool(t *testing.T) {
+	b := newTestBatcher(t, testOptions(1))
+	dims := []int{4, 5, 6, 7, 8, 10, 12, 14, 16, 20, 24, 28, 32, 40, 48, 56, 64, 80, 96, 112}
+	for i := 0; i < tuner.MaxEntries+8; i++ {
+		m, k := dims[i%len(dims)], dims[i/len(dims)]
+		A, B := randMat(m, k, int64(i)), randMat(k, 8, int64(i+1))
+		C := mat.New(m, 8)
+		tk, err := b.SubmitRequest(mulReq(C, A, B), SubmitOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tk.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		checkProduct(t, C, A, B)
 	}
-	defer b.Close()
-	classes := []int{256, 320, 384}
+	b.labelMu.Lock()
+	sets := len(b.labels)
+	b.labelMu.Unlock()
+	if sets == 0 || sets > tuner.MaxEntries {
+		t.Fatalf("%d label sets after %d classes, want 1..%d", sets, tuner.MaxEntries+8, tuner.MaxEntries)
+	}
+}
+
+// deepOptions is testOptions with a calibration whose gemm rate falls
+// steeply past 128³ blocks, so the ranking recurses as deep as a shape
+// allows and fast entries retain megabytes of arenas (Strassen two or
+// three steps deep at 320³, 384³ and 448³ on one worker).
+func deepOptions() Options {
+	opts := testOptions(1)
+	opts.Tuning.Profile.Machine.Gemm = []costmodel.GemmSample{
+		{N: 64, SeqGFLOPS: 2.4, ParGFLOPS: 2.4},
+		{N: 128, SeqGFLOPS: 2.4, ParGFLOPS: 2.4},
+		{N: 256, SeqGFLOPS: 0.6, ParGFLOPS: 0.6},
+		{N: 1024, SeqGFLOPS: 0.2, ParGFLOPS: 0.2},
+	}
+	return opts
+}
+
+// TestWorkspaceBudgetEviction: a budget the size of the largest fast plan's
+// WorkspaceBytes ranks every class's fast plan, but cannot keep the arenas
+// of all three warm: the pool evicts least recently used entries until what
+// it retains fits, apart from the most recent entry, which always stays.
+func TestWorkspaceBudgetEviction(t *testing.T) {
+	classes := []int{320, 384, 448}
+	opts := deepOptions()
+	uncapped := newTestBatcher(t, opts)
+	for _, n := range classes {
+		p, err := uncapped.PlanForOp(op.Multiply, n, n, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.IsClassical() {
+			t.Fatalf("%d³: the profile picked classical, want a fast plan", n)
+		}
+		opts.Workspace = max(opts.Workspace, p.WorkspaceBytes)
+	}
+	b := newTestBatcher(t, opts)
 	for _, n := range classes {
 		A, B := randMat(n, n, int64(n)), randMat(n, n, int64(n+1))
 		C := mat.New(n, n)
@@ -177,19 +229,15 @@ func TestWorkspaceBudgetEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkProduct(t, C, A, B)
+		if p, _ := b.PlanForOp(op.Multiply, n, n, n); p.IsClassical() {
+			t.Fatalf("%d³: a budget of %d filtered every fast plan", n, opts.Workspace)
+		}
+		if st := b.Stats(); st.WarmEntries > 1 && st.WorkspaceRetained > opts.Workspace {
+			t.Fatalf("%d entries retain %d bytes over a budget of %d", st.WarmEntries, st.WorkspaceRetained, opts.Workspace)
+		}
 	}
-	// The synthetic profile makes fast plans win at these sizes, so at least
-	// one touched entry retained arena bytes and the 1-byte budget must have
-	// evicted down to the most recent entry.
-	p, err := b.PlanForOp(op.Multiply, 256, 256, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.IsClassical() {
-		t.Skip("profile picked classical plans; no retained workspace to evict")
-	}
-	if got := b.WarmEntries(); got != 1 {
-		t.Fatalf("1-byte budget should keep exactly the MRU entry, have %d", got)
+	if got := b.WarmEntries(); got == len(classes) {
+		t.Fatalf("the pool kept all %d entries under a budget of %d", got, opts.Workspace)
 	}
 }
 

@@ -74,8 +74,8 @@ func spelledOutTuning() tuner.Options {
 // TestOptionsKey: each option set renders one key that is its identity. The
 // zero value and its defaults spelled out render alike, and setting any
 // exported field — inside Resources, Trace and Tuning too — to a
-// value other than its default changes the key, except Tuning's Workers,
-// which the Batcher sets from Resources.Workers.
+// value other than its default changes the key, except Tuning's Resources,
+// which the Batcher sets from its own.
 func TestOptionsKey(t *testing.T) {
 	var topts tuner.Options
 	if got, want := topts.Key(), spelledOutTuning().Key(); got != want {
@@ -108,7 +108,7 @@ func TestOptionsKey(t *testing.T) {
 	visited := 0
 	eachOption(t, reflect.ValueOf(&bopts).Elem(), "", func(path string) {
 		visited++
-		if ignored := path == "Tuning.Resources.Workers"; (bopts.Key() == base) != ignored {
+		if ignored := strings.HasPrefix(path, "Tuning.Resources."); (bopts.Key() == base) != ignored {
 			t.Errorf("batch.Options.%s set to a non-default value renders key %q (base %q), want it changed: %t", path, bopts.Key(), base, !ignored)
 		}
 	})

@@ -9,13 +9,6 @@ import (
 	"time"
 )
 
-func (b *Batcher) hasEntry(key entryKey) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	_, ok := b.entries[key]
-	return ok
-}
-
 // TestSemaphoreWideNotStarvedByNarrowStream: a full-budget waiter queued
 // first must be granted before any of a stream of width-1 acquisitions that
 // arrive behind it — FIFO means narrow traffic cannot starve wide work.

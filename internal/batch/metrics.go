@@ -230,8 +230,9 @@ type Stats struct {
 	// SyncDone counts executions of the synchronous Do path, which carries
 	// no lane accounting.
 	SyncDone int64
-	// Warm-entry pool: current size and retained bytes, plus the cumulative
-	// hit/miss split of entry resolutions (a miss tunes a class).
+	// Warm-entry pool (the tuner's cache): current size and retained bytes,
+	// plus the cumulative hit/miss split of entry resolutions (a miss tunes
+	// a class).
 	WarmEntries       int
 	WorkspaceRetained int64
 	WarmHits          int64
@@ -298,10 +299,7 @@ func (b *Batcher) Stats() Stats {
 	s.SyncDone = b.met.syncDone.Load()
 	s.WarmHits = b.met.warmHits.Load()
 	s.WarmMisses = b.met.warmMisses.Load()
-	b.mu.Lock()
-	s.WarmEntries = len(b.entries)
-	s.WorkspaceRetained = b.retained
-	b.mu.Unlock()
+	s.WarmEntries, s.WorkspaceRetained = b.tn.Warm()
 	s.Backends = map[string]int64{}
 	for name, c := range b.met.backends {
 		if name == "" { // alias of the default backend's counter

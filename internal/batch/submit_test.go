@@ -12,7 +12,7 @@ import (
 	"time"
 
 	"fastmm/internal/mat"
-	"fastmm/internal/tuner"
+	"fastmm/internal/op"
 )
 
 // advanceUntil steps the fake clock forward until done closes — the
@@ -132,16 +132,11 @@ func TestWidthPolicyCountsExecutingOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkProduct(t, C2, A2, B2)
-	wantKey := entryKey{class: tuner.ClassOf(m2, m2, m2), workers: workers}
-	if !b.hasEntry(wantKey) {
-		b.mu.Lock()
-		keys := make([]entryKey, 0, len(b.entries))
-		for k := range b.entries {
-			keys = append(keys, k)
-		}
-		b.mu.Unlock()
-		t.Fatalf("executing multiply was starved below its fair share: no entry %+v (pool holds %+v)",
-			wantKey, keys)
+	// Alone, the class resolves at the full budget: a hit means the call
+	// above ran there too.
+	if e, hit, _, err := b.entryFor(op.Multiply, m2, m2, m2, 1, nil); err != nil || e.key.workers != workers || !hit {
+		t.Fatalf("executing multiply was starved below its fair share: no warm entry at width %d (hit %v, err %v)",
+			workers, hit, err)
 	}
 
 	release()

@@ -18,12 +18,14 @@ import (
 type Resources struct {
 	// Workers bounds the goroutines used (default GOMAXPROCS).
 	Workers int
-	// Workspace, when positive, caps workspace bytes, always as one model
-	// counts them: the executor's WorkspaceBytes, its walk of the call's
-	// recursion. The executor treats it as a per-call footprint cap
-	// (BFS/HYBRID degrade to DFS above it), the tuner as a filter on that
-	// same figure for each candidate's executor, and the batcher as the warm
-	// pool's retained byte budget.
+	// Workspace, when positive, is the one workspace budget. A call's
+	// footprint is counted as one model counts it: the executor's
+	// WorkspaceBytes, its walk of the call's recursion. The executor treats
+	// it as a per-call footprint cap (BFS/HYBRID degrade to DFS above it),
+	// and the tuner as a filter on that same figure for each candidate's
+	// executor and as the byte bound of its warm cache, which evicts least
+	// recently used executors while their retained arenas exceed it. The
+	// batcher hands its budget to its tuner, whose cache is its warm pool.
 	Workspace int64
 }
 

@@ -1,18 +1,19 @@
 package tuner
 
 import (
-	"container/list"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"os"
 	"path/filepath"
 	"strings"
+
+	"fastmm/internal/op"
 )
 
 // EnvCacheDir overrides where the tuning cache and calibration profile live.
 // Set it to a directory, or to "off" (also "0", "none") to disable the disk
-// layer entirely — the in-memory LRU still works. An empty value counts as
+// layer entirely — the in-memory cache still works. An empty value counts as
 // unset: the default os.UserCacheDir()/fastmm location applies.
 const EnvCacheDir = "FASTMM_TUNE_CACHE"
 
@@ -190,49 +191,83 @@ func writeJSON(path string, v interface{}) error {
 	return nil
 }
 
-// lru is a small shape→decision cache so repeated shapes dispatch in O(1)
-// without touching the disk layer or the model.
-type lru struct {
-	max   int
-	ll    *list.List
-	items map[string]*list.Element
+// MaxEntries bounds how many decisions the in-memory cache keeps warm. A
+// warm entry holds a built executor and the arenas it retains; without a
+// Workspace budget nothing else bounds what the cache holds, so the count
+// does. 128 keeps a serving mix of a few dozen (op, shape class, width) keys
+// warm with room to spare (the repository benchmark's serve-mixed workload
+// touches about 22), and an entry evicted and touched again is rebuilt from
+// its file in the disk cache without probing.
+const MaxEntries = 128
+
+// cacheKey is a decision's in-memory identity: its plan-space op, its
+// gemm-equivalent shape and its width. The options part of the decision key
+// is the tuner's own, so a struct of the varying parts suffices, and a warm
+// lookup renders no string (key renders one only for the disk file).
+type cacheKey struct {
+	op      op.Op
+	m, k, n int
+	w       int
 }
 
-type lruEntry struct {
-	key string
-	d   *decision
-}
-
-func newLRU(max int) *lru {
-	return &lru{max: max, ll: list.New(), items: map[string]*list.Element{}}
-}
-
-func (l *lru) get(key string) (*decision, bool) {
-	el, ok := l.items[key]
-	if !ok {
-		return nil, false
+// lookup returns key's warm entry, marking it the most recently used.
+// Callers hold t.mu.
+//
+//fastmm:zeroalloc
+func (t *Tuner) lookup(key cacheKey) (*Entry, bool) {
+	e, ok := t.warm[key]
+	if ok {
+		t.use(e)
 	}
-	l.ll.MoveToFront(el)
-	return el.Value.(*lruEntry).d, true
+	return e, ok
 }
 
-func (l *lru) remove(key string) {
-	if el, ok := l.items[key]; ok {
-		l.ll.Remove(el)
-		delete(l.items, key)
+// use marks e the most recently used entry. Callers hold t.mu.
+func (t *Tuner) use(e *Entry) {
+	t.uses++
+	e.used = t.uses
+}
+
+// retain records the workspace bytes e's executor retained after a run and
+// marks it used, evicting what the cache's bounds no longer admit. An entry
+// the cache has evicted is no longer accounted: its holders keep running it,
+// and its arenas go with the last of them.
+//
+//fastmm:zeroalloc
+func (t *Tuner) retain(e *Entry) {
+	bytes := e.WorkspaceRetained()
+	t.mu.Lock()
+	if t.warm[e.key] == e {
+		t.retained += bytes - e.bytes
+		e.bytes = bytes
+		t.use(e)
+		t.evict()
+	}
+	t.mu.Unlock()
+}
+
+// evict drops the least recently used entries while the cache holds more
+// than MaxEntries, or while a positive Workspace is below the bytes its
+// entries retain. The most recently used entry always stays, so a budget
+// below one entry's footprint rebuilds on each class switch and never fails
+// a call. Callers hold t.mu.
+func (t *Tuner) evict() {
+	for len(t.warm) > 1 && (len(t.warm) > MaxEntries || (t.opts.Workspace > 0 && t.retained > t.opts.Workspace)) {
+		var lru *Entry
+		for _, e := range t.warm {
+			if lru == nil || e.used < lru.used {
+				lru = e
+			}
+		}
+		delete(t.warm, lru.key)
+		t.retained -= lru.bytes
 	}
 }
 
-func (l *lru) add(key string, d *decision) {
-	if el, ok := l.items[key]; ok {
-		l.ll.MoveToFront(el)
-		el.Value.(*lruEntry).d = d
-		return
-	}
-	l.items[key] = l.ll.PushFront(&lruEntry{key: key, d: d})
-	for l.ll.Len() > l.max {
-		back := l.ll.Back()
-		l.ll.Remove(back)
-		delete(l.items, back.Value.(*lruEntry).key)
-	}
+// Warm reports how many decisions the in-memory cache holds and the
+// workspace bytes their executors retained after their last runs.
+func (t *Tuner) Warm() (entries int, retained int64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.warm), t.retained
 }

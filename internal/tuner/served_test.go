@@ -232,7 +232,7 @@ func TestUnservedCallersLendOperands(t *testing.T) {
 		t.Fatal(err)
 	}
 	probed("PlanForOp", nil, nil, nil)
-	if _, served, err := tn.EntryOp(op.Multiply, 352, 352, 352, tn.opts.Workers, nil); err != nil || served {
+	if _, _, served, err := tn.EntryOp(op.Multiply, 352, 352, 352, tn.opts.Workers, nil); err != nil || served {
 		t.Fatalf("EntryOp: served %v, err %v", served, err)
 	}
 	probed("EntryOp", nil, nil, nil)
@@ -302,7 +302,7 @@ func TestEntryOpServesOnGridRequest(t *testing.T) {
 
 		C, A, B := serveOperands(int64(40 + w))
 		req := op.Request{Op: op.Multiply, C: C, A: A, B: B}
-		e, served, err := tn.EntryOp(op.Multiply, servedN, servedN, servedN, w, &req)
+		e, _, served, err := tn.EntryOp(op.Multiply, servedN, servedN, servedN, w, &req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -345,7 +345,7 @@ func TestEntryOpServesOnGridRequest(t *testing.T) {
 		B.FillRandom(rng)
 		C.Fill(math.NaN())
 		req = op.Request{Op: op.Multiply, C: C, A: A, B: B}
-		if _, served, err = tn.EntryOp(op.Multiply, cm, ck, cn, w, &req); err != nil || served {
+		if _, _, served, err = tn.EntryOp(op.Multiply, cm, ck, cn, w, &req); err != nil || served {
 			t.Fatalf("w=%d: off grid: served %v, err %v", w, served, err)
 		}
 		if len(runs) == 0 {

@@ -96,7 +96,7 @@ func TestDoMatchesReference(t *testing.T) {
 
 // TestPerOpPlansAreDistinct pins the cache-key separation: the same shape
 // tuned as a multiply and as an AᵗA must produce distinct keys and plans
-// tagged with their op token, and ForgetOp must evict only its own op.
+// tagged with their op token, and keep one warm entry each.
 func TestPerOpPlansAreDistinct(t *testing.T) {
 	tn := mustTuner(t, modelOnlyOpts(1))
 	m, k, n := 512, 512, 512
@@ -126,12 +126,16 @@ func TestPerOpPlansAreDistinct(t *testing.T) {
 		t.Fatalf("muladd plan %v differs from multiply plan %v", muladd, mul)
 	}
 
-	tn.ForgetOp(op.ATA, m, k, n, 1)
-	if _, ok := tn.lru.get(tn.key(op.ATA, m, k, n, 1)); ok {
-		t.Fatal("ForgetOp(ATA) left the ATA entry")
+	mk, ak := cacheKey{op: op.Multiply, m: m, k: k, n: n, w: 1}, cacheKey{op: op.ATA, m: m, k: k, n: n, w: 1}
+	tn.mu.Lock()
+	me, ae := tn.warm[mk], tn.warm[ak]
+	entries := len(tn.warm)
+	tn.mu.Unlock()
+	if me == nil || ae == nil || me == ae || entries != 2 {
+		t.Fatalf("cache holds multiply %v and ATA %v entries of %d, want two distinct of 2", me != nil, ae != nil, entries)
 	}
-	if _, ok := tn.lru.get(tn.key(op.Multiply, m, k, n, 1)); !ok {
-		t.Fatal("ForgetOp(ATA) evicted the multiply entry")
+	if me.Plan() != mul || ae.Plan() != ata {
+		t.Fatalf("cached plans %v and %v, decided %v and %v", me.Plan(), ae.Plan(), mul, ata)
 	}
 }
 

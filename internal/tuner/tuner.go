@@ -38,10 +38,13 @@
 //     and B instead of random operands, and for an overwriting multiply
 //     the classical reference probe is the call, so when classical wins the
 //     call is already served;
-//  4. keep the winner in an in-memory LRU, so repeated shapes dispatch in
-//     O(1), and persist it as one small JSON file per key (under
-//     os.UserCacheDir, overridable via FASTMM_TUNE_CACHE; none with
-//     Options.NoDiskCache), written atomically and read back on an LRU miss.
+//  4. keep the winner warm in the in-memory cache, so repeated shapes
+//     dispatch in O(1) without formatting a key, and persist it as one small
+//     JSON file per key (under os.UserCacheDir, overridable via
+//     FASTMM_TUNE_CACHE; none with Options.NoDiskCache), written atomically
+//     and read back on a cache miss. The cache is the one warm pool of
+//     executors: it evicts its least recently used entries past MaxEntries,
+//     or while Options.Workspace is below the bytes their arenas retain.
 //
 // Each key is decided at most once at a time: a concurrent first touch
 // waits for the decision in flight instead of ranking and probing again.
@@ -84,8 +87,6 @@ const (
 	// DefaultMaxSteps is the deepest recursion enumerated; the paper never
 	// profits from more than three steps at practical sizes.
 	DefaultMaxSteps = 3
-
-	lruSize = 128
 )
 
 // ClassicalAlgorithm is the Plan.Algorithm value for the gemm baseline.
@@ -101,13 +102,14 @@ type Resources = resources.Resources
 // probing, and the default disk cache location.
 type Options struct {
 	// Resources is the execution budget: Workers bounds the goroutines a
-	// chosen plan may use (default GOMAXPROCS); Workspace, when positive,
-	// caps the workspace bytes a chosen plan may claim — fast candidates
-	// whose executor's WorkspaceBytes exceeds it are never ranked, and the
-	// cap is threaded through to the built executor, which additionally
-	// degrades BFS/HYBRID to DFS at run time (a cap below even the classical
-	// kernel's packing slabs still selects sequential classical gemm —
-	// multiplication must remain possible).
+	// chosen plan may use (default GOMAXPROCS); Workspace, when positive, is
+	// the one workspace budget — fast candidates whose executor's
+	// WorkspaceBytes exceeds it are never ranked, the built executor
+	// degrades BFS/HYBRID to DFS at run time above it (a budget below even
+	// the classical kernel's packing slabs still selects sequential
+	// classical gemm — multiplication must remain possible), and the
+	// in-memory cache evicts its least recently used entries while their
+	// retained arenas exceed it.
 	Resources
 	// ProbeTopK is how many top-ranked candidates to time empirically
 	// before committing (0 → DefaultProbeTopK, NoProbes → model only; a
@@ -296,7 +298,7 @@ func (d *decision) runClassical(r op.Request) error {
 }
 
 // Tuner dispatches multiplications to autotuned plans. It is safe for
-// concurrent use, and it is the one place a decision is made, kept and
+// concurrent use, and it is the one place a decision is made, kept warm and
 // persisted: Do, PlanForOp, Entry and RankOp work at Options.Workers,
 // EntryOp at the width its caller names.
 type Tuner struct {
@@ -305,11 +307,16 @@ type Tuner struct {
 	be        gemm.Backend // the leaf backend every plan runs on: gemm.Default() at New
 	keySuffix string       // Options.Key() less its leading "w<Workers>", where key renders the width
 
-	mu  sync.Mutex
-	lru *lru
+	// mu guards the in-memory cache (see cacheKey): warm holds its entries,
+	// uses is the clock each use of an entry reads, and retained sums the
+	// entries' bytes.
+	mu       sync.Mutex
+	warm     map[cacheKey]*Entry
+	uses     uint64
+	retained int64
 	// deciding holds the keys whose decision is being made; each channel is
 	// closed once its decision is kept or has failed.
-	deciding map[string]chan struct{}
+	deciding map[cacheKey]chan struct{}
 
 	// timeRun is the probe's stopwatch: it runs d on req — the caller's own
 	// request, when the probe serves one, so the run's result is the call's
@@ -330,8 +337,8 @@ func New(opts Options) (*Tuner, error) {
 	t := &Tuner{
 		opts:     opts,
 		be:       gemm.Default(),
-		lru:      newLRU(lruSize),
-		deciding: map[string]chan struct{}{},
+		warm:     map[cacheKey]*Entry{},
+		deciding: map[cacheKey]chan struct{}{},
 	}
 	t.timeRun = timeDecision
 	switch {
@@ -388,47 +395,56 @@ func (t *Tuner) Do(req op.Request) error {
 		return fmt.Errorf("tuner: %w", err)
 	}
 	m, k, n := req.Shape()
-	d, served, err := t.decide(req.Op.PlanOp(), m, k, n, t.opts.Workers, &req)
+	e, _, served, err := t.decide(req.Op.PlanOp(), m, k, n, t.opts.Workers, &req)
 	if err != nil || served {
 		return err
 	}
-	return d.run(req)
+	return e.Run(req)
 }
 
 // PlanForOp returns the tuned plan for an (op, shape), tuning on first
 // touch. The shape is always the gemm-equivalent product triple ⟨m,k,n⟩
 // (op.Op.Shape): ATA on an m×n operand asks for ⟨n,m,n⟩, Syrk for ⟨m,n,m⟩.
 func (t *Tuner) PlanForOp(o op.Op, m, k, n int) (Plan, error) {
-	d, _, err := t.decide(o.PlanOp(), m, k, n, t.opts.Workers, nil)
+	e, _, _, err := t.decide(o.PlanOp(), m, k, n, t.opts.Workers, nil)
 	if err != nil {
 		return Plan{}, err
 	}
-	return d.plan, nil
+	return e.Plan(), nil
 }
 
 // Entry is one warm tuning decision: the chosen plan bound to its runnable
-// trusted executor (nil executor for the classical baseline). Holding an
-// Entry pins the executor and its retained workspace arenas independently of
-// the tuner's internal LRU, which is exactly what a batched dispatcher wants:
-// resolve once per shape class, then Run requests through the entry with no
-// per-call key formatting or cache traffic at all.
+// trusted executor (nil executor for the classical baseline), as the
+// tuner's in-memory cache keeps it. A holder runs requests through it
+// without the tuner's dispatch, which is what a batched dispatcher wants:
+// resolve once per shape class, then Run. Holding an Entry keeps its
+// executor and arenas alive after the cache evicts it.
 type Entry struct {
-	d *decision
+	d   *decision
+	t   *Tuner
+	key cacheKey
+	// used and bytes are the cache's bookkeeping, guarded by t.mu: the
+	// entry's last use on the tuner's use clock, and the workspace bytes its
+	// executor retained after its last run while the cache kept it.
+	used  uint64
+	bytes int64
 }
 
 // Entry returns the warm multiply entry for a shape at Options.Workers,
 // tuning it on first touch. The returned entry stays valid (and keeps its
-// executor's arenas warm) even if the tuner later evicts or Forgets the
-// shape.
+// executor's arenas warm) even if the tuner's cache later evicts it.
 func (t *Tuner) Entry(m, k, n int) (*Entry, error) {
-	e, _, err := t.EntryOp(op.Multiply, m, k, n, t.opts.Workers, nil)
+	e, _, _, err := t.EntryOp(op.Multiply, m, k, n, t.opts.Workers, nil)
 	return e, err
 }
 
 // EntryOp returns the warm entry for an (op, gemm-equivalent-shape) pair at
 // width w, a worker count from 1 to Options.Workers; see PlanForOp for the
-// triple convention. The batched dispatcher resolves one entry per (op,
-// shape class, width) and runs requests through it.
+// triple convention. The batched dispatcher resolves each request to the
+// entry of its (op, shape class, width) and runs it through the entry. A
+// warm entry is returned without allocating, and hit reports that the cache
+// held it — or that a concurrent caller's decision in flight made it, for
+// which this call waited.
 //
 // req, when non-nil, is the caller's request that asked for the entry. It
 // is lent to a cold decision only when its plan-space op and
@@ -439,22 +455,11 @@ func (t *Tuner) Entry(m, k, n int) (*Entry, error) {
 // won — so the caller must not run it again; the entry's
 // Plan().MeasuredSeconds is then that run's time. A request not lent, or
 // none, leaves the probes on operands of their own, and nothing is served.
-func (t *Tuner) EntryOp(o op.Op, m, k, n, w int, req *op.Request) (e *Entry, served bool, err error) {
+func (t *Tuner) EntryOp(o op.Op, m, k, n, w int, req *op.Request) (e *Entry, hit, served bool, err error) {
 	if w < 1 || w > t.opts.Workers {
-		return nil, false, fmt.Errorf("tuner: width %d outside 1..%d", w, t.opts.Workers)
+		return nil, false, false, fmt.Errorf("tuner: width %d outside 1..%d", w, t.opts.Workers)
 	}
-	var lend *op.Request
-	if req != nil {
-		if rm, rk, rn := req.Shape(); req.Op.PlanOp() == o.PlanOp() && rm == m && rk == k && rn == n {
-			r := req.Normalized()
-			lend = &r
-		}
-	}
-	d, served, err := t.decide(o.PlanOp(), m, k, n, w, lend)
-	if err != nil {
-		return nil, false, err
-	}
-	return &Entry{d: d}, served, nil
+	return t.decide(o.PlanOp(), m, k, n, w, req)
 }
 
 // Plan reports the entry's tuned plan.
@@ -462,9 +467,14 @@ func (e *Entry) Plan() Plan { return e.d.plan }
 
 // Run executes one request with the entry's plan. The request's op must
 // share the entry's plan space (op.PlanOp) and its shape must match the
-// entry's — the entry applies no dispatch, just its bound plan. Safe for
-// concurrent use.
-func (e *Entry) Run(req op.Request) error { return e.d.run(req) }
+// entry's — the entry applies no dispatch, just its bound plan. The run
+// refreshes the entry's retained bytes in the tuner's cache, which may
+// evict least recently used entries. Safe for concurrent use.
+func (e *Entry) Run(req op.Request) error {
+	err := e.d.run(req)
+	e.t.retain(e)
+	return err
+}
 
 // WorkspaceRetained reports the bytes currently held by the entry executor's
 // arena pool (0 for the classical baseline, whose packing slabs are pooled
@@ -476,59 +486,29 @@ func (e *Entry) WorkspaceRetained() int64 {
 	return e.d.exec.WorkspaceRetained()
 }
 
-// ForgetOp drops an (op, shape) decision at width w from the tuner's
-// in-memory cache, so its executor (and retained arenas) can be collected
-// once outstanding Entry holders release it. The persisted plan survives:
-// re-touching the shape rebuilds the executor from its file in the disk
-// cache without re-probing. Byte-budget eviction in the batched dispatcher
-// is the intended caller.
-func (t *Tuner) ForgetOp(o op.Op, m, k, n, w int) {
-	key := t.key(o.PlanOp(), m, k, n, w)
-	t.mu.Lock()
-	t.lru.remove(key)
-	t.mu.Unlock()
-}
-
-// key identifies a tuning decision: the op, shape and width plus every
-// option that changes the answer. It is the key a tuner built with Workers w
-// renders. Only the op, shape and width vary per call; the rest of the
-// options part is precomputed once in New so the warm dispatch path formats
-// one string.
+// key renders a decision's disk-cache key: the op, shape and width plus
+// every option that changes the answer. It is the key a tuner built with
+// Workers w renders. Only the op, shape and width vary per call; the rest
+// of the options part is precomputed once in New.
 func (t *Tuner) key(o op.Op, m, k, n, w int) string {
-	// Hand-rolled (not Sprintf): this runs on every warm dispatch, and the
-	// sub-microsecond lookup contract leaves no room for verb parsing.
-	b := make([]byte, 0, 48+len(t.keySuffix))
-	b = append(b, 'v')
-	b = strconv.AppendInt(b, ProfileVersion, 10)
-	b = append(b, '/')
-	b = append(b, o.Key()...)
-	b = append(b, '/')
-	b = strconv.AppendInt(b, int64(m), 10)
-	b = append(b, 'x')
-	b = strconv.AppendInt(b, int64(k), 10)
-	b = append(b, 'x')
-	b = strconv.AppendInt(b, int64(n), 10)
-	b = append(b, "/w"...)
-	b = strconv.AppendInt(b, int64(w), 10)
-	b = append(b, t.keySuffix...)
-	return string(b)
+	return fmt.Sprintf("v%d/%s/%dx%dx%d/w%d%s", ProfileVersion, o.Key(), m, k, n, w, t.keySuffix)
 }
 
-// decide resolves an (op, shape) at width w to its decision: from the LRU,
-// or else from the key's file in the disk cache or a fresh ranking and
-// probe (see resolve). One decision per key is made at a time: a caller
-// that finds its key being decided waits, then takes the kept decision —
-// or, when that one failed and nothing was kept, decides itself. lend, when
-// non-nil, is a normalized caller's request of the op and shape that the
-// probes run on (see probe); only the deciding caller's is lent, and served
-// reports that a probe ran it.
-func (t *Tuner) decide(o op.Op, m, k, n, w int, lend *op.Request) (d *decision, served bool, err error) {
-	key := t.key(o, m, k, n, w)
+// decide resolves an (op, shape) at width w to its warm entry: from the
+// in-memory cache (hit), or else from the key's file in the disk cache or a
+// fresh ranking and probe (see resolve). One decision per key is made at a
+// time: a caller that finds its key being decided waits, then takes the
+// kept entry as a hit — or, when that decision failed and nothing was kept,
+// decides itself. req, when non-nil, is the caller's request; only the
+// deciding caller's is lent to the probes, and served reports that a probe
+// ran it.
+func (t *Tuner) decide(o op.Op, m, k, n, w int, req *op.Request) (e *Entry, hit, served bool, err error) {
+	key := cacheKey{op: o, m: m, k: k, n: n, w: w}
 	t.mu.Lock()
 	for {
-		if d, ok := t.lru.get(key); ok {
+		if e, ok := t.lookup(key); ok {
 			t.mu.Unlock()
-			return d, false, nil
+			return e, true, false, nil
 		}
 		busy, ok := t.deciding[key]
 		if !ok {
@@ -545,20 +525,29 @@ func (t *Tuner) decide(o op.Op, m, k, n, w int, lend *op.Request) (d *decision, 
 	// Deferred, so that a decision that panics still wakes its waiters.
 	defer func() {
 		t.mu.Lock()
-		if d != nil {
-			t.lru.add(key, d)
+		if e != nil {
+			t.warm[key] = e
+			t.use(e)
+			t.evict()
 		}
 		delete(t.deciding, key)
 		t.mu.Unlock()
 		close(done)
 	}()
-	return t.resolve(o, m, k, n, w, key, lend)
+	d, served, err := t.resolve(o, m, k, n, w, req)
+	if err != nil {
+		return nil, false, false, err
+	}
+	return &Entry{d: d, t: t, key: key}, false, served, nil
 }
 
-// resolve makes key's decision: the plan in the key's file when it builds,
-// else the winner of a fresh ranking and probe, persisted as the key's file
-// (best-effort: a read-only home only costs the next process a re-decision).
-func (t *Tuner) resolve(o op.Op, m, k, n, w int, key string, lend *op.Request) (*decision, bool, error) {
+// resolve makes the decision for (o, shape) at width w: the plan in the
+// key's file when it builds, else the winner of a fresh ranking and probe,
+// persisted as the key's file (best-effort: a read-only home only costs the
+// next process a re-decision). The probes read req when it is lendable (see
+// lendable).
+func (t *Tuner) resolve(o op.Op, m, k, n, w int, req *op.Request) (*decision, bool, error) {
+	key := t.key(o, m, k, n, w)
 	if !t.opts.NoDiskCache {
 		if p, ok := loadPlan(key); ok {
 			if d, err := t.build(o, p); err == nil {
@@ -573,7 +562,7 @@ func (t *Tuner) resolve(o op.Op, m, k, n, w int, key string, lend *op.Request) (
 	if err != nil {
 		return nil, false, err
 	}
-	d, served, err := t.pick(ranked, m, k, n, lend)
+	d, served, err := t.pick(ranked, m, k, n, lendable(o, m, k, n, req))
 	if err != nil {
 		return nil, false, err
 	}
@@ -581,6 +570,20 @@ func (t *Tuner) resolve(o op.Op, m, k, n, w int, key string, lend *op.Request) (
 		_ = storePlan(key, d.plan)
 	}
 	return d, served, nil
+}
+
+// lendable returns req normalized when its plan-space op and
+// gemm-equivalent shape are the decision's, so its operands may serve the
+// probes (see probe), and nil otherwise.
+func lendable(o op.Op, m, k, n int, req *op.Request) *op.Request {
+	if req == nil || req.Op.PlanOp() != o {
+		return nil
+	}
+	if rm, rk, rn := req.Shape(); rm != m || rk != k || rn != n {
+		return nil
+	}
+	r := req.Normalized()
+	return &r
 }
 
 // RankOp enumerates the candidate plans for an (op, shape) — the classical
@@ -806,7 +809,7 @@ const probeMargin = 0.03
 // the model round, then the configured number of probes decides among the
 // leaders empirically. The best-predicted classical plan always joins the
 // probed survivors, however the model ranked it — it is the reference
-// probe holds every fast plan to. lend and served are decide's (see
+// probe holds every fast plan to. lend and served are resolve's (see
 // probe).
 func (t *Tuner) pick(ranked []*decision, m, k, n int, lend *op.Request) (*decision, bool, error) {
 	topK := t.opts.ProbeTopK

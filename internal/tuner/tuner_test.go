@@ -479,24 +479,42 @@ func TestParseRoundTrips(t *testing.T) {
 	}
 }
 
+// installEntry keeps a synthetic classical entry for key in tn's cache, as
+// a decision would.
+func installEntry(tn *Tuner, key cacheKey) *Entry {
+	e := &Entry{d: &decision{plan: Plan{Algorithm: ClassicalAlgorithm}}, t: tn, key: key}
+	tn.mu.Lock()
+	tn.warm[key] = e
+	tn.use(e)
+	tn.evict()
+	tn.mu.Unlock()
+	return e
+}
+
+// TestLRU: past MaxEntries the cache evicts its least recently used entry,
+// and a lookup makes an entry the most recently used.
 func TestLRU(t *testing.T) {
-	l := newLRU(2)
-	d1, d2, d3 := &decision{}, &decision{}, &decision{}
-	l.add("a", d1)
-	l.add("b", d2)
-	if got, ok := l.get("a"); !ok || got != d1 {
-		t.Fatal("a must be present")
+	tn := mustTuner(t, modelOnlyOpts(1))
+	key := func(i int) cacheKey { return cacheKey{op: op.Multiply, m: i, k: i, n: i, w: 1} }
+	for i := 0; i < MaxEntries; i++ {
+		installEntry(tn, key(i))
 	}
-	l.add("c", d3) // evicts b (a was just touched)
-	if _, ok := l.get("b"); ok {
-		t.Fatal("b must have been evicted")
+	tn.mu.Lock()
+	_, ok := tn.lookup(key(0))
+	tn.mu.Unlock()
+	if !ok {
+		t.Fatal("entry 0 must be present")
 	}
-	if _, ok := l.get("a"); !ok {
-		t.Fatal("a must survive")
+	installEntry(tn, key(MaxEntries)) // evicts 1: 0 was just looked up
+	tn.mu.Lock()
+	_, has0 := tn.warm[key(0)]
+	_, has1 := tn.warm[key(1)]
+	tn.mu.Unlock()
+	if !has0 || has1 {
+		t.Fatalf("entry 0 kept %v, entry 1 kept %v; want 0 kept and 1 evicted", has0, has1)
 	}
-	l.add("a", d2)
-	if got, _ := l.get("a"); got != d2 {
-		t.Fatal("re-add must replace the decision")
+	if n, _ := tn.Warm(); n != MaxEntries {
+		t.Fatalf("cache holds %d entries, want %d", n, MaxEntries)
 	}
 }
 
@@ -578,7 +596,8 @@ func TestProbeTopKBelowNoProbesFails(t *testing.T) {
 	}
 }
 
-// Entry/Forget is the warm-entry surface the batched dispatcher builds on.
+// Entry is the warm-entry surface the batched dispatcher builds on: a warm
+// entry is the cache's own, and a handle outlives the cache's eviction of it.
 func TestEntryAndForget(t *testing.T) {
 	tn := mustTuner(t, modelOnlyOpts(1))
 	e, err := tn.Entry(192, 192, 192)
@@ -600,26 +619,102 @@ func TestEntryAndForget(t *testing.T) {
 	if !e.Plan().IsClassical() && e.WorkspaceRetained() <= 0 {
 		t.Fatalf("fast entry retained no workspace after a call: %+v", e.Plan())
 	}
+	if _, retained := tn.Warm(); retained != e.WorkspaceRetained() {
+		t.Fatalf("cache accounts %d retained bytes, the entry holds %d", retained, e.WorkspaceRetained())
+	}
+	if again, hit, _, err := tn.EntryOp(op.Multiply, 192, 192, 192, 1, nil); err != nil || !hit || again != e {
+		t.Fatalf("warm EntryOp: hit %v, same entry %v, err %v", hit, again == e, err)
+	}
 
 	for _, w := range []int{0, 2} {
-		if _, _, err := tn.EntryOp(op.Multiply, 192, 192, 192, w, nil); err == nil {
+		if _, _, _, err := tn.EntryOp(op.Multiply, 192, 192, 192, w, nil); err == nil {
 			t.Errorf("EntryOp at width %d of a 1-worker tuner succeeded", w)
 		}
 	}
-	tn.ForgetOp(op.Multiply, 192, 192, 192, 1)
-	if _, ok := tn.lru.get(tn.key(op.Multiply, 192, 192, 192, 1)); ok {
-		t.Fatal("Forget must drop the in-memory entry")
+	// MaxEntries newer entries evict it, and its bytes leave the account.
+	for i := 1; i <= MaxEntries; i++ {
+		installEntry(tn, cacheKey{op: op.ATA, m: i, k: i, n: i, w: 1})
+	}
+	if n, retained := tn.Warm(); n != MaxEntries || retained != 0 {
+		t.Fatalf("after eviction the cache holds %d entries retaining %d bytes, want %d and 0", n, retained, MaxEntries)
 	}
 	// The entry handle outlives the eviction, and re-touching re-tunes.
 	if err := e.Run(op.Request{Op: op.Multiply, C: C, A: A, B: B}); err != nil {
 		t.Fatal(err)
 	}
-	e2, err := tn.Entry(192, 192, 192)
+	if _, retained := tn.Warm(); retained != 0 {
+		t.Fatalf("an evicted entry's run is accounted: %d retained bytes", retained)
+	}
+	e2, hit, _, err := tn.EntryOp(op.Multiply, 192, 192, 192, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if hit || e2 == e {
+		t.Fatalf("an evicted key was served warm: hit %v, same entry %v", hit, e2 == e)
+	}
 	if e2.Plan().Algorithm != e.Plan().Algorithm {
 		t.Fatalf("re-tuned plan diverged: %v vs %v", e2.Plan(), e.Plan())
+	}
+}
+
+// deepProfile models a gemm whose rate falls steeply past 128³ blocks, so
+// the ranking recurses as deep as a shape allows and a fast entry's
+// executor retains megabytes of arenas: at one worker 320³, 384³ and 448³
+// run two-step Strassen retaining about 2, 3 and 4 MB.
+func deepProfile() *Profile {
+	p := *testProfile(1)
+	p.Machine.Gemm = []costmodel.GemmSample{
+		{N: 64, SeqGFLOPS: 2.4, ParGFLOPS: 2.4},
+		{N: 128, SeqGFLOPS: 2.4, ParGFLOPS: 2.4},
+		{N: 256, SeqGFLOPS: 0.6, ParGFLOPS: 0.6},
+		{N: 1024, SeqGFLOPS: 0.2, ParGFLOPS: 0.2},
+	}
+	return &p
+}
+
+// TestWorkspaceBudgetEvicts: a tuner whose Workspace budget admits each fast
+// plan alone but not the arenas of all of them keeps the bytes its cache
+// retains inside the budget, apart from its most recently used entry, which
+// always stays.
+func TestWorkspaceBudgetEvicts(t *testing.T) {
+	shapes := []int{320, 384, 448}
+	opts := modelOnlyOpts(1)
+	opts.Profile = deepProfile()
+	uncapped := mustTuner(t, opts)
+	for _, n := range shapes {
+		p, err := uncapped.PlanForOp(op.Multiply, n, n, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.IsClassical() {
+			t.Fatalf("%d³: the profile picked classical, want a fast plan", n)
+		}
+		opts.Workspace = max(opts.Workspace, p.WorkspaceBytes)
+	}
+	tn := mustTuner(t, opts)
+	for round := 0; round < 2; round++ {
+		for _, n := range shapes {
+			A, B, C := mat.New(n, n), mat.New(n, n), mat.New(n, n)
+			A.FillRandom(rand.New(rand.NewSource(int64(n))))
+			B.FillRandom(rand.New(rand.NewSource(int64(n + 1))))
+			if err := tn.Multiply(C, A, B); err != nil {
+				t.Fatal(err)
+			}
+			want := mat.New(n, n)
+			gemm.Mul(want, A, B)
+			if d := mat.MaxAbsDiff(C, want); d > 1e-9*float64(n+1) {
+				t.Fatalf("%d³: max diff %g", n, d)
+			}
+			if p, _ := tn.PlanForOp(op.Multiply, n, n, n); p.IsClassical() {
+				t.Fatalf("%d³: a budget of %d filtered every fast plan", n, opts.Workspace)
+			}
+			if entries, retained := tn.Warm(); entries > 1 && retained > opts.Workspace {
+				t.Fatalf("%d entries retain %d bytes over a budget of %d", entries, retained, opts.Workspace)
+			}
+		}
+	}
+	if entries, _ := tn.Warm(); entries == len(shapes) {
+		t.Fatalf("the cache kept all %d entries: nothing was evicted under a budget of %d", entries, opts.Workspace)
 	}
 }
 
